@@ -21,8 +21,8 @@ import sys
 from dataclasses import replace
 
 from .config import PRESETS, ExperimentConfig, load_config, preset_config
+from .datagen import save_dataset_csv
 from .runner import (
-    _efi_results,
     _replication_data,
     replication_ints,
     rescore,
@@ -50,52 +50,32 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _write_dataset_csv(data, path) -> None:
-    cols = [f"x{j + 1}" for j in range(data.d)] + ["t", "y"]
-    extra = []
-    for name in ("y0", "y1", "tau_true", "z_true"):
-        if getattr(data, name, None) is not None:
-            extra.append(name)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(cols + extra)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.x[i]]
-            row += [repr(float(data.t[i])), repr(float(data.y[i]))]
-            row += [repr(float(getattr(data, name)[i])) for name in extra]
-            wr.writerow(row)
-
-
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     if cfg.design is None:
         raise SystemExit("simulate needs a design-based config, not a csv one")
     train, test = _replication_data(cfg, replication_ints(cfg.seed, 0))
     os.makedirs(cfg.outdir, exist_ok=True)
-    _write_dataset_csv(train, os.path.join(cfg.outdir, "train.csv"))
+    save_dataset_csv(train, os.path.join(cfg.outdir, "train.csv"))
     if test is not None:
-        _write_dataset_csv(test, os.path.join(cfg.outdir, "test.csv"))
+        save_dataset_csv(test, os.path.join(cfg.outdir, "test.csv"))
     print(f"wrote train.csv ({train.n} rows) to {cfg.outdir}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    cfg = _resolve_config(args)
-    if "efi" not in cfg.methods:
-        cfg = replace(cfg, methods=("efi",) + cfg.methods)
+    cfg = replace(_resolve_config(args), methods=("efi",))
     os.makedirs(cfg.outdir, exist_ok=True)
-    ints = replication_ints(cfg.seed, 0)
-    train, _ = _replication_data(cfg, ints)
-    chain, layout = _efi_results(cfg, train, ints, cfg.outdir if cfg.trace else None)
+    rep = run_replication(cfg, 0, rep_dir=cfg.outdir)
+    chain = rep["chain"]
     with open(os.path.join(cfg.outdir, "chain.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow([f"theta_{j}" for j in range(layout.theta_dim)] + ["sigma", "energy"])
+        wr.writerow([f"theta_{j}" for j in range(chain.draws.shape[1])] + ["sigma", "energy"])
         for k in range(chain.n_draws):
             wr.writerow(
                 [repr(float(v)) for v in chain.draws[k]]
                 + [repr(float(chain.sigmas[k])), repr(float(chain.energies[k]))]
             )
-    rep = run_replication(replace(cfg, methods=("efi",)), 0)
     write_rows_csv(rep["rows"], os.path.join(cfg.outdir, "intervals.csv"))
     print(f"wrote chain.csv ({chain.n_draws} draws) and intervals.csv to {cfg.outdir}")
     return 0

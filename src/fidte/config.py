@@ -1,11 +1,15 @@
 """Experiment configuration: presets, config files, validation.
 
 A config fully determines one benchmark run: the data source (simulation
-design or CSV), the model layout, the sampler schedules and budgets, the
-methods to run, and the output location.  Presets carry the published
-constants for the simulation studies; iteration budgets are halved at load
-time unless paper scale is requested, so a default run finishes on a desk
-machine while --paper-scale reproduces the full schedule exactly.
+design or CSV), the model layout, the sampler's decay constants and budgets,
+the methods to run, and the output location.  Presets carry the published
+constants for the simulation studies, except the step-size multipliers C:
+the sampler anchors every step to curvature measured at its start state, so
+only each schedule's decay constant c has an effect.  Iteration budgets are
+halved at load time unless paper scale is requested, so a default run
+finishes on a desk machine while --paper-scale reproduces the full schedule
+exactly.  Every check that can fail is made when the config is built, before
+any data is drawn or sampler run.
 """
 
 from __future__ import annotations
@@ -15,8 +19,15 @@ from typing import Optional
 
 import yaml
 
+from .sampler import LAYOUT_GROUPS
+
 VALID_METHODS = ("efi", "cqr-naive", "cqr-exact", "cqr-inexact")
 VALID_DESIGNS = ("linear_ate", "example1", "example2")
+_C_REMOVED = (
+    "the step-size multipliers C were removed: the sampler anchors each step "
+    "to curvature measured at its start state, so C cancels; give only the "
+    "decay constant c"
+)
 
 # iteration-budget fields subject to desk-scale halving
 _BUDGET_FIELDS = ("k_burn", "m_keep", "init_iters")
@@ -26,10 +37,14 @@ _BUDGET_FIELDS = ("k_burn", "m_keep", "init_iters")
 class ExperimentConfig:
     """One benchmark run, fully specified.
 
-    Either design (with n_train / n_test) or csv + csv_schema must be set.
-    k_burn / m_keep / init_iters are the counts actually run; presets fill
-    them at the requested scale.  n_batches is the weight-update minibatch
-    count per epoch (batch size = n_train // n_batches; 1 = full batch).
+    Either design (with n_train / n_test) or csv + csv_schema must be set;
+    a csv config has no test set, so it runs EFI on the linear_ate layout
+    only.  k_burn / m_keep / init_iters are the counts actually run; presets
+    fill them at the requested scale.  n_batches is the weight-update
+    minibatch count per epoch (batch size = n_train // n_batches; 1 = full
+    batch).  c_upsilon and gamma_map (group -> c) are the decay constants of
+    the latent and weight step sizes; gamma_map must name exactly the groups
+    of layout_kind (LAYOUT_GROUPS).
     """
 
     design: Optional[str] = None
@@ -43,9 +58,8 @@ class ExperimentConfig:
     c_widths: tuple = (10, 10)
     inverse_widths: tuple = (90, 30)
     out_scale: float = 1.0 / 25.0
-    C_upsilon: float = 200000.0
     c_upsilon: float = 1e6
-    gamma_map: dict = field(default_factory=lambda: {"rest": (54000.0, 1e6)})
+    gamma_map: dict = field(default_factory=lambda: {"rest": 1e6})
     alpha_exp: float = 1.0 / 7.0
     varpi: float = 0.1
     eta: float = 500.0
@@ -73,6 +87,22 @@ class ExperimentConfig:
             )
         if self.csv is not None and self.csv_schema is None:
             raise ValueError("csv_schema: required when loading from csv")
+        if self.layout_kind not in LAYOUT_GROUPS:
+            raise ValueError(
+                f"layout_kind: unknown layout {self.layout_kind!r}, "
+                f"expected one of {sorted(LAYOUT_GROUPS)}"
+            )
+        for g, c in self.gamma_map.items():
+            if isinstance(c, (list, tuple)):
+                raise ValueError(f"gamma_map: group {g!r} gives a pair; {_C_REMOVED}")
+            if not c > 0:
+                raise ValueError(f"gamma_map: decay constant of group {g!r} must be positive")
+        want = set(LAYOUT_GROUPS[self.layout_kind])
+        if set(self.gamma_map) != want:
+            raise ValueError(
+                f"gamma_map: layout {self.layout_kind} needs groups {sorted(want)}, "
+                f"got {sorted(self.gamma_map)}"
+            )
         if self.R < 1:
             raise ValueError(f"R: must be >= 1, got {self.R}")
         if not self.methods:
@@ -82,6 +112,16 @@ class ExperimentConfig:
                 raise ValueError(f"methods: unknown method {m!r}, expected subset of {VALID_METHODS}")
         if any(m != "efi" for m in self.methods) and self.n_test < 1 and self.design is not None:
             raise ValueError("n_test: covariates-only methods need a test set (n_test >= 1)")
+        if self.csv is not None:
+            # a csv file is the training set; nothing supplies a test set
+            cqr = [m for m in self.methods if m != "efi"]
+            if cqr:
+                raise ValueError(f"methods: {cqr} need a test set, which a csv config lacks")
+            if self.layout_kind != "linear_ate":
+                raise ValueError(
+                    f"layout_kind: {self.layout_kind} gives individual-effect intervals, "
+                    "which need a test set; a csv config supports linear_ate only"
+                )
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError(f"alphas: levels must lie in (0, 1), got {self.alphas}")
         if self.n_train < 2:
@@ -93,40 +133,41 @@ class ExperimentConfig:
                 raise ValueError(f"{name}: must be nonnegative")
         if self.thin < 1:
             raise ValueError(f"thin: must be >= 1, got {self.thin}")
+        if "efi" in self.methods and self.m_keep < self.thin:
+            raise ValueError(
+                f"m_keep: {self.m_keep} kept iterations at thin {self.thin} record no draws"
+            )
 
 
-# Published constants per study.  Budgets here are the full-schedule values;
-# load-time halving produces the desk-scale defaults.
+# Published constants per study (decay constants c only, see the module
+# docstring; every preset keeps the default c_upsilon).  Budgets here are the
+# full-schedule values; load-time halving produces the desk-scale defaults.
 PRESETS = {
     "linear_ate_n250": dict(
         design="linear_ate", R=20, n_train=250, n_test=0,
         layout_kind="linear_ate",
-        C_upsilon=200000.0, c_upsilon=1e6,
-        gamma_map={"rest": (54000.0, 1e6)},
+        gamma_map={"rest": 1e6},
         eta=500.0, eps=0.1, k_burn=5000, m_keep=50000, n_batches=5,
         init_iters=0, methods=("efi",),
     ),
     "linear_ate_n500": dict(
         design="linear_ate", R=20, n_train=500, n_test=0,
         layout_kind="linear_ate",
-        C_upsilon=500000.0, c_upsilon=1e6,
-        gamma_map={"rest": (54000.0, 1e6)},
+        gamma_map={"rest": 1e6},
         eta=500.0, eps=0.1, k_burn=5000, m_keep=50000, n_batches=5,
         init_iters=0, methods=("efi",),
     ),
     "linear_ate_n1000": dict(
         design="linear_ate", R=20, n_train=1000, n_test=0,
         layout_kind="linear_ate",
-        C_upsilon=500000.0, c_upsilon=1e6,
-        gamma_map={"rest": (54000.0, 1e6)},
+        gamma_map={"rest": 1e6},
         eta=500.0, eps=0.1, k_burn=5000, m_keep=50000, n_batches=5,
         init_iters=0, methods=("efi",),
     ),
     "example1": dict(
         design="example1", R=20, n_train=500, n_test=1000,
         layout_kind="dnn_tau_linear_c", tau_widths=(10, 10),
-        C_upsilon=200000.0, c_upsilon=1e6,
-        gamma_map={"tau_head": (20.0, 20000.0), "rest": (20000.0, 200000.0)},
+        gamma_map={"tau_head": 20000.0, "rest": 200000.0},
         eta=10.0, eps=0.1, k_burn=20000, m_keep=50000, n_batches=5,
         init_iters=5000,
         methods=("efi", "cqr-naive", "cqr-exact", "cqr-inexact"),
@@ -134,12 +175,7 @@ PRESETS = {
     "example2": dict(
         design="example2", R=20, n_train=1000, n_test=1000,
         layout_kind="dnn_both", tau_widths=(10, 10), c_widths=(10, 10),
-        C_upsilon=500000.0, c_upsilon=1e6,
-        gamma_map={
-            "tau_head": (2.5, 1e6),
-            "c_head": (2.5, 1e6),
-            "rest": (20000.0, 200000.0),
-        },
+        gamma_map={"tau_head": 1e6, "c_head": 1e6, "rest": 200000.0},
         eta=10.0, eps=0.1, k_burn=20000, m_keep=50000, n_batches=5,
         init_iters=5000,
         methods=("efi", "cqr-naive", "cqr-exact", "cqr-inexact"),
@@ -152,6 +188,8 @@ _FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
 
 def _coerce(name: str, value):
     """Normalize YAML-level values onto config field types, or complain."""
+    if name == "C_upsilon":
+        raise ValueError(f"{name}: {_C_REMOVED}")
     if name not in _FIELD_TYPES:
         raise ValueError(f"{name}: unknown config field")
     if name in _TUPLE_FIELDS:
@@ -162,13 +200,9 @@ def _coerce(name: str, value):
         raise ValueError(f"{name}: expected a list, got {type(value).__name__}")
     if name == "gamma_map":
         if not isinstance(value, dict):
-            raise ValueError(f"{name}: expected a mapping of group -> [C, c]")
-        out = {}
-        for g, pair in value.items():
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"{name}: group {g!r} needs a [C, c] pair")
-            out[str(g)] = (float(pair[0]), float(pair[1]))
-        return out
+            raise ValueError(f"{name}: expected a mapping of group -> c")
+        # pairs pass through for ExperimentConfig to reject with the reason
+        return {str(g): c if isinstance(c, (list, tuple)) else float(c) for g, c in value.items()}
     if name == "csv_schema":
         if not isinstance(value, dict):
             raise ValueError(f"{name}: expected a mapping with keys y, t, x")

@@ -165,29 +165,6 @@ def _band(
     return q[:, 0] - s, q[:, 1] + s
 
 
-def cqr_counterfactual(
-    model: QuantileModel,
-    corr: ConformalCorrection,
-    x: np.ndarray,
-    arm: int,
-    alpha: float,
-    subject_id: int = -1,
-) -> PredictionInterval:
-    """Conformal interval for Y(arm) at one covariate row.
-
-    Serves case Ic when arm = 1 (shift by the observed control outcome) and
-    case It when arm = 0, per the handling of observed-arm subjects.
-    """
-    lo, hi = _band(model, corr, np.atleast_2d(x), arm)
-    return PredictionInterval(
-        subject_id=subject_id,
-        case="Ic" if arm == 1 else "It",
-        lower=float(lo[0]),
-        upper=float(hi[0]),
-        alpha=alpha,
-    )
-
-
 def _split(n: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     perm = rng.permutation(n)
     half = n // 2

@@ -13,13 +13,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .engine import Dataset
+from .nn import sigmoid
 
 DESIGNS = ("linear_ate", "example1", "example2")
 
-_TRUTH_COLUMNS = ("z_true", "tau_true", "c_true", "y1", "y0")
+# truth columns written after x1..xd, t, y when a dataset carries them
+_TRUTH_COLUMNS = ("y0", "y1", "tau_true", "z_true")
+
+# E s(U) for U uniform on [0, 1] is exactly 1: s(u) + s(1 - u) = 2
+S_MEAN = 1.0
 
 
 @dataclass(frozen=True)
@@ -64,37 +68,14 @@ def beta_cdf(x, a: int, b: int):
 
 def s_curve(a):
     """Steep logistic ramp 2 / (1 + exp(-12 (a - 1/2))), hitting 1 at a = 1/2."""
-    a_arr = np.asarray(a, dtype=np.float64)
-    v = 12.0 * (a_arr - 0.5)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 2.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = 2.0 * ev / (1.0 + ev)
+    out = 2.0 * sigmoid(12.0 * (np.asarray(a, dtype=np.float64) - 0.5))
     return out if out.ndim else float(out)
-
-
-def _s_mean() -> float:
-    # E s(U), U uniform: composite Simpson with 1e4 panels (analytically 1 by
-    # the symmetry s(u) + s(1 - u) = 2)
-    grid = np.linspace(0.0, 1.0, 10001)
-    return float(simpson(s_curve(grid), x=grid))
-
-
-_S_MEAN_CACHE: Optional[float] = None
-
-
-def s_mean() -> float:
-    global _S_MEAN_CACHE
-    if _S_MEAN_CACHE is None:
-        _S_MEAN_CACHE = _s_mean()
-    return _S_MEAN_CACHE
 
 
 def nonlinear_tau(x: np.ndarray) -> np.ndarray:
     """Effect surface 1 + s(x1) s(x2) - E[s(x1) s(x2)] of the nonlinear designs."""
     x = np.atleast_2d(x)
-    return 1.0 + s_curve(x[:, 0]) * s_curve(x[:, 1]) - s_mean() ** 2
+    return 1.0 + s_curve(x[:, 0]) * s_curve(x[:, 1]) - S_MEAN ** 2
 
 
 def nonlinear_propensity(x: np.ndarray) -> np.ndarray:
@@ -107,15 +88,6 @@ def example2_c(x: np.ndarray) -> np.ndarray:
     """Control surface 2 x1 / (1 + 5 x2^2) of the second nonlinear design."""
     x = np.atleast_2d(x)
     return 2.0 * x[:, 0] / (1.0 + 5.0 * x[:, 1] ** 2)
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
 
 
 def _assemble(x, t, c, tau, z0, z1, p) -> Dataset:
@@ -146,7 +118,7 @@ def gen_linear_ate(spec: GenSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     coef = np.array([(-1.0) ** j for j in range(1, d + 1)])
     x = rng.standard_normal((n, d))
-    p = _sigmoid(1.0 + x @ coef)
+    p = sigmoid(1.0 + x @ coef)
     t = rng.random(n) < p
     z0 = rng.standard_normal(n)
     z1 = rng.standard_normal(n)
@@ -185,45 +157,17 @@ def generate(spec: GenSpec) -> Dataset:
 
 
 def save_dataset_csv(data: Dataset, path) -> None:
-    """Write x_1..x_d, t, y and whatever truth columns are present."""
+    """Write x1..xd, t, y and whatever truth columns are present.
+
+    runner.load_csv_dataset reads the file back with the schema
+    {y: y, t: t, x: [x1, ..., xd]}.
+    """
     truth = [name for name in _TRUTH_COLUMNS if getattr(data, name) is not None]
-    header = [f"x_{j + 1}" for j in range(data.d)] + ["t", "y"] + truth
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(header)
+        wr.writerow([f"x{j + 1}" for j in range(data.d)] + ["t", "y"] + truth)
         for i in range(data.n):
-            row = [repr(float(v)) for v in data.x[i]] + [str(int(data.t[i])), repr(float(data.y[i]))]
+            row = [repr(float(v)) for v in data.x[i]]
+            row += [repr(float(data.t[i])), repr(float(data.y[i]))]
             row += [repr(float(getattr(data, name)[i])) for name in truth]
             wr.writerow(row)
-
-
-def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by save_dataset_csv (truth columns optional)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = rows[0]
-    x_cols = [h for h in header if h.startswith("x_")]
-    for required in ("t", "y"):
-        if required not in header:
-            raise ValueError(f"{path}: missing column {required!r}")
-    if not x_cols:
-        raise ValueError(f"{path}: no covariate columns x_1..x_d")
-    idx = {h: header.index(h) for h in header}
-    body = rows[1:]
-    n = len(body)
-
-    def column(name, cast=float):
-        out = np.empty(n)
-        for i, row in enumerate(body):
-            cell = row[idx[name]]
-            try:
-                out[i] = cast(cell)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {i + 2}, column {name!r}: bad value {cell!r}") from exc
-        return out
-
-    x = np.column_stack([column(h) for h in x_cols])
-    kwargs = {name: column(name) for name in _TRUTH_COLUMNS if name in idx}
-    return Dataset(x=x, t=column("t").astype(np.int64), y=column("y"), **kwargs)

@@ -25,16 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .nn import (
-    MlpParams,
-    MlpSpec,
-    mlp_backward_batch,
-    mlp_forward,
-    mlp_forward_batch,
-    mlp_init,
-    param_count,
-)
-from .prior import MixturePrior, log_prior_grad
+from .nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init, param_count
 
 MODEL_KINDS = ("linear_ate", "dnn_tau_linear_c", "dnn_both")
 
@@ -262,22 +253,6 @@ def unpack_theta(theta: np.ndarray, layout: ThetaLayout) -> ModelTheta:
     return mt
 
 
-def pack_theta(mt: ModelTheta, layout: ThetaLayout) -> np.ndarray:
-    """Inverse of unpack_theta: reapplies rescaling and logs the noise scale."""
-    theta = np.zeros(layout.theta_dim)
-    if layout.model_kind == "linear_ate":
-        theta[0] = mt.tau_prime
-        theta[layout.c_slice] = mt.c_coef
-    elif layout.model_kind == "dnn_tau_linear_c":
-        theta[layout.c_slice] = mt.c_coef
-        theta[layout.tau_slice] = mt.tau_net.flat * layout.rescale
-    else:
-        theta[layout.c_slice] = mt.c_net.flat * layout.rescale
-        theta[layout.tau_slice] = mt.tau_net.flat * layout.rescale
-    theta[layout.log_sigma_index] = np.log(mt.sigma)
-    return theta
-
-
 def least_squares_theta(
     data: Dataset, layout: ThetaLayout, scaler: Optional[Standardizer] = None
 ) -> np.ndarray:
@@ -316,12 +291,6 @@ def least_squares_theta(
     return theta
 
 
-def inverse_features(y: float, t: int, x: np.ndarray, z: float) -> np.ndarray:
-    """Single inverse-network input row [y, 2t - 1, x..., z]."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return np.concatenate(([y, 2.0 * t - 1.0], x, [z]))
-
-
 def feature_matrix(data: Dataset, z: np.ndarray, scaler: Optional[Standardizer] = None) -> np.ndarray:
     """Inverse-network input rows for a whole dataset, standardized if asked."""
     z = np.asarray(z, dtype=np.float64)
@@ -334,18 +303,6 @@ def feature_matrix(data: Dataset, z: np.ndarray, scaler: Optional[Standardizer] 
         z[:, None],
     ]
     return np.concatenate(cols, axis=1)
-
-
-def theta_hat(w: MlpParams, y: float, t: int, x: np.ndarray, z: float) -> np.ndarray:
-    """theta estimate for one raw observation: inverse net on its feature row."""
-    return mlp_forward(w, inverse_features(y, t, x, z))
-
-
-def theta_bar(
-    w: MlpParams, data: Dataset, z: np.ndarray, scaler: Optional[Standardizer] = None
-) -> np.ndarray:
-    """Mean of the theta_hat rows over the dataset."""
-    return mlp_forward_batch(w, feature_matrix(data, z, scaler)).mean(axis=0)
 
 
 def _check_widths(w: MlpParams, data: Dataset, layout: ThetaLayout) -> None:
@@ -411,22 +368,6 @@ def _dbar_aggregate(
     # chain through sigma = exp(log sigma)
     out[layout.log_sigma_index] = mt.sigma * (rvec @ z)
     return out
-
-
-def model_predict(
-    theta: np.ndarray,
-    layout: ThetaLayout,
-    x: np.ndarray,
-    t: int,
-    z: float,
-    scaler: Optional[Standardizer] = None,
-) -> float:
-    """Model mean outcome for one observation, in data units."""
-    mt = unpack_theta(theta, layout)
-    xs = _sx(scaler, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    t01 = np.asarray([float(t)])
-    f = _mean_rows(mt, layout, xs, t01, np.asarray([float(z)]))
-    return float(_y_shift(scaler) + _y_scale(scaler) * f[0])
 
 
 def model_predict_batch(
@@ -535,6 +476,8 @@ def energy_gradients(
 ) -> GradReport:
     """U and its exact gradients in one batched pass.
 
+    z_grad is dU/dZ and w_grad is dU/dw, the flat inverse-network gradient;
+    the sampler forms its latent and weight log-density gradients from them.
     The theta_bar coupling enters every row's out-gradient as the shared
     aggregate A = sum_j d d_j / d theta_bar; the consensus coupling through
     theta_bar vanishes because sum_j (theta_hat_j - theta_bar) = 0, which is
@@ -570,37 +513,3 @@ def energy_gradients(
     if need_w:
         rep.w_grad = w_grad
     return rep
-
-
-def grad_log_pred_z(
-    w: MlpParams,
-    data: Dataset,
-    z: np.ndarray,
-    eta: float,
-    eps: float,
-    layout: ThetaLayout,
-    scaler: Optional[Standardizer] = None,
-) -> np.ndarray:
-    """Gradient of log [pi_0(Z) e^(-U/eps)] in Z: -z - (1/eps) dU/dz."""
-    rep = energy_gradients(w, data, z, eta, layout, scaler, need_z=True, need_w=False)
-    return -np.asarray(z, dtype=np.float64) - rep.z_grad / eps
-
-
-def grad_log_post_w(
-    w: MlpParams,
-    data: Dataset,
-    z: np.ndarray,
-    eta: float,
-    eps: float,
-    prior: MixturePrior,
-    layout: ThetaLayout,
-    scale: float = 1.0,
-    scaler: Optional[Standardizer] = None,
-) -> np.ndarray:
-    """Gradient of the log posterior of the inverse-network weights.
-
-    scale is n/m for an m-row minibatch (theta_bar is then the batch mean);
-    1.0 for the full dataset.
-    """
-    rep = energy_gradients(w, data, z, eta, layout, scaler, need_z=False, need_w=True)
-    return scale * (-rep.w_grad / eps) + log_prior_grad(prior, w.flat)

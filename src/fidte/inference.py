@@ -16,7 +16,6 @@ processed in any order (or in parallel) without changing the answer.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -57,21 +56,10 @@ class EvalReport:
     coverage: float
     mean_length: float
     per_case: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    pehe: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 <= self.coverage <= 1.0:
             raise ValueError(f"coverage must lie in [0, 1], got {self.coverage}")
-
-
-def quantile(samples: np.ndarray, q: float) -> float:
-    """Order-statistic quantile with linear interpolation between ranks."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("quantile of an empty sample")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    return float(np.quantile(samples, q, method="linear"))
 
 
 def ate_draws(chain: FiducialChain, layout: ThetaLayout) -> np.ndarray:
@@ -85,13 +73,10 @@ def ate_draws(chain: FiducialChain, layout: ThetaLayout) -> np.ndarray:
 
 def ate_interval(chain: FiducialChain, layout: ThetaLayout, alpha: float = 0.05) -> PredictionInterval:
     draws = ate_draws(chain, layout)
-    return PredictionInterval(
-        subject_id=-1,
-        case="ATE",
-        lower=quantile(draws, alpha / 2.0),
-        upper=quantile(draws, 1.0 - alpha / 2.0),
-        alpha=alpha,
-    )
+    if draws.size == 0:
+        raise ValueError("empty fiducial chain")
+    lower, upper = np.quantile(draws, (alpha / 2.0, 1.0 - alpha / 2.0), method="linear").tolist()
+    return PredictionInterval(subject_id=-1, case="ATE", lower=lower, upper=upper, alpha=alpha)
 
 
 def assign_cases(test: Dataset, rng: np.random.Generator, p_missing: float = 1.0 / 3.0) -> np.ndarray:
@@ -144,7 +129,7 @@ def ite_intervals(
     rng = rng if rng is not None else np.random.default_rng()
 
     c_mat, tau_mat, sig = _chain_surfaces(chain, layout, test.x)
-    lo_q, hi_q = alpha / 2.0, 1.0 - alpha / 2.0
+    qs = (alpha / 2.0, 1.0 - alpha / 2.0)
     out: List[PredictionInterval] = []
     streams = rng.spawn(test.n)
     for i in range(test.n):
@@ -152,18 +137,17 @@ def ite_intervals(
         case = str(cases[i])
         if case == "Ic":
             y1_hat = c_mat[:, i] + tau_mat[:, i] + sig * z_new
+            q_lo, q_hi = np.quantile(y1_hat, qs, method="linear").tolist()
             y_obs = float(test.y[i])
-            lower = quantile(y1_hat, lo_q) - y_obs
-            upper = quantile(y1_hat, hi_q) - y_obs
+            lower, upper = q_lo - y_obs, q_hi - y_obs
         elif case == "It":
             y0_hat = c_mat[:, i] + sig * z_new
+            q_lo, q_hi = np.quantile(y0_hat, qs, method="linear").tolist()
             y_obs = float(test.y[i])
-            lower = y_obs - quantile(y0_hat, hi_q)
-            upper = y_obs - quantile(y0_hat, lo_q)
+            lower, upper = y_obs - q_hi, y_obs - q_lo
         else:
             diff = tau_mat[:, i] + np.sqrt(2.0) * sig * z_new
-            lower = quantile(diff, lo_q)
-            upper = quantile(diff, hi_q)
+            lower, upper = np.quantile(diff, qs, method="linear").tolist()
         out.append(PredictionInterval(subject_id=i, case=case, lower=lower, upper=upper, alpha=alpha))
     return out
 
@@ -216,20 +200,3 @@ def score_intervals(intervals: Sequence[PredictionInterval], truth: np.ndarray) 
         mean_length=float(np.mean(all_lens)),
         per_case=per_case,
     )
-
-
-def write_intervals_csv(
-    intervals: Sequence[PredictionInterval], truth: Optional[np.ndarray], path
-) -> None:
-    """One row per interval: subject_id, case, lower, upper, truth, covered."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["subject_id", "case", "lower", "upper", "truth", "covered"])
-        for iv in intervals:
-            if truth is None or iv.subject_id < 0:
-                wr.writerow([iv.subject_id, iv.case, repr(iv.lower), repr(iv.upper), "", ""])
-            else:
-                v = float(truth[iv.subject_id])
-                wr.writerow(
-                    [iv.subject_id, iv.case, repr(iv.lower), repr(iv.upper), repr(v), int(iv.contains(v))]
-                )

@@ -113,18 +113,22 @@ def mlp_init(spec: MlpSpec) -> MlpParams:
     return MlpParams(spec, flat)
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    # sigmoid, numerically safe on both tails
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, numerically safe on both tails."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def _act(name: str, z: np.ndarray) -> np.ndarray:
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    return sigmoid(z)
 
 
 def _act_grad_from_act(name: str, a: np.ndarray) -> np.ndarray:
@@ -151,25 +155,18 @@ def _forward_cached(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _check_input(params: MlpParams, x: np.ndarray, batched: bool) -> np.ndarray:
+def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    want = 2 if batched else 1
-    if x.ndim != want or x.shape[-1] != params.spec.d_in:
+    if x.ndim != 2 or x.shape[-1] != params.spec.d_in:
         raise ValueError(
             f"input shape {x.shape} does not match network input width {params.spec.d_in}"
         )
     return x
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Forward pass for a single observation x of shape (d_in,)."""
-    x = _check_input(params, x, batched=False)
-    return _forward_cached(params, x[None, :])[-1][0]
-
-
 def mlp_forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Forward pass for a batch x of shape (n, d_in); returns (n, d_out)."""
-    x = _check_input(params, x, batched=True)
+    x = _check_input(params, x)
     return _forward_cached(params, x)[-1]
 
 
@@ -198,29 +195,6 @@ def _backward_from_cache(
     return param_grad, input_grads
 
 
-def mlp_backward(
-    params: MlpParams, x: np.ndarray, out_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate d(loss)/d(output) through the network at input x.
-
-    Args:
-        x: single input, shape (d_in,).
-        out_grad: gradient of a scalar loss w.r.t. the network output,
-            shape (d_out,).
-
-    Returns:
-        (param_grad, input_grad): gradient w.r.t. the flat parameter vector,
-        shape (P,), and w.r.t. the input, shape (d_in,).
-    """
-    x = _check_input(params, x, batched=False)
-    out_grad = np.asarray(out_grad, dtype=np.float64)
-    if out_grad.shape != (params.spec.d_out,):
-        raise ValueError(f"out_grad shape {out_grad.shape} != ({params.spec.d_out},)")
-    acts = _forward_cached(params, x[None, :])
-    pg, ig = _backward_from_cache(params, acts, out_grad[None, :])
-    return pg, ig[0]
-
-
 def mlp_backward_batch(
     params: MlpParams, x: np.ndarray, out_grads: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +204,7 @@ def mlp_backward_batch(
     over rows (each row is an independent additive loss term), the input
     gradient is returned per row.
     """
-    x = _check_input(params, x, batched=True)
+    x = _check_input(params, x)
     out_grads = np.asarray(out_grads, dtype=np.float64)
     if out_grads.shape != (x.shape[0], params.spec.d_out):
         raise ValueError(

@@ -99,7 +99,6 @@ def build_layout(config: ExperimentConfig, d: int) -> ThetaLayout:
 
 def build_schedule(config: ExperimentConfig) -> ScheduleParams:
     return ScheduleParams(
-        C_upsilon=config.C_upsilon,
         c_upsilon=config.c_upsilon,
         gamma_map=dict(config.gamma_map),
         alpha_exp=config.alpha_exp,
@@ -165,8 +164,12 @@ def _truth_for(iv: PredictionInterval, truth_vec, ate_truth) -> Optional[float]:
     return float(truth_vec[iv.subject_id])
 
 
-def run_replication(config: ExperimentConfig, r: int) -> dict:
-    """All methods on replication r's data; returns metrics and interval rows."""
+def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = None) -> dict:
+    """All methods on replication r's data.
+
+    Returns the metrics, the interval rows and the EFI chain (None without
+    efi).  With config.trace set, the sampler trace goes to rep_dir.
+    """
     ints = replication_ints(config.seed, r)
     try:
         train, test = _replication_data(config, ints)
@@ -179,7 +182,7 @@ def run_replication(config: ExperimentConfig, r: int) -> dict:
 
         chain = layout = None
         if "efi" in config.methods:
-            chain, layout = _efi_results(config, train, ints, None)
+            chain, layout = _efi_results(config, train, ints, rep_dir)
 
         rows = []
         metrics = {}
@@ -232,7 +235,7 @@ def run_replication(config: ExperimentConfig, r: int) -> dict:
                     and test.tau_true is not None:
                 entry["pehe"] = pehe(chain, layout, test, treated_only=True)
             metrics[method] = entry
-        return {"r": r, "metrics": metrics, "rows": rows}
+        return {"r": r, "metrics": metrics, "rows": rows, "chain": chain}
     except RuntimeError as e:
         raise RuntimeError(f"replication {r}: {e}") from e
 
@@ -290,19 +293,24 @@ def summarize(config: ExperimentConfig, reps: list[dict]) -> dict:
     cfg = asdict(config)
     for name in ("tau_widths", "c_widths", "inverse_widths", "alphas", "methods"):
         cfg[name] = list(cfg[name])
-    cfg["gamma_map"] = {g: list(pair) for g, pair in cfg["gamma_map"].items()}
     return {"config": cfg, "replications": config.R, "methods": methods}
 
 
 def _rep_worker(args):
-    config, r = args
-    return run_replication(config, r)
+    rep = run_replication(*args)
+    del rep["chain"]  # summaries need only metrics and rows; keep draws out of pickling
+    return rep
+
+
+def _rep_dir(config: ExperimentConfig, r: int) -> str:
+    return os.path.join(config.outdir, f"rep_{r:03d}")
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     """Run all replications, write per-replication CSVs and summary JSON."""
-    os.makedirs(config.outdir, exist_ok=True)
-    jobs = [(config, r) for r in range(config.R)]
+    jobs = [(config, r, _rep_dir(config, r)) for r in range(config.R)]
+    for _, _, rep_dir in jobs:
+        os.makedirs(rep_dir, exist_ok=True)
     if workers > 1 and config.R > 1:
         with get_context("fork").Pool(min(workers, config.R)) as pool:
             reps = pool.map(_rep_worker, jobs)
@@ -310,9 +318,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
         reps = [_rep_worker(job) for job in jobs]
     reps.sort(key=lambda rep: rep["r"])
     for rep in reps:
-        rep_dir = os.path.join(config.outdir, f"rep_{rep['r']:03d}")
-        os.makedirs(rep_dir, exist_ok=True)
-        write_rows_csv(rep["rows"], os.path.join(rep_dir, "intervals.csv"))
+        write_rows_csv(rep["rows"], os.path.join(_rep_dir(config, rep["r"]), "intervals.csv"))
     summary = summarize(config, reps)
     with open(os.path.join(config.outdir, "summary.json"), "w") as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=2))

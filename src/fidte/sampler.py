@@ -4,13 +4,15 @@ One run alternates two moves per iteration k:
   * an SGHMC step on the latent vector Z targeting pi_0(Z) e^(-U/eps),
     with step size upsilon_k and momentum 1 - varpi, temperature fixed at 1;
   * an SGD step on the inverse-network weights along the log posterior
-    gradient with step size gamma_k, where gamma has its own constants per
-    parameter group (output-layer rows feeding network-valued theta blocks
+    gradient with step size gamma_k, where each parameter group has its own
+    decay constant (output-layer rows feeding network-valued theta blocks
     follow their own schedule).
 
-Step sizes keep the published constants' decay shapes but are anchored in
-absolute scale, group by group, to curvatures measured at the start state
-(see _group_w_rates and Z_STEP_TARGET); the chain starts from the noise-
+The absolute scale of every step is anchored, group by group, to a curvature
+measured at the start state (see _group_w_rates and Z_STEP_TARGET); the
+published schedules contribute only their decay shape (c + 1) / (c + k^a),
+which is 1 at k = 1.  The published multipliers C would cancel against that
+anchor, so they are not parameters.  The chain starts from the noise-
 marginalized least-squares fit.  With a weight-update minibatch (m_batch < n)
 the stochastic gradient keeps the weights diffusing around the posterior
 mode, which is what spreads theta_bar into a non-degenerate fiducial sample.
@@ -40,8 +42,6 @@ from .engine import (
 from .nn import MlpParams, MlpSpec, _forward_cached, _layer_slices, mlp_init, param_count
 from .prior import MixturePrior, log_prior_grad
 
-TEMPERATURE = 1.0  # tempering is not part of the method; tau tilde is fixed
-
 # Fraction of the 2/kappa gradient-descent stability bound used as the base
 # weight step.  0.5 keeps the stiffest mode contracting while leaving enough
 # minibatch jitter for the fiducial spread; 1.0 diverges through the
@@ -63,53 +63,63 @@ HEAD_GROWTH_ALLOWANCE = 2.0
 Z_STEP_TARGET = 0.3
 
 
+# Step-size groups of the inverse network's parameters per model layout:
+# output rows feeding a network-valued theta block form that block's head.
+LAYOUT_GROUPS = {
+    "linear_ate": ("rest",),
+    "dnn_tau_linear_c": ("rest", "tau_head"),
+    "dnn_both": ("rest", "tau_head", "c_head"),
+}
+
+
 @dataclass(frozen=True)
 class ScheduleParams:
-    """Step-size schedules upsilon_k = C/(c + k^a) and gamma_k likewise.
+    """Decay shapes of the step sizes: step_k = rate * (c + 1) / (c + k^a).
 
-    gamma_map holds one (C, c) pair per parameter group; the group "rest"
-    must always be present, "tau_head" / "c_head" cover the output-layer rows
-    of the inverse network that produce network-valued theta blocks.
+    rate is the start-state anchor run_efi measures, so only the decay
+    constant c of each schedule is a parameter.  With the published c of
+    2e4 to 1e6 and a = 1/7 the decay moves a step by at most 2e-4 over a
+    paper-scale run.  gamma_map holds one c per parameter group; the group
+    "rest" must always be present, "tau_head" / "c_head" cover the
+    output-layer rows of the inverse network that produce network-valued
+    theta blocks.
     """
 
-    C_upsilon: float
     c_upsilon: float
     gamma_map: dict = field(default_factory=dict)
     alpha_exp: float = 1.0 / 7.0
     varpi: float = 0.1
 
     def __post_init__(self):
-        if self.C_upsilon <= 0 or self.c_upsilon <= 0:
-            raise ValueError("upsilon schedule constants must be positive")
+        if self.c_upsilon <= 0:
+            raise ValueError("upsilon decay constant must be positive")
         if not 0.0 < self.varpi <= 1.0:
             raise ValueError(f"varpi must be in (0, 1], got {self.varpi}")
         if not 0.0 < self.alpha_exp < 1.0:
             raise ValueError(f"alpha_exp must be in (0, 1), got {self.alpha_exp}")
         if "rest" not in self.gamma_map:
             raise ValueError('gamma_map must define the "rest" group')
-        for g, pair in self.gamma_map.items():
-            if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
-                raise ValueError(f"gamma constants for group {g!r} must be two positives")
+        for g, c in self.gamma_map.items():
+            if not c > 0:
+                raise ValueError(f"gamma decay constant for group {g!r} must be positive")
+
+
+def _decay(c: float, alpha: float, k: int) -> float:
+    if k < 0:
+        raise ValueError("iteration index must be nonnegative")
+    return (c + 1.0) / (c + float(k) ** alpha)
 
 
 def upsilon_at(sched: ScheduleParams, k: int) -> float:
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
-    return sched.C_upsilon / (sched.c_upsilon + float(k) ** sched.alpha_exp)
+    """Latent step at iteration k relative to iteration 1."""
+    return _decay(sched.c_upsilon, sched.alpha_exp, k)
 
 
 def gamma_at(sched: ScheduleParams, group: str, k: int) -> float:
+    """Weight step of one group at iteration k relative to iteration 1."""
     if group not in sched.gamma_map:
         raise ValueError(f"unknown parameter group {group!r}")
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
-    C, c = sched.gamma_map[group]
-    return C / (c + float(k) ** sched.alpha_exp)
-
-
-def schedule_at(sched: ScheduleParams, group: str, k: int) -> tuple[float, float]:
-    """(upsilon_k, gamma_k) for one iteration and parameter group."""
-    return upsilon_at(sched, k), gamma_at(sched, group, k)
+    return _decay(sched.gamma_map[group], sched.alpha_exp, k)
 
 
 def sghmc_z_step(
@@ -120,18 +130,13 @@ def sghmc_z_step(
     varpi: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One momentum step: V' = (1-varpi)V + upsilon*grad + sqrt(2 varpi T upsilon) e."""
+    """One momentum step: V' = (1-varpi)V + upsilon*grad + sqrt(2 varpi upsilon) e.
+
+    varpi = 1 drops the momentum and gives the Langevin step.
+    """
     e = rng.standard_normal(z.shape)
-    v_new = (1.0 - varpi) * v + upsilon * grad + np.sqrt(2.0 * varpi * TEMPERATURE * upsilon) * e
+    v_new = (1.0 - varpi) * v + upsilon * grad + np.sqrt(2.0 * varpi * upsilon) * e
     return z + v_new, v_new
-
-
-def sgld_z_step(
-    z: np.ndarray, grad: np.ndarray, upsilon: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Langevin step without momentum; the varpi = 1 SGHMC special case."""
-    e = rng.standard_normal(z.shape)
-    return z + (upsilon * grad + np.sqrt(2.0 * upsilon) * e)
 
 
 def sgd_w_step(
@@ -177,10 +182,11 @@ def gamma_groups(spec: MlpSpec, layout: ThetaLayout) -> dict:
             m[bs.start + j] = True
         return m
 
-    if layout.tau_spec is not None:
+    groups = LAYOUT_GROUPS[layout.model_kind]
+    if "tau_head" in groups:
         masks["tau_head"] = head_mask(layout.tau_slice)
         masks["rest"] &= ~masks["tau_head"]
-    if not isinstance(layout.c_spec, int):
+    if "c_head" in groups:
         masks["c_head"] = head_mask(layout.c_slice)
         masks["rest"] &= ~masks["c_head"]
     return masks
@@ -314,7 +320,7 @@ def run_efi(
     masks = gamma_groups(inverse_spec, layout)
     for g in masks:
         if g not in sched.gamma_map:
-            raise ValueError(f"gamma_map missing constants for group {g!r}")
+            raise ValueError(f"gamma_map missing the decay constant for group {g!r}")
     n = data.n
     if config.m_batch is not None and config.m_batch > n:
         raise ValueError(f"m_batch {config.m_batch} exceeds data size {n}")
@@ -335,10 +341,9 @@ def run_efi(
     # decay shapes transfer, so anchor each group's absolute scale to its own
     # stability limit measured at the start state
     rates = _group_w_rates(w, data, z, layout, config, prior, scaler, masks)
-    norm = np.empty(param_count(inverse_spec))
+    rate_vec = np.empty(param_count(inverse_spec))
     for g, mask in masks.items():
-        norm[mask] = rates[g] / gamma_at(sched, g, 1)
-    rate_scale = rates["rest"] / gamma_at(sched, "rest", 1)
+        rate_vec[mask] = rates[g]
 
     # head rows emit theta blocks stored at rescale times their natural
     # network units; the shrinkage prior reads those rows in natural units,
@@ -356,7 +361,7 @@ def run_efi(
     # residual term, with sigma taken from the marginalized fit
     sigma_warm = float(np.exp(theta_ls[layout.log_sigma_index]))
     kappa_z = 1.0 + 2.0 * sigma_warm**2 / config.eps
-    upsilon_scale = Z_STEP_TARGET / (kappa_z * upsilon_at(sched, 1))
+    upsilon_scale = Z_STEP_TARGET / kappa_z
 
     def w_update(k: int, z_now: np.ndarray) -> MlpParams:
         # one batched pass yields the batch energy and the weight gradient
@@ -374,11 +379,11 @@ def run_efi(
         if writer is not None:
             writer.writerow(
                 [k, repr(rep.total), repr(upsilon_scale * upsilon_at(sched, k)),
-                 repr(rate_scale * gamma_at(sched, "rest", k)),
+                 repr(rates["rest"] * gamma_at(sched, "rest", k)),
                  repr(float(np.linalg.norm(gw)))]
             )
         clip = config.clip_norm if k <= config.clip_iters else None
-        return sgd_w_step(w, gw, norm * _gamma_vector(sched, masks, k, gam), clip)
+        return sgd_w_step(w, gw, rate_vec * _gamma_vector(sched, masks, k, gam), clip)
 
     # phase one: weights only, latent noise resampled from the reference
     for k in range(1, config.init_iters + 1):

@@ -1,0 +1,110 @@
+import csv
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+import fidte.runner
+from fidte import cli
+from fidte.config import preset_config
+from fidte.runner import _rep_worker, _replication_data, load_csv_dataset, replication_ints, rescore
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+BURN, KEEP, THIN = 20, 20, 2
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def count_efi_calls(monkeypatch):
+    calls = []
+    real = fidte.runner.run_efi
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fidte.runner, "run_efi", counted)
+    return calls
+
+
+def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch):
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", "linear_ate_n250", "--seed", "3", "--out", str(sim)]) == 0
+    train_csv = sim / "train.csv"
+    assert read_rows(train_csv)[0] == ["x1", "x2", "x3", "x4", "t", "y", "y0", "y1", "tau_true", "z_true"]
+    assert not (sim / "test.csv").exists()  # linear_ate_n250 has no test set
+
+    # the schema reader gets back exactly what the generator drew
+    schema = {"y": "y", "t": "t", "x": ["x1", "x2", "x3", "x4"]}
+    back = load_csv_dataset(str(train_csv), schema)
+    drawn, _ = _replication_data(preset_config("linear_ate_n250", seed=3), replication_ints(3, 0))
+    assert np.array_equal(back.x, drawn.x)
+    assert np.array_equal(back.t, drawn.t)
+    assert np.array_equal(back.y, drawn.y)
+
+    cfg = tmp_path / "csv.yaml"
+    cfg.write_text(
+        f"csv: {json.dumps(str(train_csv))}\n"
+        f"csv_schema: {json.dumps(schema)}\n"
+        f"R: 2\nk_burn: {BURN}\nm_keep: {KEEP}\nthin: {THIN}\ntrace: true\nseed: 3\n"
+    )
+    calls = count_efi_calls(monkeypatch)
+
+    fit = tmp_path / "fit"
+    assert cli.main(["fit", "--config", str(cfg), "--out", str(fit)]) == 0
+    assert len(calls) == 1  # chain and intervals come from one sampler run
+    chain = read_rows(fit / "chain.csv")
+    assert chain[0][-2:] == ["sigma", "energy"] and len(chain) == 1 + KEEP // THIN
+    assert len(read_rows(fit / "trace_efi.csv")) == 1 + BURN + KEEP
+    fit_rows = read_rows(fit / "intervals.csv")
+    assert [r[:4] for r in fit_rows[1:]] == [["efi", "0.05", "-1", "ATE"]]
+
+    bench = tmp_path / "bench"
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(bench)]) == 0
+    assert len(calls) == 3
+    summary = json.loads((bench / "summary.json").read_text())
+    assert summary["replications"] == 2 and summary["config"]["gamma_map"] == {"rest": 1e6}
+    for r in range(2):
+        rep = bench / f"rep_{r:03d}"
+        assert len(read_rows(rep / "intervals.csv")) == 2
+        assert len(read_rows(rep / "trace_efi.csv")) == 1 + BURN + KEEP
+    # fit is replication 0 of the same run
+    assert read_rows(bench / "rep_000" / "intervals.csv") == fit_rows
+
+    report = tmp_path / "report"
+    intervals = str(bench / "rep_001" / "intervals.csv")
+    assert cli.main(["report", "--config", str(cfg), "--out", str(report), intervals]) == 0
+    scores = json.loads((report / "report.json").read_text())
+    assert scores == rescore(intervals)
+    assert scores["efi"]["0.05"]["ATE"]["n"] == 1
+
+
+def test_fit_runs_the_sampler_once(tmp_path, monkeypatch):
+    calls = count_efi_calls(monkeypatch)
+    cfg = tmp_path / "fit.yaml"
+    cfg.write_text(
+        "preset: example1\nn_train: 30\nn_test: 12\ninit_iters: 2\n"
+        "k_burn: 2\nm_keep: 3\nthin: 1\nn_batches: 1\n"
+    )
+    assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert len(read_rows(tmp_path / "out" / "chain.csv")) == 1 + 3
+    assert len(read_rows(tmp_path / "out" / "intervals.csv")) == 1 + 12
+
+
+def test_pool_results_carry_no_chain():
+    cfg = preset_config("linear_ate_n250", n_train=20, k_burn=2, m_keep=2, thin=1, n_batches=1)
+    rep = _rep_worker((cfg, 0, None))
+    assert set(rep) == {"r", "metrics", "rows"}
+
+
+def test_cli_import_leaves_scipy_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    code = "import sys, fidte.cli; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -6,9 +6,9 @@ from fidte.cqr import (
     ConformalCorrection,
     QuantileModel,
     TrainConfig,
+    _band,
     calibrate,
     conformal_scores,
-    cqr_counterfactual,
     cqr_ite,
     pinball_fit,
     predict_quantiles,
@@ -143,20 +143,21 @@ def test_calibrate_validation():
 
 
 def test_cqr_counterfactual_applies_correction():
+    # the counterfactual band of one arm is the raw quantile band widened by
+    # that arm's calibrated correction on both sides
     model = exact_model(-1.0, 1.0)
-    x = np.zeros(2)
-    raw = cqr_counterfactual(model, ConformalCorrection({1: 0.0}), x, 1, 0.1)
-    widened = cqr_counterfactual(model, ConformalCorrection({1: 2.0}), x, 1, 0.1)
-    assert (raw.lower, raw.upper) == (-1.0, 1.0)
-    assert (widened.lower, widened.upper) == (-3.0, 3.0)
-    assert raw.case == "Ic"
-    assert cqr_counterfactual(model, ConformalCorrection({0: 0.0}), x, 0, 0.1).case == "It"
+    x = np.zeros((3, 2))
+    raw = _band(model, ConformalCorrection({1: 0.0}), x, 1)
+    widened = _band(model, ConformalCorrection({1: 2.0}), x, 1)
+    np.testing.assert_array_equal(raw, ([-1.0] * 3, [1.0] * 3))
+    np.testing.assert_array_equal(widened, ([-3.0] * 3, [3.0] * 3))
+    np.testing.assert_array_equal(_band(model, ConformalCorrection({0: 0.5}), x, 0)[0], -1.5)
 
 
 def test_cqr_counterfactual_missing_arm():
     model = exact_model(-1.0, 1.0)
     with pytest.raises(ValueError, match="no calibrated correction"):
-        cqr_counterfactual(model, ConformalCorrection({0: 0.0}), np.zeros(2), 1, 0.1)
+        _band(model, ConformalCorrection({0: 0.0}), np.zeros((1, 2)), 1)
 
 
 def test_split_conformal_marginal_coverage():

@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 from scipy.stats import beta as beta_dist
 
 from fidte.datagen import (
+    S_MEAN,
     GenSpec,
     beta_cdf,
     example2_c,
     generate,
-    load_dataset_csv,
     nonlinear_propensity,
     nonlinear_tau,
     s_curve,
-    s_mean,
     save_dataset_csv,
 )
+from fidte.runner import load_csv_dataset
 
 
 # ---------------------------------------------------------------- beta_cdf
@@ -87,8 +88,10 @@ def test_s_curve_range_and_monotonicity():
 
 
 def test_s_mean_is_one():
-    # symmetry makes the uniform mean exactly 1; Simpson only adds rounding
-    assert s_mean() == pytest.approx(1.0, abs=1e-10)
+    # symmetry makes the uniform mean exactly 1; quadrature only adds rounding
+    assert S_MEAN == 1.0
+    grid = np.linspace(0.0, 1.0, 10001)
+    assert simpson(s_curve(grid), x=grid) == pytest.approx(S_MEAN, abs=1e-10)
 
 
 def test_nonlinear_tau_center_value():
@@ -186,22 +189,27 @@ def test_genspec_validation():
 # -------------------------------------------------------------------- csv
 
 
+SCHEMA = {"y": "y", "t": "t", "x": ["x1", "x2"]}
+
+
 def test_csv_roundtrip_exact(tmp_path):
     data = generate(GenSpec("example1", 37, seed=8))
     path = tmp_path / "d.csv"
     save_dataset_csv(data, path)
-    back = load_dataset_csv(path)
+    back = load_csv_dataset(str(path), SCHEMA)
     assert np.array_equal(back.x, data.x)
     assert np.array_equal(back.t, data.t)
     assert np.array_equal(back.y, data.y)
-    for name in ("z_true", "tau_true", "c_true", "y1", "y0"):
-        assert np.array_equal(getattr(back, name), getattr(data, name))
+    # truth columns come back exactly too, read as ordinary columns
+    truth = load_csv_dataset(str(path), {"y": "tau_true", "t": "t", "x": ["y0", "y1", "z_true"]})
+    assert np.array_equal(truth.y, data.tau_true)
+    assert np.array_equal(truth.x, np.column_stack([data.y0, data.y1, data.z_true]))
 
 
 def test_csv_load_without_truth_columns(tmp_path):
     path = tmp_path / "obs.csv"
-    path.write_text("x_1,x_2,t,y\n0.1,0.2,1,1.5\n0.3,0.4,0,0.7\n")
-    data = load_dataset_csv(path)
+    path.write_text("x1,x2,t,y\n0.1,0.2,1,1.5\n0.3,0.4,0,0.7\n")
+    data = load_csv_dataset(str(path), SCHEMA)
     assert data.n == 2 and data.d == 2
     assert data.z_true is None and data.y1 is None
     np.testing.assert_allclose(data.y, [1.5, 0.7])
@@ -209,10 +217,12 @@ def test_csv_load_without_truth_columns(tmp_path):
 
 def test_csv_load_errors(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("x_1,t\n0.1,1\n")
-    with pytest.raises(ValueError, match="missing column 'y'"):
-        load_dataset_csv(bad)
+    bad.write_text("x1,x2,t\n0.1,0.2,1\n")
+    with pytest.raises(ValueError, match="missing columns \\['y'\\]"):
+        load_csv_dataset(str(bad), SCHEMA)
     mangled = tmp_path / "mangled.csv"
-    mangled.write_text("x_1,t,y\n0.1,1,oops\n")
-    with pytest.raises(ValueError, match="row 2"):
-        load_dataset_csv(mangled)
+    mangled.write_text("x1,x2,t,y\n0.1,0.2,1,oops\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_csv_dataset(str(mangled), SCHEMA)
+    with pytest.raises(ValueError, match="binary"):
+        load_csv_dataset(str(mangled), {"y": "x1", "t": "x2", "x": ["x1"]})

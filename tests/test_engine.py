@@ -7,21 +7,14 @@ from fidte.engine import (
     ThetaLayout,
     c_surface,
     energy,
+    energy_gradients,
     feature_matrix,
-    grad_log_pred_z,
-    grad_log_post_w,
-    inverse_features,
-    model_predict,
     model_predict_batch,
-    pack_theta,
     sigma_of,
     tau_surface,
-    theta_bar,
-    theta_hat,
     unpack_theta,
 )
-from fidte.nn import MlpParams, MlpSpec, mlp_forward, mlp_init, param_count
-from fidte.prior import MixturePrior, log_prior
+from fidte.nn import MlpParams, MlpSpec, mlp_forward_batch, mlp_init, param_count
 
 from conftest import assert_grad_close, central_diff
 
@@ -63,20 +56,28 @@ def random_inverse(rng, d, layout, hidden=(5,), seed=0):
 # ---------------------------------------------------------------- features
 
 
+def theta_hat_rows(w, data, z):
+    """theta_hat_i one observation at a time: the inverse net on a one-row batch."""
+    return np.concatenate(
+        [mlp_forward_batch(w, feature_matrix(data.subset([i]), z[i : i + 1])) for i in range(data.n)]
+    )
+
+
 def test_inverse_feature_order():
-    row = inverse_features(y=2.0, t=1, x=np.array([3.0, 4.0]), z=-1.5)
-    np.testing.assert_array_equal(row, [2.0, 1.0, 3.0, 4.0, -1.5])
-    row = inverse_features(y=2.0, t=0, x=np.array([3.0, 4.0]), z=-1.5)
-    assert row[1] == -1.0
+    data = Dataset(x=np.array([[3.0, 4.0], [3.0, 4.0]]), t=np.array([1, 0]), y=np.array([2.0, 2.0]))
+    rows = feature_matrix(data, np.array([-1.5, -1.5]))
+    np.testing.assert_array_equal(rows, [[2.0, 1.0, 3.0, 4.0, -1.5], [2.0, -1.0, 3.0, 4.0, -1.5]])
 
 
 def test_theta_hat_is_forward_on_feature_row(rng):
+    # with one observation theta_bar is that observation's theta_hat: the
+    # inverse net on the row [y, 2t - 1, x, z]
     layout = linear_layout()
     w = random_inverse(rng, 2, layout)
-    y, t, x, z = 0.7, 1, np.array([0.2, -0.4]), 0.9
-    np.testing.assert_array_equal(
-        theta_hat(w, y, t, x, z), mlp_forward(w, inverse_features(y, t, x, z))
-    )
+    data = Dataset(x=np.array([[0.2, -0.4]]), t=np.array([1]), y=np.array([0.7]))
+    z = np.array([0.9])
+    want = mlp_forward_batch(w, np.array([[0.7, 1.0, 0.2, -0.4, 0.9]]))[0]
+    np.testing.assert_array_equal(energy(w, data, z, 1.0, layout).theta_bar, want)
 
 
 def test_feature_matrix_standardizes_y_and_x_only(rng):
@@ -96,10 +97,10 @@ def test_theta_bar_is_mean_of_rows(rng):
     data = random_dataset(rng, n=6)
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=6)
-    rows = np.stack(
-        [theta_hat(w, data.y[i], data.t[i], data.x[i], z[i]) for i in range(6)]
-    )
-    np.testing.assert_allclose(theta_bar(w, data, z), rows.mean(axis=0), rtol=1e-12)
+    rows = theta_hat_rows(w, data, z)
+    np.testing.assert_allclose(energy(w, data, z, 1.0, layout).theta_bar, rows.mean(axis=0), rtol=1e-12)
+    rep = energy_gradients(w, data, z, 1.0, layout)
+    np.testing.assert_allclose(rep.theta_bar, rows.mean(axis=0), rtol=1e-12)
 
 
 # ---------------------------------------------------------------- layouts
@@ -115,9 +116,19 @@ def test_layout_dims():
 
 @pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
 def test_pack_unpack_roundtrip(make, rng):
+    # the unpacked pieces carry every slot of theta: repacking them restores it
     layout = make()
     theta = rng.normal(size=layout.theta_dim)
-    back = pack_theta(unpack_theta(theta, layout), layout)
+    mt = unpack_theta(theta, layout)
+    back = np.full(layout.theta_dim, np.nan)
+    if mt.tau_prime is not None:
+        back[0] = mt.tau_prime
+    if mt.c_coef is not None:
+        back[layout.c_slice] = mt.c_coef
+    for net, sl in ((mt.c_net, layout.c_slice), (mt.tau_net, layout.tau_slice)):
+        if net is not None:
+            back[sl] = net.flat * layout.rescale
+    back[layout.log_sigma_index] = np.log(mt.sigma)
     np.testing.assert_allclose(back, theta, rtol=1e-12, atol=1e-12)
 
 
@@ -147,10 +158,9 @@ def test_layout_validation():
 def test_model_predict_linear_by_hand():
     layout = linear_layout(d=2)
     theta = np.array([0.5, 1.5, 0.0, 0.0, 0.0])  # tau'=.5 mu'=1.5 beta=0 logsig=0
-    got = model_predict(theta, layout, x=np.zeros(2), t=1, z=0.0)
-    assert got == pytest.approx(2.0, abs=1e-15)
-    got0 = model_predict(theta, layout, x=np.zeros(2), t=0, z=0.0)
-    assert got0 == pytest.approx(1.0, abs=1e-15)  # t'=-1 flips the tau' term
+    got = model_predict_batch(theta, layout, np.zeros((2, 2)), np.array([1, 0]), np.zeros(2))
+    assert got[0] == pytest.approx(2.0, abs=1e-15)
+    assert got[1] == pytest.approx(1.0, abs=1e-15)  # t'=-1 flips the tau' term
 
 
 @pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
@@ -178,7 +188,10 @@ def test_model_predict_batch_matches_singles(rng):
     t = np.array([0, 1, 1, 0, 1])
     z = rng.normal(size=5)
     batch = model_predict_batch(theta, layout, x, t, z)
-    singles = [model_predict(theta, layout, x[i], int(t[i]), float(z[i])) for i in range(5)]
+    singles = [
+        model_predict_batch(theta, layout, x[i : i + 1], t[i : i + 1], z[i : i + 1])[0]
+        for i in range(5)
+    ]
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
 
@@ -192,7 +205,7 @@ def test_energy_single_observation_no_consensus(rng):
     z = rng.normal(size=1)
     rep = energy(w, data, z, eta=7.0, layout=layout)
     assert rep.consensus_terms[0] == pytest.approx(0.0, abs=1e-20)
-    pred = model_predict(rep.theta_bar, layout, data.x[0], int(data.t[0]), float(z[0]))
+    pred = model_predict_batch(rep.theta_bar, layout, data.x, data.t, z)[0]
     assert rep.total == pytest.approx((data.y[0] - pred) ** 2, rel=1e-12)
 
 
@@ -203,12 +216,9 @@ def test_energy_two_observation_recomputation(rng):
     z = rng.normal(size=2)
     eta = 3.0
     rep = energy(w, data, z, eta, layout)
-    th = np.stack([theta_hat(w, data.y[i], data.t[i], data.x[i], z[i]) for i in range(2)])
+    th = theta_hat_rows(w, data, z)
     tb = th.mean(axis=0)
-    fit = sum(
-        (data.y[i] - model_predict(tb, layout, data.x[i], int(data.t[i]), float(z[i]))) ** 2
-        for i in range(2)
-    )
+    fit = float(np.sum((data.y - model_predict_batch(tb, layout, data.x, data.t, z)) ** 2))
     cons = ((th - tb) ** 2).sum()
     assert rep.total == pytest.approx(fit + eta * cons, rel=1e-12)
     np.testing.assert_allclose(rep.theta_bar, tb, rtol=1e-12)
@@ -246,32 +256,36 @@ def test_zero_energy_region(rng):
     layout, w, data, z = zero_energy_setup(rng)
     rep = energy(w, data, z, eta=500.0, layout=layout)
     assert rep.total == pytest.approx(0.0, abs=1e-20)
-    # gradient of the z log-density collapses to the reference-measure pull -z
-    g = grad_log_pred_z(w, data, z, eta=500.0, eps=0.1, layout=layout)
-    np.testing.assert_array_equal(g, -z)
+    # the sampler's z log-density gradient collapses to the reference pull -z
+    rep_g = energy_gradients(w, data, z, 500.0, layout, need_z=True, need_w=False)
+    np.testing.assert_array_equal(-z - rep_g.z_grad / 0.1, -z)
 
 
 # ---------------------------------------------------------------- gradients
 
 
-def fd_check_z_grad(layout, data, w, z, eta, eps, scaler=None):
-    analytic = grad_log_pred_z(w, data, z, eta, eps, layout, scaler)
-
-    def logdens(zv):
-        u = energy(w, data, zv, eta, layout, scaler).total
-        return float(-0.5 * np.sum(zv**2) - u / eps)
-
-    assert_grad_close(analytic, central_diff(logdens, z))
+# run_efi consumes energy_gradients' z_grad and w_grad (dU/dZ and dU/dw)
+# as they are; the prior gradient it adds is checked in test_prior
 
 
-def fd_check_w_grad(layout, data, w, z, eta, eps, prior, scale=1.0, scaler=None):
-    analytic = grad_log_post_w(w, data, z, eta, eps, prior, layout, scale, scaler)
+def fd_check_z_grad(layout, data, w, z, eta, scaler=None):
+    rep = energy_gradients(w, data, z, eta, layout, scaler, need_z=True, need_w=False)
+    assert rep.w_grad is None
 
-    def logpost(flat):
-        u = energy(MlpParams(w.spec, flat), data, z, eta, layout, scaler).total
-        return float(scale * (-u / eps) + log_prior(prior, flat))
+    def u(zv):
+        return energy(w, data, zv, eta, layout, scaler).total
 
-    assert_grad_close(analytic, central_diff(logpost, w.flat))
+    assert_grad_close(rep.z_grad, central_diff(u, z))
+
+
+def fd_check_w_grad(layout, data, w, z, eta, scale=1.0, scaler=None):
+    rep = energy_gradients(w, data, z, eta, layout, scaler, need_z=False, need_w=True)
+    assert rep.z_grad is None
+
+    def u(flat):
+        return scale * energy(MlpParams(w.spec, flat), data, z, eta, layout, scaler).total
+
+    assert_grad_close(scale * rep.w_grad, central_diff(u, w.flat))
 
 
 @pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
@@ -280,7 +294,7 @@ def test_z_gradient_matches_fd(make, rng):
     data = random_dataset(rng, n=7)
     w = random_inverse(rng, 2, layout, seed=4)
     z = rng.normal(size=7)
-    fd_check_z_grad(layout, data, w, z, eta=5.0, eps=0.1)
+    fd_check_z_grad(layout, data, w, z, eta=5.0)
 
 
 @pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
@@ -289,8 +303,7 @@ def test_w_gradient_matches_fd(make, rng):
     data = random_dataset(rng, n=5)
     w = random_inverse(rng, 2, layout, hidden=(4,), seed=6)
     z = rng.normal(size=5)
-    prior = MixturePrior()
-    fd_check_w_grad(layout, data, w, z, eta=2.0, eps=0.5, prior=prior)
+    fd_check_w_grad(layout, data, w, z, eta=2.0)
 
 
 def test_gradients_with_standardizer(rng):
@@ -300,8 +313,8 @@ def test_gradients_with_standardizer(rng):
     scaler = Standardizer.fit(data)
     w = random_inverse(rng, 2, layout, seed=8)
     z = rng.normal(size=6)
-    fd_check_z_grad(layout, data, w, z, eta=4.0, eps=0.2, scaler=scaler)
-    fd_check_w_grad(layout, data, w, z, eta=4.0, eps=0.2, prior=MixturePrior(), scaler=scaler)
+    fd_check_z_grad(layout, data, w, z, eta=4.0, scaler=scaler)
+    fd_check_w_grad(layout, data, w, z, eta=4.0, scaler=scaler)
 
 
 def test_single_observation_coupling(rng):
@@ -311,7 +324,7 @@ def test_single_observation_coupling(rng):
     data = random_dataset(rng, n=1)
     w = random_inverse(rng, 2, layout, seed=10)
     z = rng.normal(size=1)
-    fd_check_z_grad(layout, data, w, z, eta=9.0, eps=0.3)
+    fd_check_z_grad(layout, data, w, z, eta=9.0)
 
 
 def test_minibatch_scale(rng):
@@ -321,9 +334,7 @@ def test_minibatch_scale(rng):
     w = random_inverse(rng, 2, layout, seed=12)
     z = rng.normal(size=9)
     idx = np.array([1, 4, 6])
-    fd_check_w_grad(
-        layout, data.subset(idx), w, z[idx], eta=2.0, eps=0.5, prior=MixturePrior(), scale=3.0
-    )
+    fd_check_w_grad(layout, data.subset(idx), w, z[idx], eta=2.0, scale=3.0)
 
 
 # ---------------------------------------------------------------- validation

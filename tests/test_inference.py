@@ -14,11 +14,10 @@ from fidte.inference import (
     ite_intervals,
     ite_truth,
     pehe,
-    quantile,
     score_intervals,
-    write_intervals_csv,
 )
 from fidte.nn import MlpSpec, mlp_init
+from fidte.runner import rescore, write_rows_csv
 from fidte.sampler import FiducialChain
 
 LINEAR = ThetaLayout("linear_ate", c_spec=5)  # d = 4
@@ -55,43 +54,60 @@ def toy_test_set(n: int, seed: int = 0, d: int = 4) -> Dataset:
 # ----------------------------------------------------------------- quantile
 
 
+def ate_chain(samples) -> FiducialChain:
+    """A chain whose ATE draws (2 tau', no scaler) are exactly `samples`."""
+    samples = np.asarray(samples, dtype=np.float64)
+    draws = np.zeros((samples.size, LINEAR.theta_dim))
+    draws[:, 0] = samples / 2.0
+    return make_chain(draws)
+
+
 def test_quantile_median_of_ranks():
-    assert quantile(np.arange(1.0, 101.0), 0.5) == pytest.approx(50.5)
+    # endpoints interpolate linearly between ranks: the 1/4 and 3/4 points of
+    # 1..100 sit at positions 24.75 and 74.25
+    iv = ate_interval(ate_chain(np.arange(1.0, 101.0)), LINEAR, alpha=0.5)
+    assert (iv.lower, iv.upper) == (pytest.approx(25.75), pytest.approx(75.25))
 
 
 def test_quantile_extremes_are_min_max(rng):
     s = rng.standard_normal(31)
-    assert quantile(s, 0.0) == s.min()
-    assert quantile(s, 1.0) == s.max()
+    chain = ate_chain(s)
+    for alpha in (0.05, 0.5):
+        iv = ate_interval(chain, LINEAR, alpha=alpha)
+        assert s.min() <= iv.lower <= iv.upper <= s.max()
+    iv = ate_interval(chain, LINEAR, alpha=1e-12)
+    assert iv.lower == pytest.approx(s.min()) and iv.upper == pytest.approx(s.max())
 
 
 def test_quantile_matches_sort_oracle(rng):
     s = rng.standard_normal(137)
     v = np.sort(s)
-    for q in (0.025, 0.975):
+    iv = ate_interval(ate_chain(s), LINEAR, alpha=0.05)
+    for q, got in ((0.025, iv.lower), (0.975, iv.upper)):
         pos = q * (len(s) - 1)
         lo = int(np.floor(pos))
         want = v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
-        assert quantile(s, q) == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_quantile_rejects_bad_input():
+    with pytest.raises(ValueError, match="empty"):
+        ate_interval(ate_chain([]), LINEAR)
     with pytest.raises(ValueError):
-        quantile(np.array([]), 0.5)
-    with pytest.raises(ValueError):
-        quantile(np.array([1.0]), 1.5)
+        ate_interval(ate_chain([1.0, 2.0]), LINEAR, alpha=1.5)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    qa=st.floats(0.0, 1.0),
-    qb=st.floats(0.0, 1.0),
+    qa=st.floats(0.001, 0.999),
+    qb=st.floats(0.001, 0.999),
     seed=st.integers(0, 1000),
 )
 def test_quantile_monotone_in_q(qa, qb, seed):
-    s = np.random.default_rng(seed).standard_normal(25)
-    lo, hi = sorted((qa, qb))
-    assert quantile(s, lo) <= quantile(s, hi)
+    # a smaller alpha reaches further into both tails
+    chain = ate_chain(np.random.default_rng(seed).standard_normal(25))
+    small, large = (ate_interval(chain, LINEAR, alpha=a) for a in sorted((qa, qb)))
+    assert small.lower <= large.lower and large.upper <= small.upper
 
 
 # ---------------------------------------------------------------- intervals
@@ -153,8 +169,8 @@ def test_ic_interval_is_shifted_treated_prediction():
             + tau_surface(theta, LINEAR, test.x[i], None)[0]
             + 0.5 * z
         )
-        assert iv.lower == pytest.approx(quantile(y1_hat, 0.05) - test.y[i], rel=1e-12)
-        assert iv.upper == pytest.approx(quantile(y1_hat, 0.95) - test.y[i], rel=1e-12)
+        assert iv.lower == pytest.approx(np.quantile(y1_hat, 0.05) - test.y[i], rel=1e-12)
+        assert iv.upper == pytest.approx(np.quantile(y1_hat, 0.95) - test.y[i], rel=1e-12)
 
 
 def test_translation_equivariance_of_cases():
@@ -293,14 +309,19 @@ def test_ite_truth_requires_arms():
 
 
 def test_write_intervals_csv_roundtrip(tmp_path):
-    truth = np.array([0.5, 3.0])
     ivs = [
         PredictionInterval(0, "Im", 0.0, 1.0, 0.05),
         PredictionInterval(1, "Ic", -1.0, 2.0, 0.05),
+        PredictionInterval(-1, "ATE", 0.5, 1.5, 0.05),
     ]
     path = tmp_path / "iv.csv"
-    write_intervals_csv(ivs, truth, path)
+    write_rows_csv([("efi", 0.05, ivs[0], 0.5), ("efi", 0.05, ivs[1], 3.0),
+                    ("efi", 0.05, ivs[2], None)], path)
     rows = path.read_text().strip().splitlines()
-    assert rows[0] == "subject_id,case,lower,upper,truth,covered"
-    assert rows[1].split(",") == ["0", "Im", "0.0", "1.0", "0.5", "1"]
-    assert rows[2].split(",") == ["1", "Ic", "-1.0", "2.0", "3.0", "0"]
+    assert rows[0] == "method,alpha,subject_id,case,lower,upper,truth,covered"
+    assert rows[1].split(",") == ["efi", "0.05", "0", "Im", "0.0", "1.0", "0.5", "1"]
+    assert rows[2].split(",") == ["efi", "0.05", "1", "Ic", "-1.0", "2.0", "3.0", "0"]
+    assert rows[3].split(",") == ["efi", "0.05", "-1", "ATE", "0.5", "1.5", "", ""]
+    back = rescore(str(path))["efi"]["0.05"]
+    assert (back["Im"]["coverage"], back["Ic"]["coverage"]) == (1.0, 0.0)
+    assert back["ATE"] == {"n": 1, "mean_length": 1.0, "coverage": None}

@@ -3,16 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fidte.nn import (
-    MlpParams,
-    MlpSpec,
-    mlp_backward,
-    mlp_backward_batch,
-    mlp_forward,
-    mlp_forward_batch,
-    mlp_init,
-    param_count,
-)
+from fidte.nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init, param_count
 
 from conftest import assert_grad_close, central_diff
 
@@ -29,9 +20,9 @@ def test_forward_tiny_tanh_by_hand():
     # 1-1-1 net, hidden weight 1 bias 0, output weight 2 bias 0
     spec = MlpSpec((1, 1, 1), activation="tanh")
     params = MlpParams(spec, np.array([1.0, 0.0, 2.0, 0.0]))
-    out = mlp_forward(params, np.array([0.5]))
-    assert out.shape == (1,)
-    assert out[0] == pytest.approx(2.0 * math.tanh(0.5), abs=1e-15)
+    out = mlp_forward_batch(params, np.array([[0.5]]))
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(2.0 * math.tanh(0.5), abs=1e-15)
 
 
 def test_output_layer_is_linear():
@@ -41,8 +32,8 @@ def test_output_layer_is_linear():
     p2 = MlpParams(spec, p1.flat.copy())
     w_slice = slice(2 * 3 + 3, 2 * 3 + 3 + 3)  # output layer weights
     p2.flat[w_slice] *= 10.0
-    x = np.array([0.3, -0.7])
-    np.testing.assert_allclose(mlp_forward(p2, x), 10.0 * mlp_forward(p1, x), rtol=1e-12)
+    x = np.array([[0.3, -0.7]])
+    np.testing.assert_allclose(mlp_forward_batch(p2, x), 10.0 * mlp_forward_batch(p1, x), rtol=1e-12)
 
 
 def test_init_glorot_bounds_and_zero_biases():
@@ -66,8 +57,8 @@ def test_init_deterministic_in_seed():
 def test_forward_deterministic():
     spec = MlpSpec((3, 8, 2), seed=0)
     params = mlp_init(spec)
-    x = np.array([0.1, -2.0, 0.7])
-    np.testing.assert_array_equal(mlp_forward(params, x), mlp_forward(params, x))
+    x = np.array([[0.1, -2.0, 0.7]])
+    np.testing.assert_array_equal(mlp_forward_batch(params, x), mlp_forward_batch(params, x))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
@@ -76,7 +67,7 @@ def test_batch_matches_stacked_singles(activation, rng):
     params = mlp_init(spec)
     x = rng.normal(size=(6, 4))
     batch = mlp_forward_batch(params, x)
-    singles = np.stack([mlp_forward(params, row) for row in x])
+    singles = np.concatenate([mlp_forward_batch(params, row[None, :]) for row in x])
     np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
 
@@ -84,13 +75,13 @@ def test_batch_matches_stacked_singles(activation, rng):
 def test_backward_param_grad_matches_fd(activation, rng):
     spec = MlpSpec((3, 6, 4, 2), activation=activation, seed=5)
     params = mlp_init(spec)
-    x = rng.normal(size=3)
-    out_grad = rng.normal(size=2)
+    x = rng.normal(size=(1, 3))
+    out_grad = rng.normal(size=(1, 2))
 
     def loss(flat):
-        return float(mlp_forward(MlpParams(spec, flat), x) @ out_grad)
+        return float(np.sum(mlp_forward_batch(MlpParams(spec, flat), x) * out_grad))
 
-    analytic, _ = mlp_backward(params, x, out_grad)
+    analytic, _ = mlp_backward_batch(params, x, out_grad)
     assert_grad_close(analytic, central_diff(loss, params.flat))
 
 
@@ -99,13 +90,14 @@ def test_backward_input_grad_matches_fd(activation, rng):
     spec = MlpSpec((5, 6, 3), activation=activation, seed=9)
     params = mlp_init(spec)
     x = rng.normal(size=5)
-    out_grad = rng.normal(size=3)
+    out_grad = rng.normal(size=(1, 3))
 
     def loss(xv):
-        return float(mlp_forward(params, xv) @ out_grad)
+        return float(np.sum(mlp_forward_batch(params, xv[None, :]) * out_grad))
 
-    _, analytic = mlp_backward(params, x, out_grad)
-    assert_grad_close(analytic, central_diff(loss, x))
+    _, analytic = mlp_backward_batch(params, x[None, :], out_grad)
+    assert analytic.shape == (1, 5)
+    assert_grad_close(analytic[0], central_diff(loss, x))
 
 
 def test_backward_batch_sums_per_row_grads(rng):
@@ -116,9 +108,9 @@ def test_backward_batch_sums_per_row_grads(rng):
     pg_batch, ig_batch = mlp_backward_batch(params, x, gout)
     pg_sum = np.zeros_like(params.flat)
     for i in range(7):
-        pg_i, ig_i = mlp_backward(params, x[i], gout[i])
+        pg_i, ig_i = mlp_backward_batch(params, x[i : i + 1], gout[i : i + 1])
         pg_sum += pg_i
-        np.testing.assert_allclose(ig_batch[i], ig_i, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(ig_batch[i], ig_i[0], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(pg_batch, pg_sum, rtol=1e-12, atol=1e-13)
 
 
@@ -126,9 +118,9 @@ def test_relu_subgradient_at_zero_is_zero():
     # preactivation exactly 0 at the hidden unit: all upstream grads vanish
     spec = MlpSpec((1, 1, 1), activation="relu")
     params = MlpParams(spec, np.array([1.0, 0.0, 1.0, 0.0]))
-    pg, ig = mlp_backward(params, np.array([0.0]), np.array([1.0]))
+    pg, ig = mlp_backward_batch(params, np.array([[0.0]]), np.array([[1.0]]))
     np.testing.assert_array_equal(pg, [0.0, 0.0, 0.0, 1.0])  # only output bias moves
-    np.testing.assert_array_equal(ig, [0.0])
+    np.testing.assert_array_equal(ig, [[0.0]])
 
 
 def test_invalid_specs_rejected():
@@ -144,9 +136,11 @@ def test_dimension_errors():
     spec = MlpSpec((3, 4, 2))
     params = mlp_init(spec)
     with pytest.raises(ValueError):
-        mlp_forward(params, np.zeros(4))
+        mlp_forward_batch(params, np.zeros((1, 4)))
     with pytest.raises(ValueError):
-        mlp_backward(params, np.zeros(3), np.zeros(3))
+        mlp_forward_batch(params, np.zeros(3))  # a row must come as a one-row batch
+    with pytest.raises(ValueError):
+        mlp_backward_batch(params, np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ValueError):
         MlpParams(spec, np.zeros(10))
     with pytest.raises(ValueError):
