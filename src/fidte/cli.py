@@ -64,7 +64,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = replace(_resolve_config(args), methods=("efi",))
+    cfg = _resolve_config(args)
+    skipped = [m for m in cfg.methods if m != "efi"]
+    if skipped:
+        print(
+            f"fit runs efi only; skipping {', '.join(skipped)} "
+            "(run them with `fidte cqr` or `fidte benchmark`)",
+            file=sys.stderr,
+        )
+    cfg = replace(cfg, methods=("efi",))
     os.makedirs(cfg.outdir, exist_ok=True)
     rep = run_replication(cfg, 0, rep_dir=cfg.outdir)
     chain = rep["chain"]

@@ -14,6 +14,7 @@ any data is drawn or sampler run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -182,8 +183,44 @@ PRESETS = {
     ),
 }
 
-_TUPLE_FIELDS = {"tau_widths", "c_widths", "inverse_widths", "alphas", "methods"}
+# element type of each list field
+_TUPLE_FIELDS = {
+    "tau_widths": int, "c_widths": int, "inverse_widths": int, "alphas": float, "methods": str,
+}
 _FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
+_SCALAR_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _parse_number(text: str):
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return None
+
+
+def _scalar(name: str, kind: type, value):
+    """value as the declared scalar type, or a ValueError naming the field.
+
+    PyYAML reads numbers written without a dot, such as 5e2, as strings, so
+    numeric strings are parsed here; an int field takes only whole numbers,
+    and a number must be finite (a nan eta diverges at the first step).
+    """
+    v = value
+    if isinstance(v, str) and kind in (int, float):
+        v = _parse_number(v)
+    if kind is int and isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if kind is float and type(v) is int:
+        v = float(v)
+    if kind is str and type(v) in (int, float):
+        v = str(v)
+    if type(v) is float and not math.isfinite(v):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    if type(v) is kind:
+        return v
+    raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
 def _coerce(name: str, value):
@@ -193,21 +230,29 @@ def _coerce(name: str, value):
     if name not in _FIELD_TYPES:
         raise ValueError(f"{name}: unknown config field")
     if name in _TUPLE_FIELDS:
-        if isinstance(value, (list, tuple)):
-            return tuple(value)
         if isinstance(value, (str, int, float)):
-            return (value,)
-        raise ValueError(f"{name}: expected a list, got {type(value).__name__}")
+            value = [value]
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name}: expected a list, got {type(value).__name__}")
+        return tuple(_scalar(name, _TUPLE_FIELDS[name], v) for v in value)
     if name == "gamma_map":
         if not isinstance(value, dict):
             raise ValueError(f"{name}: expected a mapping of group -> c")
         # pairs pass through for ExperimentConfig to reject with the reason
-        return {str(g): c if isinstance(c, (list, tuple)) else float(c) for g, c in value.items()}
+        return {
+            str(g): c if isinstance(c, (list, tuple)) else _scalar(f"{name}.{g}", float, c)
+            for g, c in value.items()
+        }
     if name == "csv_schema":
         if not isinstance(value, dict):
             raise ValueError(f"{name}: expected a mapping with keys y, t, x")
         return value
-    return value
+    declared = _FIELD_TYPES[name].type
+    if declared.startswith("Optional["):
+        if value is None:
+            return None
+        declared = declared[len("Optional[") : -1]
+    return _scalar(name, _SCALAR_TYPES[declared], value)
 
 
 def preset_config(name: str, paper_scale: bool = False, **overrides) -> ExperimentConfig:
@@ -236,7 +281,7 @@ def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConf
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a mapping at top level")
     preset = raw.pop("preset", None)
-    scale = raw.pop("paper_scale", False)
+    scale = _coerce("paper_scale", raw.pop("paper_scale", False))
     if paper_scale is not None:
         scale = paper_scale
     overrides = {}

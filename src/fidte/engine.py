@@ -9,9 +9,21 @@ a parameter estimate theta_hat_i.  The energy
 
 couples all observations through theta_bar, the mean of the theta_hat rows.
 This module evaluates U and its exact gradients in Z and in the inverse
-network's weights; the coupling through theta_bar is handled in closed form
-with a single O(n) aggregate rather than by differentiating the mean per
-observation.
+network's weights.
+
+The inverse network's output layer is linear, theta_hat_i = s W a_i + b with
+a_i its last hidden layer and s its out_scale, so everything is computed in
+hidden space and the n x theta_dim matrix of theta_hat rows is never formed:
+
+    theta_bar   = s W a_bar + b
+    consensus   = s^2 tr(W^T W C),   C = sum_i (a_i - a_bar)(a_i - a_bar)^T
+    dU/da_i     = 2 eta s^2 W^T W (a_i - a_bar) + s W^T A / n
+    dU/dW       = 2 eta s^2 W C + s A a_bar^T
+    dU/db       = A
+
+where A = dU/dtheta_bar of the residual term, a single O(n) aggregate
+(_dbar_aggregate).  The consensus term has no theta_bar gradient because
+sum_i (a_i - a_bar) = 0 holds by construction.
 
 When a Standardizer is supplied, the system is solved in standardized
 outcome/covariate units (inputs, residuals and theta all standardized) and
@@ -25,7 +37,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init, param_count
+from .nn import (
+    MlpParams,
+    MlpSpec,
+    _layer_slices,
+    mlp_backward_batch,
+    mlp_forward_batch,
+    mlp_init,
+    param_count,
+)
 
 MODEL_KINDS = ("linear_ate", "dnn_tau_linear_c", "dnn_both")
 
@@ -422,8 +442,6 @@ def sigma_of(theta: np.ndarray, layout: ThetaLayout, scaler: Optional[Standardiz
 @dataclass
 class EnergyReport:
     total: float
-    fit_terms: np.ndarray
-    consensus_terms: np.ndarray
     theta_bar: np.ndarray
 
 
@@ -434,6 +452,52 @@ class GradReport:
     sigma: float  # solve-space noise scale exp(theta_bar log-sigma slot)
     z_grad: Optional[np.ndarray] = None
     w_grad: Optional[np.ndarray] = None
+
+
+@dataclass
+class _HiddenPass:
+    # one inverse-network forward to the last hidden layer and what the
+    # energy and its gradients share
+    feats: np.ndarray
+    z: np.ndarray
+    W: np.ndarray  # output-layer weight matrix, (theta_dim, hidden)
+    dev: np.ndarray  # a_i - a_bar, (n, hidden)
+    a_bar: np.ndarray
+    cov: np.ndarray  # C = dev^T dev
+    gram: np.ndarray  # W^T W
+    theta_bar: np.ndarray
+    mt: ModelTheta
+    xs: np.ndarray
+    t01: np.ndarray
+    resid: np.ndarray
+    total: float
+
+
+def _hidden_pass(
+    w: MlpParams,
+    data: Dataset,
+    z: np.ndarray,
+    eta: float,
+    layout: ThetaLayout,
+    scaler: Optional[Standardizer],
+) -> _HiddenPass:
+    _check_widths(w, data, layout)
+    z = np.asarray(z, dtype=np.float64)
+    feats = feature_matrix(data, z, scaler)
+    hidden = mlp_forward_batch(w, feats, head=False)
+    W, b = w.layers()[-1]
+    s = w.spec.out_scale
+    a_bar = hidden.mean(axis=0)
+    dev = hidden - a_bar
+    cov = dev.T @ dev
+    gram = W.T @ W
+    tb = s * (W @ a_bar) + b
+    mt = unpack_theta(tb, layout)
+    xs = _sx(scaler, data.x)
+    t01 = data.t.astype(np.float64)
+    resid = _sy(scaler, data.y) - _mean_rows(mt, layout, xs, t01, z)
+    total = float((resid**2).sum() + eta * s * s * (gram * cov).sum())
+    return _HiddenPass(feats, z, W, dev, a_bar, cov, gram, tb, mt, xs, t01, resid, total)
 
 
 def energy(
@@ -449,19 +513,8 @@ def energy(
     With a scaler, residuals are taken on standardized outcomes (the units the
     system is solved in).
     """
-    _check_widths(w, data, layout)
-    theta = mlp_forward_batch(w, feature_matrix(data, z, scaler))
-    tb = theta.mean(axis=0)
-    mt = unpack_theta(tb, layout)
-    resid = _sy(scaler, data.y) - _mean_rows(mt, layout, _sx(scaler, data.x), data.t.astype(np.float64), z)
-    fit = resid**2
-    cons = ((theta - tb) ** 2).sum(axis=1)
-    return EnergyReport(
-        total=float(fit.sum() + eta * cons.sum()),
-        fit_terms=fit,
-        consensus_terms=cons,
-        theta_bar=tb,
-    )
+    hp = _hidden_pass(w, data, z, eta, layout, scaler)
+    return EnergyReport(total=hp.total, theta_bar=hp.theta_bar)
 
 
 def energy_gradients(
@@ -474,42 +527,29 @@ def energy_gradients(
     need_z: bool = True,
     need_w: bool = True,
 ) -> GradReport:
-    """U and its exact gradients in one batched pass.
+    """U and its exact gradients in one forward and one backward pass.
 
     z_grad is dU/dZ and w_grad is dU/dw, the flat inverse-network gradient;
     the sampler forms its latent and weight log-density gradients from them.
-    The theta_bar coupling enters every row's out-gradient as the shared
-    aggregate A = sum_j d d_j / d theta_bar; the consensus coupling through
-    theta_bar vanishes because sum_j (theta_hat_j - theta_bar) = 0, which is
-    asserted numerically.
+    Both come from the hidden-space closed forms in the module docstring:
+    the trunk below the output layer is back-propagated from dU/da_i, and
+    the output layer's gradient is filled in from dU/dW and dU/db.
     """
-    _check_widths(w, data, layout)
-    z = np.asarray(z, dtype=np.float64)
-    feats = feature_matrix(data, z, scaler)
-    theta = mlp_forward_batch(w, feats)
-    n = data.n
-    tb = theta.mean(axis=0)
-    dev = theta - tb
-    agg = dev.sum(axis=0)
-    tol = 1e-10 * max(1.0, float(np.abs(theta).max()) * n)
-    if float(np.abs(agg).max()) > tol:
-        raise AssertionError(f"consensus aggregate {np.abs(agg).max()} exceeds {tol}")
+    hp = _hidden_pass(w, data, z, eta, layout, scaler)
+    W, s = hp.W, w.spec.out_scale
+    # A = d(sum_j d_j)/d theta_bar = -2 sum_j r_j df_j/d theta_bar
+    a_total = -2.0 * _dbar_aggregate(hp.mt, layout, hp.xs, hp.t01, hp.z, hp.resid)
+    c = 2.0 * eta * s * s
+    hidden_grads = hp.dev @ (c * hp.gram) + (s / data.n) * (W.T @ a_total)
+    w_grad, input_grads = mlp_backward_batch(w, hp.feats, hidden_grads, head=False)
 
-    mt = unpack_theta(tb, layout)
-    xs = _sx(scaler, data.x)
-    t01 = data.t.astype(np.float64)
-    resid = _sy(scaler, data.y) - _mean_rows(mt, layout, xs, t01, z)
-    total = float((resid**2).sum() + eta * (dev**2).sum())
-
-    # d(sum_j d_j)/d theta_bar = -2 sum_j r_j df_j/d theta_bar
-    a_total = -2.0 * _dbar_aggregate(mt, layout, xs, t01, z, resid)
-    out_grads = 2.0 * eta * dev + a_total / n
-    w_grad, input_grads = mlp_backward_batch(w, feats, out_grads)
-
-    rep = GradReport(total=total, theta_bar=tb, sigma=mt.sigma)
+    rep = GradReport(total=hp.total, theta_bar=hp.theta_bar, sigma=hp.mt.sigma)
     if need_z:
         # direct path d d_i / d z_i at fixed theta_bar, plus the inverse-net path
-        rep.z_grad = -2.0 * resid * mt.sigma + input_grads[:, -1]
+        rep.z_grad = -2.0 * hp.resid * hp.mt.sigma + input_grads[:, -1]
     if need_w:
+        ws, bs, _ = _layer_slices(w.spec)[-1]
+        w_grad[ws] = (c * (W @ hp.cov) + s * np.outer(a_total, hp.a_bar)).ravel()
+        w_grad[bs] = a_total
         rep.w_grad = w_grad
     return rep

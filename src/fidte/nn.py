@@ -141,17 +141,18 @@ def _act_grad_from_act(name: str, a: np.ndarray) -> np.ndarray:
     return a * (1.0 - a)
 
 
-def _forward_cached(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    # returns [input, hidden activations..., linear output], all (n, d_l)
+def _forward_cached(params: MlpParams, x: np.ndarray, head: bool = True) -> list[np.ndarray]:
+    # returns [input, hidden activations..., linear output], all (n, d_l);
+    # without the head the list ends at the last hidden activations
     acts = [x]
     layers = params.layers()
     a = x
-    for l, (W, b) in enumerate(layers):
-        if l < len(layers) - 1:
-            a = _act(params.spec.activation, a @ W.T + b)
-        else:
-            a = (a @ W.T) * params.spec.out_scale + b
+    for W, b in layers[:-1]:
+        a = _act(params.spec.activation, a @ W.T + b)
         acts.append(a)
+    if head:
+        W, b = layers[-1]
+        acts.append((a @ W.T) * params.spec.out_scale + b)
     return acts
 
 
@@ -164,51 +165,56 @@ def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def mlp_forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Forward pass for a batch x of shape (n, d_in); returns (n, d_out)."""
+def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> np.ndarray:
+    """Forward pass for a batch x of shape (n, d_in).
+
+    Returns the (n, d_out) output, or with head=False the (n, d_{L-1})
+    activations of the last hidden layer, which the linear output layer
+    would map to out_scale * a @ W.T + b.
+    """
     x = _check_input(params, x)
-    return _forward_cached(params, x)[-1]
+    return _forward_cached(params, x, head)[-1]
 
 
 def _backward_from_cache(
-    params: MlpParams, acts: list[np.ndarray], out_grads: np.ndarray
+    params: MlpParams, acts: list[np.ndarray], grads: np.ndarray, head: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     layers = params.layers()
     param_grad = np.zeros_like(params.flat)
     slices = _layer_slices(params.spec)
     last = len(layers) - 1
-    delta = out_grads
-    for l in range(last, -1, -1):
-        W, _ = layers[l]
-        ws, bs, shape = slices[l]
+    if head:
+        ws, bs, _ = slices[last]
         # out_scale multiplies the output weight matrix only, so it enters
         # that layer's weight gradient and the signal flowing past it
-        wg = (delta.T @ acts[l]).ravel()
-        param_grad[ws] = wg * params.spec.out_scale if l == last else wg
+        param_grad[ws] = (grads.T @ acts[last]).ravel() * params.spec.out_scale
+        param_grad[bs] = grads.sum(axis=0)
+        grads = (grads @ layers[last][0]) * params.spec.out_scale
+    # grads is the gradient at the last hidden activations from here on
+    for l in range(last - 1, -1, -1):
+        ws, bs, _ = slices[l]
+        delta = grads * _act_grad_from_act(params.spec.activation, acts[l + 1])
+        param_grad[ws] = (delta.T @ acts[l]).ravel()
         param_grad[bs] = delta.sum(axis=0)
-        if l > 0:
-            back = delta @ W
-            if l == last:
-                back = back * params.spec.out_scale
-            delta = back * _act_grad_from_act(params.spec.activation, acts[l])
-    input_grads = delta @ layers[0][0]
-    return param_grad, input_grads
+        grads = delta @ layers[l][0]
+    return param_grad, grads
 
 
 def mlp_backward_batch(
-    params: MlpParams, x: np.ndarray, out_grads: np.ndarray
+    params: MlpParams, x: np.ndarray, out_grads: np.ndarray, head: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched backward pass.
 
     out_grads has one row per observation; the parameter gradient is the sum
     over rows (each row is an independent additive loss term), the input
-    gradient is returned per row.
+    gradient is returned per row.  With head=False out_grads are gradients
+    at the last hidden activations, shape (n, d_{L-1}), and the output-layer
+    slots of the parameter gradient are left zero for the caller to fill.
     """
     x = _check_input(params, x)
     out_grads = np.asarray(out_grads, dtype=np.float64)
-    if out_grads.shape != (x.shape[0], params.spec.d_out):
-        raise ValueError(
-            f"out_grads shape {out_grads.shape} != ({x.shape[0]}, {params.spec.d_out})"
-        )
-    acts = _forward_cached(params, x)
-    return _backward_from_cache(params, acts, out_grads)
+    width = params.spec.layer_widths[-1 if head else -2]
+    if out_grads.shape != (x.shape[0], width):
+        raise ValueError(f"out_grads shape {out_grads.shape} != ({x.shape[0]}, {width})")
+    acts = _forward_cached(params, x, head=False)
+    return _backward_from_cache(params, acts, out_grads, head)

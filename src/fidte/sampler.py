@@ -39,7 +39,7 @@ from .engine import (
     feature_matrix,
     least_squares_theta,
 )
-from .nn import MlpParams, MlpSpec, _forward_cached, _layer_slices, mlp_init, param_count
+from .nn import MlpParams, MlpSpec, _layer_slices, mlp_forward_batch, mlp_init, param_count
 from .prior import MixturePrior, log_prior_grad
 
 # Fraction of the 2/kappa gradient-descent stability bound used as the base
@@ -278,8 +278,8 @@ def _group_w_rates(
     bound is doubled (HEAD_GROWTH_ALLOWANCE) rather than trusted as measured.
     Each rate is STEP_SAFETY times the 2/kappa descent bound of its group.
     """
-    acts = _forward_cached(w, feature_matrix(data, z, scaler))
-    cov = np.cov(acts[-2].T, bias=True)
+    hidden = mlp_forward_batch(w, feature_matrix(data, z, scaler), head=False)
+    cov = np.cov(hidden.T, bias=True)
     lam = float(np.linalg.eigvalsh(cov)[-1])
     consensus = 2.0 * config.eta * data.n / config.eps * max(lam, 1e-12) * w.spec.out_scale**2
     kappa_rest = max(consensus, 1.0 / prior.sigma0**2, 2.0 * data.n / config.eps)

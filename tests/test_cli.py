@@ -32,7 +32,7 @@ def count_efi_calls(monkeypatch):
     return calls
 
 
-def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch):
+def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch, capsys):
     sim = tmp_path / "sim"
     assert cli.main(["simulate", "--config", "linear_ate_n250", "--seed", "3", "--out", str(sim)]) == 0
     train_csv = sim / "train.csv"
@@ -58,6 +58,7 @@ def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch):
     fit = tmp_path / "fit"
     assert cli.main(["fit", "--config", str(cfg), "--out", str(fit)]) == 0
     assert len(calls) == 1  # chain and intervals come from one sampler run
+    assert capsys.readouterr().err == ""  # an efi-only config skips nothing
     chain = read_rows(fit / "chain.csv")
     assert chain[0][-2:] == ["sigma", "energy"] and len(chain) == 1 + KEEP // THIN
     assert len(read_rows(fit / "trace_efi.csv")) == 1 + BURN + KEEP
@@ -84,7 +85,7 @@ def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch):
     assert scores["efi"]["0.05"]["ATE"]["n"] == 1
 
 
-def test_fit_runs_the_sampler_once(tmp_path, monkeypatch):
+def test_fit_runs_the_sampler_once(tmp_path, monkeypatch, capsys):
     calls = count_efi_calls(monkeypatch)
     cfg = tmp_path / "fit.yaml"
     cfg.write_text(
@@ -93,6 +94,11 @@ def test_fit_runs_the_sampler_once(tmp_path, monkeypatch):
     )
     assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+    # example1 also configures the three cqr baselines, which fit does not run
+    assert capsys.readouterr().err == (
+        "fit runs efi only; skipping cqr-naive, cqr-exact, cqr-inexact "
+        "(run them with `fidte cqr` or `fidte benchmark`)\n"
+    )
     assert len(read_rows(tmp_path / "out" / "chain.csv")) == 1 + 3
     assert len(read_rows(tmp_path / "out" / "intervals.csv")) == 1 + 12
 

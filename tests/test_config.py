@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fidte.config import PRESETS, ExperimentConfig, load_config, preset_config
@@ -63,3 +65,36 @@ def test_efi_config_recording_no_draws_is_rejected(monkeypatch):
         preset_config("tiny")
     # a baseline-only config never samples, so its chain budget is not checked
     preset_config("example1", methods=("cqr-naive",), m_keep=0)
+
+
+def test_yaml_numbers_without_a_dot_load_as_numbers(tmp_path):
+    # PyYAML reads 5e2 and 1e-1 as strings; the config parses them at load
+    path = write_yaml(
+        tmp_path,
+        "preset: linear_ate_n250\neta: 5e2\neps: 1e-1\nk_burn: 1e2\nalphas: [5e-2]\n"
+        "gamma_map: {rest: 1e6}\nclip_norm: null\n",
+    )
+    cfg = load_config(path)
+    assert (cfg.eta, cfg.eps, cfg.k_burn, cfg.alphas) == (500.0, 0.1, 100, (0.05,))
+    assert cfg.gamma_map == {"rest": 1e6} and cfg.clip_norm is None
+    assert type(cfg.eta) is float and type(cfg.k_burn) is int
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("eta: abc", "eta: expected float, got 'abc'"),
+        ("k_burn: 2.5", "k_burn: expected int, got 2.5"),
+        ("R: true", "R: expected int, got True"),
+        ("trace: 1", "trace: expected bool, got 1"),
+        ("alphas: [0.05, x]", "alphas: expected float, got 'x'"),
+        ("gamma_map: {rest: fast}", "gamma_map.rest: expected float, got 'fast'"),
+        ("paper_scale: 'no'", "paper_scale: expected bool, got 'no'"),
+        ("eta: .nan", "eta: expected a finite number, got nan"),
+        ("eps: inf", "eps: expected a finite number, got 'inf'"),
+    ],
+)
+def test_scalar_that_does_not_convert_is_rejected_at_load(tmp_path, line, message):
+    path = write_yaml(tmp_path, f"preset: linear_ate_n250\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path)

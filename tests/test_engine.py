@@ -5,6 +5,7 @@ from fidte.engine import (
     Dataset,
     Standardizer,
     ThetaLayout,
+    _dbar_aggregate,
     c_surface,
     energy,
     energy_gradients,
@@ -14,7 +15,14 @@ from fidte.engine import (
     tau_surface,
     unpack_theta,
 )
-from fidte.nn import MlpParams, MlpSpec, mlp_forward_batch, mlp_init, param_count
+from fidte.nn import (
+    MlpParams,
+    MlpSpec,
+    mlp_backward_batch,
+    mlp_forward_batch,
+    mlp_init,
+    param_count,
+)
 
 from conftest import assert_grad_close, central_diff
 
@@ -204,9 +212,9 @@ def test_energy_single_observation_no_consensus(rng):
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=1)
     rep = energy(w, data, z, eta=7.0, layout=layout)
-    assert rep.consensus_terms[0] == pytest.approx(0.0, abs=1e-20)
+    # one row sits at its own mean, so the total is the fit term alone
     pred = model_predict_batch(rep.theta_bar, layout, data.x, data.t, z)[0]
-    assert rep.total == pytest.approx((data.y[0] - pred) ** 2, rel=1e-12)
+    assert rep.total == (data.y[0] - pred) ** 2
 
 
 def test_energy_two_observation_recomputation(rng):
@@ -335,6 +343,58 @@ def test_minibatch_scale(rng):
     z = rng.normal(size=9)
     idx = np.array([1, 4, 6])
     fd_check_w_grad(layout, data.subset(idx), w, z[idx], eta=2.0, scale=3.0)
+
+
+def explicit_energy_gradients(w, data, z, eta, layout, scaler=None):
+    """Oracle: U and its gradients from the n x theta_dim matrix of theta_hat rows.
+
+    The consensus enters every row's out-gradient as 2 eta (theta_hat_i -
+    theta_bar) and the residual term as the shared A / n; a full-head
+    backward pass carries both into the weights and the inputs.
+    """
+    feats = feature_matrix(data, z, scaler)
+    theta = mlp_forward_batch(w, feats)
+    tb = theta.mean(axis=0)
+    dev = theta - tb
+    y_scale = 1.0 if scaler is None else scaler.y_std
+    resid = (data.y - model_predict_batch(tb, layout, data.x, data.t, z, scaler)) / y_scale
+    total = float((resid**2).sum() + eta * (dev**2).sum())
+    mt = unpack_theta(tb, layout)
+    xs = data.x if scaler is None else scaler.scale_x(data.x)
+    a_total = -2.0 * _dbar_aggregate(mt, layout, xs, data.t.astype(np.float64), z, resid)
+    w_grad, input_grads = mlp_backward_batch(w, feats, 2.0 * eta * dev + a_total / data.n)
+    z_grad = -2.0 * resid * mt.sigma + input_grads[:, -1]
+    return total, tb, z_grad, w_grad
+
+
+def assert_rel_close(got, want, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
+def test_hidden_space_matches_explicit_consensus(make, standardize, rng):
+    # last hidden width 6 lies above linear_ate's theta_dim 5 and below the others'
+    layout = make(d=2)
+    data = random_dataset(rng, n=40)
+    data.y[:] = 3.0 + 2.0 * data.y
+    scaler = Standardizer.fit(data) if standardize else None
+    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=14, out_scale=0.04)
+    w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
+    z = rng.normal(size=40)
+    idx = np.array([0, 3, 7, 11, 19, 25, 31, 38])
+    for d, zv in ((data, z), (data.subset(idx), z[idx])):
+        total, tb, z_grad, w_grad = explicit_energy_gradients(w, d, zv, 5.0, layout, scaler)
+        er = energy(w, d, zv, 5.0, layout, scaler)
+        rep = energy_gradients(w, d, zv, 5.0, layout, scaler)
+        for got in (er.total, rep.total):
+            assert got == pytest.approx(total, rel=1e-12)
+        assert_rel_close(er.theta_bar, tb)
+        assert_rel_close(rep.theta_bar, tb)
+        assert_rel_close(rep.z_grad, z_grad)
+        assert_rel_close(rep.w_grad, w_grad)
 
 
 # ---------------------------------------------------------------- validation

@@ -114,6 +114,38 @@ def test_backward_batch_sums_per_row_grads(rng):
     np.testing.assert_allclose(pg_batch, pg_sum, rtol=1e-12, atol=1e-13)
 
 
+def headed_net(activation, rng):
+    spec = MlpSpec((3, 5, 4, 6), activation=activation, seed=7, out_scale=0.3)
+    params = mlp_init(spec)
+    params.flat[:] += 0.1 * rng.normal(size=params.flat.size)
+    return params
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+def test_headless_forward_feeds_the_output_layer(activation, rng):
+    params = headed_net(activation, rng)
+    x = rng.normal(size=(9, 3))
+    hidden = mlp_forward_batch(params, x, head=False)
+    assert hidden.shape == (9, 4)
+    W, b = params.layers()[-1]
+    np.testing.assert_array_equal(mlp_forward_batch(params, x), (hidden @ W.T) * 0.3 + b)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+def test_headless_backward_matches_full_backward_below_the_head(activation, rng):
+    # out_grads O at the output are s * O @ W at the last hidden layer
+    params = headed_net(activation, rng)
+    x = rng.normal(size=(9, 3))
+    gout = rng.normal(size=(9, 6))
+    W, _ = params.layers()[-1]
+    pg_full, ig_full = mlp_backward_batch(params, x, gout)
+    pg, ig = mlp_backward_batch(params, x, (gout @ W) * 0.3, head=False)
+    head = param_count(params.spec) - 6 * (4 + 1)
+    np.testing.assert_array_equal(pg[:head], pg_full[:head])
+    np.testing.assert_array_equal(pg[head:], 0.0)
+    np.testing.assert_array_equal(ig, ig_full)
+
+
 def test_relu_subgradient_at_zero_is_zero():
     # preactivation exactly 0 at the hidden unit: all upstream grads vanish
     spec = MlpSpec((1, 1, 1), activation="relu")
@@ -141,6 +173,11 @@ def test_dimension_errors():
         mlp_forward_batch(params, np.zeros(3))  # a row must come as a one-row batch
     with pytest.raises(ValueError):
         mlp_backward_batch(params, np.zeros((1, 3)), np.zeros((1, 3)))
+    # headless out_grads are last-hidden-layer gradients, 4 wide here
+    with pytest.raises(ValueError, match=r"out_grads shape \(1, 2\) != \(1, 4\)"):
+        mlp_backward_batch(params, np.zeros((1, 3)), np.zeros((1, 2)), head=False)
+    with pytest.raises(ValueError, match=r"out_grads shape \(1, 4\) != \(1, 2\)"):
+        mlp_backward_batch(params, np.zeros((1, 3)), np.zeros((1, 4)))
     with pytest.raises(ValueError):
         MlpParams(spec, np.zeros(10))
     with pytest.raises(ValueError):
