@@ -11,6 +11,7 @@ guarantee).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,7 +20,7 @@ import numpy as np
 
 from .engine import Dataset
 from .inference import PredictionInterval
-from .nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init, param_count
+from .nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init
 
 
 @dataclass(frozen=True)
@@ -75,25 +76,30 @@ def _fit_pinball_net(
     spec: MlpSpec,
     config: TrainConfig,
 ) -> MlpParams:
-    """Full-batch Adam on the summed pinball losses, one level per output."""
+    """Full-batch Adam on the summed pinball losses, one level per output.
+
+    The net's flat vector is updated in place, so its layer views are built
+    once per fit; each step is one forward and one backward through it.
+    """
     n = features.shape[0]
     qvec = np.asarray(qs, dtype=np.float64)[None, :]
     net = mlp_init(spec)
-    flat = net.flat.copy()
+    flat = net.flat
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     b1, b2, eps = 0.9, 0.999, 1e-8
     for step in range(1, config.iters + 1):
-        pred = mlp_forward_batch(net, features)
+        acts = mlp_forward_batch(net, features)
         # d/du of rho_q(y - u) is 1{y < u} - q
-        out_grad = ((targets < pred).astype(np.float64) - qvec) / n
-        grad, _ = mlp_backward_batch(net, features, out_grad)
+        out_grad = ((targets < acts[-1]).astype(np.float64) - qvec) / n
+        grad, _ = mlp_backward_batch(net, acts, out_grad, need_input=False)
         m = b1 * m + (1.0 - b1) * grad
         v = b2 * v + (1.0 - b2) * grad**2
         mh = m / (1.0 - b1**step)
         vh = v / (1.0 - b2**step)
-        flat = flat - config.lr * mh / (np.sqrt(vh) + eps)
-        net = MlpParams(spec, flat)
+        flat -= config.lr * mh / (np.sqrt(vh) + eps)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("non-finite parameter values")
     return net
 
 
@@ -126,7 +132,7 @@ def predict_quantiles(model: QuantileModel, x: np.ndarray, t: np.ndarray) -> np.
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
     feats = (_features(x, t) - model.f_mean) / model.f_sd
-    out = mlp_forward_batch(model.net, feats) * model.y_sd + model.y_mean
+    out = mlp_forward_batch(model.net, feats)[-1] * model.y_sd + model.y_mean
     return np.sort(out, axis=1)
 
 
@@ -201,6 +207,30 @@ def _interval_outcomes(
     return c_lo, c_hi
 
 
+@dataclass
+class _FoldOne:
+    # what exact and inexact share: fold 2, its interval outcomes under the
+    # fold-1 per-arm bands, and the rng as it stood right after the fit
+    fold2: Dataset
+    c_lo: np.ndarray
+    c_hi: np.ndarray
+    rng: np.random.Generator
+
+
+def _fold_one(train: Dataset, alpha: float, seed: int, config: TrainConfig) -> _FoldOne:
+    rng = np.random.default_rng(seed)
+    fold1_idx, fold2_idx = _split(train.n, rng)
+    model, corr = _arm_bands(train.subset(fold1_idx), alpha / 2.0, rng, config, seed)
+    fold2 = train.subset(fold2_idx)
+    c_lo, c_hi = _interval_outcomes(fold2, model, corr)
+    if not (np.all(np.isfinite(c_lo)) and np.all(np.isfinite(c_hi))):
+        raise ValueError(
+            "calibration returned an infinite band, so interval outcomes "
+            "cannot be regressed; use more training rows or a larger alpha"
+        )
+    return _FoldOne(fold2, c_lo, c_hi, rng)
+
+
 def cqr_ite(
     train: Dataset,
     test: Dataset,
@@ -208,42 +238,48 @@ def cqr_ite(
     mode: str = "naive",
     seed: int = 0,
     config: TrainConfig = TrainConfig(),
+    fold_one_fits: Optional[dict] = None,
 ) -> List[PredictionInterval]:
-    """Covariates-only ITE intervals for every test row, tagged Im."""
+    """Covariates-only ITE intervals for every test row, tagged Im.
+
+    exact and inexact start from the same fold-1 fit.  Calls on one training
+    set share it through fold_one_fits, a dict their caller makes for that
+    set: the first exact or inexact call at an (alpha, seed, config) fits and
+    stores it, the next one reuses it, in either order.
+    """
     if mode not in ("naive", "exact", "inexact"):
         raise ValueError(f"unknown mode {mode!r}, expected naive, exact, or inexact")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    rng = np.random.default_rng(seed)
 
     if mode == "naive":
         # per-arm bands at level 1 - alpha/2, differenced
+        rng = np.random.default_rng(seed)
         model, corr = _arm_bands(train, alpha / 2.0, rng, config, seed)
         lo1, hi1 = _band(model, corr, test.x, 1)
         lo0, hi0 = _band(model, corr, test.x, 0)
         lower, upper = lo1 - hi0, hi1 - lo0
     else:
-        fold1_idx, fold2_idx = _split(train.n, rng)
-        model, corr = _arm_bands(train.subset(fold1_idx), alpha / 2.0, rng, config, seed)
-        fold2 = train.subset(fold2_idx)
-        c_lo, c_hi = _interval_outcomes(fold2, model, corr)
-        if not (np.all(np.isfinite(c_lo)) and np.all(np.isfinite(c_hi))):
-            raise ValueError(
-                "calibration returned an infinite band, so interval outcomes "
-                "cannot be regressed; use more training rows or a larger alpha"
-            )
+        fits = {} if fold_one_fits is None else fold_one_fits
+        key = (alpha, seed, config)
+        if key not in fits:
+            fits[key] = _fold_one(train, alpha, seed, config)
+        fold = fits[key]
+        fold2, c_lo, c_hi = fold.fold2, fold.c_lo, fold.c_hi
         if mode == "inexact":
             # median regression of both endpoints, no second conformal step
             feats, f_mean, f_sd = _standardize_columns(fold2.x)
             targets, t_mean, t_sd = _standardize_columns(np.column_stack([c_lo, c_hi]))
             spec = MlpSpec((fold2.d, 10, 10, 2), seed=seed + 1)
             net = _fit_pinball_net(feats, targets, (0.5, 0.5), spec, config)
-            out = mlp_forward_batch(net, (test.x - f_mean) / f_sd) * t_sd + t_mean
+            out = mlp_forward_batch(net, (test.x - f_mean) / f_sd)[-1] * t_sd + t_mean
             out = np.sort(out, axis=1)
             lower, upper = out[:, 0], out[:, 1]
         else:
             # least-squares endpoint surfaces on one half, interval-outcome
-            # conformal scores on the other
+            # conformal scores on the other; the split continues the fit's
+            # rng stream from a copy, so the stored state never moves
+            rng = copy.deepcopy(fold.rng)
             reg_idx, cal_idx = _split(fold2.n, rng)
             design = np.column_stack([np.ones(len(reg_idx)), fold2.x[reg_idx]])
             coef_lo, *_ = np.linalg.lstsq(design, c_lo[reg_idx], rcond=None)

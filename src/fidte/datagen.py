@@ -20,7 +20,7 @@ from .nn import sigmoid
 DESIGNS = ("linear_ate", "example1", "example2")
 
 # truth columns written after x1..xd, t, y when a dataset carries them
-_TRUTH_COLUMNS = ("y0", "y1", "tau_true", "z_true")
+TRUTH_COLUMNS = ("y0", "y1", "tau_true", "z_true")
 
 # E s(U) for U uniform on [0, 1] is exactly 1: s(u) + s(1 - u) = 2
 S_MEAN = 1.0
@@ -162,7 +162,7 @@ def save_dataset_csv(data: Dataset, path) -> None:
     runner.load_csv_dataset reads the file back with the schema
     {y: y, t: t, x: [x1, ..., xd]}.
     """
-    truth = [name for name in _TRUTH_COLUMNS if getattr(data, name) is not None]
+    truth = [name for name in TRUTH_COLUMNS if getattr(data, name) is not None]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow([f"x{j + 1}" for j in range(data.d)] + ["t", "y"] + truth)

@@ -345,8 +345,10 @@ def _check_widths(w: MlpParams, data: Dataset, layout: ThetaLayout) -> None:
 
 def _mean_rows(
     mt: ModelTheta, layout: ThetaLayout, xs: np.ndarray, t01: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    # model mean f(x, t, z; theta) rows in the solve's units
+) -> tuple[np.ndarray, tuple]:
+    # model mean f(x, t, z; theta) rows in the solve's units, and the
+    # activations of the (c, tau) data-model nets, None for a linear surface
+    c_acts = tau_acts = None
     if layout.model_kind == "linear_ate":
         tprime = 2.0 * t01 - 1.0
         base = mt.tau_prime * tprime + mt.c_coef[0] + xs @ mt.c_coef[1:]
@@ -354,10 +356,11 @@ def _mean_rows(
         if layout.model_kind == "dnn_tau_linear_c":
             c_vals = mt.c_coef[0] + xs @ mt.c_coef[1:]
         else:
-            c_vals = mlp_forward_batch(mt.c_net, xs)[:, 0]
-        tau_vals = mlp_forward_batch(mt.tau_net, xs)[:, 0]
-        base = c_vals + tau_vals * t01
-    return base + mt.sigma * z
+            c_acts = mlp_forward_batch(mt.c_net, xs)
+            c_vals = c_acts[-1][:, 0]
+        tau_acts = mlp_forward_batch(mt.tau_net, xs)
+        base = c_vals + tau_acts[-1][:, 0] * t01
+    return base + mt.sigma * z, (c_acts, tau_acts)
 
 
 def _dbar_aggregate(
@@ -367,8 +370,11 @@ def _dbar_aggregate(
     t01: np.ndarray,
     z: np.ndarray,
     rvec: np.ndarray,
+    surface_acts: tuple,
 ) -> np.ndarray:
-    # sum_j rvec_j * d f_j / d theta_bar, laid out like theta
+    # sum_j rvec_j * d f_j / d theta_bar, laid out like theta; surface_acts
+    # are the data-model nets' activations from _mean_rows
+    c_acts, tau_acts = surface_acts
     out = np.zeros(layout.theta_dim)
     if layout.model_kind == "linear_ate":
         tprime = 2.0 * t01 - 1.0
@@ -378,12 +384,16 @@ def _dbar_aggregate(
     elif layout.model_kind == "dnn_tau_linear_c":
         out[0] = rvec.sum()
         out[1 : 1 + xs.shape[1]] = xs.T @ rvec
-        pg, _ = mlp_backward_batch(mt.tau_net, xs, (rvec * t01)[:, None])
+        pg, _ = mlp_backward_batch(
+            mt.tau_net, tau_acts, (rvec * t01)[:, None], need_input=False
+        )
         out[layout.tau_slice] = pg / layout.rescale
     else:
-        pg_c, _ = mlp_backward_batch(mt.c_net, xs, rvec[:, None])
+        pg_c, _ = mlp_backward_batch(mt.c_net, c_acts, rvec[:, None], need_input=False)
         out[layout.c_slice] = pg_c / layout.rescale
-        pg_t, _ = mlp_backward_batch(mt.tau_net, xs, (rvec * t01)[:, None])
+        pg_t, _ = mlp_backward_batch(
+            mt.tau_net, tau_acts, (rvec * t01)[:, None], need_input=False
+        )
         out[layout.tau_slice] = pg_t / layout.rescale
     # chain through sigma = exp(log sigma)
     out[layout.log_sigma_index] = mt.sigma * (rvec @ z)
@@ -400,7 +410,7 @@ def model_predict_batch(
 ) -> np.ndarray:
     """Vector of model mean outcomes in data units."""
     mt = unpack_theta(theta, layout)
-    f = _mean_rows(mt, layout, _sx(scaler, x), np.asarray(t, dtype=np.float64), z)
+    f, _ = _mean_rows(mt, layout, _sx(scaler, x), np.asarray(t, dtype=np.float64), z)
     return _y_shift(scaler) + _y_scale(scaler) * f
 
 
@@ -413,7 +423,7 @@ def tau_surface(
     if layout.model_kind == "linear_ate":
         vals = np.full(x.shape[0], 2.0 * mt.tau_prime)
     else:
-        vals = mlp_forward_batch(mt.tau_net, _sx(scaler, x))[:, 0]
+        vals = mlp_forward_batch(mt.tau_net, _sx(scaler, x))[-1][:, 0]
     return _y_scale(scaler) * vals
 
 
@@ -430,7 +440,7 @@ def c_surface(
     elif layout.model_kind == "dnn_tau_linear_c":
         vals = mt.c_coef[0] + xs @ mt.c_coef[1:]
     else:
-        vals = mlp_forward_batch(mt.c_net, xs)[:, 0]
+        vals = mlp_forward_batch(mt.c_net, xs)[-1][:, 0]
     return _y_shift(scaler) + _y_scale(scaler) * vals
 
 
@@ -458,7 +468,7 @@ class GradReport:
 class _HiddenPass:
     # one inverse-network forward to the last hidden layer and what the
     # energy and its gradients share
-    feats: np.ndarray
+    trunk: list  # inverse-network activations, features to last hidden layer
     z: np.ndarray
     W: np.ndarray  # output-layer weight matrix, (theta_dim, hidden)
     dev: np.ndarray  # a_i - a_bar, (n, hidden)
@@ -470,6 +480,7 @@ class _HiddenPass:
     xs: np.ndarray
     t01: np.ndarray
     resid: np.ndarray
+    surface_acts: tuple  # data-model net activations, see _mean_rows
     total: float
 
 
@@ -484,7 +495,8 @@ def _hidden_pass(
     _check_widths(w, data, layout)
     z = np.asarray(z, dtype=np.float64)
     feats = feature_matrix(data, z, scaler)
-    hidden = mlp_forward_batch(w, feats, head=False)
+    trunk = mlp_forward_batch(w, feats, head=False)
+    hidden = trunk[-1]
     W, b = w.layers()[-1]
     s = w.spec.out_scale
     a_bar = hidden.mean(axis=0)
@@ -495,9 +507,12 @@ def _hidden_pass(
     mt = unpack_theta(tb, layout)
     xs = _sx(scaler, data.x)
     t01 = data.t.astype(np.float64)
-    resid = _sy(scaler, data.y) - _mean_rows(mt, layout, xs, t01, z)
+    rows, surface_acts = _mean_rows(mt, layout, xs, t01, z)
+    resid = _sy(scaler, data.y) - rows
     total = float((resid**2).sum() + eta * s * s * (gram * cov).sum())
-    return _HiddenPass(feats, z, W, dev, a_bar, cov, gram, tb, mt, xs, t01, resid, total)
+    return _HiddenPass(
+        trunk, z, W, dev, a_bar, cov, gram, tb, mt, xs, t01, resid, surface_acts, total
+    )
 
 
 def energy(
@@ -538,10 +553,15 @@ def energy_gradients(
     hp = _hidden_pass(w, data, z, eta, layout, scaler)
     W, s = hp.W, w.spec.out_scale
     # A = d(sum_j d_j)/d theta_bar = -2 sum_j r_j df_j/d theta_bar
-    a_total = -2.0 * _dbar_aggregate(hp.mt, layout, hp.xs, hp.t01, hp.z, hp.resid)
+    a_total = -2.0 * _dbar_aggregate(
+        hp.mt, layout, hp.xs, hp.t01, hp.z, hp.resid, hp.surface_acts
+    )
     c = 2.0 * eta * s * s
     hidden_grads = hp.dev @ (c * hp.gram) + (s / data.n) * (W.T @ a_total)
-    w_grad, input_grads = mlp_backward_batch(w, hp.feats, hidden_grads, head=False)
+    # the z pass needs only the input gradient, the w pass the weight gradient
+    w_grad, input_grads = mlp_backward_batch(
+        w, hp.trunk, hidden_grads, head=False, need_params=need_w, need_input=need_z
+    )
 
     rep = GradReport(total=hp.total, theta_bar=hp.theta_bar, sigma=hp.mt.sigma)
     if need_z:

@@ -9,6 +9,7 @@ can treat a network as a point in R^P.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -77,10 +78,16 @@ def _layer_slices(spec: MlpSpec) -> list[tuple[slice, slice, tuple[int, int]]]:
 
 @dataclass
 class MlpParams:
-    """A network: its architecture plus one flat parameter vector."""
+    """A network: its architecture plus one flat parameter vector.
+
+    The layer views into flat are built once per vector; an optimizer that
+    updates flat in place keeps them valid.
+    """
 
     spec: MlpSpec
     flat: np.ndarray = field(repr=False)
+    _views_of: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _views: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.flat = np.asarray(self.flat, dtype=np.float64)
@@ -93,10 +100,13 @@ class MlpParams:
 
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Views (W_l, b_l) into the flat vector, W_l of shape (d_l, d_{l-1})."""
-        return [
-            (self.flat[ws].reshape(shape), self.flat[bs])
-            for ws, bs, shape in _layer_slices(self.spec)
-        ]
+        if self._views_of is not self.flat:
+            self._views = [
+                (self.flat[ws].reshape(shape), self.flat[bs])
+                for ws, bs, shape in _layer_slices(self.spec)
+            ]
+            self._views_of = self.flat
+        return self._views
 
 
 def mlp_init(spec: MlpSpec) -> MlpParams:
@@ -141,21 +151,6 @@ def _act_grad_from_act(name: str, a: np.ndarray) -> np.ndarray:
     return a * (1.0 - a)
 
 
-def _forward_cached(params: MlpParams, x: np.ndarray, head: bool = True) -> list[np.ndarray]:
-    # returns [input, hidden activations..., linear output], all (n, d_l);
-    # without the head the list ends at the last hidden activations
-    acts = [x]
-    layers = params.layers()
-    a = x
-    for W, b in layers[:-1]:
-        a = _act(params.spec.activation, a @ W.T + b)
-        acts.append(a)
-    if head:
-        W, b = layers[-1]
-        acts.append((a @ W.T) * params.spec.out_scale + b)
-    return acts
-
-
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[-1] != params.spec.d_in:
@@ -165,56 +160,70 @@ def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> np.ndarray:
+def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> list[np.ndarray]:
     """Forward pass for a batch x of shape (n, d_in).
 
-    Returns the (n, d_out) output, or with head=False the (n, d_{L-1})
-    activations of the last hidden layer, which the linear output layer
-    would map to out_scale * a @ W.T + b.
+    Returns the activations [x, hidden_1, ..., output], each (n, d_l); the
+    (n, d_out) output is the last entry.  With head=False the list ends at
+    the last hidden layer a, which the linear output layer would map to
+    out_scale * a @ W.T + b.  mlp_backward_batch takes the list as it is.
     """
-    x = _check_input(params, x)
-    return _forward_cached(params, x, head)[-1]
-
-
-def _backward_from_cache(
-    params: MlpParams, acts: list[np.ndarray], grads: np.ndarray, head: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    acts = [_check_input(params, x)]
     layers = params.layers()
-    param_grad = np.zeros_like(params.flat)
-    slices = _layer_slices(params.spec)
-    last = len(layers) - 1
+    a = acts[0]
+    for W, b in layers[:-1]:
+        a = _act(params.spec.activation, a @ W.T + b)
+        acts.append(a)
     if head:
-        ws, bs, _ = slices[last]
-        # out_scale multiplies the output weight matrix only, so it enters
-        # that layer's weight gradient and the signal flowing past it
-        param_grad[ws] = (grads.T @ acts[last]).ravel() * params.spec.out_scale
-        param_grad[bs] = grads.sum(axis=0)
-        grads = (grads @ layers[last][0]) * params.spec.out_scale
-    # grads is the gradient at the last hidden activations from here on
-    for l in range(last - 1, -1, -1):
-        ws, bs, _ = slices[l]
-        delta = grads * _act_grad_from_act(params.spec.activation, acts[l + 1])
-        param_grad[ws] = (delta.T @ acts[l]).ravel()
-        param_grad[bs] = delta.sum(axis=0)
-        grads = delta @ layers[l][0]
-    return param_grad, grads
+        W, b = layers[-1]
+        acts.append((a @ W.T) * params.spec.out_scale + b)
+    return acts
 
 
 def mlp_backward_batch(
-    params: MlpParams, x: np.ndarray, out_grads: np.ndarray, head: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched backward pass.
+    params: MlpParams,
+    acts: list[np.ndarray],
+    out_grads: np.ndarray,
+    head: bool = True,
+    need_params: bool = True,
+    need_input: bool = True,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Batched backward pass through the activations of mlp_forward_batch.
 
-    out_grads has one row per observation; the parameter gradient is the sum
-    over rows (each row is an independent additive loss term), the input
-    gradient is returned per row.  With head=False out_grads are gradients
-    at the last hidden activations, shape (n, d_{L-1}), and the output-layer
-    slots of the parameter gradient are left zero for the caller to fill.
+    acts is the list the forward returned for these params (with or without
+    the head); the forward is never recomputed.  out_grads has one row per
+    observation; the parameter gradient is the sum over rows (each row is an
+    independent additive loss term), the input gradient is returned per row.
+    With head=False out_grads are gradients at the last hidden activations,
+    shape (n, d_{L-1}), and the output-layer slots of the parameter gradient
+    are left zero for the caller to fill.  A gradient not needed
+    (need_params, need_input) is not computed and comes back as None.
     """
-    x = _check_input(params, x)
-    out_grads = np.asarray(out_grads, dtype=np.float64)
+    layers = params.layers()
+    last = len(layers) - 1
+    if len(acts) < last + 1:
+        raise ValueError(f"need the input and {last} hidden activations, got {len(acts)} arrays")
+    grads = np.asarray(out_grads, dtype=np.float64)
     width = params.spec.layer_widths[-1 if head else -2]
-    if out_grads.shape != (x.shape[0], width):
-        raise ValueError(f"out_grads shape {out_grads.shape} != ({x.shape[0]}, {width})")
-    acts = _forward_cached(params, x, head=False)
-    return _backward_from_cache(params, acts, out_grads, head)
+    if grads.shape != (acts[0].shape[0], width):
+        raise ValueError(f"out_grads shape {grads.shape} != ({acts[0].shape[0]}, {width})")
+    s = params.spec.out_scale
+    # per-layer (weight, bias) gradients, output layer first
+    pieces = []
+    if head:
+        if need_params:
+            # out_scale multiplies the output weight matrix only, so it enters
+            # that layer's weight gradient and the signal flowing past it
+            pieces.append(((grads.T @ acts[last]).ravel() * s, grads.sum(axis=0)))
+        grads = (grads @ layers[last][0]) * s
+    elif need_params:
+        pieces.append((np.zeros(layers[last][0].size), np.zeros(layers[last][1].size)))
+    # grads is the gradient at the last hidden activations from here on
+    for l in range(last - 1, -1, -1):
+        delta = grads * _act_grad_from_act(params.spec.activation, acts[l + 1])
+        if need_params:
+            pieces.append(((delta.T @ acts[l]).ravel(), delta.sum(axis=0)))
+        grads = delta @ layers[l][0] if l > 0 or need_input else None
+    if not need_params:
+        return None, grads
+    return np.concatenate([g for pair in reversed(pieces) for g in pair]), grads

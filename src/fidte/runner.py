@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .cqr import cqr_ite
-from .datagen import GenSpec, generate
+from .datagen import TRUTH_COLUMNS, GenSpec, generate
 from .engine import Dataset, ThetaLayout
 from .inference import (
     PredictionInterval,
@@ -45,7 +45,9 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
     """Read (x, t, y) columns from a CSV file per the given schema.
 
     schema maps "y" and "t" to column names and "x" to a list of column
-    names.  The treatment column must be binary 0/1.
+    names.  The treatment column must be binary 0/1.  Truth columns a
+    simulated file carries (y0, y1, tau_true, z_true, see
+    datagen.save_dataset_csv) are read too, by those names.
     """
     for key in ("y", "t", "x"):
         if key not in schema:
@@ -57,6 +59,7 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
         missing = [c for c in [schema["y"], schema["t"], *x_cols] if c not in header]
         if missing:
             raise ValueError(f"csv file {path} is missing columns {missing}")
+        truth = {name: [] for name in TRUTH_COLUMNS if name in header}
         xs, ts, ys = [], [], []
         for i, row in enumerate(reader, start=2):  # header is line 1
             def cell(col):
@@ -76,12 +79,15 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
             xs.append([cell(c) for c in x_cols])
             ts.append(tv)
             ys.append(cell(schema["y"]))
+            for name, col in truth.items():
+                col.append(cell(name))
     if not ys:
         raise ValueError(f"csv file {path} holds no data rows")
     return Dataset(
         x=np.array(xs, dtype=np.float64),
         t=np.array(ts, dtype=np.float64),
         y=np.array(ys, dtype=np.float64),
+        **{name: np.array(col, dtype=np.float64) for name, col in truth.items()},
     )
 
 
@@ -177,12 +183,18 @@ def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = N
         ate_truth = None
         if test is not None and test.y1 is not None and test.y0 is not None:
             truth_vec = ite_truth(test)
-        if config.design == "linear_ate" and train.tau_true is not None:
+        if train.tau_true is not None and (
+            config.design == "linear_ate"
+            # a csv file's effect is the linear_ate layout's one effect when
+            # its tau_true column holds a single value
+            or (config.csv is not None and np.all(train.tau_true == train.tau_true[0]))
+        ):
             ate_truth = float(train.tau_true[0])
 
         chain = layout = None
         if "efi" in config.methods:
             chain, layout = _efi_results(config, train, ints, rep_dir)
+        cqr_fold_one_fits = {}  # cqr-exact and cqr-inexact share one fold-1 fit
 
         rows = []
         metrics = {}
@@ -205,7 +217,10 @@ def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = N
                     if test is None:
                         raise RuntimeError("covariates-only methods need a test set")
                     mode = method.split("-", 1)[1]
-                    ivs = cqr_ite(train, test, alpha=alpha, mode=mode, seed=ints[3])
+                    ivs = cqr_ite(
+                        train, test, alpha=alpha, mode=mode, seed=ints[3],
+                        fold_one_fits=cqr_fold_one_fits,
+                    )
                 truths = [_truth_for(iv, truth_vec, ate_truth) for iv in ivs]
 
                 for iv, tv in zip(ivs, truths):

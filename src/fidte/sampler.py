@@ -278,7 +278,7 @@ def _group_w_rates(
     bound is doubled (HEAD_GROWTH_ALLOWANCE) rather than trusted as measured.
     Each rate is STEP_SAFETY times the 2/kappa descent bound of its group.
     """
-    hidden = mlp_forward_batch(w, feature_matrix(data, z, scaler), head=False)
+    hidden = mlp_forward_batch(w, feature_matrix(data, z, scaler), head=False)[-1]
     cov = np.cov(hidden.T, bias=True)
     lam = float(np.linalg.eigvalsh(cov)[-1])
     consensus = 2.0 * config.eta * data.n / config.eps * max(lam, 1e-12) * w.spec.out_scale**2

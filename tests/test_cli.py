@@ -6,9 +6,11 @@ import sys
 
 import numpy as np
 
+import fidte.cqr
 import fidte.runner
 from fidte import cli
 from fidte.config import preset_config
+from fidte.cqr import TrainConfig
 from fidte.runner import _rep_worker, _replication_data, load_csv_dataset, replication_ints, rescore
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -46,6 +48,8 @@ def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch, capsys):
     assert np.array_equal(back.x, drawn.x)
     assert np.array_equal(back.t, drawn.t)
     assert np.array_equal(back.y, drawn.y)
+    for name in ("y0", "y1", "tau_true", "z_true"):
+        assert np.array_equal(getattr(back, name), getattr(drawn, name))
 
     cfg = tmp_path / "csv.yaml"
     cfg.write_text(
@@ -64,12 +68,18 @@ def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch, capsys):
     assert len(read_rows(fit / "trace_efi.csv")) == 1 + BURN + KEEP
     fit_rows = read_rows(fit / "intervals.csv")
     assert [r[:4] for r in fit_rows[1:]] == [["efi", "0.05", "-1", "ATE"]]
+    assert fit_rows[1][6] == "1.0"  # the constant effect of linear_ate, from tau_true
 
     bench = tmp_path / "bench"
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(bench)]) == 0
     assert len(calls) == 3
     summary = json.loads((bench / "summary.json").read_text())
     assert summary["replications"] == 2 and summary["config"]["gamma_map"] == {"rest": 1e6}
+    # train.csv carries tau_true, so the ATE intervals are scored
+    coverage = summary["methods"]["efi"]["alphas"]["0.05"]["coverage"]
+    assert isinstance(coverage["mean"], float) and 0.0 <= coverage["mean"] <= 1.0
+    for rep in summary["methods"]["efi"]["alphas"]["0.05"]["per_replication"]:
+        assert rep["coverage"] in (0.0, 1.0)
     for r in range(2):
         rep = bench / f"rep_{r:03d}"
         assert len(read_rows(rep / "intervals.csv")) == 2
@@ -114,3 +124,46 @@ def test_cli_import_leaves_scipy_out():
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     code = "import sys, fidte.cli; sys.exit(int('scipy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def short_cqr_fits(monkeypatch):
+    # the runner's cqr_ite with 20-step fits; returns the pinball_fit calls
+    real_ite, real_fit = fidte.runner.cqr_ite, fidte.cqr.pinball_fit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(
+        fidte.runner, "cqr_ite", lambda *a, **k: real_ite(*a, config=TrainConfig(iters=20), **k)
+    )
+    monkeypatch.setattr(fidte.cqr, "pinball_fit", counted)
+    return calls
+
+
+def run_cqr(tmp_path, name, methods, extra=""):
+    cfg = tmp_path / f"{name}.yaml"
+    cfg.write_text(f"preset: example1\nn_train: 400\nn_test: 15\nalphas: [0.1, 0.2]\n{extra}"
+                   f"methods: {json.dumps(methods)}\n")
+    out = tmp_path / name
+    assert cli.main(["cqr", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def test_cqr_fits_fold_one_once_for_exact_and_inexact(tmp_path, monkeypatch):
+    calls = short_cqr_fits(monkeypatch)
+    run_cqr(tmp_path, "all", ["cqr-naive", "cqr-exact", "cqr-inexact"], extra="R: 2\n")
+    # per replication and level: naive's fit and one fold-1 fit, not two
+    assert len(calls) == 2 * 2 * 2
+
+
+def test_cqr_rows_do_not_depend_on_method_order(tmp_path, monkeypatch):
+    short_cqr_fits(monkeypatch)
+    rows = {}
+    for name, methods in (("ei", ["cqr-exact", "cqr-inexact"]),
+                          ("ie", ["cqr-inexact", "cqr-exact"]),
+                          ("e", ["cqr-exact"]), ("i", ["cqr-inexact"])):
+        rows[name] = read_rows(run_cqr(tmp_path, name, methods) / "rep_000" / "intervals.csv")
+    assert len(rows["ei"]) == 1 + 2 * 2 * 15
+    assert sorted(rows["ei"][1:]) == sorted(rows["ie"][1:]) == sorted(rows["e"][1:] + rows["i"][1:])

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import fidte.cqr
+
 from fidte.cqr import (
     ConformalCorrection,
     QuantileModel,
     TrainConfig,
     _band,
+    _fit_pinball_net,
     calibrate,
     conformal_scores,
     cqr_ite,
@@ -15,7 +18,7 @@ from fidte.cqr import (
 )
 from fidte.datagen import GenSpec, generate
 from fidte.engine import Dataset
-from fidte.nn import MlpSpec, mlp_init
+from fidte.nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init
 
 FAST = TrainConfig(iters=600, lr=0.05)
 
@@ -85,6 +88,53 @@ def test_predict_quantiles_never_cross():
     model = pinball_fit(data, alpha=0.5, config=TrainConfig(iters=2, lr=0.5))
     q = predict_quantiles(model, rng.uniform(size=(200, 2)), np.zeros(200))
     assert np.all(q[:, 0] <= q[:, 1])
+
+
+def rebuilt_pinball_net(features, targets, qs, spec, config):
+    """Oracle: the Adam loop with a fresh network per step and its forward run twice.
+
+    Every step builds a new MlpParams from a new flat vector and runs the
+    forward once for the prediction and once more for the backward.
+    """
+    n = features.shape[0]
+    qvec = np.asarray(qs, dtype=np.float64)[None, :]
+    net = mlp_init(spec)
+    flat = net.flat.copy()
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for step in range(1, config.iters + 1):
+        pred = mlp_forward_batch(net, features)[-1]
+        out_grad = ((targets < pred).astype(np.float64) - qvec) / n
+        grad, _ = mlp_backward_batch(net, mlp_forward_batch(net, features), out_grad)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad**2
+        mh = m / (1.0 - b1**step)
+        vh = v / (1.0 - b2**step)
+        flat = flat - config.lr * mh / (np.sqrt(vh) + eps)
+        net = MlpParams(spec, flat)
+    return net
+
+
+@pytest.mark.parametrize(
+    "widths, activation, qs",
+    [((3, 10, 10, 2), "tanh", (0.025, 0.975)), ((2, 6, 2), "relu", (0.5, 0.5)),
+     ((4, 5, 7, 3, 2), "sigmoid", (0.1, 0.9))],
+)
+def test_in_place_fit_equals_the_rebuilt_loop(widths, activation, qs, rng):
+    features = rng.normal(size=(37, widths[0]))
+    targets = np.repeat(rng.normal(size=(37, 1)), 2, axis=1)
+    spec = MlpSpec(widths, activation=activation, seed=4)
+    config = TrainConfig(iters=60, lr=0.05)
+    got = _fit_pinball_net(features, targets, qs, spec, config)
+    want = rebuilt_pinball_net(features, targets, qs, spec, config)
+    np.testing.assert_array_equal(got.flat, want.flat)
+
+
+def test_pinball_fit_rejects_non_finite_weights(rng):
+    data = flat_data(rng, 40)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite parameter values"):
+        pinball_fit(data, alpha=0.1, config=TrainConfig(iters=3, lr=1e308))
 
 
 def exact_model(lo, hi):
@@ -247,3 +297,36 @@ def test_cqr_ite_endpoint_modes_reject_infinite_band():
     test = generate(GenSpec("example1", 20, seed=14))
     with pytest.raises(ValueError, match="infinite band"):
         cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1, config=FAST)
+
+
+def count_pinball_fits(monkeypatch):
+    calls = []
+    real = fidte.cqr.pinball_fit
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fidte.cqr, "pinball_fit", counted)
+    return calls
+
+
+def test_exact_and_inexact_share_one_fold_one_fit(monkeypatch):
+    # with a shared dict the second endpoint mode reuses the first one's
+    # fold-1 fit, in either order, and gets what it gets on its own
+    train = generate(GenSpec("example1", 400, seed=5))
+    test = generate(GenSpec("example1", 30, seed=6))
+    calls = count_pinball_fits(monkeypatch)
+    alone = {
+        mode: cqr_ite(train, test, alpha=0.1, mode=mode, seed=4, config=FAST)
+        for mode in ("exact", "inexact")
+    }
+    assert len(calls) == 2
+    for order in (("exact", "inexact"), ("inexact", "exact")):
+        calls.clear()
+        fits = {}
+        for mode in order:
+            shared = cqr_ite(train, test, alpha=0.1, mode=mode, seed=4, config=FAST,
+                             fold_one_fits=fits)
+            assert shared == alone[mode]
+        assert len(calls) == 1 and len(fits) == 1

@@ -200,7 +200,10 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back.x, data.x)
     assert np.array_equal(back.t, data.t)
     assert np.array_equal(back.y, data.y)
-    # truth columns come back exactly too, read as ordinary columns
+    # truth columns come back exactly too, by name and as ordinary columns
+    for name in ("y0", "y1", "tau_true", "z_true"):
+        assert np.array_equal(getattr(back, name), getattr(data, name))
+    assert back.c_true is None and back.propensity is None  # not written
     truth = load_csv_dataset(str(path), {"y": "tau_true", "t": "t", "x": ["y0", "y1", "z_true"]})
     assert np.array_equal(truth.y, data.tau_true)
     assert np.array_equal(truth.x, np.column_stack([data.y0, data.y1, data.z_true]))

@@ -67,7 +67,10 @@ def random_inverse(rng, d, layout, hidden=(5,), seed=0):
 def theta_hat_rows(w, data, z):
     """theta_hat_i one observation at a time: the inverse net on a one-row batch."""
     return np.concatenate(
-        [mlp_forward_batch(w, feature_matrix(data.subset([i]), z[i : i + 1])) for i in range(data.n)]
+        [
+            mlp_forward_batch(w, feature_matrix(data.subset([i]), z[i : i + 1]))[-1]
+            for i in range(data.n)
+        ]
     )
 
 
@@ -84,7 +87,7 @@ def test_theta_hat_is_forward_on_feature_row(rng):
     w = random_inverse(rng, 2, layout)
     data = Dataset(x=np.array([[0.2, -0.4]]), t=np.array([1]), y=np.array([0.7]))
     z = np.array([0.9])
-    want = mlp_forward_batch(w, np.array([[0.7, 1.0, 0.2, -0.4, 0.9]]))[0]
+    want = mlp_forward_batch(w, np.array([[0.7, 1.0, 0.2, -0.4, 0.9]]))[-1][0]
     np.testing.assert_array_equal(energy(w, data, z, 1.0, layout).theta_bar, want)
 
 
@@ -352,8 +355,8 @@ def explicit_energy_gradients(w, data, z, eta, layout, scaler=None):
     theta_bar) and the residual term as the shared A / n; a full-head
     backward pass carries both into the weights and the inputs.
     """
-    feats = feature_matrix(data, z, scaler)
-    theta = mlp_forward_batch(w, feats)
+    acts = mlp_forward_batch(w, feature_matrix(data, z, scaler))
+    theta = acts[-1]
     tb = theta.mean(axis=0)
     dev = theta - tb
     y_scale = 1.0 if scaler is None else scaler.y_std
@@ -361,8 +364,12 @@ def explicit_energy_gradients(w, data, z, eta, layout, scaler=None):
     total = float((resid**2).sum() + eta * (dev**2).sum())
     mt = unpack_theta(tb, layout)
     xs = data.x if scaler is None else scaler.scale_x(data.x)
-    a_total = -2.0 * _dbar_aggregate(mt, layout, xs, data.t.astype(np.float64), z, resid)
-    w_grad, input_grads = mlp_backward_batch(w, feats, 2.0 * eta * dev + a_total / data.n)
+    surface_acts = tuple(
+        None if net is None else mlp_forward_batch(net, xs) for net in (mt.c_net, mt.tau_net)
+    )
+    t01 = data.t.astype(np.float64)
+    a_total = -2.0 * _dbar_aggregate(mt, layout, xs, t01, z, resid, surface_acts)
+    w_grad, input_grads = mlp_backward_batch(w, acts, 2.0 * eta * dev + a_total / data.n)
     z_grad = -2.0 * resid * mt.sigma + input_grads[:, -1]
     return total, tb, z_grad, w_grad
 
@@ -395,6 +402,23 @@ def test_hidden_space_matches_explicit_consensus(make, standardize, rng):
         assert_rel_close(rep.theta_bar, tb)
         assert_rel_close(rep.z_grad, z_grad)
         assert_rel_close(rep.w_grad, w_grad)
+
+
+@pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
+def test_z_pass_skips_weight_gradient_with_the_same_z_grad(make, rng):
+    # the z pass drops the trunk's weight gradients; its z_grad and energy
+    # must equal those of a pass that computes everything, bit for bit
+    layout = make(d=2)
+    data = random_dataset(rng, n=30)
+    scaler = Standardizer.fit(data)
+    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=15, out_scale=0.04)
+    w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
+    z = rng.normal(size=30)
+    z_only = energy_gradients(w, data, z, 5.0, layout, scaler, need_z=True, need_w=False)
+    both = energy_gradients(w, data, z, 5.0, layout, scaler)
+    assert z_only.w_grad is None
+    np.testing.assert_array_equal(z_only.z_grad, both.z_grad)
+    assert z_only.total == both.total
 
 
 # ---------------------------------------------------------------- validation

@@ -20,7 +20,7 @@ def test_forward_tiny_tanh_by_hand():
     # 1-1-1 net, hidden weight 1 bias 0, output weight 2 bias 0
     spec = MlpSpec((1, 1, 1), activation="tanh")
     params = MlpParams(spec, np.array([1.0, 0.0, 2.0, 0.0]))
-    out = mlp_forward_batch(params, np.array([[0.5]]))
+    out = mlp_forward_batch(params, np.array([[0.5]]))[-1]
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(2.0 * math.tanh(0.5), abs=1e-15)
 
@@ -33,7 +33,9 @@ def test_output_layer_is_linear():
     w_slice = slice(2 * 3 + 3, 2 * 3 + 3 + 3)  # output layer weights
     p2.flat[w_slice] *= 10.0
     x = np.array([[0.3, -0.7]])
-    np.testing.assert_allclose(mlp_forward_batch(p2, x), 10.0 * mlp_forward_batch(p1, x), rtol=1e-12)
+    np.testing.assert_allclose(
+        mlp_forward_batch(p2, x)[-1], 10.0 * mlp_forward_batch(p1, x)[-1], rtol=1e-12
+    )
 
 
 def test_init_glorot_bounds_and_zero_biases():
@@ -58,7 +60,8 @@ def test_forward_deterministic():
     spec = MlpSpec((3, 8, 2), seed=0)
     params = mlp_init(spec)
     x = np.array([[0.1, -2.0, 0.7]])
-    np.testing.assert_array_equal(mlp_forward_batch(params, x), mlp_forward_batch(params, x))
+    for a, b in zip(mlp_forward_batch(params, x), mlp_forward_batch(params, x), strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
@@ -66,8 +69,8 @@ def test_batch_matches_stacked_singles(activation, rng):
     spec = MlpSpec((4, 7, 5, 3), activation=activation, seed=21)
     params = mlp_init(spec)
     x = rng.normal(size=(6, 4))
-    batch = mlp_forward_batch(params, x)
-    singles = np.concatenate([mlp_forward_batch(params, row[None, :]) for row in x])
+    batch = mlp_forward_batch(params, x)[-1]
+    singles = np.concatenate([mlp_forward_batch(params, row[None, :])[-1] for row in x])
     np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
 
@@ -79,9 +82,9 @@ def test_backward_param_grad_matches_fd(activation, rng):
     out_grad = rng.normal(size=(1, 2))
 
     def loss(flat):
-        return float(np.sum(mlp_forward_batch(MlpParams(spec, flat), x) * out_grad))
+        return float(np.sum(mlp_forward_batch(MlpParams(spec, flat), x)[-1] * out_grad))
 
-    analytic, _ = mlp_backward_batch(params, x, out_grad)
+    analytic, _ = mlp_backward_batch(params, mlp_forward_batch(params, x), out_grad)
     assert_grad_close(analytic, central_diff(loss, params.flat))
 
 
@@ -93,9 +96,9 @@ def test_backward_input_grad_matches_fd(activation, rng):
     out_grad = rng.normal(size=(1, 3))
 
     def loss(xv):
-        return float(np.sum(mlp_forward_batch(params, xv[None, :]) * out_grad))
+        return float(np.sum(mlp_forward_batch(params, xv[None, :])[-1] * out_grad))
 
-    _, analytic = mlp_backward_batch(params, x[None, :], out_grad)
+    _, analytic = mlp_backward_batch(params, mlp_forward_batch(params, x[None, :]), out_grad)
     assert analytic.shape == (1, 5)
     assert_grad_close(analytic[0], central_diff(loss, x))
 
@@ -105,10 +108,11 @@ def test_backward_batch_sums_per_row_grads(rng):
     params = mlp_init(spec)
     x = rng.normal(size=(7, 3))
     gout = rng.normal(size=(7, 2))
-    pg_batch, ig_batch = mlp_backward_batch(params, x, gout)
+    pg_batch, ig_batch = mlp_backward_batch(params, mlp_forward_batch(params, x), gout)
     pg_sum = np.zeros_like(params.flat)
     for i in range(7):
-        pg_i, ig_i = mlp_backward_batch(params, x[i : i + 1], gout[i : i + 1])
+        acts_i = mlp_forward_batch(params, x[i : i + 1])
+        pg_i, ig_i = mlp_backward_batch(params, acts_i, gout[i : i + 1])
         pg_sum += pg_i
         np.testing.assert_allclose(ig_batch[i], ig_i[0], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(pg_batch, pg_sum, rtol=1e-12, atol=1e-13)
@@ -125,10 +129,13 @@ def headed_net(activation, rng):
 def test_headless_forward_feeds_the_output_layer(activation, rng):
     params = headed_net(activation, rng)
     x = rng.normal(size=(9, 3))
-    hidden = mlp_forward_batch(params, x, head=False)
-    assert hidden.shape == (9, 4)
+    headless = mlp_forward_batch(params, x, head=False)
+    full = mlp_forward_batch(params, x)
+    assert [a.shape for a in headless] == [(9, 3), (9, 5), (9, 4)]
+    for a, b in zip(headless, full[:-1], strict=True):
+        np.testing.assert_array_equal(a, b)
     W, b = params.layers()[-1]
-    np.testing.assert_array_equal(mlp_forward_batch(params, x), (hidden @ W.T) * 0.3 + b)
+    np.testing.assert_array_equal(full[-1], (headless[-1] @ W.T) * 0.3 + b)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
@@ -138,19 +145,45 @@ def test_headless_backward_matches_full_backward_below_the_head(activation, rng)
     x = rng.normal(size=(9, 3))
     gout = rng.normal(size=(9, 6))
     W, _ = params.layers()[-1]
-    pg_full, ig_full = mlp_backward_batch(params, x, gout)
-    pg, ig = mlp_backward_batch(params, x, (gout @ W) * 0.3, head=False)
+    pg_full, ig_full = mlp_backward_batch(params, mlp_forward_batch(params, x), gout)
+    headless = mlp_forward_batch(params, x, head=False)
+    pg, ig = mlp_backward_batch(params, headless, (gout @ W) * 0.3, head=False)
     head = param_count(params.spec) - 6 * (4 + 1)
     np.testing.assert_array_equal(pg[:head], pg_full[:head])
     np.testing.assert_array_equal(pg[head:], 0.0)
     np.testing.assert_array_equal(ig, ig_full)
 
 
+@pytest.mark.parametrize("head", [True, False])
+def test_backward_skips_what_is_not_needed_with_the_same_result(head, rng):
+    params = headed_net("tanh", rng)
+    acts = mlp_forward_batch(params, rng.normal(size=(9, 3)), head=head)
+    gout = rng.normal(size=(9, 6 if head else 4))
+    pg_full, ig_full = mlp_backward_batch(params, acts, gout, head=head)
+    pg, ig = mlp_backward_batch(params, acts, gout, head=head, need_params=False)
+    assert pg is None
+    np.testing.assert_array_equal(ig, ig_full)
+    pg, ig = mlp_backward_batch(params, acts, gout, head=head, need_input=False)
+    assert ig is None
+    np.testing.assert_array_equal(pg, pg_full)
+
+
+def test_layer_views_follow_in_place_updates(rng):
+    params = headed_net("tanh", rng)
+    layers = params.layers()
+    params.flat -= 0.5
+    assert params.layers() is layers
+    np.testing.assert_array_equal(layers[-1][1], params.flat[-6:])
+    params.flat = params.flat + 1.0  # a new vector gets its own views
+    np.testing.assert_array_equal(params.layers()[-1][1], params.flat[-6:])
+
+
 def test_relu_subgradient_at_zero_is_zero():
     # preactivation exactly 0 at the hidden unit: all upstream grads vanish
     spec = MlpSpec((1, 1, 1), activation="relu")
     params = MlpParams(spec, np.array([1.0, 0.0, 1.0, 0.0]))
-    pg, ig = mlp_backward_batch(params, np.array([[0.0]]), np.array([[1.0]]))
+    acts = mlp_forward_batch(params, np.array([[0.0]]))
+    pg, ig = mlp_backward_batch(params, acts, np.array([[1.0]]))
     np.testing.assert_array_equal(pg, [0.0, 0.0, 0.0, 1.0])  # only output bias moves
     np.testing.assert_array_equal(ig, [[0.0]])
 
@@ -171,13 +204,17 @@ def test_dimension_errors():
         mlp_forward_batch(params, np.zeros((1, 4)))
     with pytest.raises(ValueError):
         mlp_forward_batch(params, np.zeros(3))  # a row must come as a one-row batch
+    acts = mlp_forward_batch(params, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        mlp_backward_batch(params, np.zeros((1, 3)), np.zeros((1, 3)))
+        mlp_backward_batch(params, acts, np.zeros((1, 3)))
     # headless out_grads are last-hidden-layer gradients, 4 wide here
     with pytest.raises(ValueError, match=r"out_grads shape \(1, 2\) != \(1, 4\)"):
-        mlp_backward_batch(params, np.zeros((1, 3)), np.zeros((1, 2)), head=False)
+        mlp_backward_batch(params, acts[:-1], np.zeros((1, 2)), head=False)
     with pytest.raises(ValueError, match=r"out_grads shape \(1, 4\) != \(1, 2\)"):
-        mlp_backward_batch(params, np.zeros((1, 3)), np.zeros((1, 4)))
+        mlp_backward_batch(params, acts, np.zeros((1, 4)))
+    # the backward needs the input and every hidden activation
+    with pytest.raises(ValueError, match="hidden activations"):
+        mlp_backward_batch(params, acts[:1], np.zeros((1, 4)), head=False)
     with pytest.raises(ValueError):
         MlpParams(spec, np.zeros(10))
     with pytest.raises(ValueError):
