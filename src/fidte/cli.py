@@ -7,8 +7,10 @@ Subcommands:
   benchmark  every configured method, full replication loop, summary JSON
   report     re-score an existing intervals.csv
 
-Every subcommand accepts --config (a YAML file or a preset name), --seed,
---out, --paper-scale, and --workers, although not all of them use workers.
+simulate, fit, cqr and benchmark accept --config (a YAML file or a preset
+name), --seed, --out, --paper-scale and --workers.  simulate and fit handle
+one replication, so they say on stderr that they ignore --workers above 1.
+report takes the intervals.csv path and --out only.
 """
 
 from __future__ import annotations
@@ -50,7 +52,16 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _ignore_workers(args) -> None:
+    if args.workers > 1:
+        print(
+            f"{args.command} handles one replication; ignoring --workers {args.workers}",
+            file=sys.stderr,
+        )
+
+
 def cmd_simulate(args) -> int:
+    _ignore_workers(args)
     cfg = _resolve_config(args)
     if cfg.design is None:
         raise SystemExit("simulate needs a design-based config, not a csv one")
@@ -64,6 +75,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _ignore_workers(args)
     cfg = _resolve_config(args)
     skipped = [m for m in cfg.methods if m != "efi"]
     if skipped:
@@ -152,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("report", help="re-score an intervals.csv")
-    common(p)
+    p.add_argument("--out", default=None, help="directory to write report.json to")
     p.add_argument("intervals", help="path to an intervals.csv written by this tool")
     p.set_defaults(func=cmd_report)
 

@@ -1,15 +1,17 @@
 """Experiment configuration: presets, config files, validation.
 
-A config fully determines one benchmark run: the data source (simulation
-design or CSV), the model layout, the sampler's decay constants and budgets,
-the methods to run, and the output location.  Presets carry the published
-constants for the simulation studies, except the step-size multipliers C:
-the sampler anchors every step to curvature measured at its start state, so
-only each schedule's decay constant c has an effect.  Iteration budgets are
-halved at load time unless paper scale is requested, so a default run
-finishes on a desk machine while --paper-scale reproduces the full schedule
-exactly.  Every check that can fail is made when the config is built, before
-any data is drawn or sampler run.
+ExperimentConfig is the one description of a run: the data source
+(simulation design or CSV), the model layout, the sampler's constants and
+budgets, the methods to run, and the output location.  The runner hands it
+to sampler.run_efi as it is; no second config is derived from it.  Presets
+carry the published constants for the simulation studies, except the
+step-size multipliers C: the sampler anchors every step to curvature
+measured at its start state, so only each schedule's decay constant c has an
+effect.  Iteration budgets are halved at load time unless paper scale is
+requested, so a default run finishes on a desk machine while --paper-scale
+reproduces the full schedule exactly.  Every check on a config value is made
+when the config is built, so a bad value fails under every subcommand before
+any data is drawn or sampler run, with a message naming its field.
 """
 
 from __future__ import annotations
@@ -44,8 +46,12 @@ class ExperimentConfig:
     fill them at the requested scale.  n_batches is the weight-update
     minibatch count per epoch (batch size = n_train // n_batches; 1 = full
     batch).  c_upsilon and gamma_map (group -> c) are the decay constants of
-    the latent and weight step sizes; gamma_map must name exactly the groups
-    of layout_kind (LAYOUT_GROUPS).
+    the latent and weight step sizes, each step being its start-state anchor
+    times (c + 1) / (c + k^alpha_exp); gamma_map must name exactly the groups
+    of layout_kind (LAYOUT_GROUPS).  eps is the noise budget, eta the
+    consensus weight and 1 - varpi the latent momentum.  clip_norm (null: no
+    clipping) bounds the weight-gradient norm for the first clip_iters
+    weight steps.
     """
 
     design: Optional[str] = None
@@ -86,8 +92,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"design: unknown design {self.design!r}, expected one of {VALID_DESIGNS}"
             )
-        if self.csv is not None and self.csv_schema is None:
-            raise ValueError("csv_schema: required when loading from csv")
+        if self.csv is not None and not {"y", "t", "x"} <= set(self.csv_schema or {}):
+            raise ValueError("csv_schema: a csv config needs a mapping with keys y, t and x")
         if self.layout_kind not in LAYOUT_GROUPS:
             raise ValueError(
                 f"layout_kind: unknown layout {self.layout_kind!r}, "
@@ -104,6 +110,21 @@ class ExperimentConfig:
                 f"gamma_map: layout {self.layout_kind} needs groups {sorted(want)}, "
                 f"got {sorted(self.gamma_map)}"
             )
+        for name in ("eps", "c_upsilon", "out_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        if self.eta < 0:
+            raise ValueError(f"eta: must be nonnegative, got {self.eta}")
+        if not 0.0 < self.varpi <= 1.0:
+            raise ValueError(f"varpi: must be in (0, 1], got {self.varpi}")
+        if not 0.0 < self.alpha_exp < 1.0:
+            raise ValueError(f"alpha_exp: must be in (0, 1), got {self.alpha_exp}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm: must be positive or null, got {self.clip_norm}")
+        for name in ("tau_widths", "c_widths", "inverse_widths"):
+            widths = list(getattr(self, name))
+            if not widths or min(widths) < 1:
+                raise ValueError(f"{name}: need hidden layers of width >= 1, got {widths}")
         if self.R < 1:
             raise ValueError(f"R: must be >= 1, got {self.R}")
         if not self.methods:
@@ -111,8 +132,12 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ValueError(f"methods: unknown method {m!r}, expected subset of {VALID_METHODS}")
-        if any(m != "efi" for m in self.methods) and self.n_test < 1 and self.design is not None:
-            raise ValueError("n_test: covariates-only methods need a test set (n_test >= 1)")
+        needs_test = self.layout_kind != "linear_ate" or any(m != "efi" for m in self.methods)
+        if needs_test and self.n_test < 1 and self.design is not None:
+            raise ValueError(
+                "n_test: covariates-only methods and individual-effect layouts "
+                "need a test set (n_test >= 1)"
+            )
         if self.csv is not None:
             # a csv file is the training set; nothing supplies a test set
             cqr = [m for m in self.methods if m != "efi"]
@@ -144,27 +169,16 @@ class ExperimentConfig:
 # docstring; every preset keeps the default c_upsilon).  Budgets here are the
 # full-schedule values; load-time halving produces the desk-scale defaults.
 PRESETS = {
-    "linear_ate_n250": dict(
-        design="linear_ate", R=20, n_train=250, n_test=0,
-        layout_kind="linear_ate",
-        gamma_map={"rest": 1e6},
-        eta=500.0, eps=0.1, k_burn=5000, m_keep=50000, n_batches=5,
-        init_iters=0, methods=("efi",),
-    ),
-    "linear_ate_n500": dict(
-        design="linear_ate", R=20, n_train=500, n_test=0,
-        layout_kind="linear_ate",
-        gamma_map={"rest": 1e6},
-        eta=500.0, eps=0.1, k_burn=5000, m_keep=50000, n_batches=5,
-        init_iters=0, methods=("efi",),
-    ),
-    "linear_ate_n1000": dict(
-        design="linear_ate", R=20, n_train=1000, n_test=0,
-        layout_kind="linear_ate",
-        gamma_map={"rest": 1e6},
-        eta=500.0, eps=0.1, k_burn=5000, m_keep=50000, n_batches=5,
-        init_iters=0, methods=("efi",),
-    ),
+    **{
+        f"linear_ate_n{n}": dict(
+            design="linear_ate", R=20, n_train=n, n_test=0,
+            layout_kind="linear_ate",
+            gamma_map={"rest": 1e6},
+            eta=500.0, eps=0.1, k_burn=5000, m_keep=50000, n_batches=5,
+            init_iters=0, methods=("efi",),
+        )
+        for n in (250, 500, 1000)
+    },
     "example1": dict(
         design="example1", R=20, n_train=500, n_test=1000,
         layout_kind="dnn_tau_linear_c", tau_widths=(10, 10),

@@ -225,8 +225,8 @@ def _fold_one(train: Dataset, alpha: float, seed: int, config: TrainConfig) -> _
     c_lo, c_hi = _interval_outcomes(fold2, model, corr)
     if not (np.all(np.isfinite(c_lo)) and np.all(np.isfinite(c_hi))):
         raise ValueError(
-            "calibration returned an infinite band, so interval outcomes "
-            "cannot be regressed; use more training rows or a larger alpha"
+            f"calibration at alpha {alpha} returned an infinite band, so interval "
+            "outcomes cannot be regressed; use more training rows or a larger alpha"
         )
     return _FoldOne(fold2, c_lo, c_hi, rng)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import asdict
 from multiprocessing import get_context
 from typing import Optional
@@ -33,7 +34,7 @@ from .inference import (
     score_intervals,
 )
 from .nn import MlpSpec
-from .sampler import RunConfig, ScheduleParams, run_efi
+from .sampler import run_efi
 
 # fixed init seeds for the data-model networks: the warm-start blocks are
 # part of the model family, not of the per-replication randomness
@@ -97,19 +98,8 @@ def build_layout(config: ExperimentConfig, d: int) -> ThetaLayout:
     tau_spec = MlpSpec((d, *config.tau_widths, 1), seed=TAU_NET_SEED)
     if config.layout_kind == "dnn_tau_linear_c":
         return ThetaLayout("dnn_tau_linear_c", c_spec=d + 1, tau_spec=tau_spec)
-    if config.layout_kind == "dnn_both":
-        c_spec = MlpSpec((d, *config.c_widths, 1), seed=C_NET_SEED)
-        return ThetaLayout("dnn_both", c_spec=c_spec, tau_spec=tau_spec)
-    raise ValueError(f"unknown layout kind {config.layout_kind!r}")
-
-
-def build_schedule(config: ExperimentConfig) -> ScheduleParams:
-    return ScheduleParams(
-        c_upsilon=config.c_upsilon,
-        gamma_map=dict(config.gamma_map),
-        alpha_exp=config.alpha_exp,
-        varpi=config.varpi,
-    )
+    c_spec = MlpSpec((d, *config.c_widths, 1), seed=C_NET_SEED)
+    return ThetaLayout("dnn_both", c_spec=c_spec, tau_spec=tau_spec)
 
 
 def replication_ints(seed: int, r: int) -> list[int]:
@@ -135,30 +125,11 @@ def _efi_results(config, train, ints, rep_dir):
         seed=ints[2],
         out_scale=config.out_scale,
     )
-    m_batch = None
-    if config.n_batches > 1:
-        m_batch = max(1, train.n // config.n_batches)
-    run_cfg = RunConfig(
-        eta=config.eta,
-        eps=config.eps,
-        k_burn=config.k_burn,
-        m_keep=config.m_keep,
-        thin=config.thin,
-        m_batch=m_batch,
-        init_iters=config.init_iters,
-        clip_norm=config.clip_norm,
-        clip_iters=config.clip_iters,
-        seed=ints[2],
-    )
-    sched = build_schedule(config)
-    trace_fh = None
+    trace = nullcontext()
     if config.trace and rep_dir is not None:
-        trace_fh = open(os.path.join(rep_dir, "trace_efi.csv"), "w", newline="")
-    try:
-        chain = run_efi(train, layout, inv_spec, sched, run_cfg, trace=trace_fh)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+        trace = open(os.path.join(rep_dir, "trace_efi.csv"), "w", newline="")
+    with trace as trace_fh:
+        chain = run_efi(train, layout, inv_spec, config, ints[2], trace=trace_fh)
     return chain, layout
 
 
@@ -205,8 +176,6 @@ def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = N
                     if config.layout_kind == "linear_ate":
                         ivs = [ate_interval(chain, layout, alpha=alpha)]
                     else:
-                        if test is None:
-                            raise RuntimeError("treatment-effect intervals need a test set")
                         cases = assign_cases(test, np.random.default_rng(ints[3]))
                         ivs = ite_intervals(
                             chain, layout, test, alpha=alpha,
@@ -214,8 +183,6 @@ def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = N
                             cases=cases,
                         )
                 else:
-                    if test is None:
-                        raise RuntimeError("covariates-only methods need a test set")
                     mode = method.split("-", 1)[1]
                     ivs = cqr_ite(
                         train, test, alpha=alpha, mode=mode, seed=ints[3],
@@ -253,6 +220,8 @@ def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = N
         return {"r": r, "metrics": metrics, "rows": rows, "chain": chain}
     except RuntimeError as e:
         raise RuntimeError(f"replication {r}: {e}") from e
+    except ValueError as e:  # e.g. a CQR level too fine for the calibration rows
+        raise ValueError(f"replication {r}: {e}") from e
 
 
 def write_rows_csv(rows, path) -> None:
@@ -277,24 +246,34 @@ def _mean_sd(values) -> dict:
 
 
 def summarize(config: ExperimentConfig, reps: list[dict]) -> dict:
-    """Cross-replication summary: per method and level, mean and sd."""
+    """Cross-replication summary: per method and level, mean and sd.
+
+    Each (method, level) block also holds per_case: for each case (Ic, It,
+    Im) the mean and sd across replications of its coverage and length, so
+    methods that score different cases can be compared on a shared one.
+    """
     methods = {}
     for method in config.methods:
         blocks = {}
         for alpha in config.alphas:
             key = repr(float(alpha))
-            cov = [rep["metrics"][method]["alphas"][key]["coverage"] for rep in reps]
-            lng = [rep["metrics"][method]["alphas"][key]["mean_length"] for rep in reps]
+            scored = [rep["metrics"][method]["alphas"][key] for rep in reps]
+            cases = sorted({case for m in scored for case in m["per_case"]})
             blocks[key] = {
-                "coverage": _mean_sd(cov),
-                "length": _mean_sd(lng),
-                "per_replication": [
-                    {
-                        "r": rep["r"],
-                        "coverage": rep["metrics"][method]["alphas"][key]["coverage"],
-                        "mean_length": rep["metrics"][method]["alphas"][key]["mean_length"],
+                "coverage": _mean_sd(m["coverage"] for m in scored),
+                "length": _mean_sd(m["mean_length"] for m in scored),
+                "per_case": {
+                    case: {
+                        "coverage": _mean_sd(m["per_case"].get(case, {}).get("coverage")
+                                             for m in scored),
+                        "length": _mean_sd(m["per_case"].get(case, {}).get("mean_length")
+                                           for m in scored),
                     }
-                    for rep in reps
+                    for case in cases
+                },
+                "per_replication": [
+                    {"r": rep["r"], "coverage": m["coverage"], "mean_length": m["mean_length"]}
+                    for rep, m in zip(reps, scored)
                 ],
             }
         entry = {"alphas": blocks}

@@ -13,19 +13,24 @@ measured at the start state (see _group_w_rates and Z_STEP_TARGET); the
 published schedules contribute only their decay shape (c + 1) / (c + k^a),
 which is 1 at k = 1.  The published multipliers C would cancel against that
 anchor, so they are not parameters.  The chain starts from the noise-
-marginalized least-squares fit.  With a weight-update minibatch (m_batch < n)
-the stochastic gradient keeps the weights diffusing around the posterior
-mode, which is what spreads theta_bar into a non-degenerate fiducial sample.
+marginalized least-squares fit.  With weight-update minibatches
+(n_batches > 1) the stochastic gradient keeps the weights diffusing around
+the posterior mode, which is what spreads theta_bar into a non-degenerate
+fiducial sample.
 
 Before the sampling phase an optional initial phase trains the weights
 against freshly resampled reference noise.  After burn-in every thin-th
 iteration records theta_bar, giving the fiducial sample.
+
+run_efi reads its constants and budgets from the run's ExperimentConfig
+(see config), which checks every one of them when it is built; this module
+does not import config, because config reads LAYOUT_GROUPS from here.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
@@ -72,54 +77,13 @@ LAYOUT_GROUPS = {
 }
 
 
-@dataclass(frozen=True)
-class ScheduleParams:
-    """Decay shapes of the step sizes: step_k = rate * (c + 1) / (c + k^a).
-
-    rate is the start-state anchor run_efi measures, so only the decay
-    constant c of each schedule is a parameter.  With the published c of
-    2e4 to 1e6 and a = 1/7 the decay moves a step by at most 2e-4 over a
-    paper-scale run.  gamma_map holds one c per parameter group; the group
-    "rest" must always be present, "tau_head" / "c_head" cover the
-    output-layer rows of the inverse network that produce network-valued
-    theta blocks.
-    """
-
-    c_upsilon: float
-    gamma_map: dict = field(default_factory=dict)
-    alpha_exp: float = 1.0 / 7.0
-    varpi: float = 0.1
-
-    def __post_init__(self):
-        if self.c_upsilon <= 0:
-            raise ValueError("upsilon decay constant must be positive")
-        if not 0.0 < self.varpi <= 1.0:
-            raise ValueError(f"varpi must be in (0, 1], got {self.varpi}")
-        if not 0.0 < self.alpha_exp < 1.0:
-            raise ValueError(f"alpha_exp must be in (0, 1), got {self.alpha_exp}")
-        if "rest" not in self.gamma_map:
-            raise ValueError('gamma_map must define the "rest" group')
-        for g, c in self.gamma_map.items():
-            if not c > 0:
-                raise ValueError(f"gamma decay constant for group {g!r} must be positive")
-
-
 def _decay(c: float, alpha: float, k: int) -> float:
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
+    """Step at iteration k relative to iteration 1, for decay constant c.
+
+    With the published c of 2e4 to 1e6 and alpha = 1/7 this moves a step by
+    at most 2e-4 over a paper-scale run.
+    """
     return (c + 1.0) / (c + float(k) ** alpha)
-
-
-def upsilon_at(sched: ScheduleParams, k: int) -> float:
-    """Latent step at iteration k relative to iteration 1."""
-    return _decay(sched.c_upsilon, sched.alpha_exp, k)
-
-
-def gamma_at(sched: ScheduleParams, group: str, k: int) -> float:
-    """Weight step of one group at iteration k relative to iteration 1."""
-    if group not in sched.gamma_map:
-        raise ValueError(f"unknown parameter group {group!r}")
-    return _decay(sched.gamma_map[group], sched.alpha_exp, k)
 
 
 def sghmc_z_step(
@@ -193,37 +157,6 @@ def gamma_groups(spec: MlpSpec, layout: ThetaLayout) -> dict:
 
 
 @dataclass
-class RunConfig:
-    """Iteration budget and coupling constants of one sampling run.
-
-    k_burn iterations of the sampling phase are discarded, then every thin-th
-    of the following m_keep iterations records a draw.  init_iters trains the
-    weights against resampled reference noise before sampling starts.
-    m_batch selects a weight-update minibatch size (None = full data).
-    Gradient clipping applies to the first clip_iters weight updates only.
-    """
-
-    eta: float
-    eps: float
-    k_burn: int
-    m_keep: int
-    thin: int = 5
-    m_batch: Optional[int] = None
-    init_iters: int = 0
-    clip_norm: Optional[float] = 5000.0
-    clip_iters: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.eta < 0 or self.eps <= 0:
-            raise ValueError("need eta >= 0 and eps > 0")
-        if min(self.k_burn, self.m_keep, self.init_iters) < 0 or self.thin < 1:
-            raise ValueError("iteration counts must be nonnegative, thin >= 1")
-        if self.m_batch is not None and self.m_batch < 1:
-            raise ValueError("m_batch must be positive when set")
-
-
-@dataclass
 class FiducialChain:
     """Recorded draws of one run.
 
@@ -244,18 +177,12 @@ class FiducialChain:
         return self.draws.shape[0]
 
 
-def _gamma_vector(sched: ScheduleParams, masks: dict, k: int, out: np.ndarray) -> np.ndarray:
-    for g, m in masks.items():
-        out[m] = gamma_at(sched, g, k)
-    return out
-
-
 def _group_w_rates(
     w: MlpParams,
     data: Dataset,
     z: np.ndarray,
     layout: ThetaLayout,
-    config: "RunConfig",
+    config,
     prior: MixturePrior,
     scaler: Optional[Standardizer],
     masks: dict,
@@ -302,29 +229,33 @@ def run_efi(
     data: Dataset,
     layout: ThetaLayout,
     inverse_spec: MlpSpec,
-    sched: ScheduleParams,
-    config: RunConfig,
+    config,
+    seed: int,
     prior: Optional[MixturePrior] = None,
     standardize: bool = True,
     trace: Optional[IO] = None,
 ) -> FiducialChain:
     """Run the two-phase sampler and collect the fiducial sample.
 
+    config is the run's ExperimentConfig, read for its sampler constants and
+    budgets; a weight step uses n // n_batches rows.  seed drives every draw.
+
     trace, if given, receives one CSV row per iteration:
     iteration, energy, upsilon, gamma (rest group), grad norm.
     """
     prior = prior if prior is not None else MixturePrior()
     scaler = Standardizer.fit(data) if standardize else None
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     w = mlp_init(inverse_spec)
     masks = gamma_groups(inverse_spec, layout)
-    for g in masks:
-        if g not in sched.gamma_map:
-            raise ValueError(f"gamma_map missing the decay constant for group {g!r}")
+    if set(masks) != set(config.gamma_map):
+        raise ValueError(
+            f"gamma_map: layout {layout.model_kind} needs groups {sorted(masks)}, "
+            f"got {sorted(config.gamma_map)}"
+        )
     n = data.n
-    if config.m_batch is not None and config.m_batch > n:
-        raise ValueError(f"m_batch {config.m_batch} exceeds data size {n}")
-    gam = np.empty(param_count(inverse_spec))
+    m_batch = max(1, n // config.n_batches)
+    step = np.empty(param_count(inverse_spec))
     writer = csv.writer(trace) if trace is not None else None
     if writer is not None:
         writer.writerow(["iteration", "energy", "upsilon", "gamma_rest", "grad_w_norm"])
@@ -341,9 +272,6 @@ def run_efi(
     # decay shapes transfer, so anchor each group's absolute scale to its own
     # stability limit measured at the start state
     rates = _group_w_rates(w, data, z, layout, config, prior, scaler, masks)
-    rate_vec = np.empty(param_count(inverse_spec))
-    for g, mask in masks.items():
-        rate_vec[mask] = rates[g]
 
     # head rows emit theta blocks stored at rescale times their natural
     # network units; the shrinkage prior reads those rows in natural units,
@@ -362,12 +290,13 @@ def run_efi(
     sigma_warm = float(np.exp(theta_ls[layout.log_sigma_index]))
     kappa_z = 1.0 + 2.0 * sigma_warm**2 / config.eps
     upsilon_scale = Z_STEP_TARGET / kappa_z
+    a = config.alpha_exp
 
     def w_update(k: int, z_now: np.ndarray) -> MlpParams:
         # one batched pass yields the batch energy and the weight gradient
-        if config.m_batch is not None and config.m_batch < n:
-            idx = rng.choice(n, size=config.m_batch, replace=False)
-            batch, zb, scale = data.subset(idx), z_now[idx], n / config.m_batch
+        if m_batch < n:
+            idx = rng.choice(n, size=m_batch, replace=False)
+            batch, zb, scale = data.subset(idx), z_now[idx], n / m_batch
         else:
             batch, zb, scale = data, z_now, 1.0
         rep = energy_gradients(w, batch, zb, config.eta, layout, scaler, need_z=False, need_w=True)
@@ -378,12 +307,14 @@ def run_efi(
             raise RuntimeError(f"weight gradient diverged at iteration {k}")
         if writer is not None:
             writer.writerow(
-                [k, repr(rep.total), repr(upsilon_scale * upsilon_at(sched, k)),
-                 repr(rates["rest"] * gamma_at(sched, "rest", k)),
+                [k, repr(rep.total), repr(upsilon_scale * _decay(config.c_upsilon, a, k)),
+                 repr(rates["rest"] * _decay(config.gamma_map["rest"], a, k)),
                  repr(float(np.linalg.norm(gw)))]
             )
+        for g, mask in masks.items():
+            step[mask] = rates[g] * _decay(config.gamma_map[g], a, k)
         clip = config.clip_norm if k <= config.clip_iters else None
-        return sgd_w_step(w, gw, rate_vec * _gamma_vector(sched, masks, k, gam), clip)
+        return sgd_w_step(w, gw, step, clip)
 
     # phase one: weights only, latent noise resampled from the reference
     for k in range(1, config.init_iters + 1):
@@ -408,7 +339,9 @@ def run_efi(
         if not np.isfinite(rep.total):
             raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
         gz = -z - rep.z_grad / config.eps
-        z, v = sghmc_z_step(z, v, gz, upsilon_scale * upsilon_at(sched, k), sched.varpi, rng)
+        z, v = sghmc_z_step(
+            z, v, gz, upsilon_scale * _decay(config.c_upsilon, a, k), config.varpi, rng
+        )
         if not np.all(np.isfinite(z)):
             raise RuntimeError(f"latent chain diverged at iteration {k}")
         w = w_update(k, z)

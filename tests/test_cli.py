@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import fidte.cqr
 import fidte.runner
@@ -89,7 +90,7 @@ def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch, capsys):
 
     report = tmp_path / "report"
     intervals = str(bench / "rep_001" / "intervals.csv")
-    assert cli.main(["report", "--config", str(cfg), "--out", str(report), intervals]) == 0
+    assert cli.main(["report", "--out", str(report), intervals]) == 0
     scores = json.loads((report / "report.json").read_text())
     assert scores == rescore(intervals)
     assert scores["efi"]["0.05"]["ATE"]["n"] == 1
@@ -167,3 +168,68 @@ def test_cqr_rows_do_not_depend_on_method_order(tmp_path, monkeypatch):
         rows[name] = read_rows(run_cqr(tmp_path, name, methods) / "rep_000" / "intervals.csv")
     assert len(rows["ei"]) == 1 + 2 * 2 * 15
     assert sorted(rows["ei"][1:]) == sorted(rows["ie"][1:]) == sorted(rows["e"][1:] + rows["i"][1:])
+
+
+def test_cqr_band_too_fine_for_the_rows_names_replication_and_alpha(tmp_path, monkeypatch):
+    # 120 rows leave too few fold-1 calibration rows per arm for alpha / 2 = 0.025
+    short_cqr_fits(monkeypatch)
+    cfg = tmp_path / "fine.yaml"
+    cfg.write_text('preset: example1\nn_train: 120\nR: 2\nmethods: ["cqr-naive", "cqr-inexact"]\n')
+    with pytest.raises(ValueError, match=r"^replication 0: calibration at alpha 0\.05 returned an "
+                                         r"infinite band"):
+        cli.main(["cqr", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_report_takes_only_its_path_and_out(tmp_path, capsys):
+    intervals = tmp_path / "intervals.csv"
+    intervals.write_text("method,alpha,subject_id,case,lower,upper,truth,covered\n"
+                         "efi,0.05,-1,ATE,0.5,1.5,1.0,1\n")
+    for option in (["--config", "linear_ate_n250"], ["--seed", "3"], ["--workers", "9"],
+                   ["--paper-scale"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", *option, str(intervals)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli.main(["report", str(intervals)]) == 0
+    assert json.loads(capsys.readouterr().out)["efi"]["0.05"]["ATE"]["coverage"] == 1.0
+
+
+def test_single_replication_commands_say_they_ignore_workers(tmp_path, capsys):
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text("preset: linear_ate_n250\nn_train: 20\nk_burn: 2\nm_keep: 2\nthin: 1\n"
+                   "n_batches: 1\n")
+    for command in ("simulate", "fit"):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", str(cfg), "--out", out, "--workers", "2"]) == 0
+        assert capsys.readouterr().err == (
+            f"{command} handles one replication; ignoring --workers 2\n"
+        )
+        assert cli.main([command, "--config", str(cfg), "--out", out, "--workers", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_summary_carries_per_case_blocks(tmp_path, monkeypatch):
+    # EFI scores Ic, It and Im, CQR only Im; the summary keeps each case apart
+    short_cqr_fits(monkeypatch)
+    cfg = tmp_path / "cases.yaml"
+    cfg.write_text("preset: example1\nR: 2\nn_train: 60\nn_test: 30\nalphas: [0.2]\n"
+                   "init_iters: 2\nk_burn: 2\nm_keep: 4\nthin: 1\nn_batches: 1\n"
+                   'methods: ["efi", "cqr-naive"]\n')
+    out = tmp_path / "out"
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    efi = summary["methods"]["efi"]["alphas"]["0.2"]["per_case"]
+    cqr = summary["methods"]["cqr-naive"]["alphas"]["0.2"]["per_case"]
+    assert set(efi) == {"Ic", "It", "Im"} and set(cqr) == {"Im"}
+    for block in (efi["Im"], cqr["Im"]):
+        assert set(block) == {"coverage", "length"}
+        assert 0.0 <= block["coverage"]["mean"] <= 1.0 and block["length"]["mean"] > 0.0
+        assert block["coverage"]["sd"] is not None
+    # the per-case numbers are those of the replications' interval files
+    for method, cases in (("efi", efi), ("cqr-naive", cqr)):
+        scores = [rescore(str(out / f"rep_{r:03d}" / "intervals.csv"))[method]["0.2"]["Im"]
+                  for r in range(2)]
+        assert cases["Im"]["length"]["mean"] == pytest.approx(
+            np.mean([sc["mean_length"] for sc in scores]), rel=1e-12)
+        assert cases["Im"]["coverage"]["mean"] == pytest.approx(
+            np.mean([sc["coverage"] for sc in scores]), rel=1e-12)

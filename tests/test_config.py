@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from fidte import cli
 from fidte.config import PRESETS, ExperimentConfig, load_config, preset_config
 
 
@@ -98,3 +99,47 @@ def test_scalar_that_does_not_convert_is_rejected_at_load(tmp_path, line, messag
     path = write_yaml(tmp_path, f"preset: linear_ate_n250\n{line}\n")
     with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("eps: 0", "eps: must be positive, got 0.0"),
+        ("eta: -1", "eta: must be nonnegative, got -1.0"),
+        ("varpi: 0", "varpi: must be in (0, 1], got 0.0"),
+        ("varpi: 1.5", "varpi: must be in (0, 1], got 1.5"),
+        ("alpha_exp: 1.5", "alpha_exp: must be in (0, 1), got 1.5"),
+        ("c_upsilon: 0", "c_upsilon: must be positive, got 0.0"),
+        ("clip_norm: 0", "clip_norm: must be positive or null, got 0.0"),
+        ("clip_norm: -5", "clip_norm: must be positive or null, got -5.0"),
+        ("out_scale: 0", "out_scale: must be positive, got 0.0"),
+        ("inverse_widths: []", "inverse_widths: need hidden layers of width >= 1, got []"),
+        ("tau_widths: [10, 0]", "tau_widths: need hidden layers of width >= 1, got [10, 0]"),
+    ],
+)
+def test_sampler_value_out_of_range_is_rejected_at_load(tmp_path, line, message):
+    # the sampler reads these fields; every subcommand that loads the config
+    # rejects them before any data is drawn
+    path = write_yaml(tmp_path, f"preset: example1\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path)
+    for command in ("fit", "cqr", "benchmark"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.main([command, "--config", path, "--out", str(tmp_path / command)])
+        assert not (tmp_path / command).exists()
+
+
+def test_individual_effect_layout_without_test_set_is_rejected():
+    # ITE intervals are built on the test set; without one the run would
+    # sample and then fail
+    with pytest.raises(ValueError, match="n_test: covariates-only methods and individual-effect"):
+        preset_config("example1", methods=("efi",), n_test=0)
+    with pytest.raises(ValueError, match="n_test"):
+        preset_config("example1", methods=("cqr-naive",), n_test=0)
+    preset_config("linear_ate_n250", n_test=0)  # one ATE interval needs no test set
+
+
+def test_csv_schema_needs_y_t_and_x(tmp_path):
+    for schema in (None, {"y": "y", "t": "t"}):
+        with pytest.raises(ValueError, match="csv_schema: a csv config needs .* keys y, t and x"):
+            ExperimentConfig(csv=str(tmp_path / "d.csv"), csv_schema=schema)

@@ -3,26 +3,25 @@ import io
 import numpy as np
 import pytest
 
+from fidte.config import ExperimentConfig
 from fidte.engine import Dataset, Standardizer, ThetaLayout, least_squares_theta, model_predict_batch
 from fidte.nn import MlpParams, MlpSpec, mlp_init, param_count
 from fidte.sampler import (
     Z_STEP_TARGET,
     FiducialChain,
-    RunConfig,
-    ScheduleParams,
-    gamma_at,
+    _decay,
     gamma_groups,
     run_efi,
     sgd_w_step,
     sghmc_z_step,
-    upsilon_at,
 )
 
 
-def make_sched(**kw):
-    base = dict(c_upsilon=1e6, gamma_map={"rest": 1e6})
+def make_config(**kw):
+    # full-batch weight steps unless n_batches is given
+    base = dict(design="linear_ate", n_batches=1)
     base.update(kw)
-    return ScheduleParams(**base)
+    return ExperimentConfig(**base)
 
 
 def toy_data(rng, n=40, d=2):
@@ -38,37 +37,39 @@ def toy_data(rng, n=40, d=2):
 
 def test_schedule_arithmetic_frozen():
     # steps are relative to iteration 1, where run_efi anchors their scale:
-    # (c + 1) / (c + k^a)
-    sched = make_sched()
-    assert upsilon_at(sched, 1) == 1.0
-    assert upsilon_at(sched, 128) == pytest.approx((1e6 + 1.0) / (1e6 + 2.0), rel=1e-15)
-    sched2 = make_sched(gamma_map={"rest": 1e6, "tau_head": 20000.0})
-    assert gamma_at(sched2, "tau_head", 1) == 1.0
-    assert gamma_at(sched2, "tau_head", 128) == pytest.approx(20001.0 / 20002.0, rel=1e-15)
+    # (c + 1) / (c + k^a), with the default a = 1/7
+    a = make_config().alpha_exp
+    assert _decay(1e6, a, 1) == 1.0
+    assert _decay(1e6, a, 128) == pytest.approx((1e6 + 1.0) / (1e6 + 2.0), rel=1e-15)
+    assert _decay(20000.0, a, 1) == 1.0
+    assert _decay(20000.0, a, 128) == pytest.approx(20001.0 / 20002.0, rel=1e-15)
     # the smallest published c moves a step by under 2e-4 over a paper-scale run
-    assert 1.0 - gamma_at(sched2, "tau_head", 75000) < 2e-4
+    assert 1.0 - _decay(20000.0, a, 75000) < 2e-4
 
 
 def test_schedule_decays_with_k():
-    sched = make_sched()
+    cfg = make_config()
     ks = [1, 10, 1000, 100000]
-    vals = [upsilon_at(sched, k) for k in ks]
+    vals = [_decay(cfg.c_upsilon, cfg.alpha_exp, k) for k in ks]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        make_sched(c_upsilon=-1.0)
-    with pytest.raises(ValueError):
-        make_sched(gamma_map={"rest": 0.0})
-    with pytest.raises(ValueError):
-        make_sched(varpi=0.0)
-    with pytest.raises(ValueError):
-        make_sched(varpi=1.5)
-    with pytest.raises(ValueError):
-        ScheduleParams(c_upsilon=1.0, gamma_map={"tau_head": 1.0})
-    with pytest.raises(ValueError):
-        gamma_at(make_sched(), "no_such_group", 1)
+    with pytest.raises(ValueError, match="c_upsilon: must be positive"):
+        make_config(c_upsilon=-1.0)
+    with pytest.raises(ValueError, match="gamma_map: decay constant of group 'rest'"):
+        make_config(gamma_map={"rest": 0.0})
+    with pytest.raises(ValueError, match=r"varpi: must be in \(0, 1\]"):
+        make_config(varpi=0.0)
+    with pytest.raises(ValueError, match="varpi"):
+        make_config(varpi=1.5)
+    with pytest.raises(ValueError, match=r"alpha_exp: must be in \(0, 1\)"):
+        make_config(alpha_exp=1.0)
+    # every group of the layout needs a decay constant, and no other group is read
+    with pytest.raises(ValueError, match="gamma_map: layout linear_ate needs groups"):
+        make_config(gamma_map={"tau_head": 1.0})
+    with pytest.raises(ValueError, match="gamma_map"):
+        make_config(gamma_map={"rest": 1e6, "no_such_group": 1.0})
 
 
 # ---------------------------------------------------------------- steps
@@ -179,16 +180,14 @@ def small_run(seed=0, **kw):
     # small output scale keeps the random output layer's consensus term tame,
     # same posture as the experiment presets
     spec = MlpSpec((5, 8, layout.theta_dim), seed=1, out_scale=1.0 / 25.0)
-    sched = make_sched()
-    cfg_kw = dict(eta=500.0, eps=0.1, k_burn=60, m_keep=100, thin=5, seed=seed)
+    cfg_kw = dict(eta=500.0, eps=0.1, k_burn=60, m_keep=100, thin=5)
     cfg_kw.update(kw)
-    config = RunConfig(**cfg_kw)
-    return data, layout, spec, sched, config
+    return data, layout, spec, make_config(**cfg_kw), seed
 
 
 def test_run_efi_shapes_and_determinism():
-    data, layout, spec, sched, config = small_run()
-    chain = run_efi(data, layout, spec, sched, config)
+    data, layout, spec, config, seed = small_run()
+    chain = run_efi(data, layout, spec, config, seed)
     assert isinstance(chain, FiducialChain)
     assert chain.draws.shape == (20, layout.theta_dim)
     assert chain.sigmas.shape == (20,)
@@ -197,31 +196,32 @@ def test_run_efi_shapes_and_determinism():
     assert np.all(np.isfinite(chain.energies))
     assert chain.z_final.shape == (30,)
     assert chain.scaler is not None
-    again = run_efi(data, layout, spec, sched, config)
+    again = run_efi(data, layout, spec, config, seed)
     np.testing.assert_array_equal(chain.draws, again.draws)
     np.testing.assert_array_equal(chain.z_final, again.z_final)
     np.testing.assert_array_equal(chain.w_final.flat, again.w_final.flat)
 
 
 def test_run_efi_seed_changes_draws():
-    data, layout, spec, sched, config = small_run(seed=7)
-    data2, _, _, _, config2 = small_run(seed=8)
-    a = run_efi(data, layout, spec, sched, config)
-    b = run_efi(data2, layout, spec, sched, config2)
+    data, layout, spec, config, seed = small_run(seed=7)
+    data2, _, _, config2, seed2 = small_run(seed=8)
+    a = run_efi(data, layout, spec, config, seed)
+    b = run_efi(data2, layout, spec, config2, seed2)
     assert not np.array_equal(a.draws, b.draws)
 
 
 def test_run_efi_with_init_phase_and_minibatch():
-    data, layout, spec, sched, config = small_run(init_iters=40, m_batch=10)
-    chain = run_efi(data, layout, spec, sched, config)
+    # 30 rows in 3 batches: weight steps on 10-row minibatches
+    data, layout, spec, config, seed = small_run(init_iters=40, n_batches=3)
+    chain = run_efi(data, layout, spec, config, seed)
     assert chain.n_draws == 20
     assert np.all(np.isfinite(chain.draws))
 
 
 def test_run_efi_trace_stream():
-    data, layout, spec, sched, config = small_run(init_iters=5)
+    data, layout, spec, config, seed = small_run(init_iters=5)
     buf = io.StringIO()
-    run_efi(data, layout, spec, sched, config, trace=buf)
+    run_efi(data, layout, spec, config, seed, trace=buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].split(",") == ["iteration", "energy", "upsilon", "gamma_rest", "grad_w_norm"]
     assert len(lines) == 1 + 5 + 160  # header + init phase + sampling phase
@@ -234,7 +234,8 @@ def test_run_efi_trace_stream():
     assert float(first[2]) == pytest.approx(Z_STEP_TARGET / kappa_z)
     mid = lines[80].split(",")
     ratio = float(mid[2]) / float(first[2])
-    assert ratio == pytest.approx(upsilon_at(sched, 80) / upsilon_at(sched, 1))
+    decay = [_decay(config.c_upsilon, config.alpha_exp, k) for k in (80, 1)]
+    assert ratio == pytest.approx(decay[0] / decay[1])
 
 
 def test_run_efi_divergence_guard():
@@ -247,10 +248,10 @@ def test_run_efi_divergence_guard():
     data = Dataset(x=x, t=t, y=1e8 * rng.normal(size=40))
     layout = ThetaLayout("linear_ate", c_spec=3)
     spec = MlpSpec((5, 8, layout.theta_dim), seed=1)
-    config = RunConfig(eta=500.0, eps=0.1, k_burn=50, m_keep=100, thin=5, seed=0, clip_norm=None)
+    config = make_config(eta=500.0, eps=0.1, k_burn=50, m_keep=100, thin=5, clip_norm=None)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged"):
-            run_efi(data, layout, spec, make_sched(), config, standardize=False)
+            run_efi(data, layout, spec, config, 0, standardize=False)
 
 
 def test_run_efi_missing_gamma_group():
@@ -258,20 +259,23 @@ def test_run_efi_missing_gamma_group():
     data = toy_data(rng, n=20)
     layout = ThetaLayout("dnn_tau_linear_c", c_spec=3, tau_spec=MlpSpec((2, 3, 1), seed=0))
     spec = MlpSpec((5, 6, layout.theta_dim), seed=1)
-    config = RunConfig(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
-    with pytest.raises(ValueError):
-        run_efi(data, layout, spec, make_sched(), config)  # no tau_head constants
+    # a linear_ate config carries no tau_head constant
+    config = make_config(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
+    with pytest.raises(ValueError, match=r"needs groups \['rest', 'tau_head'\]"):
+        run_efi(data, layout, spec, config, 0)
 
 
 def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(eta=-1.0, eps=0.1, k_burn=1, m_keep=1)
-    with pytest.raises(ValueError):
-        RunConfig(eta=1.0, eps=0.0, k_burn=1, m_keep=1)
-    with pytest.raises(ValueError):
-        RunConfig(eta=1.0, eps=0.1, k_burn=1, m_keep=1, thin=0)
-    with pytest.raises(ValueError):
-        RunConfig(eta=1.0, eps=0.1, k_burn=1, m_keep=1, m_batch=0)
+    with pytest.raises(ValueError, match="eta: must be nonnegative"):
+        make_config(eta=-1.0, eps=0.1, k_burn=1, m_keep=1, thin=1)
+    with pytest.raises(ValueError, match="eps: must be positive"):
+        make_config(eta=1.0, eps=0.0, k_burn=1, m_keep=1, thin=1)
+    with pytest.raises(ValueError, match="thin: must be >= 1"):
+        make_config(eta=1.0, eps=0.1, k_burn=1, m_keep=1, thin=0)
+    with pytest.raises(ValueError, match="n_batches: must be in"):
+        make_config(eta=1.0, eps=0.1, k_burn=1, m_keep=1, thin=1, n_batches=0)
+    with pytest.raises(ValueError, match="k_burn: must be nonnegative"):
+        make_config(k_burn=-1)
 
 
 def test_recovery_on_easy_linear_problem():
@@ -284,8 +288,7 @@ def test_recovery_on_easy_linear_problem():
     data = Dataset(x=x, t=t, y=y)
     layout = ThetaLayout("linear_ate", c_spec=3)
     spec = MlpSpec((5, 30, 10, layout.theta_dim), seed=2, out_scale=1.0 / 25.0)
-    sched = make_sched()
-    config = RunConfig(eta=500.0, eps=0.1, k_burn=1500, m_keep=1500, thin=5, seed=4)
-    chain = run_efi(data, layout, spec, sched, config)
+    config = make_config(eta=500.0, eps=0.1, k_burn=1500, m_keep=1500, thin=5)
+    chain = run_efi(data, layout, spec, config, 4)
     tau_draws = 2.0 * chain.scaler.y_std * chain.draws[:, 0]
     assert abs(tau_draws.mean() - 1.0) < 0.35
