@@ -52,6 +52,13 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _ignore_workers(args) -> None:
     if args.workers > 1:
         print(
@@ -145,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--paper-scale", action="store_true",
             help="use full published iteration budgets instead of desk-scale halves",
         )
-        p.add_argument("--workers", type=int, default=1, help="parallel replications")
+        p.add_argument("--workers", type=_worker_count, default=1, help="parallel replications")
 
     p = sub.add_parser("simulate", help="write one replication's datasets as CSV")
     common(p)

@@ -44,11 +44,12 @@ class ExperimentConfig:
     a csv config has no test set, so it runs EFI on the linear_ate layout
     only.  k_burn / m_keep / init_iters are the counts actually run; presets
     fill them at the requested scale.  n_batches is the weight-update
-    minibatch count per epoch (batch size = n_train // n_batches; 1 = full
-    batch).  c_upsilon and gamma_map (group -> c) are the decay constants of
-    the latent and weight step sizes, each step being its start-state anchor
-    times (c + 1) / (c + k^alpha_exp); gamma_map must name exactly the groups
-    of layout_kind (LAYOUT_GROUPS).  eps is the noise budget, eta the
+    minibatch count per epoch (batch size = rows // n_batches, rows being
+    n_train or the csv file's; 1 = full batch).  c_upsilon and gamma_map
+    (group -> c) are the decay constants of the latent and weight step
+    sizes, each step being its start-state anchor times
+    (c + 1) / (c + k^alpha_exp); gamma_map must name exactly the groups of
+    layout_kind (LAYOUT_GROUPS).  eps is the noise budget, eta the
     consensus weight and 1 - varpi the latent momentum.  clip_norm (null: no
     clipping) bounds the weight-gradient norm for the first clip_iters
     weight steps.
@@ -152,8 +153,9 @@ class ExperimentConfig:
             raise ValueError(f"alphas: levels must lie in (0, 1), got {self.alphas}")
         if self.n_train < 2:
             raise ValueError(f"n_train: must be >= 2, got {self.n_train}")
-        if self.n_batches < 1 or self.n_batches > self.n_train:
-            raise ValueError(f"n_batches: must be in [1, n_train], got {self.n_batches}")
+        # a csv run's rows are the file's, which the runner checks once read
+        if self.n_batches < 1 or (self.design is not None and self.n_batches > self.n_train):
+            raise ValueError(f"n_batches: must be in [1, training rows], got {self.n_batches}")
         for name in ("k_burn", "m_keep", "init_iters", "clip_iters"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be nonnegative")

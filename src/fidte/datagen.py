@@ -2,7 +2,8 @@
 
 Every design draws both potential outcomes with independent noise per arm,
 records the observed arm's latent draw as z_true, and satisfies
-y = c_true + tau_true * t + z_true exactly (noise scale 1 throughout).
+y = c(x) + tau_true * t + z_true exactly for its control surface c(x)
+(noise scale 1 throughout).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .engine import Dataset
 from .nn import sigmoid
 
 DESIGNS = ("linear_ate", "example1", "example2")
+
+# covariate width of the linear_ate design
+LINEAR_ATE_D = 4
 
 # truth columns written after x1..xd, t, y when a dataset carries them
 TRUTH_COLUMNS = ("y0", "y1", "tau_true", "z_true")
@@ -31,18 +34,12 @@ class GenSpec:
     design: str
     n: int
     seed: int = 0
-    d: Optional[int] = None  # linear_ate only; other designs have fixed width
 
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}, expected one of {DESIGNS}")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.d is not None:
-            if self.design != "linear_ate":
-                raise ValueError(f"design {self.design!r} has a fixed covariate width")
-            if self.d < 1:
-                raise ValueError("d must be positive")
 
 
 def beta_cdf(x, a: int, b: int):
@@ -90,7 +87,7 @@ def example2_c(x: np.ndarray) -> np.ndarray:
     return 2.0 * x[:, 0] / (1.0 + 5.0 * x[:, 1] ** 2)
 
 
-def _assemble(x, t, c, tau, z0, z1, p) -> Dataset:
+def _assemble(x, t, c, tau, z0, z1) -> Dataset:
     y0 = c + z0
     y1 = c + tau + z1
     t = t.astype(np.int64)
@@ -100,20 +97,18 @@ def _assemble(x, t, c, tau, z0, z1, p) -> Dataset:
         y=np.where(t == 1, y1, y0),
         z_true=np.where(t == 1, z1, z0),
         tau_true=tau,
-        c_true=c,
         y1=y1,
         y0=y0,
-        propensity=p,
     )
 
 
 def gen_linear_ate(spec: GenSpec) -> Dataset:
-    """Gaussian covariates, constant effect 1, logistic treatment assignment.
+    """LINEAR_ATE_D Gaussian covariates, constant effect 1, logistic assignment.
 
     y = tau t + mu + x beta + z with tau = mu = 1, beta alternating (-1, 1, ...),
     P(T=1|x) = logistic(1 + x xi) with xi = beta.
     """
-    d = spec.d if spec.d is not None else 4
+    d = LINEAR_ATE_D
     n = spec.n
     rng = np.random.default_rng(spec.seed)
     coef = np.array([(-1.0) ** j for j in range(1, d + 1)])
@@ -123,7 +118,7 @@ def gen_linear_ate(spec: GenSpec) -> Dataset:
     z0 = rng.standard_normal(n)
     z1 = rng.standard_normal(n)
     c = 1.0 + x @ coef
-    return _assemble(x, t, c, np.ones(n), z0, z1, p)
+    return _assemble(x, t, c, np.ones(n), z0, z1)
 
 
 def _gen_nonlinear(spec: GenSpec, c_of, d: int) -> Dataset:
@@ -133,7 +128,7 @@ def _gen_nonlinear(spec: GenSpec, c_of, d: int) -> Dataset:
     t = rng.random(spec.n) < p
     z0 = rng.standard_normal(spec.n)
     z1 = rng.standard_normal(spec.n)
-    return _assemble(x, t, c_of(x), nonlinear_tau(x), z0, z1, p)
+    return _assemble(x, t, c_of(x), nonlinear_tau(x), z0, z1)
 
 
 def gen_example1(spec: GenSpec) -> Dataset:

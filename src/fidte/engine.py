@@ -25,9 +25,9 @@ where A = dU/dtheta_bar of the residual term, a single O(n) aggregate
 (_dbar_aggregate).  The consensus term has no theta_bar gradient because
 sum_i (a_i - a_bar) = 0 holds by construction.
 
-When a Standardizer is supplied, the system is solved in standardized
-outcome/covariate units (inputs, residuals and theta all standardized) and
-predictions are mapped back to data units; see Standardizer.
+The system is solved in standardized outcome/covariate units (inputs,
+residuals and theta all standardized) and predictions are mapped back to
+data units; see Standardizer.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ from .nn import (
 
 MODEL_KINDS = ("linear_ate", "dnn_tau_linear_c", "dnn_both")
 
+# theta stores a network's weights times RESCALE, see ThetaLayout
+RESCALE = 25.0
+
 
 @dataclass
 class Dataset:
@@ -56,8 +59,8 @@ class Dataset:
 
     x: covariates (n, d); t: binary treatment (n,); y: outcome (n,).
     Truth columns, when present, come from a generator: the latent draw that
-    produced the observed arm, the effect and control surfaces, and both
-    potential outcomes.
+    produced the observed arm, the effect surface, and both potential
+    outcomes.
     """
 
     x: np.ndarray
@@ -65,10 +68,8 @@ class Dataset:
     y: np.ndarray
     z_true: Optional[np.ndarray] = None
     tau_true: Optional[np.ndarray] = None
-    c_true: Optional[np.ndarray] = None
     y1: Optional[np.ndarray] = None
     y0: Optional[np.ndarray] = None
-    propensity: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
@@ -85,7 +86,7 @@ class Dataset:
         self.t = self.t.astype(np.int64)
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("non-finite covariate or outcome values")
-        for name in ("z_true", "tau_true", "c_true", "y1", "y0", "propensity"):
+        for name in ("z_true", "tau_true", "y1", "y0"):
             v = getattr(self, name)
             if v is not None:
                 v = np.asarray(v, dtype=np.float64)
@@ -110,10 +111,8 @@ class Dataset:
             y=self.y[idx],
             z_true=pick(self.z_true),
             tau_true=pick(self.tau_true),
-            c_true=pick(self.c_true),
             y1=pick(self.y1),
             y0=pick(self.y0),
-            propensity=pick(self.propensity),
         )
 
 
@@ -151,22 +150,6 @@ class Standardizer:
         return (y - self.y_mean) / self.y_std
 
 
-def _sx(scaler: Optional[Standardizer], x: np.ndarray) -> np.ndarray:
-    return x if scaler is None else scaler.scale_x(x)
-
-
-def _sy(scaler: Optional[Standardizer], y: np.ndarray) -> np.ndarray:
-    return y if scaler is None else scaler.scale_y(y)
-
-
-def _y_scale(scaler: Optional[Standardizer]) -> float:
-    return 1.0 if scaler is None else scaler.y_std
-
-
-def _y_shift(scaler: Optional[Standardizer]) -> float:
-    return 0.0 if scaler is None else scaler.y_mean
-
-
 @dataclass(frozen=True)
 class ThetaLayout:
     """Slot layout of the model parameter vector theta.
@@ -176,21 +159,18 @@ class ThetaLayout:
     dnn_tau_linear_c:  [mu, beta_1..beta_d, tau-network weights, log sigma]
     dnn_both:          [c-network weights, tau-network weights, log sigma]
 
-    Network-valued blocks are stored multiplied by `rescale` so all inverse
+    Network-valued blocks are stored multiplied by RESCALE so all inverse
     network output slots have comparable magnitude; unpacking divides the
-    blocks by `rescale` and exponentiates the log-sigma slot.
+    blocks by RESCALE and exponentiates the log-sigma slot.
     """
 
     model_kind: str
     c_spec: Union[int, MlpSpec]
     tau_spec: Optional[MlpSpec] = None
-    rescale: float = 25.0
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model_kind {self.model_kind!r}, expected one of {MODEL_KINDS}")
-        if self.rescale <= 0:
-            raise ValueError("rescale must be positive")
         if self.model_kind == "linear_ate":
             if not isinstance(self.c_spec, int) or self.tau_spec is not None:
                 raise ValueError("linear_ate uses an integer c_spec and no tau network")
@@ -241,9 +221,7 @@ class ThetaLayout:
 class ModelTheta:
     """Unpacked view of one theta vector (rescaling already undone)."""
 
-    kind: str
     sigma: float
-    log_sigma: float
     tau_prime: Optional[float] = None
     c_coef: Optional[np.ndarray] = None
     c_net: Optional[MlpParams] = None
@@ -253,29 +231,26 @@ class ModelTheta:
 def unpack_theta(theta: np.ndarray, layout: ThetaLayout) -> ModelTheta:
     """Split a theta vector into model pieces.
 
-    Network-valued blocks are divided by layout.rescale, the noise scale is
+    Network-valued blocks are divided by RESCALE, the noise scale is
     exp of the last slot.  Linear coefficient blocks are taken as-is.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (layout.theta_dim,):
         raise ValueError(f"theta has shape {theta.shape}, layout needs ({layout.theta_dim},)")
-    log_sigma = float(theta[layout.log_sigma_index])
-    mt = ModelTheta(kind=layout.model_kind, sigma=float(np.exp(log_sigma)), log_sigma=log_sigma)
+    mt = ModelTheta(sigma=float(np.exp(theta[layout.log_sigma_index])))
     if layout.model_kind == "linear_ate":
         mt.tau_prime = float(theta[0])
         mt.c_coef = theta[layout.c_slice].copy()
     elif layout.model_kind == "dnn_tau_linear_c":
         mt.c_coef = theta[layout.c_slice].copy()
-        mt.tau_net = MlpParams(layout.tau_spec, theta[layout.tau_slice] / layout.rescale)
+        mt.tau_net = MlpParams(layout.tau_spec, theta[layout.tau_slice] / RESCALE)
     else:
-        mt.c_net = MlpParams(layout.c_spec, theta[layout.c_slice] / layout.rescale)
-        mt.tau_net = MlpParams(layout.tau_spec, theta[layout.tau_slice] / layout.rescale)
+        mt.c_net = MlpParams(layout.c_spec, theta[layout.c_slice] / RESCALE)
+        mt.tau_net = MlpParams(layout.tau_spec, theta[layout.tau_slice] / RESCALE)
     return mt
 
 
-def least_squares_theta(
-    data: Dataset, layout: ThetaLayout, scaler: Optional[Standardizer] = None
-) -> np.ndarray:
+def least_squares_theta(data: Dataset, layout: ThetaLayout, scaler: Standardizer) -> np.ndarray:
     """Starting theta: the least-squares fit with the latent noise marginalized.
 
     Since the reference noise is independent of (x, t), an ordinary
@@ -286,8 +261,8 @@ def least_squares_theta(
     initialization so the surfaces start non-degenerate.  The log-sigma slot
     gets the log residual scale, floored away from zero.
     """
-    ys = _sy(scaler, data.y)
-    xs = _sx(scaler, data.x)
+    ys = scaler.scale_y(data.y)
+    xs = scaler.scale_x(data.x)
     n = data.n
     theta = np.zeros(layout.theta_dim)
     if layout.model_kind == "linear_ate":
@@ -300,26 +275,26 @@ def least_squares_theta(
         if isinstance(layout.c_spec, int):
             theta[layout.c_slice] = coef[: layout.c_dim]
         else:
-            block = layout.rescale * mlp_init(layout.c_spec).flat
-            block[-1] = layout.rescale * coef[0]
+            block = RESCALE * mlp_init(layout.c_spec).flat
+            block[-1] = RESCALE * coef[0]
             theta[layout.c_slice] = block
-        tau_block = layout.rescale * mlp_init(layout.tau_spec).flat
-        tau_block[-1] = layout.rescale * coef[-1]
+        tau_block = RESCALE * mlp_init(layout.tau_spec).flat
+        tau_block[-1] = RESCALE * coef[-1]
         theta[layout.tau_slice] = tau_block
     resid_sd = float(np.std(ys - design @ coef))
     theta[layout.log_sigma_index] = np.log(max(resid_sd, 0.05))
     return theta
 
 
-def feature_matrix(data: Dataset, z: np.ndarray, scaler: Optional[Standardizer] = None) -> np.ndarray:
-    """Inverse-network input rows for a whole dataset, standardized if asked."""
+def feature_matrix(data: Dataset, z: np.ndarray, scaler: Standardizer) -> np.ndarray:
+    """Inverse-network input rows [y, 2t - 1, x, z], with y and x standardized."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (data.n,):
         raise ValueError(f"z has shape {z.shape}, expected ({data.n},)")
     cols = [
-        _sy(scaler, data.y)[:, None],
+        scaler.scale_y(data.y)[:, None],
         (2.0 * data.t - 1.0)[:, None].astype(np.float64),
-        _sx(scaler, data.x),
+        scaler.scale_x(data.x),
         z[:, None],
     ]
     return np.concatenate(cols, axis=1)
@@ -387,35 +362,21 @@ def _dbar_aggregate(
         pg, _ = mlp_backward_batch(
             mt.tau_net, tau_acts, (rvec * t01)[:, None], need_input=False
         )
-        out[layout.tau_slice] = pg / layout.rescale
+        out[layout.tau_slice] = pg / RESCALE
     else:
         pg_c, _ = mlp_backward_batch(mt.c_net, c_acts, rvec[:, None], need_input=False)
-        out[layout.c_slice] = pg_c / layout.rescale
+        out[layout.c_slice] = pg_c / RESCALE
         pg_t, _ = mlp_backward_batch(
             mt.tau_net, tau_acts, (rvec * t01)[:, None], need_input=False
         )
-        out[layout.tau_slice] = pg_t / layout.rescale
+        out[layout.tau_slice] = pg_t / RESCALE
     # chain through sigma = exp(log sigma)
     out[layout.log_sigma_index] = mt.sigma * (rvec @ z)
     return out
 
 
-def model_predict_batch(
-    theta: np.ndarray,
-    layout: ThetaLayout,
-    x: np.ndarray,
-    t: np.ndarray,
-    z: np.ndarray,
-    scaler: Optional[Standardizer] = None,
-) -> np.ndarray:
-    """Vector of model mean outcomes in data units."""
-    mt = unpack_theta(theta, layout)
-    f, _ = _mean_rows(mt, layout, _sx(scaler, x), np.asarray(t, dtype=np.float64), z)
-    return _y_shift(scaler) + _y_scale(scaler) * f
-
-
 def tau_surface(
-    theta: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Optional[Standardizer] = None
+    theta: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer
 ) -> np.ndarray:
     """Treatment effect tau(x) per row, in data units."""
     mt = unpack_theta(theta, layout)
@@ -423,17 +384,17 @@ def tau_surface(
     if layout.model_kind == "linear_ate":
         vals = np.full(x.shape[0], 2.0 * mt.tau_prime)
     else:
-        vals = mlp_forward_batch(mt.tau_net, _sx(scaler, x))[-1][:, 0]
-    return _y_scale(scaler) * vals
+        vals = mlp_forward_batch(mt.tau_net, scaler.scale_x(x))[-1][:, 0]
+    return scaler.y_std * vals
 
 
 def c_surface(
-    theta: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Optional[Standardizer] = None
+    theta: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer
 ) -> np.ndarray:
     """Untreated mean outcome c(x) per row, in data units."""
     mt = unpack_theta(theta, layout)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    xs = _sx(scaler, x)
+    xs = scaler.scale_x(x)
     if layout.model_kind == "linear_ate":
         # y = tau' t' + mu' + x beta + sigma z with t' = -1 on controls
         vals = mt.c_coef[0] - mt.tau_prime + xs @ mt.c_coef[1:]
@@ -441,12 +402,12 @@ def c_surface(
         vals = mt.c_coef[0] + xs @ mt.c_coef[1:]
     else:
         vals = mlp_forward_batch(mt.c_net, xs)[-1][:, 0]
-    return _y_shift(scaler) + _y_scale(scaler) * vals
+    return scaler.y_mean + scaler.y_std * vals
 
 
-def sigma_of(theta: np.ndarray, layout: ThetaLayout, scaler: Optional[Standardizer] = None) -> float:
+def sigma_of(theta: np.ndarray, layout: ThetaLayout, scaler: Standardizer) -> float:
     """Noise scale sigma in data units."""
-    return _y_scale(scaler) * float(np.exp(np.asarray(theta)[layout.log_sigma_index]))
+    return scaler.y_std * float(np.exp(np.asarray(theta)[layout.log_sigma_index]))
 
 
 @dataclass
@@ -490,7 +451,7 @@ def _hidden_pass(
     z: np.ndarray,
     eta: float,
     layout: ThetaLayout,
-    scaler: Optional[Standardizer],
+    scaler: Standardizer,
 ) -> _HiddenPass:
     _check_widths(w, data, layout)
     z = np.asarray(z, dtype=np.float64)
@@ -505,10 +466,10 @@ def _hidden_pass(
     gram = W.T @ W
     tb = s * (W @ a_bar) + b
     mt = unpack_theta(tb, layout)
-    xs = _sx(scaler, data.x)
+    xs = scaler.scale_x(data.x)
     t01 = data.t.astype(np.float64)
     rows, surface_acts = _mean_rows(mt, layout, xs, t01, z)
-    resid = _sy(scaler, data.y) - rows
+    resid = scaler.scale_y(data.y) - rows
     total = float((resid**2).sum() + eta * s * s * (gram * cov).sum())
     return _HiddenPass(
         trunk, z, W, dev, a_bar, cov, gram, tb, mt, xs, t01, resid, surface_acts, total
@@ -521,12 +482,12 @@ def energy(
     z: np.ndarray,
     eta: float,
     layout: ThetaLayout,
-    scaler: Optional[Standardizer] = None,
+    scaler: Standardizer,
 ) -> EnergyReport:
     """Energy U at (Z, w): squared residuals plus eta-weighted consensus.
 
-    With a scaler, residuals are taken on standardized outcomes (the units the
-    system is solved in).
+    Residuals are taken on standardized outcomes, the units the system is
+    solved in.
     """
     hp = _hidden_pass(w, data, z, eta, layout, scaler)
     return EnergyReport(total=hp.total, theta_bar=hp.theta_bar)
@@ -538,7 +499,7 @@ def energy_gradients(
     z: np.ndarray,
     eta: float,
     layout: ThetaLayout,
-    scaler: Optional[Standardizer] = None,
+    scaler: Standardizer,
     need_z: bool = True,
     need_w: bool = True,
 ) -> GradReport:

@@ -26,6 +26,9 @@ from .sampler import FiducialChain
 
 CASES = ("Ic", "It", "Im", "ATE")
 
+# Share of test subjects whose outcome is withheld (case Im).
+P_MISSING = 1.0 / 3.0
+
 
 @dataclass(frozen=True)
 class PredictionInterval:
@@ -66,9 +69,8 @@ def ate_draws(chain: FiducialChain, layout: ThetaLayout) -> np.ndarray:
     """Fiducial sample of the average effect, in data units."""
     if layout.model_kind != "linear_ate":
         raise ValueError(f"ATE extraction needs a linear_ate layout, got {layout.model_kind!r}")
-    scale = 1.0 if chain.scaler is None else chain.scaler.y_std
     # the effect slot multiplies t' in {-1, +1}, so the 0-to-1 contrast is 2 tau'
-    return 2.0 * scale * chain.draws[:, 0]
+    return 2.0 * chain.scaler.y_std * chain.draws[:, 0]
 
 
 def ate_interval(chain: FiducialChain, layout: ThetaLayout, alpha: float = 0.05) -> PredictionInterval:
@@ -79,16 +81,16 @@ def ate_interval(chain: FiducialChain, layout: ThetaLayout, alpha: float = 0.05)
     return PredictionInterval(subject_id=-1, case="ATE", lower=lower, upper=upper, alpha=alpha)
 
 
-def assign_cases(test: Dataset, rng: np.random.Generator, p_missing: float = 1.0 / 3.0) -> np.ndarray:
-    """Tag each test row Ic/It by its observed arm, or Im with probability p_missing."""
-    if not 0.0 <= p_missing <= 1.0:
-        raise ValueError(f"p_missing must lie in [0, 1], got {p_missing}")
+def assign_cases(test: Dataset, rng: np.random.Generator) -> np.ndarray:
+    """Tag each test row Ic/It by its observed arm, or Im with probability P_MISSING."""
     by_arm = np.where(test.t == 1, "It", "Ic")
-    return np.where(rng.random(test.n) < p_missing, "Im", by_arm)
+    return np.where(rng.random(test.n) < P_MISSING, "Im", by_arm)
 
 
-def _chain_surfaces(chain: FiducialChain, layout: ThetaLayout, x: np.ndarray):
-    """Per-draw c(x), tau(x) matrices and sigma vector, all in data units."""
+def chain_surfaces(chain: FiducialChain, layout: ThetaLayout, x: np.ndarray):
+    """Per-draw c(x), tau(x) matrices and sigma vector, all in data units.
+
+    ite_intervals and pehe take the result as their surfaces."""
     draws = chain.draws
     m = draws.shape[0]
     c_mat = np.empty((m, x.shape[0]))
@@ -102,8 +104,7 @@ def _chain_surfaces(chain: FiducialChain, layout: ThetaLayout, x: np.ndarray):
 
 
 def ite_intervals(
-    chain: FiducialChain,
-    layout: ThetaLayout,
+    surfaces: tuple,
     test: Dataset,
     alpha: float = 0.05,
     rng: Optional[np.random.Generator] = None,
@@ -111,10 +112,12 @@ def ite_intervals(
 ) -> List[PredictionInterval]:
     """Per-subject prediction intervals for the individual effect.
 
-    cases gives one tag per test row; subjects without an observed arm are
-    treated as Im.  When omitted, tags follow the observed arm of test.t.
+    surfaces come from chain_surfaces on test.x.  cases gives one tag per
+    test row; subjects without an observed arm are treated as Im.  When
+    omitted, tags follow the observed arm of test.t.
     """
-    if chain.draws.shape[0] == 0:
+    c_mat, tau_mat, sig = surfaces
+    if sig.size == 0:
         raise ValueError("empty fiducial chain")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -128,12 +131,11 @@ def ite_intervals(
         raise ValueError(f"unknown case tags {sorted(bad)}")
     rng = rng if rng is not None else np.random.default_rng()
 
-    c_mat, tau_mat, sig = _chain_surfaces(chain, layout, test.x)
     qs = (alpha / 2.0, 1.0 - alpha / 2.0)
     out: List[PredictionInterval] = []
     streams = rng.spawn(test.n)
     for i in range(test.n):
-        z_new = streams[i].standard_normal(chain.draws.shape[0])
+        z_new = streams[i].standard_normal(sig.size)
         case = str(cases[i])
         if case == "Ic":
             y1_hat = c_mat[:, i] + tau_mat[:, i] + sig * z_new
@@ -152,18 +154,17 @@ def ite_intervals(
     return out
 
 
-def pehe(chain: FiducialChain, layout: ThetaLayout, test: Dataset, treated_only: bool = True) -> float:
-    """Mean squared error of the chain-mean effect surface against truth."""
+def pehe(surfaces: tuple, test: Dataset) -> float:
+    """Mean squared error of the chain-mean effect surface against truth.
+
+    It is taken over the treated test rows; surfaces come from
+    chain_surfaces on test.x."""
     if test.tau_true is None:
         raise ValueError("pehe needs tau_true on the test set")
-    _, tau_mat, _ = _chain_surfaces(chain, layout, test.x)
-    tau_hat = tau_mat.mean(axis=0)
-    if treated_only:
-        keep = test.t == 1
-        if not np.any(keep):
-            raise ValueError("no treated test units")
-    else:
-        keep = np.ones(test.n, dtype=bool)
+    keep = test.t == 1
+    if not np.any(keep):
+        raise ValueError("no treated test units")
+    tau_hat = surfaces[1].mean(axis=0)
     return float(np.mean((tau_hat[keep] - test.tau_true[keep]) ** 2))
 
 

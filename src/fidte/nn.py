@@ -1,7 +1,7 @@
 """Plain-numpy multilayer perceptrons with exact gradients.
 
 Every network in the package (inverse network, data-model networks,
-quantile networks) is built on the same flat-parameter MLP defined here.
+quantile networks) is the same flat-parameter tanh MLP defined here.
 Parameters live in a single 1-d float64 vector so samplers and optimizers
 can treat a network as a point in R^P.
 """
@@ -13,16 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-_ACTIVATIONS = ("tanh", "relu", "sigmoid")
-
 
 @dataclass(frozen=True)
 class MlpSpec:
     """Architecture of a fully connected network.
 
     layer_widths includes input and output, so a 2-10-10-1 network is
-    (2, 10, 10, 1).  The activation applies to hidden layers only; the
-    output layer is linear.
+    (2, 10, 10, 1).  Hidden layers apply tanh; the output layer is linear.
 
     out_scale multiplies the output-layer weight matrix (not its biases) in
     the forward pass.  A small value lets the stored weights sit at the
@@ -31,7 +28,6 @@ class MlpSpec:
     """
 
     layer_widths: tuple[int, ...]
-    activation: str = "tanh"
     seed: int = 0
     out_scale: float = 1.0
 
@@ -43,8 +39,6 @@ class MlpSpec:
             )
         if any(w <= 0 for w in self.layer_widths):
             raise ValueError(f"zero or negative layer width in {self.layer_widths}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}, expected one of {_ACTIVATIONS}")
         object.__setattr__(self, "out_scale", float(self.out_scale))
         if not np.isfinite(self.out_scale) or self.out_scale <= 0.0:
             raise ValueError(f"out_scale must be positive and finite, got {self.out_scale}")
@@ -133,24 +127,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return sigmoid(z)
-
-
-def _act_grad_from_act(name: str, a: np.ndarray) -> np.ndarray:
-    # derivative of the activation expressed through its output; for relu
-    # this makes the subgradient at 0 exactly 0
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "relu":
-        return (a > 0).astype(np.float64)
-    return a * (1.0 - a)
-
-
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[-1] != params.spec.d_in:
@@ -172,7 +148,7 @@ def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> li
     layers = params.layers()
     a = acts[0]
     for W, b in layers[:-1]:
-        a = _act(params.spec.activation, a @ W.T + b)
+        a = np.tanh(a @ W.T + b)
         acts.append(a)
     if head:
         W, b = layers[-1]
@@ -220,7 +196,7 @@ def mlp_backward_batch(
         pieces.append((np.zeros(layers[last][0].size), np.zeros(layers[last][1].size)))
     # grads is the gradient at the last hidden activations from here on
     for l in range(last - 1, -1, -1):
-        delta = grads * _act_grad_from_act(params.spec.activation, acts[l + 1])
+        delta = grads * (1.0 - acts[l + 1] * acts[l + 1])  # tanh' from its output
         if need_params:
             pieces.append(((delta.T @ acts[l]).ravel(), delta.sum(axis=0)))
         grads = delta @ layers[l][0] if l > 0 or need_input else None

@@ -1,89 +1,49 @@
 """Mixture-Gaussian shrinkage prior on network weights.
 
-Each weight independently follows rho * N(0, sigma1^2) + (1 - rho) * N(0, sigma0^2)
-with a narrow spike (sigma0) and a wide slab (sigma1).  Densities are combined
-in log space; the naive density ratio overflows already around |w| ~ 0.06
-because of the spike's 1/sigma0^2 exponent.
+Each weight independently follows RHO * N(0, SIGMA1^2) + (1 - RHO) * N(0, SIGMA0^2)
+with a narrow spike (SIGMA0) and a wide slab (SIGMA1), fixed constants of the
+model family.  Densities are combined in log space; the naive density ratio
+overflows already around |w| ~ 0.06 because of the spike's 1/SIGMA0^2 exponent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+RHO = 1e-2
+SIGMA1 = 1.0
+SIGMA0 = 1e-2
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class MixturePrior:
-    rho: float = 1e-2
-    sigma1: float = 1.0
-    sigma0: float = 1e-2
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if self.sigma0 <= 0.0 or self.sigma1 <= 0.0:
-            raise ValueError("sigma0 and sigma1 must be positive")
-        if self.sigma0 >= self.sigma1:
-            raise ValueError(f"need sigma0 < sigma1, got {self.sigma0} >= {self.sigma1}")
-
-
-def _log_components(prior: MixturePrior, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_components(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # log of each weighted component density, elementwise
-    a1 = np.log(prior.rho) - 0.5 * _LOG_2PI - np.log(prior.sigma1) - 0.5 * (w / prior.sigma1) ** 2
-    a0 = (
-        np.log1p(-prior.rho)
-        - 0.5 * _LOG_2PI
-        - np.log(prior.sigma0)
-        - 0.5 * (w / prior.sigma0) ** 2
-    )
+    a1 = np.log(RHO) - 0.5 * _LOG_2PI - np.log(SIGMA1) - 0.5 * (w / SIGMA1) ** 2
+    a0 = np.log1p(-RHO) - 0.5 * _LOG_2PI - np.log(SIGMA0) - 0.5 * (w / SIGMA0) ** 2
     return a1, a0
 
 
-def _natural_units(w: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
-    s = np.broadcast_to(np.asarray(scale, dtype=np.float64), w.shape)
-    if not np.all(s > 0):
-        raise ValueError("scale entries must be positive")
-    return w / s, s
-
-
-def log_prior(prior: MixturePrior, w: np.ndarray, scale=None) -> float:
-    """Log density of the weight vector, summed over elements.
-
-    Computed with log-sum-exp per element; an empty vector gives 0.0.
-    scale, if given, holds per-element positive factors for parameters that
-    are stored as scaled copies of their natural units: the mixture is taken
-    over w / scale, with the change-of-variables term included.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.size == 0:
-        return 0.0
-    jac = 0.0
-    if scale is not None:
-        w, s = _natural_units(w, scale)
-        jac = float(np.sum(np.log(s)))
-    a1, a0 = _log_components(prior, w.ravel())
-    return float(np.sum(np.logaddexp(a1, a0))) - jac
-
-
-def log_prior_grad(prior: MixturePrior, w: np.ndarray, scale=None) -> np.ndarray:
-    """Elementwise gradient of log_prior.
+def log_prior_grad(w: np.ndarray, scale=None) -> np.ndarray:
+    """Elementwise gradient of the log prior density of w.
 
     Uses component responsibilities r_c = exp(a_c - logsumexp) so the spike
     and slab pulls are blended without forming overflowing ratios:
-    d/dw = -w * (r1 / sigma1^2 + r0 / sigma0^2).
-    With scale set the mixture reads w / scale and the gradient carries the
-    1 / scale chain factor.
+    d/dw = -w * (r1 / SIGMA1^2 + r0 / SIGMA0^2).
+    scale, if given, holds per-element positive factors for parameters that
+    are stored as scaled copies of their natural units: the mixture reads
+    w / scale and the gradient carries the 1 / scale chain factor.
     """
     w = np.asarray(w, dtype=np.float64)
     inv = 1.0
     if scale is not None:
-        w, s = _natural_units(w, scale)
+        s = np.broadcast_to(np.asarray(scale, dtype=np.float64), w.shape)
+        if not np.all(s > 0):
+            raise ValueError("scale entries must be positive")
+        w = w / s
         inv = 1.0 / s
-    a1, a0 = _log_components(prior, w)
+    a1, a0 = _log_components(w)
     lse = np.logaddexp(a1, a0)
     r1 = np.exp(a1 - lse)
     r0 = np.exp(a0 - lse)
-    return -w * (r1 / prior.sigma1**2 + r0 / prior.sigma0**2) * inv
+    return -w * (r1 / SIGMA1**2 + r0 / SIGMA0**2) * inv

@@ -28,6 +28,7 @@ from .inference import (
     PredictionInterval,
     assign_cases,
     ate_interval,
+    chain_surfaces,
     ite_intervals,
     ite_truth,
     pehe,
@@ -110,7 +111,11 @@ def replication_ints(seed: int, r: int) -> list[int]:
 
 def _replication_data(config: ExperimentConfig, ints) -> tuple[Dataset, Optional[Dataset]]:
     if config.csv is not None:
-        return load_csv_dataset(config.csv, config.csv_schema), None
+        train = load_csv_dataset(config.csv, config.csv_schema)
+        if config.n_batches > train.n:  # the file's row count is known only now
+            raise ValueError(f"n_batches: must be in [1, {train.n}], the row count of "
+                             f"{config.csv}, got {config.n_batches}")
+        return train, None
     train = generate(GenSpec(config.design, config.n_train, seed=ints[0]))
     test = None
     if config.n_test > 0:
@@ -162,9 +167,13 @@ def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = N
         ):
             ate_truth = float(train.tau_true[0])
 
-        chain = layout = None
+        chain = layout = surfaces = cases = None
         if "efi" in config.methods:
             chain, layout = _efi_results(config, train, ints, rep_dir)
+            if config.layout_kind != "linear_ate":
+                # every level's intervals and the PEHE read the same surfaces
+                surfaces = chain_surfaces(chain, layout, test.x)
+                cases = assign_cases(test, np.random.default_rng(ints[3]))
         cqr_fold_one_fits = {}  # cqr-exact and cqr-inexact share one fold-1 fit
 
         rows = []
@@ -176,9 +185,8 @@ def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = N
                     if config.layout_kind == "linear_ate":
                         ivs = [ate_interval(chain, layout, alpha=alpha)]
                     else:
-                        cases = assign_cases(test, np.random.default_rng(ints[3]))
                         ivs = ite_intervals(
-                            chain, layout, test, alpha=alpha,
+                            surfaces, test, alpha=alpha,
                             rng=np.random.default_rng([ints[3], a_idx]),
                             cases=cases,
                         )
@@ -213,9 +221,8 @@ def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = N
                         "per_case": {},
                     }
             entry = {"alphas": per_alpha}
-            if method == "efi" and config.layout_kind != "linear_ate" and test is not None \
-                    and test.tau_true is not None:
-                entry["pehe"] = pehe(chain, layout, test, treated_only=True)
+            if method == "efi" and surfaces is not None and test.tau_true is not None:
+                entry["pehe"] = pehe(surfaces, test)
             metrics[method] = entry
         return {"r": r, "metrics": metrics, "rows": rows, "chain": chain}
     except RuntimeError as e:

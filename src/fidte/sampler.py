@@ -36,6 +36,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .engine import (
+    RESCALE,
     Dataset,
     Standardizer,
     ThetaLayout,
@@ -45,7 +46,7 @@ from .engine import (
     least_squares_theta,
 )
 from .nn import MlpParams, MlpSpec, _layer_slices, mlp_forward_batch, mlp_init, param_count
-from .prior import MixturePrior, log_prior_grad
+from .prior import SIGMA0, log_prior_grad
 
 # Fraction of the 2/kappa gradient-descent stability bound used as the base
 # weight step.  0.5 keeps the stiffest mode contracting while leaving enough
@@ -162,7 +163,7 @@ class FiducialChain:
 
     draws rows are theta_bar in the solve's (standardized) parameterization;
     sigmas is exp of the log-sigma slot per draw, also solve-space.  scaler
-    maps back to data units (None when the run was not standardized).
+    maps back to data units.
     """
 
     draws: np.ndarray
@@ -170,7 +171,7 @@ class FiducialChain:
     energies: np.ndarray
     z_final: np.ndarray
     w_final: MlpParams
-    scaler: Optional[Standardizer] = None
+    scaler: Standardizer
 
     @property
     def n_draws(self) -> int:
@@ -183,8 +184,7 @@ def _group_w_rates(
     z: np.ndarray,
     layout: ThetaLayout,
     config,
-    prior: MixturePrior,
-    scaler: Optional[Standardizer],
+    scaler: Standardizer,
     masks: dict,
 ) -> dict:
     """Largest safe weight step per schedule group, from measured curvature.
@@ -194,13 +194,13 @@ def _group_w_rates(
         theta_hat_i coherently; its curvature is (2 eta n / eps) times the top
         eigenvalue of the last hidden layer's activation covariance, times
         out_scale^2;
-      * the spike component of the weight prior, 1/sigma0^2;
+      * the spike component of the weight prior, 1/SIGMA0^2;
       * an output-bias shift of a location slot, at most (2 n / eps) for the
         unit-scale regressors the model uses.
     Every mode applies to the catch-all group.  Head rows are gentler: their
     elements reach the residual term only through theta values carrying a
-    1/rescale conversion, so the location-slot and spike bounds shrink by
-    rescale^2 and the consensus mode usually binds.  Because that mode is a
+    1/RESCALE conversion, so the location-slot and spike bounds shrink by
+    RESCALE^2 and the consensus mode usually binds.  Because that mode is a
     property of hidden activations that reorganize during the run, the head
     bound is doubled (HEAD_GROWTH_ALLOWANCE) rather than trusted as measured.
     Each rate is STEP_SAFETY times the 2/kappa descent bound of its group.
@@ -209,16 +209,16 @@ def _group_w_rates(
     cov = np.cov(hidden.T, bias=True)
     lam = float(np.linalg.eigvalsh(cov)[-1])
     consensus = 2.0 * config.eta * data.n / config.eps * max(lam, 1e-12) * w.spec.out_scale**2
-    kappa_rest = max(consensus, 1.0 / prior.sigma0**2, 2.0 * data.n / config.eps)
+    kappa_rest = max(consensus, 1.0 / SIGMA0**2, 2.0 * data.n / config.eps)
     rates = {}
     for g in masks:
         if g == "rest":
             kappa = kappa_rest
         else:
-            r2 = layout.rescale**2
+            r2 = RESCALE**2
             kappa = HEAD_GROWTH_ALLOWANCE * max(
                 consensus,
-                1.0 / prior.sigma0**2 / r2,
+                1.0 / SIGMA0**2 / r2,
                 2.0 * data.n / config.eps / r2,
             )
         rates[g] = STEP_SAFETY * 2.0 / kappa
@@ -231,20 +231,18 @@ def run_efi(
     inverse_spec: MlpSpec,
     config,
     seed: int,
-    prior: Optional[MixturePrior] = None,
-    standardize: bool = True,
     trace: Optional[IO] = None,
 ) -> FiducialChain:
     """Run the two-phase sampler and collect the fiducial sample.
 
     config is the run's ExperimentConfig, read for its sampler constants and
     budgets; a weight step uses n // n_batches rows.  seed drives every draw.
+    The run is solved in the units of a Standardizer fit to data.
 
     trace, if given, receives one CSV row per iteration:
     iteration, energy, upsilon, gamma (rest group), grad norm.
     """
-    prior = prior if prior is not None else MixturePrior()
-    scaler = Standardizer.fit(data) if standardize else None
+    scaler = Standardizer.fit(data)
     rng = np.random.default_rng(seed)
     w = mlp_init(inverse_spec)
     masks = gamma_groups(inverse_spec, layout)
@@ -271,18 +269,18 @@ def run_efi(
     # published step constants assume the paper's loss scaling; only the
     # decay shapes transfer, so anchor each group's absolute scale to its own
     # stability limit measured at the start state
-    rates = _group_w_rates(w, data, z, layout, config, prior, scaler, masks)
+    rates = _group_w_rates(w, data, z, layout, config, scaler, masks)
 
-    # head rows emit theta blocks stored at rescale times their natural
+    # head rows emit theta blocks stored at RESCALE times their natural
     # network units; the shrinkage prior reads those rows in natural units,
-    # otherwise it is rescale times stiffer there than anywhere else and
+    # otherwise it is RESCALE times stiffer there than anywhere else and
     # flattens whatever surface the head has learned
     prior_scale = None
     if len(masks) > 1:
         prior_scale = np.ones(param_count(inverse_spec))
         for g, mask in masks.items():
             if g != "rest":
-                prior_scale[mask] = layout.rescale
+                prior_scale[mask] = RESCALE
 
     # the latent step is anchored the same way: its curvature at the start
     # state is 1 + 2 sigma^2 / eps from the reference prior plus the pinned
@@ -302,7 +300,7 @@ def run_efi(
         rep = energy_gradients(w, batch, zb, config.eta, layout, scaler, need_z=False, need_w=True)
         if not np.isfinite(rep.total):
             raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
-        gw = scale * (-rep.w_grad / config.eps) + log_prior_grad(prior, w.flat, prior_scale)
+        gw = scale * (-rep.w_grad / config.eps) + log_prior_grad(w.flat, prior_scale)
         if not np.all(np.isfinite(gw)):
             raise RuntimeError(f"weight gradient diverged at iteration {k}")
         if writer is not None:

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from fidte.engine import Standardizer
+
+# Standardizer that leaves covariates and outcomes as they are: the solve
+# then runs in data units, which makes hand-computed expectations simple.
+IDENTITY_SCALER = Standardizer(x_mean=np.zeros(1), x_std=np.ones(1), y_mean=0.0, y_std=1.0)
+
 
 def central_diff(f, x, h=1e-6):
     """Central finite-difference gradient of scalar f at vector x."""

@@ -10,8 +10,9 @@ import pytest
 import fidte.cqr
 import fidte.runner
 from fidte import cli
-from fidte.config import preset_config
+from fidte.config import ExperimentConfig, preset_config
 from fidte.cqr import TrainConfig
+from fidte.datagen import GenSpec, generate, save_dataset_csv
 from fidte.runner import _rep_worker, _replication_data, load_csv_dataset, replication_ints, rescore
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -233,3 +234,54 @@ def test_summary_carries_per_case_blocks(tmp_path, monkeypatch):
             np.mean([sc["mean_length"] for sc in scores]), rel=1e-12)
         assert cases["Im"]["coverage"]["mean"] == pytest.approx(
             np.mean([sc["coverage"] for sc in scores]), rel=1e-12)
+
+
+def test_replication_computes_chain_surfaces_once(monkeypatch):
+    # every level's ITE intervals and the PEHE read one set of surfaces
+    calls = []
+    real = fidte.runner.chain_surfaces
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fidte.runner, "chain_surfaces", counted)
+    cfg = preset_config("example1", n_train=30, n_test=12, init_iters=2, k_burn=2, m_keep=3,
+                        thin=1, n_batches=1, alphas=(0.1, 0.2), methods=("efi",))
+    rep = fidte.runner.run_replication(cfg, 0)
+    assert len(calls) == 1
+    assert set(rep["metrics"]["efi"]["alphas"]) == {"0.1", "0.2"}
+    assert rep["metrics"]["efi"]["pehe"] >= 0.0
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "cqr", "benchmark"])
+def test_workers_below_one_are_rejected(command, capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args([command, "--workers", "2"]).workers == 2
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--workers", value])
+        assert exc.value.code == 2
+        assert f"--workers: must be >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_csv_n_batches_is_checked_against_the_file_rows(tmp_path, monkeypatch):
+    data = tmp_path / "d.csv"
+    save_dataset_csv(generate(GenSpec("linear_ate", 25, seed=1)), data)
+    csv_keys = dict(csv=str(data), csv_schema={"y": "y", "t": "t", "x": ["x1", "x2", "x3", "x4"]},
+                    k_burn=2, m_keep=2, thin=1)
+    # a csv run ignores n_train, so the config does not check n_batches against it
+    ExperimentConfig(n_train=5, n_batches=25, **csv_keys)
+    with pytest.raises(ValueError, match=r"n_batches: must be in \[1, training rows\], got 6"):
+        preset_config("linear_ate_n250", n_train=5, n_batches=6)
+    train, _ = _replication_data(ExperimentConfig(n_batches=25, **csv_keys), [0, 0, 0, 0])
+    assert train.n == 25
+    # more batches than the file has rows fails after the read, before any sampling
+    calls = count_efi_calls(monkeypatch)
+    cfg = tmp_path / "csv.yaml"
+    cfg.write_text("".join(f"{k}: {json.dumps(v)}\n" for k, v in csv_keys.items())
+                   + "n_batches: 1000\n")
+    with pytest.raises(ValueError, match=r"^replication 0: n_batches: must be in \[1, 25\], "
+                                         r"the row count of .*d\.csv, got 1000$"):
+        cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert calls == []

@@ -117,14 +117,13 @@ def rebuilt_pinball_net(features, targets, qs, spec, config):
 
 
 @pytest.mark.parametrize(
-    "widths, activation, qs",
-    [((3, 10, 10, 2), "tanh", (0.025, 0.975)), ((2, 6, 2), "relu", (0.5, 0.5)),
-     ((4, 5, 7, 3, 2), "sigmoid", (0.1, 0.9))],
+    "widths, qs",
+    [((3, 10, 10, 2), (0.025, 0.975)), ((2, 6, 2), (0.5, 0.5)), ((4, 5, 7, 3, 2), (0.1, 0.9))],
 )
-def test_in_place_fit_equals_the_rebuilt_loop(widths, activation, qs, rng):
+def test_in_place_fit_equals_the_rebuilt_loop(widths, qs, rng):
     features = rng.normal(size=(37, widths[0]))
     targets = np.repeat(rng.normal(size=(37, 1)), 2, axis=1)
-    spec = MlpSpec(widths, activation=activation, seed=4)
+    spec = MlpSpec(widths, seed=4)
     config = TrainConfig(iters=60, lr=0.05)
     got = _fit_pinball_net(features, targets, qs, spec, config)
     want = rebuilt_pinball_net(features, targets, qs, spec, config)

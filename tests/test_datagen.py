@@ -6,6 +6,7 @@ from scipy.integrate import simpson
 from scipy.stats import beta as beta_dist
 
 from fidte.datagen import (
+    LINEAR_ATE_D,
     S_MEAN,
     GenSpec,
     beta_cdf,
@@ -122,27 +123,38 @@ def test_example2_surface_value():
 # ------------------------------------------------------------- generators
 
 
+LINEAR_COEF = np.array([-1.0, 1.0, -1.0, 1.0])
+
+# control surface c(x) of each design, written out from its definition
+CONTROL = {
+    "linear_ate": lambda x: 1.0 + x @ LINEAR_COEF,
+    "example1": lambda x: 1.0 + x[:, 0] + x[:, 1],
+    "example2": example2_c,
+}
+
+
 @pytest.mark.parametrize("design", ["linear_ate", "example1", "example2"])
 def test_construction_identity(design):
     data = generate(GenSpec(design, 400, seed=3))
-    rebuilt = data.c_true + data.tau_true * data.t + data.z_true
+    rebuilt = CONTROL[design](data.x) + data.tau_true * data.t + data.z_true
     assert np.array_equal(data.y, rebuilt)
     assert np.array_equal(data.y, np.where(data.t == 1, data.y1, data.y0))
 
 
 def test_linear_ate_structure():
     data = generate(GenSpec("linear_ate", 300, seed=5))
-    assert data.d == 4
-    coef = np.array([-1.0, 1.0, -1.0, 1.0])
+    assert data.d == LINEAR_ATE_D == 4
     np.testing.assert_allclose(data.tau_true, 1.0)
-    np.testing.assert_allclose(data.c_true, 1.0 + data.x @ coef, atol=1e-12)
-    lin = 1.0 + data.x @ coef
-    np.testing.assert_allclose(data.propensity, 1.0 / (1.0 + np.exp(-lin)), atol=1e-12)
-
-
-def test_linear_ate_custom_width():
-    data = generate(GenSpec("linear_ate", 50, seed=1, d=7))
-    assert data.x.shape == (50, 7)
+    np.testing.assert_allclose(
+        data.y - data.tau_true * data.t - data.z_true, 1.0 + data.x @ LINEAR_COEF, atol=1e-12
+    )
+    # replay the generator's stream: t is a uniform draw below the
+    # propensity logistic(1 + x xi), xi = beta
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((300, 4))
+    propensity = 1.0 / (1.0 + np.exp(-(1.0 + x @ LINEAR_COEF)))
+    np.testing.assert_array_equal(x, data.x)
+    np.testing.assert_array_equal(data.t, rng.random(300) < propensity)
 
 
 def test_example_designs_fixed_width():
@@ -150,14 +162,23 @@ def test_example_designs_fixed_width():
     assert generate(GenSpec("example2", 40, seed=2)).d == 5
     data = generate(GenSpec("example1", 200, seed=9))
     assert np.all(data.x >= 0.0) and np.all(data.x <= 1.0)
-    np.testing.assert_allclose(data.c_true, 1.0 + data.x[:, 0] + data.x[:, 1], atol=1e-12)
+    np.testing.assert_allclose(
+        data.y - data.tau_true * data.t - data.z_true,
+        1.0 + data.x[:, 0] + data.x[:, 1],
+        atol=1e-12,
+    )
     np.testing.assert_allclose(data.tau_true, nonlinear_tau(data.x), atol=1e-12)
+    # the treatment draw follows the design's propensity
+    rng = np.random.default_rng(9)
+    rng.random((200, 2))
+    np.testing.assert_array_equal(data.t, rng.random(200) < nonlinear_propensity(data.x))
 
 
 def test_arm_noises_are_independent_standard_normal():
     data = generate(GenSpec("example1", 4000, seed=13))
-    z1 = data.y1 - data.c_true - data.tau_true
-    z0 = data.y0 - data.c_true
+    c = CONTROL["example1"](data.x)
+    z1 = data.y1 - c - data.tau_true
+    z0 = data.y0 - c
     for z in (z0, z1):
         assert abs(z.mean()) < 0.06
         assert abs(z.std() - 1.0) < 0.05
@@ -180,10 +201,6 @@ def test_genspec_validation():
         GenSpec("unknown", 10)
     with pytest.raises(ValueError):
         GenSpec("linear_ate", 0)
-    with pytest.raises(ValueError):
-        GenSpec("example1", 10, d=3)
-    with pytest.raises(ValueError):
-        GenSpec("linear_ate", 10, d=0)
 
 
 # -------------------------------------------------------------------- csv
@@ -203,7 +220,6 @@ def test_csv_roundtrip_exact(tmp_path):
     # truth columns come back exactly too, by name and as ordinary columns
     for name in ("y0", "y1", "tau_true", "z_true"):
         assert np.array_equal(getattr(back, name), getattr(data, name))
-    assert back.c_true is None and back.propensity is None  # not written
     truth = load_csv_dataset(str(path), {"y": "tau_true", "t": "t", "x": ["y0", "y1", "z_true"]})
     assert np.array_equal(truth.y, data.tau_true)
     assert np.array_equal(truth.x, np.column_stack([data.y0, data.y1, data.z_true]))

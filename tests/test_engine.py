@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from fidte.engine import (
+    RESCALE,
     Dataset,
     Standardizer,
     ThetaLayout,
     _dbar_aggregate,
+    _mean_rows,
     c_surface,
     energy,
     energy_gradients,
     feature_matrix,
-    model_predict_batch,
     sigma_of,
     tau_surface,
     unpack_theta,
@@ -24,7 +25,7 @@ from fidte.nn import (
     param_count,
 )
 
-from conftest import assert_grad_close, central_diff
+from conftest import IDENTITY_SCALER, assert_grad_close, central_diff
 
 
 def linear_layout(d=2):
@@ -61,6 +62,13 @@ def random_inverse(rng, d, layout, hidden=(5,), seed=0):
     return params
 
 
+def model_predict_batch(theta, layout, x, t, z, scaler=IDENTITY_SCALER):
+    """Reference model mean outcomes c(x) + tau(x) t + sigma z, in data units."""
+    mt = unpack_theta(theta, layout)
+    f, _ = _mean_rows(mt, layout, scaler.scale_x(x), np.asarray(t, dtype=np.float64), z)
+    return scaler.y_mean + scaler.y_std * f
+
+
 # ---------------------------------------------------------------- features
 
 
@@ -68,7 +76,7 @@ def theta_hat_rows(w, data, z):
     """theta_hat_i one observation at a time: the inverse net on a one-row batch."""
     return np.concatenate(
         [
-            mlp_forward_batch(w, feature_matrix(data.subset([i]), z[i : i + 1]))[-1]
+            mlp_forward_batch(w, feature_matrix(data.subset([i]), z[i : i + 1], IDENTITY_SCALER))[-1]
             for i in range(data.n)
         ]
     )
@@ -76,7 +84,7 @@ def theta_hat_rows(w, data, z):
 
 def test_inverse_feature_order():
     data = Dataset(x=np.array([[3.0, 4.0], [3.0, 4.0]]), t=np.array([1, 0]), y=np.array([2.0, 2.0]))
-    rows = feature_matrix(data, np.array([-1.5, -1.5]))
+    rows = feature_matrix(data, np.array([-1.5, -1.5]), IDENTITY_SCALER)
     np.testing.assert_array_equal(rows, [[2.0, 1.0, 3.0, 4.0, -1.5], [2.0, -1.0, 3.0, 4.0, -1.5]])
 
 
@@ -88,7 +96,7 @@ def test_theta_hat_is_forward_on_feature_row(rng):
     data = Dataset(x=np.array([[0.2, -0.4]]), t=np.array([1]), y=np.array([0.7]))
     z = np.array([0.9])
     want = mlp_forward_batch(w, np.array([[0.7, 1.0, 0.2, -0.4, 0.9]]))[-1][0]
-    np.testing.assert_array_equal(energy(w, data, z, 1.0, layout).theta_bar, want)
+    np.testing.assert_array_equal(energy(w, data, z, 1.0, layout, IDENTITY_SCALER).theta_bar, want)
 
 
 def test_feature_matrix_standardizes_y_and_x_only(rng):
@@ -109,8 +117,8 @@ def test_theta_bar_is_mean_of_rows(rng):
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=6)
     rows = theta_hat_rows(w, data, z)
-    np.testing.assert_allclose(energy(w, data, z, 1.0, layout).theta_bar, rows.mean(axis=0), rtol=1e-12)
-    rep = energy_gradients(w, data, z, 1.0, layout)
+    np.testing.assert_allclose(energy(w, data, z, 1.0, layout, IDENTITY_SCALER).theta_bar, rows.mean(axis=0), rtol=1e-12)
+    rep = energy_gradients(w, data, z, 1.0, layout, IDENTITY_SCALER)
     np.testing.assert_allclose(rep.theta_bar, rows.mean(axis=0), rtol=1e-12)
 
 
@@ -138,7 +146,7 @@ def test_pack_unpack_roundtrip(make, rng):
         back[layout.c_slice] = mt.c_coef
     for net, sl in ((mt.c_net, layout.c_slice), (mt.tau_net, layout.tau_slice)):
         if net is not None:
-            back[sl] = net.flat * layout.rescale
+            back[sl] = net.flat * RESCALE
     back[layout.log_sigma_index] = np.log(mt.sigma)
     np.testing.assert_allclose(back, theta, rtol=1e-12, atol=1e-12)
 
@@ -147,7 +155,7 @@ def test_unpack_rescales_network_blocks():
     layout = tau_net_layout(d=2, hidden=(3,))
     theta = np.arange(layout.theta_dim, dtype=float) + 1.0
     mt = unpack_theta(theta, layout)
-    np.testing.assert_allclose(mt.tau_net.flat, theta[layout.tau_slice] / 25.0)
+    np.testing.assert_allclose(mt.tau_net.flat, theta[layout.tau_slice] / RESCALE)
     np.testing.assert_array_equal(mt.c_coef, theta[:3])  # linear block untouched
     assert mt.sigma == pytest.approx(np.exp(theta[-1]))
 
@@ -182,7 +190,7 @@ def test_surfaces_compose_to_prediction(make, rng):
     x = rng.normal(size=(9, 2))
     t = (rng.random(9) < 0.5).astype(int)
     z = rng.normal(size=9)
-    for scaler in (None, Standardizer(x_mean=np.array([0.3, -1.0]), x_std=np.array([2.0, 0.5]), y_mean=1.7, y_std=2.5)):
+    for scaler in (IDENTITY_SCALER, Standardizer(x_mean=np.array([0.3, -1.0]), x_std=np.array([2.0, 0.5]), y_mean=1.7, y_std=2.5)):
         pred = model_predict_batch(theta, layout, x, t, z, scaler)
         composed = (
             c_surface(theta, layout, x, scaler)
@@ -214,7 +222,7 @@ def test_energy_single_observation_no_consensus(rng):
     data = random_dataset(rng, n=1)
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=1)
-    rep = energy(w, data, z, eta=7.0, layout=layout)
+    rep = energy(w, data, z, eta=7.0, layout=layout, scaler=IDENTITY_SCALER)
     # one row sits at its own mean, so the total is the fit term alone
     pred = model_predict_batch(rep.theta_bar, layout, data.x, data.t, z)[0]
     assert rep.total == (data.y[0] - pred) ** 2
@@ -226,7 +234,7 @@ def test_energy_two_observation_recomputation(rng):
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=2)
     eta = 3.0
-    rep = energy(w, data, z, eta, layout)
+    rep = energy(w, data, z, eta, layout, IDENTITY_SCALER)
     th = theta_hat_rows(w, data, z)
     tb = th.mean(axis=0)
     fit = float(np.sum((data.y - model_predict_batch(tb, layout, data.x, data.t, z)) ** 2))
@@ -241,8 +249,8 @@ def test_energy_permutation_invariant(rng):
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=10)
     perm = rng.permutation(10)
-    rep = energy(w, data, z, eta=2.0, layout=layout)
-    rep_p = energy(w, data.subset(perm), z[perm], eta=2.0, layout=layout)
+    rep = energy(w, data, z, eta=2.0, layout=layout, scaler=IDENTITY_SCALER)
+    rep_p = energy(w, data.subset(perm), z[perm], eta=2.0, layout=layout, scaler=IDENTITY_SCALER)
     assert rep.total == pytest.approx(rep_p.total, rel=1e-12)
     np.testing.assert_allclose(rep.theta_bar, rep_p.theta_bar, rtol=1e-12)
 
@@ -265,10 +273,10 @@ def zero_energy_setup(rng, n=6, d=2):
 
 def test_zero_energy_region(rng):
     layout, w, data, z = zero_energy_setup(rng)
-    rep = energy(w, data, z, eta=500.0, layout=layout)
+    rep = energy(w, data, z, eta=500.0, layout=layout, scaler=IDENTITY_SCALER)
     assert rep.total == pytest.approx(0.0, abs=1e-20)
     # the sampler's z log-density gradient collapses to the reference pull -z
-    rep_g = energy_gradients(w, data, z, 500.0, layout, need_z=True, need_w=False)
+    rep_g = energy_gradients(w, data, z, 500.0, layout, IDENTITY_SCALER, need_z=True, need_w=False)
     np.testing.assert_array_equal(-z - rep_g.z_grad / 0.1, -z)
 
 
@@ -279,7 +287,7 @@ def test_zero_energy_region(rng):
 # as they are; the prior gradient it adds is checked in test_prior
 
 
-def fd_check_z_grad(layout, data, w, z, eta, scaler=None):
+def fd_check_z_grad(layout, data, w, z, eta, scaler=IDENTITY_SCALER):
     rep = energy_gradients(w, data, z, eta, layout, scaler, need_z=True, need_w=False)
     assert rep.w_grad is None
 
@@ -289,7 +297,7 @@ def fd_check_z_grad(layout, data, w, z, eta, scaler=None):
     assert_grad_close(rep.z_grad, central_diff(u, z))
 
 
-def fd_check_w_grad(layout, data, w, z, eta, scale=1.0, scaler=None):
+def fd_check_w_grad(layout, data, w, z, eta, scale=1.0, scaler=IDENTITY_SCALER):
     rep = energy_gradients(w, data, z, eta, layout, scaler, need_z=False, need_w=True)
     assert rep.z_grad is None
 
@@ -348,7 +356,7 @@ def test_minibatch_scale(rng):
     fd_check_w_grad(layout, data.subset(idx), w, z[idx], eta=2.0, scale=3.0)
 
 
-def explicit_energy_gradients(w, data, z, eta, layout, scaler=None):
+def explicit_energy_gradients(w, data, z, eta, layout, scaler):
     """Oracle: U and its gradients from the n x theta_dim matrix of theta_hat rows.
 
     The consensus enters every row's out-gradient as 2 eta (theta_hat_i -
@@ -359,11 +367,10 @@ def explicit_energy_gradients(w, data, z, eta, layout, scaler=None):
     theta = acts[-1]
     tb = theta.mean(axis=0)
     dev = theta - tb
-    y_scale = 1.0 if scaler is None else scaler.y_std
-    resid = (data.y - model_predict_batch(tb, layout, data.x, data.t, z, scaler)) / y_scale
+    resid = (data.y - model_predict_batch(tb, layout, data.x, data.t, z, scaler)) / scaler.y_std
     total = float((resid**2).sum() + eta * (dev**2).sum())
     mt = unpack_theta(tb, layout)
-    xs = data.x if scaler is None else scaler.scale_x(data.x)
+    xs = scaler.scale_x(data.x)
     surface_acts = tuple(
         None if net is None else mlp_forward_batch(net, xs) for net in (mt.c_net, mt.tau_net)
     )
@@ -387,7 +394,7 @@ def test_hidden_space_matches_explicit_consensus(make, standardize, rng):
     layout = make(d=2)
     data = random_dataset(rng, n=40)
     data.y[:] = 3.0 + 2.0 * data.y
-    scaler = Standardizer.fit(data) if standardize else None
+    scaler = Standardizer.fit(data) if standardize else IDENTITY_SCALER
     spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=14, out_scale=0.04)
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     z = rng.normal(size=40)
@@ -440,10 +447,10 @@ def test_width_mismatch_rejected(rng):
     data = random_dataset(rng, n=4, d=2)
     w_bad = mlp_init(MlpSpec((4, 3, layout.theta_dim), seed=0))  # d+3 should be 5
     with pytest.raises(ValueError):
-        energy(w_bad, data, rng.normal(size=4), 1.0, layout)
+        energy(w_bad, data, rng.normal(size=4), 1.0, layout, IDENTITY_SCALER)
     w_bad_out = mlp_init(MlpSpec((5, 3, layout.theta_dim + 1), seed=0))
     with pytest.raises(ValueError):
-        energy(w_bad_out, data, rng.normal(size=4), 1.0, layout)
+        energy(w_bad_out, data, rng.normal(size=4), 1.0, layout, IDENTITY_SCALER)
 
 
 def test_standardizer_zero_variance_guard():

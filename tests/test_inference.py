@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fidte.datagen import GenSpec, generate
 from fidte.engine import Dataset, ThetaLayout
 from fidte.inference import (
     EvalReport,
@@ -11,6 +10,7 @@ from fidte.inference import (
     assign_cases,
     ate_draws,
     ate_interval,
+    chain_surfaces,
     ite_intervals,
     ite_truth,
     pehe,
@@ -20,10 +20,12 @@ from fidte.nn import MlpSpec, mlp_init
 from fidte.runner import rescore, write_rows_csv
 from fidte.sampler import FiducialChain
 
+from conftest import IDENTITY_SCALER
+
 LINEAR = ThetaLayout("linear_ate", c_spec=5)  # d = 4
 
 
-def make_chain(draws: np.ndarray, scaler=None) -> FiducialChain:
+def make_chain(draws: np.ndarray, scaler=IDENTITY_SCALER) -> FiducialChain:
     draws = np.atleast_2d(draws)
     return FiducialChain(
         draws=draws,
@@ -37,6 +39,10 @@ def make_chain(draws: np.ndarray, scaler=None) -> FiducialChain:
 
 def const_chain(theta: np.ndarray, m: int) -> FiducialChain:
     return make_chain(np.tile(np.asarray(theta, dtype=np.float64), (m, 1)))
+
+
+def surfaces(chain: FiducialChain, test: Dataset):
+    return chain_surfaces(chain, LINEAR, test.x)
 
 
 def toy_test_set(n: int, seed: int = 0, d: int = 4) -> Dataset:
@@ -55,7 +61,7 @@ def toy_test_set(n: int, seed: int = 0, d: int = 4) -> Dataset:
 
 
 def ate_chain(samples) -> FiducialChain:
-    """A chain whose ATE draws (2 tau', no scaler) are exactly `samples`."""
+    """A chain whose ATE draws (2 tau', identity scaler) are exactly `samples`."""
     samples = np.asarray(samples, dtype=np.float64)
     draws = np.zeros((samples.size, LINEAR.theta_dim))
     draws[:, 0] = samples / 2.0
@@ -144,7 +150,7 @@ def test_im_interval_matches_gaussian_predictive_law():
     theta = np.array([tau0 / 2.0, 0.3, 0.0, 0.0, 0.0, 0.0, np.log(sigma0)])
     chain = const_chain(theta, 30000)
     test = toy_test_set(3, seed=4)
-    ivs = ite_intervals(chain, LINEAR, test, alpha=0.05,
+    ivs = ite_intervals(surfaces(chain, test), test, alpha=0.05,
                         rng=np.random.default_rng(9), cases=["Im"] * 3)
     half = 1.959964 * np.sqrt(2.0) * sigma0
     for iv in ivs:
@@ -156,7 +162,7 @@ def test_ic_interval_is_shifted_treated_prediction():
     theta = np.array([0.5, 1.0, 0.1, -0.2, 0.3, 0.0, np.log(0.5)])
     chain = const_chain(theta, 5000)
     test = toy_test_set(4, seed=5)
-    ivs = ite_intervals(chain, LINEAR, test, alpha=0.1,
+    ivs = ite_intervals(surfaces(chain, test), test, alpha=0.1,
                         rng=np.random.default_rng(11), cases=["Ic"] * 4)
     # rebuild the treated-arm prediction interval with the same subject streams
     from fidte.engine import c_surface, sigma_of, tau_surface
@@ -165,8 +171,8 @@ def test_ic_interval_is_shifted_treated_prediction():
     for i, iv in enumerate(ivs):
         z = streams[i].standard_normal(5000)
         y1_hat = (
-            c_surface(theta, LINEAR, test.x[i], None)[0]
-            + tau_surface(theta, LINEAR, test.x[i], None)[0]
+            c_surface(theta, LINEAR, test.x[i], IDENTITY_SCALER)[0]
+            + tau_surface(theta, LINEAR, test.x[i], IDENTITY_SCALER)[0]
             + 0.5 * z
         )
         assert iv.lower == pytest.approx(np.quantile(y1_hat, 0.05) - test.y[i], rel=1e-12)
@@ -188,9 +194,9 @@ def test_translation_equivariance_of_cases():
     shifted[:, 1] += shift  # moves every c-hat draw by +shift
     test = toy_test_set(6, seed=6)
     cases = np.array(["Ic", "It", "Im", "Ic", "It", "Im"], dtype=object)
-    base = ite_intervals(make_chain(draws), LINEAR, test, 0.05,
+    base = ite_intervals(surfaces(make_chain(draws), test), test, 0.05,
                          np.random.default_rng(7), cases)
-    moved = ite_intervals(make_chain(shifted), LINEAR, test, 0.05,
+    moved = ite_intervals(surfaces(make_chain(shifted), test), test, 0.05,
                           np.random.default_rng(7), cases)
     for b, m in zip(base, moved):
         want = {"Ic": shift, "It": -shift, "Im": 0.0}[b.case]
@@ -202,7 +208,7 @@ def test_ite_intervals_ordered_bounds_and_tags(rng):
     draws = rng.standard_normal((300, 7)) * 0.1
     draws[:, -1] = np.log(0.5)
     test = toy_test_set(20, seed=8)
-    ivs = ite_intervals(make_chain(draws), LINEAR, test, 0.05, np.random.default_rng(1))
+    ivs = ite_intervals(surfaces(make_chain(draws), test), test, 0.05, np.random.default_rng(1))
     assert len(ivs) == 20
     for iv in ivs:
         assert iv.lower <= iv.upper
@@ -214,16 +220,16 @@ def test_ite_intervals_validation():
     chain = const_chain(np.zeros(7), 10)
     test = toy_test_set(3)
     with pytest.raises(ValueError, match="alpha"):
-        ite_intervals(chain, LINEAR, test, -0.05, np.random.default_rng(0))
+        ite_intervals(surfaces(chain, test), test, -0.05, np.random.default_rng(0))
     with pytest.raises(ValueError, match="one case tag per test row"):
-        ite_intervals(chain, LINEAR, test, 0.05, np.random.default_rng(0), cases=["Ic"])
+        ite_intervals(surfaces(chain, test), test, 0.05, np.random.default_rng(0), cases=["Ic"])
     with pytest.raises(ValueError, match="unknown case"):
-        ite_intervals(chain, LINEAR, test, 0.05, np.random.default_rng(0), cases=["xx"] * 3)
+        ite_intervals(surfaces(chain, test), test, 0.05, np.random.default_rng(0), cases=["xx"] * 3)
 
 
 def test_assign_cases_distribution():
     test = toy_test_set(6000, seed=10)
-    cases = assign_cases(test, np.random.default_rng(2), p_missing=1.0 / 3.0)
+    cases = assign_cases(test, np.random.default_rng(2))
     frac_m = np.mean(cases == "Im")
     assert abs(frac_m - 1.0 / 3.0) < 0.03
     by_arm = cases[cases != "Im"]
@@ -237,32 +243,37 @@ def test_assign_cases_distribution():
 def test_pehe_zero_when_surface_matches():
     # tau' = 0.5 reproduces the constant truth tau = 1 exactly
     theta = np.array([0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    assert pehe(const_chain(theta, 50), LINEAR, toy_test_set(30, seed=1)) == 0.0
+    test = toy_test_set(30, seed=1)
+    assert pehe(surfaces(const_chain(theta, 50), test), test) == 0.0
 
 
 def test_pehe_constant_offset_squares():
     theta = np.array([0.5 + 0.15, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    got = pehe(const_chain(theta, 50), LINEAR, toy_test_set(30, seed=1))
+    test = toy_test_set(30, seed=1)
+    got = pehe(surfaces(const_chain(theta, 50), test), test)
     assert got == pytest.approx(0.3**2, rel=1e-10)
 
 
 def test_pehe_draw_order_invariant(rng):
     draws = rng.standard_normal((60, 7)) * 0.2
     test = toy_test_set(25, seed=2)
-    a = pehe(make_chain(draws), LINEAR, test)
-    b = pehe(make_chain(draws[::-1]), LINEAR, test)
+    a = pehe(surfaces(make_chain(draws), test), test)
+    b = pehe(surfaces(make_chain(draws[::-1]), test), test)
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_pehe_treated_only_flag():
+def test_pehe_scores_treated_rows_only():
+    # the surface matches the truth on treated rows and misses by 3 on the
+    # control rows, which PEHE leaves out
     test = toy_test_set(40, seed=3)
-    theta = np.array([0.6, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    both = pehe(const_chain(theta, 5), LINEAR, test, treated_only=False)
-    treated = pehe(const_chain(theta, 5), LINEAR, test, treated_only=True)
-    # constant surface and constant truth: same error either way
-    assert both == pytest.approx(treated)
+    test.tau_true = np.where(test.t == 1, 1.0, 4.0)
+    sf = surfaces(const_chain(np.array([0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 5), test)
+    assert pehe(sf, test) == 0.0
     with pytest.raises(ValueError, match="tau_true"):
-        pehe(const_chain(theta, 5), LINEAR, Dataset(x=test.x, t=test.t, y=test.y))
+        pehe(sf, Dataset(x=test.x, t=test.t, y=test.y))
+    controls = Dataset(x=test.x, t=np.zeros(40), y=test.y, tau_true=test.tau_true)
+    with pytest.raises(ValueError, match="no treated test units"):
+        pehe(sf, controls)
 
 
 # ------------------------------------------------------------------ scoring

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fidte.config import ExperimentConfig
-from fidte.engine import Dataset, Standardizer, ThetaLayout, least_squares_theta, model_predict_batch
+from fidte.engine import Dataset, Standardizer, ThetaLayout, least_squares_theta
 from fidte.nn import MlpParams, MlpSpec, mlp_init, param_count
 from fidte.sampler import (
     Z_STEP_TARGET,
@@ -240,7 +240,7 @@ def test_run_efi_trace_stream():
 
 def test_run_efi_divergence_guard():
     # curvature anchoring reads the start state only; a landscape much
-    # stiffer away from it (unstandardized data at wild scales, no clipping)
+    # stiffer away from it (out_scale 1 on the inverse head, no clipping)
     # still escapes, and the guard must turn that into an error, not NaNs
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 2)) * 1e6
@@ -251,7 +251,7 @@ def test_run_efi_divergence_guard():
     config = make_config(eta=500.0, eps=0.1, k_burn=50, m_keep=100, thin=5, clip_norm=None)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged"):
-            run_efi(data, layout, spec, config, 0, standardize=False)
+            run_efi(data, layout, spec, config, 0)
 
 
 def test_run_efi_missing_gamma_group():
