@@ -26,6 +26,7 @@ from .config import PRESETS, ExperimentConfig, load_config, preset_config
 from .datagen import save_dataset_csv
 from .runner import (
     _replication_data,
+    read_csv_rows,
     replication_ints,
     rescore,
     run_experiment,
@@ -93,7 +94,7 @@ def cmd_fit(args) -> int:
         )
     cfg = replace(cfg, methods=("efi",))
     os.makedirs(cfg.outdir, exist_ok=True)
-    rep = run_replication(cfg, 0, rep_dir=cfg.outdir)
+    rep = run_replication(cfg, 0, read_csv_rows(cfg), rep_dir=cfg.outdir)
     chain = rep["chain"]
     with open(os.path.join(cfg.outdir, "chain.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)

@@ -12,6 +12,8 @@ requested, so a default run finishes on a desk machine while --paper-scale
 reproduces the full schedule exactly.  Every check on a config value is made
 when the config is built, so a bad value fails under every subcommand before
 any data is drawn or sampler run, with a message naming its field.
+LAYOUT_GROUPS is the table of layout kinds; runner.build_layout turns a kind
+into the engine.ThetaLayout it stands for.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import yaml
-
-from .sampler import LAYOUT_GROUPS
 
 VALID_METHODS = ("efi", "cqr-naive", "cqr-exact", "cqr-inexact")
 VALID_DESIGNS = ("linear_ate", "example1", "example2")
@@ -34,6 +34,15 @@ _C_REMOVED = (
 
 # iteration-budget fields subject to desk-scale halving
 _BUDGET_FIELDS = ("k_burn", "m_keep", "init_iters")
+
+# Step-size groups of the inverse network's weights per layout_kind: each
+# network surface, tau(x) or c(x), has a head group (sampler.gamma_groups);
+# a layout without one has a linear c or a constant effect.
+LAYOUT_GROUPS = {
+    "linear_ate": ("rest",),
+    "dnn_tau_linear_c": ("rest", "tau_head"),
+    "dnn_both": ("rest", "tau_head", "c_head"),
+}
 
 
 @dataclass(frozen=True)
@@ -52,7 +61,8 @@ class ExperimentConfig:
     layout_kind (LAYOUT_GROUPS).  eps is the noise budget, eta the
     consensus weight and 1 - varpi the latent momentum.  clip_norm (null: no
     clipping) bounds the weight-gradient norm for the first clip_iters
-    weight steps.
+    weight steps.  tau_widths and c_widths are the hidden widths of the
+    effect and control networks, read only by a layout that has them.
     """
 
     design: Optional[str] = None
@@ -151,9 +161,10 @@ class ExperimentConfig:
                 )
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError(f"alphas: levels must lie in (0, 1), got {self.alphas}")
-        if self.n_train < 2:
+        # a csv run's rows are the file's; it reads neither n_train nor n_test
+        if self.design is not None and self.n_train < 2:
             raise ValueError(f"n_train: must be >= 2, got {self.n_train}")
-        # a csv run's rows are the file's, which the runner checks once read
+        # the runner checks a csv run's n_batches once it has read the file
         if self.n_batches < 1 or (self.design is not None and self.n_batches > self.n_train):
             raise ValueError(f"n_batches: must be in [1, training rows], got {self.n_batches}")
         for name in ("k_burn", "m_keep", "init_iters", "clip_iters"):
@@ -271,8 +282,17 @@ def _coerce(name: str, value):
     return _scalar(name, _SCALAR_TYPES[declared], value)
 
 
+def _reject_unread_widths(cfg: ExperimentConfig, given) -> ExperimentConfig:
+    """cfg, unless a width field among the given keys sizes a network its layout lacks."""
+    for surface in ("tau", "c"):
+        if f"{surface}_widths" in given and f"{surface}_head" not in LAYOUT_GROUPS[cfg.layout_kind]:
+            raise ValueError(f"{surface}_widths: layout {cfg.layout_kind} has no {surface} network")
+    return cfg
+
+
 def preset_config(name: str, paper_scale: bool = False, **overrides) -> ExperimentConfig:
-    """Expand a named preset into a config at the requested scale."""
+    """Expand a named preset into a config at the requested scale; a width
+    override for a network the layout lacks, which would be ignored, fails."""
     if name not in PRESETS:
         raise ValueError(f"preset: unknown preset {name!r}, expected one of {sorted(PRESETS)}")
     values = dict(PRESETS[name])
@@ -281,13 +301,14 @@ def preset_config(name: str, paper_scale: bool = False, **overrides) -> Experime
             values[f] = values[f] // 2
     values["paper_scale"] = paper_scale
     values.update(overrides)
-    return ExperimentConfig(**values)
+    return _reject_unread_widths(ExperimentConfig(**values), overrides)
 
 
 def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConfig:
     """Read a YAML config file, expanding its preset if one is named.
 
-    File keys override preset values.  paper_scale, when not None, overrides
+    File keys override preset values; a tau_widths or c_widths key for a
+    network the layout lacks is rejected.  paper_scale, when not None, overrides
     the file's own setting (the --paper-scale flag).
     """
     with open(path) as fh:
@@ -306,4 +327,4 @@ def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConf
     if preset is not None:
         return preset_config(str(preset), paper_scale=bool(scale), **overrides)
     overrides["paper_scale"] = bool(scale)
-    return ExperimentConfig(**overrides)
+    return _reject_unread_widths(ExperimentConfig(**overrides), overrides)

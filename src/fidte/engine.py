@@ -9,7 +9,9 @@ a parameter estimate theta_hat_i.  The energy
 
 couples all observations through theta_bar, the mean of the theta_hat rows.
 This module evaluates U and its exact gradients in Z and in the inverse
-network's weights.
+network's weights.  ThetaLayout describes the model by its two surfaces, c
+and tau, each linear (constant, for tau) or a network, and every model
+function branches once per surface.
 
 The inverse network's output layer is linear, theta_hat_i = s W a_i + b with
 a_i its last hidden layer and s its out_scale, so everything is computed in
@@ -21,9 +23,9 @@ hidden space and the n x theta_dim matrix of theta_hat rows is never formed:
     dU/dW       = 2 eta s^2 W C + s A a_bar^T
     dU/db       = A
 
-where A = dU/dtheta_bar of the residual term, a single O(n) aggregate
-(_dbar_aggregate).  The consensus term has no theta_bar gradient because
-sum_i (a_i - a_bar) = 0 holds by construction.
+where A = dU/dtheta_bar of the residual term, a single O(n) aggregate that
+_surface_grad fills block by block.  The consensus term has no theta_bar
+gradient because sum_i (a_i - a_bar) = 0 holds by construction.
 
 The system is solved in standardized outcome/covariate units (inputs,
 residuals and theta all standardized) and predictions are mapped back to
@@ -32,7 +34,7 @@ data units; see Standardizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -46,8 +48,6 @@ from .nn import (
     mlp_init,
     param_count,
 )
-
-MODEL_KINDS = ("linear_ate", "dnn_tau_linear_c", "dnn_both")
 
 # theta stores a network's weights times RESCALE, see ThetaLayout
 RESCALE = 25.0
@@ -154,100 +154,73 @@ class Standardizer:
 class ThetaLayout:
     """Slot layout of the model parameter vector theta.
 
-    linear_ate:        [tau', mu', beta_1..beta_d, log sigma]
-                       (c_spec = d + 1 linear coefficients, tau_spec None)
-    dnn_tau_linear_c:  [mu, beta_1..beta_d, tau-network weights, log sigma]
-    dnn_both:          [c-network weights, tau-network weights, log sigma]
+    The model is y = c(x) + tau(x) * code(t) + sigma * z.  An int c_spec k is
+    a linear c: the intercept, then k - 1 slopes.  An MlpSpec is a network
+    surface, stored as its weights times RESCALE so all inverse-network output
+    slots have comparable magnitude.  tau_spec None is a constant effect tau'
+    on t' = 2t - 1.  The config's layout kinds and their slots:
 
-    Network-valued blocks are stored multiplied by RESCALE so all inverse
-    network output slots have comparable magnitude; unpacking divides the
-    blocks by RESCALE and exponentiates the log-sigma slot.
+        linear_ate        ThetaLayout(d + 1)           [tau', mu', beta, log sigma]
+        dnn_tau_linear_c  ThetaLayout(d + 1, tau net)  [mu, beta, tau net, log sigma]
+        dnn_both          ThetaLayout(c net, tau net)  [c net, tau net, log sigma]
     """
 
-    model_kind: str
     c_spec: Union[int, MlpSpec]
     tau_spec: Optional[MlpSpec] = None
+    c_slice: slice = field(init=False, repr=False, compare=False)
+    tau_slice: slice = field(init=False, repr=False, compare=False)
+    theta_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model_kind {self.model_kind!r}, expected one of {MODEL_KINDS}")
-        if self.model_kind == "linear_ate":
-            if not isinstance(self.c_spec, int) or self.tau_spec is not None:
-                raise ValueError("linear_ate uses an integer c_spec and no tau network")
-            if self.c_spec < 1:
-                raise ValueError("linear_ate needs at least an intercept coefficient")
-        elif self.model_kind == "dnn_tau_linear_c":
-            if not isinstance(self.c_spec, int) or not isinstance(self.tau_spec, MlpSpec):
-                raise ValueError("dnn_tau_linear_c uses an integer c_spec and an MlpSpec tau_spec")
-        else:
-            if not isinstance(self.c_spec, MlpSpec) or not isinstance(self.tau_spec, MlpSpec):
-                raise ValueError("dnn_both uses MlpSpec for both surfaces")
+        if isinstance(self.c_spec, MlpSpec) and self.tau_spec is None:
+            raise ValueError("a network c surface needs a tau network, not a constant effect")
         for spec, name in ((self.c_spec, "c"), (self.tau_spec, "tau")):
             if isinstance(spec, MlpSpec) and spec.d_out != 1:
                 raise ValueError(f"{name} network must have a single output, got {spec.d_out}")
-
-    @property
-    def c_dim(self) -> int:
-        return self.c_spec if isinstance(self.c_spec, int) else param_count(self.c_spec)
-
-    @property
-    def tau_dim(self) -> int:
+        c_dim = param_count(self.c_spec) if isinstance(self.c_spec, MlpSpec) else self.c_spec
         if self.tau_spec is None:
-            return 1
-        return param_count(self.tau_spec)
-
-    @property
-    def theta_dim(self) -> int:
-        return self.c_dim + self.tau_dim + 1
-
-    @property
-    def tau_slice(self) -> slice:
-        if self.model_kind == "linear_ate":
-            return slice(0, 1)
-        return slice(self.c_dim, self.c_dim + self.tau_dim)
-
-    @property
-    def c_slice(self) -> slice:
-        if self.model_kind == "linear_ate":
-            return slice(1, 1 + self.c_dim)
-        return slice(0, self.c_dim)
+            c_slice, tau_slice = slice(1, 1 + c_dim), slice(0, 1)
+        else:
+            c_slice = slice(0, c_dim)
+            tau_slice = slice(c_dim, c_dim + param_count(self.tau_spec))
+        object.__setattr__(self, "c_slice", c_slice)
+        object.__setattr__(self, "tau_slice", tau_slice)
+        object.__setattr__(self, "theta_dim", max(c_slice.stop, tau_slice.stop) + 1)
 
     @property
     def log_sigma_index(self) -> int:
         return self.theta_dim - 1
 
-
-@dataclass
-class ModelTheta:
-    """Unpacked view of one theta vector (rescaling already undone)."""
-
-    sigma: float
-    tau_prime: Optional[float] = None
-    c_coef: Optional[np.ndarray] = None
-    c_net: Optional[MlpParams] = None
-    tau_net: Optional[MlpParams] = None
+    def code(self, t: np.ndarray) -> np.ndarray:
+        """The regressor the effect multiplies: t' = 2t - 1 for a constant effect, else t."""
+        t = np.asarray(t, dtype=np.float64)
+        return 2.0 * t - 1.0 if self.tau_spec is None else t
 
 
-def unpack_theta(theta: np.ndarray, layout: ThetaLayout) -> ModelTheta:
-    """Split a theta vector into model pieces.
+def _surface(spec, block: np.ndarray, xs: np.ndarray):
+    """One surface's values on the rows xs (a scalar for a constant effect),
+    in the solve's units, and a network's (params, activations) or None."""
+    if spec is None:
+        return block[0], None
+    if isinstance(spec, int):
+        return block[0] + xs @ block[1:], None
+    net = MlpParams(spec, block / RESCALE)
+    acts = mlp_forward_batch(net, xs)
+    return acts[-1][:, 0], (net, acts)
 
-    Network-valued blocks are divided by RESCALE, the noise scale is
-    exp of the last slot.  Linear coefficient blocks are taken as-is.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (layout.theta_dim,):
-        raise ValueError(f"theta has shape {theta.shape}, layout needs ({layout.theta_dim},)")
-    mt = ModelTheta(sigma=float(np.exp(theta[layout.log_sigma_index])))
-    if layout.model_kind == "linear_ate":
-        mt.tau_prime = float(theta[0])
-        mt.c_coef = theta[layout.c_slice].copy()
-    elif layout.model_kind == "dnn_tau_linear_c":
-        mt.c_coef = theta[layout.c_slice].copy()
-        mt.tau_net = MlpParams(layout.tau_spec, theta[layout.tau_slice] / RESCALE)
-    else:
-        mt.c_net = MlpParams(layout.c_spec, theta[layout.c_slice] / RESCALE)
-        mt.tau_net = MlpParams(layout.tau_spec, theta[layout.tau_slice] / RESCALE)
-    return mt
+
+def _surface_grad(spec, net_pass, xs: np.ndarray, r: np.ndarray, u) -> np.ndarray:
+    """sum_j r_j u_j d s(x_j) / d block for the surface s of _surface, laid
+    out like its theta block; u is the regressor s multiplies (None: 1)."""
+    if spec is None:
+        return r @ u
+    if u is not None:
+        r = r * u
+    if isinstance(spec, int):
+        return np.concatenate(([r.sum()], xs.T @ r))
+    net, acts = net_pass
+    pg, _ = mlp_backward_batch(net, acts, r[:, None], need_input=False)
+    return pg / RESCALE
 
 
 def least_squares_theta(data: Dataset, layout: ThetaLayout, scaler: Standardizer) -> np.ndarray:
@@ -255,32 +228,29 @@ def least_squares_theta(data: Dataset, layout: ThetaLayout, scaler: Standardizer
 
     Since the reference noise is independent of (x, t), an ordinary
     regression of the outcome on the design is a consistent estimate of the
-    location parameters, and its residual scale estimates sigma.  Linear
-    blocks (and the output bias of each network-valued block) are set from
-    that regression; network blocks otherwise keep their seeded
-    initialization so the surfaces start non-degenerate.  The log-sigma slot
-    gets the log residual scale, floored away from zero.
+    location parameters, and its residual scale estimates sigma.  The design
+    holds, in slot order, [1, x] for c and code(t) for tau.  A linear block
+    takes its coefficients; a network block keeps its seeded initialization,
+    so the surface starts non-degenerate, with its output bias set from the
+    block's first coefficient.  The log-sigma slot gets the log residual
+    scale, floored away from zero.
     """
     ys = scaler.scale_y(data.y)
-    xs = scaler.scale_x(data.x)
-    n = data.n
+    blocks = [
+        (layout.c_spec, layout.c_slice, np.column_stack([np.ones(data.n), scaler.scale_x(data.x)])),
+        (layout.tau_spec, layout.tau_slice, layout.code(data.t)[:, None]),
+    ]
+    blocks.sort(key=lambda b: b[1].start)
+    design = np.column_stack([cols for _, _, cols in blocks])
+    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     theta = np.zeros(layout.theta_dim)
-    if layout.model_kind == "linear_ate":
-        design = np.column_stack([2.0 * data.t - 1.0, np.ones(n), xs])
-        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        theta[: layout.log_sigma_index] = coef
-    else:
-        design = np.column_stack([np.ones(n), xs, data.t.astype(np.float64)])
-        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        if isinstance(layout.c_spec, int):
-            theta[layout.c_slice] = coef[: layout.c_dim]
-        else:
-            block = RESCALE * mlp_init(layout.c_spec).flat
-            block[-1] = RESCALE * coef[0]
-            theta[layout.c_slice] = block
-        tau_block = RESCALE * mlp_init(layout.tau_spec).flat
-        tau_block[-1] = RESCALE * coef[-1]
-        theta[layout.tau_slice] = tau_block
+    k = 0
+    for spec, sl, cols in blocks:
+        b, k = coef[k : k + cols.shape[1]], k + cols.shape[1]
+        if isinstance(spec, MlpSpec):
+            intercept, b = b[0], RESCALE * mlp_init(spec).flat
+            b[-1] = RESCALE * intercept
+        theta[sl] = b
     resid_sd = float(np.std(ys - design @ coef))
     theta[layout.log_sigma_index] = np.log(max(resid_sd, 0.05))
     return theta
@@ -318,96 +288,21 @@ def _check_widths(w: MlpParams, data: Dataset, layout: ThetaLayout) -> None:
         )
 
 
-def _mean_rows(
-    mt: ModelTheta, layout: ThetaLayout, xs: np.ndarray, t01: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, tuple]:
-    # model mean f(x, t, z; theta) rows in the solve's units, and the
-    # activations of the (c, tau) data-model nets, None for a linear surface
-    c_acts = tau_acts = None
-    if layout.model_kind == "linear_ate":
-        tprime = 2.0 * t01 - 1.0
-        base = mt.tau_prime * tprime + mt.c_coef[0] + xs @ mt.c_coef[1:]
-    else:
-        if layout.model_kind == "dnn_tau_linear_c":
-            c_vals = mt.c_coef[0] + xs @ mt.c_coef[1:]
-        else:
-            c_acts = mlp_forward_batch(mt.c_net, xs)
-            c_vals = c_acts[-1][:, 0]
-        tau_acts = mlp_forward_batch(mt.tau_net, xs)
-        base = c_vals + tau_acts[-1][:, 0] * t01
-    return base + mt.sigma * z, (c_acts, tau_acts)
-
-
-def _dbar_aggregate(
-    mt: ModelTheta,
-    layout: ThetaLayout,
-    xs: np.ndarray,
-    t01: np.ndarray,
-    z: np.ndarray,
-    rvec: np.ndarray,
-    surface_acts: tuple,
-) -> np.ndarray:
-    # sum_j rvec_j * d f_j / d theta_bar, laid out like theta; surface_acts
-    # are the data-model nets' activations from _mean_rows
-    c_acts, tau_acts = surface_acts
-    out = np.zeros(layout.theta_dim)
-    if layout.model_kind == "linear_ate":
-        tprime = 2.0 * t01 - 1.0
-        out[0] = rvec @ tprime
-        out[1] = rvec.sum()
-        out[2 : 2 + xs.shape[1]] = xs.T @ rvec
-    elif layout.model_kind == "dnn_tau_linear_c":
-        out[0] = rvec.sum()
-        out[1 : 1 + xs.shape[1]] = xs.T @ rvec
-        pg, _ = mlp_backward_batch(
-            mt.tau_net, tau_acts, (rvec * t01)[:, None], need_input=False
-        )
-        out[layout.tau_slice] = pg / RESCALE
-    else:
-        pg_c, _ = mlp_backward_batch(mt.c_net, c_acts, rvec[:, None], need_input=False)
-        out[layout.c_slice] = pg_c / RESCALE
-        pg_t, _ = mlp_backward_batch(
-            mt.tau_net, tau_acts, (rvec * t01)[:, None], need_input=False
-        )
-        out[layout.tau_slice] = pg_t / RESCALE
-    # chain through sigma = exp(log sigma)
-    out[layout.log_sigma_index] = mt.sigma * (rvec @ z)
-    return out
-
-
-def tau_surface(
+def surfaces(
     theta: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer
-) -> np.ndarray:
-    """Treatment effect tau(x) per row, in data units."""
-    mt = unpack_theta(theta, layout)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if layout.model_kind == "linear_ate":
-        vals = np.full(x.shape[0], 2.0 * mt.tau_prime)
-    else:
-        vals = mlp_forward_batch(mt.tau_net, scaler.scale_x(x))[-1][:, 0]
-    return scaler.y_std * vals
-
-
-def c_surface(
-    theta: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer
-) -> np.ndarray:
-    """Untreated mean outcome c(x) per row, in data units."""
-    mt = unpack_theta(theta, layout)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    xs = scaler.scale_x(x)
-    if layout.model_kind == "linear_ate":
-        # y = tau' t' + mu' + x beta + sigma z with t' = -1 on controls
-        vals = mt.c_coef[0] - mt.tau_prime + xs @ mt.c_coef[1:]
-    elif layout.model_kind == "dnn_tau_linear_c":
-        vals = mt.c_coef[0] + xs @ mt.c_coef[1:]
-    else:
-        vals = mlp_forward_batch(mt.c_net, xs)[-1][:, 0]
-    return scaler.y_mean + scaler.y_std * vals
-
-
-def sigma_of(theta: np.ndarray, layout: ThetaLayout, scaler: Standardizer) -> float:
-    """Noise scale sigma in data units."""
-    return scaler.y_std * float(np.exp(np.asarray(theta)[layout.log_sigma_index]))
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Untreated mean c(x) and effect tau(x) per row, and sigma, in data units."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (layout.theta_dim,):
+        raise ValueError(f"theta has shape {theta.shape}, layout needs ({layout.theta_dim},)")
+    xs = scaler.scale_x(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    c, _ = _surface(layout.c_spec, theta[layout.c_slice], xs)
+    tau, _ = _surface(layout.tau_spec, theta[layout.tau_slice], xs)
+    if layout.tau_spec is None:
+        # t' = -1 on controls, and the 0-to-1 contrast of tau' t' is 2 tau'
+        c, tau = c - tau, np.full(xs.shape[0], 2.0 * tau)
+    sigma = scaler.y_std * float(np.exp(theta[layout.log_sigma_index]))
+    return scaler.y_mean + scaler.y_std * c, scaler.y_std * tau, sigma
 
 
 @dataclass
@@ -420,7 +315,6 @@ class EnergyReport:
 class GradReport:
     total: float
     theta_bar: np.ndarray
-    sigma: float  # solve-space noise scale exp(theta_bar log-sigma slot)
     z_grad: Optional[np.ndarray] = None
     w_grad: Optional[np.ndarray] = None
 
@@ -430,18 +324,18 @@ class _HiddenPass:
     # one inverse-network forward to the last hidden layer and what the
     # energy and its gradients share
     trunk: list  # inverse-network activations, features to last hidden layer
-    z: np.ndarray
     W: np.ndarray  # output-layer weight matrix, (theta_dim, hidden)
     dev: np.ndarray  # a_i - a_bar, (n, hidden)
     a_bar: np.ndarray
     cov: np.ndarray  # C = dev^T dev
     gram: np.ndarray  # W^T W
     theta_bar: np.ndarray
-    mt: ModelTheta
+    sigma: float  # solve-space noise scale, exp of theta_bar's log-sigma slot
     xs: np.ndarray
-    t01: np.ndarray
+    u: np.ndarray  # the effect's regressor, layout.code(t)
+    c_pass: Optional[tuple]  # (network, activations) of each network surface
+    tau_pass: Optional[tuple]
     resid: np.ndarray
-    surface_acts: tuple  # data-model net activations, see _mean_rows
     total: float
 
 
@@ -465,14 +359,15 @@ def _hidden_pass(
     cov = dev.T @ dev
     gram = W.T @ W
     tb = s * (W @ a_bar) + b
-    mt = unpack_theta(tb, layout)
+    sigma = float(np.exp(tb[layout.log_sigma_index]))
     xs = scaler.scale_x(data.x)
-    t01 = data.t.astype(np.float64)
-    rows, surface_acts = _mean_rows(mt, layout, xs, t01, z)
-    resid = scaler.scale_y(data.y) - rows
+    u = layout.code(data.t)
+    c, c_pass = _surface(layout.c_spec, tb[layout.c_slice], xs)
+    tau, tau_pass = _surface(layout.tau_spec, tb[layout.tau_slice], xs)
+    resid = scaler.scale_y(data.y) - (c + tau * u + sigma * z)
     total = float((resid**2).sum() + eta * s * s * (gram * cov).sum())
     return _HiddenPass(
-        trunk, z, W, dev, a_bar, cov, gram, tb, mt, xs, t01, resid, surface_acts, total
+        trunk, W, dev, a_bar, cov, gram, tb, sigma, xs, u, c_pass, tau_pass, resid, total
     )
 
 
@@ -512,11 +407,14 @@ def energy_gradients(
     the output layer's gradient is filled in from dU/dW and dU/db.
     """
     hp = _hidden_pass(w, data, z, eta, layout, scaler)
-    W, s = hp.W, w.spec.out_scale
+    W, s, r = hp.W, w.spec.out_scale, hp.resid
     # A = d(sum_j d_j)/d theta_bar = -2 sum_j r_j df_j/d theta_bar
-    a_total = -2.0 * _dbar_aggregate(
-        hp.mt, layout, hp.xs, hp.t01, hp.z, hp.resid, hp.surface_acts
-    )
+    a_total = np.empty(layout.theta_dim)
+    a_total[layout.c_slice] = _surface_grad(layout.c_spec, hp.c_pass, hp.xs, r, None)
+    a_total[layout.tau_slice] = _surface_grad(layout.tau_spec, hp.tau_pass, hp.xs, r, hp.u)
+    # chain through sigma = exp(log sigma)
+    a_total[layout.log_sigma_index] = hp.sigma * (r @ z)
+    a_total *= -2.0
     c = 2.0 * eta * s * s
     hidden_grads = hp.dev @ (c * hp.gram) + (s / data.n) * (W.T @ a_total)
     # the z pass needs only the input gradient, the w pass the weight gradient
@@ -524,10 +422,10 @@ def energy_gradients(
         w, hp.trunk, hidden_grads, head=False, need_params=need_w, need_input=need_z
     )
 
-    rep = GradReport(total=hp.total, theta_bar=hp.theta_bar, sigma=hp.mt.sigma)
+    rep = GradReport(total=hp.total, theta_bar=hp.theta_bar)
     if need_z:
         # direct path d d_i / d z_i at fixed theta_bar, plus the inverse-net path
-        rep.z_grad = -2.0 * hp.resid * hp.mt.sigma + input_grads[:, -1]
+        rep.z_grad = -2.0 * r * hp.sigma + input_grads[:, -1]
     if need_w:
         ws, bs, _ = _layer_slices(w.spec)[-1]
         w_grad[ws] = (c * (W @ hp.cov) + s * np.outer(a_total, hp.a_bar)).ravel()

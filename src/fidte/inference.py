@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .engine import Dataset, ThetaLayout, c_surface, sigma_of, tau_surface
+from .engine import Dataset, ThetaLayout, surfaces
 from .sampler import FiducialChain
 
 CASES = ("Ic", "It", "Im", "ATE")
@@ -67,8 +67,8 @@ class EvalReport:
 
 def ate_draws(chain: FiducialChain, layout: ThetaLayout) -> np.ndarray:
     """Fiducial sample of the average effect, in data units."""
-    if layout.model_kind != "linear_ate":
-        raise ValueError(f"ATE extraction needs a linear_ate layout, got {layout.model_kind!r}")
+    if layout.tau_spec is not None:
+        raise ValueError("ATE extraction needs the constant effect of a linear_ate layout")
     # the effect slot multiplies t' in {-1, +1}, so the 0-to-1 contrast is 2 tau'
     return 2.0 * chain.scaler.y_std * chain.draws[:, 0]
 
@@ -97,9 +97,7 @@ def chain_surfaces(chain: FiducialChain, layout: ThetaLayout, x: np.ndarray):
     tau_mat = np.empty((m, x.shape[0]))
     sig = np.empty(m)
     for k in range(m):
-        c_mat[k] = c_surface(draws[k], layout, x, chain.scaler)
-        tau_mat[k] = tau_surface(draws[k], layout, x, chain.scaler)
-        sig[k] = sigma_of(draws[k], layout, chain.scaler)
+        c_mat[k], tau_mat[k], sig[k] = surfaces(draws[k], layout, x, chain.scaler)
     return c_mat, tau_mat, sig
 
 

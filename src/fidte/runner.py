@@ -1,11 +1,11 @@
 """Replication harness behind the command line.
 
 One experiment = R independent replications.  Each replication draws its own
-dataset (or reuses the CSV one), runs every configured method, and scores the
-resulting intervals against the simulation truth.  Replication r derives all
-of its randomness from a splittable seed sequence keyed by (seed, r), so any
-single replication can be re-run in isolation and workers can run them in
-any order without changing results.
+dataset (or reuses the CSV one, read once per run), runs every configured
+method, and scores the intervals against the simulation truth.  Replication
+r derives all of its randomness from a splittable seed sequence keyed by
+(seed, r), so any single replication can be re-run in isolation and workers
+can run them in any order without changing results.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import LAYOUT_GROUPS, ExperimentConfig
 from .cqr import cqr_ite
 from .datagen import TRUTH_COLUMNS, GenSpec, generate
 from .engine import Dataset, ThetaLayout
@@ -93,14 +93,27 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
     )
 
 
+def read_csv_rows(config: ExperimentConfig) -> Optional[Dataset]:
+    """A csv config's rows, read once per run and checked against n_batches
+    before any replication starts; None for a design config."""
+    if config.csv is None:
+        return None
+    rows = load_csv_dataset(config.csv, config.csv_schema)
+    if config.n_batches > rows.n:
+        raise ValueError(f"n_batches: must be in [1, {rows.n}], the row count of "
+                         f"{config.csv}, got {config.n_batches}")
+    return rows
+
+
 def build_layout(config: ExperimentConfig, d: int) -> ThetaLayout:
-    if config.layout_kind == "linear_ate":
-        return ThetaLayout("linear_ate", c_spec=d + 1)
-    tau_spec = MlpSpec((d, *config.tau_widths, 1), seed=TAU_NET_SEED)
-    if config.layout_kind == "dnn_tau_linear_c":
-        return ThetaLayout("dnn_tau_linear_c", c_spec=d + 1, tau_spec=tau_spec)
-    c_spec = MlpSpec((d, *config.c_widths, 1), seed=C_NET_SEED)
-    return ThetaLayout("dnn_both", c_spec=c_spec, tau_spec=tau_spec)
+    """config.layout_kind's ThetaLayout: a network for each head group."""
+    groups = LAYOUT_GROUPS[config.layout_kind]
+    tau_net = MlpSpec((d, *config.tau_widths, 1), seed=TAU_NET_SEED)
+    c_net = MlpSpec((d, *config.c_widths, 1), seed=C_NET_SEED)
+    return ThetaLayout(
+        c_net if "c_head" in groups else d + 1,
+        tau_net if "tau_head" in groups else None,
+    )
 
 
 def replication_ints(seed: int, r: int) -> list[int]:
@@ -110,12 +123,7 @@ def replication_ints(seed: int, r: int) -> list[int]:
 
 
 def _replication_data(config: ExperimentConfig, ints) -> tuple[Dataset, Optional[Dataset]]:
-    if config.csv is not None:
-        train = load_csv_dataset(config.csv, config.csv_schema)
-        if config.n_batches > train.n:  # the file's row count is known only now
-            raise ValueError(f"n_batches: must be in [1, {train.n}], the row count of "
-                             f"{config.csv}, got {config.n_batches}")
-        return train, None
+    # a design config's training and test sets
     train = generate(GenSpec(config.design, config.n_train, seed=ints[0]))
     test = None
     if config.n_test > 0:
@@ -146,15 +154,18 @@ def _truth_for(iv: PredictionInterval, truth_vec, ate_truth) -> Optional[float]:
     return float(truth_vec[iv.subject_id])
 
 
-def run_replication(config: ExperimentConfig, r: int, rep_dir: Optional[str] = None) -> dict:
+def run_replication(
+    config: ExperimentConfig, r: int, csv_rows: Optional[Dataset], rep_dir: Optional[str] = None
+) -> dict:
     """All methods on replication r's data.
 
+    csv_rows is read_csv_rows(config), the training set of a csv config.
     Returns the metrics, the interval rows and the EFI chain (None without
     efi).  With config.trace set, the sampler trace goes to rep_dir.
     """
     ints = replication_ints(config.seed, r)
     try:
-        train, test = _replication_data(config, ints)
+        train, test = _replication_data(config, ints) if config.csv is None else (csv_rows, None)
         truth_vec = None
         ate_truth = None
         if test is not None and test.y1 is not None and test.y0 is not None:
@@ -309,8 +320,9 @@ def _rep_dir(config: ExperimentConfig, r: int) -> str:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     """Run all replications, write per-replication CSVs and summary JSON."""
-    jobs = [(config, r, _rep_dir(config, r)) for r in range(config.R)]
-    for _, _, rep_dir in jobs:
+    csv_rows = read_csv_rows(config)
+    jobs = [(config, r, csv_rows, _rep_dir(config, r)) for r in range(config.R)]
+    for *_, rep_dir in jobs:
         os.makedirs(rep_dir, exist_ok=True)
     if workers > 1 and config.R > 1:
         with get_context("fork").Pool(min(workers, config.R)) as pool:

@@ -23,8 +23,7 @@ against freshly resampled reference noise.  After burn-in every thin-th
 iteration records theta_bar, giving the fiducial sample.
 
 run_efi reads its constants and budgets from the run's ExperimentConfig
-(see config), which checks every one of them when it is built; this module
-does not import config, because config reads LAYOUT_GROUPS from here.
+(see config), which checks every one of them when it is built.
 """
 
 from __future__ import annotations
@@ -67,15 +66,6 @@ HEAD_GROWTH_ALLOWANCE = 2.0
 # upsilon kappa = 4 - 2 varpi.  0.3 keeps the inflation under ten percent at
 # varpi = 0.1 while still mixing in tens of iterations.
 Z_STEP_TARGET = 0.3
-
-
-# Step-size groups of the inverse network's parameters per model layout:
-# output rows feeding a network-valued theta block form that block's head.
-LAYOUT_GROUPS = {
-    "linear_ate": ("rest",),
-    "dnn_tau_linear_c": ("rest", "tau_head"),
-    "dnn_both": ("rest", "tau_head", "c_head"),
-}
 
 
 def _decay(c: float, alpha: float, k: int) -> float:
@@ -128,9 +118,9 @@ def sgd_w_step(
 def gamma_groups(spec: MlpSpec, layout: ThetaLayout) -> dict:
     """Boolean masks over the inverse net's flat parameters, one per group.
 
-    Output-layer rows (weights and bias) whose output slot lies in a
-    network-valued theta block form "tau_head" / "c_head"; everything else is
-    "rest".  Masks partition the parameter vector.
+    Output-layer rows (weights and bias) whose output slot lies in a network
+    surface's theta block form its head, "tau_head" or "c_head"; everything
+    else is "rest".  Masks partition the parameter vector.
     """
     P = param_count(spec)
     masks = {"rest": np.ones(P, dtype=bool)}
@@ -147,13 +137,13 @@ def gamma_groups(spec: MlpSpec, layout: ThetaLayout) -> dict:
             m[bs.start + j] = True
         return m
 
-    groups = LAYOUT_GROUPS[layout.model_kind]
-    if "tau_head" in groups:
-        masks["tau_head"] = head_mask(layout.tau_slice)
-        masks["rest"] &= ~masks["tau_head"]
-    if "c_head" in groups:
-        masks["c_head"] = head_mask(layout.c_slice)
-        masks["rest"] &= ~masks["c_head"]
+    for group, spec, sl in (
+        ("tau_head", layout.tau_spec, layout.tau_slice),
+        ("c_head", layout.c_spec, layout.c_slice),
+    ):
+        if isinstance(spec, MlpSpec):
+            masks[group] = head_mask(sl)
+            masks["rest"] &= ~masks[group]
     return masks
 
 
@@ -169,8 +159,6 @@ class FiducialChain:
     draws: np.ndarray
     sigmas: np.ndarray
     energies: np.ndarray
-    z_final: np.ndarray
-    w_final: MlpParams
     scaler: Standardizer
 
     @property
@@ -248,7 +236,7 @@ def run_efi(
     masks = gamma_groups(inverse_spec, layout)
     if set(masks) != set(config.gamma_map):
         raise ValueError(
-            f"gamma_map: layout {layout.model_kind} needs groups {sorted(masks)}, "
+            f"gamma_map: the model layout needs groups {sorted(masks)}, "
             f"got {sorted(config.gamma_map)}"
         )
     n = data.n
@@ -356,7 +344,5 @@ def run_efi(
         draws=np.array(draws).reshape(len(draws), p),
         sigmas=np.array(sigmas),
         energies=np.array(energies),
-        z_final=z.copy(),
-        w_final=w,
         scaler=scaler,
     )

@@ -13,7 +13,15 @@ from fidte import cli
 from fidte.config import ExperimentConfig, preset_config
 from fidte.cqr import TrainConfig
 from fidte.datagen import GenSpec, generate, save_dataset_csv
-from fidte.runner import _rep_worker, _replication_data, load_csv_dataset, replication_ints, rescore
+from fidte.runner import (
+    _rep_worker,
+    _replication_data,
+    load_csv_dataset,
+    read_csv_rows,
+    replication_ints,
+    rescore,
+    write_rows_csv,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 BURN, KEEP, THIN = 20, 20, 2
@@ -117,7 +125,7 @@ def test_fit_runs_the_sampler_once(tmp_path, monkeypatch, capsys):
 
 def test_pool_results_carry_no_chain():
     cfg = preset_config("linear_ate_n250", n_train=20, k_burn=2, m_keep=2, thin=1, n_batches=1)
-    rep = _rep_worker((cfg, 0, None))
+    rep = _rep_worker((cfg, 0, None, None))
     assert set(rep) == {"r", "metrics", "rows"}
 
 
@@ -248,7 +256,7 @@ def test_replication_computes_chain_surfaces_once(monkeypatch):
     monkeypatch.setattr(fidte.runner, "chain_surfaces", counted)
     cfg = preset_config("example1", n_train=30, n_test=12, init_iters=2, k_burn=2, m_keep=3,
                         thin=1, n_batches=1, alphas=(0.1, 0.2), methods=("efi",))
-    rep = fidte.runner.run_replication(cfg, 0)
+    rep = fidte.runner.run_replication(cfg, 0, None)
     assert len(calls) == 1
     assert set(rep["metrics"]["efi"]["alphas"]) == {"0.1", "0.2"}
     assert rep["metrics"]["efi"]["pehe"] >= 0.0
@@ -274,14 +282,37 @@ def test_csv_n_batches_is_checked_against_the_file_rows(tmp_path, monkeypatch):
     ExperimentConfig(n_train=5, n_batches=25, **csv_keys)
     with pytest.raises(ValueError, match=r"n_batches: must be in \[1, training rows\], got 6"):
         preset_config("linear_ate_n250", n_train=5, n_batches=6)
-    train, _ = _replication_data(ExperimentConfig(n_batches=25, **csv_keys), [0, 0, 0, 0])
-    assert train.n == 25
+    assert read_csv_rows(ExperimentConfig(n_batches=25, **csv_keys)).n == 25
     # more batches than the file has rows fails after the read, before any sampling
     calls = count_efi_calls(monkeypatch)
     cfg = tmp_path / "csv.yaml"
     cfg.write_text("".join(f"{k}: {json.dumps(v)}\n" for k, v in csv_keys.items())
                    + "n_batches: 1000\n")
-    with pytest.raises(ValueError, match=r"^replication 0: n_batches: must be in \[1, 25\], "
+    with pytest.raises(ValueError, match=r"^n_batches: must be in \[1, 25\], "
                                          r"the row count of .*d\.csv, got 1000$"):
         cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert calls == []
+
+
+def test_csv_file_is_read_once_per_run(tmp_path, monkeypatch):
+    data = tmp_path / "d.csv"
+    save_dataset_csv(generate(GenSpec("linear_ate", 30, seed=2)), data)
+    schema = {"y": "y", "t": "t", "x": ["x1", "x2", "x3", "x4"]}
+    cfg = ExperimentConfig(csv=str(data), csv_schema=schema, R=3, k_burn=4, m_keep=6, thin=2,
+                           n_batches=1, seed=5, outdir=str(tmp_path / "out"))
+    reads = []
+    real = fidte.runner.load_csv_dataset
+
+    def counted(*args, **kwargs):
+        reads.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fidte.runner, "load_csv_dataset", counted)
+    fidte.runner.run_experiment(cfg)
+    assert len(reads) == 1
+    # each replication writes what it writes on rows read for it alone
+    for r in range(3):
+        alone = tmp_path / f"alone_{r}.csv"
+        write_rows_csv(fidte.runner.run_replication(cfg, r, real(str(data), schema))["rows"], alone)
+        shared = tmp_path / "out" / f"rep_{r:03d}" / "intervals.csv"
+        assert alone.read_text() == shared.read_text()

@@ -143,3 +143,28 @@ def test_csv_schema_needs_y_t_and_x(tmp_path):
     for schema in (None, {"y": "y", "t": "t"}):
         with pytest.raises(ValueError, match="csv_schema: a csv config needs .* keys y, t and x"):
             ExperimentConfig(csv=str(tmp_path / "d.csv"), csv_schema=schema)
+
+
+def test_csv_config_reads_no_n_train(tmp_path):
+    # a csv run's rows are the file's, so n_train is checked on design configs only
+    csv_keys = dict(csv=str(tmp_path / "d.csv"), csv_schema={"y": "y", "t": "t", "x": ["x1"]})
+    assert ExperimentConfig(n_train=1, **csv_keys).n_train == 1
+    with pytest.raises(ValueError, match="n_train: must be >= 2, got 1"):
+        ExperimentConfig(design="linear_ate", n_train=1, n_batches=1)
+
+
+def test_widths_of_a_network_the_layout_lacks_are_rejected(tmp_path):
+    with pytest.raises(ValueError, match="^tau_widths: layout linear_ate has no tau network$"):
+        preset_config("linear_ate_n250", tau_widths=(3,))
+    with pytest.raises(ValueError, match="^c_widths: layout linear_ate has no c network$"):
+        preset_config("linear_ate_n250", c_widths=(7,))
+    path = write_yaml(tmp_path, "preset: example1\nc_widths: [50, 50]\n")
+    with pytest.raises(ValueError, match="c_widths: layout dnn_tau_linear_c has no c network"):
+        load_config(path)
+    bare = write_yaml(tmp_path, "design: linear_ate\ntau_widths: [4]\n")
+    with pytest.raises(ValueError, match="^tau_widths: layout linear_ate has no tau network$"):
+        load_config(bare)
+    # widths of networks the layout has load, and the defaults stay as they are
+    assert preset_config("example1", tau_widths=(5,)).tau_widths == (5,)
+    assert preset_config("example2", c_widths=(5,)).c_widths == (5,)
+    assert preset_config("linear_ate_n250").c_widths == (10, 10)

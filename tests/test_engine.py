@@ -6,15 +6,12 @@ from fidte.engine import (
     Dataset,
     Standardizer,
     ThetaLayout,
-    _dbar_aggregate,
-    _mean_rows,
-    c_surface,
+    _surface,
+    _surface_grad,
     energy,
     energy_gradients,
     feature_matrix,
-    sigma_of,
-    tau_surface,
-    unpack_theta,
+    surfaces,
 )
 from fidte.nn import (
     MlpParams,
@@ -29,21 +26,15 @@ from conftest import IDENTITY_SCALER, assert_grad_close, central_diff
 
 
 def linear_layout(d=2):
-    return ThetaLayout("linear_ate", c_spec=d + 1)
+    return ThetaLayout(d + 1)
 
 
 def tau_net_layout(d=2, hidden=(3,)):
-    return ThetaLayout(
-        "dnn_tau_linear_c", c_spec=d + 1, tau_spec=MlpSpec((d, *hidden, 1), seed=1)
-    )
+    return ThetaLayout(d + 1, MlpSpec((d, *hidden, 1), seed=1))
 
 
 def both_net_layout(d=2, hidden=(3,)):
-    return ThetaLayout(
-        "dnn_both",
-        c_spec=MlpSpec((d, *hidden, 1), seed=2),
-        tau_spec=MlpSpec((d, *hidden, 1), seed=3),
-    )
+    return ThetaLayout(MlpSpec((d, *hidden, 1), seed=2), MlpSpec((d, *hidden, 1), seed=3))
 
 
 def random_dataset(rng, n=8, d=2):
@@ -62,10 +53,33 @@ def random_inverse(rng, d, layout, hidden=(5,), seed=0):
     return params
 
 
+def net_surface(spec, block, xs):
+    """A network surface stored at RESCALE times its weights, on the rows xs."""
+    return mlp_forward_batch(MlpParams(spec, block / RESCALE), xs)[-1][:, 0]
+
+
 def model_predict_batch(theta, layout, x, t, z, scaler=IDENTITY_SCALER):
-    """Reference model mean outcomes c(x) + tau(x) t + sigma z, in data units."""
-    mt = unpack_theta(theta, layout)
-    f, _ = _mean_rows(mt, layout, scaler.scale_x(x), np.asarray(t, dtype=np.float64), z)
+    """Reference model mean outcomes c(x) + tau(x) t + sigma z, in data units.
+
+    Read from the slot table of the ThetaLayout docstring by hand:
+    [tau', mu', beta, log sigma] with t' = 2t - 1 for a constant effect,
+    else [c block, tau block, log sigma], a linear c being [mu, beta].
+    """
+    xs = scaler.scale_x(np.atleast_2d(x))
+    t = np.asarray(t, dtype=np.float64)
+    d = xs.shape[1]
+    if layout.tau_spec is None:
+        f = theta[1] + xs @ theta[2 : 2 + d] + theta[0] * (2.0 * t - 1.0)
+    else:
+        if isinstance(layout.c_spec, int):
+            k = 1 + d
+            c = theta[0] + xs @ theta[1:k]
+        else:
+            k = param_count(layout.c_spec)
+            c = net_surface(layout.c_spec, theta[:k], xs)
+        tau = net_surface(layout.tau_spec, theta[k : k + param_count(layout.tau_spec)], xs)
+        f = c + tau * t
+    f = f + np.exp(theta[-1]) * z
     return scaler.y_mean + scaler.y_std * f
 
 
@@ -127,48 +141,62 @@ def test_theta_bar_is_mean_of_rows(rng):
 
 def test_layout_dims():
     lay = tau_net_layout(d=2, hidden=(10, 10))
-    assert lay.tau_dim == param_count(MlpSpec((2, 10, 10, 1)))
+    assert (lay.c_slice, lay.tau_slice) == (slice(0, 3), slice(3, 3 + 151))
+    assert param_count(MlpSpec((2, 10, 10, 1))) == 151
     assert lay.theta_dim == 3 + 151 + 1
     lay2 = both_net_layout(d=5, hidden=(10, 10))
     assert lay2.theta_dim == 181 + 181 + 1
+    lay3 = linear_layout(d=4)
+    assert (lay3.tau_slice, lay3.c_slice, lay3.theta_dim) == (slice(0, 1), slice(1, 6), 7)
+
+
+# owner of each slot per the ThetaLayout table, d = 2 and hidden (3,): a
+# 2-3-1 network block holds 13 weights
+SLOT_TABLE = {
+    linear_layout: ["tau"] + ["c"] * 3 + ["sigma"],
+    tau_net_layout: ["c"] * 3 + ["tau"] * 13 + ["sigma"],
+    both_net_layout: ["c"] * 13 + ["tau"] * 13 + ["sigma"],
+}
 
 
 @pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
 def test_pack_unpack_roundtrip(make, rng):
-    # the unpacked pieces carry every slot of theta: repacking them restores it
+    # surfaces reads every slot where the table puts it: moving one slot moves
+    # only the surface that owns it (a constant effect tau' also shifts
+    # c(x) = mu' - tau' + x beta, the outcome at t' = -1)
     layout = make()
+    assert layout.theta_dim == len(SLOT_TABLE[make])
     theta = rng.normal(size=layout.theta_dim)
-    mt = unpack_theta(theta, layout)
-    back = np.full(layout.theta_dim, np.nan)
-    if mt.tau_prime is not None:
-        back[0] = mt.tau_prime
-    if mt.c_coef is not None:
-        back[layout.c_slice] = mt.c_coef
-    for net, sl in ((mt.c_net, layout.c_slice), (mt.tau_net, layout.tau_slice)):
-        if net is not None:
-            back[sl] = net.flat * RESCALE
-    back[layout.log_sigma_index] = np.log(mt.sigma)
-    np.testing.assert_allclose(back, theta, rtol=1e-12, atol=1e-12)
+    x = rng.normal(size=(6, 2))
+    base = surfaces(theta, layout, x, IDENTITY_SCALER)
+    for j, owner in enumerate(SLOT_TABLE[make]):
+        moved = surfaces(theta + 0.1 * np.eye(layout.theta_dim)[j], layout, x, IDENTITY_SCALER)
+        changed = {
+            name for name, a, b in zip(("c", "tau", "sigma"), base, moved)
+            if not np.array_equal(a, b)
+        }
+        want = {"c", "tau"} if (make is linear_layout and owner == "tau") else {owner}
+        assert changed == want, (j, owner)
 
 
 def test_unpack_rescales_network_blocks():
     layout = tau_net_layout(d=2, hidden=(3,))
-    theta = np.arange(layout.theta_dim, dtype=float) + 1.0
-    mt = unpack_theta(theta, layout)
-    np.testing.assert_allclose(mt.tau_net.flat, theta[layout.tau_slice] / RESCALE)
-    np.testing.assert_array_equal(mt.c_coef, theta[:3])  # linear block untouched
-    assert mt.sigma == pytest.approx(np.exp(theta[-1]))
+    theta = (np.arange(layout.theta_dim, dtype=float) + 1.0) / 10.0
+    x = np.array([[0.5, -1.0], [2.0, 0.25]])
+    c, tau, sigma = surfaces(theta, layout, x, IDENTITY_SCALER)
+    np.testing.assert_array_equal(c, theta[0] + x @ theta[1:3])  # linear block untouched
+    net = MlpParams(layout.tau_spec, theta[3:16] / RESCALE)
+    np.testing.assert_array_equal(tau, mlp_forward_batch(net, x)[-1][:, 0])
+    assert sigma == pytest.approx(np.exp(theta[16]))
 
 
 def test_layout_validation():
-    with pytest.raises(ValueError):
-        ThetaLayout("linear_ate", c_spec=MlpSpec((2, 3, 1)))
-    with pytest.raises(ValueError):
-        ThetaLayout("dnn_both", c_spec=MlpSpec((2, 3, 1)), tau_spec=MlpSpec((2, 3, 2)))
-    with pytest.raises(ValueError):
-        ThetaLayout("no_such_kind", c_spec=3)
-    with pytest.raises(ValueError):
-        unpack_theta(np.zeros(5), linear_layout(d=3))  # needs 6 slots
+    with pytest.raises(ValueError, match="network c surface needs a tau network"):
+        ThetaLayout(MlpSpec((2, 3, 1)))
+    with pytest.raises(ValueError, match="tau network must have a single output"):
+        ThetaLayout(MlpSpec((2, 3, 1)), MlpSpec((2, 3, 2)))
+    with pytest.raises(ValueError, match=r"layout needs \(6,\)"):
+        surfaces(np.zeros(5), linear_layout(d=3), np.zeros((1, 3)), IDENTITY_SCALER)
 
 
 # ---------------------------------------------------------------- model
@@ -192,11 +220,8 @@ def test_surfaces_compose_to_prediction(make, rng):
     z = rng.normal(size=9)
     for scaler in (IDENTITY_SCALER, Standardizer(x_mean=np.array([0.3, -1.0]), x_std=np.array([2.0, 0.5]), y_mean=1.7, y_std=2.5)):
         pred = model_predict_batch(theta, layout, x, t, z, scaler)
-        composed = (
-            c_surface(theta, layout, x, scaler)
-            + tau_surface(theta, layout, x, scaler) * t
-            + sigma_of(theta, layout, scaler) * z
-        )
+        c, tau, sigma = surfaces(theta, layout, x, scaler)
+        composed = c + tau * t + sigma * z
         np.testing.assert_allclose(pred, composed, rtol=1e-10, atol=1e-12)
 
 
@@ -369,15 +394,17 @@ def explicit_energy_gradients(w, data, z, eta, layout, scaler):
     dev = theta - tb
     resid = (data.y - model_predict_batch(tb, layout, data.x, data.t, z, scaler)) / scaler.y_std
     total = float((resid**2).sum() + eta * (dev**2).sum())
-    mt = unpack_theta(tb, layout)
+    # A = dU/dtheta_bar of the residual term, block by block
     xs = scaler.scale_x(data.x)
-    surface_acts = tuple(
-        None if net is None else mlp_forward_batch(net, xs) for net in (mt.c_net, mt.tau_net)
-    )
-    t01 = data.t.astype(np.float64)
-    a_total = -2.0 * _dbar_aggregate(mt, layout, xs, t01, z, resid, surface_acts)
+    sigma = np.exp(tb[-1])
+    a_total = np.empty(layout.theta_dim)
+    for spec, sl, u in ((layout.c_spec, layout.c_slice, None),
+                        (layout.tau_spec, layout.tau_slice, layout.code(data.t))):
+        _, net_pass = _surface(spec, tb[sl], xs)
+        a_total[sl] = -2.0 * _surface_grad(spec, net_pass, xs, resid, u)
+    a_total[-1] = -2.0 * sigma * (resid @ z)
     w_grad, input_grads = mlp_backward_batch(w, acts, 2.0 * eta * dev + a_total / data.n)
-    z_grad = -2.0 * resid * mt.sigma + input_grads[:, -1]
+    z_grad = -2.0 * resid * sigma + input_grads[:, -1]
     return total, tb, z_grad, w_grad
 
 

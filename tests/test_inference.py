@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidte.engine import Dataset, ThetaLayout
+from fidte.engine import surfaces as engine_surfaces
 from fidte.inference import (
     EvalReport,
     PredictionInterval,
@@ -16,13 +17,13 @@ from fidte.inference import (
     pehe,
     score_intervals,
 )
-from fidte.nn import MlpSpec, mlp_init
+from fidte.nn import MlpSpec
 from fidte.runner import rescore, write_rows_csv
 from fidte.sampler import FiducialChain
 
 from conftest import IDENTITY_SCALER
 
-LINEAR = ThetaLayout("linear_ate", c_spec=5)  # d = 4
+LINEAR = ThetaLayout(5)  # linear_ate with d = 4
 
 
 def make_chain(draws: np.ndarray, scaler=IDENTITY_SCALER) -> FiducialChain:
@@ -31,8 +32,6 @@ def make_chain(draws: np.ndarray, scaler=IDENTITY_SCALER) -> FiducialChain:
         draws=draws,
         sigmas=np.exp(draws[:, -1]),
         energies=np.zeros(draws.shape[0]),
-        z_final=np.zeros(3),
-        w_final=mlp_init(MlpSpec((2, 3, draws.shape[1]), seed=0)),
         scaler=scaler,
     )
 
@@ -128,7 +127,7 @@ def test_ate_interval_constant_draws():
 
 
 def test_ate_interval_rejects_wrong_layout():
-    layout = ThetaLayout("dnn_tau_linear_c", c_spec=3, tau_spec=MlpSpec((2, 4, 1), seed=0))
+    layout = ThetaLayout(3, MlpSpec((2, 4, 1), seed=0))
     chain = const_chain(np.zeros(layout.theta_dim), 10)
     with pytest.raises(ValueError, match="linear_ate"):
         ate_draws(chain, layout)
@@ -165,16 +164,11 @@ def test_ic_interval_is_shifted_treated_prediction():
     ivs = ite_intervals(surfaces(chain, test), test, alpha=0.1,
                         rng=np.random.default_rng(11), cases=["Ic"] * 4)
     # rebuild the treated-arm prediction interval with the same subject streams
-    from fidte.engine import c_surface, sigma_of, tau_surface
-
     streams = np.random.default_rng(11).spawn(4)
     for i, iv in enumerate(ivs):
         z = streams[i].standard_normal(5000)
-        y1_hat = (
-            c_surface(theta, LINEAR, test.x[i], IDENTITY_SCALER)[0]
-            + tau_surface(theta, LINEAR, test.x[i], IDENTITY_SCALER)[0]
-            + 0.5 * z
-        )
+        c, tau, _ = engine_surfaces(theta, LINEAR, test.x[i], IDENTITY_SCALER)
+        y1_hat = c[0] + tau[0] + 0.5 * z
         assert iv.lower == pytest.approx(np.quantile(y1_hat, 0.05) - test.y[i], rel=1e-12)
         assert iv.upper == pytest.approx(np.quantile(y1_hat, 0.95) - test.y[i], rel=1e-12)
 

@@ -3,9 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from fidte.config import ExperimentConfig
+from fidte.config import LAYOUT_GROUPS, PRESETS, ExperimentConfig, preset_config
+from fidte.datagen import GenSpec, generate
 from fidte.engine import Dataset, Standardizer, ThetaLayout, least_squares_theta
 from fidte.nn import MlpParams, MlpSpec, mlp_init, param_count
+from fidte.runner import build_layout
 from fidte.sampler import (
     Z_STEP_TARGET,
     FiducialChain,
@@ -137,7 +139,7 @@ def test_sgd_step_accepts_per_parameter_gamma():
 
 
 def test_gamma_groups_linear_model_is_all_rest():
-    layout = ThetaLayout("linear_ate", c_spec=3)
+    layout = ThetaLayout(3)
     spec = MlpSpec((5, 6, layout.theta_dim), seed=0)
     masks = gamma_groups(spec, layout)
     assert set(masks) == {"rest"}
@@ -145,29 +147,44 @@ def test_gamma_groups_linear_model_is_all_rest():
 
 
 def test_gamma_groups_partition_tau_head():
-    layout = ThetaLayout(
-        "dnn_tau_linear_c", c_spec=3, tau_spec=MlpSpec((2, 4, 1), seed=0)
-    )
+    layout = ThetaLayout(3, MlpSpec((2, 4, 1), seed=0))
     spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=0)
     masks = gamma_groups(spec, layout)
     assert set(masks) == {"rest", "tau_head"}
-    # each tau output slot owns one row of the last weight matrix plus a bias
-    assert masks["tau_head"].sum() == layout.tau_dim * (6 + 1)
+    # each of the 17 tau output slots owns one row of the last weight matrix plus a bias
+    assert masks["tau_head"].sum() == 17 * (6 + 1)
     assert not (masks["tau_head"] & masks["rest"]).any()
     assert (masks["tau_head"] | masks["rest"]).all()
 
 
 def test_gamma_groups_partition_both_heads():
-    layout = ThetaLayout(
-        "dnn_both",
-        c_spec=MlpSpec((2, 3, 1), seed=0),
-        tau_spec=MlpSpec((2, 3, 1), seed=1),
-    )
+    layout = ThetaLayout(MlpSpec((2, 3, 1), seed=0), MlpSpec((2, 3, 1), seed=1))
     spec = MlpSpec((5, 7, layout.theta_dim), seed=0)
     masks = gamma_groups(spec, layout)
     assert set(masks) == {"rest", "tau_head", "c_head"}
     stack = np.stack([masks[g] for g in masks])
     assert (stack.sum(axis=0) == 1).all()  # exact partition
+
+
+def layout_configs():
+    # every preset at its design's width, and every layout_kind at d 2 and 5
+    for name in PRESETS:
+        cfg = preset_config(name)
+        yield pytest.param(cfg, generate(GenSpec(cfg.design, 2)).d, id=name)
+    for kind, groups in LAYOUT_GROUPS.items():
+        cfg = ExperimentConfig(design="example1", n_test=1, layout_kind=kind,
+                               gamma_map=dict.fromkeys(groups, 1e6))
+        for d in (2, 5):
+            yield pytest.param(cfg, d, id=f"{kind}-d{d}")
+
+
+@pytest.mark.parametrize("config, d", layout_configs())
+def test_gamma_groups_are_the_config_layout_groups(config, d):
+    # the config names a layout's head groups, the sampler derives them from
+    # its network surfaces; both must agree
+    layout = build_layout(config, d)
+    spec = MlpSpec((d + 3, 6, layout.theta_dim), seed=0)
+    assert set(gamma_groups(spec, layout)) == set(LAYOUT_GROUPS[config.layout_kind])
 
 
 # ---------------------------------------------------------------- run_efi
@@ -176,7 +193,7 @@ def test_gamma_groups_partition_both_heads():
 def small_run(seed=0, **kw):
     rng = np.random.default_rng(123)
     data = toy_data(rng, n=30)
-    layout = ThetaLayout("linear_ate", c_spec=3)
+    layout = ThetaLayout(3)
     # small output scale keeps the random output layer's consensus term tame,
     # same posture as the experiment presets
     spec = MlpSpec((5, 8, layout.theta_dim), seed=1, out_scale=1.0 / 25.0)
@@ -194,12 +211,11 @@ def test_run_efi_shapes_and_determinism():
     assert (chain.sigmas > 0).all()
     assert np.all(np.isfinite(chain.draws))
     assert np.all(np.isfinite(chain.energies))
-    assert chain.z_final.shape == (30,)
     assert chain.scaler is not None
     again = run_efi(data, layout, spec, config, seed)
     np.testing.assert_array_equal(chain.draws, again.draws)
-    np.testing.assert_array_equal(chain.z_final, again.z_final)
-    np.testing.assert_array_equal(chain.w_final.flat, again.w_final.flat)
+    np.testing.assert_array_equal(chain.sigmas, again.sigmas)
+    np.testing.assert_array_equal(chain.energies, again.energies)
 
 
 def test_run_efi_seed_changes_draws():
@@ -246,7 +262,7 @@ def test_run_efi_divergence_guard():
     x = rng.normal(size=(40, 2)) * 1e6
     t = (rng.random(40) < 0.5).astype(float)
     data = Dataset(x=x, t=t, y=1e8 * rng.normal(size=40))
-    layout = ThetaLayout("linear_ate", c_spec=3)
+    layout = ThetaLayout(3)
     spec = MlpSpec((5, 8, layout.theta_dim), seed=1)
     config = make_config(eta=500.0, eps=0.1, k_burn=50, m_keep=100, thin=5, clip_norm=None)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -257,7 +273,7 @@ def test_run_efi_divergence_guard():
 def test_run_efi_missing_gamma_group():
     rng = np.random.default_rng(3)
     data = toy_data(rng, n=20)
-    layout = ThetaLayout("dnn_tau_linear_c", c_spec=3, tau_spec=MlpSpec((2, 3, 1), seed=0))
+    layout = ThetaLayout(3, MlpSpec((2, 3, 1), seed=0))
     spec = MlpSpec((5, 6, layout.theta_dim), seed=1)
     # a linear_ate config carries no tau_head constant
     config = make_config(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
@@ -286,7 +302,7 @@ def test_recovery_on_easy_linear_problem():
     t = (rng.random(n) < 0.5).astype(int)
     y = 1.0 * t + 0.5 + x @ np.array([1.0, -1.0]) + 0.3 * rng.standard_normal(n)
     data = Dataset(x=x, t=t, y=y)
-    layout = ThetaLayout("linear_ate", c_spec=3)
+    layout = ThetaLayout(3)
     spec = MlpSpec((5, 30, 10, layout.theta_dim), seed=2, out_scale=1.0 / 25.0)
     config = make_config(eta=500.0, eps=0.1, k_burn=1500, m_keep=1500, thin=5)
     chain = run_efi(data, layout, spec, config, 4)
