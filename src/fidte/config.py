@@ -51,13 +51,14 @@ class ExperimentConfig:
 
     Either design (with n_train / n_test) or csv + csv_schema must be set;
     a csv config has no test set, so it runs EFI on the linear_ate layout
-    only.  k_burn / m_keep / init_iters are the counts actually run; presets
-    fill them at the requested scale.  n_batches is the weight-update
-    minibatch count per epoch (batch size = rows // n_batches, rows being
-    n_train or the csv file's; 1 = full batch).  c_upsilon and gamma_map
-    (group -> c) are the decay constants of the latent and weight step
-    sizes, each step being its start-state anchor times
-    (c + 1) / (c + k^alpha_exp); gamma_map must name exactly the groups of
+    only, and its rows are the file's (a config file or preset override that
+    gives it n_train or n_test is rejected).  k_burn / m_keep / init_iters
+    are the counts actually run; presets fill them at the requested scale.
+    n_batches is the weight-update minibatch count per epoch (batch size =
+    rows // n_batches, rows being n_train or the csv file's; 1 = full
+    batch).  c_upsilon and gamma_map (group -> c) are the decay constants
+    of the latent and weight step sizes, each step being its start-state
+    anchor times (c + 1) / (c + k^alpha_exp); gamma_map must name exactly the groups of
     layout_kind (LAYOUT_GROUPS).  eps is the noise budget, eta the
     consensus weight and 1 - varpi the latent momentum.  clip_norm (null: no
     clipping) bounds the weight-gradient norm for the first clip_iters
@@ -282,17 +283,26 @@ def _coerce(name: str, value):
     return _scalar(name, _SCALAR_TYPES[declared], value)
 
 
-def _reject_unread_widths(cfg: ExperimentConfig, given) -> ExperimentConfig:
-    """cfg, unless a width field among the given keys sizes a network its layout lacks."""
+def _reject_unread_keys(cfg: ExperimentConfig, given) -> ExperimentConfig:
+    """cfg, unless one of the given keys sets a value its run never reads: a
+    width field for a network its layout lacks, or a row count of a csv
+    config, whose rows are its file's."""
     for surface in ("tau", "c"):
         if f"{surface}_widths" in given and f"{surface}_head" not in LAYOUT_GROUPS[cfg.layout_kind]:
             raise ValueError(f"{surface}_widths: layout {cfg.layout_kind} has no {surface} network")
+    if cfg.csv is not None:
+        for name in ("n_train", "n_test"):
+            if name in given:
+                raise ValueError(
+                    f"{name}: a csv config takes its rows from its file and reads no {name}"
+                )
     return cfg
 
 
 def preset_config(name: str, paper_scale: bool = False, **overrides) -> ExperimentConfig:
-    """Expand a named preset into a config at the requested scale; a width
-    override for a network the layout lacks, which would be ignored, fails."""
+    """Expand a named preset into a config at the requested scale; an
+    override the run would ignore fails: a width for a network the layout
+    lacks, or n_train or n_test on a csv config."""
     if name not in PRESETS:
         raise ValueError(f"preset: unknown preset {name!r}, expected one of {sorted(PRESETS)}")
     values = dict(PRESETS[name])
@@ -301,14 +311,15 @@ def preset_config(name: str, paper_scale: bool = False, **overrides) -> Experime
             values[f] = values[f] // 2
     values["paper_scale"] = paper_scale
     values.update(overrides)
-    return _reject_unread_widths(ExperimentConfig(**values), overrides)
+    return _reject_unread_keys(ExperimentConfig(**values), overrides)
 
 
 def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConfig:
     """Read a YAML config file, expanding its preset if one is named.
 
     File keys override preset values; a tau_widths or c_widths key for a
-    network the layout lacks is rejected.  paper_scale, when not None, overrides
+    network the layout lacks, and an n_train or n_test key on a csv config,
+    are rejected.  paper_scale, when not None, overrides
     the file's own setting (the --paper-scale flag).
     """
     with open(path) as fh:
@@ -327,4 +338,4 @@ def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConf
     if preset is not None:
         return preset_config(str(preset), paper_scale=bool(scale), **overrides)
     overrides["paper_scale"] = bool(scale)
-    return _reject_unread_widths(ExperimentConfig(**overrides), overrides)
+    return _reject_unread_keys(ExperimentConfig(**overrides), overrides)

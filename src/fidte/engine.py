@@ -29,7 +29,9 @@ gradient because sum_i (a_i - a_bar) = 0 holds by construction.
 
 The system is solved in standardized outcome/covariate units (inputs,
 residuals and theta all standardized) and predictions are mapped back to
-data units; see Standardizer.
+data units; see Standardizer.  SolveRows holds a run's rows in those units,
+built once per run; a minibatch is a row selection of it, and every pass
+reads it as it is.
 """
 
 from __future__ import annotations
@@ -197,6 +199,41 @@ class ThetaLayout:
         return 2.0 * t - 1.0 if self.tau_spec is None else t
 
 
+@dataclass(frozen=True)
+class SolveRows:
+    """A run's rows in the solve's units: what no pass of the sampler changes.
+
+    ys and xs are the standardized outcome (n,) and covariates (n, d); feats
+    holds the inverse network's input columns [y, 2t - 1, x] (n, d + 2),
+    to which a pass appends z; u is the regressor the effect multiplies,
+    layout.code(t).  Built once per run by build; take selects a minibatch.
+    """
+
+    ys: np.ndarray
+    xs: np.ndarray
+    feats: np.ndarray
+    u: np.ndarray
+
+    @classmethod
+    def build(cls, data: Dataset, scaler: Standardizer, layout: ThetaLayout) -> "SolveRows":
+        ys = scaler.scale_y(data.y)
+        xs = scaler.scale_x(data.x)
+        feats = np.concatenate([ys[:, None], (2.0 * data.t - 1.0)[:, None], xs], axis=1)
+        return cls(ys=ys, xs=xs, feats=feats, u=layout.code(data.t))
+
+    def take(self, idx: np.ndarray) -> "SolveRows":
+        """The rows idx.  Rows of a checked Dataset are valid, so nothing is re-checked."""
+        return SolveRows(ys=self.ys[idx], xs=self.xs[idx], feats=self.feats[idx], u=self.u[idx])
+
+    @property
+    def n(self) -> int:
+        return self.xs.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.xs.shape[1]
+
+
 def _surface(spec, block: np.ndarray, xs: np.ndarray):
     """One surface's values on the rows xs (a scalar for a constant effect),
     in the solve's units, and a network's (params, activations) or None."""
@@ -223,7 +260,7 @@ def _surface_grad(spec, net_pass, xs: np.ndarray, r: np.ndarray, u) -> np.ndarra
     return pg / RESCALE
 
 
-def least_squares_theta(data: Dataset, layout: ThetaLayout, scaler: Standardizer) -> np.ndarray:
+def least_squares_theta(rows: SolveRows, layout: ThetaLayout) -> np.ndarray:
     """Starting theta: the least-squares fit with the latent noise marginalized.
 
     Since the reference noise is independent of (x, t), an ordinary
@@ -235,10 +272,10 @@ def least_squares_theta(data: Dataset, layout: ThetaLayout, scaler: Standardizer
     block's first coefficient.  The log-sigma slot gets the log residual
     scale, floored away from zero.
     """
-    ys = scaler.scale_y(data.y)
+    ys = rows.ys
     blocks = [
-        (layout.c_spec, layout.c_slice, np.column_stack([np.ones(data.n), scaler.scale_x(data.x)])),
-        (layout.tau_spec, layout.tau_slice, layout.code(data.t)[:, None]),
+        (layout.c_spec, layout.c_slice, np.column_stack([np.ones(rows.n), rows.xs])),
+        (layout.tau_spec, layout.tau_slice, rows.u[:, None]),
     ]
     blocks.sort(key=lambda b: b[1].start)
     design = np.column_stack([cols for _, _, cols in blocks])
@@ -256,35 +293,29 @@ def least_squares_theta(data: Dataset, layout: ThetaLayout, scaler: Standardizer
     return theta
 
 
-def feature_matrix(data: Dataset, z: np.ndarray, scaler: Standardizer) -> np.ndarray:
+def feature_matrix(rows: SolveRows, z: np.ndarray) -> np.ndarray:
     """Inverse-network input rows [y, 2t - 1, x, z], with y and x standardized."""
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (data.n,):
-        raise ValueError(f"z has shape {z.shape}, expected ({data.n},)")
-    cols = [
-        scaler.scale_y(data.y)[:, None],
-        (2.0 * data.t - 1.0)[:, None].astype(np.float64),
-        scaler.scale_x(data.x),
-        z[:, None],
-    ]
-    return np.concatenate(cols, axis=1)
+    if z.shape != (rows.n,):
+        raise ValueError(f"z has shape {z.shape}, expected ({rows.n},)")
+    return np.concatenate([rows.feats, z[:, None]], axis=1)
 
 
-def _check_widths(w: MlpParams, data: Dataset, layout: ThetaLayout) -> None:
-    if w.spec.d_in != data.d + 3:
+def _check_widths(w: MlpParams, rows: SolveRows, layout: ThetaLayout) -> None:
+    if w.spec.d_in != rows.d + 3:
         raise ValueError(
-            f"inverse network input width {w.spec.d_in} != d + 3 = {data.d + 3}"
+            f"inverse network input width {w.spec.d_in} != d + 3 = {rows.d + 3}"
         )
     if w.spec.d_out != layout.theta_dim:
         raise ValueError(
             f"inverse network output width {w.spec.d_out} != theta dim {layout.theta_dim}"
         )
     for spec in (layout.c_spec, layout.tau_spec):
-        if isinstance(spec, MlpSpec) and spec.d_in != data.d:
-            raise ValueError(f"surface network input width {spec.d_in} != d = {data.d}")
-    if isinstance(layout.c_spec, int) and layout.c_spec != data.d + 1:
+        if isinstance(spec, MlpSpec) and spec.d_in != rows.d:
+            raise ValueError(f"surface network input width {spec.d_in} != d = {rows.d}")
+    if isinstance(layout.c_spec, int) and layout.c_spec != rows.d + 1:
         raise ValueError(
-            f"linear surface has {layout.c_spec} coefficients, data needs {data.d + 1}"
+            f"linear surface has {layout.c_spec} coefficients, data needs {rows.d + 1}"
         )
 
 
@@ -323,7 +354,7 @@ class GradReport:
 class _HiddenPass:
     # one inverse-network forward to the last hidden layer and what the
     # energy and its gradients share
-    trunk: list  # inverse-network activations, features to last hidden layer
+    trunk: list  # inverse-network activations, features to last hidden layer (w's arrays)
     W: np.ndarray  # output-layer weight matrix, (theta_dim, hidden)
     dev: np.ndarray  # a_i - a_bar, (n, hidden)
     a_bar: np.ndarray
@@ -331,8 +362,6 @@ class _HiddenPass:
     gram: np.ndarray  # W^T W
     theta_bar: np.ndarray
     sigma: float  # solve-space noise scale, exp of theta_bar's log-sigma slot
-    xs: np.ndarray
-    u: np.ndarray  # the effect's regressor, layout.code(t)
     c_pass: Optional[tuple]  # (network, activations) of each network surface
     tau_pass: Optional[tuple]
     resid: np.ndarray
@@ -340,16 +369,11 @@ class _HiddenPass:
 
 
 def _hidden_pass(
-    w: MlpParams,
-    data: Dataset,
-    z: np.ndarray,
-    eta: float,
-    layout: ThetaLayout,
-    scaler: Standardizer,
+    w: MlpParams, rows: SolveRows, z: np.ndarray, eta: float, layout: ThetaLayout
 ) -> _HiddenPass:
-    _check_widths(w, data, layout)
+    _check_widths(w, rows, layout)
     z = np.asarray(z, dtype=np.float64)
-    feats = feature_matrix(data, z, scaler)
+    feats = feature_matrix(rows, z)
     trunk = mlp_forward_batch(w, feats, head=False)
     hidden = trunk[-1]
     W, b = w.layers()[-1]
@@ -360,41 +384,31 @@ def _hidden_pass(
     gram = W.T @ W
     tb = s * (W @ a_bar) + b
     sigma = float(np.exp(tb[layout.log_sigma_index]))
-    xs = scaler.scale_x(data.x)
-    u = layout.code(data.t)
-    c, c_pass = _surface(layout.c_spec, tb[layout.c_slice], xs)
-    tau, tau_pass = _surface(layout.tau_spec, tb[layout.tau_slice], xs)
-    resid = scaler.scale_y(data.y) - (c + tau * u + sigma * z)
+    c, c_pass = _surface(layout.c_spec, tb[layout.c_slice], rows.xs)
+    tau, tau_pass = _surface(layout.tau_spec, tb[layout.tau_slice], rows.xs)
+    resid = rows.ys - (c + tau * rows.u + sigma * z)
     total = float((resid**2).sum() + eta * s * s * (gram * cov).sum())
-    return _HiddenPass(
-        trunk, W, dev, a_bar, cov, gram, tb, sigma, xs, u, c_pass, tau_pass, resid, total
-    )
+    return _HiddenPass(trunk, W, dev, a_bar, cov, gram, tb, sigma, c_pass, tau_pass, resid, total)
 
 
 def energy(
-    w: MlpParams,
-    data: Dataset,
-    z: np.ndarray,
-    eta: float,
-    layout: ThetaLayout,
-    scaler: Standardizer,
+    w: MlpParams, rows: SolveRows, z: np.ndarray, eta: float, layout: ThetaLayout
 ) -> EnergyReport:
     """Energy U at (Z, w): squared residuals plus eta-weighted consensus.
 
     Residuals are taken on standardized outcomes, the units the system is
     solved in.
     """
-    hp = _hidden_pass(w, data, z, eta, layout, scaler)
+    hp = _hidden_pass(w, rows, z, eta, layout)
     return EnergyReport(total=hp.total, theta_bar=hp.theta_bar)
 
 
 def energy_gradients(
     w: MlpParams,
-    data: Dataset,
+    rows: SolveRows,
     z: np.ndarray,
     eta: float,
     layout: ThetaLayout,
-    scaler: Standardizer,
     need_z: bool = True,
     need_w: bool = True,
 ) -> GradReport:
@@ -404,19 +418,20 @@ def energy_gradients(
     the sampler forms its latent and weight log-density gradients from them.
     Both come from the hidden-space closed forms in the module docstring:
     the trunk below the output layer is back-propagated from dU/da_i, and
-    the output layer's gradient is filled in from dU/dW and dU/db.
+    the output layer's gradient is filled in from dU/dW and dU/db.  The
+    gradients are new arrays, which no later pass of w overwrites.
     """
-    hp = _hidden_pass(w, data, z, eta, layout, scaler)
+    hp = _hidden_pass(w, rows, z, eta, layout)
     W, s, r = hp.W, w.spec.out_scale, hp.resid
     # A = d(sum_j d_j)/d theta_bar = -2 sum_j r_j df_j/d theta_bar
     a_total = np.empty(layout.theta_dim)
-    a_total[layout.c_slice] = _surface_grad(layout.c_spec, hp.c_pass, hp.xs, r, None)
-    a_total[layout.tau_slice] = _surface_grad(layout.tau_spec, hp.tau_pass, hp.xs, r, hp.u)
+    a_total[layout.c_slice] = _surface_grad(layout.c_spec, hp.c_pass, rows.xs, r, None)
+    a_total[layout.tau_slice] = _surface_grad(layout.tau_spec, hp.tau_pass, rows.xs, r, rows.u)
     # chain through sigma = exp(log sigma)
     a_total[layout.log_sigma_index] = hp.sigma * (r @ z)
     a_total *= -2.0
     c = 2.0 * eta * s * s
-    hidden_grads = hp.dev @ (c * hp.gram) + (s / data.n) * (W.T @ a_total)
+    hidden_grads = hp.dev @ (c * hp.gram) + (s / rows.n) * (W.T @ a_total)
     # the z pass needs only the input gradient, the w pass the weight gradient
     w_grad, input_grads = mlp_backward_batch(
         w, hp.trunk, hidden_grads, head=False, need_params=need_w, need_input=need_z

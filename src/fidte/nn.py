@@ -4,6 +4,10 @@ Every network in the package (inverse network, data-model networks,
 quantile networks) is the same flat-parameter tanh MLP defined here.
 Parameters live in a single 1-d float64 vector so samplers and optimizers
 can treat a network as a point in R^P.
+
+A network keeps, per row count, the arrays its forward and backward passes
+write (see MlpParams), so a sampler or optimizer that runs the same network
+on the same rows step after step allocates no activation-sized array.
 """
 
 from __future__ import annotations
@@ -76,12 +80,22 @@ class MlpParams:
 
     The layer views into flat are built once per vector; an optimizer that
     updates flat in place keeps them valid.
+
+    The arrays a pass writes are kept per row count n and reused by the next
+    pass on n rows: each hidden activation, each backward delta and each
+    gradient propagated below the output layer.  So the hidden activations
+    that mlp_forward_batch returns, and the input gradient that
+    mlp_backward_batch returns, stay valid until the next pass of the same
+    params on as many rows overwrites them; a caller that keeps one across
+    such a pass copies it.  The output layer's values and the parameter
+    gradient are new arrays on every pass.
     """
 
     spec: MlpSpec
     flat: np.ndarray = field(repr=False)
     _views_of: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _views: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.flat = np.asarray(self.flat, dtype=np.float64)
@@ -101,6 +115,20 @@ class MlpParams:
             ]
             self._views_of = self.flat
         return self._views
+
+    def _pass_array(self, kind: str, l: int, n: int) -> np.ndarray:
+        """The (n, d_l) array that passes on n rows write for kind at layer l.
+
+        kind is "act", the activation of hidden layer l; "delta", the
+        gradient at its pre-activation; or "grad", the gradient propagated to
+        layer l's output (layer 0 being the input).  It is allocated on first
+        use, so a pass allocates only what it writes.
+        """
+        key = (kind, l, n)
+        arr = self._arrays.get(key)
+        if arr is None:
+            arr = self._arrays[key] = np.empty((n, self.spec.layer_widths[l]))
+        return arr
 
 
 def mlp_init(spec: MlpSpec) -> MlpParams:
@@ -143,12 +171,17 @@ def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> li
     (n, d_out) output is the last entry.  With head=False the list ends at
     the last hidden layer a, which the linear output layer would map to
     out_scale * a @ W.T + b.  mlp_backward_batch takes the list as it is.
+    The hidden activations are params' arrays for n rows, overwritten by its
+    next pass on n rows (see MlpParams); the output is a new array.
     """
     acts = [_check_input(params, x)]
     layers = params.layers()
+    n = acts[0].shape[0]
     a = acts[0]
-    for W, b in layers[:-1]:
-        a = np.tanh(a @ W.T + b)
+    for l, (W, b) in enumerate(layers[:-1], start=1):
+        h = np.matmul(a, W.T, out=params._pass_array("act", l, n))
+        h += b
+        a = np.tanh(h, out=h)
         acts.append(a)
     if head:
         W, b = layers[-1]
@@ -173,7 +206,9 @@ def mlp_backward_batch(
     With head=False out_grads are gradients at the last hidden activations,
     shape (n, d_{L-1}), and the output-layer slots of the parameter gradient
     are left zero for the caller to fill.  A gradient not needed
-    (need_params, need_input) is not computed and comes back as None.
+    (need_params, need_input) is not computed and comes back as None.  The
+    parameter gradient is a new array; the input gradient is params' array
+    for n rows, overwritten by its next backward on n rows (see MlpParams).
     """
     layers = params.layers()
     last = len(layers) - 1
@@ -184,6 +219,7 @@ def mlp_backward_batch(
     if grads.shape != (acts[0].shape[0], width):
         raise ValueError(f"out_grads shape {grads.shape} != ({acts[0].shape[0]}, {width})")
     s = params.spec.out_scale
+    n = grads.shape[0]
     # per-layer (weight, bias) gradients, output layer first
     pieces = []
     if head:
@@ -191,15 +227,22 @@ def mlp_backward_batch(
             # out_scale multiplies the output weight matrix only, so it enters
             # that layer's weight gradient and the signal flowing past it
             pieces.append(((grads.T @ acts[last]).ravel() * s, grads.sum(axis=0)))
-        grads = (grads @ layers[last][0]) * s
+        grads = np.matmul(grads, layers[last][0], out=params._pass_array("grad", last, n))
+        grads *= s
     elif need_params:
         pieces.append((np.zeros(layers[last][0].size), np.zeros(layers[last][1].size)))
     # grads is the gradient at the last hidden activations from here on
     for l in range(last - 1, -1, -1):
-        delta = grads * (1.0 - acts[l + 1] * acts[l + 1])  # tanh' from its output
+        # tanh' from its output, 1 - a^2, times the gradient at a
+        delta = np.multiply(acts[l + 1], acts[l + 1], out=params._pass_array("delta", l + 1, n))
+        np.subtract(1.0, delta, out=delta)
+        delta *= grads
         if need_params:
             pieces.append(((delta.T @ acts[l]).ravel(), delta.sum(axis=0)))
-        grads = delta @ layers[l][0] if l > 0 or need_input else None
+        if l > 0 or need_input:
+            grads = np.matmul(delta, layers[l][0], out=params._pass_array("grad", l, n))
+        else:
+            grads = None
     if not need_params:
         return None, grads
     return np.concatenate([g for pair in reversed(pieces) for g in pair]), grads

@@ -22,6 +22,11 @@ Before the sampling phase an optional initial phase trains the weights
 against freshly resampled reference noise.  After burn-in every thin-th
 iteration records theta_bar, giving the fiducial sample.
 
+A run standardizes its rows once (engine.SolveRows) and draws each weight
+minibatch as a row selection of them.  It keeps one inverse network for the
+whole run and steps its flat vector in place, so the arrays the network's
+passes write (see nn.MlpParams) are reused from one iteration to the next.
+
 run_efi reads its constants and budgets from the run's ExperimentConfig
 (see config), which checks every one of them when it is built.
 """
@@ -37,6 +42,7 @@ import numpy as np
 from .engine import (
     RESCALE,
     Dataset,
+    SolveRows,
     Standardizer,
     ThetaLayout,
     energy,
@@ -99,11 +105,12 @@ def sgd_w_step(
     grad: np.ndarray,
     gamma,
     clip_norm: Optional[float] = None,
-) -> MlpParams:
-    """Ascent step on the weight log posterior.
+) -> None:
+    """Ascent step on the weight log posterior, made in place on w.flat.
 
     gamma may be a scalar or a per-parameter vector (grouped schedules).
     With clip_norm set, grad is rescaled to norm <= clip_norm before the step.
+    A step that leaves a parameter non-finite raises ValueError.
     """
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != w.flat.shape:
@@ -112,7 +119,9 @@ def sgd_w_step(
         nrm = float(np.linalg.norm(g))
         if nrm > clip_norm:
             g = g * (clip_norm / nrm)
-    return MlpParams(w.spec, w.flat + gamma * g)
+    w.flat += gamma * g
+    if not np.all(np.isfinite(w.flat)):
+        raise ValueError("weight step gave non-finite parameter values")
 
 
 def gamma_groups(spec: MlpSpec, layout: ThetaLayout) -> dict:
@@ -168,11 +177,9 @@ class FiducialChain:
 
 def _group_w_rates(
     w: MlpParams,
-    data: Dataset,
+    rows: SolveRows,
     z: np.ndarray,
-    layout: ThetaLayout,
     config,
-    scaler: Standardizer,
     masks: dict,
 ) -> dict:
     """Largest safe weight step per schedule group, from measured curvature.
@@ -193,11 +200,11 @@ def _group_w_rates(
     bound is doubled (HEAD_GROWTH_ALLOWANCE) rather than trusted as measured.
     Each rate is STEP_SAFETY times the 2/kappa descent bound of its group.
     """
-    hidden = mlp_forward_batch(w, feature_matrix(data, z, scaler), head=False)[-1]
+    hidden = mlp_forward_batch(w, feature_matrix(rows, z), head=False)[-1]
     cov = np.cov(hidden.T, bias=True)
     lam = float(np.linalg.eigvalsh(cov)[-1])
-    consensus = 2.0 * config.eta * data.n / config.eps * max(lam, 1e-12) * w.spec.out_scale**2
-    kappa_rest = max(consensus, 1.0 / SIGMA0**2, 2.0 * data.n / config.eps)
+    consensus = 2.0 * config.eta * rows.n / config.eps * max(lam, 1e-12) * w.spec.out_scale**2
+    kappa_rest = max(consensus, 1.0 / SIGMA0**2, 2.0 * rows.n / config.eps)
     rates = {}
     for g in masks:
         if g == "rest":
@@ -207,7 +214,7 @@ def _group_w_rates(
             kappa = HEAD_GROWTH_ALLOWANCE * max(
                 consensus,
                 1.0 / SIGMA0**2 / r2,
-                2.0 * data.n / config.eps / r2,
+                2.0 * rows.n / config.eps / r2,
             )
         rates[g] = STEP_SAFETY * 2.0 / kappa
     return rates
@@ -225,12 +232,14 @@ def run_efi(
 
     config is the run's ExperimentConfig, read for its sampler constants and
     budgets; a weight step uses n // n_batches rows.  seed drives every draw.
-    The run is solved in the units of a Standardizer fit to data.
+    The run is solved in the units of a Standardizer fit to data; the rows
+    are standardized once, and one inverse network is stepped in place.
 
     trace, if given, receives one CSV row per iteration:
     iteration, energy, upsilon, gamma (rest group), grad norm.
     """
     scaler = Standardizer.fit(data)
+    rows = SolveRows.build(data, scaler, layout)
     rng = np.random.default_rng(seed)
     w = mlp_init(inverse_spec)
     masks = gamma_groups(inverse_spec, layout)
@@ -250,14 +259,14 @@ def run_efi(
     # marginalized least-squares solution, so every theta_hat_i begins at a
     # consistent point estimate and the chain explores around it
     _, bias_slice, _ = _layer_slices(inverse_spec)[-1]
-    theta_ls = least_squares_theta(data, layout, scaler)
+    theta_ls = least_squares_theta(rows, layout)
     w.flat[bias_slice] = theta_ls
 
     z = rng.standard_normal(n)
     # published step constants assume the paper's loss scaling; only the
     # decay shapes transfer, so anchor each group's absolute scale to its own
     # stability limit measured at the start state
-    rates = _group_w_rates(w, data, z, layout, config, scaler, masks)
+    rates = _group_w_rates(w, rows, z, config, masks)
 
     # head rows emit theta blocks stored at RESCALE times their natural
     # network units; the shrinkage prior reads those rows in natural units,
@@ -278,14 +287,14 @@ def run_efi(
     upsilon_scale = Z_STEP_TARGET / kappa_z
     a = config.alpha_exp
 
-    def w_update(k: int, z_now: np.ndarray) -> MlpParams:
+    def w_update(k: int, z_now: np.ndarray) -> None:
         # one batched pass yields the batch energy and the weight gradient
         if m_batch < n:
             idx = rng.choice(n, size=m_batch, replace=False)
-            batch, zb, scale = data.subset(idx), z_now[idx], n / m_batch
+            batch, zb, scale = rows.take(idx), z_now[idx], n / m_batch
         else:
-            batch, zb, scale = data, z_now, 1.0
-        rep = energy_gradients(w, batch, zb, config.eta, layout, scaler, need_z=False, need_w=True)
+            batch, zb, scale = rows, z_now, 1.0
+        rep = energy_gradients(w, batch, zb, config.eta, layout, need_z=False, need_w=True)
         if not np.isfinite(rep.total):
             raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
         gw = scale * (-rep.w_grad / config.eps) + log_prior_grad(w.flat, prior_scale)
@@ -300,11 +309,11 @@ def run_efi(
         for g, mask in masks.items():
             step[mask] = rates[g] * _decay(config.gamma_map[g], a, k)
         clip = config.clip_norm if k <= config.clip_iters else None
-        return sgd_w_step(w, gw, step, clip)
+        sgd_w_step(w, gw, step, clip)
 
     # phase one: weights only, latent noise resampled from the reference
     for k in range(1, config.init_iters + 1):
-        w = w_update(k, z)
+        w_update(k, z)
         if k < config.init_iters:
             z = rng.standard_normal(n)
     if config.init_iters > 0:
@@ -321,7 +330,7 @@ def run_efi(
     draws, sigmas, energies = [], [], []
     for j in range(1, total + 1):
         k = config.init_iters + j
-        rep = energy_gradients(w, data, z, config.eta, layout, scaler, need_z=True, need_w=False)
+        rep = energy_gradients(w, rows, z, config.eta, layout, need_z=True, need_w=False)
         if not np.isfinite(rep.total):
             raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
         gz = -z - rep.z_grad / config.eps
@@ -330,9 +339,9 @@ def run_efi(
         )
         if not np.all(np.isfinite(z)):
             raise RuntimeError(f"latent chain diverged at iteration {k}")
-        w = w_update(k, z)
+        w_update(k, z)
         if j > config.k_burn and (j - config.k_burn) % config.thin == 0:
-            er = energy(w, data, z, config.eta, layout, scaler)
+            er = energy(w, rows, z, config.eta, layout)
             if not np.isfinite(er.total):
                 raise RuntimeError(f"energy diverged at iteration {k}: {er.total}")
             draws.append(er.theta_bar)

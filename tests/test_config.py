@@ -153,6 +153,24 @@ def test_csv_config_reads_no_n_train(tmp_path):
         ExperimentConfig(design="linear_ate", n_train=1, n_batches=1)
 
 
+def test_csv_config_rejects_given_row_counts(tmp_path):
+    # a csv run's rows are its file's, so a given n_train or n_test would be ignored
+    csv_lines = f"csv: {tmp_path / 'd.csv'}\ncsv_schema: {{y: y, t: t, x: [x1]}}\n"
+    for key in ("n_train", "n_test"):
+        path = write_yaml(tmp_path, csv_lines + f"{key}: 100\n")
+        with pytest.raises(ValueError, match=f"^{key}: a csv config takes its rows from its file"):
+            load_config(path)
+        with pytest.raises(ValueError, match=f"^{key}: a csv config"):
+            preset_config("linear_ate_n250", design=None, csv=str(tmp_path / "d.csv"),
+                          csv_schema={"y": "y", "t": "t", "x": ["x1"]}, **{key: 100})
+    # without them the config loads, as does a design config that gives both
+    assert load_config(write_yaml(tmp_path, csv_lines)).csv == str(tmp_path / "d.csv")
+    assert preset_config("linear_ate_n250", design=None, csv=str(tmp_path / "d.csv"),
+                         csv_schema={"y": "y", "t": "t", "x": ["x1"]}).csv is not None
+    design = write_yaml(tmp_path, "design: linear_ate\nn_train: 100\nn_test: 5\n")
+    assert load_config(design).n_test == 5
+
+
 def test_widths_of_a_network_the_layout_lacks_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="^tau_widths: layout linear_ate has no tau network$"):
         preset_config("linear_ate_n250", tau_widths=(3,))

@@ -4,6 +4,7 @@ import pytest
 from fidte.engine import (
     RESCALE,
     Dataset,
+    SolveRows,
     Standardizer,
     ThetaLayout,
     _surface,
@@ -35,6 +36,10 @@ def tau_net_layout(d=2, hidden=(3,)):
 
 def both_net_layout(d=2, hidden=(3,)):
     return ThetaLayout(MlpSpec((d, *hidden, 1), seed=2), MlpSpec((d, *hidden, 1), seed=3))
+
+
+def solve_rows(data, layout, scaler=IDENTITY_SCALER):
+    return SolveRows.build(data, scaler, layout)
 
 
 def random_dataset(rng, n=8, d=2):
@@ -86,19 +91,16 @@ def model_predict_batch(theta, layout, x, t, z, scaler=IDENTITY_SCALER):
 # ---------------------------------------------------------------- features
 
 
-def theta_hat_rows(w, data, z):
+def theta_hat_rows(w, rows, z):
     """theta_hat_i one observation at a time: the inverse net on a one-row batch."""
     return np.concatenate(
-        [
-            mlp_forward_batch(w, feature_matrix(data.subset([i]), z[i : i + 1], IDENTITY_SCALER))[-1]
-            for i in range(data.n)
-        ]
+        [mlp_forward_batch(w, feature_matrix(rows.take([i]), z[i : i + 1]))[-1] for i in range(rows.n)]
     )
 
 
 def test_inverse_feature_order():
     data = Dataset(x=np.array([[3.0, 4.0], [3.0, 4.0]]), t=np.array([1, 0]), y=np.array([2.0, 2.0]))
-    rows = feature_matrix(data, np.array([-1.5, -1.5]), IDENTITY_SCALER)
+    rows = feature_matrix(solve_rows(data, linear_layout()), np.array([-1.5, -1.5]))
     np.testing.assert_array_equal(rows, [[2.0, 1.0, 3.0, 4.0, -1.5], [2.0, -1.0, 3.0, 4.0, -1.5]])
 
 
@@ -110,14 +112,14 @@ def test_theta_hat_is_forward_on_feature_row(rng):
     data = Dataset(x=np.array([[0.2, -0.4]]), t=np.array([1]), y=np.array([0.7]))
     z = np.array([0.9])
     want = mlp_forward_batch(w, np.array([[0.7, 1.0, 0.2, -0.4, 0.9]]))[-1][0]
-    np.testing.assert_array_equal(energy(w, data, z, 1.0, layout, IDENTITY_SCALER).theta_bar, want)
+    np.testing.assert_array_equal(energy(w, solve_rows(data, layout), z, 1.0, layout).theta_bar, want)
 
 
 def test_feature_matrix_standardizes_y_and_x_only(rng):
     data = random_dataset(rng, n=20)
     scaler = Standardizer.fit(data)
     z = rng.normal(size=20)
-    f = feature_matrix(data, z, scaler)
+    f = feature_matrix(solve_rows(data, linear_layout(), scaler), z)
     np.testing.assert_allclose(f[:, 0].mean(), 0.0, atol=1e-12)
     np.testing.assert_allclose(f[:, 0].std(), 1.0, rtol=1e-12)
     np.testing.assert_allclose(f[:, 2:4].mean(axis=0), 0.0, atol=1e-12)
@@ -130,10 +132,11 @@ def test_theta_bar_is_mean_of_rows(rng):
     data = random_dataset(rng, n=6)
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=6)
-    rows = theta_hat_rows(w, data, z)
-    np.testing.assert_allclose(energy(w, data, z, 1.0, layout, IDENTITY_SCALER).theta_bar, rows.mean(axis=0), rtol=1e-12)
-    rep = energy_gradients(w, data, z, 1.0, layout, IDENTITY_SCALER)
-    np.testing.assert_allclose(rep.theta_bar, rows.mean(axis=0), rtol=1e-12)
+    rows = solve_rows(data, layout)
+    th = theta_hat_rows(w, rows, z)
+    np.testing.assert_allclose(energy(w, rows, z, 1.0, layout).theta_bar, th.mean(axis=0), rtol=1e-12)
+    rep = energy_gradients(w, rows, z, 1.0, layout)
+    np.testing.assert_allclose(rep.theta_bar, th.mean(axis=0), rtol=1e-12)
 
 
 # ---------------------------------------------------------------- layouts
@@ -247,7 +250,7 @@ def test_energy_single_observation_no_consensus(rng):
     data = random_dataset(rng, n=1)
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=1)
-    rep = energy(w, data, z, eta=7.0, layout=layout, scaler=IDENTITY_SCALER)
+    rep = energy(w, solve_rows(data, layout), z, eta=7.0, layout=layout)
     # one row sits at its own mean, so the total is the fit term alone
     pred = model_predict_batch(rep.theta_bar, layout, data.x, data.t, z)[0]
     assert rep.total == (data.y[0] - pred) ** 2
@@ -259,8 +262,9 @@ def test_energy_two_observation_recomputation(rng):
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=2)
     eta = 3.0
-    rep = energy(w, data, z, eta, layout, IDENTITY_SCALER)
-    th = theta_hat_rows(w, data, z)
+    rows = solve_rows(data, layout)
+    rep = energy(w, rows, z, eta, layout)
+    th = theta_hat_rows(w, rows, z)
     tb = th.mean(axis=0)
     fit = float(np.sum((data.y - model_predict_batch(tb, layout, data.x, data.t, z)) ** 2))
     cons = ((th - tb) ** 2).sum()
@@ -274,8 +278,8 @@ def test_energy_permutation_invariant(rng):
     w = random_inverse(rng, 2, layout)
     z = rng.normal(size=10)
     perm = rng.permutation(10)
-    rep = energy(w, data, z, eta=2.0, layout=layout, scaler=IDENTITY_SCALER)
-    rep_p = energy(w, data.subset(perm), z[perm], eta=2.0, layout=layout, scaler=IDENTITY_SCALER)
+    rep = energy(w, solve_rows(data, layout), z, eta=2.0, layout=layout)
+    rep_p = energy(w, solve_rows(data.subset(perm), layout), z[perm], eta=2.0, layout=layout)
     assert rep.total == pytest.approx(rep_p.total, rel=1e-12)
     np.testing.assert_allclose(rep.theta_bar, rep_p.theta_bar, rtol=1e-12)
 
@@ -298,10 +302,11 @@ def zero_energy_setup(rng, n=6, d=2):
 
 def test_zero_energy_region(rng):
     layout, w, data, z = zero_energy_setup(rng)
-    rep = energy(w, data, z, eta=500.0, layout=layout, scaler=IDENTITY_SCALER)
+    rows = solve_rows(data, layout)
+    rep = energy(w, rows, z, eta=500.0, layout=layout)
     assert rep.total == pytest.approx(0.0, abs=1e-20)
     # the sampler's z log-density gradient collapses to the reference pull -z
-    rep_g = energy_gradients(w, data, z, 500.0, layout, IDENTITY_SCALER, need_z=True, need_w=False)
+    rep_g = energy_gradients(w, rows, z, 500.0, layout, need_z=True, need_w=False)
     np.testing.assert_array_equal(-z - rep_g.z_grad / 0.1, -z)
 
 
@@ -313,21 +318,23 @@ def test_zero_energy_region(rng):
 
 
 def fd_check_z_grad(layout, data, w, z, eta, scaler=IDENTITY_SCALER):
-    rep = energy_gradients(w, data, z, eta, layout, scaler, need_z=True, need_w=False)
+    rows = solve_rows(data, layout, scaler)
+    rep = energy_gradients(w, rows, z, eta, layout, need_z=True, need_w=False)
     assert rep.w_grad is None
 
     def u(zv):
-        return energy(w, data, zv, eta, layout, scaler).total
+        return energy(w, rows, zv, eta, layout).total
 
     assert_grad_close(rep.z_grad, central_diff(u, z))
 
 
 def fd_check_w_grad(layout, data, w, z, eta, scale=1.0, scaler=IDENTITY_SCALER):
-    rep = energy_gradients(w, data, z, eta, layout, scaler, need_z=False, need_w=True)
+    rows = solve_rows(data, layout, scaler)
+    rep = energy_gradients(w, rows, z, eta, layout, need_z=False, need_w=True)
     assert rep.z_grad is None
 
     def u(flat):
-        return scale * energy(MlpParams(w.spec, flat), data, z, eta, layout, scaler).total
+        return scale * energy(MlpParams(w.spec, flat), rows, z, eta, layout).total
 
     assert_grad_close(scale * rep.w_grad, central_diff(u, w.flat))
 
@@ -386,9 +393,11 @@ def explicit_energy_gradients(w, data, z, eta, layout, scaler):
 
     The consensus enters every row's out-gradient as 2 eta (theta_hat_i -
     theta_bar) and the residual term as the shared A / n; a full-head
-    backward pass carries both into the weights and the inputs.
+    backward pass carries both into the weights and the inputs.  The
+    feature rows [y, 2t - 1, x, z] are built here from the data.
     """
-    acts = mlp_forward_batch(w, feature_matrix(data, z, scaler))
+    feats = np.column_stack([scaler.scale_y(data.y), 2.0 * data.t - 1.0, scaler.scale_x(data.x), z])
+    acts = mlp_forward_batch(w, feats)
     theta = acts[-1]
     tb = theta.mean(axis=0)
     dev = theta - tb
@@ -426,10 +435,11 @@ def test_hidden_space_matches_explicit_consensus(make, standardize, rng):
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     z = rng.normal(size=40)
     idx = np.array([0, 3, 7, 11, 19, 25, 31, 38])
-    for d, zv in ((data, z), (data.subset(idx), z[idx])):
+    rows = solve_rows(data, layout, scaler)
+    for d, r, zv in ((data, rows, z), (data.subset(idx), rows.take(idx), z[idx])):
         total, tb, z_grad, w_grad = explicit_energy_gradients(w, d, zv, 5.0, layout, scaler)
-        er = energy(w, d, zv, 5.0, layout, scaler)
-        rep = energy_gradients(w, d, zv, 5.0, layout, scaler)
+        er = energy(w, r, zv, 5.0, layout)
+        rep = energy_gradients(w, r, zv, 5.0, layout)
         for got in (er.total, rep.total):
             assert got == pytest.approx(total, rel=1e-12)
         assert_rel_close(er.theta_bar, tb)
@@ -448,11 +458,31 @@ def test_z_pass_skips_weight_gradient_with_the_same_z_grad(make, rng):
     spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=15, out_scale=0.04)
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     z = rng.normal(size=30)
-    z_only = energy_gradients(w, data, z, 5.0, layout, scaler, need_z=True, need_w=False)
-    both = energy_gradients(w, data, z, 5.0, layout, scaler)
+    rows = solve_rows(data, layout, scaler)
+    z_only = energy_gradients(w, rows, z, 5.0, layout, need_z=True, need_w=False)
+    both = energy_gradients(w, rows, z, 5.0, layout)
     assert z_only.w_grad is None
     np.testing.assert_array_equal(z_only.z_grad, both.z_grad)
     assert z_only.total == both.total
+
+
+@pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
+def test_minibatch_rows_match_rows_of_the_subset(make, rng):
+    # the sampler selects a minibatch from the run's rows; that must equal
+    # standardizing the subset of the data with the run's scaler, bit for bit
+    layout = make(d=2)
+    data = random_dataset(rng, n=30)
+    data.y[:] = 3.0 + 2.0 * data.y
+    scaler = Standardizer.fit(data)
+    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=16, out_scale=0.04)
+    w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
+    z = rng.normal(size=30)
+    idx = rng.choice(30, size=10, replace=False)
+    taken = energy_gradients(w, solve_rows(data, layout, scaler).take(idx), z[idx], 5.0, layout)
+    built = energy_gradients(w, solve_rows(data.subset(idx), layout, scaler), z[idx], 5.0, layout)
+    assert taken.total == built.total
+    np.testing.assert_array_equal(taken.z_grad, built.z_grad)
+    np.testing.assert_array_equal(taken.w_grad, built.w_grad)
 
 
 # ---------------------------------------------------------------- validation
@@ -473,11 +503,12 @@ def test_width_mismatch_rejected(rng):
     layout = linear_layout(d=2)
     data = random_dataset(rng, n=4, d=2)
     w_bad = mlp_init(MlpSpec((4, 3, layout.theta_dim), seed=0))  # d+3 should be 5
+    rows = solve_rows(data, layout)
     with pytest.raises(ValueError):
-        energy(w_bad, data, rng.normal(size=4), 1.0, layout, IDENTITY_SCALER)
+        energy(w_bad, rows, rng.normal(size=4), 1.0, layout)
     w_bad_out = mlp_init(MlpSpec((5, 3, layout.theta_dim + 1), seed=0))
     with pytest.raises(ValueError):
-        energy(w_bad_out, data, rng.normal(size=4), 1.0, layout, IDENTITY_SCALER)
+        energy(w_bad_out, rows, rng.normal(size=4), 1.0, layout)
 
 
 def test_standardizer_zero_variance_guard():

@@ -60,8 +60,37 @@ def test_forward_deterministic():
     spec = MlpSpec((3, 8, 2), seed=0)
     params = mlp_init(spec)
     x = np.array([[0.1, -2.0, 0.7]])
-    for a, b in zip(mlp_forward_batch(params, x), mlp_forward_batch(params, x), strict=True):
+    # the second pass overwrites the first one's hidden arrays, so keep copies
+    first = [a.copy() for a in mlp_forward_batch(params, x)]
+    for a, b in zip(first, mlp_forward_batch(params, x), strict=True):
         np.testing.assert_array_equal(a, b)
+
+
+def test_passes_on_as_many_rows_reuse_the_hidden_arrays(rng):
+    params = headed_net(rng)
+    x1, x2 = rng.normal(size=(2, 9, 3))
+    first = mlp_forward_batch(params, x1)
+    second = mlp_forward_batch(params, x2)
+    assert all(a is b for a, b in zip(first[1:-1], second[1:-1], strict=True))
+    assert second[-1] is not first[-1]  # the output is a new array
+    # the reused arrays hold the values a network that never ran computes
+    fresh = mlp_forward_batch(MlpParams(params.spec, params.flat.copy()), x2)
+    for a, b in zip(second, fresh, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_backward_stays_correct_after_a_pass_on_another_row_count(rng):
+    params = headed_net(rng)
+    x, gout = rng.normal(size=(9, 3)), rng.normal(size=(9, 6))
+    oracle = MlpParams(params.spec, params.flat.copy())
+    want_pg, want_ig = mlp_backward_batch(oracle, mlp_forward_batch(oracle, x), gout)
+    acts = mlp_forward_batch(params, x)
+    # a full pass on 4 rows in between writes that row count's arrays only
+    other = mlp_forward_batch(params, rng.normal(size=(4, 3)))
+    mlp_backward_batch(params, other, rng.normal(size=(4, 6)))
+    pg, ig = mlp_backward_batch(params, acts, gout)
+    np.testing.assert_array_equal(pg, want_pg)
+    np.testing.assert_array_equal(ig, want_ig)
 
 
 def test_batch_matches_stacked_singles(rng):
@@ -125,7 +154,7 @@ def headed_net(rng):
 def test_headless_forward_feeds_the_output_layer(rng):
     params = headed_net(rng)
     x = rng.normal(size=(9, 3))
-    headless = mlp_forward_batch(params, x, head=False)
+    headless = [a.copy() for a in mlp_forward_batch(params, x, head=False)]
     full = mlp_forward_batch(params, x)
     assert [a.shape for a in headless] == [(9, 3), (9, 5), (9, 4)]
     for a, b in zip(headless, full[:-1], strict=True):
@@ -141,6 +170,7 @@ def test_headless_backward_matches_full_backward_below_the_head(rng):
     gout = rng.normal(size=(9, 6))
     W, _ = params.layers()[-1]
     pg_full, ig_full = mlp_backward_batch(params, mlp_forward_batch(params, x), gout)
+    ig_full = ig_full.copy()  # the next backward on 9 rows writes the same array
     headless = mlp_forward_batch(params, x, head=False)
     pg, ig = mlp_backward_batch(params, headless, (gout @ W) * 0.3, head=False)
     head = param_count(params.spec) - 6 * (4 + 1)
@@ -155,6 +185,7 @@ def test_backward_skips_what_is_not_needed_with_the_same_result(head, rng):
     acts = mlp_forward_batch(params, rng.normal(size=(9, 3)), head=head)
     gout = rng.normal(size=(9, 6 if head else 4))
     pg_full, ig_full = mlp_backward_batch(params, acts, gout, head=head)
+    ig_full = ig_full.copy()  # the next backward on 9 rows writes the same array
     pg, ig = mlp_backward_batch(params, acts, gout, head=head, need_params=False)
     assert pg is None
     np.testing.assert_array_equal(ig, ig_full)

@@ -5,7 +5,7 @@ import pytest
 
 from fidte.config import LAYOUT_GROUPS, PRESETS, ExperimentConfig, preset_config
 from fidte.datagen import GenSpec, generate
-from fidte.engine import Dataset, Standardizer, ThetaLayout, least_squares_theta
+from fidte.engine import Dataset, SolveRows, Standardizer, ThetaLayout, least_squares_theta
 from fidte.nn import MlpParams, MlpSpec, mlp_init, param_count
 from fidte.runner import build_layout
 from fidte.sampler import (
@@ -113,26 +113,37 @@ def test_sgd_step_converges_on_quadratic():
     target = np.arange(param_count(spec), dtype=float) / 7.0
     w = mlp_init(spec)
     for _ in range(400):
-        w = sgd_w_step(w, target - w.flat, gamma=0.1)
+        sgd_w_step(w, target - w.flat, gamma=0.1)
     np.testing.assert_allclose(w.flat, target, atol=1e-8)
 
 
+def zero_params():
+    return MlpParams(MlpSpec((1, 1, 1), seed=0), np.zeros(4))
+
+
 def test_sgd_step_clips_by_norm():
-    spec = MlpSpec((1, 1, 1), seed=0)
-    w = MlpParams(spec, np.zeros(4))
+    # the step is made in place, so each case starts from its own zero vector
     grad = np.array([3.0, 0.0, 4.0, 0.0])  # norm 5
-    stepped = sgd_w_step(w, grad, gamma=1.0, clip_norm=1.0)
-    np.testing.assert_allclose(stepped.flat, grad / 5.0, rtol=1e-12)
-    unclipped = sgd_w_step(w, grad, gamma=1.0, clip_norm=10.0)
+    clipped = zero_params()
+    sgd_w_step(clipped, grad, gamma=1.0, clip_norm=1.0)
+    np.testing.assert_allclose(clipped.flat, grad / 5.0, rtol=1e-12)
+    unclipped = zero_params()
+    sgd_w_step(unclipped, grad, gamma=1.0, clip_norm=10.0)
     np.testing.assert_array_equal(unclipped.flat, grad)
 
 
 def test_sgd_step_accepts_per_parameter_gamma():
-    spec = MlpSpec((1, 1, 1), seed=0)
-    w = MlpParams(spec, np.zeros(4))
+    w = zero_params()
     gam = np.array([1.0, 0.5, 0.25, 0.0])
-    stepped = sgd_w_step(w, np.ones(4), gamma=gam)
-    np.testing.assert_array_equal(stepped.flat, gam)
+    sgd_w_step(w, np.ones(4), gamma=gam)
+    np.testing.assert_array_equal(w.flat, gam)
+
+
+def test_sgd_step_to_a_non_finite_weight_raises():
+    w = MlpParams(MlpSpec((1, 1, 1), seed=0), np.full(4, 1e308))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite parameter values"):
+            sgd_w_step(w, np.ones(4), gamma=1e308)
 
 
 # ---------------------------------------------------------------- groups
@@ -218,6 +229,17 @@ def test_run_efi_shapes_and_determinism():
     np.testing.assert_array_equal(chain.energies, again.energies)
 
 
+def test_run_efi_leaves_no_state_between_runs():
+    # a run on another row count in between must not change a run's draws
+    first = run_efi(*small_run())
+    rng = np.random.default_rng(5)
+    _, layout, spec, config, _ = small_run()
+    run_efi(toy_data(rng, n=45), layout, spec, config, 3)
+    again = run_efi(*small_run())
+    np.testing.assert_array_equal(first.draws, again.draws)
+    np.testing.assert_array_equal(first.energies, again.energies)
+
+
 def test_run_efi_seed_changes_draws():
     data, layout, spec, config, seed = small_run(seed=7)
     data2, _, _, config2, seed2 = small_run(seed=8)
@@ -245,7 +267,8 @@ def test_run_efi_trace_stream():
     assert int(first[0]) == 1
     # the upsilon column records the anchored latent step: the schedule's
     # decay scaled so upsilon * kappa_z = Z_STEP_TARGET at start
-    sig = np.exp(least_squares_theta(data, layout, Standardizer.fit(data))[layout.log_sigma_index])
+    rows = SolveRows.build(data, Standardizer.fit(data), layout)
+    sig = np.exp(least_squares_theta(rows, layout)[layout.log_sigma_index])
     kappa_z = 1.0 + 2.0 * sig**2 / config.eps
     assert float(first[2]) == pytest.approx(Z_STEP_TARGET / kappa_z)
     mid = lines[80].split(",")
