@@ -1,4 +1,4 @@
-"""Interval construction and scoring on a collected fiducial sample.
+"""Intervals and the PEHE from a collected fiducial sample.
 
 ATE confidence intervals come straight from the fiducial draws of the effect
 slot.  ITE prediction intervals depend on what the test subject exposed:
@@ -16,8 +16,8 @@ processed in any order (or in parallel) without changing the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -52,17 +52,6 @@ class PredictionInterval:
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
-
-
-@dataclass
-class EvalReport:
-    coverage: float
-    mean_length: float
-    per_case: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 <= self.coverage <= 1.0:
-            raise ValueError(f"coverage must lie in [0, 1], got {self.coverage}")
 
 
 def ate_draws(chain: FiducialChain, layout: ThetaLayout) -> np.ndarray:
@@ -104,30 +93,26 @@ def chain_surfaces(chain: FiducialChain, layout: ThetaLayout, x: np.ndarray):
 def ite_intervals(
     surfaces: tuple,
     test: Dataset,
-    alpha: float = 0.05,
-    rng: Optional[np.random.Generator] = None,
-    cases: Optional[Sequence[str]] = None,
+    alpha: float,
+    rng: np.random.Generator,
+    cases: Sequence[str],
 ) -> List[PredictionInterval]:
     """Per-subject prediction intervals for the individual effect.
 
     surfaces come from chain_surfaces on test.x.  cases gives one tag per
-    test row; subjects without an observed arm are treated as Im.  When
-    omitted, tags follow the observed arm of test.t.
+    test row (assign_cases); subjects without an observed arm are Im.
     """
     c_mat, tau_mat, sig = surfaces
     if sig.size == 0:
         raise ValueError("empty fiducial chain")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if cases is None:
-        cases = np.where(test.t == 1, "It", "Ic")
     cases = np.asarray(cases, dtype=object)
     if cases.shape != (test.n,):
         raise ValueError(f"need one case tag per test row, got {cases.shape} for n={test.n}")
     bad = set(cases) - {"Ic", "It", "Im"}
     if bad:
         raise ValueError(f"unknown case tags {sorted(bad)}")
-    rng = rng if rng is not None else np.random.default_rng()
 
     qs = (alpha / 2.0, 1.0 - alpha / 2.0)
     out: List[PredictionInterval] = []
@@ -171,31 +156,3 @@ def ite_truth(test: Dataset) -> np.ndarray:
     if test.y1 is None or test.y0 is None:
         raise ValueError("test set lacks stored potential outcomes")
     return test.y1 - test.y0
-
-
-def score_intervals(intervals: Sequence[PredictionInterval], truth: np.ndarray) -> EvalReport:
-    """Coverage and mean length against per-subject realized effects."""
-    if len(intervals) == 0:
-        raise ValueError("no intervals to score")
-    truth = np.asarray(truth, dtype=np.float64)
-    hits: Dict[str, List[float]] = {}
-    lens: Dict[str, List[float]] = {}
-    for iv in intervals:
-        v = float(truth[iv.subject_id])
-        hits.setdefault(iv.case, []).append(1.0 if iv.contains(v) else 0.0)
-        lens.setdefault(iv.case, []).append(iv.length)
-    per_case = {
-        case: {
-            "coverage": float(np.mean(hits[case])),
-            "mean_length": float(np.mean(lens[case])),
-            "count": float(len(hits[case])),
-        }
-        for case in sorted(hits)
-    }
-    all_hits = [h for hs in hits.values() for h in hs]
-    all_lens = [l for ls in lens.values() for l in ls]
-    return EvalReport(
-        coverage=float(np.mean(all_hits)),
-        mean_length=float(np.mean(all_lens)),
-        per_case=per_case,
-    )

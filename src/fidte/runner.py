@@ -2,7 +2,10 @@
 
 One experiment = R independent replications.  Each replication draws its own
 dataset (or reuses the CSV one, read once per run), runs every configured
-method, and scores the intervals against the simulation truth.  Replication
+method, and returns its interval rows, each with the simulation truth it
+should cover, and the PEHE.  score_rows is the one scorer of interval rows:
+summary.json is a function of the replications' rows and PEHEs, and
+`fidte report` rescores an intervals.csv with the same code.  Replication
 r derives all of its randomness from a splittable seed sequence keyed by
 (seed, r), so any single replication can be re-run in isolation and workers
 can run them in any order without changing results.
@@ -32,7 +35,6 @@ from .inference import (
     ite_intervals,
     ite_truth,
     pehe,
-    score_intervals,
 )
 from .nn import MlpSpec
 from .sampler import run_efi
@@ -41,6 +43,15 @@ from .sampler import run_efi
 # part of the model family, not of the per-replication randomness
 TAU_NET_SEED = 5
 C_NET_SEED = 6
+
+
+def _cell(row: dict, col: str, line: int) -> float:
+    """A csv cell as a float; a bad cell is named by its line and column."""
+    raw = row[col]
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"non-numeric value {raw!r} at line {line}, column {col!r}") from None
 
 
 def load_csv_dataset(path: str, schema: dict) -> Dataset:
@@ -64,25 +75,17 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
         truth = {name: [] for name in TRUTH_COLUMNS if name in header}
         xs, ts, ys = [], [], []
         for i, row in enumerate(reader, start=2):  # header is line 1
-            def cell(col):
-                raw = row[col]
-                try:
-                    return float(raw)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"non-numeric value {raw!r} at line {i}, column {col!r}"
-                    ) from None
-            tv = cell(schema["t"])
+            tv = _cell(row, schema["t"], i)
             if tv not in (0.0, 1.0):
                 raise ValueError(
                     f"treatment column {schema['t']!r} must be binary 0/1, "
                     f"got {tv} at line {i}"
                 )
-            xs.append([cell(c) for c in x_cols])
+            xs.append([_cell(row, c, i) for c in x_cols])
             ts.append(tv)
-            ys.append(cell(schema["y"]))
+            ys.append(_cell(row, schema["y"], i))
             for name, col in truth.items():
-                col.append(cell(name))
+                col.append(_cell(row, name, i))
     if not ys:
         raise ValueError(f"csv file {path} holds no data rows")
     return Dataset(
@@ -160,8 +163,10 @@ def run_replication(
     """All methods on replication r's data.
 
     csv_rows is read_csv_rows(config), the training set of a csv config.
-    Returns the metrics, the interval rows and the EFI chain (None without
-    efi).  With config.trace set, the sampler trace goes to rep_dir.
+    Returns the interval rows (method, interval, truth), the PEHE of the
+    EFI effect surface (None without one or without tau_true) and the EFI
+    chain (None without efi).  With config.trace set, the sampler trace
+    goes to rep_dir.
     """
     ints = replication_ints(config.seed, r)
     try:
@@ -179,63 +184,34 @@ def run_replication(
             ate_truth = float(train.tau_true[0])
 
         chain = layout = surfaces = cases = None
+        pehe_value = None
         if "efi" in config.methods:
             chain, layout = _efi_results(config, train, ints, rep_dir)
             if config.layout_kind != "linear_ate":
                 # every level's intervals and the PEHE read the same surfaces
                 surfaces = chain_surfaces(chain, layout, test.x)
                 cases = assign_cases(test, np.random.default_rng(ints[3]))
+                if test.tau_true is not None:
+                    pehe_value = pehe(surfaces, test)
         cqr_fold_one_fits = {}  # cqr-exact and cqr-inexact share one fold-1 fit
 
         rows = []
-        metrics = {}
         for method in config.methods:
-            per_alpha = {}
             for a_idx, alpha in enumerate(config.alphas):
                 if method == "efi":
                     if config.layout_kind == "linear_ate":
                         ivs = [ate_interval(chain, layout, alpha=alpha)]
                     else:
-                        ivs = ite_intervals(
-                            surfaces, test, alpha=alpha,
-                            rng=np.random.default_rng([ints[3], a_idx]),
-                            cases=cases,
-                        )
+                        ivs = ite_intervals(surfaces, test, alpha,
+                                            np.random.default_rng([ints[3], a_idx]), cases)
                 else:
                     mode = method.split("-", 1)[1]
                     ivs = cqr_ite(
                         train, test, alpha=alpha, mode=mode, seed=ints[3],
                         fold_one_fits=cqr_fold_one_fits,
                     )
-                truths = [_truth_for(iv, truth_vec, ate_truth) for iv in ivs]
-
-                for iv, tv in zip(ivs, truths):
-                    rows.append((method, alpha, iv, tv))
-                if len(ivs) == 1 and ivs[0].case == "ATE":
-                    iv, tv = ivs[0], truths[0]
-                    per_alpha[repr(float(alpha))] = {
-                        "coverage": None if tv is None else float(iv.contains(tv)),
-                        "mean_length": iv.length,
-                        "per_case": {},
-                    }
-                elif truth_vec is not None:
-                    rep = score_intervals(ivs, truth_vec)
-                    per_alpha[repr(float(alpha))] = {
-                        "coverage": rep.coverage,
-                        "mean_length": rep.mean_length,
-                        "per_case": rep.per_case,
-                    }
-                else:
-                    per_alpha[repr(float(alpha))] = {
-                        "coverage": None,
-                        "mean_length": float(np.mean([iv.length for iv in ivs])),
-                        "per_case": {},
-                    }
-            entry = {"alphas": per_alpha}
-            if method == "efi" and surfaces is not None and test.tau_true is not None:
-                entry["pehe"] = pehe(surfaces, test)
-            metrics[method] = entry
-        return {"r": r, "metrics": metrics, "rows": rows, "chain": chain}
+                rows.extend((method, iv, _truth_for(iv, truth_vec, ate_truth)) for iv in ivs)
+        return {"r": r, "rows": rows, "pehe": pehe_value, "chain": chain}
     except RuntimeError as e:
         raise RuntimeError(f"replication {r}: {e}") from e
     except ValueError as e:  # e.g. a CQR level too fine for the calibration rows
@@ -247,8 +223,8 @@ def write_rows_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["method", "alpha", "subject_id", "case", "lower", "upper", "truth", "covered"])
-        for method, alpha, iv, tv in rows:
-            base = [method, repr(float(alpha)), iv.subject_id, iv.case, repr(iv.lower), repr(iv.upper)]
+        for method, iv, tv in rows:
+            base = [method, repr(float(iv.alpha)), iv.subject_id, iv.case, repr(iv.lower), repr(iv.upper)]
             if tv is None:
                 wr.writerow(base + ["", ""])
             else:
@@ -263,44 +239,66 @@ def _mean_sd(values) -> dict:
     return {"mean": float(np.mean(arr)), "sd": sd}
 
 
+def score_rows(triples) -> dict:
+    """Count, mean length and coverage of (lower, upper, truth) triples.
+
+    Coverage is the share of triples with truth whose interval holds it, or
+    None when no triple has truth.
+    """
+    covered = [lo <= tv <= hi for lo, hi, tv in triples if tv is not None]
+    return {
+        "n": len(triples),
+        "mean_length": float(np.mean([hi - lo for lo, hi, _ in triples])),
+        "coverage": float(np.mean(covered)) if covered else None,
+    }
+
+
 def summarize(config: ExperimentConfig, reps: list[dict]) -> dict:
     """Cross-replication summary: per method and level, mean and sd.
 
-    Each (method, level) block also holds per_case: for each case (Ic, It,
-    Im) the mean and sd across replications of its coverage and length, so
+    It is a function of each replication's interval rows and PEHE alone:
+    score_rows scores a replication's rows of one method and level pooled
+    over cases, and each case Ic/It/Im apart for per_case, which holds the
+    mean and sd across replications of that case's coverage and length, so
     methods that score different cases can be compared on a shared one.
     """
+    grouped = []  # per replication: (method, level key) -> {case: triples}
+    for rep in reps:
+        groups = {}
+        for method, iv, tv in rep["rows"]:
+            groups.setdefault((method, repr(float(iv.alpha))), {}).setdefault(iv.case, []).append(
+                (iv.lower, iv.upper, tv))
+        grouped.append(groups)
     methods = {}
     for method in config.methods:
         blocks = {}
         for alpha in config.alphas:
             key = repr(float(alpha))
-            scored = [rep["metrics"][method]["alphas"][key] for rep in reps]
-            cases = sorted({case for m in scored for case in m["per_case"]})
+            pooled, by_case = [], []
+            for groups in grouped:
+                cases = groups[method, key]
+                # pooled case after case, in the order the cases first appear
+                pooled.append(score_rows([triple for ts in cases.values() for triple in ts]))
+                by_case.append({case: score_rows(ts) for case, ts in cases.items() if case != "ATE"})
             blocks[key] = {
-                "coverage": _mean_sd(m["coverage"] for m in scored),
-                "length": _mean_sd(m["mean_length"] for m in scored),
+                "coverage": _mean_sd(s["coverage"] for s in pooled),
+                "length": _mean_sd(s["mean_length"] for s in pooled),
                 "per_case": {
                     case: {
-                        "coverage": _mean_sd(m["per_case"].get(case, {}).get("coverage")
-                                             for m in scored),
-                        "length": _mean_sd(m["per_case"].get(case, {}).get("mean_length")
-                                           for m in scored),
+                        "coverage": _mean_sd(sc[case]["coverage"] for sc in by_case if case in sc),
+                        "length": _mean_sd(sc[case]["mean_length"] for sc in by_case if case in sc),
                     }
-                    for case in cases
+                    for case in sorted({case for sc in by_case for case in sc})
                 },
                 "per_replication": [
-                    {"r": rep["r"], "coverage": m["coverage"], "mean_length": m["mean_length"]}
-                    for rep, m in zip(reps, scored)
+                    {"r": rep["r"], "coverage": s["coverage"], "mean_length": s["mean_length"]}
+                    for rep, s in zip(reps, pooled)
                 ],
             }
         entry = {"alphas": blocks}
-        pehes = [rep["metrics"][method].get("pehe") for rep in reps]
-        if any(p is not None for p in pehes):
-            entry["pehe"] = _mean_sd(pehes)
-            entry["pehe"]["per_replication"] = [
-                {"r": rep["r"], "pehe": rep["metrics"][method].get("pehe")} for rep in reps
-            ]
+        if method == "efi" and any(rep["pehe"] is not None for rep in reps):
+            entry["pehe"] = _mean_sd(rep["pehe"] for rep in reps)
+            entry["pehe"]["per_replication"] = [{"r": rep["r"], "pehe": rep["pehe"]} for rep in reps]
         methods[method] = entry
     cfg = asdict(config)
     for name in ("tau_widths", "c_widths", "inverse_widths", "alphas", "methods"):
@@ -310,7 +308,7 @@ def summarize(config: ExperimentConfig, reps: list[dict]) -> dict:
 
 def _rep_worker(args):
     rep = run_replication(*args)
-    del rep["chain"]  # summaries need only metrics and rows; keep draws out of pickling
+    del rep["chain"]  # summaries need only rows and the PEHE; keep draws out of pickling
     return rep
 
 
@@ -340,7 +338,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
 
 
 def rescore(intervals_path: str) -> dict:
-    """Re-read an intervals.csv and recompute coverage and length per block.
+    """Re-read an intervals.csv and score each (method, level, case) block.
 
     The covered flag is recomputed from (lower, upper, truth); rows without
     truth contribute to lengths only.
@@ -352,21 +350,14 @@ def rescore(intervals_path: str) -> dict:
         have = set(reader.fieldnames or [])
         if not needed <= have:
             raise ValueError(f"intervals file is missing columns {sorted(needed - have)}")
-        for row in reader:
-            key = (row["method"], row["alpha"], row["case"])
-            lo, hi = float(row["lower"]), float(row["upper"])
-            tv = float(row["truth"]) if row["truth"] != "" else None
-            groups.setdefault(key, []).append((lo, hi, tv))
+        for i, row in enumerate(reader, start=2):  # header is line 1
+            tv = _cell(row, "truth", i) if row["truth"] != "" else None
+            groups.setdefault((row["method"], row["alpha"], row["case"]), []).append(
+                (_cell(row, "lower", i), _cell(row, "upper", i), tv)
+            )
+    if not groups:
+        raise ValueError(f"intervals file {intervals_path} holds no interval rows")
     out = {}
     for (method, alpha, case), triples in sorted(groups.items()):
-        lengths = [hi - lo for lo, hi, _ in triples]
-        scored = [(lo, hi, tv) for lo, hi, tv in triples if tv is not None]
-        block = {
-            "n": len(triples),
-            "mean_length": float(np.mean(lengths)),
-            "coverage": (
-                float(np.mean([lo <= tv <= hi for lo, hi, tv in scored])) if scored else None
-            ),
-        }
-        out.setdefault(method, {}).setdefault(alpha, {})[case] = block
+        out.setdefault(method, {}).setdefault(alpha, {})[case] = score_rows(triples)
     return out

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fidte.config import preset_config
 from fidte.engine import Dataset, ThetaLayout
 from fidte.engine import surfaces as engine_surfaces
 from fidte.inference import (
-    EvalReport,
     PredictionInterval,
     assign_cases,
     ate_draws,
@@ -15,10 +15,9 @@ from fidte.inference import (
     ite_intervals,
     ite_truth,
     pehe,
-    score_intervals,
 )
 from fidte.nn import MlpSpec
-from fidte.runner import rescore, write_rows_csv
+from fidte.runner import rescore, score_rows, summarize, write_rows_csv
 from fidte.sampler import FiducialChain
 
 from conftest import IDENTITY_SCALER
@@ -202,19 +201,21 @@ def test_ite_intervals_ordered_bounds_and_tags(rng):
     draws = rng.standard_normal((300, 7)) * 0.1
     draws[:, -1] = np.log(0.5)
     test = toy_test_set(20, seed=8)
-    ivs = ite_intervals(surfaces(make_chain(draws), test), test, 0.05, np.random.default_rng(1))
+    cases = np.where(test.t == 1, "It", "Ic")
+    ivs = ite_intervals(surfaces(make_chain(draws), test), test, 0.05, np.random.default_rng(1),
+                        cases)
     assert len(ivs) == 20
     for iv in ivs:
         assert iv.lower <= iv.upper
-        # default tags follow the observed arm
-        assert iv.case == ("It" if test.t[iv.subject_id] == 1 else "Ic")
+        assert iv.case == cases[iv.subject_id]
 
 
 def test_ite_intervals_validation():
     chain = const_chain(np.zeros(7), 10)
     test = toy_test_set(3)
     with pytest.raises(ValueError, match="alpha"):
-        ite_intervals(surfaces(chain, test), test, -0.05, np.random.default_rng(0))
+        ite_intervals(surfaces(chain, test), test, -0.05, np.random.default_rng(0),
+                      cases=["Im"] * 3)
     with pytest.raises(ValueError, match="one case tag per test row"):
         ite_intervals(surfaces(chain, test), test, 0.05, np.random.default_rng(0), cases=["Ic"])
     with pytest.raises(ValueError, match="unknown case"):
@@ -274,36 +275,35 @@ def test_pehe_scores_treated_rows_only():
 
 
 def test_score_intervals_huge_bounds_cover():
-    ivs = [PredictionInterval(i, "Im", -1e12, 1e12, 0.05) for i in range(5)]
-    rep = score_intervals(ivs, np.arange(5.0))
-    assert rep.coverage == 1.0
+    rep = score_rows([(-1e12, 1e12, float(i)) for i in range(5)])
+    assert rep == {"n": 5, "mean_length": 2e12, "coverage": 1.0}
 
 
-def test_score_intervals_points_at_truth():
-    truth = np.linspace(-1.0, 1.0, 7)
-    ivs = [PredictionInterval(i, "Ic", truth[i], truth[i], 0.05) for i in range(7)]
-    rep = score_intervals(ivs, truth)
-    assert rep.coverage == 1.0
-    assert rep.mean_length == 0.0
+def test_score_intervals_points_at_truth(tmp_path):
+    # degenerate intervals at the truth cover it, through a written file
+    truth = np.linspace(-1.0, 1.0, 7).tolist()
+    path = tmp_path / "iv.csv"
+    write_rows_csv([("efi", PredictionInterval(i, "Ic", truth[i], truth[i], 0.05), truth[i])
+                    for i in range(7)], path)
+    assert rescore(str(path))["efi"]["0.05"]["Ic"] == {"n": 7, "mean_length": 0.0, "coverage": 1.0}
 
 
-def test_score_intervals_hand_fixture():
+def test_score_intervals_hand_fixture(tmp_path):
     # 10 subjects with truth 0; seven unit-radius intervals centered at 0
     # cover, three centered at 5 miss; every interval has length 2
-    truth = np.zeros(10)
-    ivs = [PredictionInterval(i, "Im", -1.0, 1.0, 0.05) for i in range(7)]
-    ivs += [PredictionInterval(i, "It", 4.0, 6.0, 0.05) for i in range(7, 10)]
-    rep = score_intervals(ivs, truth)
-    assert rep.coverage == pytest.approx(0.7)
-    assert rep.mean_length == pytest.approx(2.0)
-    assert rep.per_case["Im"]["coverage"] == 1.0
-    assert rep.per_case["It"]["coverage"] == 0.0
-    assert rep.per_case["It"]["count"] == 3
-
-
-def test_eval_report_validation():
-    with pytest.raises(ValueError, match="coverage"):
-        EvalReport(coverage=1.2, mean_length=0.0)
+    rows = [("efi", PredictionInterval(i, "Im", -1.0, 1.0, 0.05), 0.0) for i in range(7)]
+    rows += [("efi", PredictionInterval(i, "It", 4.0, 6.0, 0.05), 0.0) for i in range(7, 10)]
+    path = tmp_path / "iv.csv"
+    write_rows_csv(rows, path)
+    per_case = rescore(str(path))["efi"]["0.05"]
+    assert per_case["Im"] == {"n": 7, "mean_length": 2.0, "coverage": 1.0}
+    assert per_case["It"] == {"n": 3, "mean_length": 2.0, "coverage": 0.0}
+    cfg = preset_config("example1", R=1, alphas=(0.05,), methods=("efi",))
+    summary = summarize(cfg, [{"r": 0, "rows": rows, "pehe": None}])
+    block = summary["methods"]["efi"]["alphas"]["0.05"]
+    assert block["coverage"]["mean"] == pytest.approx(0.7)
+    assert block["length"]["mean"] == pytest.approx(2.0)
+    assert block["per_case"]["It"]["coverage"]["mean"] == 0.0
 
 
 def test_ite_truth_requires_arms():
@@ -320,8 +320,7 @@ def test_write_intervals_csv_roundtrip(tmp_path):
         PredictionInterval(-1, "ATE", 0.5, 1.5, 0.05),
     ]
     path = tmp_path / "iv.csv"
-    write_rows_csv([("efi", 0.05, ivs[0], 0.5), ("efi", 0.05, ivs[1], 3.0),
-                    ("efi", 0.05, ivs[2], None)], path)
+    write_rows_csv([("efi", ivs[0], 0.5), ("efi", ivs[1], 3.0), ("efi", ivs[2], None)], path)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "method,alpha,subject_id,case,lower,upper,truth,covered"
     assert rows[1].split(",") == ["efi", "0.05", "0", "Im", "0.0", "1.0", "0.5", "1"]
@@ -330,3 +329,17 @@ def test_write_intervals_csv_roundtrip(tmp_path):
     back = rescore(str(path))["efi"]["0.05"]
     assert (back["Im"]["coverage"], back["Ic"]["coverage"]) == (1.0, 0.0)
     assert back["ATE"] == {"n": 1, "mean_length": 1.0, "coverage": None}
+
+
+def test_rescore_rejects_a_malformed_file(tmp_path):
+    path = tmp_path / "iv.csv"
+    header = "method,alpha,subject_id,case,lower,upper,truth,covered\n"
+    path.write_text(header + "efi,0.05,-1,ATE,0.5,1.5,1.0,1\nefi,0.05,-1,ATE,abc,1.5,1.0,1\n")
+    with pytest.raises(ValueError, match=r"^non-numeric value 'abc' at line 3, column 'lower'$"):
+        rescore(str(path))
+    path.write_text(header)
+    with pytest.raises(ValueError, match=r"^intervals file .*iv\.csv holds no interval rows$"):
+        rescore(str(path))
+    path.write_text("method,alpha,case,lower\nefi,0.05,ATE,0.5\n")
+    with pytest.raises(ValueError, match=r"^intervals file is missing columns \['truth', 'upper'\]$"):
+        rescore(str(path))
