@@ -4,44 +4,38 @@ ExperimentConfig is the one description of a run: the data source
 (simulation design or CSV), the model layout, the sampler's constants and
 budgets, the methods to run, and the output location.  The runner hands it
 to sampler.run_efi as it is; no second config is derived from it.  Presets
-carry the published constants for the simulation studies, except the
-step-size multipliers C: the sampler anchors every step to curvature
-measured at its start state, so only each schedule's decay constant c has an
-effect.  Iteration budgets are halved at load time unless paper scale is
-requested, so a default run finishes on a desk machine while --paper-scale
-reproduces the full schedule exactly.  Every check on a config value is made
-when the config is built, so a bad value fails under every subcommand before
-any data is drawn or sampler run, with a message naming its field.
-LAYOUT_GROUPS is the table of layout kinds; runner.build_layout turns a kind
+carry the published constants for the simulation studies except the
+step-size schedules: the sampler holds each step constant at an anchor it
+measures at its start state, so no step size is settable.  Iteration budgets
+are halved at load time unless paper scale is requested, so a default run
+finishes on a desk machine while --paper-scale runs the full budgets.  Every
+check on a config value is made when the config is built, so a bad value
+fails under every subcommand before any data is drawn or sampler run, with a
+message naming its field.  LAYOUT_GROUPS is the table of layout kinds and
+the surfaces each learns with a network; runner.build_layout turns a kind
 into the engine.ThetaLayout it stands for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import yaml
 
 VALID_METHODS = ("efi", "cqr-naive", "cqr-exact", "cqr-inexact")
 VALID_DESIGNS = ("linear_ate", "example1", "example2")
-_C_REMOVED = (
-    "the step-size multipliers C were removed: the sampler anchors each step "
-    "to curvature measured at its start state, so C cancels; give only the "
-    "decay constant c"
-)
 
 # iteration-budget fields subject to desk-scale halving
 _BUDGET_FIELDS = ("k_burn", "m_keep", "init_iters")
 
-# Step-size groups of the inverse network's weights per layout_kind: each
-# network surface, tau(x) or c(x), has a head group (sampler.gamma_groups);
-# a layout without one has a linear c or a constant effect.
+# The surfaces, tau(x) and c(x), each layout_kind learns with a network; a
+# surface not named is linear (c) or constant (tau).
 LAYOUT_GROUPS = {
-    "linear_ate": ("rest",),
-    "dnn_tau_linear_c": ("rest", "tau_head"),
-    "dnn_both": ("rest", "tau_head", "c_head"),
+    "linear_ate": (),
+    "dnn_tau_linear_c": ("tau",),
+    "dnn_both": ("tau", "c"),
 }
 
 
@@ -56,11 +50,9 @@ class ExperimentConfig:
     are the counts actually run; presets fill them at the requested scale.
     n_batches is the weight-update minibatch count per epoch (batch size =
     rows // n_batches, rows being n_train or the csv file's; 1 = full
-    batch).  c_upsilon and gamma_map (group -> c) are the decay constants
-    of the latent and weight step sizes, each step being its start-state
-    anchor times (c + 1) / (c + k^alpha_exp); gamma_map must name exactly the groups of
-    layout_kind (LAYOUT_GROUPS).  eps is the noise budget, eta the
-    consensus weight and 1 - varpi the latent momentum.  clip_norm (null: no
+    batch).  eps is the noise budget, eta the consensus weight and
+    1 - varpi the latent momentum; the latent and weight step sizes are not
+    fields (see sampler).  clip_norm (null: no
     clipping) bounds the weight-gradient norm for the first clip_iters
     weight steps.  tau_widths and c_widths are the hidden widths of the
     effect and control networks, read only by a layout that has them.
@@ -77,9 +69,6 @@ class ExperimentConfig:
     c_widths: tuple = (10, 10)
     inverse_widths: tuple = (90, 30)
     out_scale: float = 1.0 / 25.0
-    c_upsilon: float = 1e6
-    gamma_map: dict = field(default_factory=lambda: {"rest": 1e6})
-    alpha_exp: float = 1.0 / 7.0
     varpi: float = 0.1
     eta: float = 500.0
     eps: float = 0.1
@@ -111,26 +100,13 @@ class ExperimentConfig:
                 f"layout_kind: unknown layout {self.layout_kind!r}, "
                 f"expected one of {sorted(LAYOUT_GROUPS)}"
             )
-        for g, c in self.gamma_map.items():
-            if isinstance(c, (list, tuple)):
-                raise ValueError(f"gamma_map: group {g!r} gives a pair; {_C_REMOVED}")
-            if not c > 0:
-                raise ValueError(f"gamma_map: decay constant of group {g!r} must be positive")
-        want = set(LAYOUT_GROUPS[self.layout_kind])
-        if set(self.gamma_map) != want:
-            raise ValueError(
-                f"gamma_map: layout {self.layout_kind} needs groups {sorted(want)}, "
-                f"got {sorted(self.gamma_map)}"
-            )
-        for name in ("eps", "c_upsilon", "out_scale"):
+        for name in ("eps", "out_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.eta < 0:
             raise ValueError(f"eta: must be nonnegative, got {self.eta}")
         if not 0.0 < self.varpi <= 1.0:
             raise ValueError(f"varpi: must be in (0, 1], got {self.varpi}")
-        if not 0.0 < self.alpha_exp < 1.0:
-            raise ValueError(f"alpha_exp: must be in (0, 1), got {self.alpha_exp}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm: must be positive or null, got {self.clip_norm}")
         for name in ("tau_widths", "c_widths", "inverse_widths"):
@@ -179,15 +155,14 @@ class ExperimentConfig:
             )
 
 
-# Published constants per study (decay constants c only, see the module
-# docstring; every preset keeps the default c_upsilon).  Budgets here are the
-# full-schedule values; load-time halving produces the desk-scale defaults.
+# Published constants per study (no step sizes, see the module docstring).
+# Budgets here are the full-schedule values; load-time halving produces the
+# desk-scale defaults.
 PRESETS = {
     **{
         f"linear_ate_n{n}": dict(
             design="linear_ate", R=20, n_train=n, n_test=0,
             layout_kind="linear_ate",
-            gamma_map={"rest": 1e6},
             eta=500.0, eps=0.1, k_burn=5000, m_keep=50000, n_batches=5,
             init_iters=0, methods=("efi",),
         )
@@ -196,7 +171,6 @@ PRESETS = {
     "example1": dict(
         design="example1", R=20, n_train=500, n_test=1000,
         layout_kind="dnn_tau_linear_c", tau_widths=(10, 10),
-        gamma_map={"tau_head": 20000.0, "rest": 200000.0},
         eta=10.0, eps=0.1, k_burn=20000, m_keep=50000, n_batches=5,
         init_iters=5000,
         methods=("efi", "cqr-naive", "cqr-exact", "cqr-inexact"),
@@ -204,7 +178,6 @@ PRESETS = {
     "example2": dict(
         design="example2", R=20, n_train=1000, n_test=1000,
         layout_kind="dnn_both", tau_widths=(10, 10), c_widths=(10, 10),
-        gamma_map={"tau_head": 1e6, "c_head": 1e6, "rest": 200000.0},
         eta=10.0, eps=0.1, k_burn=20000, m_keep=50000, n_batches=5,
         init_iters=5000,
         methods=("efi", "cqr-naive", "cqr-exact", "cqr-inexact"),
@@ -253,8 +226,6 @@ def _scalar(name: str, kind: type, value):
 
 def _coerce(name: str, value):
     """Normalize YAML-level values onto config field types, or complain."""
-    if name == "C_upsilon":
-        raise ValueError(f"{name}: {_C_REMOVED}")
     if name not in _FIELD_TYPES:
         raise ValueError(f"{name}: unknown config field")
     if name in _TUPLE_FIELDS:
@@ -263,14 +234,6 @@ def _coerce(name: str, value):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{name}: expected a list, got {type(value).__name__}")
         return tuple(_scalar(name, _TUPLE_FIELDS[name], v) for v in value)
-    if name == "gamma_map":
-        if not isinstance(value, dict):
-            raise ValueError(f"{name}: expected a mapping of group -> c")
-        # pairs pass through for ExperimentConfig to reject with the reason
-        return {
-            str(g): c if isinstance(c, (list, tuple)) else _scalar(f"{name}.{g}", float, c)
-            for g, c in value.items()
-        }
     if name == "csv_schema":
         if not isinstance(value, dict):
             raise ValueError(f"{name}: expected a mapping with keys y, t, x")
@@ -288,7 +251,7 @@ def _reject_unread_keys(cfg: ExperimentConfig, given) -> ExperimentConfig:
     width field for a network its layout lacks, or a row count of a csv
     config, whose rows are its file's."""
     for surface in ("tau", "c"):
-        if f"{surface}_widths" in given and f"{surface}_head" not in LAYOUT_GROUPS[cfg.layout_kind]:
+        if f"{surface}_widths" in given and surface not in LAYOUT_GROUPS[cfg.layout_kind]:
             raise ValueError(f"{surface}_widths: layout {cfg.layout_kind} has no {surface} network")
     if cfg.csv is not None:
         for name in ("n_train", "n_test"):

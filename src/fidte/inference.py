@@ -46,10 +46,6 @@ class PredictionInterval:
         if not self.lower <= self.upper:
             raise ValueError(f"interval must satisfy lower <= upper, got ({self.lower}, {self.upper})")
 
-    @property
-    def length(self) -> float:
-        return self.upper - self.lower
-
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
 

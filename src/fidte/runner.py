@@ -109,13 +109,14 @@ def read_csv_rows(config: ExperimentConfig) -> Optional[Dataset]:
 
 
 def build_layout(config: ExperimentConfig, d: int) -> ThetaLayout:
-    """config.layout_kind's ThetaLayout: a network for each head group."""
-    groups = LAYOUT_GROUPS[config.layout_kind]
+    """config.layout_kind's ThetaLayout: a network for each surface
+    LAYOUT_GROUPS names."""
+    nets = LAYOUT_GROUPS[config.layout_kind]
     tau_net = MlpSpec((d, *config.tau_widths, 1), seed=TAU_NET_SEED)
     c_net = MlpSpec((d, *config.c_widths, 1), seed=C_NET_SEED)
     return ThetaLayout(
-        c_net if "c_head" in groups else d + 1,
-        tau_net if "tau_head" in groups else None,
+        c_net if "c" in nets else d + 1,
+        tau_net if "tau" in nets else None,
     )
 
 
@@ -224,7 +225,8 @@ def write_rows_csv(rows, path) -> None:
         wr = csv.writer(fh)
         wr.writerow(["method", "alpha", "subject_id", "case", "lower", "upper", "truth", "covered"])
         for method, iv, tv in rows:
-            base = [method, repr(float(iv.alpha)), iv.subject_id, iv.case, repr(iv.lower), repr(iv.upper)]
+            base = [method, repr(float(iv.alpha)), iv.subject_id, iv.case,
+                    repr(float(iv.lower)), repr(float(iv.upper))]
             if tv is None:
                 wr.writerow(base + ["", ""])
             else:

@@ -1,22 +1,20 @@
 """Adaptive stochastic-gradient sampling of latent noise and inverse weights.
 
-One run alternates two moves per iteration k:
+One run alternates two moves per iteration:
   * an SGHMC step on the latent vector Z targeting pi_0(Z) e^(-U/eps),
-    with step size upsilon_k and momentum 1 - varpi, temperature fixed at 1;
+    with step size upsilon and momentum 1 - varpi, temperature fixed at 1;
   * an SGD step on the inverse-network weights along the log posterior
-    gradient with step size gamma_k, where each parameter group has its own
-    decay constant (output-layer rows feeding network-valued theta blocks
-    follow their own schedule).
+    gradient with a per-parameter step gamma: one rate for the output-layer
+    rows feeding network-valued theta blocks (head_mask), one for the rest.
 
-The absolute scale of every step is anchored, group by group, to a curvature
-measured at the start state (see _group_w_rates and Z_STEP_TARGET); the
-published schedules contribute only their decay shape (c + 1) / (c + k^a),
-which is 1 at k = 1.  The published multipliers C would cancel against that
-anchor, so they are not parameters.  The chain starts from the noise-
-marginalized least-squares fit.  With weight-update minibatches
-(n_batches > 1) the stochastic gradient keeps the weights diffusing around
-the posterior mode, which is what spreads theta_bar into a non-degenerate
-fiducial sample.
+Both steps are constant, anchored to a curvature measured at the start state
+(see _group_w_rates and Z_STEP_TARGET).  The paper's schedules decay as
+(c + 1) / (c + k^(1/7)); with its constants c of 2e4 to 1e6 that moves a step
+by at most 2e-4 over a paper-scale run, so the steps are held at their
+anchors.  The chain starts from the noise-marginalized least-squares fit.
+With weight-update minibatches (n_batches > 1) the stochastic gradient keeps
+the weights diffusing around the posterior mode, which is what spreads
+theta_bar into a non-degenerate fiducial sample.
 
 Before the sampling phase an optional initial phase trains the weights
 against freshly resampled reference noise.  After burn-in every thin-th
@@ -74,15 +72,6 @@ HEAD_GROWTH_ALLOWANCE = 2.0
 Z_STEP_TARGET = 0.3
 
 
-def _decay(c: float, alpha: float, k: int) -> float:
-    """Step at iteration k relative to iteration 1, for decay constant c.
-
-    With the published c of 2e4 to 1e6 and alpha = 1/7 this moves a step by
-    at most 2e-4 over a paper-scale run.
-    """
-    return (c + 1.0) / (c + float(k) ** alpha)
-
-
 def sghmc_z_step(
     z: np.ndarray,
     v: np.ndarray,
@@ -108,7 +97,8 @@ def sgd_w_step(
 ) -> None:
     """Ascent step on the weight log posterior, made in place on w.flat.
 
-    gamma may be a scalar or a per-parameter vector (grouped schedules).
+    gamma may be a scalar or a per-parameter vector; run_efi passes its
+    constant anchored rates, one for the head (head_mask) and one for the rest.
     With clip_norm set, grad is rescaled to norm <= clip_norm before the step.
     A step that leaves a parameter non-finite raises ValueError.
     """
@@ -124,36 +114,25 @@ def sgd_w_step(
         raise ValueError("weight step gave non-finite parameter values")
 
 
-def gamma_groups(spec: MlpSpec, layout: ThetaLayout) -> dict:
-    """Boolean masks over the inverse net's flat parameters, one per group.
+def head_mask(spec: MlpSpec, layout: ThetaLayout) -> np.ndarray:
+    """Boolean mask over the inverse net's flat parameters marking its head.
 
-    Output-layer rows (weights and bias) whose output slot lies in a network
-    surface's theta block form its head, "tau_head" or "c_head"; everything
-    else is "rest".  Masks partition the parameter vector.
+    The head is the output-layer rows (weights and bias) whose output slot
+    lies in the theta block of a network surface, tau(x) or c(x); it is
+    empty when no surface is a network.
     """
-    P = param_count(spec)
-    masks = {"rest": np.ones(P, dtype=bool)}
     ws, bs, (d_out, d_prev) = _layer_slices(spec)[-1]
     if d_out != layout.theta_dim:
         raise ValueError(
             f"inverse output width {d_out} != theta dim {layout.theta_dim}"
         )
-
-    def head_mask(sl: slice) -> np.ndarray:
-        m = np.zeros(P, dtype=bool)
-        for j in range(sl.start, sl.stop):
-            m[ws.start + j * d_prev : ws.start + (j + 1) * d_prev] = True
-            m[bs.start + j] = True
-        return m
-
-    for group, spec, sl in (
-        ("tau_head", layout.tau_spec, layout.tau_slice),
-        ("c_head", layout.c_spec, layout.c_slice),
-    ):
-        if isinstance(spec, MlpSpec):
-            masks[group] = head_mask(sl)
-            masks["rest"] &= ~masks[group]
-    return masks
+    mask = np.zeros(param_count(spec), dtype=bool)
+    for surface, sl in ((layout.tau_spec, layout.tau_slice), (layout.c_spec, layout.c_slice)):
+        if isinstance(surface, MlpSpec):
+            # rows of a row-major weight matrix are contiguous
+            mask[ws.start + sl.start * d_prev : ws.start + sl.stop * d_prev] = True
+            mask[bs.start + sl.start : bs.start + sl.stop] = True
+    return mask
 
 
 @dataclass
@@ -166,7 +145,6 @@ class FiducialChain:
     """
 
     draws: np.ndarray
-    sigmas: np.ndarray
     energies: np.ndarray
     scaler: Standardizer
 
@@ -174,15 +152,19 @@ class FiducialChain:
     def n_draws(self) -> int:
         return self.draws.shape[0]
 
+    @property
+    def sigmas(self) -> np.ndarray:
+        # log sigma is the last theta slot (ThetaLayout.log_sigma_index)
+        return np.exp(self.draws[:, -1])
+
 
 def _group_w_rates(
     w: MlpParams,
     rows: SolveRows,
     z: np.ndarray,
     config,
-    masks: dict,
-) -> dict:
-    """Largest safe weight step per schedule group, from measured curvature.
+) -> tuple[float, float]:
+    """Largest safe weight steps (rest, head), from measured curvature.
 
     Three modes bound the curvature of -log posterior at the start state:
       * consensus: a shared shift of the output-layer rows moves every
@@ -192,7 +174,7 @@ def _group_w_rates(
       * the spike component of the weight prior, 1/SIGMA0^2;
       * an output-bias shift of a location slot, at most (2 n / eps) for the
         unit-scale regressors the model uses.
-    Every mode applies to the catch-all group.  Head rows are gentler: their
+    Every mode applies to the rest.  Head rows are gentler: their
     elements reach the residual term only through theta values carrying a
     1/RESCALE conversion, so the location-slot and spike bounds shrink by
     RESCALE^2 and the consensus mode usually binds.  Because that mode is a
@@ -205,19 +187,13 @@ def _group_w_rates(
     lam = float(np.linalg.eigvalsh(cov)[-1])
     consensus = 2.0 * config.eta * rows.n / config.eps * max(lam, 1e-12) * w.spec.out_scale**2
     kappa_rest = max(consensus, 1.0 / SIGMA0**2, 2.0 * rows.n / config.eps)
-    rates = {}
-    for g in masks:
-        if g == "rest":
-            kappa = kappa_rest
-        else:
-            r2 = RESCALE**2
-            kappa = HEAD_GROWTH_ALLOWANCE * max(
-                consensus,
-                1.0 / SIGMA0**2 / r2,
-                2.0 * rows.n / config.eps / r2,
-            )
-        rates[g] = STEP_SAFETY * 2.0 / kappa
-    return rates
+    r2 = RESCALE**2
+    kappa_head = HEAD_GROWTH_ALLOWANCE * max(
+        consensus,
+        1.0 / SIGMA0**2 / r2,
+        2.0 * rows.n / config.eps / r2,
+    )
+    return STEP_SAFETY * 2.0 / kappa_rest, STEP_SAFETY * 2.0 / kappa_head
 
 
 def run_efi(
@@ -236,21 +212,16 @@ def run_efi(
     are standardized once, and one inverse network is stepped in place.
 
     trace, if given, receives one CSV row per iteration:
-    iteration, energy, upsilon, gamma (rest group), grad norm.
+    iteration, energy, upsilon, gamma (rest of the weights), grad norm;
+    the two steps are constant, so their columns repeat the anchors.
     """
     scaler = Standardizer.fit(data)
     rows = SolveRows.build(data, scaler, layout)
     rng = np.random.default_rng(seed)
     w = mlp_init(inverse_spec)
-    masks = gamma_groups(inverse_spec, layout)
-    if set(masks) != set(config.gamma_map):
-        raise ValueError(
-            f"gamma_map: the model layout needs groups {sorted(masks)}, "
-            f"got {sorted(config.gamma_map)}"
-        )
+    head = head_mask(inverse_spec, layout)
     n = data.n
     m_batch = max(1, n // config.n_batches)
-    step = np.empty(param_count(inverse_spec))
     writer = csv.writer(trace) if trace is not None else None
     if writer is not None:
         writer.writerow(["iteration", "energy", "upsilon", "gamma_rest", "grad_w_norm"])
@@ -263,29 +234,24 @@ def run_efi(
     w.flat[bias_slice] = theta_ls
 
     z = rng.standard_normal(n)
-    # published step constants assume the paper's loss scaling; only the
-    # decay shapes transfer, so anchor each group's absolute scale to its own
-    # stability limit measured at the start state
-    rates = _group_w_rates(w, rows, z, config, masks)
+    # published step constants assume the paper's loss scaling, so each
+    # group's step is anchored to its own stability limit measured at the
+    # start state
+    rate_rest, rate_head = _group_w_rates(w, rows, z, config)
+    step = np.where(head, rate_head, rate_rest)
 
     # head rows emit theta blocks stored at RESCALE times their natural
     # network units; the shrinkage prior reads those rows in natural units,
     # otherwise it is RESCALE times stiffer there than anywhere else and
     # flattens whatever surface the head has learned
-    prior_scale = None
-    if len(masks) > 1:
-        prior_scale = np.ones(param_count(inverse_spec))
-        for g, mask in masks.items():
-            if g != "rest":
-                prior_scale[mask] = RESCALE
+    prior_scale = np.where(head, RESCALE, 1.0) if head.any() else None
 
     # the latent step is anchored the same way: its curvature at the start
     # state is 1 + 2 sigma^2 / eps from the reference prior plus the pinned
     # residual term, with sigma taken from the marginalized fit
     sigma_warm = float(np.exp(theta_ls[layout.log_sigma_index]))
     kappa_z = 1.0 + 2.0 * sigma_warm**2 / config.eps
-    upsilon_scale = Z_STEP_TARGET / kappa_z
-    a = config.alpha_exp
+    upsilon = Z_STEP_TARGET / kappa_z
 
     def w_update(k: int, z_now: np.ndarray) -> None:
         # one batched pass yields the batch energy and the weight gradient
@@ -302,12 +268,9 @@ def run_efi(
             raise RuntimeError(f"weight gradient diverged at iteration {k}")
         if writer is not None:
             writer.writerow(
-                [k, repr(rep.total), repr(upsilon_scale * _decay(config.c_upsilon, a, k)),
-                 repr(rates["rest"] * _decay(config.gamma_map["rest"], a, k)),
+                [k, repr(rep.total), repr(upsilon), repr(rate_rest),
                  repr(float(np.linalg.norm(gw)))]
             )
-        for g, mask in masks.items():
-            step[mask] = rates[g] * _decay(config.gamma_map[g], a, k)
         clip = config.clip_norm if k <= config.clip_iters else None
         sgd_w_step(w, gw, step, clip)
 
@@ -327,16 +290,14 @@ def run_efi(
     # phase two: alternate latent SGHMC and weight SGD, record after burn-in
     v = np.zeros(n)
     total = config.k_burn + config.m_keep
-    draws, sigmas, energies = [], [], []
+    draws, energies = [], []
     for j in range(1, total + 1):
         k = config.init_iters + j
         rep = energy_gradients(w, rows, z, config.eta, layout, need_z=True, need_w=False)
         if not np.isfinite(rep.total):
             raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
         gz = -z - rep.z_grad / config.eps
-        z, v = sghmc_z_step(
-            z, v, gz, upsilon_scale * _decay(config.c_upsilon, a, k), config.varpi, rng
-        )
+        z, v = sghmc_z_step(z, v, gz, upsilon, config.varpi, rng)
         if not np.all(np.isfinite(z)):
             raise RuntimeError(f"latent chain diverged at iteration {k}")
         w_update(k, z)
@@ -345,13 +306,11 @@ def run_efi(
             if not np.isfinite(er.total):
                 raise RuntimeError(f"energy diverged at iteration {k}: {er.total}")
             draws.append(er.theta_bar)
-            sigmas.append(float(np.exp(er.theta_bar[layout.log_sigma_index])))
             energies.append(er.total)
 
     p = layout.theta_dim
     return FiducialChain(
         draws=np.array(draws).reshape(len(draws), p),
-        sigmas=np.array(sigmas),
         energies=np.array(energies),
         scaler=scaler,
     )

@@ -84,7 +84,7 @@ def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch, capsys):
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(bench)]) == 0
     assert len(calls) == 3
     summary = json.loads((bench / "summary.json").read_text())
-    assert summary["replications"] == 2 and summary["config"]["gamma_map"] == {"rest": 1e6}
+    assert summary["replications"] == 2 and summary["config"]["thin"] == THIN
     # train.csv carries tau_true, so the ATE intervals are scored
     coverage = summary["methods"]["efi"]["alphas"]["0.05"]["coverage"]
     assert isinstance(coverage["mean"], float) and 0.0 <= coverage["mean"] <= 1.0

@@ -19,28 +19,20 @@ def test_every_preset_loads(paper_scale):
         assert cfg.k_burn == PRESETS[name]["k_burn"] // (1 if paper_scale else 2)
 
 
-def test_gamma_map_groups_must_match_layout(tmp_path):
-    # the sampler needs a decay constant for every group of the layout and reads no other
-    with pytest.raises(ValueError, match=r"needs groups \['c_head', 'rest', 'tau_head'\]"):
-        preset_config("example2", gamma_map={"rest": 200000.0, "tau_head": 1e6})
-    path = write_yaml(tmp_path, "preset: example1\ngamma_map: {rest: 200000, tau_haed: 20000}\n")
-    with pytest.raises(ValueError, match="gamma_map: layout dnn_tau_linear_c needs groups"):
-        load_config(path)
-    with pytest.raises(ValueError, match="gamma_map"):
-        preset_config("linear_ate_n250", gamma_map={"rest": 1e6, "tau_head": 1e6})
-    with pytest.raises(ValueError, match="layout_kind"):
+def test_step_schedule_keys_are_unknown(tmp_path):
+    # the sampler holds its steps at their start-state anchors; no key sets them
+    for name, value in [
+        ("c_upsilon", "1000000"), ("gamma_map", "{rest: 200000}"),
+        ("alpha_exp", "0.1428"), ("C_upsilon", "200000"),
+    ]:
+        path = write_yaml(tmp_path, f"preset: example1\n{name}: {value}\n")
+        with pytest.raises(ValueError, match=f"^{name}: unknown config field$"):
+            load_config(path)
+
+
+def test_unknown_layout_kind_is_rejected():
+    with pytest.raises(ValueError, match="layout_kind: unknown layout 'dnn_three'"):
         preset_config("linear_ate_n250", layout_kind="dnn_three")
-
-
-def test_schedule_multipliers_are_rejected_with_reason(tmp_path):
-    pair = write_yaml(tmp_path, "preset: linear_ate_n250\ngamma_map: {rest: [54000, 1000000]}\n")
-    with pytest.raises(ValueError, match="multipliers C were removed.*C cancels"):
-        load_config(pair)
-    upsilon = write_yaml(tmp_path, "preset: linear_ate_n250\nC_upsilon: 200000\n")
-    with pytest.raises(ValueError, match="C_upsilon: the step-size multipliers C were removed"):
-        load_config(upsilon)
-    with pytest.raises(ValueError, match="removed"):
-        ExperimentConfig(design="linear_ate", gamma_map={"rest": (54000.0, 1e6)})
 
 
 def test_csv_config_without_test_set_is_rejected(tmp_path):
@@ -51,7 +43,6 @@ def test_csv_config_without_test_set_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="csv config supports linear_ate only"):
         ExperimentConfig(
             layout_kind="dnn_tau_linear_c",
-            gamma_map={"rest": 2e5, "tau_head": 2e4},
             **csv_keys,
         )
 
@@ -73,11 +64,11 @@ def test_yaml_numbers_without_a_dot_load_as_numbers(tmp_path):
     path = write_yaml(
         tmp_path,
         "preset: linear_ate_n250\neta: 5e2\neps: 1e-1\nk_burn: 1e2\nalphas: [5e-2]\n"
-        "gamma_map: {rest: 1e6}\nclip_norm: null\n",
+        "out_scale: 4e-2\nclip_norm: null\n",
     )
     cfg = load_config(path)
     assert (cfg.eta, cfg.eps, cfg.k_burn, cfg.alphas) == (500.0, 0.1, 100, (0.05,))
-    assert cfg.gamma_map == {"rest": 1e6} and cfg.clip_norm is None
+    assert cfg.out_scale == 0.04 and cfg.clip_norm is None
     assert type(cfg.eta) is float and type(cfg.k_burn) is int
 
 
@@ -89,7 +80,6 @@ def test_yaml_numbers_without_a_dot_load_as_numbers(tmp_path):
         ("R: true", "R: expected int, got True"),
         ("trace: 1", "trace: expected bool, got 1"),
         ("alphas: [0.05, x]", "alphas: expected float, got 'x'"),
-        ("gamma_map: {rest: fast}", "gamma_map.rest: expected float, got 'fast'"),
         ("paper_scale: 'no'", "paper_scale: expected bool, got 'no'"),
         ("eta: .nan", "eta: expected a finite number, got nan"),
         ("eps: inf", "eps: expected a finite number, got 'inf'"),
@@ -108,8 +98,6 @@ def test_scalar_that_does_not_convert_is_rejected_at_load(tmp_path, line, messag
         ("eta: -1", "eta: must be nonnegative, got -1.0"),
         ("varpi: 0", "varpi: must be in (0, 1], got 0.0"),
         ("varpi: 1.5", "varpi: must be in (0, 1], got 1.5"),
-        ("alpha_exp: 1.5", "alpha_exp: must be in (0, 1), got 1.5"),
-        ("c_upsilon: 0", "c_upsilon: must be positive, got 0.0"),
         ("clip_norm: 0", "clip_norm: must be positive or null, got 0.0"),
         ("clip_norm: -5", "clip_norm: must be positive or null, got -5.0"),
         ("out_scale: 0", "out_scale: must be positive, got 0.0"),

@@ -29,7 +29,6 @@ def make_chain(draws: np.ndarray, scaler=IDENTITY_SCALER) -> FiducialChain:
     draws = np.atleast_2d(draws)
     return FiducialChain(
         draws=draws,
-        sigmas=np.exp(draws[:, -1]),
         energies=np.zeros(draws.shape[0]),
         scaler=scaler,
     )
@@ -329,6 +328,15 @@ def test_write_intervals_csv_roundtrip(tmp_path):
     back = rescore(str(path))["efi"]["0.05"]
     assert (back["Im"]["coverage"], back["Ic"]["coverage"]) == (1.0, 0.0)
     assert back["ATE"] == {"n": 1, "mean_length": 1.0, "coverage": None}
+
+
+def test_interval_of_numpy_scalars_reads_back(tmp_path):
+    # endpoints taken from an array are numpy scalars; the file holds plain numbers
+    lower, upper = np.array([-1.0, 1.0])
+    path = tmp_path / "iv.csv"
+    write_rows_csv([("efi", PredictionInterval(0, "Im", lower, upper, 0.05), 0.5)], path)
+    assert path.read_text().splitlines()[1].split(",")[4:6] == ["-1.0", "1.0"]
+    assert rescore(str(path))["efi"]["0.05"]["Im"] == {"n": 1, "mean_length": 2.0, "coverage": 1.0}
 
 
 def test_rescore_rejects_a_malformed_file(tmp_path):

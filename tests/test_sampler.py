@@ -6,13 +6,12 @@ import pytest
 from fidte.config import LAYOUT_GROUPS, PRESETS, ExperimentConfig, preset_config
 from fidte.datagen import GenSpec, generate
 from fidte.engine import Dataset, SolveRows, Standardizer, ThetaLayout, least_squares_theta
-from fidte.nn import MlpParams, MlpSpec, mlp_init, param_count
+from fidte.nn import MlpParams, MlpSpec, _layer_slices, mlp_init, param_count
 from fidte.runner import build_layout
 from fidte.sampler import (
     Z_STEP_TARGET,
     FiducialChain,
-    _decay,
-    gamma_groups,
+    head_mask,
     run_efi,
     sgd_w_step,
     sghmc_z_step,
@@ -37,41 +36,11 @@ def toy_data(rng, n=40, d=2):
 # ---------------------------------------------------------------- schedules
 
 
-def test_schedule_arithmetic_frozen():
-    # steps are relative to iteration 1, where run_efi anchors their scale:
-    # (c + 1) / (c + k^a), with the default a = 1/7
-    a = make_config().alpha_exp
-    assert _decay(1e6, a, 1) == 1.0
-    assert _decay(1e6, a, 128) == pytest.approx((1e6 + 1.0) / (1e6 + 2.0), rel=1e-15)
-    assert _decay(20000.0, a, 1) == 1.0
-    assert _decay(20000.0, a, 128) == pytest.approx(20001.0 / 20002.0, rel=1e-15)
-    # the smallest published c moves a step by under 2e-4 over a paper-scale run
-    assert 1.0 - _decay(20000.0, a, 75000) < 2e-4
-
-
-def test_schedule_decays_with_k():
-    cfg = make_config()
-    ks = [1, 10, 1000, 100000]
-    vals = [_decay(cfg.c_upsilon, cfg.alpha_exp, k) for k in ks]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
 def test_schedule_validation():
-    with pytest.raises(ValueError, match="c_upsilon: must be positive"):
-        make_config(c_upsilon=-1.0)
-    with pytest.raises(ValueError, match="gamma_map: decay constant of group 'rest'"):
-        make_config(gamma_map={"rest": 0.0})
     with pytest.raises(ValueError, match=r"varpi: must be in \(0, 1\]"):
         make_config(varpi=0.0)
     with pytest.raises(ValueError, match="varpi"):
         make_config(varpi=1.5)
-    with pytest.raises(ValueError, match=r"alpha_exp: must be in \(0, 1\)"):
-        make_config(alpha_exp=1.0)
-    # every group of the layout needs a decay constant, and no other group is read
-    with pytest.raises(ValueError, match="gamma_map: layout linear_ate needs groups"):
-        make_config(gamma_map={"tau_head": 1.0})
-    with pytest.raises(ValueError, match="gamma_map"):
-        make_config(gamma_map={"rest": 1e6, "no_such_group": 1.0})
 
 
 # ---------------------------------------------------------------- steps
@@ -152,29 +121,21 @@ def test_sgd_step_to_a_non_finite_weight_raises():
 def test_gamma_groups_linear_model_is_all_rest():
     layout = ThetaLayout(3)
     spec = MlpSpec((5, 6, layout.theta_dim), seed=0)
-    masks = gamma_groups(spec, layout)
-    assert set(masks) == {"rest"}
-    assert masks["rest"].all()
+    assert not head_mask(spec, layout).any()
 
 
 def test_gamma_groups_partition_tau_head():
     layout = ThetaLayout(3, MlpSpec((2, 4, 1), seed=0))
     spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=0)
-    masks = gamma_groups(spec, layout)
-    assert set(masks) == {"rest", "tau_head"}
     # each of the 17 tau output slots owns one row of the last weight matrix plus a bias
-    assert masks["tau_head"].sum() == 17 * (6 + 1)
-    assert not (masks["tau_head"] & masks["rest"]).any()
-    assert (masks["tau_head"] | masks["rest"]).all()
+    assert head_mask(spec, layout).sum() == 17 * (6 + 1)
 
 
 def test_gamma_groups_partition_both_heads():
     layout = ThetaLayout(MlpSpec((2, 3, 1), seed=0), MlpSpec((2, 3, 1), seed=1))
     spec = MlpSpec((5, 7, layout.theta_dim), seed=0)
-    masks = gamma_groups(spec, layout)
-    assert set(masks) == {"rest", "tau_head", "c_head"}
-    stack = np.stack([masks[g] for g in masks])
-    assert (stack.sum(axis=0) == 1).all()  # exact partition
+    # 13 c slots and 13 tau slots; only the log-sigma row stays out of the head
+    assert head_mask(spec, layout).sum() == (13 + 13) * (7 + 1)
 
 
 def layout_configs():
@@ -182,20 +143,31 @@ def layout_configs():
     for name in PRESETS:
         cfg = preset_config(name)
         yield pytest.param(cfg, generate(GenSpec(cfg.design, 2)).d, id=name)
-    for kind, groups in LAYOUT_GROUPS.items():
-        cfg = ExperimentConfig(design="example1", n_test=1, layout_kind=kind,
-                               gamma_map=dict.fromkeys(groups, 1e6))
+    for kind in LAYOUT_GROUPS:
+        cfg = ExperimentConfig(design="example1", n_test=1, layout_kind=kind)
         for d in (2, 5):
             yield pytest.param(cfg, d, id=f"{kind}-d{d}")
 
 
 @pytest.mark.parametrize("config, d", layout_configs())
 def test_gamma_groups_are_the_config_layout_groups(config, d):
-    # the config names a layout's head groups, the sampler derives them from
-    # its network surfaces; both must agree
+    # the head, stepped at its own rate, is exactly the W rows and biases of
+    # the output slots of each network surface the config's layout names
+    surfaces = LAYOUT_GROUPS[config.layout_kind]
     layout = build_layout(config, d)
+    nets = {s for s in ("tau", "c") if isinstance(getattr(layout, f"{s}_spec"), MlpSpec)}
+    assert nets == set(surfaces)
     spec = MlpSpec((d + 3, 6, layout.theta_dim), seed=0)
-    assert set(gamma_groups(spec, layout)) == set(LAYOUT_GROUPS[config.layout_kind])
+    ws, bs, (_, d_prev) = _layer_slices(spec)[-1]
+    weights = np.zeros((layout.theta_dim, d_prev), dtype=bool)
+    biases = np.zeros(layout.theta_dim, dtype=bool)
+    for s in surfaces:
+        weights[getattr(layout, f"{s}_slice")] = True
+        biases[getattr(layout, f"{s}_slice")] = True
+    want = np.zeros(param_count(spec), dtype=bool)
+    want[ws], want[bs] = weights.ravel(), biases
+    np.testing.assert_array_equal(head_mask(spec, layout), want)
+    assert want.any() == bool(surfaces)
 
 
 # ---------------------------------------------------------------- run_efi
@@ -263,18 +235,15 @@ def test_run_efi_trace_stream():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].split(",") == ["iteration", "energy", "upsilon", "gamma_rest", "grad_w_norm"]
     assert len(lines) == 1 + 5 + 160  # header + init phase + sampling phase
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    # the upsilon column records the anchored latent step: the schedule's
-    # decay scaled so upsilon * kappa_z = Z_STEP_TARGET at start
+    cols = [line.split(",") for line in lines[1:]]
+    assert [int(c[0]) for c in cols] == list(range(1, 1 + 5 + 160))
+    # both steps are constant: upsilon is anchored so that
+    # upsilon * kappa_z = Z_STEP_TARGET, and the weight step keeps its anchor
     rows = SolveRows.build(data, Standardizer.fit(data), layout)
     sig = np.exp(least_squares_theta(rows, layout)[layout.log_sigma_index])
     kappa_z = 1.0 + 2.0 * sig**2 / config.eps
-    assert float(first[2]) == pytest.approx(Z_STEP_TARGET / kappa_z)
-    mid = lines[80].split(",")
-    ratio = float(mid[2]) / float(first[2])
-    decay = [_decay(config.c_upsilon, config.alpha_exp, k) for k in (80, 1)]
-    assert ratio == pytest.approx(decay[0] / decay[1])
+    assert {float(c[2]) for c in cols} == {Z_STEP_TARGET / kappa_z}
+    assert len({c[3] for c in cols}) == 1
 
 
 def test_run_efi_divergence_guard():
@@ -293,14 +262,14 @@ def test_run_efi_divergence_guard():
             run_efi(data, layout, spec, config, 0)
 
 
-def test_run_efi_missing_gamma_group():
+def test_run_efi_rejects_an_inverse_net_of_another_width():
     rng = np.random.default_rng(3)
     data = toy_data(rng, n=20)
     layout = ThetaLayout(3, MlpSpec((2, 3, 1), seed=0))
-    spec = MlpSpec((5, 6, layout.theta_dim), seed=1)
-    # a linear_ate config carries no tau_head constant
+    # an inverse net sized for the linear layout cannot emit the tau block
+    spec = MlpSpec((5, 6, ThetaLayout(3).theta_dim), seed=1)
     config = make_config(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
-    with pytest.raises(ValueError, match=r"needs groups \['rest', 'tau_head'\]"):
+    with pytest.raises(ValueError, match="inverse output width 5 != theta dim 17"):
         run_efi(data, layout, spec, config, 0)
 
 
