@@ -431,7 +431,8 @@ def energy_gradients(
     a_total[layout.log_sigma_index] = hp.sigma * (r @ z)
     a_total *= -2.0
     c = 2.0 * eta * s * s
-    hidden_grads = hp.dev @ (c * hp.gram) + (s / rows.n) * (W.T @ a_total)
+    hidden_grads = hp.dev @ (c * hp.gram)
+    hidden_grads += (s / rows.n) * (W.T @ a_total)
     # the z pass needs only the input gradient, the w pass the weight gradient
     w_grad, input_grads = mlp_backward_batch(
         w, hp.trunk, hidden_grads, head=False, need_params=need_w, need_input=need_z

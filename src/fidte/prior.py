@@ -2,8 +2,15 @@
 
 Each weight independently follows RHO * N(0, SIGMA1^2) + (1 - RHO) * N(0, SIGMA0^2)
 with a narrow spike (SIGMA0) and a wide slab (SIGMA1), fixed constants of the
-model family.  Densities are combined in log space; the naive density ratio
-overflows already around |w| ~ 0.06 because of the spike's 1/SIGMA0^2 exponent.
+model family.  The gradient blends the two components' pulls by the spike's
+responsibility r0, which in closed form is a logistic function of w^2:
+
+    r0 = 1 / (1 + exp(K w^2 - L0)),  K = (1/SIGMA0^2 - 1/SIGMA1^2) / 2,
+                                     L0 = log((1 - RHO) SIGMA1 / (RHO SIGMA0)),
+
+so one exp gives it.  That exp overflows to inf for |w| > ~0.379, where the
+spike's share is below e^-709; r0 = 1 / inf = 0 there is the exact slab
+limit, so the overflow is harmless and is not reported.
 """
 
 from __future__ import annotations
@@ -14,36 +21,46 @@ RHO = 1e-2
 SIGMA1 = 1.0
 SIGMA0 = 1e-2
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def _log_components(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # log of each weighted component density, elementwise
-    a1 = np.log(RHO) - 0.5 * _LOG_2PI - np.log(SIGMA1) - 0.5 * (w / SIGMA1) ** 2
-    a0 = np.log1p(-RHO) - 0.5 * _LOG_2PI - np.log(SIGMA0) - 0.5 * (w / SIGMA0) ** 2
-    return a1, a0
+# log odds of slab over spike at w: K w^2 - L0
+_K = 0.5 * (1.0 / SIGMA0**2 - 1.0 / SIGMA1**2)
+_L0 = float(np.log((1.0 - RHO) * SIGMA1 / (RHO * SIGMA0)))
 
 
 def log_prior_grad(w: np.ndarray, scale=None) -> np.ndarray:
     """Elementwise gradient of the log prior density of w.
 
-    Uses component responsibilities r_c = exp(a_c - logsumexp) so the spike
-    and slab pulls are blended without forming overflowing ratios:
-    d/dw = -w * (r1 / SIGMA1^2 + r0 / SIGMA0^2).
+    d/dw = -w * (1/SIGMA1^2 + r0 * (1/SIGMA0^2 - 1/SIGMA1^2)), with the
+    spike responsibility r0 of the module docstring.  It is built in one new
+    array, and w is left unchanged.  Where exp (for |w| > ~0.379) or w * w
+    (for |w| > ~1e154) overflows to inf, r0 is 0 and the gradient is the
+    slab's -w / SIGMA1^2, so those overflows are silenced.  r0 is never
+    written as e^l / (1 + e^l), whose inf / inf would be NaN.
     scale, if given, holds per-element positive factors for parameters that
     are stored as scaled copies of their natural units: the mixture reads
     w / scale and the gradient carries the 1 / scale chain factor.
     """
     w = np.asarray(w, dtype=np.float64)
-    inv = 1.0
+    s = None
     if scale is not None:
         s = np.broadcast_to(np.asarray(scale, dtype=np.float64), w.shape)
         if not np.all(s > 0):
             raise ValueError("scale entries must be positive")
-        w = w / s
-        inv = 1.0 / s
-    a1, a0 = _log_components(w)
-    lse = np.logaddexp(a1, a0)
-    r1 = np.exp(a1 - lse)
-    r0 = np.exp(a0 - lse)
-    return -w * (r1 / SIGMA1**2 + r0 / SIGMA0**2) * inv
+    out = np.empty(w.shape)
+    with np.errstate(over="ignore"):
+        if s is None:
+            np.multiply(w, w, out=out)
+        else:
+            np.divide(w, s, out=out)
+            out *= out
+        out *= _K
+        out -= _L0
+        np.exp(out, out=out)
+        out += 1.0
+        # -(1/SIGMA1^2 + 2K r0), with r0 = 1 / out
+        np.divide(-2.0 * _K, out, out=out)
+        out -= 1.0 / SIGMA1**2
+    out *= w
+    if s is not None:
+        out /= s
+        out /= s
+    return out

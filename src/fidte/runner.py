@@ -18,7 +18,6 @@ import json
 import os
 from contextlib import nullcontext
 from dataclasses import asdict
-from multiprocessing import get_context
 from typing import Optional
 
 import numpy as np
@@ -325,6 +324,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     for *_, rep_dir in jobs:
         os.makedirs(rep_dir, exist_ok=True)
     if workers > 1 and config.R > 1:
+        from multiprocessing import get_context  # only a pooled run pays its import
+
         with get_context("fork").Pool(min(workers, config.R)) as pool:
             reps = pool.map(_rep_worker, jobs)
     else:

@@ -263,7 +263,11 @@ def run_efi(
         rep = energy_gradients(w, batch, zb, config.eta, layout, need_z=False, need_w=True)
         if not np.isfinite(rep.total):
             raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
-        gw = scale * (-rep.w_grad / config.eps) + log_prior_grad(w.flat, prior_scale)
+        # scale * (-w_grad / eps) + prior, formed on the pass's fresh gradient
+        gw = np.negative(rep.w_grad, out=rep.w_grad)
+        gw /= config.eps
+        gw *= scale
+        gw += log_prior_grad(w.flat, prior_scale)
         if not np.all(np.isfinite(gw)):
             raise RuntimeError(f"weight gradient diverged at iteration {k}")
         if writer is not None:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,11 +153,21 @@ def test_pool_results_carry_no_chain():
     assert set(rep) == {"r", "rows", "pehe"}
 
 
-def test_cli_import_leaves_scipy_out():
+def cli_import_loads(module):
+    # whether importing fidte.cli in a fresh interpreter imports module
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    code = "import sys, fidte.cli; sys.exit(int('scipy' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = f"import sys, fidte.cli; sys.exit(int({module!r} in sys.modules))"
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode != 0
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not cli_import_loads("scipy")
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a run pooled over workers imports it
+    assert not cli_import_loads("multiprocessing")
 
 
 def short_cqr_fits(monkeypatch):
@@ -337,3 +348,18 @@ def test_csv_file_is_read_once_per_run(tmp_path, monkeypatch):
         write_rows_csv(fidte.runner.run_replication(cfg, r, real(str(data), schema))["rows"], alone)
         shared = tmp_path / "out" / f"rep_{r:03d}" / "intervals.csv"
         assert alone.read_text() == shared.read_text()
+
+
+def test_pooled_run_writes_what_a_serial_run_writes(tmp_path):
+    # replication r draws everything from (seed, r), so two workers write the
+    # serial run's interval files byte for byte and the same scores
+    cfg = preset_config("linear_ate_n250", R=2, n_train=20, k_burn=4, m_keep=6, thin=2,
+                        n_batches=1, seed=5)
+    serial = fidte.runner.run_experiment(replace(cfg, outdir=str(tmp_path / "serial")))
+    pooled = fidte.runner.run_experiment(replace(cfg, outdir=str(tmp_path / "pooled")), workers=2)
+    for r in range(2):
+        rep = f"rep_{r:03d}/intervals.csv"
+        assert (tmp_path / "pooled" / rep).read_bytes() == (tmp_path / "serial" / rep).read_bytes()
+    assert pooled["methods"] == serial["methods"]
+    written = json.loads((tmp_path / "pooled" / "summary.json").read_text())
+    assert written["methods"] == json.loads((tmp_path / "serial" / "summary.json").read_text())["methods"]

@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from fidte.prior import RHO, SIGMA0, SIGMA1, log_prior_grad
 
-from conftest import assert_grad_close, central_diff
+from conftest import assert_grad_close, central_diff, lse_log_prior_grad
 
 
 def mixture_logpdf(w):
@@ -137,3 +137,61 @@ def test_scale_must_be_positive():
         log_prior_grad(np.ones(3), scale=np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="positive"):
         log_prior_grad(np.ones(2), scale=-1.0)
+
+
+# spike (|w| << SIGMA0), the spike/slab crossover near 0.043, the slab
+# below the exp overflow at ~0.379, and the slab past it
+PRIOR_RANGES = [
+    pytest.param(np.linspace(-0.02, 0.02, 41), id="spike"),
+    pytest.param(np.linspace(0.035, 0.052, 35), id="crossover"),
+    pytest.param(np.linspace(0.1, 0.379, 30), id="slab"),
+    pytest.param(np.geomspace(0.38, 1e150, 60), id="overflow"),
+]
+
+
+@pytest.mark.parametrize("w", PRIOR_RANGES)
+def test_one_exp_form_matches_log_sum_exp(w):
+    w = np.concatenate([w, -w])
+    np.testing.assert_allclose(log_prior_grad(w), lse_log_prior_grad(w), rtol=1e-12, atol=0)
+
+
+def test_one_exp_form_matches_log_sum_exp_scaled(rng):
+    # the head rows' path: natural units w / scale, chain factor 1 / scale
+    s = np.where(rng.random(200) < 0.5, 25.0, 1.0)
+    for spread in (0.005, 0.043, 0.3, 5.0, 1e3):
+        w = rng.normal(scale=spread, size=200) * s
+        np.testing.assert_allclose(
+            log_prior_grad(w, scale=s), lse_log_prior_grad(w, scale=s), rtol=1e-12, atol=0
+        )
+
+
+def test_slab_limit_where_squares_overflow():
+    # w * w overflows past ~1e154, beyond the reference's own range; r0 is 0
+    # there and the gradient is the slab's -w / SIGMA1^2, as the reference
+    # gives it exactly from |w| 0.38 up
+    w = np.array([1e150, 1e154, 1e155, 1e200, -1e200, 1e308])
+    np.testing.assert_array_equal(log_prior_grad(w), -w / SIGMA1**2)
+    np.testing.assert_array_equal(log_prior_grad(w, scale=25.0), -(w / 25.0) / SIGMA1**2 / 25.0)
+    assert lse_log_prior_grad(np.array([0.38, 1e150]))[1] == -1e150 / SIGMA1**2
+
+
+def test_overflow_is_silent():
+    # the exp and square overflows are the exact slab limit, so they raise no
+    # warning, and no division or invalid operation occurs on the way (an
+    # underflowing square is 0, which numpy never reports by default)
+    w = np.array([0.0, 1e-300, 0.043, 0.38, 5.0, 1e154, 1e200, -1e300])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert np.all(np.isfinite(log_prior_grad(w)))
+        assert np.all(np.isfinite(log_prior_grad(w, scale=np.full(8, 25.0))))
+
+
+def test_input_is_left_unchanged_and_result_is_new(rng):
+    w = rng.normal(scale=0.1, size=50)
+    s = np.full(50, 25.0)
+    w0, s0 = w.copy(), s.copy()
+    for scale in (None, s):
+        g = log_prior_grad(w, scale)
+        assert not np.shares_memory(g, w)
+        np.testing.assert_array_equal(w, w0)
+        np.testing.assert_array_equal(s, s0)
+    assert log_prior_grad(0.3).shape == ()

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import fidte.sampler
 from fidte.config import LAYOUT_GROUPS, PRESETS, ExperimentConfig, preset_config
 from fidte.datagen import GenSpec, generate
 from fidte.engine import Dataset, SolveRows, Standardizer, ThetaLayout, least_squares_theta
@@ -16,6 +17,8 @@ from fidte.sampler import (
     sgd_w_step,
     sghmc_z_step,
 )
+
+from conftest import lse_log_prior_grad
 
 
 def make_config(**kw):
@@ -271,6 +274,24 @@ def test_run_efi_rejects_an_inverse_net_of_another_width():
     config = make_config(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
     with pytest.raises(ValueError, match="inverse output width 5 != theta dim 17"):
         run_efi(data, layout, spec, config, 0)
+
+
+def test_run_efi_draws_match_the_log_sum_exp_prior(monkeypatch):
+    # the one-exp prior gradient agrees with the log-sum-exp form to ~1e-12
+    # relative, so a short dnn_tau_linear_c run, whose tau head also takes
+    # the scaled prior path, moves its draws by no more than a few ulps
+    cfg = make_config(design="example1", layout_kind="dnn_tau_linear_c", tau_widths=(4, 3),
+                      n_test=1, eta=10.0, eps=0.1, k_burn=40, m_keep=60, thin=3,
+                      init_iters=10, n_batches=2)
+    data = generate(GenSpec("example1", 40, seed=4))
+    layout = build_layout(cfg, data.d)
+    spec = MlpSpec((data.d + 3, 12, 6, layout.theta_dim), seed=2, out_scale=1.0 / 25.0)
+    shipped = run_efi(data, layout, spec, cfg, 9)
+    monkeypatch.setattr(fidte.sampler, "log_prior_grad", lse_log_prior_grad)
+    reference = run_efi(data, layout, spec, cfg, 9)
+    assert head_mask(spec, layout).any()
+    assert shipped.n_draws == 20
+    np.testing.assert_allclose(shipped.draws, reference.draws, rtol=0, atol=1e-10)
 
 
 def test_run_config_validation():
