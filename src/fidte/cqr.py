@@ -79,7 +79,11 @@ def _fit_pinball_net(
     """Full-batch Adam on the summed pinball losses, one level per output.
 
     The net's flat vector is updated in place, so its layer views are built
-    once per fit; each step is one forward and one backward through it.
+    once per fit; each step is one forward and one backward through it.  The
+    pinball gradient, Adam's two moments, their bias-corrected forms and the
+    update are written into arrays made once per fit, one numpy call per
+    operation of the textbook step and in its order, so a fit is bitwise
+    equal to one that allocates every term afresh.
     """
     n = features.shape[0]
     qvec = np.asarray(qs, dtype=np.float64)[None, :]
@@ -87,19 +91,40 @@ def _fit_pinball_net(
     flat = net.flat
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
+    mh = np.empty_like(flat)
+    vh = np.empty_like(flat)
+    finite = np.empty(flat.shape, dtype=bool)
+    below = np.empty(targets.shape, dtype=bool)
+    out_grad = np.empty(targets.shape)
     b1, b2, eps = 0.9, 0.999, 1e-8
     for step in range(1, config.iters + 1):
         acts = mlp_forward_batch(net, features)
         # d/du of rho_q(y - u) is 1{y < u} - q
-        out_grad = ((targets < acts[-1]).astype(np.float64) - qvec) / n
+        np.less(targets, acts[-1], out=below)
+        np.subtract(below, qvec, out=out_grad)
+        out_grad /= n
         grad, _ = mlp_backward_batch(net, acts, out_grad, need_input=False)
-        m = b1 * m + (1.0 - b1) * grad
-        v = b2 * v + (1.0 - b2) * grad**2
-        mh = m / (1.0 - b1**step)
-        vh = v / (1.0 - b2**step)
-        flat -= config.lr * mh / (np.sqrt(vh) + eps)
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("non-finite parameter values")
+        # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2
+        m *= b1
+        np.multiply(grad, 1.0 - b1, out=mh)
+        m += mh
+        v *= b2
+        np.square(grad, out=vh)
+        vh *= 1.0 - b2
+        v += vh
+        # flat -= lr mh / (sqrt(vh) + eps), mh = m / (1 - b1^step), vh = v / (1 - b2^step)
+        np.divide(m, 1.0 - b1**step, out=mh)
+        np.divide(v, 1.0 - b2**step, out=vh)
+        np.sqrt(vh, out=vh)
+        vh += eps
+        mh *= config.lr
+        mh /= vh
+        flat -= mh
+        if not np.isfinite(flat, out=finite).all():
+            raise ValueError(
+                f"non-finite parameter values at Adam step {step} of {config.iters}, "
+                f"quantile levels {tuple(float(q) for q in qs)}"
+            )
     return net
 
 
@@ -179,20 +204,31 @@ def _split(n: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
 
 def _arm_bands(
     train: Dataset,
-    level_alpha: float,
+    alpha: float,
     rng: np.random.Generator,
     config: TrainConfig,
     seed: int,
 ) -> Tuple[QuantileModel, ConformalCorrection]:
-    """Split-conformal per-arm outcome bands at level 1 - level_alpha."""
+    """Split-conformal per-arm outcome bands at level 1 - alpha/2.
+
+    Raises when an arm has too few calibration rows for that level, whose
+    band would then be infinite.
+    """
+    level_alpha = alpha / 2.0
     fit_idx, cal_idx = _split(train.n, rng)
     model = pinball_fit(train.subset(fit_idx), level_alpha, config=config, seed=seed)
     cal = train.subset(cal_idx)
-    corr = ConformalCorrection(
-        s_hat={arm: calibrate(conformal_scores(model, cal, arm), level_alpha) for arm in (0, 1)},
-        alpha=level_alpha,
-    )
-    return model, corr
+    s_hat = {}
+    for arm in (0, 1):
+        scores = conformal_scores(model, cal, arm)
+        s_hat[arm] = calibrate(scores, level_alpha)
+        if math.isinf(s_hat[arm]):
+            raise ValueError(
+                f"calibration at alpha {alpha} returned an infinite band: arm {arm} has "
+                f"{scores.size} calibration rows, too few for level {1.0 - level_alpha:g}; "
+                "use more training rows or a larger alpha"
+            )
+    return model, ConformalCorrection(s_hat=s_hat, alpha=level_alpha)
 
 
 def _interval_outcomes(
@@ -220,14 +256,9 @@ class _FoldOne:
 def _fold_one(train: Dataset, alpha: float, seed: int, config: TrainConfig) -> _FoldOne:
     rng = np.random.default_rng(seed)
     fold1_idx, fold2_idx = _split(train.n, rng)
-    model, corr = _arm_bands(train.subset(fold1_idx), alpha / 2.0, rng, config, seed)
+    model, corr = _arm_bands(train.subset(fold1_idx), alpha, rng, config, seed)
     fold2 = train.subset(fold2_idx)
     c_lo, c_hi = _interval_outcomes(fold2, model, corr)
-    if not (np.all(np.isfinite(c_lo)) and np.all(np.isfinite(c_hi))):
-        raise ValueError(
-            f"calibration at alpha {alpha} returned an infinite band, so interval "
-            "outcomes cannot be regressed; use more training rows or a larger alpha"
-        )
     return _FoldOne(fold2, c_lo, c_hi, rng)
 
 
@@ -255,7 +286,7 @@ def cqr_ite(
     if mode == "naive":
         # per-arm bands at level 1 - alpha/2, differenced
         rng = np.random.default_rng(seed)
-        model, corr = _arm_bands(train, alpha / 2.0, rng, config, seed)
+        model, corr = _arm_bands(train, alpha, rng, config, seed)
         lo1, hi1 = _band(model, corr, test.x, 1)
         lo0, hi0 = _band(model, corr, test.x, 0)
         lower, upper = lo1 - hi0, hi1 - lo0

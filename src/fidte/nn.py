@@ -7,7 +7,10 @@ can treat a network as a point in R^P.
 
 A network keeps, per row count, the arrays its forward and backward passes
 write (see MlpParams), so a sampler or optimizer that runs the same network
-on the same rows step after step allocates no activation-sized array.
+on the same rows step after step allocates no activation-sized array.  The
+backward pass forms each bias gradient by whichever of einsum and .sum(axis=0)
+is cheaper where the two agree bit for bit (see _column_sums), so its results
+are those of a plain numpy sum.
 """
 
 from __future__ import annotations
@@ -185,8 +188,26 @@ def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> li
         acts.append(a)
     if head:
         W, b = layers[-1]
-        acts.append((a @ W.T) * params.spec.out_scale + b)
+        out = a @ W.T
+        if params.spec.out_scale != 1.0:
+            out *= params.spec.out_scale
+        out += b
+        acts.append(out)
     return acts
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0), bit for bit, by the cheaper call where the two agree.
+
+    On a C-ordered array more than one column wide, einsum and sum both add
+    the rows in order, and einsum costs a half to a third as much at the row
+    counts here.  On a single column sum adds pairwise, as it does down each
+    column of a column-ordered array; einsum differs there in the last bit
+    (from 3 rows on), so those keep sum.
+    """
+    if a.shape[1] > 1 and a.flags.c_contiguous:
+        return np.einsum("ij->j", a)
+    return a.sum(axis=0)
 
 
 def mlp_backward_batch(
@@ -203,6 +224,8 @@ def mlp_backward_batch(
     the head); the forward is never recomputed.  out_grads has one row per
     observation; the parameter gradient is the sum over rows (each row is an
     independent additive loss term), the input gradient is returned per row.
+    Each bias gradient is the column sum of an (n, d_l) array, formed by
+    _column_sums, so it equals .sum(axis=0) bit for bit at every width.
     With head=False out_grads are gradients at the last hidden activations,
     shape (n, d_{L-1}), and the output-layer slots of the parameter gradient
     are left zero for the caller to fill.  A gradient not needed
@@ -225,10 +248,15 @@ def mlp_backward_batch(
     if head:
         if need_params:
             # out_scale multiplies the output weight matrix only, so it enters
-            # that layer's weight gradient and the signal flowing past it
-            pieces.append(((grads.T @ acts[last]).ravel() * s, grads.sum(axis=0)))
+            # that layer's weight gradient and the signal flowing past it;
+            # a product with 1.0 is exact, so a unit scale skips it
+            w_grad = (grads.T @ acts[last]).ravel()
+            if s != 1.0:
+                w_grad *= s
+            pieces.append((w_grad, _column_sums(grads)))
         grads = np.matmul(grads, layers[last][0], out=params._pass_array("grad", last, n))
-        grads *= s
+        if s != 1.0:
+            grads *= s
     elif need_params:
         pieces.append((np.zeros(layers[last][0].size), np.zeros(layers[last][1].size)))
     # grads is the gradient at the last hidden activations from here on
@@ -238,7 +266,7 @@ def mlp_backward_batch(
         np.subtract(1.0, delta, out=delta)
         delta *= grads
         if need_params:
-            pieces.append(((delta.T @ acts[l]).ravel(), delta.sum(axis=0)))
+            pieces.append(((delta.T @ acts[l]).ravel(), _column_sums(delta)))
         if l > 0 or need_input:
             grads = np.matmul(delta, layers[l][0], out=params._pass_array("grad", l, n))
         else:

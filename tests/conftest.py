@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fidte.engine import Standardizer
+from fidte.nn import mlp_forward_batch, mlp_init
 from fidte.prior import RHO, SIGMA0, SIGMA1
 
 # Standardizer that leaves covariates and outcomes as they are: the solve
@@ -52,3 +53,52 @@ def lse_log_prior_grad(w, scale=None):
     r1 = np.exp(a1 - lse)
     r0 = np.exp(a0 - lse)
     return -w * (r1 / SIGMA1**2 + r0 / SIGMA0**2) * inv
+
+
+def sum_param_grad(params, acts, out_grads, head=True):
+    """Reference parameter gradient, by the backward pass's earlier arithmetic.
+
+    The form fidte.nn.mlp_backward_batch used before its column sums went
+    through einsum: every bias gradient is .sum(axis=0), and with the head
+    both the output weight gradient and the signal passed below it are
+    multiplied by out_scale even when it is 1.  Each array is new.
+    """
+    layers = params.layers()
+    last = len(layers) - 1
+    s = params.spec.out_scale
+    grads = np.asarray(out_grads, dtype=np.float64)
+    if head:
+        pieces = [((grads.T @ acts[last]).ravel() * s, grads.sum(axis=0))]
+        grads = (grads @ layers[last][0]) * s
+    else:
+        pieces = [(np.zeros(layers[last][0].size), np.zeros(layers[last][1].size))]
+    for l in range(last - 1, -1, -1):
+        delta = (1.0 - acts[l + 1] * acts[l + 1]) * grads
+        pieces.append(((delta.T @ acts[l]).ravel(), delta.sum(axis=0)))
+        grads = delta @ layers[l][0]
+    return np.concatenate([g for pair in reversed(pieces) for g in pair])
+
+
+def allocating_pinball_net(features, targets, qs, spec, config):
+    """Reference pinball fit: full-batch Adam with every term a new array.
+
+    The form fidte.cqr._fit_pinball_net took before it wrote its step into
+    arrays made once per fit, with the parameter gradient of sum_param_grad.
+    """
+    n = features.shape[0]
+    qvec = np.asarray(qs, dtype=np.float64)[None, :]
+    net = mlp_init(spec)
+    flat = net.flat
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for step in range(1, config.iters + 1):
+        acts = mlp_forward_batch(net, features)
+        out_grad = ((targets < acts[-1]).astype(np.float64) - qvec) / n
+        grad = sum_param_grad(net, acts, out_grad)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad**2
+        mh = m / (1.0 - b1**step)
+        vh = v / (1.0 - b2**step)
+        flat -= config.lr * mh / (np.sqrt(vh) + eps)
+    return net

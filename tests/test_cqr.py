@@ -20,6 +20,8 @@ from fidte.datagen import GenSpec, generate
 from fidte.engine import Dataset
 from fidte.nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init
 
+from conftest import allocating_pinball_net
+
 FAST = TrainConfig(iters=600, lr=0.05)
 
 
@@ -128,6 +130,33 @@ def test_in_place_fit_equals_the_rebuilt_loop(widths, qs, rng):
     got = _fit_pinball_net(features, targets, qs, spec, config)
     want = rebuilt_pinball_net(features, targets, qs, spec, config)
     np.testing.assert_array_equal(got.flat, want.flat)
+
+
+@pytest.mark.parametrize(
+    "n, d_in, qs",
+    # the fits of cqr_ite on example1 at n_train 500: the naive arm bands,
+    # the fold-1 arm bands and the inexact endpoint regression
+    [(250, 6, (0.0125, 0.9875)), (125, 6, (0.0125, 0.9875)), (250, 5, (0.5, 0.5))],
+)
+def test_fit_is_bitwise_the_allocating_reference(n, d_in, qs, rng):
+    features = rng.normal(size=(n, d_in))
+    targets = rng.normal(size=(n, 2))
+    spec = MlpSpec((d_in, 10, 10, 2), seed=3)
+    config = TrainConfig(iters=200, lr=0.02)
+    got = _fit_pinball_net(features, targets, qs, spec, config)
+    want = allocating_pinball_net(features, targets, qs, spec, config)
+    np.testing.assert_array_equal(got.flat, want.flat)
+
+
+def test_pinball_fit_names_the_step_that_went_non_finite(rng):
+    features = rng.normal(size=(30, 3))
+    targets = np.repeat(rng.normal(size=(30, 1)), 2, axis=1)
+    with np.errstate(all="ignore"), pytest.raises(
+        ValueError, match=r"^non-finite parameter values at Adam step 2 of 5, "
+                          r"quantile levels \(0\.1, 0\.9\)$"
+    ):
+        _fit_pinball_net(features, targets, (0.1, 0.9), MlpSpec((3, 4, 2), seed=1),
+                         TrainConfig(iters=5, lr=1e308))
 
 
 def test_pinball_fit_rejects_non_finite_weights(rng):
@@ -299,6 +328,15 @@ def test_cqr_ite_endpoint_modes_reject_infinite_band():
     test = generate(GenSpec("example1", 20, seed=14))
     with pytest.raises(ValueError, match="infinite band"):
         cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1, config=FAST)
+
+
+def test_cqr_ite_naive_rejects_infinite_band():
+    # the same 120 rows: the naive mode's per-arm bands are infinite too, and
+    # it must refuse rather than report (-inf, inf) intervals as covered
+    train = generate(GenSpec("example1", 120, seed=13))
+    test = generate(GenSpec("example1", 20, seed=14))
+    with pytest.raises(ValueError, match=r"^calibration at alpha 0\.05 returned an infinite band"):
+        cqr_ite(train, test, alpha=0.05, mode="naive", seed=1, config=FAST)
 
 
 def count_pinball_fits(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from fidte.nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init, param_count
 
-from conftest import assert_grad_close, central_diff
+from conftest import assert_grad_close, central_diff, sum_param_grad
 
 
 def test_param_count_matches_formula():
@@ -142,6 +142,45 @@ def test_backward_batch_sums_per_row_grads(rng):
         pg_sum += pg_i
         np.testing.assert_allclose(ig_batch[i], ig_i[0], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(pg_batch, pg_sum, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("out_scale", [1.0, 0.04])
+@pytest.mark.parametrize("width", [1, 2, 10, 30, 90])
+@pytest.mark.parametrize("head", [True, False])
+def test_param_grad_is_bitwise_the_summed_reference(head, width, out_scale, rng):
+    # width sets the hidden layers and the output, so the bias sums run at
+    # one column (the data-model heads) and at every width the package uses
+    params = mlp_init(MlpSpec((3, width, width, width), seed=2, out_scale=out_scale))
+    params.flat[:] += 0.1 * rng.normal(size=params.flat.size)
+    for n in (1, 2, 3, 7, 125, 250, 1000):
+        acts = mlp_forward_batch(params, rng.normal(size=(n, 3)), head=head)
+        gout = rng.normal(size=(n, width))
+        pg, _ = mlp_backward_batch(params, acts, gout, head=head, need_input=False)
+        np.testing.assert_array_equal(pg, sum_param_grad(params, acts, gout, head=head))
+
+
+def test_einsum_column_sums_add_rows_in_the_order_sum_does(rng):
+    # mlp_backward_batch relies on this for C-ordered arrays wider than one
+    # column; a numpy whose einsum reorders the rows fails here first
+    for width in (2, 10, 30, 90):
+        for n in (*range(1, 260), 500, 1000, 4096):
+            a = rng.normal(size=(n, width))
+            assert np.array_equal(np.einsum("ij->j", a), a.sum(axis=0)), (n, width)
+    # one column: sum adds pairwise and einsum in order, so the backward keeps
+    # sum there; if this starts to pass, einsum could take that case too
+    a = rng.normal(size=(1000, 1))
+    assert not np.array_equal(np.einsum("ij->j", a), a.sum(axis=0))
+
+
+def test_param_grad_is_a_new_array_on_every_pass(rng):
+    params = mlp_init(MlpSpec((3, 10, 10, 2), seed=6))
+    x, gout = rng.normal(size=(2, 9, 3)), rng.normal(size=(2, 9, 2))
+    first, _ = mlp_backward_batch(params, mlp_forward_batch(params, x[0]), gout[0])
+    kept = first.copy()
+    second, _ = mlp_backward_batch(params, mlp_forward_batch(params, x[1]), gout[1])
+    assert second is not first and not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, kept)
+    assert not np.array_equal(first, second)
 
 
 def headed_net(rng):
