@@ -16,11 +16,12 @@ report takes the intervals.csv path and --out only.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from .config import PRESETS, ExperimentConfig, load_config, preset_config
 from .datagen import save_dataset_csv
@@ -96,17 +97,22 @@ def cmd_fit(args) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     rep = run_replication(cfg, 0, read_csv_rows(cfg), rep_dir=cfg.outdir)
     chain = rep["chain"]
-    with open(os.path.join(cfg.outdir, "chain.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"theta_{j}" for j in range(chain.draws.shape[1])] + ["sigma", "energy"])
-        for k in range(chain.n_draws):
-            wr.writerow(
-                [repr(float(v)) for v in chain.draws[k]]
-                + [repr(float(chain.sigmas[k])), repr(float(chain.energies[k]))]
-            )
+    write_chain_csv(chain, os.path.join(cfg.outdir, "chain.csv"))
     write_rows_csv(rep["rows"], os.path.join(cfg.outdir, "intervals.csv"))
     print(f"wrote chain.csv ({chain.n_draws} draws) and intervals.csv to {cfg.outdir}")
     return 0
+
+
+def write_chain_csv(chain, path: str) -> None:
+    """One row per draw: theta, sigma and energy, each as repr(float).
+
+    The table is built once; a float's repr holds no comma, quote or line
+    break, so each line is what csv.writer would write, CRLF-terminated."""
+    header = [f"theta_{j}" for j in range(chain.draws.shape[1])] + ["sigma", "energy"]
+    table = np.column_stack([chain.draws, chain.sigmas, chain.energies]).tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table)
 
 
 def cmd_cqr(args) -> int:

@@ -37,7 +37,7 @@ reads it as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -82,9 +82,10 @@ class Dataset:
             raise ValueError(
                 f"inconsistent shapes: x {self.x.shape}, t {self.t.shape}, y {self.y.shape}"
             )
-        tv = np.unique(self.t)
-        if not np.all(np.isin(tv, (0, 1))):
-            raise ValueError(f"treatment must be binary 0/1, found values {tv}")
+        # np.unique only for the message: it imports numpy.ma, which a run
+        # that never takes a quantile has no other use for
+        if not np.all((self.t == 0) | (self.t == 1)):
+            raise ValueError(f"treatment must be binary 0/1, found values {np.unique(self.t)}")
         self.t = self.t.astype(np.int64)
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("non-finite covariate or outcome values")
@@ -234,14 +235,21 @@ class SolveRows:
         return self.xs.shape[1]
 
 
-def _surface(spec, block: np.ndarray, xs: np.ndarray):
+def _surface(spec, block: np.ndarray, xs: np.ndarray, net: Optional[MlpParams] = None):
     """One surface's values on the rows xs (a scalar for a constant effect),
-    in the solve's units, and a network's (params, activations) or None."""
+    in the solve's units, and a network's (params, activations) or None.
+
+    A network surface gets new params from block, or, given net (params of
+    spec), overwrites net.flat with block, so net's pass arrays are reused
+    and block is not checked for non-finite values."""
     if spec is None:
         return block[0], None
     if isinstance(spec, int):
         return block[0] + xs @ block[1:], None
-    net = MlpParams(spec, block / RESCALE)
+    if net is None:
+        net = MlpParams(spec, block / RESCALE)
+    else:
+        np.divide(block, RESCALE, out=net.flat)
     acts = mlp_forward_batch(net, xs)
     return acts[-1][:, 0], (net, acts)
 
@@ -326,14 +334,34 @@ def surfaces(
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (layout.theta_dim,):
         raise ValueError(f"theta has shape {theta.shape}, layout needs ({layout.theta_dim},)")
+    return next(draw_surfaces(theta[None, :], layout, x, scaler))
+
+
+def draw_surfaces(
+    draws: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer
+) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """surfaces of each row of draws (m, theta_dim), in row order.
+
+    x is standardized once, and each network surface is one MlpParams whose
+    flat every draw overwrites, so its pass arrays serve every draw.  The
+    draws are checked for non-finite values once, up front, in place of the
+    check a new network would make per draw.
+    """
+    if not np.isfinite(draws).all():
+        raise ValueError("non-finite parameter values")
     xs = scaler.scale_x(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    c, _ = _surface(layout.c_spec, theta[layout.c_slice], xs)
-    tau, _ = _surface(layout.tau_spec, theta[layout.tau_slice], xs)
-    if layout.tau_spec is None:
-        # t' = -1 on controls, and the 0-to-1 contrast of tau' t' is 2 tau'
-        c, tau = c - tau, np.full(xs.shape[0], 2.0 * tau)
-    sigma = scaler.y_std * float(np.exp(theta[layout.log_sigma_index]))
-    return scaler.y_mean + scaler.y_std * c, scaler.y_std * tau, sigma
+    c_net, tau_net = (
+        MlpParams(spec, np.zeros(param_count(spec))) if isinstance(spec, MlpSpec) else None
+        for spec in (layout.c_spec, layout.tau_spec)
+    )
+    for theta in draws:
+        c, _ = _surface(layout.c_spec, theta[layout.c_slice], xs, c_net)
+        tau, _ = _surface(layout.tau_spec, theta[layout.tau_slice], xs, tau_net)
+        if layout.tau_spec is None:
+            # t' = -1 on controls, and the 0-to-1 contrast of tau' t' is 2 tau'
+            c, tau = c - tau, np.full(xs.shape[0], 2.0 * tau)
+        sigma = scaler.y_std * float(np.exp(theta[layout.log_sigma_index]))
+        yield scaler.y_mean + scaler.y_std * c, scaler.y_std * tau, sigma
 
 
 @dataclass

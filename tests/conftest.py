@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fidte.engine import Standardizer
-from fidte.nn import mlp_forward_batch, mlp_init
+from fidte.engine import RESCALE, Standardizer
+from fidte.inference import PredictionInterval
+from fidte.nn import MlpParams, mlp_forward_batch, mlp_init
 from fidte.prior import RHO, SIGMA0, SIGMA1
 
 # Standardizer that leaves covariates and outcomes as they are: the solve
@@ -102,3 +103,66 @@ def allocating_pinball_net(features, targets, qs, spec, config):
         vh = v / (1.0 - b2**step)
         flat -= config.lr * mh / (np.sqrt(vh) + eps)
     return net
+
+
+def per_draw_chain_surfaces(chain, layout, x):
+    """Reference chain surfaces: every draw's surfaces computed afresh.
+
+    The form fidte.inference.chain_surfaces took, through engine.surfaces,
+    before both read engine.draw_surfaces: x is standardized and a new
+    network is built for each network surface on every draw.
+    """
+
+    def surface(spec, block, xs):
+        if spec is None:
+            return block[0]
+        if isinstance(spec, int):
+            return block[0] + xs @ block[1:]
+        return mlp_forward_batch(MlpParams(spec, block / RESCALE), xs)[-1][:, 0]
+
+    scaler = chain.scaler
+    m = chain.draws.shape[0]
+    c_mat = np.empty((m, x.shape[0]))
+    tau_mat = np.empty((m, x.shape[0]))
+    sig = np.empty(m)
+    for k in range(m):
+        theta = chain.draws[k]
+        xs = scaler.scale_x(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        c = surface(layout.c_spec, theta[layout.c_slice], xs)
+        tau = surface(layout.tau_spec, theta[layout.tau_slice], xs)
+        if layout.tau_spec is None:
+            c, tau = c - tau, np.full(xs.shape[0], 2.0 * tau)
+        c_mat[k] = scaler.y_mean + scaler.y_std * c
+        tau_mat[k] = scaler.y_std * tau
+        sig[k] = scaler.y_std * float(np.exp(theta[layout.log_sigma_index]))
+    return c_mat, tau_mat, sig
+
+
+def per_subject_ite_intervals(surfaces, test, alpha, rng, cases):
+    """Reference ITE intervals: one np.quantile call per subject.
+
+    The form fidte.inference.ite_intervals took before it built a case's
+    predictive draws in blocks of subjects; it reads the same subject streams.
+    """
+    c_mat, tau_mat, sig = surfaces
+    qs = (alpha / 2.0, 1.0 - alpha / 2.0)
+    out = []
+    streams = rng.spawn(test.n)
+    for i in range(test.n):
+        z_new = streams[i].standard_normal(sig.size)
+        case = str(cases[i])
+        if case == "Ic":
+            y1_hat = c_mat[:, i] + tau_mat[:, i] + sig * z_new
+            q_lo, q_hi = np.quantile(y1_hat, qs, method="linear").tolist()
+            y_obs = float(test.y[i])
+            lower, upper = q_lo - y_obs, q_hi - y_obs
+        elif case == "It":
+            y0_hat = c_mat[:, i] + sig * z_new
+            q_lo, q_hi = np.quantile(y0_hat, qs, method="linear").tolist()
+            y_obs = float(test.y[i])
+            lower, upper = y_obs - q_hi, y_obs - q_lo
+        else:
+            diff = tau_mat[:, i] + np.sqrt(2.0) * sig * z_new
+            lower, upper = np.quantile(diff, qs, method="linear").tolist()
+        out.append(PredictionInterval(subject_id=i, case=case, lower=lower, upper=upper, alpha=alpha))
+    return out

@@ -23,6 +23,9 @@ from fidte.runner import (
     rescore,
     write_rows_csv,
 )
+from fidte.sampler import FiducialChain
+
+from conftest import IDENTITY_SCALER
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 BURN, KEEP, THIN = 20, 20, 2
@@ -153,11 +156,12 @@ def test_pool_results_carry_no_chain():
     assert set(rep) == {"r", "rows", "pehe"}
 
 
-def cli_import_loads(module):
-    # whether importing fidte.cli in a fresh interpreter imports module
+def cli_import_loads(module, then=""):
+    # whether importing fidte.cli, then running the statements then, in a
+    # fresh interpreter imports module
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    code = f"import sys, fidte.cli; sys.exit(int({module!r} in sys.modules))"
+    code = f"import sys, fidte.cli\n{then}\nsys.exit(int({module!r} in sys.modules))"
     return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode != 0
 
 
@@ -168,6 +172,34 @@ def test_cli_import_leaves_scipy_out():
 def test_cli_import_leaves_multiprocessing_out():
     # only a run pooled over workers imports it
     assert not cli_import_loads("multiprocessing")
+
+
+def test_generated_dataset_leaves_numpy_ma_out():
+    # np.unique imports numpy.ma; a cqr run takes no quantile, so the
+    # treatment check is its only caller
+    assert cli_import_loads("numpy.ma", "np = fidte.cli.np; np.quantile(np.zeros(3), 0.5)")
+    assert not cli_import_loads(
+        "numpy.ma", "from fidte.datagen import GenSpec, generate; generate(GenSpec('example1', 50))"
+    )
+
+
+def test_chain_csv_is_what_csv_writer_writes(tmp_path):
+    rng = np.random.default_rng(3)
+    draws = rng.standard_normal((25, 6)) * np.logspace(-300, 300, 6)
+    draws[:, -1] = rng.standard_normal(25)
+    draws[0, :3] = (-0.0, 1.0, 1e16)
+    chain = FiducialChain(draws=draws, energies=1e5 * rng.random(25), scaler=IDENTITY_SCALER)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow([f"theta_{j}" for j in range(6)] + ["sigma", "energy"])
+        for k in range(chain.n_draws):
+            wr.writerow(
+                [repr(float(v)) for v in chain.draws[k]]
+                + [repr(float(chain.sigmas[k])), repr(float(chain.energies[k]))]
+            )
+    cli.write_chain_csv(chain, str(tmp_path / "chain.csv"))
+    assert (tmp_path / "chain.csv").read_bytes() == ref.read_bytes()
 
 
 def short_cqr_fits(monkeypatch):

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidte.config import preset_config
-from fidte.engine import Dataset, ThetaLayout
+from fidte.engine import Dataset, Standardizer, ThetaLayout
 from fidte.engine import surfaces as engine_surfaces
 from fidte.inference import (
+    _BLOCK_VALUES,
     PredictionInterval,
     assign_cases,
     ate_draws,
@@ -20,7 +21,7 @@ from fidte.nn import MlpSpec
 from fidte.runner import rescore, score_rows, summarize, write_rows_csv
 from fidte.sampler import FiducialChain
 
-from conftest import IDENTITY_SCALER
+from conftest import IDENTITY_SCALER, per_draw_chain_surfaces, per_subject_ite_intervals
 
 LINEAR = ThetaLayout(5)  # linear_ate with d = 4
 
@@ -219,6 +220,58 @@ def test_ite_intervals_validation():
         ite_intervals(surfaces(chain, test), test, 0.05, np.random.default_rng(0), cases=["Ic"])
     with pytest.raises(ValueError, match="unknown case"):
         ite_intervals(surfaces(chain, test), test, 0.05, np.random.default_rng(0), cases=["xx"] * 3)
+
+
+def endpoint_bits(ivs):
+    return [(iv.subject_id, iv.case, iv.lower.hex(), iv.upper.hex(), iv.alpha) for iv in ivs]
+
+
+# m = _BLOCK_VALUES // 7 + 3 puts 6 subjects in a block: 16 Ic subjects make
+# blocks of 6, 6 and 4
+@pytest.mark.parametrize("m", [1, 30, _BLOCK_VALUES // 7 + 3])
+def test_ite_intervals_equal_the_per_subject_loop(m):
+    rng = np.random.default_rng(m)
+    test = toy_test_set(40, seed=13)
+    draws = 0.3 * rng.standard_normal((m, 7))
+    draws[:, -1] = np.log(0.5) + 0.2 * rng.standard_normal(m)
+    sf = surfaces(make_chain(draws), test)
+    mixed = np.array(["Ic", "It", "Im", "Im", "Ic"] * 8)
+    no_it = np.where(test.t == 1, "Im", "Ic")
+    for cases in (mixed, no_it, ["Im"] * 40):
+        for alpha in (0.05, 0.1):
+            got = ite_intervals(sf, test, alpha, np.random.default_rng(21), cases)
+            want = per_subject_ite_intervals(sf, test, alpha, np.random.default_rng(21), cases)
+            assert endpoint_bits(got) == endpoint_bits(want)
+
+
+SURFACE_LAYOUTS = {
+    "linear_ate": ThetaLayout(5),
+    "dnn_tau_linear_c": ThetaLayout(5, MlpSpec((4, 6, 1), seed=5)),
+    "dnn_both": ThetaLayout(MlpSpec((4, 5, 3, 1), seed=6), MlpSpec((4, 6, 1), seed=5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SURFACE_LAYOUTS))
+def test_chain_surfaces_equal_per_draw_surfaces(kind):
+    layout = SURFACE_LAYOUTS[kind]
+    rng = np.random.default_rng(14)
+    scaler = Standardizer(x_mean=rng.standard_normal(4), x_std=0.5 + rng.random(4),
+                          y_mean=1.3, y_std=2.1)
+    # network blocks hold weights times 25, so these weights are O(1)
+    chain = make_chain(10.0 * rng.standard_normal((40, layout.theta_dim)), scaler)
+    x = rng.standard_normal((17, 4))
+    got = chain_surfaces(chain, layout, x)
+    want = per_draw_chain_surfaces(chain, layout, x)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_chain_surfaces_reject_a_non_finite_draw():
+    layout = SURFACE_LAYOUTS["dnn_both"]
+    draws = np.zeros((3, layout.theta_dim))
+    draws[2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite parameter values"):
+        chain_surfaces(make_chain(draws), layout, np.zeros((2, 4)))
 
 
 def test_assign_cases_distribution():
