@@ -3,7 +3,8 @@
 Subcommands:
   simulate   draw one dataset from a configured design and write it as CSV
   fit        one EFI run on replication 0's data; writes chain and intervals
-  cqr        the conformal baselines only, full replication loop
+  cqr        the conformal baselines only, full replication loop; it says on
+             stderr that it skips efi when the config lists it
   benchmark  every configured method, full replication loop, summary JSON
   report     re-score an existing intervals.csv
 
@@ -117,6 +118,12 @@ def write_chain_csv(chain, path: str) -> None:
 
 def cmd_cqr(args) -> int:
     cfg = _resolve_config(args)
+    if "efi" in cfg.methods:
+        print(
+            "cqr runs the conformal baselines only; skipping efi "
+            "(run it with `fidte fit` or `fidte benchmark`)",
+            file=sys.stderr,
+        )
     methods = tuple(m for m in cfg.methods if m.startswith("cqr-"))
     if not methods:
         methods = ("cqr-naive", "cqr-exact", "cqr-inexact")

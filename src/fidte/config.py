@@ -68,7 +68,6 @@ class ExperimentConfig:
     tau_widths: tuple = (10, 10)
     c_widths: tuple = (10, 10)
     inverse_widths: tuple = (90, 30)
-    out_scale: float = 1.0 / 25.0
     varpi: float = 0.1
     eta: float = 500.0
     eps: float = 0.1
@@ -100,9 +99,8 @@ class ExperimentConfig:
                 f"layout_kind: unknown layout {self.layout_kind!r}, "
                 f"expected one of {sorted(LAYOUT_GROUPS)}"
             )
-        for name in ("eps", "out_scale"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ValueError(f"eps: must be positive, got {self.eps}")
         if self.eta < 0:
             raise ValueError(f"eta: must be nonnegative, got {self.eta}")
         if not 0.0 < self.varpi <= 1.0:

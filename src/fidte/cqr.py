@@ -40,7 +40,6 @@ class QuantileModel:
     """Two-output quantile net over (x, t) with its input/output scaling."""
 
     net: MlpParams
-    alpha: float
     f_mean: np.ndarray
     f_sd: np.ndarray
     y_mean: np.ndarray
@@ -54,7 +53,6 @@ class QuantileModel:
 @dataclass(frozen=True)
 class ConformalCorrection:
     s_hat: Dict[int, float] = field(default_factory=dict)
-    alpha: float = 0.05
 
     def __post_init__(self):
         for arm, s in self.s_hat.items():
@@ -149,7 +147,7 @@ def pinball_fit(
     ys, y_mean, y_sd = _standardize_columns(train.y[:, None])
     targets = np.repeat(ys, 2, axis=1)
     net = _fit_pinball_net(feats, targets, (alpha / 2.0, 1.0 - alpha / 2.0), spec, config)
-    return QuantileModel(net=net, alpha=alpha, f_mean=f_mean, f_sd=f_sd, y_mean=y_mean, y_sd=y_sd)
+    return QuantileModel(net=net, f_mean=f_mean, f_sd=f_sd, y_mean=y_mean, y_sd=y_sd)
 
 
 def predict_quantiles(model: QuantileModel, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -228,7 +226,7 @@ def _arm_bands(
                 f"{scores.size} calibration rows, too few for level {1.0 - level_alpha:g}; "
                 "use more training rows or a larger alpha"
             )
-    return model, ConformalCorrection(s_hat=s_hat, alpha=level_alpha)
+    return model, ConformalCorrection(s_hat=s_hat)
 
 
 def _interval_outcomes(

@@ -14,7 +14,7 @@ and tau, each linear (constant, for tau) or a network, and every model
 function branches once per surface.
 
 The inverse network's output layer is linear, theta_hat_i = s W a_i + b with
-a_i its last hidden layer and s its out_scale, so everything is computed in
+a_i its last hidden layer and s = OUT_SCALE, so everything is computed in
 hidden space and the n x theta_dim matrix of theta_hat rows is never formed:
 
     theta_bar   = s W a_bar + b
@@ -53,6 +53,13 @@ from .nn import (
 
 # theta stores a network's weights times RESCALE, see ThetaLayout
 RESCALE = 25.0
+
+# The inverse network's head is theta_hat_i = OUT_SCALE * W a_i + b (see the
+# module docstring).  The small scale lets the stored head weights sit at the
+# magnitude the shrinkage prior favors while the map they make stays that much
+# smaller; with a unit scale the linear_ate_n250 preset at seed 7 diverges at
+# iteration 21.
+OUT_SCALE = 1.0 / 25.0
 
 
 @dataclass
@@ -327,26 +334,22 @@ def _check_widths(w: MlpParams, rows: SolveRows, layout: ThetaLayout) -> None:
         )
 
 
-def surfaces(
-    theta: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Untreated mean c(x) and effect tau(x) per row, and sigma, in data units."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (layout.theta_dim,):
-        raise ValueError(f"theta has shape {theta.shape}, layout needs ({layout.theta_dim},)")
-    return next(draw_surfaces(theta[None, :], layout, x, scaler))
-
-
 def draw_surfaces(
     draws: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer
 ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """surfaces of each row of draws (m, theta_dim), in row order.
+    """Untreated mean c(x) and effect tau(x) per row of x, and sigma, in data
+    units, for each row of draws (m, theta_dim), in row order.
 
     x is standardized once, and each network surface is one MlpParams whose
     flat every draw overwrites, so its pass arrays serve every draw.  The
-    draws are checked for non-finite values once, up front, in place of the
-    check a new network would make per draw.
+    draws are checked for their width and for non-finite values once, up
+    front, in place of the check a new network would make per draw.
     """
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 2 or draws.shape[1] != layout.theta_dim:
+        raise ValueError(
+            f"draws have shape {draws.shape}, layout needs (m, theta_dim {layout.theta_dim})"
+        )
     if not np.isfinite(draws).all():
         raise ValueError("non-finite parameter values")
     xs = scaler.scale_x(np.atleast_2d(np.asarray(x, dtype=np.float64)))
@@ -365,12 +368,6 @@ def draw_surfaces(
 
 
 @dataclass
-class EnergyReport:
-    total: float
-    theta_bar: np.ndarray
-
-
-@dataclass
 class GradReport:
     total: float
     theta_bar: np.ndarray
@@ -378,57 +375,15 @@ class GradReport:
     w_grad: Optional[np.ndarray] = None
 
 
-@dataclass
-class _HiddenPass:
-    # one inverse-network forward to the last hidden layer and what the
-    # energy and its gradients share
-    trunk: list  # inverse-network activations, features to last hidden layer (w's arrays)
-    W: np.ndarray  # output-layer weight matrix, (theta_dim, hidden)
-    dev: np.ndarray  # a_i - a_bar, (n, hidden)
-    a_bar: np.ndarray
-    cov: np.ndarray  # C = dev^T dev
-    gram: np.ndarray  # W^T W
-    theta_bar: np.ndarray
-    sigma: float  # solve-space noise scale, exp of theta_bar's log-sigma slot
-    c_pass: Optional[tuple]  # (network, activations) of each network surface
-    tau_pass: Optional[tuple]
-    resid: np.ndarray
-    total: float
-
-
-def _hidden_pass(
-    w: MlpParams, rows: SolveRows, z: np.ndarray, eta: float, layout: ThetaLayout
-) -> _HiddenPass:
-    _check_widths(w, rows, layout)
-    z = np.asarray(z, dtype=np.float64)
-    feats = feature_matrix(rows, z)
-    trunk = mlp_forward_batch(w, feats, head=False)
-    hidden = trunk[-1]
-    W, b = w.layers()[-1]
-    s = w.spec.out_scale
-    a_bar = hidden.mean(axis=0)
-    dev = hidden - a_bar
-    cov = dev.T @ dev
-    gram = W.T @ W
-    tb = s * (W @ a_bar) + b
-    sigma = float(np.exp(tb[layout.log_sigma_index]))
-    c, c_pass = _surface(layout.c_spec, tb[layout.c_slice], rows.xs)
-    tau, tau_pass = _surface(layout.tau_spec, tb[layout.tau_slice], rows.xs)
-    resid = rows.ys - (c + tau * rows.u + sigma * z)
-    total = float((resid**2).sum() + eta * s * s * (gram * cov).sum())
-    return _HiddenPass(trunk, W, dev, a_bar, cov, gram, tb, sigma, c_pass, tau_pass, resid, total)
-
-
 def energy(
     w: MlpParams, rows: SolveRows, z: np.ndarray, eta: float, layout: ThetaLayout
-) -> EnergyReport:
+) -> GradReport:
     """Energy U at (Z, w): squared residuals plus eta-weighted consensus.
 
     Residuals are taken on standardized outcomes, the units the system is
-    solved in.
+    solved in.  This is energy_gradients with neither gradient, one forward.
     """
-    hp = _hidden_pass(w, rows, z, eta, layout)
-    return EnergyReport(total=hp.total, theta_bar=hp.theta_bar)
+    return energy_gradients(w, rows, z, eta, layout, need_z=False, need_w=False)
 
 
 def energy_gradients(
@@ -446,33 +401,51 @@ def energy_gradients(
     the sampler forms its latent and weight log-density gradients from them.
     Both come from the hidden-space closed forms in the module docstring:
     the trunk below the output layer is back-propagated from dU/da_i, and
-    the output layer's gradient is filled in from dU/dW and dU/db.  The
-    gradients are new arrays, which no later pass of w overwrites.
+    the output layer's gradient is filled in from dU/dW and dU/db.  A
+    gradient not asked for is None; with neither, the pass ends after the
+    forward.  The gradients are new arrays, which no later pass of w
+    overwrites.
     """
-    hp = _hidden_pass(w, rows, z, eta, layout)
-    W, s, r = hp.W, w.spec.out_scale, hp.resid
+    _check_widths(w, rows, layout)
+    z = np.asarray(z, dtype=np.float64)
+    feats = feature_matrix(rows, z)
+    trunk = mlp_forward_batch(w, feats, head=False)
+    hidden = trunk[-1]
+    W, b = w.layers()[-1]
+    s = OUT_SCALE
+    a_bar = hidden.mean(axis=0)
+    dev = hidden - a_bar
+    cov = dev.T @ dev
+    gram = W.T @ W
+    tb = s * (W @ a_bar) + b
+    sigma = float(np.exp(tb[layout.log_sigma_index]))
+    c, c_pass = _surface(layout.c_spec, tb[layout.c_slice], rows.xs)
+    tau, tau_pass = _surface(layout.tau_spec, tb[layout.tau_slice], rows.xs)
+    r = rows.ys - (c + tau * rows.u + sigma * z)
+    rep = GradReport(total=float((r**2).sum() + eta * s * s * (gram * cov).sum()), theta_bar=tb)
+    if not (need_z or need_w):
+        return rep
+
     # A = d(sum_j d_j)/d theta_bar = -2 sum_j r_j df_j/d theta_bar
     a_total = np.empty(layout.theta_dim)
-    a_total[layout.c_slice] = _surface_grad(layout.c_spec, hp.c_pass, rows.xs, r, None)
-    a_total[layout.tau_slice] = _surface_grad(layout.tau_spec, hp.tau_pass, rows.xs, r, rows.u)
+    a_total[layout.c_slice] = _surface_grad(layout.c_spec, c_pass, rows.xs, r, None)
+    a_total[layout.tau_slice] = _surface_grad(layout.tau_spec, tau_pass, rows.xs, r, rows.u)
     # chain through sigma = exp(log sigma)
-    a_total[layout.log_sigma_index] = hp.sigma * (r @ z)
+    a_total[layout.log_sigma_index] = sigma * (r @ z)
     a_total *= -2.0
-    c = 2.0 * eta * s * s
-    hidden_grads = hp.dev @ (c * hp.gram)
+    cons = 2.0 * eta * s * s
+    hidden_grads = dev @ (cons * gram)
     hidden_grads += (s / rows.n) * (W.T @ a_total)
     # the z pass needs only the input gradient, the w pass the weight gradient
     w_grad, input_grads = mlp_backward_batch(
-        w, hp.trunk, hidden_grads, head=False, need_params=need_w, need_input=need_z
+        w, trunk, hidden_grads, head=False, need_params=need_w, need_input=need_z
     )
-
-    rep = GradReport(total=hp.total, theta_bar=hp.theta_bar)
     if need_z:
         # direct path d d_i / d z_i at fixed theta_bar, plus the inverse-net path
-        rep.z_grad = -2.0 * r * hp.sigma + input_grads[:, -1]
+        rep.z_grad = -2.0 * r * sigma + input_grads[:, -1]
     if need_w:
         ws, bs, _ = _layer_slices(w.spec)[-1]
-        w_grad[ws] = (c * (W @ hp.cov) + s * np.outer(a_total, hp.a_bar)).ravel()
+        w_grad[ws] = (cons * (W @ cov) + s * np.outer(a_total, a_bar)).ravel()
         w_grad[bs] = a_total
         rep.w_grad = w_grad
     return rep

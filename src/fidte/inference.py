@@ -79,9 +79,9 @@ def assign_cases(test: Dataset, rng: np.random.Generator) -> np.ndarray:
 def chain_surfaces(chain: FiducialChain, layout: ThetaLayout, x: np.ndarray):
     """Per-draw c(x), tau(x) matrices and sigma vector, all in data units.
 
-    Row k is engine.surfaces of draw k, bit for bit; draw_surfaces builds
-    one network per surface for the whole chain.  ite_intervals and pehe
-    take the result as their surfaces."""
+    Row k holds engine.draw_surfaces' values for draw k; it builds one
+    network per surface for the whole chain.  ite_intervals and pehe take
+    the result as their surfaces."""
     m = chain.draws.shape[0]
     c_mat = np.empty((m, x.shape[0]))
     tau_mat = np.empty((m, x.shape[0]))

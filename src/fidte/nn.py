@@ -27,16 +27,10 @@ class MlpSpec:
 
     layer_widths includes input and output, so a 2-10-10-1 network is
     (2, 10, 10, 1).  Hidden layers apply tanh; the output layer is linear.
-
-    out_scale multiplies the output-layer weight matrix (not its biases) in
-    the forward pass.  A small value lets the stored weights sit at the
-    magnitude the sparsity prior favors while the effective output map
-    stays proportionally smaller.
     """
 
     layer_widths: tuple[int, ...]
     seed: int = 0
-    out_scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
@@ -46,9 +40,6 @@ class MlpSpec:
             )
         if any(w <= 0 for w in self.layer_widths):
             raise ValueError(f"zero or negative layer width in {self.layer_widths}")
-        object.__setattr__(self, "out_scale", float(self.out_scale))
-        if not np.isfinite(self.out_scale) or self.out_scale <= 0.0:
-            raise ValueError(f"out_scale must be positive and finite, got {self.out_scale}")
 
     @property
     def d_in(self) -> int:
@@ -173,7 +164,7 @@ def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> li
     Returns the activations [x, hidden_1, ..., output], each (n, d_l); the
     (n, d_out) output is the last entry.  With head=False the list ends at
     the last hidden layer a, which the linear output layer would map to
-    out_scale * a @ W.T + b.  mlp_backward_batch takes the list as it is.
+    a @ W.T + b.  mlp_backward_batch takes the list as it is.
     The hidden activations are params' arrays for n rows, overwritten by its
     next pass on n rows (see MlpParams); the output is a new array.
     """
@@ -189,8 +180,6 @@ def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> li
     if head:
         W, b = layers[-1]
         out = a @ W.T
-        if params.spec.out_scale != 1.0:
-            out *= params.spec.out_scale
         out += b
         acts.append(out)
     return acts
@@ -241,22 +230,13 @@ def mlp_backward_batch(
     width = params.spec.layer_widths[-1 if head else -2]
     if grads.shape != (acts[0].shape[0], width):
         raise ValueError(f"out_grads shape {grads.shape} != ({acts[0].shape[0]}, {width})")
-    s = params.spec.out_scale
     n = grads.shape[0]
     # per-layer (weight, bias) gradients, output layer first
     pieces = []
     if head:
         if need_params:
-            # out_scale multiplies the output weight matrix only, so it enters
-            # that layer's weight gradient and the signal flowing past it;
-            # a product with 1.0 is exact, so a unit scale skips it
-            w_grad = (grads.T @ acts[last]).ravel()
-            if s != 1.0:
-                w_grad *= s
-            pieces.append((w_grad, _column_sums(grads)))
+            pieces.append(((grads.T @ acts[last]).ravel(), _column_sums(grads)))
         grads = np.matmul(grads, layers[last][0], out=params._pass_array("grad", last, n))
-        if s != 1.0:
-            grads *= s
     elif need_params:
         pieces.append((np.zeros(layers[last][0].size), np.zeros(layers[last][1].size)))
     # grads is the gradient at the last hidden activations from here on

@@ -136,11 +136,7 @@ def _replication_data(config: ExperimentConfig, ints) -> tuple[Dataset, Optional
 
 def _efi_results(config, train, ints, rep_dir):
     layout = build_layout(config, train.d)
-    inv_spec = MlpSpec(
-        (train.d + 3, *config.inverse_widths, layout.theta_dim),
-        seed=ints[2],
-        out_scale=config.out_scale,
-    )
+    inv_spec = MlpSpec((train.d + 3, *config.inverse_widths, layout.theta_dim), seed=ints[2])
     trace = nullcontext()
     if config.trace and rep_dir is not None:
         trace = open(os.path.join(rep_dir, "trace_efi.csv"), "w", newline="")

@@ -38,6 +38,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .engine import (
+    OUT_SCALE,
     RESCALE,
     Dataset,
     SolveRows,
@@ -170,7 +171,7 @@ def _group_w_rates(
       * consensus: a shared shift of the output-layer rows moves every
         theta_hat_i coherently; its curvature is (2 eta n / eps) times the top
         eigenvalue of the last hidden layer's activation covariance, times
-        out_scale^2;
+        OUT_SCALE^2;
       * the spike component of the weight prior, 1/SIGMA0^2;
       * an output-bias shift of a location slot, at most (2 n / eps) for the
         unit-scale regressors the model uses.
@@ -185,7 +186,7 @@ def _group_w_rates(
     hidden = mlp_forward_batch(w, feature_matrix(rows, z), head=False)[-1]
     cov = np.cov(hidden.T, bias=True)
     lam = float(np.linalg.eigvalsh(cov)[-1])
-    consensus = 2.0 * config.eta * rows.n / config.eps * max(lam, 1e-12) * w.spec.out_scale**2
+    consensus = 2.0 * config.eta * rows.n / config.eps * max(lam, 1e-12) * OUT_SCALE**2
     kappa_rest = max(consensus, 1.0 / SIGMA0**2, 2.0 * rows.n / config.eps)
     r2 = RESCALE**2
     kappa_head = HEAD_GROWTH_ALLOWANCE * max(

@@ -60,17 +60,14 @@ def sum_param_grad(params, acts, out_grads, head=True):
     """Reference parameter gradient, by the backward pass's earlier arithmetic.
 
     The form fidte.nn.mlp_backward_batch used before its column sums went
-    through einsum: every bias gradient is .sum(axis=0), and with the head
-    both the output weight gradient and the signal passed below it are
-    multiplied by out_scale even when it is 1.  Each array is new.
+    through einsum: every bias gradient is .sum(axis=0).  Each array is new.
     """
     layers = params.layers()
     last = len(layers) - 1
-    s = params.spec.out_scale
     grads = np.asarray(out_grads, dtype=np.float64)
     if head:
-        pieces = [((grads.T @ acts[last]).ravel() * s, grads.sum(axis=0))]
-        grads = (grads @ layers[last][0]) * s
+        pieces = [((grads.T @ acts[last]).ravel(), grads.sum(axis=0))]
+        grads = grads @ layers[last][0]
     else:
         pieces = [(np.zeros(layers[last][0].size), np.zeros(layers[last][1].size))]
     for l in range(last - 1, -1, -1):
@@ -108,8 +105,8 @@ def allocating_pinball_net(features, targets, qs, spec, config):
 def per_draw_chain_surfaces(chain, layout, x):
     """Reference chain surfaces: every draw's surfaces computed afresh.
 
-    The form fidte.inference.chain_surfaces took, through engine.surfaces,
-    before both read engine.draw_surfaces: x is standardized and a new
+    The form fidte.inference.chain_surfaces took, one draw at a time,
+    before it read engine.draw_surfaces: x is standardized and a new
     network is built for each network surface on every draw.
     """
 

@@ -245,6 +245,23 @@ def test_cqr_rows_do_not_depend_on_method_order(tmp_path, monkeypatch):
     assert sorted(rows["ei"][1:]) == sorted(rows["ie"][1:]) == sorted(rows["e"][1:] + rows["i"][1:])
 
 
+@pytest.mark.parametrize(
+    "methods, err",
+    [
+        (["efi", "cqr-naive"], "cqr runs the conformal baselines only; skipping efi "
+                               "(run it with `fidte fit` or `fidte benchmark`)\n"),
+        (["cqr-naive", "cqr-exact"], ""),
+    ],
+)
+def test_cqr_says_it_skips_efi(methods, err, tmp_path, monkeypatch, capsys):
+    calls = count_efi_calls(monkeypatch)
+    short_cqr_fits(monkeypatch)
+    out = run_cqr(tmp_path, "skip", methods, extra="R: 1\n")
+    assert capsys.readouterr().err == err
+    assert calls == []
+    assert {row[0] for row in read_rows(out / "rep_000" / "intervals.csv")[1:]} == set(methods) - {"efi"}
+
+
 def test_cqr_band_too_fine_for_the_rows_names_replication_and_alpha(tmp_path, monkeypatch):
     # 120 rows leave too few fold-1 calibration rows per arm for alpha / 2 = 0.025
     short_cqr_fits(monkeypatch)

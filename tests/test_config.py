@@ -30,6 +30,14 @@ def test_step_schedule_keys_are_unknown(tmp_path):
             load_config(path)
 
 
+def test_out_scale_is_an_unknown_field(tmp_path):
+    # the inverse network's head scale is the engine constant OUT_SCALE
+    for head in ("preset: example1\n", "design: linear_ate\n"):
+        path = write_yaml(tmp_path, f"{head}out_scale: 0.04\n")
+        with pytest.raises(ValueError, match="^out_scale: unknown config field$"):
+            load_config(path)
+
+
 def test_unknown_layout_kind_is_rejected():
     with pytest.raises(ValueError, match="layout_kind: unknown layout 'dnn_three'"):
         preset_config("linear_ate_n250", layout_kind="dnn_three")
@@ -64,11 +72,11 @@ def test_yaml_numbers_without_a_dot_load_as_numbers(tmp_path):
     path = write_yaml(
         tmp_path,
         "preset: linear_ate_n250\neta: 5e2\neps: 1e-1\nk_burn: 1e2\nalphas: [5e-2]\n"
-        "out_scale: 4e-2\nclip_norm: null\n",
+        "varpi: 4e-2\nclip_norm: null\n",
     )
     cfg = load_config(path)
     assert (cfg.eta, cfg.eps, cfg.k_burn, cfg.alphas) == (500.0, 0.1, 100, (0.05,))
-    assert cfg.out_scale == 0.04 and cfg.clip_norm is None
+    assert cfg.varpi == 0.04 and cfg.clip_norm is None
     assert type(cfg.eta) is float and type(cfg.k_burn) is int
 
 
@@ -100,7 +108,6 @@ def test_scalar_that_does_not_convert_is_rejected_at_load(tmp_path, line, messag
         ("varpi: 1.5", "varpi: must be in (0, 1], got 1.5"),
         ("clip_norm: 0", "clip_norm: must be positive or null, got 0.0"),
         ("clip_norm: -5", "clip_norm: must be positive or null, got -5.0"),
-        ("out_scale: 0", "out_scale: must be positive, got 0.0"),
         ("inverse_widths: []", "inverse_widths: need hidden layers of width >= 1, got []"),
         ("tau_widths: [10, 0]", "tau_widths: need hidden layers of width >= 1, got [10, 0]"),
     ],

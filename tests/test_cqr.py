@@ -44,7 +44,7 @@ def test_quantile_model_needs_two_outputs():
     net = mlp_init(MlpSpec((3, 4, 1), seed=0))
     with pytest.raises(ValueError, match="2 outputs"):
         QuantileModel(
-            net=net, alpha=0.1,
+            net=net,
             f_mean=np.zeros(3), f_sd=np.ones(3),
             y_mean=np.zeros(1), y_sd=np.ones(1),
         )
@@ -175,7 +175,7 @@ def exact_model(lo, hi):
     # bias of the output layer sets (-1, +1) before scaling
     net.flat[-2:] = np.array([-1.0, 1.0]) if half > 0 else np.zeros(2)
     return QuantileModel(
-        net=net, alpha=0.1,
+        net=net,
         f_mean=np.zeros(3), f_sd=np.ones(3),
         y_mean=np.array([mid]), y_sd=np.array([half if half > 0 else 1.0]),
     )

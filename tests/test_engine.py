@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fidte.engine import (
+    OUT_SCALE,
     RESCALE,
     Dataset,
     SolveRows,
@@ -9,14 +10,15 @@ from fidte.engine import (
     ThetaLayout,
     _surface,
     _surface_grad,
+    draw_surfaces,
     energy,
     energy_gradients,
     feature_matrix,
-    surfaces,
 )
 from fidte.nn import (
     MlpParams,
     MlpSpec,
+    _layer_slices,
     mlp_backward_batch,
     mlp_forward_batch,
     mlp_init,
@@ -92,10 +94,14 @@ def model_predict_batch(theta, layout, x, t, z, scaler=IDENTITY_SCALER):
 
 
 def theta_hat_rows(w, rows, z):
-    """theta_hat_i one observation at a time: the inverse net on a one-row batch."""
-    return np.concatenate(
-        [mlp_forward_batch(w, feature_matrix(rows.take([i]), z[i : i + 1]))[-1] for i in range(rows.n)]
-    )
+    """theta_hat_i one observation at a time: the inverse net's trunk on a
+    one-row batch, then its head OUT_SCALE * a @ W.T + b."""
+    W, b = w.layers()[-1]
+    out = []
+    for i in range(rows.n):
+        a = mlp_forward_batch(w, feature_matrix(rows.take([i]), z[i : i + 1]), head=False)[-1]
+        out.append(OUT_SCALE * a @ W.T + b)
+    return np.concatenate(out)
 
 
 def test_inverse_feature_order():
@@ -106,12 +112,14 @@ def test_inverse_feature_order():
 
 def test_theta_hat_is_forward_on_feature_row(rng):
     # with one observation theta_bar is that observation's theta_hat: the
-    # inverse net on the row [y, 2t - 1, x, z]
+    # inverse net's trunk on the row [y, 2t - 1, x, z], then its head
     layout = linear_layout()
     w = random_inverse(rng, 2, layout)
     data = Dataset(x=np.array([[0.2, -0.4]]), t=np.array([1]), y=np.array([0.7]))
     z = np.array([0.9])
-    want = mlp_forward_batch(w, np.array([[0.7, 1.0, 0.2, -0.4, 0.9]]))[-1][0]
+    a = mlp_forward_batch(w, np.array([[0.7, 1.0, 0.2, -0.4, 0.9]]), head=False)[-1][0]
+    W, b = w.layers()[-1]
+    want = OUT_SCALE * (W @ a) + b
     np.testing.assert_array_equal(energy(w, solve_rows(data, layout), z, 1.0, layout).theta_bar, want)
 
 
@@ -164,18 +172,19 @@ SLOT_TABLE = {
 
 @pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
 def test_pack_unpack_roundtrip(make, rng):
-    # surfaces reads every slot where the table puts it: moving one slot moves
-    # only the surface that owns it (a constant effect tau' also shifts
+    # draw_surfaces reads every slot where the table puts it: moving one slot
+    # moves only the surface that owns it (a constant effect tau' also shifts
     # c(x) = mu' - tau' + x beta, the outcome at t' = -1)
     layout = make()
     assert layout.theta_dim == len(SLOT_TABLE[make])
     theta = rng.normal(size=layout.theta_dim)
     x = rng.normal(size=(6, 2))
-    base = surfaces(theta, layout, x, IDENTITY_SCALER)
+    base, *moved = draw_surfaces(
+        np.vstack([theta, theta + 0.1 * np.eye(layout.theta_dim)]), layout, x, IDENTITY_SCALER
+    )
     for j, owner in enumerate(SLOT_TABLE[make]):
-        moved = surfaces(theta + 0.1 * np.eye(layout.theta_dim)[j], layout, x, IDENTITY_SCALER)
         changed = {
-            name for name, a, b in zip(("c", "tau", "sigma"), base, moved)
+            name for name, a, b in zip(("c", "tau", "sigma"), base, moved[j])
             if not np.array_equal(a, b)
         }
         want = {"c", "tau"} if (make is linear_layout and owner == "tau") else {owner}
@@ -186,7 +195,7 @@ def test_unpack_rescales_network_blocks():
     layout = tau_net_layout(d=2, hidden=(3,))
     theta = (np.arange(layout.theta_dim, dtype=float) + 1.0) / 10.0
     x = np.array([[0.5, -1.0], [2.0, 0.25]])
-    c, tau, sigma = surfaces(theta, layout, x, IDENTITY_SCALER)
+    c, tau, sigma = next(draw_surfaces(theta[None, :], layout, x, IDENTITY_SCALER))
     np.testing.assert_array_equal(c, theta[0] + x @ theta[1:3])  # linear block untouched
     net = MlpParams(layout.tau_spec, theta[3:16] / RESCALE)
     np.testing.assert_array_equal(tau, mlp_forward_batch(net, x)[-1][:, 0])
@@ -198,8 +207,11 @@ def test_layout_validation():
         ThetaLayout(MlpSpec((2, 3, 1)))
     with pytest.raises(ValueError, match="tau network must have a single output"):
         ThetaLayout(MlpSpec((2, 3, 1)), MlpSpec((2, 3, 2)))
-    with pytest.raises(ValueError, match=r"layout needs \(6,\)"):
-        surfaces(np.zeros(5), linear_layout(d=3), np.zeros((1, 3)), IDENTITY_SCALER)
+    # draws narrower or wider than theta_dim, or not one row per draw, are
+    # rejected, not cut or indexed past
+    for draws in (np.zeros((1, 5)), np.zeros((1, 7)), np.zeros(6)):
+        with pytest.raises(ValueError, match=r"layout needs \(m, theta_dim 6\)"):
+            next(draw_surfaces(draws, linear_layout(d=3), np.zeros((1, 3)), IDENTITY_SCALER))
 
 
 # ---------------------------------------------------------------- model
@@ -223,7 +235,7 @@ def test_surfaces_compose_to_prediction(make, rng):
     z = rng.normal(size=9)
     for scaler in (IDENTITY_SCALER, Standardizer(x_mean=np.array([0.3, -1.0]), x_std=np.array([2.0, 0.5]), y_mean=1.7, y_std=2.5)):
         pred = model_predict_batch(theta, layout, x, t, z, scaler)
-        c, tau, sigma = surfaces(theta, layout, x, scaler)
+        c, tau, sigma = next(draw_surfaces(theta[None, :], layout, x, scaler))
         composed = c + tau * t + sigma * z
         np.testing.assert_allclose(pred, composed, rtol=1e-10, atol=1e-12)
 
@@ -391,13 +403,18 @@ def test_minibatch_scale(rng):
 def explicit_energy_gradients(w, data, z, eta, layout, scaler):
     """Oracle: U and its gradients from the n x theta_dim matrix of theta_hat rows.
 
-    The consensus enters every row's out-gradient as 2 eta (theta_hat_i -
-    theta_bar) and the residual term as the shared A / n; a full-head
-    backward pass carries both into the weights and the inputs.  The
-    feature rows [y, 2t - 1, x, z] are built here from the data.
+    theta_hat_i = OUT_SCALE * W a_i + b is the output of the net whose head
+    weights are OUT_SCALE * W, and dU/dW is OUT_SCALE times that net's head
+    weight gradient.  The consensus enters every row's out-gradient as
+    2 eta (theta_hat_i - theta_bar) and the residual term as the shared
+    A / n; a full-head backward pass carries both into the weights and the
+    inputs.  The feature rows [y, 2t - 1, x, z] are built here from the data.
     """
+    ws, _, _ = _layer_slices(w.spec)[-1]
+    scaled = MlpParams(w.spec, w.flat.copy())
+    scaled.flat[ws] *= OUT_SCALE
     feats = np.column_stack([scaler.scale_y(data.y), 2.0 * data.t - 1.0, scaler.scale_x(data.x), z])
-    acts = mlp_forward_batch(w, feats)
+    acts = mlp_forward_batch(scaled, feats)
     theta = acts[-1]
     tb = theta.mean(axis=0)
     dev = theta - tb
@@ -412,7 +429,8 @@ def explicit_energy_gradients(w, data, z, eta, layout, scaler):
         _, net_pass = _surface(spec, tb[sl], xs)
         a_total[sl] = -2.0 * _surface_grad(spec, net_pass, xs, resid, u)
     a_total[-1] = -2.0 * sigma * (resid @ z)
-    w_grad, input_grads = mlp_backward_batch(w, acts, 2.0 * eta * dev + a_total / data.n)
+    w_grad, input_grads = mlp_backward_batch(scaled, acts, 2.0 * eta * dev + a_total / data.n)
+    w_grad[ws] *= OUT_SCALE
     z_grad = -2.0 * resid * sigma + input_grads[:, -1]
     return total, tb, z_grad, w_grad
 
@@ -431,7 +449,7 @@ def test_hidden_space_matches_explicit_consensus(make, standardize, rng):
     data = random_dataset(rng, n=40)
     data.y[:] = 3.0 + 2.0 * data.y
     scaler = Standardizer.fit(data) if standardize else IDENTITY_SCALER
-    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=14, out_scale=0.04)
+    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=14)
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     z = rng.normal(size=40)
     idx = np.array([0, 3, 7, 11, 19, 25, 31, 38])
@@ -455,7 +473,7 @@ def test_z_pass_skips_weight_gradient_with_the_same_z_grad(make, rng):
     layout = make(d=2)
     data = random_dataset(rng, n=30)
     scaler = Standardizer.fit(data)
-    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=15, out_scale=0.04)
+    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=15)
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     z = rng.normal(size=30)
     rows = solve_rows(data, layout, scaler)
@@ -474,7 +492,7 @@ def test_minibatch_rows_match_rows_of_the_subset(make, rng):
     data = random_dataset(rng, n=30)
     data.y[:] = 3.0 + 2.0 * data.y
     scaler = Standardizer.fit(data)
-    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=16, out_scale=0.04)
+    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=16)
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     z = rng.normal(size=30)
     idx = rng.choice(30, size=10, replace=False)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidte.config import preset_config
-from fidte.engine import Dataset, Standardizer, ThetaLayout
-from fidte.engine import surfaces as engine_surfaces
+from fidte.engine import Dataset, Standardizer, ThetaLayout, draw_surfaces
 from fidte.inference import (
     _BLOCK_VALUES,
     PredictionInterval,
@@ -166,7 +165,7 @@ def test_ic_interval_is_shifted_treated_prediction():
     streams = np.random.default_rng(11).spawn(4)
     for i, iv in enumerate(ivs):
         z = streams[i].standard_normal(5000)
-        c, tau, _ = engine_surfaces(theta, LINEAR, test.x[i], IDENTITY_SCALER)
+        c, tau, _ = next(draw_surfaces(theta[None, :], LINEAR, test.x[i], IDENTITY_SCALER))
         y1_hat = c[0] + tau[0] + 0.5 * z
         assert iv.lower == pytest.approx(np.quantile(y1_hat, 0.05) - test.y[i], rel=1e-12)
         assert iv.upper == pytest.approx(np.quantile(y1_hat, 0.95) - test.y[i], rel=1e-12)

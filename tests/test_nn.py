@@ -144,13 +144,12 @@ def test_backward_batch_sums_per_row_grads(rng):
     np.testing.assert_allclose(pg_batch, pg_sum, rtol=1e-12, atol=1e-13)
 
 
-@pytest.mark.parametrize("out_scale", [1.0, 0.04])
 @pytest.mark.parametrize("width", [1, 2, 10, 30, 90])
 @pytest.mark.parametrize("head", [True, False])
-def test_param_grad_is_bitwise_the_summed_reference(head, width, out_scale, rng):
+def test_param_grad_is_bitwise_the_summed_reference(head, width, rng):
     # width sets the hidden layers and the output, so the bias sums run at
     # one column (the data-model heads) and at every width the package uses
-    params = mlp_init(MlpSpec((3, width, width, width), seed=2, out_scale=out_scale))
+    params = mlp_init(MlpSpec((3, width, width, width), seed=2))
     params.flat[:] += 0.1 * rng.normal(size=params.flat.size)
     for n in (1, 2, 3, 7, 125, 250, 1000):
         acts = mlp_forward_batch(params, rng.normal(size=(n, 3)), head=head)
@@ -184,7 +183,7 @@ def test_param_grad_is_a_new_array_on_every_pass(rng):
 
 
 def headed_net(rng):
-    spec = MlpSpec((3, 5, 4, 6), seed=7, out_scale=0.3)
+    spec = MlpSpec((3, 5, 4, 6), seed=7)
     params = mlp_init(spec)
     params.flat[:] += 0.1 * rng.normal(size=params.flat.size)
     return params
@@ -199,11 +198,11 @@ def test_headless_forward_feeds_the_output_layer(rng):
     for a, b in zip(headless, full[:-1], strict=True):
         np.testing.assert_array_equal(a, b)
     W, b = params.layers()[-1]
-    np.testing.assert_array_equal(full[-1], (headless[-1] @ W.T) * 0.3 + b)
+    np.testing.assert_array_equal(full[-1], headless[-1] @ W.T + b)
 
 
 def test_headless_backward_matches_full_backward_below_the_head(rng):
-    # out_grads O at the output are s * O @ W at the last hidden layer
+    # out_grads O at the output are O @ W at the last hidden layer
     params = headed_net(rng)
     x = rng.normal(size=(9, 3))
     gout = rng.normal(size=(9, 6))
@@ -211,7 +210,7 @@ def test_headless_backward_matches_full_backward_below_the_head(rng):
     pg_full, ig_full = mlp_backward_batch(params, mlp_forward_batch(params, x), gout)
     ig_full = ig_full.copy()  # the next backward on 9 rows writes the same array
     headless = mlp_forward_batch(params, x, head=False)
-    pg, ig = mlp_backward_batch(params, headless, (gout @ W) * 0.3, head=False)
+    pg, ig = mlp_backward_batch(params, headless, gout @ W, head=False)
     head = param_count(params.spec) - 6 * (4 + 1)
     np.testing.assert_array_equal(pg[:head], pg_full[:head])
     np.testing.assert_array_equal(pg[head:], 0.0)

@@ -180,9 +180,7 @@ def small_run(seed=0, **kw):
     rng = np.random.default_rng(123)
     data = toy_data(rng, n=30)
     layout = ThetaLayout(3)
-    # small output scale keeps the random output layer's consensus term tame,
-    # same posture as the experiment presets
-    spec = MlpSpec((5, 8, layout.theta_dim), seed=1, out_scale=1.0 / 25.0)
+    spec = MlpSpec((5, 8, layout.theta_dim), seed=1)
     cfg_kw = dict(eta=500.0, eps=0.1, k_burn=60, m_keep=100, thin=5)
     cfg_kw.update(kw)
     return data, layout, spec, make_config(**cfg_kw), seed
@@ -251,15 +249,15 @@ def test_run_efi_trace_stream():
 
 def test_run_efi_divergence_guard():
     # curvature anchoring reads the start state only; a landscape much
-    # stiffer away from it (out_scale 1 on the inverse head, no clipping)
-    # still escapes, and the guard must turn that into an error, not NaNs
+    # stiffer away from it (a small noise budget eps, no clipping) still
+    # escapes, and the guard must turn that into an error, not NaNs
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 2)) * 1e6
     t = (rng.random(40) < 0.5).astype(float)
     data = Dataset(x=x, t=t, y=1e8 * rng.normal(size=40))
     layout = ThetaLayout(3)
     spec = MlpSpec((5, 8, layout.theta_dim), seed=1)
-    config = make_config(eta=500.0, eps=0.1, k_burn=50, m_keep=100, thin=5, clip_norm=None)
+    config = make_config(eta=500.0, eps=0.005, k_burn=50, m_keep=100, thin=5, clip_norm=None)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged"):
             run_efi(data, layout, spec, config, 0)
@@ -285,7 +283,7 @@ def test_run_efi_draws_match_the_log_sum_exp_prior(monkeypatch):
                       init_iters=10, n_batches=2)
     data = generate(GenSpec("example1", 40, seed=4))
     layout = build_layout(cfg, data.d)
-    spec = MlpSpec((data.d + 3, 12, 6, layout.theta_dim), seed=2, out_scale=1.0 / 25.0)
+    spec = MlpSpec((data.d + 3, 12, 6, layout.theta_dim), seed=2)
     shipped = run_efi(data, layout, spec, cfg, 9)
     monkeypatch.setattr(fidte.sampler, "log_prior_grad", lse_log_prior_grad)
     reference = run_efi(data, layout, spec, cfg, 9)
@@ -316,7 +314,7 @@ def test_recovery_on_easy_linear_problem():
     y = 1.0 * t + 0.5 + x @ np.array([1.0, -1.0]) + 0.3 * rng.standard_normal(n)
     data = Dataset(x=x, t=t, y=y)
     layout = ThetaLayout(3)
-    spec = MlpSpec((5, 30, 10, layout.theta_dim), seed=2, out_scale=1.0 / 25.0)
+    spec = MlpSpec((5, 30, 10, layout.theta_dim), seed=2)
     config = make_config(eta=500.0, eps=0.1, k_burn=1500, m_keep=1500, thin=5)
     chain = run_efi(data, layout, spec, config, 4)
     tau_draws = 2.0 * chain.scaler.y_std * chain.draws[:, 0]
