@@ -222,10 +222,14 @@ def _scalar(name: str, kind: type, value):
     raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
-def _coerce(name: str, value):
-    """Normalize YAML-level values onto config field types, or complain."""
+def _check_known(name: str) -> None:
     if name not in _FIELD_TYPES:
         raise ValueError(f"{name}: unknown config field")
+
+
+def _coerce(name: str, value):
+    """Normalize YAML-level values onto config field types, or complain."""
+    _check_known(name)
     if name in _TUPLE_FIELDS:
         if isinstance(value, (str, int, float)):
             value = [value]
@@ -262,8 +266,9 @@ def _reject_unread_keys(cfg: ExperimentConfig, given) -> ExperimentConfig:
 
 def preset_config(name: str, paper_scale: bool = False, **overrides) -> ExperimentConfig:
     """Expand a named preset into a config at the requested scale; an
-    override the run would ignore fails: a width for a network the layout
-    lacks, or n_train or n_test on a csv config."""
+    override that names no config field fails, as does one the run would
+    ignore: a width for a network the layout lacks, or n_train or n_test on
+    a csv config."""
     if name not in PRESETS:
         raise ValueError(f"preset: unknown preset {name!r}, expected one of {sorted(PRESETS)}")
     values = dict(PRESETS[name])
@@ -271,6 +276,8 @@ def preset_config(name: str, paper_scale: bool = False, **overrides) -> Experime
         for f in _BUDGET_FIELDS:
             values[f] = values[f] // 2
     values["paper_scale"] = paper_scale
+    for key in overrides:
+        _check_known(key)
     values.update(overrides)
     return _reject_unread_keys(ExperimentConfig(**values), overrides)
 

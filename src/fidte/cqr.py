@@ -7,6 +7,28 @@ Three constructions cover the covariates-only test case: per-arm bands
 differenced (naive), interval-outcome conformal on a second fold (exact), and
 median regression of the fold-two interval endpoints (inexact, no coverage
 guarantee).
+
+The quantile nets are nn's networks, made by mlp_init and evaluated by
+mlp_forward_batch, but _fit_pinball_net trains them in a layout of its own:
+bias-folded [W | b] matrices and feature-major activations with a row of
+ones, so each layer's forward and each weight-and-bias gradient is one
+matmul.  On a 6->10->10->2 net and 250 rows an Adam step takes 52-73 us
+against 96-124 us through nn's row-major passes, with their broadcast
+bias adds and column sums (one BLAS thread, 2 cores).  The layout is
+private to the fit, and the two share no pass code: nn keeps the row-major
+(n, d) form that the engine and sampler hand it and read back, and
+whether the sampler's networks would gain from feature-major passes is
+an open question (ROADMAP item 3).
+
+The feature-major weight gradient is a different GEMM from nn's, so it
+rounds differently in the last bit, and 3000 pinball steps amplify that.
+Against the same fit in nn's layout, on 250 random rows, the largest
+parameter gap is ~6e-17 after one step, 2e-6 to 0.1 after 1000 and 0.4 to
+1.4 after 3000; on example1 a seed's mean interval length moves by up to
+17%, while over 40 seeds the mean length and coverage do not move
+detectably.  A fit's intervals therefore depend on the BLAS kernel's
+rounding: compare CQR results across seeds (validate/compare_cqr.py), not
+bit for bit across machines.
 """
 
 from __future__ import annotations
@@ -20,7 +42,10 @@ import numpy as np
 
 from .engine import Dataset
 from .inference import PredictionInterval
-from .nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init
+from .nn import MlpParams, MlpSpec, mlp_forward_batch, mlp_init
+# no fit calls it, but perfbench's tracer wraps fidte.cqr.mlp_backward_batch and
+# its selftest resolves every name the tracer wraps
+from .nn import mlp_backward_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -76,32 +101,63 @@ def _fit_pinball_net(
 ) -> MlpParams:
     """Full-batch Adam on the summed pinball losses, one level per output.
 
-    The net's flat vector is updated in place, so its layer views are built
-    once per fit; each step is one forward and one backward through it.  The
-    pinball gradient, Adam's two moments, their bias-corrected forms and the
-    update are written into arrays made once per fit, one numpy call per
-    operation of the textbook step and in its order, so a fit is bitwise
-    equal to one that allocates every term afresh.
+    The fit runs in its own layout, not nn's.  Layer l is one augmented
+    matrix [W_l | b_l] of shape (d_l, d_{l-1} + 1), all of them views into
+    one flat vector that Adam steps elementwise.  Activations are
+    feature-major, (d_l + 1, n) with a last row of ones, so a layer's forward
+    is one matmul and an in-place tanh, and its weight-and-bias gradient is
+    one matmul.  Every array is made once per fit.  The network starts at
+    mlp_init(spec) and comes back in nn's layout.
     """
     n = features.shape[0]
-    qvec = np.asarray(qs, dtype=np.float64)[None, :]
-    net = mlp_init(spec)
-    flat = net.flat
+    widths = spec.layer_widths
+    start = mlp_init(spec).layers()
+    flat = np.concatenate([np.column_stack([W, b]).ravel() for W, b in start])
+    grad = np.empty_like(flat)
+    layers, grads, pos = [], [], 0
+    for l in range(1, len(widths)):
+        shape = (widths[l], widths[l - 1] + 1)
+        size = shape[0] * shape[1]
+        layers.append(flat[pos:pos + size].reshape(shape))
+        grads.append(grad[pos:pos + size].reshape(shape))
+        pos += size
+    # acts[l] is the input of layers[l] over a row of ones, acts[0] the
+    # features; for a hidden acts[l], back[l] takes layers[l].T @ d, whose
+    # ones-row slot is never read, and deltas[l] the gradient under its tanh
+    acts = [np.ones((w + 1, n)) for w in widths[:-1]]
+    acts[0][:-1] = features.T
+    back = [None] + [np.empty((w + 1, n)) for w in widths[1:-1]]
+    deltas = [None] + [np.empty((w, n)) for w in widths[1:-1]]
+    out = np.empty((widths[-1], n))
+    below = np.empty(out.shape, dtype=bool)
+    targets_t = np.ascontiguousarray(targets.T)
+    # d/du of rho_q(y - u) / n is (1{y < u} - q) / n, one of these two values
+    q = np.asarray(qs, dtype=np.float64)[:, None]
+    grad_below, grad_above = (1.0 - q) / n, (0.0 - q) / n
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     mh = np.empty_like(flat)
     vh = np.empty_like(flat)
     finite = np.empty(flat.shape, dtype=bool)
-    below = np.empty(targets.shape, dtype=bool)
-    out_grad = np.empty(targets.shape)
     b1, b2, eps = 0.9, 0.999, 1e-8
+    last = len(layers) - 1
     for step in range(1, config.iters + 1):
-        acts = mlp_forward_batch(net, features)
-        # d/du of rho_q(y - u) is 1{y < u} - q
-        np.less(targets, acts[-1], out=below)
-        np.subtract(below, qvec, out=out_grad)
-        out_grad /= n
-        grad, _ = mlp_backward_batch(net, acts, out_grad, need_input=False)
+        for l in range(last):
+            h = np.matmul(layers[l], acts[l], out=acts[l + 1][:-1])
+            np.tanh(h, out=h)
+        np.matmul(layers[last], acts[last], out=out)
+        np.less(targets_t, out, out=below)
+        d = np.where(below, grad_below, grad_above)
+        for l in range(last, -1, -1):
+            np.matmul(d, acts[l].T, out=grads[l])
+            if l == 0:
+                break
+            np.matmul(layers[l].T, d, out=back[l])
+            # tanh' from its output, 1 - a^2, times the gradient at a
+            a = acts[l][:-1]
+            d = np.multiply(a, a, out=deltas[l])
+            np.subtract(1.0, d, out=d)
+            d *= back[l][:-1]
         # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2
         m *= b1
         np.multiply(grad, 1.0 - b1, out=mh)
@@ -123,7 +179,9 @@ def _fit_pinball_net(
                 f"non-finite parameter values at Adam step {step} of {config.iters}, "
                 f"quantile levels {tuple(float(q) for q in qs)}"
             )
-    return net
+    # nn's layout: per layer W_l row-major, then b_l
+    nn_flat = [p for Wb in layers for p in (Wb[:, :-1].ravel(), Wb[:, -1])]
+    return MlpParams(spec, np.concatenate(nn_flat))
 
 
 def _features(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -177,10 +235,15 @@ def calibrate(scores: np.ndarray, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     n = scores.size
-    rank = math.ceil((n + 1) * (1.0 - alpha))
+    rank = _calibration_rank(n, alpha)
     if rank > n:
         return float("inf")
     return float(np.sort(scores)[rank - 1])
+
+
+def _calibration_rank(n: int, alpha: float) -> int:
+    # the order statistic calibrate picks from n scores; past n the band is infinite
+    return math.ceil((n + 1) * (1.0 - alpha))
 
 
 def _band(
@@ -209,23 +272,22 @@ def _arm_bands(
 ) -> Tuple[QuantileModel, ConformalCorrection]:
     """Split-conformal per-arm outcome bands at level 1 - alpha/2.
 
-    Raises when an arm has too few calibration rows for that level, whose
-    band would then be infinite.
+    Raises before the fit when an arm has too few calibration rows for that
+    level, whose band would then be infinite.
     """
     level_alpha = alpha / 2.0
     fit_idx, cal_idx = _split(train.n, rng)
-    model = pinball_fit(train.subset(fit_idx), level_alpha, config=config, seed=seed)
     cal = train.subset(cal_idx)
-    s_hat = {}
     for arm in (0, 1):
-        scores = conformal_scores(model, cal, arm)
-        s_hat[arm] = calibrate(scores, level_alpha)
-        if math.isinf(s_hat[arm]):
+        rows = int(np.count_nonzero(cal.t == arm))
+        if _calibration_rank(rows, level_alpha) > rows:
             raise ValueError(
                 f"calibration at alpha {alpha} returned an infinite band: arm {arm} has "
-                f"{scores.size} calibration rows, too few for level {1.0 - level_alpha:g}; "
+                f"{rows} calibration rows, too few for level {1.0 - level_alpha:g}; "
                 "use more training rows or a larger alpha"
             )
+    model = pinball_fit(train.subset(fit_idx), level_alpha, config=config, seed=seed)
+    s_hat = {arm: calibrate(conformal_scores(model, cal, arm), level_alpha) for arm in (0, 1)}
     return model, ConformalCorrection(s_hat=s_hat)
 
 

@@ -3,11 +3,13 @@
 Every network in the package (inverse network, data-model networks,
 quantile networks) is the same flat-parameter tanh MLP defined here.
 Parameters live in a single 1-d float64 vector so samplers and optimizers
-can treat a network as a point in R^P.
+can treat a network as a point in R^P.  The sampler's networks train
+through the passes below; the quantile networks are made and evaluated
+here but trained in a layout of cqr's own (see fidte.cqr).
 
 A network keeps, per row count, the arrays its forward and backward passes
-write (see MlpParams), so a sampler or optimizer that runs the same network
-on the same rows step after step allocates no activation-sized array.  The
+write (see MlpParams), so a sampler that runs the same network on the same
+rows step after step allocates no activation-sized array.  The
 backward pass forms each bias gradient by whichever of einsum and .sum(axis=0)
 is cheaper where the two agree bit for bit (see _column_sums), so its results
 are those of a plain numpy sum.

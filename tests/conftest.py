@@ -78,10 +78,11 @@ def sum_param_grad(params, acts, out_grads, head=True):
 
 
 def allocating_pinball_net(features, targets, qs, spec, config):
-    """Reference pinball fit: full-batch Adam with every term a new array.
+    """Reference pinball fit in nn's row-major layout, every term a new array.
 
-    The form fidte.cqr._fit_pinball_net took before it wrote its step into
-    arrays made once per fit, with the parameter gradient of sum_param_grad.
+    Full-batch Adam from mlp_init(spec) with the parameter gradient of
+    sum_param_grad: the fit fidte.cqr._fit_pinball_net ran through nn's
+    passes before it trained in its folded layout.
     """
     n = features.shape[0]
     qvec = np.asarray(qs, dtype=np.float64)[None, :]
@@ -100,6 +101,66 @@ def allocating_pinball_net(features, targets, qs, spec, config):
         vh = v / (1.0 - b2**step)
         flat -= config.lr * mh / (np.sqrt(vh) + eps)
     return net
+
+
+def fold_layers(net):
+    """A network's layers as bias-folded matrices [W_l | b_l], each a new array."""
+    return [np.column_stack([W, b]) for W, b in net.layers()]
+
+
+def unfold_layers(layers):
+    """nn's flat layout of folded matrices: per layer W_l row-major, then b_l."""
+    return np.concatenate([p for Wb in layers for p in (Wb[:, :-1].ravel(), Wb[:, -1])])
+
+
+def folded_activations(layers, features):
+    """Feature-major activations [x, hidden_1, ...], each (d_l + 1, n) over a
+    row of ones, and the (d_out, n) output, every array new."""
+    ones = np.ones((1, features.shape[0]))
+    # C order, as the fit holds it: vstack would keep features.T's column order,
+    # and the first layer's weight gradient would round as another GEMM
+    acts = [np.ascontiguousarray(np.vstack([features.T, ones]))]
+    for Wb in layers[:-1]:
+        acts.append(np.vstack([np.tanh(Wb @ acts[-1]), ones]))
+    return acts, layers[-1] @ acts[-1]
+
+
+def folded_pinball_grads(layers, features, targets, qs):
+    """Per-layer gradients of the summed pinball losses over n, in the folded
+    layout: one (d_l, d_{l-1} + 1) matrix per layer, every array new."""
+    n = features.shape[0]
+    q = np.asarray(qs, dtype=np.float64)[:, None]
+    acts, out = folded_activations(layers, features)
+    d = np.where(targets.T < out, (1.0 - q) / n, (0.0 - q) / n)
+    grads = [None] * len(layers)
+    for l in range(len(layers) - 1, -1, -1):
+        grads[l] = d @ acts[l].T
+        if l > 0:
+            a = acts[l][:-1]
+            d = (1.0 - a * a) * (layers[l].T @ d)[:-1]
+    return grads
+
+
+def folded_pinball_net(features, targets, qs, spec, config):
+    """Reference pinball fit in the folded, feature-major layout.
+
+    The same full-batch Adam as allocating_pinball_net from the same start,
+    with the gradient of folded_pinball_grads and every term a new array;
+    returns the folded layer matrices.
+    """
+    layers = fold_layers(mlp_init(spec))
+    m = [np.zeros_like(Wb) for Wb in layers]
+    v = [np.zeros_like(Wb) for Wb in layers]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for step in range(1, config.iters + 1):
+        grads = folded_pinball_grads(layers, features, targets, qs)
+        for l, g in enumerate(grads):
+            m[l] = b1 * m[l] + (1.0 - b1) * g
+            v[l] = b2 * v[l] + (1.0 - b2) * g**2
+            mh = m[l] / (1.0 - b1**step)
+            vh = v[l] / (1.0 - b2**step)
+            layers[l] = layers[l] - config.lr * mh / (np.sqrt(vh) + eps)
+    return layers
 
 
 def per_draw_chain_surfaces(chain, layout, x):

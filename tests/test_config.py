@@ -36,6 +36,9 @@ def test_out_scale_is_an_unknown_field(tmp_path):
         path = write_yaml(tmp_path, f"{head}out_scale: 0.04\n")
         with pytest.raises(ValueError, match="^out_scale: unknown config field$"):
             load_config(path)
+    # a Python caller's keyword override gets the same check as a file key
+    with pytest.raises(ValueError, match="^out_scale: unknown config field$"):
+        preset_config("example1", out_scale=0.04)
 
 
 def test_unknown_layout_kind_is_rejected():

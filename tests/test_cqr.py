@@ -18,9 +18,23 @@ from fidte.cqr import (
 )
 from fidte.datagen import GenSpec, generate
 from fidte.engine import Dataset
-from fidte.nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init
+from fidte.nn import (
+    MlpParams,
+    MlpSpec,
+    mlp_backward_batch,
+    mlp_forward_batch,
+    mlp_init,
+    param_count,
+)
 
-from conftest import allocating_pinball_net
+from conftest import (
+    allocating_pinball_net,
+    fold_layers,
+    folded_activations,
+    folded_pinball_grads,
+    folded_pinball_net,
+    unfold_layers,
+)
 
 FAST = TrainConfig(iters=600, lr=0.05)
 
@@ -92,60 +106,72 @@ def test_predict_quantiles_never_cross():
     assert np.all(q[:, 0] <= q[:, 1])
 
 
-def rebuilt_pinball_net(features, targets, qs, spec, config):
-    """Oracle: the Adam loop with a fresh network per step and its forward run twice.
+# the fits of cqr_ite on example1 at n_train 500: the naive arm bands, the
+# fold-1 arm bands and the inexact endpoint regression
+EXAMPLE1_FITS = [(250, 6, (0.0125, 0.9875)), (125, 6, (0.0125, 0.9875)), (250, 5, (0.5, 0.5))]
+HIDDEN = {1: (10,), 2: (10, 10), 3: (5, 7, 3)}
 
-    Every step builds a new MlpParams from a new flat vector and runs the
-    forward once for the prediction and once more for the backward.
-    """
-    n = features.shape[0]
-    qvec = np.asarray(qs, dtype=np.float64)[None, :]
-    net = mlp_init(spec)
-    flat = net.flat.copy()
-    m = np.zeros_like(flat)
-    v = np.zeros_like(flat)
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    for step in range(1, config.iters + 1):
-        pred = mlp_forward_batch(net, features)[-1]
-        out_grad = ((targets < pred).astype(np.float64) - qvec) / n
-        grad, _ = mlp_backward_batch(net, mlp_forward_batch(net, features), out_grad)
-        m = b1 * m + (1.0 - b1) * grad
-        v = b2 * v + (1.0 - b2) * grad**2
-        mh = m / (1.0 - b1**step)
-        vh = v / (1.0 - b2**step)
-        flat = flat - config.lr * mh / (np.sqrt(vh) + eps)
-        net = MlpParams(spec, flat)
-    return net
+
+@pytest.mark.parametrize("depth", [1, 2, 3], ids=["depth1", "depth2", "depth3"])
+@pytest.mark.parametrize("n, d_in, qs", EXAMPLE1_FITS, ids=["250x6", "125x6", "250x5"])
+def test_fit_is_bitwise_the_folded_reference(n, d_in, qs, depth, rng):
+    features = rng.normal(size=(n, d_in))
+    targets = rng.normal(size=(n, 2))
+    spec = MlpSpec((d_in, *HIDDEN[depth], 2), seed=3)
+    config = TrainConfig(iters=200, lr=0.02)
+    got = _fit_pinball_net(features, targets, qs, spec, config)
+    want = folded_pinball_net(features, targets, qs, spec, config)
+    np.testing.assert_array_equal(got.flat, unfold_layers(want))
+
+
+@pytest.mark.parametrize("widths", [(2, 6, 2), (3, 10, 10, 2), (4, 5, 7, 3, 2)],
+                         ids=["depth1", "depth2", "depth3"])
+def test_folded_gradient_is_nn_gradient(widths, rng):
+    # the folded layout maps onto nn's: on shared parameters, the folded
+    # pinball gradient unfolded is nn's backward pass to the last few bits
+    n, qs = 37, (0.1, 0.9)
+    features = rng.normal(size=(n, widths[0]))
+    targets = rng.normal(size=(n, 2))
+    spec = MlpSpec(widths)
+    net = MlpParams(spec, rng.normal(scale=0.5, size=param_count(spec)))
+    acts = mlp_forward_batch(net, features)
+    out_grad = ((targets < acts[-1]) - np.asarray(qs)[None, :]) / n
+    want, _ = mlp_backward_batch(net, acts, out_grad, need_input=False)
+    got = unfold_layers(folded_pinball_grads(fold_layers(net), features, targets, qs))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
     "widths, qs",
-    [((3, 10, 10, 2), (0.025, 0.975)), ((2, 6, 2), (0.5, 0.5)), ((4, 5, 7, 3, 2), (0.1, 0.9))],
+    [((2, 6, 2), (0.5, 0.5)), ((3, 10, 10, 2), (0.025, 0.975)), ((4, 5, 7, 3, 2), (0.1, 0.9))],
+    ids=["depth1", "depth2", "depth3"],
 )
-def test_in_place_fit_equals_the_rebuilt_loop(widths, qs, rng):
+def test_fit_steps_match_the_row_major_reference(widths, qs, rng):
+    # a few steps in, before the pinball fit amplifies the two layouts'
+    # last-bit rounding differences, the fit is the row-major one
     features = rng.normal(size=(37, widths[0]))
     targets = np.repeat(rng.normal(size=(37, 1)), 2, axis=1)
     spec = MlpSpec(widths, seed=4)
-    config = TrainConfig(iters=60, lr=0.05)
+    config = TrainConfig(iters=5, lr=0.05)
     got = _fit_pinball_net(features, targets, qs, spec, config)
-    want = rebuilt_pinball_net(features, targets, qs, spec, config)
-    np.testing.assert_array_equal(got.flat, want.flat)
+    want = allocating_pinball_net(features, targets, qs, spec, config)
+    np.testing.assert_allclose(got.flat, want.flat, rtol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "n, d_in, qs",
-    # the fits of cqr_ite on example1 at n_train 500: the naive arm bands,
-    # the fold-1 arm bands and the inexact endpoint regression
-    [(250, 6, (0.0125, 0.9875)), (125, 6, (0.0125, 0.9875)), (250, 5, (0.5, 0.5))],
-)
-def test_fit_is_bitwise_the_allocating_reference(n, d_in, qs, rng):
+def test_fitted_net_predicts_the_folded_forward(rng):
+    # predict_quantiles runs nn's forward on the fit's unfolded network; it
+    # gives the folded forward of the fit's own parameters, sorted per row
+    n, d_in, qs = EXAMPLE1_FITS[0]
     features = rng.normal(size=(n, d_in))
     targets = rng.normal(size=(n, 2))
     spec = MlpSpec((d_in, 10, 10, 2), seed=3)
     config = TrainConfig(iters=200, lr=0.02)
-    got = _fit_pinball_net(features, targets, qs, spec, config)
-    want = allocating_pinball_net(features, targets, qs, spec, config)
-    np.testing.assert_array_equal(got.flat, want.flat)
+    model = QuantileModel(net=_fit_pinball_net(features, targets, qs, spec, config),
+                          f_mean=np.zeros(d_in), f_sd=np.ones(d_in),
+                          y_mean=np.zeros(1), y_sd=np.ones(1))
+    _, out = folded_activations(folded_pinball_net(features, targets, qs, spec, config), features)
+    got = predict_quantiles(model, features[:, :-1], features[:, -1])
+    np.testing.assert_allclose(got, np.sort(out.T, axis=1), rtol=1e-12)
 
 
 def test_pinball_fit_names_the_step_that_went_non_finite(rng):
@@ -320,23 +346,28 @@ def test_cqr_ite_unknown_mode():
         cqr_ite(train, train, alpha=0.0)
 
 
-def test_cqr_ite_endpoint_modes_reject_infinite_band():
+def test_cqr_ite_endpoint_modes_reject_infinite_band(monkeypatch):
     # too few calibration rows per arm for alpha/2 push the conformal margin
     # to infinity; the endpoint-regression modes must refuse rather than fit
-    # infinite targets
+    # infinite targets, and refuse before fitting anything
     train = generate(GenSpec("example1", 120, seed=13))
     test = generate(GenSpec("example1", 20, seed=14))
+    calls = count_pinball_fits(monkeypatch)
     with pytest.raises(ValueError, match="infinite band"):
         cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1, config=FAST)
+    assert calls == []
 
 
-def test_cqr_ite_naive_rejects_infinite_band():
+def test_cqr_ite_naive_rejects_infinite_band(monkeypatch):
     # the same 120 rows: the naive mode's per-arm bands are infinite too, and
-    # it must refuse rather than report (-inf, inf) intervals as covered
+    # it must refuse rather than report (-inf, inf) intervals as covered,
+    # before its fit
     train = generate(GenSpec("example1", 120, seed=13))
     test = generate(GenSpec("example1", 20, seed=14))
+    calls = count_pinball_fits(monkeypatch)
     with pytest.raises(ValueError, match=r"^calibration at alpha 0\.05 returned an infinite band"):
         cqr_ite(train, test, alpha=0.05, mode="naive", seed=1, config=FAST)
+    assert calls == []
 
 
 def count_pinball_fits(monkeypatch):
