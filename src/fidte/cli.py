@@ -107,6 +107,12 @@ def cmd_fit(args) -> int:
 def write_chain_csv(chain, path: str) -> None:
     """One row per draw: theta, sigma and energy, each as repr(float).
 
+    theta and sigma are in the solve's standardized units, not data units:
+    theta is the draw's theta_bar as the sampler records it, and sigma is
+    exp of its log-sigma slot, the noise scale of the standardized outcome
+    (multiply by the train set's outcome sd for data units).  energy is U
+    at the draw.
+
     The table is built once; a float's repr holds no comma, quote or line
     break, so each line is what csv.writer would write, CRLF-terminated."""
     header = [f"theta_{j}" for j in range(chain.draws.shape[1])] + ["sigma", "energy"]
@@ -172,7 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="single EFI run: chain draws plus intervals")
+    p = sub.add_parser(
+        "fit",
+        help="single EFI run: chain draws plus intervals",
+        description="One EFI run on replication 0's data.  chain.csv holds one row per "
+        "draw: theta and sigma in the solve's standardized units (sigma is the noise "
+        "scale of the standardized outcome, not of y) and the energy.  intervals.csv "
+        "holds the intervals in data units.",
+    )
     common(p)
     p.set_defaults(func=cmd_fit)
 

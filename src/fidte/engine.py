@@ -89,8 +89,8 @@ class Dataset:
             raise ValueError(
                 f"inconsistent shapes: x {self.x.shape}, t {self.t.shape}, y {self.y.shape}"
             )
-        # np.unique only for the message: it imports numpy.ma, which a run
-        # that never takes a quantile has no other use for
+        # np.unique only for the message: it imports numpy.ma, which no
+        # command loads otherwise (inference takes no np.quantile)
         if not np.all((self.t == 0) | (self.t == 1)):
             raise ValueError(f"treatment must be binary 0/1, found values {np.unique(self.t)}")
         self.t = self.t.astype(np.int64)
@@ -263,7 +263,8 @@ def _surface(spec, block: np.ndarray, xs: np.ndarray, net: Optional[MlpParams] =
 
 def _surface_grad(spec, net_pass, xs: np.ndarray, r: np.ndarray, u) -> np.ndarray:
     """sum_j r_j u_j d s(x_j) / d block for the surface s of _surface, laid
-    out like its theta block; u is the regressor s multiplies (None: 1)."""
+    out like its theta block; u is the regressor s multiplies (None: 1).
+    A network's backward spends the hidden activations in net_pass."""
     if spec is None:
         return r @ u
     if u is not None:
@@ -436,7 +437,8 @@ def energy_gradients(
     cons = 2.0 * eta * s * s
     hidden_grads = dev @ (cons * gram)
     hidden_grads += (s / rows.n) * (W.T @ a_total)
-    # the z pass needs only the input gradient, the w pass the weight gradient
+    # the z pass needs only the input gradient, the w pass the weight
+    # gradient; the backward spends trunk, which nothing below reads
     w_grad, input_grads = mlp_backward_batch(
         w, trunk, hidden_grads, head=False, need_params=need_w, need_input=need_z
     )

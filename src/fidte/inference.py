@@ -13,6 +13,13 @@ Every draw gets one fresh standard normal per subject and case, taken from
 per-subject child streams of the caller's generator so subjects can be
 processed in any order (or in parallel) without changing the answer;
 ite_intervals takes them in blocks of subjects, one quantile call a block.
+
+Both read their endpoints off empirical quantiles of the draws (Hyndman and
+Fan's type 7, numpy's method="linear") through one order-statistic kernel,
+_linear_quantiles, which equals np.quantile bit for bit.  np.quantile itself
+is not called: its generic path dedupes the partition ranks with np.unique,
+which imports numpy.ma (about 1 MB resident) into every command that takes
+a quantile.
 """
 
 from __future__ import annotations
@@ -54,6 +61,42 @@ class PredictionInterval:
         return self.lower <= value <= self.upper
 
 
+def _linear_quantiles(draws: np.ndarray, levels) -> np.ndarray:
+    """np.quantile(draws, levels, axis=-1, method="linear"), bit for bit,
+    partitioning draws in place along its last axis.
+
+    Level q sits at position (m - 1) q of the m sorted draws.  draws is
+    partitioned at the two ranks around each position and at the first and
+    last rank, the ranks numpy partitions at, and each endpoint is numpy's
+    _lerp of its two order statistics a and b at the fractional part t:
+    a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5.  A position at or
+    past the last rank takes the maximum.  As in numpy, a lane holding a NaN
+    gives NaN at every level, and a level outside [0, 1] raises ValueError.
+    The result has one row per level, each shaped like draws without its
+    last axis.
+    """
+    if not all(0.0 <= q <= 1.0 for q in levels):
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    top = draws.shape[-1] - 1
+    below, above, frac = [], [], []
+    for q in levels:
+        pos = top * q
+        # pos >= 0, so int() is its floor
+        lo, hi = (-1, -1) if pos >= top else (int(pos), int(pos) + 1)
+        below.append(lo)
+        above.append(hi)
+        frac.append(pos - lo)
+    draws.partition(sorted({0, -1, *below, *above}), axis=-1)
+    a, b = draws[..., below], draws[..., above]
+    t = np.array(frac)
+    diff = b - a
+    out = np.add(a, diff * t)
+    np.subtract(b, diff * (1.0 - t), out=out, where=t >= 0.5)
+    # a NaN partitions to the last rank; its lane reads that NaN everywhere
+    np.copyto(out, draws[..., -1:], where=np.isnan(draws[..., -1:]))
+    return out.T
+
+
 def ate_draws(chain: FiducialChain, layout: ThetaLayout) -> np.ndarray:
     """Fiducial sample of the average effect, in data units."""
     if layout.tau_spec is not None:
@@ -66,7 +109,7 @@ def ate_interval(chain: FiducialChain, layout: ThetaLayout, alpha: float = 0.05)
     draws = ate_draws(chain, layout)
     if draws.size == 0:
         raise ValueError("empty fiducial chain")
-    lower, upper = np.quantile(draws, (alpha / 2.0, 1.0 - alpha / 2.0), method="linear").tolist()
+    lower, upper = _linear_quantiles(draws, (alpha / 2.0, 1.0 - alpha / 2.0)).tolist()
     return PredictionInterval(subject_id=-1, case="ATE", lower=lower, upper=upper, alpha=alpha)
 
 
@@ -106,10 +149,11 @@ def ite_intervals(
     Subject i's normals stay streams[i].standard_normal(m) of rng.spawn, so
     the answer does not depend on how subjects are grouped.  A case's
     subjects go in blocks of at most _BLOCK_VALUES predictive draws (one row
-    per subject), each built in place and passed to one np.quantile call, so
-    the extra memory is a few blocks, not n x m.  Every endpoint equals the
-    one-subject-at-a-time computation bit for bit: the sums differ from it
-    only in the order of two terms, which IEEE addition does not see.
+    per subject), each built in place and partitioned in place by one
+    _linear_quantiles call, so the extra memory is a few blocks, not n x m.
+    Every endpoint equals the one-subject-at-a-time computation bit for bit:
+    the sums differ from it only in the order of two terms, which IEEE
+    addition does not see.
     """
     c_mat, tau_mat, sig = surfaces
     if sig.size == 0:
@@ -147,7 +191,7 @@ def ite_intervals(
             else:
                 pred *= np.sqrt(2.0) * sig
                 pred += tau_mat[:, idx].T
-            q_lo, q_hi = np.quantile(pred, qs, axis=1, method="linear", overwrite_input=True)
+            q_lo, q_hi = _linear_quantiles(pred, qs)
             if case == "Ic":
                 # shift the treated-arm interval by -y_obs
                 lower[idx], upper[idx] = q_lo - test.y[idx], q_hi - test.y[idx]

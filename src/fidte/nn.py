@@ -7,12 +7,15 @@ can treat a network as a point in R^P.  The sampler's networks train
 through the passes below; the quantile networks are made and evaluated
 here but trained in a layout of cqr's own (see fidte.cqr).
 
-A network keeps, per row count, the arrays its forward and backward passes
-write (see MlpParams), so a sampler that runs the same network on the same
-rows step after step allocates no activation-sized array.  The
-backward pass forms each bias gradient by whichever of einsum and .sum(axis=0)
-is cheaper where the two agree bit for bit (see _column_sums), so its results
-are those of a plain numpy sum.
+A network keeps, per row count, two kinds of array its passes write (see
+MlpParams): the hidden activations of the forward and the gradients the
+backward propagates below the output layer.  A sampler that runs the same
+network on the same rows step after step allocates no activation-sized
+array.  The backward writes each hidden layer's delta over that layer's
+activation, so the activations a forward returned are spent once a backward
+has run through them.  The backward pass forms each bias gradient by
+whichever of einsum and .sum(axis=0) is cheaper where the two agree bit for
+bit (see _column_sums), so its results are those of a plain numpy sum.
 """
 
 from __future__ import annotations
@@ -78,13 +81,17 @@ class MlpParams:
     updates flat in place keeps them valid.
 
     The arrays a pass writes are kept per row count n and reused by the next
-    pass on n rows: each hidden activation, each backward delta and each
-    gradient propagated below the output layer.  So the hidden activations
-    that mlp_forward_batch returns, and the input gradient that
-    mlp_backward_batch returns, stay valid until the next pass of the same
-    params on as many rows overwrites them; a caller that keeps one across
-    such a pass copies it.  The output layer's values and the parameter
-    gradient are new arrays on every pass.
+    pass on n rows.  They are of two kinds: "act", each hidden activation,
+    which the forward writes and the backward overwrites with that layer's
+    delta; and "grad", each gradient the backward propagates below the
+    output layer.  So the hidden activations that mlp_forward_batch returns
+    stay valid until the next forward of the same params on as many rows,
+    or until a backward through them, whichever comes first; after a
+    backward they hold its deltas.  The input gradient that
+    mlp_backward_batch returns stays valid until the next backward on as
+    many rows.  A caller that keeps one across such a pass copies it.  The
+    output layer's values and the parameter gradient are new arrays on
+    every pass.
     """
 
     spec: MlpSpec
@@ -115,10 +122,11 @@ class MlpParams:
     def _pass_array(self, kind: str, l: int, n: int) -> np.ndarray:
         """The (n, d_l) array that passes on n rows write for kind at layer l.
 
-        kind is "act", the activation of hidden layer l; "delta", the
-        gradient at its pre-activation; or "grad", the gradient propagated to
-        layer l's output (layer 0 being the input).  It is allocated on first
-        use, so a pass allocates only what it writes.
+        kind is "act", the activation of hidden layer l, which the backward
+        overwrites with the gradient at its pre-activation; or "grad", the
+        gradient propagated to layer l's output (layer 0 being the input).
+        It is allocated on first use, so a pass allocates only what it
+        writes.
         """
         key = (kind, l, n)
         arr = self._arrays.get(key)
@@ -166,9 +174,10 @@ def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> li
     Returns the activations [x, hidden_1, ..., output], each (n, d_l); the
     (n, d_out) output is the last entry.  With head=False the list ends at
     the last hidden layer a, which the linear output layer would map to
-    a @ W.T + b.  mlp_backward_batch takes the list as it is.
+    a @ W.T + b.  mlp_backward_batch takes the list as it is, and spends it.
     The hidden activations are params' arrays for n rows, overwritten by its
-    next pass on n rows (see MlpParams); the output is a new array.
+    next forward on n rows or by a backward through them (see MlpParams);
+    the output is a new array.
     """
     acts = [_check_input(params, x)]
     layers = params.layers()
@@ -212,11 +221,18 @@ def mlp_backward_batch(
     """Batched backward pass through the activations of mlp_forward_batch.
 
     acts is the list the forward returned for these params (with or without
-    the head); the forward is never recomputed.  out_grads has one row per
-    observation; the parameter gradient is the sum over rows (each row is an
-    independent additive loss term), the input gradient is returned per row.
-    Each bias gradient is the column sum of an (n, d_l) array, formed by
-    _column_sums, so it equals .sum(axis=0) bit for bit at every width.
+    the head); the forward is never recomputed.  The pass spends acts: it
+    writes each hidden layer's delta, (1 - a*a) * g, over that layer's
+    activation a once the layers above are done with it, so after it
+    returns the hidden entries of acts hold the deltas, and a caller that
+    needs the activations again runs a fresh forward or copies them first.
+    The input and the output entries are left as they are.
+
+    out_grads has one row per observation; the parameter gradient is the
+    sum over rows (each row is an independent additive loss term), the input
+    gradient is returned per row.  Each bias gradient is the column sum of
+    an (n, d_l) array, formed by _column_sums, so it equals .sum(axis=0) bit
+    for bit at every width.
     With head=False out_grads are gradients at the last hidden activations,
     shape (n, d_{L-1}), and the output-layer slots of the parameter gradient
     are left zero for the caller to fill.  A gradient not needed
@@ -243,8 +259,9 @@ def mlp_backward_batch(
         pieces.append((np.zeros(layers[last][0].size), np.zeros(layers[last][1].size)))
     # grads is the gradient at the last hidden activations from here on
     for l in range(last - 1, -1, -1):
-        # tanh' from its output, 1 - a^2, times the gradient at a
-        delta = np.multiply(acts[l + 1], acts[l + 1], out=params._pass_array("delta", l + 1, n))
+        # tanh' from its output, 1 - a^2, times the gradient at a, written
+        # over a: the layers below read only their own activations
+        delta = np.multiply(acts[l + 1], acts[l + 1], out=acts[l + 1])
         np.subtract(1.0, delta, out=delta)
         delta *= grads
         if need_params:

@@ -295,7 +295,9 @@ def run_efi(
     # phase two: alternate latent SGHMC and weight SGD, record after burn-in
     v = np.zeros(n)
     total = config.k_burn + config.m_keep
-    draws, energies = [], []
+    # every thin-th of the m_keep iterations after burn-in is recorded
+    draws = np.empty((config.m_keep // config.thin, layout.theta_dim))
+    energies = np.empty(draws.shape[0])
     for j in range(1, total + 1):
         k = config.init_iters + j
         rep = energy_gradients(w, rows, z, config.eta, layout, need_z=True, need_w=False)
@@ -310,12 +312,8 @@ def run_efi(
             er = energy(w, rows, z, config.eta, layout)
             if not np.isfinite(er.total):
                 raise RuntimeError(f"energy diverged at iteration {k}: {er.total}")
-            draws.append(er.theta_bar)
-            energies.append(er.total)
+            i = (j - config.k_burn) // config.thin - 1
+            draws[i] = er.theta_bar
+            energies[i] = er.total
 
-    p = layout.theta_dim
-    return FiducialChain(
-        draws=np.array(draws).reshape(len(draws), p),
-        energies=np.array(energies),
-        scaler=scaler,
-    )
+    return FiducialChain(draws=draws, energies=energies, scaler=scaler)

@@ -175,12 +175,31 @@ def test_cli_import_leaves_multiprocessing_out():
 
 
 def test_generated_dataset_leaves_numpy_ma_out():
-    # np.unique imports numpy.ma; a cqr run takes no quantile, so the
-    # treatment check is its only caller
+    # np.unique imports numpy.ma, and np.quantile calls it; the intervals
+    # take their quantiles without it, so the treatment check's message is
+    # its only caller
     assert cli_import_loads("numpy.ma", "np = fidte.cli.np; np.quantile(np.zeros(3), 0.5)")
     assert not cli_import_loads(
         "numpy.ma", "from fidte.datagen import GenSpec, generate; generate(GenSpec('example1', 50))"
     )
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("benchmark", "preset: linear_ate_n250\nR: 1\nk_burn: 3\nm_keep: 4\nthin: 1\n"),
+        ("fit", "preset: example1\nn_train: 30\nn_test: 12\ninit_iters: 2\n"
+                "k_burn: 2\nm_keep: 3\nthin: 1\nn_batches: 1\n"),
+    ],
+    ids=["benchmark-linear_ate_n250", "fit-example1"],
+)
+def test_efi_commands_leave_numpy_ma_out(command, config, tmp_path):
+    # both take ATE or ITE quantiles of the draws (about 1 MB resident)
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(config)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert not cli_import_loads("numpy.ma", f"assert fidte.cli.main({argv!r}) == 0")
+    assert (tmp_path / "out").is_dir()
 
 
 def test_chain_csv_is_what_csv_writer_writes(tmp_path):

@@ -7,6 +7,7 @@ from fidte.config import preset_config
 from fidte.engine import Dataset, Standardizer, ThetaLayout, draw_surfaces
 from fidte.inference import (
     _BLOCK_VALUES,
+    _linear_quantiles,
     PredictionInterval,
     assign_cases,
     ate_draws,
@@ -111,6 +112,66 @@ def test_quantile_monotone_in_q(qa, qb, seed):
     chain = ate_chain(np.random.default_rng(seed).standard_normal(25))
     small, large = (ate_interval(chain, LINEAR, alpha=a) for a in sorted((qa, qb)))
     assert small.lower <= large.lower and large.upper <= small.upper
+
+
+# levels: the endpoints' own, the extremes, and any in between
+LEVELS = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 0.025, 0.975, 0.5]), st.floats(0.0, 1.0)),
+    min_size=1, max_size=3,
+)
+
+
+def rounded_draws(seed, shape, decimals):
+    # rounding makes ties, and -0.0 next to 0.0, common
+    return np.round(np.random.default_rng(seed).standard_normal(shape), decimals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 200), decimals=st.integers(0, 3), levels=LEVELS,
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_is_bitwise_np_quantile_on_a_draw_vector(m, decimals, levels, seed):
+    # the ATE path: one vector, partitioned in place the way numpy does it
+    got_in = rounded_draws(seed, m, decimals)
+    want_in = got_in.copy()
+    got = _linear_quantiles(got_in, tuple(levels))
+    want = np.quantile(want_in, tuple(levels), method="linear", overwrite_input=True)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got_in.tobytes() == want_in.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 200), rows=st.integers(1, 6), decimals=st.integers(0, 3),
+       levels=LEVELS, seed=st.integers(0, 2**32 - 1))
+def test_kernel_is_bitwise_np_quantile_on_a_block(m, rows, decimals, levels, seed):
+    # the ITE path: one row of draws per subject, partitioned in place
+    got_in = rounded_draws(seed, (rows, m), decimals)
+    want_in = got_in.copy()
+    got = _linear_quantiles(got_in, tuple(levels))
+    want = np.quantile(want_in, tuple(levels), axis=1, method="linear", overwrite_input=True)
+    assert got.shape == want.shape == (len(levels), rows)
+    assert got.tobytes() == want.tobytes()
+    assert got_in.tobytes() == want_in.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 37])
+def test_kernel_gives_nan_on_a_slice_holding_nan(m, rng):
+    block = rng.standard_normal((3, m))
+    block[1, m // 2] = np.nan
+    want = np.quantile(block, (0.0, 0.025, 1.0), axis=1, method="linear")
+    got = _linear_quantiles(block, (0.0, 0.025, 1.0))
+    assert np.isnan(got[:, 1]).all() and not np.isnan(got[:, [0, 2]]).any()
+    assert got.tobytes() == want.tobytes()
+    vector = block[1].copy()
+    assert np.isnan(_linear_quantiles(vector, (0.5, 0.975))).all()
+
+
+@pytest.mark.parametrize("levels", [(-0.01, 0.5), (0.5, 1.01), (np.nan,)])
+def test_kernel_rejects_a_level_outside_the_unit_interval(levels):
+    draws = np.arange(5.0)
+    with pytest.raises(ValueError, match=r"range \[0, 1\]"):
+        _linear_quantiles(draws, levels)
+    np.testing.assert_array_equal(draws, np.arange(5.0))  # checked before partitioning
 
 
 # ---------------------------------------------------------------- intervals

@@ -154,8 +154,10 @@ def test_param_grad_is_bitwise_the_summed_reference(head, width, rng):
     for n in (1, 2, 3, 7, 125, 250, 1000):
         acts = mlp_forward_batch(params, rng.normal(size=(n, 3)), head=head)
         gout = rng.normal(size=(n, width))
+        # the reference reads the activations, which the backward spends
+        want = sum_param_grad(params, acts, gout, head=head)
         pg, _ = mlp_backward_batch(params, acts, gout, head=head, need_input=False)
-        np.testing.assert_array_equal(pg, sum_param_grad(params, acts, gout, head=head))
+        np.testing.assert_array_equal(pg, want)
 
 
 def test_einsum_column_sums_add_rows_in_the_order_sum_does(rng):
@@ -220,16 +222,43 @@ def test_headless_backward_matches_full_backward_below_the_head(rng):
 @pytest.mark.parametrize("head", [True, False])
 def test_backward_skips_what_is_not_needed_with_the_same_result(head, rng):
     params = headed_net(rng)
-    acts = mlp_forward_batch(params, rng.normal(size=(9, 3)), head=head)
+    x = rng.normal(size=(9, 3))
     gout = rng.normal(size=(9, 6 if head else 4))
+    # each backward spends its forward's activations, so each takes a fresh one
+    acts = mlp_forward_batch(params, x, head=head)
     pg_full, ig_full = mlp_backward_batch(params, acts, gout, head=head)
     ig_full = ig_full.copy()  # the next backward on 9 rows writes the same array
+    acts = mlp_forward_batch(params, x, head=head)
     pg, ig = mlp_backward_batch(params, acts, gout, head=head, need_params=False)
     assert pg is None
     np.testing.assert_array_equal(ig, ig_full)
+    acts = mlp_forward_batch(params, x, head=head)
     pg, ig = mlp_backward_batch(params, acts, gout, head=head, need_input=False)
     assert ig is None
     np.testing.assert_array_equal(pg, pg_full)
+
+
+@pytest.mark.parametrize("head", [True, False])
+def test_backward_writes_the_deltas_over_the_hidden_activations(head, rng):
+    # delta_l = (1 - a_l^2) * g_l, g_l the gradient at a_l: g_{L-1} comes
+    # from the output layer (or is out_grads without the head) and g_l is
+    # delta_{l+1} @ W_{l+1} below it
+    params = mlp_init(MlpSpec((3, 7, 5, 4, 6), seed=8))
+    params.flat[:] += 0.1 * rng.normal(size=params.flat.size)
+    acts = mlp_forward_batch(params, rng.normal(size=(11, 3)), head=head)
+    before = [a.copy() for a in acts]
+    gout = rng.normal(size=(11, 6 if head else 4))
+    mlp_backward_batch(params, acts, gout, head=head)
+    layers = params.layers()
+    g = gout @ layers[-1][0] if head else gout
+    for l in range(3, 0, -1):
+        delta = (1.0 - before[l] * before[l]) * g
+        np.testing.assert_array_equal(acts[l], delta)
+        g = delta @ layers[l - 1][0]
+    # the input and the output are not written
+    np.testing.assert_array_equal(acts[0], before[0])
+    if head:
+        np.testing.assert_array_equal(acts[-1], before[-1])
 
 
 def test_layer_views_follow_in_place_updates(rng):

@@ -202,6 +202,22 @@ def test_run_efi_shapes_and_determinism():
     np.testing.assert_array_equal(chain.energies, again.energies)
 
 
+def test_run_efi_stores_each_recorded_draw_in_order(monkeypatch):
+    # m_keep 23 at thin 5 records the 5th, 10th, 15th and 20th kept iterations
+    records = []
+    real = fidte.sampler.energy
+
+    def recorded(*args, **kwargs):
+        records.append(real(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(fidte.sampler, "energy", recorded)
+    chain = run_efi(*small_run(k_burn=7, m_keep=23))
+    assert len(records) == 4
+    np.testing.assert_array_equal(chain.draws, np.stack([er.theta_bar for er in records]))
+    np.testing.assert_array_equal(chain.energies, [er.total for er in records])
+
+
 def test_run_efi_leaves_no_state_between_runs():
     # a run on another row count in between must not change a run's draws
     first = run_efi(*small_run())
