@@ -1,12 +1,14 @@
 """Experiment configuration: presets, config files, validation.
 
 ExperimentConfig is the one description of a run: the data source
-(simulation design or CSV), the model layout, the sampler's constants and
+(simulation design or CSV), the model layout, the sampler's eps, eta and
 budgets, the methods to run, and the output location.  The runner hands it
 to sampler.run_efi as it is; no second config is derived from it.  Presets
 carry the published constants for the simulation studies except the
 step-size schedules: the sampler holds each step constant at an anchor it
-measures at its start state, so no step size is settable.  Iteration budgets
+measures at its start state, so no step size is settable.  What no run
+varies is a constant: the sampler's momentum and early weight clip, and the
+CQR fits' Adam steps and rate (see sampler and cqr).  Iteration budgets
 are halved at load time unless paper scale is requested, so a default run
 finishes on a desk machine while --paper-scale runs the full budgets.  Every
 check on a config value is made when the config is built, so a bad value
@@ -50,11 +52,9 @@ class ExperimentConfig:
     are the counts actually run; presets fill them at the requested scale.
     n_batches is the weight-update minibatch count per epoch (batch size =
     rows // n_batches, rows being n_train or the csv file's; 1 = full
-    batch).  eps is the noise budget, eta the consensus weight and
-    1 - varpi the latent momentum; the latent and weight step sizes are not
-    fields (see sampler).  clip_norm (null: no
-    clipping) bounds the weight-gradient norm for the first clip_iters
-    weight steps.  tau_widths and c_widths are the hidden widths of the
+    batch).  eps is the noise budget and eta the consensus weight; the
+    step sizes, the latent momentum and the weight clip are not fields (see
+    sampler).  tau_widths and c_widths are the hidden widths of the
     effect and control networks, read only by a layout that has them.
     """
 
@@ -68,7 +68,6 @@ class ExperimentConfig:
     tau_widths: tuple = (10, 10)
     c_widths: tuple = (10, 10)
     inverse_widths: tuple = (90, 30)
-    varpi: float = 0.1
     eta: float = 500.0
     eps: float = 0.1
     k_burn: int = 5000
@@ -76,8 +75,6 @@ class ExperimentConfig:
     thin: int = 5
     n_batches: int = 5
     init_iters: int = 0
-    clip_norm: Optional[float] = 5000.0
-    clip_iters: int = 100
     alphas: tuple = (0.05,)
     methods: tuple = ("efi",)
     seed: int = 0
@@ -103,10 +100,6 @@ class ExperimentConfig:
             raise ValueError(f"eps: must be positive, got {self.eps}")
         if self.eta < 0:
             raise ValueError(f"eta: must be nonnegative, got {self.eta}")
-        if not 0.0 < self.varpi <= 1.0:
-            raise ValueError(f"varpi: must be in (0, 1], got {self.varpi}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError(f"clip_norm: must be positive or null, got {self.clip_norm}")
         for name in ("tau_widths", "c_widths", "inverse_widths"):
             widths = list(getattr(self, name))
             if not widths or min(widths) < 1:
@@ -136,13 +129,18 @@ class ExperimentConfig:
                 )
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError(f"alphas: levels must lie in (0, 1), got {self.alphas}")
+        for name in ("alphas", "methods"):
+            # a repeat would write the same rows twice and score them as one
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name}: repeated entry in {list(values)}")
         # a csv run's rows are the file's; it reads neither n_train nor n_test
         if self.design is not None and self.n_train < 2:
             raise ValueError(f"n_train: must be >= 2, got {self.n_train}")
         # the runner checks a csv run's n_batches once it has read the file
         if self.n_batches < 1 or (self.design is not None and self.n_batches > self.n_train):
             raise ValueError(f"n_batches: must be in [1, training rows], got {self.n_batches}")
-        for name in ("k_burn", "m_keep", "init_iters", "clip_iters"):
+        for name in ("k_burn", "m_keep", "init_iters", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be nonnegative")
         if self.thin < 1:
@@ -222,14 +220,11 @@ def _scalar(name: str, kind: type, value):
     raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
-def _check_known(name: str) -> None:
+def _coerce(name: str, value):
+    """A YAML key's or keyword override's value on its field's type, or a
+    ValueError naming the field."""
     if name not in _FIELD_TYPES:
         raise ValueError(f"{name}: unknown config field")
-
-
-def _coerce(name: str, value):
-    """Normalize YAML-level values onto config field types, or complain."""
-    _check_known(name)
     if name in _TUPLE_FIELDS:
         if isinstance(value, (str, int, float)):
             value = [value]
@@ -265,10 +260,10 @@ def _reject_unread_keys(cfg: ExperimentConfig, given) -> ExperimentConfig:
 
 
 def preset_config(name: str, paper_scale: bool = False, **overrides) -> ExperimentConfig:
-    """Expand a named preset into a config at the requested scale; an
-    override that names no config field fails, as does one the run would
-    ignore: a width for a network the layout lacks, or n_train or n_test on
-    a csv config."""
+    """Expand a named preset into a config at the requested scale; each
+    override is coerced as a YAML key is, and one that names no config field
+    fails, as does one the run would ignore: a width for a network the
+    layout lacks, or n_train or n_test on a csv config."""
     if name not in PRESETS:
         raise ValueError(f"preset: unknown preset {name!r}, expected one of {sorted(PRESETS)}")
     values = dict(PRESETS[name])
@@ -276,8 +271,7 @@ def preset_config(name: str, paper_scale: bool = False, **overrides) -> Experime
         for f in _BUDGET_FIELDS:
             values[f] = values[f] // 2
     values["paper_scale"] = paper_scale
-    for key in overrides:
-        _check_known(key)
+    overrides = {key: _coerce(key, value) for key, value in overrides.items()}
     values.update(overrides)
     return _reject_unread_keys(ExperimentConfig(**values), overrides)
 

@@ -8,6 +8,10 @@ differenced (naive), interval-outcome conformal on a second fold (exact), and
 median regression of the fold-two interval endpoints (inexact, no coverage
 guarantee).
 
+Every quantile net, for the arm bands and the inexact endpoints alike, is
+fit by pinball_fit on raw columns, in ADAM_STEPS full-batch Adam steps at
+rate ADAM_LR, and read back by predict_quantiles.
+
 The quantile nets are nn's networks, made by mlp_init and evaluated by
 mlp_forward_batch, but _fit_pinball_net trains them in a layout of its own:
 bias-folded [W | b] matrices and feature-major activations with a row of
@@ -48,21 +52,16 @@ from .nn import MlpParams, MlpSpec, mlp_forward_batch, mlp_init
 from .nn import mlp_backward_batch  # noqa: F401
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    iters: int = 3000
-    lr: float = 0.02
-
-    def __post_init__(self):
-        if self.iters < 1:
-            raise ValueError("iters must be positive")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+# Full-batch Adam steps of every quantile-net fit and their learning rate,
+# read when a fit starts.
+ADAM_STEPS = 3000
+ADAM_LR = 0.02
 
 
 @dataclass
 class QuantileModel:
-    """Two-output quantile net over (x, t) with its input/output scaling."""
+    """Two-output quantile net with its feature and target scaling (one
+    y_mean and y_sd entry per target column)."""
 
     net: MlpParams
     f_mean: np.ndarray
@@ -97,7 +96,6 @@ def _fit_pinball_net(
     targets: np.ndarray,
     qs: Sequence[float],
     spec: MlpSpec,
-    config: TrainConfig,
 ) -> MlpParams:
     """Full-batch Adam on the summed pinball losses, one level per output.
 
@@ -141,7 +139,8 @@ def _fit_pinball_net(
     finite = np.empty(flat.shape, dtype=bool)
     b1, b2, eps = 0.9, 0.999, 1e-8
     last = len(layers) - 1
-    for step in range(1, config.iters + 1):
+    iters, lr = ADAM_STEPS, ADAM_LR
+    for step in range(1, iters + 1):
         for l in range(last):
             h = np.matmul(layers[l], acts[l], out=acts[l + 1][:-1])
             np.tanh(h, out=h)
@@ -171,12 +170,12 @@ def _fit_pinball_net(
         np.divide(v, 1.0 - b2**step, out=vh)
         np.sqrt(vh, out=vh)
         vh += eps
-        mh *= config.lr
+        mh *= lr
         mh /= vh
         flat -= mh
         if not np.isfinite(flat, out=finite).all():
             raise ValueError(
-                f"non-finite parameter values at Adam step {step} of {config.iters}, "
+                f"non-finite parameter values at Adam step {step} of {iters}, "
                 f"quantile levels {tuple(float(q) for q in qs)}"
             )
     # nn's layout: per layer W_l row-major, then b_l
@@ -184,35 +183,31 @@ def _fit_pinball_net(
     return MlpParams(spec, np.concatenate(nn_flat))
 
 
-def _features(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.column_stack([x, t.astype(np.float64)])
+def _features(x: np.ndarray, t) -> np.ndarray:
+    # an arm net's input: the covariates and t, a column or one arm for all rows
+    return np.column_stack([x, np.broadcast_to(np.asarray(t, dtype=np.float64), x.shape[:1])])
 
 
 def pinball_fit(
-    train: Dataset,
-    alpha: float,
-    spec: Optional[MlpSpec] = None,
-    config: TrainConfig = TrainConfig(),
-    seed: int = 0,
+    features: np.ndarray, targets: np.ndarray, qs: Sequence[float], seed: int = 0
 ) -> QuantileModel:
-    """Quantile net for the (alpha/2, 1-alpha/2) conditional quantiles of y."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if spec is None:
-        spec = MlpSpec((train.d + 1, 10, 10, 2), seed=seed)
-    raw = _features(train.x, train.t)
-    feats, f_mean, f_sd = _standardize_columns(raw)
-    ys, y_mean, y_sd = _standardize_columns(train.y[:, None])
-    targets = np.repeat(ys, 2, axis=1)
-    net = _fit_pinball_net(feats, targets, (alpha / 2.0, 1.0 - alpha / 2.0), spec, config)
+    """A 10-10 tanh net's fit of the qs conditional quantiles of targets.
+
+    features and targets are raw columns, standardized here.  targets holds
+    one column per level, or one column fitted at both; that column is
+    standardized before it is widened, so both outputs share its mean and sd.
+    """
+    feats, f_mean, f_sd = _standardize_columns(features)
+    ys, y_mean, y_sd = _standardize_columns(targets)
+    spec = MlpSpec((features.shape[1], 10, 10, 2), seed=seed)
+    net = _fit_pinball_net(feats, np.broadcast_to(ys, (ys.shape[0], 2)), qs, spec)
     return QuantileModel(net=net, f_mean=f_mean, f_sd=f_sd, y_mean=y_mean, y_sd=y_sd)
 
 
-def predict_quantiles(model: QuantileModel, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-row (lower, upper) in data units, sorted to undo quantile crossing."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
-    feats = (_features(x, t) - model.f_mean) / model.f_sd
+def predict_quantiles(model: QuantileModel, features: np.ndarray) -> np.ndarray:
+    """Per-row (lower, upper) in data units at raw features, sorted to undo
+    quantile crossing."""
+    feats = (features - model.f_mean) / model.f_sd
     out = mlp_forward_batch(model.net, feats)[-1] * model.y_sd + model.y_mean
     return np.sort(out, axis=1)
 
@@ -222,7 +217,7 @@ def conformal_scores(model: QuantileModel, valid: Dataset, arm: int) -> np.ndarr
     keep = valid.t == arm
     if not np.any(keep):
         raise ValueError(f"validation set has no rows with arm {arm}")
-    q = predict_quantiles(model, valid.x[keep], np.full(int(keep.sum()), arm))
+    q = predict_quantiles(model, _features(valid.x[keep], arm))
     y = valid.y[keep]
     return np.maximum(q[:, 0] - y, y - q[:, 1])
 
@@ -251,8 +246,7 @@ def _band(
 ) -> Tuple[np.ndarray, np.ndarray]:
     if arm not in corr.s_hat:
         raise ValueError(f"no calibrated correction for arm {arm}")
-    x = np.atleast_2d(x)
-    q = predict_quantiles(model, x, np.full(x.shape[0], arm))
+    q = predict_quantiles(model, _features(x, arm))
     s = corr.s_hat[arm]
     return q[:, 0] - s, q[:, 1] + s
 
@@ -267,7 +261,6 @@ def _arm_bands(
     train: Dataset,
     alpha: float,
     rng: np.random.Generator,
-    config: TrainConfig,
     seed: int,
 ) -> Tuple[QuantileModel, ConformalCorrection]:
     """Split-conformal per-arm outcome bands at level 1 - alpha/2.
@@ -286,7 +279,9 @@ def _arm_bands(
                 f"{rows} calibration rows, too few for level {1.0 - level_alpha:g}; "
                 "use more training rows or a larger alpha"
             )
-    model = pinball_fit(train.subset(fit_idx), level_alpha, config=config, seed=seed)
+    fit = train.subset(fit_idx)
+    qs = (level_alpha / 2.0, 1.0 - level_alpha / 2.0)
+    model = pinball_fit(_features(fit.x, fit.t), fit.y[:, None], qs, seed)
     s_hat = {arm: calibrate(conformal_scores(model, cal, arm), level_alpha) for arm in (0, 1)}
     return model, ConformalCorrection(s_hat=s_hat)
 
@@ -313,10 +308,10 @@ class _FoldOne:
     rng: np.random.Generator
 
 
-def _fold_one(train: Dataset, alpha: float, seed: int, config: TrainConfig) -> _FoldOne:
+def _fold_one(train: Dataset, alpha: float, seed: int) -> _FoldOne:
     rng = np.random.default_rng(seed)
     fold1_idx, fold2_idx = _split(train.n, rng)
-    model, corr = _arm_bands(train.subset(fold1_idx), alpha, rng, config, seed)
+    model, corr = _arm_bands(train.subset(fold1_idx), alpha, rng, seed)
     fold2 = train.subset(fold2_idx)
     c_lo, c_hi = _interval_outcomes(fold2, model, corr)
     return _FoldOne(fold2, c_lo, c_hi, rng)
@@ -328,14 +323,13 @@ def cqr_ite(
     alpha: float = 0.05,
     mode: str = "naive",
     seed: int = 0,
-    config: TrainConfig = TrainConfig(),
     fold_one_fits: Optional[dict] = None,
 ) -> List[PredictionInterval]:
     """Covariates-only ITE intervals for every test row, tagged Im.
 
     exact and inexact start from the same fold-1 fit.  Calls on one training
     set share it through fold_one_fits, a dict their caller makes for that
-    set: the first exact or inexact call at an (alpha, seed, config) fits and
+    set: the first exact or inexact call at an (alpha, seed) fits and
     stores it, the next one reuses it, in either order.
     """
     if mode not in ("naive", "exact", "inexact"):
@@ -346,26 +340,21 @@ def cqr_ite(
     if mode == "naive":
         # per-arm bands at level 1 - alpha/2, differenced
         rng = np.random.default_rng(seed)
-        model, corr = _arm_bands(train, alpha, rng, config, seed)
+        model, corr = _arm_bands(train, alpha, rng, seed)
         lo1, hi1 = _band(model, corr, test.x, 1)
         lo0, hi0 = _band(model, corr, test.x, 0)
         lower, upper = lo1 - hi0, hi1 - lo0
     else:
         fits = {} if fold_one_fits is None else fold_one_fits
-        key = (alpha, seed, config)
+        key = (alpha, seed)
         if key not in fits:
-            fits[key] = _fold_one(train, alpha, seed, config)
+            fits[key] = _fold_one(train, alpha, seed)
         fold = fits[key]
         fold2, c_lo, c_hi = fold.fold2, fold.c_lo, fold.c_hi
         if mode == "inexact":
             # median regression of both endpoints, no second conformal step
-            feats, f_mean, f_sd = _standardize_columns(fold2.x)
-            targets, t_mean, t_sd = _standardize_columns(np.column_stack([c_lo, c_hi]))
-            spec = MlpSpec((fold2.d, 10, 10, 2), seed=seed + 1)
-            net = _fit_pinball_net(feats, targets, (0.5, 0.5), spec, config)
-            out = mlp_forward_batch(net, (test.x - f_mean) / f_sd)[-1] * t_sd + t_mean
-            out = np.sort(out, axis=1)
-            lower, upper = out[:, 0], out[:, 1]
+            model = pinball_fit(fold2.x, np.column_stack([c_lo, c_hi]), (0.5, 0.5), seed + 1)
+            lower, upper = predict_quantiles(model, test.x).T
         else:
             # least-squares endpoint surfaces on one half, interval-outcome
             # conformal scores on the other; the split continues the fit's

@@ -2,7 +2,7 @@
 
 One run alternates two moves per iteration:
   * an SGHMC step on the latent vector Z targeting pi_0(Z) e^(-U/eps),
-    with step size upsilon and momentum 1 - varpi, temperature fixed at 1;
+    with step size upsilon and momentum 1 - VARPI, temperature fixed at 1;
   * an SGD step on the inverse-network weights along the log posterior
     gradient with a per-parameter step gamma: one rate for the output-layer
     rows feeding network-valued theta blocks (head_mask), one for the rest.
@@ -25,8 +25,9 @@ minibatch as a row selection of them.  It keeps one inverse network for the
 whole run and steps its flat vector in place, so the arrays the network's
 passes write (see nn.MlpParams) are reused from one iteration to the next.
 
-run_efi reads its constants and budgets from the run's ExperimentConfig
-(see config), which checks every one of them when it is built.
+run_efi reads eps, eta and the budgets from the run's ExperimentConfig (see
+config), which checks every one of them when it is built; VARPI, CLIP_NORM
+and CLIP_ITERS are constants here.
 """
 
 from __future__ import annotations
@@ -69,8 +70,13 @@ HEAD_GROWTH_ALLOWANCE = 2.0
 # stationary variance by exactly 1 / (1 - upsilon kappa / (4 - 2 varpi)), so
 # the latent marginal is only faithful well below the stability bound
 # upsilon kappa = 4 - 2 varpi.  0.3 keeps the inflation under ten percent at
-# varpi = 0.1 while still mixing in tens of iterations.
+# varpi = VARPI = 0.1 while still mixing in tens of iterations.
 Z_STEP_TARGET = 0.3
+VARPI = 0.1  # one minus the latent momentum
+
+# The first CLIP_ITERS weight steps have their gradient norm capped at CLIP_NORM.
+CLIP_NORM = 5000.0
+CLIP_ITERS = 100
 
 
 def sghmc_z_step(
@@ -207,7 +213,7 @@ def run_efi(
 ) -> FiducialChain:
     """Run the two-phase sampler and collect the fiducial sample.
 
-    config is the run's ExperimentConfig, read for its sampler constants and
+    config is the run's ExperimentConfig, read for eps, eta and the
     budgets; a weight step uses n // n_batches rows.  seed drives every draw.
     The run is solved in the units of a Standardizer fit to data; the rows
     are standardized once, and one inverse network is stepped in place.
@@ -276,8 +282,7 @@ def run_efi(
                 [k, repr(rep.total), repr(upsilon), repr(rate_rest),
                  repr(float(np.linalg.norm(gw)))]
             )
-        clip = config.clip_norm if k <= config.clip_iters else None
-        sgd_w_step(w, gw, step, clip)
+        sgd_w_step(w, gw, step, CLIP_NORM if k <= CLIP_ITERS else None)
 
     # phase one: weights only, latent noise resampled from the reference
     for k in range(1, config.init_iters + 1):
@@ -304,7 +309,7 @@ def run_efi(
         if not np.isfinite(rep.total):
             raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
         gz = -z - rep.z_grad / config.eps
-        z, v = sghmc_z_step(z, v, gz, upsilon, config.varpi, rng)
+        z, v = sghmc_z_step(z, v, gz, upsilon, VARPI, rng)
         if not np.all(np.isfinite(z)):
             raise RuntimeError(f"latent chain diverged at iteration {k}")
         w_update(k, z)

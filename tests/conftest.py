@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fidte.cqr
 from fidte.engine import RESCALE, Standardizer
 from fidte.inference import PredictionInterval
 from fidte.nn import MlpParams, mlp_forward_batch, mlp_init
@@ -31,6 +32,17 @@ def assert_grad_close(analytic, numeric, rtol=1e-4, atol=1e-7):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def adam_steps(monkeypatch):
+    """Sets the CQR fits' Adam step count and learning rate for one test."""
+
+    def set_steps(iters, lr):
+        monkeypatch.setattr(fidte.cqr, "ADAM_STEPS", iters)
+        monkeypatch.setattr(fidte.cqr, "ADAM_LR", lr)
+
+    return set_steps
 
 
 def lse_log_prior_grad(w, scale=None):
@@ -77,10 +89,11 @@ def sum_param_grad(params, acts, out_grads, head=True):
     return np.concatenate([g for pair in reversed(pieces) for g in pair])
 
 
-def allocating_pinball_net(features, targets, qs, spec, config):
+def allocating_pinball_net(features, targets, qs, spec):
     """Reference pinball fit in nn's row-major layout, every term a new array.
 
-    Full-batch Adam from mlp_init(spec) with the parameter gradient of
+    Full-batch Adam from mlp_init(spec), with fidte.cqr's step count and
+    rate, and the parameter gradient of
     sum_param_grad: the fit fidte.cqr._fit_pinball_net ran through nn's
     passes before it trained in its folded layout.
     """
@@ -91,7 +104,7 @@ def allocating_pinball_net(features, targets, qs, spec, config):
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     b1, b2, eps = 0.9, 0.999, 1e-8
-    for step in range(1, config.iters + 1):
+    for step in range(1, fidte.cqr.ADAM_STEPS + 1):
         acts = mlp_forward_batch(net, features)
         out_grad = ((targets < acts[-1]).astype(np.float64) - qvec) / n
         grad = sum_param_grad(net, acts, out_grad)
@@ -99,7 +112,7 @@ def allocating_pinball_net(features, targets, qs, spec, config):
         v = b2 * v + (1.0 - b2) * grad**2
         mh = m / (1.0 - b1**step)
         vh = v / (1.0 - b2**step)
-        flat -= config.lr * mh / (np.sqrt(vh) + eps)
+        flat -= fidte.cqr.ADAM_LR * mh / (np.sqrt(vh) + eps)
     return net
 
 
@@ -141,7 +154,7 @@ def folded_pinball_grads(layers, features, targets, qs):
     return grads
 
 
-def folded_pinball_net(features, targets, qs, spec, config):
+def folded_pinball_net(features, targets, qs, spec):
     """Reference pinball fit in the folded, feature-major layout.
 
     The same full-batch Adam as allocating_pinball_net from the same start,
@@ -152,14 +165,14 @@ def folded_pinball_net(features, targets, qs, spec, config):
     m = [np.zeros_like(Wb) for Wb in layers]
     v = [np.zeros_like(Wb) for Wb in layers]
     b1, b2, eps = 0.9, 0.999, 1e-8
-    for step in range(1, config.iters + 1):
+    for step in range(1, fidte.cqr.ADAM_STEPS + 1):
         grads = folded_pinball_grads(layers, features, targets, qs)
         for l, g in enumerate(grads):
             m[l] = b1 * m[l] + (1.0 - b1) * g
             v[l] = b2 * v[l] + (1.0 - b2) * g**2
             mh = m[l] / (1.0 - b1**step)
             vh = v[l] / (1.0 - b2**step)
-            layers[l] = layers[l] - config.lr * mh / (np.sqrt(vh) + eps)
+            layers[l] = layers[l] - fidte.cqr.ADAM_LR * mh / (np.sqrt(vh) + eps)
     return layers
 
 

@@ -12,7 +12,6 @@ import fidte.cqr
 import fidte.runner
 from fidte import cli
 from fidte.config import ExperimentConfig, preset_config
-from fidte.cqr import TrainConfig
 from fidte.datagen import GenSpec, generate, save_dataset_csv
 from fidte.runner import (
     _rep_worker,
@@ -221,18 +220,16 @@ def test_chain_csv_is_what_csv_writer_writes(tmp_path):
     assert (tmp_path / "chain.csv").read_bytes() == ref.read_bytes()
 
 
-def short_cqr_fits(monkeypatch):
-    # the runner's cqr_ite with 20-step fits; returns the pinball_fit calls
-    real_ite, real_fit = fidte.runner.cqr_ite, fidte.cqr.pinball_fit
+def short_cqr_fits(monkeypatch, adam_steps):
+    # 20-step CQR fits; returns the pinball_fit calls
+    adam_steps(20, 0.02)
+    real_fit = fidte.cqr.pinball_fit
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real_fit(*args, **kwargs)
 
-    monkeypatch.setattr(
-        fidte.runner, "cqr_ite", lambda *a, **k: real_ite(*a, config=TrainConfig(iters=20), **k)
-    )
     monkeypatch.setattr(fidte.cqr, "pinball_fit", counted)
     return calls
 
@@ -246,15 +243,16 @@ def run_cqr(tmp_path, name, methods, extra=""):
     return out
 
 
-def test_cqr_fits_fold_one_once_for_exact_and_inexact(tmp_path, monkeypatch):
-    calls = short_cqr_fits(monkeypatch)
+def test_cqr_fits_fold_one_once_for_exact_and_inexact(tmp_path, monkeypatch, adam_steps):
+    calls = short_cqr_fits(monkeypatch, adam_steps)
     run_cqr(tmp_path, "all", ["cqr-naive", "cqr-exact", "cqr-inexact"], extra="R: 2\n")
-    # per replication and level: naive's fit and one fold-1 fit, not two
-    assert len(calls) == 2 * 2 * 2
+    # per replication and level: naive's fit, one fold-1 fit, not two, and
+    # inexact's endpoint fit
+    assert len(calls) == 3 * 2 * 2
 
 
-def test_cqr_rows_do_not_depend_on_method_order(tmp_path, monkeypatch):
-    short_cqr_fits(monkeypatch)
+def test_cqr_rows_do_not_depend_on_method_order(tmp_path, monkeypatch, adam_steps):
+    short_cqr_fits(monkeypatch, adam_steps)
     rows = {}
     for name, methods in (("ei", ["cqr-exact", "cqr-inexact"]),
                           ("ie", ["cqr-inexact", "cqr-exact"]),
@@ -272,23 +270,31 @@ def test_cqr_rows_do_not_depend_on_method_order(tmp_path, monkeypatch):
         (["cqr-naive", "cqr-exact"], ""),
     ],
 )
-def test_cqr_says_it_skips_efi(methods, err, tmp_path, monkeypatch, capsys):
+def test_cqr_says_it_skips_efi(methods, err, tmp_path, monkeypatch, capsys, adam_steps):
     calls = count_efi_calls(monkeypatch)
-    short_cqr_fits(monkeypatch)
+    short_cqr_fits(monkeypatch, adam_steps)
     out = run_cqr(tmp_path, "skip", methods, extra="R: 1\n")
     assert capsys.readouterr().err == err
     assert calls == []
     assert {row[0] for row in read_rows(out / "rep_000" / "intervals.csv")[1:]} == set(methods) - {"efi"}
 
 
-def test_cqr_band_too_fine_for_the_rows_names_replication_and_alpha(tmp_path, monkeypatch):
+def test_cqr_band_too_fine_for_the_rows_names_replication_and_alpha(tmp_path, monkeypatch, adam_steps):
     # 120 rows leave too few fold-1 calibration rows per arm for alpha / 2 = 0.025
-    short_cqr_fits(monkeypatch)
+    short_cqr_fits(monkeypatch, adam_steps)
     cfg = tmp_path / "fine.yaml"
     cfg.write_text('preset: example1\nn_train: 120\nR: 2\nmethods: ["cqr-naive", "cqr-inexact"]\n')
     with pytest.raises(ValueError, match=r"^replication 0: calibration at alpha 0\.05 returned an "
                                          r"infinite band"):
         cli.main(["cqr", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_seed_flag_is_checked_as_a_config_seed(tmp_path):
+    # --seed replaces the loaded config's seed, and the config's checks run again
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^seed: must be nonnegative$"):
+        cli.main(["benchmark", "--config", "linear_ate_n250", "--seed", "-1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_report_takes_only_its_path_and_out(tmp_path, capsys):
@@ -319,9 +325,9 @@ def test_single_replication_commands_say_they_ignore_workers(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
-def test_summary_carries_per_case_blocks(tmp_path, monkeypatch):
+def test_summary_carries_per_case_blocks(tmp_path, monkeypatch, adam_steps):
     # EFI scores Ic, It and Im, CQR only Im; the summary keeps each case apart
-    short_cqr_fits(monkeypatch)
+    short_cqr_fits(monkeypatch, adam_steps)
     cfg = tmp_path / "cases.yaml"
     cfg.write_text("preset: example1\nR: 2\nn_train: 60\nn_test: 30\nalphas: [0.2]\n"
                    "init_iters: 2\nk_burn: 2\nm_keep: 4\nthin: 1\nn_batches: 1\n"

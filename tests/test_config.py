@@ -31,14 +31,17 @@ def test_step_schedule_keys_are_unknown(tmp_path):
 
 
 def test_out_scale_is_an_unknown_field(tmp_path):
-    # the inverse network's head scale is the engine constant OUT_SCALE
-    for head in ("preset: example1\n", "design: linear_ate\n"):
-        path = write_yaml(tmp_path, f"{head}out_scale: 0.04\n")
-        with pytest.raises(ValueError, match="^out_scale: unknown config field$"):
-            load_config(path)
-    # a Python caller's keyword override gets the same check as a file key
-    with pytest.raises(ValueError, match="^out_scale: unknown config field$"):
-        preset_config("example1", out_scale=0.04)
+    # the inverse network's head scale is the engine constant OUT_SCALE, and
+    # the latent momentum and early weight clip are sampler constants
+    for name, value in [("out_scale", 0.04), ("varpi", 0.1), ("clip_norm", 5000.0),
+                        ("clip_iters", 100)]:
+        for head in ("preset: example1\n", "design: linear_ate\n"):
+            path = write_yaml(tmp_path, f"{head}{name}: {value}\n")
+            with pytest.raises(ValueError, match=f"^{name}: unknown config field$"):
+                load_config(path)
+        # a Python caller's keyword override gets the same check as a file key
+        with pytest.raises(ValueError, match=f"^{name}: unknown config field$"):
+            preset_config("example1", **{name: value})
 
 
 def test_unknown_layout_kind_is_rejected():
@@ -75,12 +78,18 @@ def test_yaml_numbers_without_a_dot_load_as_numbers(tmp_path):
     path = write_yaml(
         tmp_path,
         "preset: linear_ate_n250\neta: 5e2\neps: 1e-1\nk_burn: 1e2\nalphas: [5e-2]\n"
-        "varpi: 4e-2\nclip_norm: null\n",
+        "csv: null\n",
     )
     cfg = load_config(path)
     assert (cfg.eta, cfg.eps, cfg.k_burn, cfg.alphas) == (500.0, 0.1, 100, (0.05,))
-    assert cfg.varpi == 0.04 and cfg.clip_norm is None
+    assert cfg.csv is None
     assert type(cfg.eta) is float and type(cfg.k_burn) is int
+    # a Python caller's keyword overrides are coerced as file keys are
+    cfg = preset_config("example1", eta="5e2", tau_widths=[20, 20], R=2.0)
+    assert (cfg.eta, cfg.tau_widths, cfg.R) == (500.0, (20, 20), 2)
+    assert type(cfg.R) is int
+    with pytest.raises(ValueError, match="^R: expected int, got 2.5$"):
+        preset_config("example1", R=2.5)
 
 
 @pytest.mark.parametrize(
@@ -107,17 +116,18 @@ def test_scalar_that_does_not_convert_is_rejected_at_load(tmp_path, line, messag
     [
         ("eps: 0", "eps: must be positive, got 0.0"),
         ("eta: -1", "eta: must be nonnegative, got -1.0"),
-        ("varpi: 0", "varpi: must be in (0, 1], got 0.0"),
-        ("varpi: 1.5", "varpi: must be in (0, 1], got 1.5"),
-        ("clip_norm: 0", "clip_norm: must be positive or null, got 0.0"),
-        ("clip_norm: -5", "clip_norm: must be positive or null, got -5.0"),
         ("inverse_widths: []", "inverse_widths: need hidden layers of width >= 1, got []"),
         ("tau_widths: [10, 0]", "tau_widths: need hidden layers of width >= 1, got [10, 0]"),
+        ("seed: -1", "seed: must be nonnegative"),
+        # a repeat would write its rows twice, and the summary would score them as one
+        ("alphas: [0.1, 0.10]", "alphas: repeated entry in [0.1, 0.1]"),
+        ("methods: [efi, cqr-naive, cqr-naive]",
+         "methods: repeated entry in ['efi', 'cqr-naive', 'cqr-naive']"),
     ],
 )
 def test_sampler_value_out_of_range_is_rejected_at_load(tmp_path, line, message):
-    # the sampler reads these fields; every subcommand that loads the config
-    # rejects them before any data is drawn
+    # every subcommand that loads the config rejects these values before any
+    # data is drawn
     path = write_yaml(tmp_path, f"preset: example1\n{line}\n")
     with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path)

@@ -7,8 +7,8 @@ import fidte.cqr
 from fidte.cqr import (
     ConformalCorrection,
     QuantileModel,
-    TrainConfig,
     _band,
+    _features,
     _fit_pinball_net,
     calibrate,
     conformal_scores,
@@ -36,7 +36,7 @@ from conftest import (
     unfold_layers,
 )
 
-FAST = TrainConfig(iters=600, lr=0.05)
+FAST = (600, 0.05)  # Adam steps and rate of most fits here
 
 
 def flat_data(rng, n, sd=1.0):
@@ -45,13 +45,6 @@ def flat_data(rng, n, sd=1.0):
     t = (rng.random(n) < 0.5).astype(float)
     y = rng.normal(scale=sd, size=n)
     return Dataset(x=x, t=t, y=y)
-
-
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(iters=0)
-    with pytest.raises(ValueError):
-        TrainConfig(lr=0.0)
 
 
 def test_quantile_model_needs_two_outputs():
@@ -69,25 +62,33 @@ def test_conformal_correction_rejects_nan():
         ConformalCorrection(s_hat={1: float("nan")})
 
 
-def test_pinball_fit_constant_outcome():
+def arm_fit(data, alpha, seed=0):
+    # the (alpha/2, 1 - alpha/2) quantiles of y on (x, t), as _arm_bands fits them
+    qs = (alpha / 2.0, 1.0 - alpha / 2.0)
+    return pinball_fit(_features(data.x, data.t), data.y[:, None], qs, seed)
+
+
+def test_pinball_fit_constant_outcome(adam_steps):
     # fixed-step subgradient descent dithers at a floor proportional to the
     # learning rate, so the fit lands near the point mass but not on it
+    adam_steps(*FAST)
     rng = np.random.default_rng(0)
     data = flat_data(rng, 120, sd=1.0)
     data = Dataset(x=data.x, t=data.t, y=np.full(120, 3.25))
-    model = pinball_fit(data, alpha=0.1, config=FAST)
-    q = predict_quantiles(model, data.x[:20], data.t[:20])
+    model = arm_fit(data, alpha=0.1)
+    q = predict_quantiles(model, _features(data.x[:20], data.t[:20]))
     np.testing.assert_allclose(q, 3.25, atol=0.12)
 
 
-def test_pinball_fit_gaussian_quantiles():
+def test_pinball_fit_gaussian_quantiles(adam_steps):
     # y ~ N(0,1) regardless of x, so the fitted (0.05, 0.95) curves should be
     # calibrated on fresh outcomes and average near the normal quantiles
+    adam_steps(2000, 0.05)
     rng = np.random.default_rng(1)
     data = flat_data(rng, 4000)
-    model = pinball_fit(data, alpha=0.1, config=TrainConfig(iters=2000, lr=0.05))
+    model = arm_fit(data, alpha=0.1)
     grid = rng.uniform(size=(2000, 2))
-    q = predict_quantiles(model, grid, np.zeros(2000))
+    q = predict_quantiles(model, _features(grid, 0))
     zq = stats.norm.ppf(0.95)
     assert abs(np.mean(q[:, 0]) + zq) < 0.12
     assert abs(np.mean(q[:, 1]) - zq) < 0.12
@@ -96,13 +97,14 @@ def test_pinball_fit_gaussian_quantiles():
     assert 0.90 < np.mean(fresh < q[:, 1]) < 0.99
 
 
-def test_predict_quantiles_never_cross():
+def test_predict_quantiles_never_cross(adam_steps):
     # an undertrained net can emit crossed raw outputs; the per-row sort has
     # to leave lower <= upper everywhere
+    adam_steps(2, 0.5)
     rng = np.random.default_rng(2)
     data = flat_data(rng, 60)
-    model = pinball_fit(data, alpha=0.5, config=TrainConfig(iters=2, lr=0.5))
-    q = predict_quantiles(model, rng.uniform(size=(200, 2)), np.zeros(200))
+    model = arm_fit(data, alpha=0.5)
+    q = predict_quantiles(model, _features(rng.uniform(size=(200, 2)), 0))
     assert np.all(q[:, 0] <= q[:, 1])
 
 
@@ -114,13 +116,13 @@ HIDDEN = {1: (10,), 2: (10, 10), 3: (5, 7, 3)}
 
 @pytest.mark.parametrize("depth", [1, 2, 3], ids=["depth1", "depth2", "depth3"])
 @pytest.mark.parametrize("n, d_in, qs", EXAMPLE1_FITS, ids=["250x6", "125x6", "250x5"])
-def test_fit_is_bitwise_the_folded_reference(n, d_in, qs, depth, rng):
+def test_fit_is_bitwise_the_folded_reference(n, d_in, qs, depth, rng, adam_steps):
+    adam_steps(200, 0.02)
     features = rng.normal(size=(n, d_in))
     targets = rng.normal(size=(n, 2))
     spec = MlpSpec((d_in, *HIDDEN[depth], 2), seed=3)
-    config = TrainConfig(iters=200, lr=0.02)
-    got = _fit_pinball_net(features, targets, qs, spec, config)
-    want = folded_pinball_net(features, targets, qs, spec, config)
+    got = _fit_pinball_net(features, targets, qs, spec)
+    want = folded_pinball_net(features, targets, qs, spec)
     np.testing.assert_array_equal(got.flat, unfold_layers(want))
 
 
@@ -146,49 +148,50 @@ def test_folded_gradient_is_nn_gradient(widths, rng):
     [((2, 6, 2), (0.5, 0.5)), ((3, 10, 10, 2), (0.025, 0.975)), ((4, 5, 7, 3, 2), (0.1, 0.9))],
     ids=["depth1", "depth2", "depth3"],
 )
-def test_fit_steps_match_the_row_major_reference(widths, qs, rng):
+def test_fit_steps_match_the_row_major_reference(widths, qs, rng, adam_steps):
     # a few steps in, before the pinball fit amplifies the two layouts'
     # last-bit rounding differences, the fit is the row-major one
+    adam_steps(5, 0.05)
     features = rng.normal(size=(37, widths[0]))
     targets = np.repeat(rng.normal(size=(37, 1)), 2, axis=1)
     spec = MlpSpec(widths, seed=4)
-    config = TrainConfig(iters=5, lr=0.05)
-    got = _fit_pinball_net(features, targets, qs, spec, config)
-    want = allocating_pinball_net(features, targets, qs, spec, config)
+    got = _fit_pinball_net(features, targets, qs, spec)
+    want = allocating_pinball_net(features, targets, qs, spec)
     np.testing.assert_allclose(got.flat, want.flat, rtol=1e-12)
 
 
-def test_fitted_net_predicts_the_folded_forward(rng):
+def test_fitted_net_predicts_the_folded_forward(rng, adam_steps):
     # predict_quantiles runs nn's forward on the fit's unfolded network; it
     # gives the folded forward of the fit's own parameters, sorted per row
+    adam_steps(200, 0.02)
     n, d_in, qs = EXAMPLE1_FITS[0]
     features = rng.normal(size=(n, d_in))
     targets = rng.normal(size=(n, 2))
     spec = MlpSpec((d_in, 10, 10, 2), seed=3)
-    config = TrainConfig(iters=200, lr=0.02)
-    model = QuantileModel(net=_fit_pinball_net(features, targets, qs, spec, config),
+    model = QuantileModel(net=_fit_pinball_net(features, targets, qs, spec),
                           f_mean=np.zeros(d_in), f_sd=np.ones(d_in),
                           y_mean=np.zeros(1), y_sd=np.ones(1))
-    _, out = folded_activations(folded_pinball_net(features, targets, qs, spec, config), features)
-    got = predict_quantiles(model, features[:, :-1], features[:, -1])
+    _, out = folded_activations(folded_pinball_net(features, targets, qs, spec), features)
+    got = predict_quantiles(model, features)
     np.testing.assert_allclose(got, np.sort(out.T, axis=1), rtol=1e-12)
 
 
-def test_pinball_fit_names_the_step_that_went_non_finite(rng):
+def test_pinball_fit_names_the_step_that_went_non_finite(rng, adam_steps):
+    adam_steps(5, 1e308)
     features = rng.normal(size=(30, 3))
     targets = np.repeat(rng.normal(size=(30, 1)), 2, axis=1)
     with np.errstate(all="ignore"), pytest.raises(
         ValueError, match=r"^non-finite parameter values at Adam step 2 of 5, "
                           r"quantile levels \(0\.1, 0\.9\)$"
     ):
-        _fit_pinball_net(features, targets, (0.1, 0.9), MlpSpec((3, 4, 2), seed=1),
-                         TrainConfig(iters=5, lr=1e308))
+        _fit_pinball_net(features, targets, (0.1, 0.9), MlpSpec((3, 4, 2), seed=1))
 
 
-def test_pinball_fit_rejects_non_finite_weights(rng):
+def test_pinball_fit_rejects_non_finite_weights(rng, adam_steps):
+    adam_steps(3, 1e308)
     data = flat_data(rng, 40)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite parameter values"):
-        pinball_fit(data, alpha=0.1, config=TrainConfig(iters=3, lr=1e308))
+        arm_fit(data, alpha=0.1)
 
 
 def exact_model(lo, hi):
@@ -264,64 +267,68 @@ def test_cqr_counterfactual_missing_arm():
         _band(model, ConformalCorrection({0: 0.0}), np.zeros((1, 2)), 1)
 
 
-def test_split_conformal_marginal_coverage():
+def test_split_conformal_marginal_coverage(adam_steps):
     # the finite-sample guarantee P(y in band) >= 1 - alpha holds for any
     # regressor, even a deliberately undertrained one; check the Monte Carlo
     # coverage over exchangeable replications against a 3-sigma binomial band
+    adam_steps(40, 0.05)
     alpha, reps = 0.2, 300
     rng = np.random.default_rng(4)
     hits = 0
-    cheap = TrainConfig(iters=40, lr=0.05)
     for _ in range(reps):
         x = rng.uniform(size=(41, 2))
         y = np.sin(3.0 * x[:, 0]) + rng.normal(scale=0.5, size=41)
         t = np.ones(41)
         fit = Dataset(x=x[:20], t=t[:20], y=y[:20])
         cal = Dataset(x=x[20:40], t=t[20:40], y=y[20:40])
-        model = pinball_fit(fit, alpha=alpha, config=cheap, seed=int(rng.integers(2**31)))
+        model = arm_fit(fit, alpha=alpha, seed=int(rng.integers(2**31)))
         s_hat = calibrate(conformal_scores(model, cal, arm=1), alpha)
-        q = predict_quantiles(model, x[40:41], np.ones(1))
+        q = predict_quantiles(model, _features(x[40:41], 1))
         hits += int(q[0, 0] - s_hat <= y[40] <= q[0, 1] + s_hat)
     floor = (1.0 - alpha) - 3.0 * np.sqrt(alpha * (1.0 - alpha) / reps)
     assert hits / reps >= floor
 
 
-def test_cqr_ite_modes_run_and_tag_im():
+def test_cqr_ite_modes_run_and_tag_im(adam_steps):
+    adam_steps(*FAST)
     # large enough that every calibration fold supports a finite band
     train = generate(GenSpec("example1", 400, seed=5))
     test = generate(GenSpec("example1", 40, seed=6))
     for mode in ("naive", "exact", "inexact"):
-        out = cqr_ite(train, test, alpha=0.1, mode=mode, seed=0, config=FAST)
+        out = cqr_ite(train, test, alpha=0.1, mode=mode, seed=0)
         assert len(out) == test.n
         assert all(iv.case == "Im" for iv in out)
         assert all(iv.lower <= iv.upper for iv in out)
         assert [iv.subject_id for iv in out] == list(range(test.n))
 
 
-def test_cqr_ite_deterministic_in_seed():
+def test_cqr_ite_deterministic_in_seed(adam_steps):
+    adam_steps(*FAST)
     train = generate(GenSpec("example1", 120, seed=7))
     test = generate(GenSpec("example1", 20, seed=8))
-    a = cqr_ite(train, test, alpha=0.1, mode="naive", seed=3, config=FAST)
-    b = cqr_ite(train, test, alpha=0.1, mode="naive", seed=3, config=FAST)
+    a = cqr_ite(train, test, alpha=0.1, mode="naive", seed=3)
+    b = cqr_ite(train, test, alpha=0.1, mode="naive", seed=3)
     assert [(iv.lower, iv.upper) for iv in a] == [(iv.lower, iv.upper) for iv in b]
 
 
-def test_cqr_ite_naive_wider_than_inexact():
+def test_cqr_ite_naive_wider_than_inexact(adam_steps):
     # differencing two outcome bands stacks both arms' widths; the inexact
     # variant regresses interval endpoints instead and should come out tighter
+    adam_steps(*FAST)
     train = generate(GenSpec("example1", 400, seed=9))
     test = generate(GenSpec("example1", 100, seed=10))
-    naive = cqr_ite(train, test, alpha=0.05, mode="naive", seed=1, config=FAST)
-    inexact = cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1, config=FAST)
+    naive = cqr_ite(train, test, alpha=0.05, mode="naive", seed=1)
+    inexact = cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1)
     def mean_length(ivs):
         return np.mean([iv.upper - iv.lower for iv in ivs])
 
     assert mean_length(naive) > mean_length(inexact)
 
 
-def test_cqr_ite_naive_covers_noise_free_effect():
+def test_cqr_ite_naive_covers_noise_free_effect(adam_steps):
     # with sigma -> 0 both potential outcomes are deterministic functions of
     # x, so the differenced bands must catch y1 - y0 nearly everywhere
+    adam_steps(2000, 0.05)
     rng = np.random.default_rng(11)
     n = 400
     x = rng.uniform(size=(n, 2))
@@ -332,7 +339,7 @@ def test_cqr_ite_naive_covers_noise_free_effect():
     train = Dataset(x=x[:300], t=t[:300], y=y[:300])
     test_x = x[300:]
     out = cqr_ite(train, Dataset(x=test_x, t=t[300:], y=y[300:]), alpha=0.1,
-                  mode="naive", seed=2, config=TrainConfig(iters=2000, lr=0.05))
+                  mode="naive", seed=2)
     truth = 2.0 * test_x[:, 0]
     covered = np.mean([iv.lower <= tr <= iv.upper for iv, tr in zip(out, truth)])
     assert covered >= 0.9
@@ -346,27 +353,29 @@ def test_cqr_ite_unknown_mode():
         cqr_ite(train, train, alpha=0.0)
 
 
-def test_cqr_ite_endpoint_modes_reject_infinite_band(monkeypatch):
+def test_cqr_ite_endpoint_modes_reject_infinite_band(monkeypatch, adam_steps):
     # too few calibration rows per arm for alpha/2 push the conformal margin
     # to infinity; the endpoint-regression modes must refuse rather than fit
     # infinite targets, and refuse before fitting anything
+    adam_steps(*FAST)
     train = generate(GenSpec("example1", 120, seed=13))
     test = generate(GenSpec("example1", 20, seed=14))
     calls = count_pinball_fits(monkeypatch)
     with pytest.raises(ValueError, match="infinite band"):
-        cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1, config=FAST)
+        cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1)
     assert calls == []
 
 
-def test_cqr_ite_naive_rejects_infinite_band(monkeypatch):
+def test_cqr_ite_naive_rejects_infinite_band(monkeypatch, adam_steps):
     # the same 120 rows: the naive mode's per-arm bands are infinite too, and
     # it must refuse rather than report (-inf, inf) intervals as covered,
     # before its fit
+    adam_steps(*FAST)
     train = generate(GenSpec("example1", 120, seed=13))
     test = generate(GenSpec("example1", 20, seed=14))
     calls = count_pinball_fits(monkeypatch)
     with pytest.raises(ValueError, match=r"^calibration at alpha 0\.05 returned an infinite band"):
-        cqr_ite(train, test, alpha=0.05, mode="naive", seed=1, config=FAST)
+        cqr_ite(train, test, alpha=0.05, mode="naive", seed=1)
     assert calls == []
 
 
@@ -382,22 +391,23 @@ def count_pinball_fits(monkeypatch):
     return calls
 
 
-def test_exact_and_inexact_share_one_fold_one_fit(monkeypatch):
+def test_exact_and_inexact_share_one_fold_one_fit(monkeypatch, adam_steps):
     # with a shared dict the second endpoint mode reuses the first one's
-    # fold-1 fit, in either order, and gets what it gets on its own
+    # fold-1 fit, in either order, and gets what it gets on its own; the
+    # inexact endpoint regression is one more fit
+    adam_steps(*FAST)
     train = generate(GenSpec("example1", 400, seed=5))
     test = generate(GenSpec("example1", 30, seed=6))
     calls = count_pinball_fits(monkeypatch)
     alone = {
-        mode: cqr_ite(train, test, alpha=0.1, mode=mode, seed=4, config=FAST)
+        mode: cqr_ite(train, test, alpha=0.1, mode=mode, seed=4)
         for mode in ("exact", "inexact")
     }
-    assert len(calls) == 2
+    assert len(calls) == 3
     for order in (("exact", "inexact"), ("inexact", "exact")):
         calls.clear()
         fits = {}
         for mode in order:
-            shared = cqr_ite(train, test, alpha=0.1, mode=mode, seed=4, config=FAST,
-                             fold_one_fits=fits)
+            shared = cqr_ite(train, test, alpha=0.1, mode=mode, seed=4, fold_one_fits=fits)
             assert shared == alone[mode]
-        assert len(calls) == 1 and len(fits) == 1
+        assert len(calls) == 2 and len(fits) == 1
