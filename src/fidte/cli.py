@@ -11,7 +11,8 @@ Subcommands:
 simulate, fit, cqr and benchmark accept --config (a YAML file or a preset
 name), --seed, --out, --paper-scale and --workers.  simulate and fit handle
 one replication, so they say on stderr that they ignore --workers above 1.
-report takes the intervals.csv path and --out only.
+report takes the intervals.csv path and --out only.  A bad config exits 2
+with one stderr line, "fidte: error: <message>".
 """
 
 from __future__ import annotations
@@ -38,20 +39,24 @@ from .runner import (
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.config is None:
-        raise SystemExit("a --config file or preset name is required")
-    if os.path.exists(args.config):
-        cfg = load_config(args.config, paper_scale=args.paper_scale or None)
-    elif args.config in PRESETS:
-        cfg = preset_config(args.config, paper_scale=bool(args.paper_scale))
-    else:
-        raise SystemExit(
-            f"--config {args.config!r} is neither a file nor one of {sorted(PRESETS)}"
-        )
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, outdir=args.out)
+    try:
+        if args.config is None:
+            raise ValueError("a --config file or preset name is required")
+        if os.path.exists(args.config):
+            cfg = load_config(args.config, paper_scale=args.paper_scale or None)
+        elif args.config in PRESETS:
+            cfg = preset_config(args.config, paper_scale=bool(args.paper_scale))
+        else:
+            raise ValueError(
+                f"--config {args.config!r} is neither a file nor one of {sorted(PRESETS)}"
+            )
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.out is not None:
+            cfg = replace(cfg, outdir=args.out)
+    except ValueError as e:
+        print(f"fidte: error: {e}", file=sys.stderr)
+        raise SystemExit(2) from None
     return cfg
 
 

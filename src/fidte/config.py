@@ -8,12 +8,12 @@ carry the published constants for the simulation studies except the
 step-size schedules: the sampler holds each step constant at an anchor it
 measures at its start state, so no step size is settable.  What no run
 varies is a constant: the sampler's momentum and early weight clip, and the
-CQR fits' Adam steps and rate (see sampler and cqr).  Iteration budgets
-are halved at load time unless paper scale is requested, so a default run
-finishes on a desk machine while --paper-scale runs the full budgets.  Every
-check on a config value is made when the config is built, so a bad value
-fails under every subcommand before any data is drawn or sampler run, with a
-message naming its field.  LAYOUT_GROUPS is the table of layout kinds and
+CQR fits' Adam steps and rate (see sampler and cqr).  A preset's iteration
+budgets are halved at load time unless paper_scale, a load directive and not
+a field, asks for the full budgets (--paper-scale).  Every check on a config
+value is made when the config is built, so a bad value fails under every
+subcommand before any data is drawn or sampler run, with a message naming
+its field.  LAYOUT_GROUPS is the table of layout kinds and
 the surfaces each learns with a network; runner.build_layout turns a kind
 into the engine.ThetaLayout it stands for.
 """
@@ -79,7 +79,6 @@ class ExperimentConfig:
     methods: tuple = ("efi",)
     seed: int = 0
     outdir: str = "out"
-    paper_scale: bool = False
     trace: bool = False
 
     def __post_init__(self):
@@ -270,7 +269,6 @@ def preset_config(name: str, paper_scale: bool = False, **overrides) -> Experime
     if not paper_scale:
         for f in _BUDGET_FIELDS:
             values[f] = values[f] // 2
-    values["paper_scale"] = paper_scale
     overrides = {key: _coerce(key, value) for key, value in overrides.items()}
     values.update(overrides)
     return _reject_unread_keys(ExperimentConfig(**values), overrides)
@@ -281,8 +279,8 @@ def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConf
 
     File keys override preset values; a tau_widths or c_widths key for a
     network the layout lacks, and an n_train or n_test key on a csv config,
-    are rejected.  paper_scale, when not None, overrides
-    the file's own setting (the --paper-scale flag).
+    are rejected.  paper_scale, when not None, overrides the file's own
+    (the --paper-scale flag); a file with no preset rejects either.
     """
     with open(path) as fh:
         raw = yaml.safe_load(fh)
@@ -291,13 +289,14 @@ def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConf
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a mapping at top level")
     preset = raw.pop("preset", None)
-    scale = _coerce("paper_scale", raw.pop("paper_scale", False))
-    if paper_scale is not None:
-        scale = paper_scale
+    if "paper_scale" in raw:
+        scale = _scalar("paper_scale", bool, raw.pop("paper_scale"))
+        paper_scale = scale if paper_scale is None else paper_scale
     overrides = {}
     for key, value in raw.items():
         overrides[str(key)] = _coerce(str(key), value)
     if preset is not None:
-        return preset_config(str(preset), paper_scale=bool(scale), **overrides)
-    overrides["paper_scale"] = bool(scale)
+        return preset_config(str(preset), paper_scale=bool(paper_scale), **overrides)
+    if paper_scale is not None:
+        raise ValueError(f"paper_scale: {path} names no preset, so it has no budgets to scale")
     return _reject_unread_keys(ExperimentConfig(**overrides), overrides)

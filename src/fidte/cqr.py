@@ -37,7 +37,6 @@ bit for bit across machines.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -301,11 +300,12 @@ def _interval_outcomes(
 @dataclass
 class _FoldOne:
     # what exact and inexact share: fold 2, its interval outcomes under the
-    # fold-1 per-arm bands, and the rng as it stood right after the fit
+    # fold-1 per-arm bands, and exact's regression / calibration split of it
     fold2: Dataset
     c_lo: np.ndarray
     c_hi: np.ndarray
-    rng: np.random.Generator
+    reg_idx: np.ndarray
+    cal_idx: np.ndarray
 
 
 def _fold_one(train: Dataset, alpha: float, seed: int) -> _FoldOne:
@@ -314,7 +314,9 @@ def _fold_one(train: Dataset, alpha: float, seed: int) -> _FoldOne:
     model, corr = _arm_bands(train.subset(fold1_idx), alpha, rng, seed)
     fold2 = train.subset(fold2_idx)
     c_lo, c_hi = _interval_outcomes(fold2, model, corr)
-    return _FoldOne(fold2, c_lo, c_hi, rng)
+    # exact's split, drawn right after the fit whichever mode runs first
+    reg_idx, cal_idx = _split(fold2.n, rng)
+    return _FoldOne(fold2, c_lo, c_hi, reg_idx, cal_idx)
 
 
 def cqr_ite(
@@ -357,10 +359,8 @@ def cqr_ite(
             lower, upper = predict_quantiles(model, test.x).T
         else:
             # least-squares endpoint surfaces on one half, interval-outcome
-            # conformal scores on the other; the split continues the fit's
-            # rng stream from a copy, so the stored state never moves
-            rng = copy.deepcopy(fold.rng)
-            reg_idx, cal_idx = _split(fold2.n, rng)
+            # conformal scores on the other
+            reg_idx, cal_idx = fold.reg_idx, fold.cal_idx
             design = np.column_stack([np.ones(len(reg_idx)), fold2.x[reg_idx]])
             coef_lo, *_ = np.linalg.lstsq(design, c_lo[reg_idx], rcond=None)
             coef_hi, *_ = np.linalg.lstsq(design, c_hi[reg_idx], rcond=None)

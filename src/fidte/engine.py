@@ -37,7 +37,7 @@ reads it as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -173,6 +173,10 @@ class ThetaLayout:
         linear_ate        ThetaLayout(d + 1)           [tau', mu', beta, log sigma]
         dnn_tau_linear_c  ThetaLayout(d + 1, tau net)  [mu, beta, tau net, log sigma]
         dnn_both          ThetaLayout(c net, tau net)  [c net, tau net, log sigma]
+
+    c_net and tau_net are the one scratch network of each network surface
+    (None otherwise), which every _surface call writes its block into; they
+    take no part in the layout's equality, hash or repr.
     """
 
     c_spec: Union[int, MlpSpec]
@@ -180,6 +184,8 @@ class ThetaLayout:
     c_slice: slice = field(init=False, repr=False, compare=False)
     tau_slice: slice = field(init=False, repr=False, compare=False)
     theta_dim: int = field(init=False, repr=False, compare=False)
+    c_net: Optional[MlpParams] = field(init=False, repr=False, compare=False)
+    tau_net: Optional[MlpParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.c_spec, MlpSpec) and self.tau_spec is None:
@@ -187,6 +193,8 @@ class ThetaLayout:
         for spec, name in ((self.c_spec, "c"), (self.tau_spec, "tau")):
             if isinstance(spec, MlpSpec) and spec.d_out != 1:
                 raise ValueError(f"{name} network must have a single output, got {spec.d_out}")
+            net = MlpParams(spec, np.zeros(param_count(spec))) if isinstance(spec, MlpSpec) else None
+            object.__setattr__(self, f"{name}_net", net)
         c_dim = param_count(self.c_spec) if isinstance(self.c_spec, MlpSpec) else self.c_spec
         if self.tau_spec is None:
             c_slice, tau_slice = slice(1, 1 + c_dim), slice(0, 1)
@@ -242,21 +250,18 @@ class SolveRows:
         return self.xs.shape[1]
 
 
-def _surface(spec, block: np.ndarray, xs: np.ndarray, net: Optional[MlpParams] = None):
+def _surface(spec, block: np.ndarray, xs: np.ndarray, net: Optional[MlpParams]):
     """One surface's values on the rows xs (a scalar for a constant effect),
     in the solve's units, and a network's (params, activations) or None.
 
-    A network surface gets new params from block, or, given net (params of
-    spec), overwrites net.flat with block, so net's pass arrays are reused
-    and block is not checked for non-finite values."""
+    A network surface writes block, unchecked, into net, the layout's net,
+    whose pass arrays the z pass, the w pass and draw_surfaces share: no
+    caller holds a surface's activations across another pass."""
     if spec is None:
         return block[0], None
     if isinstance(spec, int):
         return block[0] + xs @ block[1:], None
-    if net is None:
-        net = MlpParams(spec, block / RESCALE)
-    else:
-        np.divide(block, RESCALE, out=net.flat)
+    np.divide(block, RESCALE, out=net.flat)
     acts = mlp_forward_batch(net, xs)
     return acts[-1][:, 0], (net, acts)
 
@@ -335,16 +340,14 @@ def _check_widths(w: MlpParams, rows: SolveRows, layout: ThetaLayout) -> None:
         )
 
 
-def draw_surfaces(
-    draws: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer
-) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+def draw_surfaces(draws: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer):
     """Untreated mean c(x) and effect tau(x) per row of x, and sigma, in data
-    units, for each row of draws (m, theta_dim), in row order.
+    units, for each row of draws (m, theta_dim): (c_mat, tau_mat, sig), with
+    row k of each from draw k.  ite_intervals and pehe take the result as
+    their surfaces.
 
-    x is standardized once, and each network surface is one MlpParams whose
-    flat every draw overwrites, so its pass arrays serve every draw.  The
-    draws are checked for their width and for non-finite values once, up
-    front, in place of the check a new network would make per draw.
+    x is standardized once and each network surface is the layout's net.
+    The draws are checked for width and non-finite values once, up front.
     """
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim != 2 or draws.shape[1] != layout.theta_dim:
@@ -354,18 +357,18 @@ def draw_surfaces(
     if not np.isfinite(draws).all():
         raise ValueError("non-finite parameter values")
     xs = scaler.scale_x(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    c_net, tau_net = (
-        MlpParams(spec, np.zeros(param_count(spec))) if isinstance(spec, MlpSpec) else None
-        for spec in (layout.c_spec, layout.tau_spec)
-    )
-    for theta in draws:
-        c, _ = _surface(layout.c_spec, theta[layout.c_slice], xs, c_net)
-        tau, _ = _surface(layout.tau_spec, theta[layout.tau_slice], xs, tau_net)
+    m, n = draws.shape[0], xs.shape[0]
+    c_mat, tau_mat, sig = np.empty((m, n)), np.empty((m, n)), np.empty(m)
+    for k, theta in enumerate(draws):
+        c, _ = _surface(layout.c_spec, theta[layout.c_slice], xs, layout.c_net)
+        tau, _ = _surface(layout.tau_spec, theta[layout.tau_slice], xs, layout.tau_net)
         if layout.tau_spec is None:
             # t' = -1 on controls, and the 0-to-1 contrast of tau' t' is 2 tau'
-            c, tau = c - tau, np.full(xs.shape[0], 2.0 * tau)
-        sigma = scaler.y_std * float(np.exp(theta[layout.log_sigma_index]))
-        yield scaler.y_mean + scaler.y_std * c, scaler.y_std * tau, sigma
+            c, tau = c - tau, 2.0 * tau
+        c_mat[k] = scaler.y_mean + scaler.y_std * c
+        tau_mat[k] = scaler.y_std * tau
+        sig[k] = scaler.y_std * float(np.exp(theta[layout.log_sigma_index]))
+    return c_mat, tau_mat, sig
 
 
 @dataclass
@@ -405,7 +408,8 @@ def energy_gradients(
     the output layer's gradient is filled in from dU/dW and dU/db.  A
     gradient not asked for is None; with neither, the pass ends after the
     forward.  The gradients are new arrays, which no later pass of w
-    overwrites.
+    overwrites.  A non-finite theta_bar ends the pass with a NaN total and
+    no gradients, which the sampler reports as a divergence.
     """
     _check_widths(w, rows, layout)
     z = np.asarray(z, dtype=np.float64)
@@ -419,9 +423,12 @@ def energy_gradients(
     cov = dev.T @ dev
     gram = W.T @ W
     tb = s * (W @ a_bar) + b
+    if not np.isfinite(tb).all():
+        # tanh would saturate on an inf hidden weight of a surface net, hiding it
+        return GradReport(total=float("nan"), theta_bar=tb)
     sigma = float(np.exp(tb[layout.log_sigma_index]))
-    c, c_pass = _surface(layout.c_spec, tb[layout.c_slice], rows.xs)
-    tau, tau_pass = _surface(layout.tau_spec, tb[layout.tau_slice], rows.xs)
+    c, c_pass = _surface(layout.c_spec, tb[layout.c_slice], rows.xs, layout.c_net)
+    tau, tau_pass = _surface(layout.tau_spec, tb[layout.tau_slice], rows.xs, layout.tau_net)
     r = rows.ys - (c + tau * rows.u + sigma * z)
     rep = GradReport(total=float((r**2).sum() + eta * s * s * (gram * cov).sum()), theta_bar=tb)
     if not (need_z or need_w):

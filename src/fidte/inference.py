@@ -1,7 +1,8 @@
 """Intervals and the PEHE from a collected fiducial sample.
 
 ATE confidence intervals come straight from the fiducial draws of the effect
-slot.  ITE prediction intervals depend on what the test subject exposed:
+slot.  ITE prediction intervals and the PEHE take the chain's surfaces from
+engine.draw_surfaces.  ITE intervals depend on what the test subject exposed:
 
   Ic  control outcome observed; predict the treated arm per draw as
       c(x) + tau(x) + sigma Z and shift the interval by -y_obs.
@@ -29,7 +30,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .engine import Dataset, ThetaLayout, draw_surfaces
+from .engine import Dataset, ThetaLayout
 from .sampler import FiducialChain
 
 CASES = ("Ic", "It", "Im", "ATE")
@@ -119,21 +120,6 @@ def assign_cases(test: Dataset, rng: np.random.Generator) -> np.ndarray:
     return np.where(rng.random(test.n) < P_MISSING, "Im", by_arm)
 
 
-def chain_surfaces(chain: FiducialChain, layout: ThetaLayout, x: np.ndarray):
-    """Per-draw c(x), tau(x) matrices and sigma vector, all in data units.
-
-    Row k holds engine.draw_surfaces' values for draw k; it builds one
-    network per surface for the whole chain.  ite_intervals and pehe take
-    the result as their surfaces."""
-    m = chain.draws.shape[0]
-    c_mat = np.empty((m, x.shape[0]))
-    tau_mat = np.empty((m, x.shape[0]))
-    sig = np.empty(m)
-    for k, row in enumerate(draw_surfaces(chain.draws, layout, x, chain.scaler)):
-        c_mat[k], tau_mat[k], sig[k] = row
-    return c_mat, tau_mat, sig
-
-
 def ite_intervals(
     surfaces: tuple,
     test: Dataset,
@@ -143,7 +129,7 @@ def ite_intervals(
 ) -> List[PredictionInterval]:
     """Per-subject prediction intervals for the individual effect.
 
-    surfaces come from chain_surfaces on test.x.  cases gives one tag per
+    surfaces come from engine.draw_surfaces on test.x.  cases gives one tag per
     test row (assign_cases); subjects without an observed arm are Im.
 
     Subject i's normals stay streams[i].standard_normal(m) of rng.spawn, so
@@ -210,7 +196,7 @@ def pehe(surfaces: tuple, test: Dataset) -> float:
     """Mean squared error of the chain-mean effect surface against truth.
 
     It is taken over the treated test rows; surfaces come from
-    chain_surfaces on test.x."""
+    engine.draw_surfaces on test.x."""
     if test.tau_true is None:
         raise ValueError("pehe needs tau_true on the test set")
     keep = test.t == 1

@@ -3,7 +3,8 @@
 One experiment = R independent replications.  Each replication draws its own
 dataset (or reuses the CSV one, read once per run), runs every configured
 method, and returns its interval rows, each with the simulation truth it
-should cover, and the PEHE.  score_rows is the one scorer of interval rows:
+should cover, and the PEHE, both read off one engine.draw_surfaces call per
+EFI chain.  score_rows is the one scorer of interval rows:
 summary.json is a function of the replications' rows and PEHEs, and
 `fidte report` rescores an intervals.csv with the same code.  Replication
 r derives all of its randomness from a splittable seed sequence keyed by
@@ -25,12 +26,11 @@ import numpy as np
 from .config import LAYOUT_GROUPS, ExperimentConfig
 from .cqr import cqr_ite
 from .datagen import TRUTH_COLUMNS, GenSpec, generate
-from .engine import Dataset, ThetaLayout
+from .engine import Dataset, ThetaLayout, draw_surfaces
 from .inference import (
     PredictionInterval,
     assign_cases,
     ate_interval,
-    chain_surfaces,
     ite_intervals,
     ite_truth,
     pehe,
@@ -185,7 +185,7 @@ def run_replication(
             chain, layout = _efi_results(config, train, ints, rep_dir)
             if config.layout_kind != "linear_ate":
                 # every level's intervals and the PEHE read the same surfaces
-                surfaces = chain_surfaces(chain, layout, test.x)
+                surfaces = draw_surfaces(chain.draws, layout, test.x, chain.scaler)
                 cases = assign_cases(test, np.random.default_rng(ints[3]))
                 if test.tau_true is not None:
                     pehe_value = pehe(surfaces, test)

@@ -179,9 +179,9 @@ def folded_pinball_net(features, targets, qs, spec):
 def per_draw_chain_surfaces(chain, layout, x):
     """Reference chain surfaces: every draw's surfaces computed afresh.
 
-    The form fidte.inference.chain_surfaces took, one draw at a time,
-    before it read engine.draw_surfaces: x is standardized and a new
-    network is built for each network surface on every draw.
+    What engine.draw_surfaces returns, computed one draw at a time: x is
+    standardized per draw and a new network is built for each network
+    surface on every draw, where draw_surfaces reuses the layout's nets.
     """
 
     def surface(spec, block, xs):

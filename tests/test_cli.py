@@ -11,7 +11,7 @@ import pytest
 import fidte.cqr
 import fidte.runner
 from fidte import cli
-from fidte.config import ExperimentConfig, preset_config
+from fidte.config import PRESETS, ExperimentConfig, preset_config
 from fidte.datagen import GenSpec, generate, save_dataset_csv
 from fidte.runner import (
     _rep_worker,
@@ -289,12 +289,24 @@ def test_cqr_band_too_fine_for_the_rows_names_replication_and_alpha(tmp_path, mo
         cli.main(["cqr", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
-def test_seed_flag_is_checked_as_a_config_seed(tmp_path):
-    # --seed replaces the loaded config's seed, and the config's checks run again
+def test_seed_flag_is_checked_as_a_config_seed(tmp_path, capsys):
+    # --seed replaces the loaded config's seed, and the config's checks run
+    # again; a config that fails to load or check is one stderr line and
+    # exit status 2, not a traceback
+    bad_eta = tmp_path / "eta.yaml"
+    bad_eta.write_text("preset: linear_ate_n250\neta: abc\n")
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="^seed: must be nonnegative$"):
-        cli.main(["benchmark", "--config", "linear_ate_n250", "--seed", "-1", "--out", str(out)])
-    assert not out.exists()
+    for args, message in [
+        (["--config", "linear_ate_n250", "--seed", "-1"], "seed: must be nonnegative"),
+        (["--config", str(bad_eta)], "eta: expected float, got 'abc'"),
+        ([], "a --config file or preset name is required"),
+        (["--config", "nope"], f"--config 'nope' is neither a file nor one of {sorted(PRESETS)}"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["benchmark", *args, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"fidte: error: {message}\n"
+        assert not out.exists()
 
 
 def test_report_takes_only_its_path_and_out(tmp_path, capsys):
@@ -335,6 +347,7 @@ def test_summary_carries_per_case_blocks(tmp_path, monkeypatch, adam_steps):
     out = tmp_path / "out"
     assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
+    assert "paper_scale" not in summary["config"]  # a load directive, not a field
     efi = summary["methods"]["efi"]["alphas"]["0.2"]["per_case"]
     cqr = summary["methods"]["cqr-naive"]["alphas"]["0.2"]["per_case"]
     assert set(efi) == {"Ic", "It", "Im"} and set(cqr) == {"Im"}
@@ -353,13 +366,13 @@ def test_summary_carries_per_case_blocks(tmp_path, monkeypatch, adam_steps):
 def test_replication_computes_chain_surfaces_once(monkeypatch):
     # every level's ITE intervals and the PEHE read one set of surfaces
     calls = []
-    real = fidte.runner.chain_surfaces
+    real = fidte.runner.draw_surfaces
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fidte.runner, "chain_surfaces", counted)
+    monkeypatch.setattr(fidte.runner, "draw_surfaces", counted)
     cfg = preset_config("example1", n_train=30, n_test=12, init_iters=2, k_burn=2, m_keep=3,
                         thin=1, n_batches=1, alphas=(0.1, 0.2), methods=("efi",))
     rep = fidte.runner.run_replication(cfg, 0, None)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -17,6 +18,33 @@ def test_every_preset_loads(paper_scale):
     for name in PRESETS:
         cfg = preset_config(name, paper_scale=paper_scale)
         assert cfg.k_burn == PRESETS[name]["k_burn"] // (1 if paper_scale else 2)
+
+
+def test_paper_scale_is_a_load_directive_not_a_field(tmp_path, capsys):
+    # paper_scale chooses a preset's budgets at load; the config keeps the
+    # budgets it chose, not the directive
+    names = [f.name for f in fields(ExperimentConfig)]
+    assert len(names) == 22 and "paper_scale" not in names
+    with pytest.raises(TypeError, match="paper_scale"):
+        ExperimentConfig(design="linear_ate", paper_scale=True)
+    full = PRESETS["linear_ate_n250"]["k_burn"]
+    assert load_config(write_yaml(tmp_path, "preset: linear_ate_n250\npaper_scale: true\n")).k_burn == full
+    path = write_yaml(tmp_path, "preset: linear_ate_n250\npaper_scale: false\n")
+    assert load_config(path).k_burn == full // 2
+    assert load_config(path, paper_scale=True).k_burn == full
+    # a config without a preset has no preset budgets, so the key or the
+    # flag would be ignored; each fails at load instead
+    for text, flag in [("paper_scale: true\n", None), ("paper_scale: false\n", None), ("", True)]:
+        path = write_yaml(tmp_path, f"design: linear_ate\nk_burn: 4\n{text}")
+        with pytest.raises(ValueError, match=r"^paper_scale: .*config\.yaml names no preset"):
+            load_config(path, paper_scale=flag)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--config", path, "--paper-scale", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"fidte: error: paper_scale: {path} names no preset, so it has no budgets to scale\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_step_schedule_keys_are_unknown(tmp_path):
@@ -125,15 +153,17 @@ def test_scalar_that_does_not_convert_is_rejected_at_load(tmp_path, line, messag
          "methods: repeated entry in ['efi', 'cqr-naive', 'cqr-naive']"),
     ],
 )
-def test_sampler_value_out_of_range_is_rejected_at_load(tmp_path, line, message):
+def test_sampler_value_out_of_range_is_rejected_at_load(tmp_path, capsys, line, message):
     # every subcommand that loads the config rejects these values before any
-    # data is drawn
+    # data is drawn, with the message on one stderr line and exit status 2
     path = write_yaml(tmp_path, f"preset: example1\n{line}\n")
     with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path)
     for command in ("fit", "cqr", "benchmark"):
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(SystemExit) as exc:
             cli.main([command, "--config", path, "--out", str(tmp_path / command)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"fidte: error: {message}\n"
         assert not (tmp_path / command).exists()
 
 

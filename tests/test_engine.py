@@ -179,9 +179,9 @@ def test_pack_unpack_roundtrip(make, rng):
     assert layout.theta_dim == len(SLOT_TABLE[make])
     theta = rng.normal(size=layout.theta_dim)
     x = rng.normal(size=(6, 2))
-    base, *moved = draw_surfaces(
+    base, *moved = zip(*draw_surfaces(
         np.vstack([theta, theta + 0.1 * np.eye(layout.theta_dim)]), layout, x, IDENTITY_SCALER
-    )
+    ))
     for j, owner in enumerate(SLOT_TABLE[make]):
         changed = {
             name for name, a, b in zip(("c", "tau", "sigma"), base, moved[j])
@@ -195,7 +195,7 @@ def test_unpack_rescales_network_blocks():
     layout = tau_net_layout(d=2, hidden=(3,))
     theta = (np.arange(layout.theta_dim, dtype=float) + 1.0) / 10.0
     x = np.array([[0.5, -1.0], [2.0, 0.25]])
-    c, tau, sigma = next(draw_surfaces(theta[None, :], layout, x, IDENTITY_SCALER))
+    (c,), (tau,), (sigma,) = draw_surfaces(theta[None, :], layout, x, IDENTITY_SCALER)
     np.testing.assert_array_equal(c, theta[0] + x @ theta[1:3])  # linear block untouched
     net = MlpParams(layout.tau_spec, theta[3:16] / RESCALE)
     np.testing.assert_array_equal(tau, mlp_forward_batch(net, x)[-1][:, 0])
@@ -211,7 +211,7 @@ def test_layout_validation():
     # rejected, not cut or indexed past
     for draws in (np.zeros((1, 5)), np.zeros((1, 7)), np.zeros(6)):
         with pytest.raises(ValueError, match=r"layout needs \(m, theta_dim 6\)"):
-            next(draw_surfaces(draws, linear_layout(d=3), np.zeros((1, 3)), IDENTITY_SCALER))
+            draw_surfaces(draws, linear_layout(d=3), np.zeros((1, 3)), IDENTITY_SCALER)
 
 
 # ---------------------------------------------------------------- model
@@ -235,7 +235,7 @@ def test_surfaces_compose_to_prediction(make, rng):
     z = rng.normal(size=9)
     for scaler in (IDENTITY_SCALER, Standardizer(x_mean=np.array([0.3, -1.0]), x_std=np.array([2.0, 0.5]), y_mean=1.7, y_std=2.5)):
         pred = model_predict_batch(theta, layout, x, t, z, scaler)
-        c, tau, sigma = next(draw_surfaces(theta[None, :], layout, x, scaler))
+        (c,), (tau,), (sigma,) = draw_surfaces(theta[None, :], layout, x, scaler)
         composed = c + tau * t + sigma * z
         np.testing.assert_allclose(pred, composed, rtol=1e-10, atol=1e-12)
 
@@ -426,7 +426,9 @@ def explicit_energy_gradients(w, data, z, eta, layout, scaler):
     a_total = np.empty(layout.theta_dim)
     for spec, sl, u in ((layout.c_spec, layout.c_slice, None),
                         (layout.tau_spec, layout.tau_slice, layout.code(data.t))):
-        _, net_pass = _surface(spec, tb[sl], xs)
+        # a network of the oracle's own, not the layout's
+        net = MlpParams(spec, np.zeros(param_count(spec))) if isinstance(spec, MlpSpec) else None
+        _, net_pass = _surface(spec, tb[sl], xs, net)
         a_total[sl] = -2.0 * _surface_grad(spec, net_pass, xs, resid, u)
     a_total[-1] = -2.0 * sigma * (resid @ z)
     w_grad, input_grads = mlp_backward_batch(scaled, acts, 2.0 * eta * dev + a_total / data.n)
@@ -501,6 +503,55 @@ def test_minibatch_rows_match_rows_of_the_subset(make, rng):
     assert taken.total == built.total
     np.testing.assert_array_equal(taken.z_grad, built.z_grad)
     np.testing.assert_array_equal(taken.w_grad, built.w_grad)
+
+
+def test_layout_nets_leave_equality_hash_and_repr():
+    # each network surface has one scratch net of its own; it does not enter
+    # the layout's equality, hash or repr
+    a, b = both_net_layout(), both_net_layout()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "net=" not in repr(a) and a.c_net is not b.c_net
+    assert (a.c_net.spec, a.tau_net.spec) == (a.c_spec, a.tau_spec)
+    assert a.c_net is not a.tau_net
+    assert tau_net_layout().c_net is None and linear_layout().tau_net is None
+
+
+@pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
+def test_non_finite_network_block_gives_non_finite_energy(make, rng):
+    # an inf output bias in the tau block's first slot (tau' on linear_ate, a
+    # hidden weight, which tanh would saturate, on the network layouts)
+    # makes theta_bar non-finite there: every layout returns a non-finite
+    # total, which the sampler reports as a divergence
+    layout = make(d=2)
+    data = random_dataset(rng, n=7)
+    w = random_inverse(rng, 2, layout, seed=4)
+    _, bs, _ = _layer_slices(w.spec)[-1]
+    w.flat[bs.start + layout.tau_slice.start] = np.inf
+    z = rng.normal(size=7)
+    for need_z, need_w in ((True, False), (False, True), (False, False)):
+        rep = energy_gradients(w, solve_rows(data, layout), z, 5.0, layout, need_z, need_w)
+        assert not np.isfinite(rep.total)
+
+
+@pytest.mark.parametrize("make", [tau_net_layout, both_net_layout])
+def test_passes_and_draw_surfaces_share_the_layouts_nets(make, rng):
+    # draw_surfaces and the passes write the same pass arrays of the layout's
+    # nets on the same row count; neither leaves the other a different result
+    data = random_dataset(rng, n=12)
+    scaler = Standardizer.fit(data)
+    used, fresh = make(d=2), make(d=2)
+    w = random_inverse(rng, 2, used, seed=4)
+    z = rng.normal(size=12)
+    draws = 10.0 * rng.normal(size=(3, used.theta_dim))
+    rows = solve_rows(data, used, scaler)
+    first = draw_surfaces(draws, used, data.x, scaler)
+    got = energy_gradients(w, rows, z, 5.0, used)
+    want = energy_gradients(w, rows, z, 5.0, fresh)
+    assert got.total == want.total
+    for name in ("theta_bar", "z_grad", "w_grad"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    for a, b in zip(draw_surfaces(draws, used, data.x, scaler), first):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------- validation

@@ -12,7 +12,6 @@ from fidte.inference import (
     assign_cases,
     ate_draws,
     ate_interval,
-    chain_surfaces,
     ite_intervals,
     ite_truth,
     pehe,
@@ -40,7 +39,7 @@ def const_chain(theta: np.ndarray, m: int) -> FiducialChain:
 
 
 def surfaces(chain: FiducialChain, test: Dataset):
-    return chain_surfaces(chain, LINEAR, test.x)
+    return draw_surfaces(chain.draws, LINEAR, test.x, chain.scaler)
 
 
 def toy_test_set(n: int, seed: int = 0, d: int = 4) -> Dataset:
@@ -226,7 +225,7 @@ def test_ic_interval_is_shifted_treated_prediction():
     streams = np.random.default_rng(11).spawn(4)
     for i, iv in enumerate(ivs):
         z = streams[i].standard_normal(5000)
-        c, tau, _ = next(draw_surfaces(theta[None, :], LINEAR, test.x[i], IDENTITY_SCALER))
+        (c,), (tau,), _ = draw_surfaces(theta[None, :], LINEAR, test.x[i], IDENTITY_SCALER)
         y1_hat = c[0] + tau[0] + 0.5 * z
         assert iv.lower == pytest.approx(np.quantile(y1_hat, 0.05) - test.y[i], rel=1e-12)
         assert iv.upper == pytest.approx(np.quantile(y1_hat, 0.95) - test.y[i], rel=1e-12)
@@ -320,7 +319,7 @@ def test_chain_surfaces_equal_per_draw_surfaces(kind):
     # network blocks hold weights times 25, so these weights are O(1)
     chain = make_chain(10.0 * rng.standard_normal((40, layout.theta_dim)), scaler)
     x = rng.standard_normal((17, 4))
-    got = chain_surfaces(chain, layout, x)
+    got = draw_surfaces(chain.draws, layout, x, chain.scaler)
     want = per_draw_chain_surfaces(chain, layout, x)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -331,7 +330,7 @@ def test_chain_surfaces_reject_a_non_finite_draw():
     draws = np.zeros((3, layout.theta_dim))
     draws[2, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite parameter values"):
-        chain_surfaces(make_chain(draws), layout, np.zeros((2, 4)))
+        draw_surfaces(draws, layout, np.zeros((2, 4)), IDENTITY_SCALER)
 
 
 def test_assign_cases_distribution():

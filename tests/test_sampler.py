@@ -270,6 +270,30 @@ def test_run_efi_divergence_guard(monkeypatch):
             run_efi(data, layout, spec, config, 0)
 
 
+@pytest.mark.parametrize(
+    "c_spec, tau_spec",
+    [(3, None), (3, MlpSpec((2, 3, 1), seed=0)),
+     (MlpSpec((2, 3, 1), seed=2), MlpSpec((2, 3, 1), seed=0))],
+    ids=["linear_ate", "dnn_tau_linear_c", "dnn_both"],
+)
+def test_run_efi_reports_a_non_finite_start_as_a_divergence(monkeypatch, c_spec, tau_spec):
+    # an inf in the tau block of the start state (tau' on linear_ate, a hidden
+    # weight of the tau network otherwise) is one error on every layout
+    real = fidte.sampler.least_squares_theta
+
+    def with_inf(rows, layout):
+        theta = real(rows, layout)
+        theta[layout.tau_slice.start] = np.inf
+        return theta
+
+    monkeypatch.setattr(fidte.sampler, "least_squares_theta", with_inf)
+    layout = ThetaLayout(c_spec, tau_spec)
+    spec = MlpSpec((5, 6, layout.theta_dim), seed=1)
+    config = make_config(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
+    with pytest.raises(RuntimeError, match="^energy diverged at iteration 1: nan$"):
+        run_efi(toy_data(np.random.default_rng(3), n=20), layout, spec, config, 0)
+
+
 def test_run_efi_rejects_an_inverse_net_of_another_width():
     rng = np.random.default_rng(3)
     data = toy_data(rng, n=20)
