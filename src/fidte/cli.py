@@ -11,8 +11,9 @@ Subcommands:
 simulate, fit, cqr and benchmark accept --config (a YAML file or a preset
 name), --seed, --out, --paper-scale and --workers.  simulate and fit handle
 one replication, so they say on stderr that they ignore --workers above 1.
-report takes the intervals.csv path and --out only.  A bad config exits 2
-with one stderr line, "fidte: error: <message>".
+report takes the intervals.csv path and --out only.  A bad config, a config
+file that cannot be read or parsed, and a csv config given to simulate each
+exit 2 with one stderr line, "fidte: error: <message>".
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import PRESETS, ExperimentConfig, load_config, preset_config
+from .config import PRESETS, VALID_METHODS, ExperimentConfig, load_config, preset_config
 from .datagen import save_dataset_csv
 from .runner import (
     _replication_data,
@@ -36,6 +37,12 @@ from .runner import (
     run_replication,
     write_rows_csv,
 )
+
+
+def _fail(message: str):
+    """A config error: one stderr line, exit status 2."""
+    print(f"fidte: error: {message}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -55,8 +62,7 @@ def _resolve_config(args) -> ExperimentConfig:
         if args.out is not None:
             cfg = replace(cfg, outdir=args.out)
     except ValueError as e:
-        print(f"fidte: error: {e}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _fail(str(e))
     return cfg
 
 
@@ -79,7 +85,7 @@ def cmd_simulate(args) -> int:
     _ignore_workers(args)
     cfg = _resolve_config(args)
     if cfg.design is None:
-        raise SystemExit("simulate needs a design-based config, not a csv one")
+        _fail("simulate needs a design-based config, not a csv one")
     train, test = _replication_data(cfg, replication_ints(cfg.seed, 0))
     os.makedirs(cfg.outdir, exist_ok=True)
     save_dataset_csv(train, os.path.join(cfg.outdir, "train.csv"))
@@ -135,10 +141,8 @@ def cmd_cqr(args) -> int:
             "(run it with `fidte fit` or `fidte benchmark`)",
             file=sys.stderr,
         )
-    methods = tuple(m for m in cfg.methods if m.startswith("cqr-"))
-    if not methods:
-        methods = ("cqr-naive", "cqr-exact", "cqr-inexact")
-    cfg = replace(cfg, methods=methods)
+    cqr_modes = lambda methods: tuple(m for m in methods if m.startswith("cqr-"))
+    cfg = replace(cfg, methods=cqr_modes(cfg.methods) or cqr_modes(VALID_METHODS))
     run_experiment(cfg, workers=args.workers)
     print(f"wrote summary.json to {cfg.outdir}")
     return 0

@@ -7,8 +7,9 @@ to sampler.run_efi as it is; no second config is derived from it.  Presets
 carry the published constants for the simulation studies except the
 step-size schedules: the sampler holds each step constant at an anchor it
 measures at its start state, so no step size is settable.  What no run
-varies is a constant: the sampler's momentum and early weight clip, and the
-CQR fits' Adam steps and rate (see sampler and cqr).  A preset's iteration
+varies is a constant: the sampler's momentum and early weight clip, the
+inverse network's hidden widths, and the CQR fits' Adam steps and rate (see
+sampler, runner.INVERSE_WIDTHS and cqr).  A preset's iteration
 budgets are halved at load time unless paper_scale, a load directive and not
 a field, asks for the full budgets (--paper-scale).  Every check on a config
 value is made when the config is built, so a bad value fails under every
@@ -55,7 +56,8 @@ class ExperimentConfig:
     batch).  eps is the noise budget and eta the consensus weight; the
     step sizes, the latent momentum and the weight clip are not fields (see
     sampler).  tau_widths and c_widths are the hidden widths of the
-    effect and control networks, read only by a layout that has them.
+    effect and control networks, read only by a layout that has them; the
+    inverse network's are runner.INVERSE_WIDTHS, not a field.
     """
 
     design: Optional[str] = None
@@ -67,7 +69,6 @@ class ExperimentConfig:
     layout_kind: str = "linear_ate"
     tau_widths: tuple = (10, 10)
     c_widths: tuple = (10, 10)
-    inverse_widths: tuple = (90, 30)
     eta: float = 500.0
     eps: float = 0.1
     k_burn: int = 5000
@@ -99,7 +100,7 @@ class ExperimentConfig:
             raise ValueError(f"eps: must be positive, got {self.eps}")
         if self.eta < 0:
             raise ValueError(f"eta: must be nonnegative, got {self.eta}")
-        for name in ("tau_widths", "c_widths", "inverse_widths"):
+        for name in ("tau_widths", "c_widths"):
             widths = list(getattr(self, name))
             if not widths or min(widths) < 1:
                 raise ValueError(f"{name}: need hidden layers of width >= 1, got {widths}")
@@ -181,7 +182,7 @@ PRESETS = {
 
 # element type of each list field
 _TUPLE_FIELDS = {
-    "tau_widths": int, "c_widths": int, "inverse_widths": int, "alphas": float, "methods": str,
+    "tau_widths": int, "c_widths": int, "alphas": float, "methods": str,
 }
 _FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
 _SCALAR_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
@@ -279,11 +280,17 @@ def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConf
 
     File keys override preset values; a tau_widths or c_widths key for a
     network the layout lacks, and an n_train or n_test key on a csv config,
-    are rejected.  paper_scale, when not None, overrides the file's own
-    (the --paper-scale flag); a file with no preset rejects either.
+    are rejected, as is a file that cannot be read or is not valid YAML.
+    paper_scale, when not None, overrides the file's own (the --paper-scale
+    flag); a file with no preset rejects either.
     """
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except OSError as e:
+        raise ValueError(f"config file {path}: {e.strerror}") from None
+    except yaml.YAMLError as e:  # pyyaml's message spans lines
+        raise ValueError(f"config file {path} is not valid YAML: {' '.join(str(e).split())}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -292,9 +299,7 @@ def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConf
     if "paper_scale" in raw:
         scale = _scalar("paper_scale", bool, raw.pop("paper_scale"))
         paper_scale = scale if paper_scale is None else paper_scale
-    overrides = {}
-    for key, value in raw.items():
-        overrides[str(key)] = _coerce(str(key), value)
+    overrides = {str(key): _coerce(str(key), value) for key, value in raw.items()}
     if preset is not None:
         return preset_config(str(preset), paper_scale=bool(paper_scale), **overrides)
     if paper_scale is not None:

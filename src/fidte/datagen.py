@@ -14,16 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Dataset
+from .engine import TRUTH_COLUMNS, Dataset
 from .nn import sigmoid
 
 DESIGNS = ("linear_ate", "example1", "example2")
 
 # covariate width of the linear_ate design
 LINEAR_ATE_D = 4
-
-# truth columns written after x1..xd, t, y when a dataset carries them
-TRUTH_COLUMNS = ("y0", "y1", "tau_true", "z_true")
 
 # E s(U) for U uniform on [0, 1] is exactly 1: s(u) + s(1 - u) = 2
 S_MEAN = 1.0

@@ -62,14 +62,18 @@ RESCALE = 25.0
 OUT_SCALE = 1.0 / 25.0
 
 
+# Dataset's truth columns, in the order a csv file holds them after x1..xd, t, y
+TRUTH_COLUMNS = ("y0", "y1", "tau_true", "z_true")
+
+
 @dataclass
 class Dataset:
     """Observed data plus optional simulation truth columns.
 
     x: covariates (n, d); t: binary treatment (n,); y: outcome (n,).
-    Truth columns, when present, come from a generator: the latent draw that
-    produced the observed arm, the effect surface, and both potential
-    outcomes.
+    Truth columns (TRUTH_COLUMNS), when present, come from a generator: the
+    latent draw that produced the observed arm, the effect surface, and both
+    potential outcomes.
     """
 
     x: np.ndarray
@@ -96,7 +100,7 @@ class Dataset:
         self.t = self.t.astype(np.int64)
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("non-finite covariate or outcome values")
-        for name in ("z_true", "tau_true", "y1", "y0"):
+        for name in TRUTH_COLUMNS:
             v = getattr(self, name)
             if v is not None:
                 v = np.asarray(v, dtype=np.float64)
@@ -114,16 +118,9 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         """Row subset keeping whatever truth columns exist."""
-        pick = lambda v: None if v is None else v[idx]
-        return Dataset(
-            x=self.x[idx],
-            t=self.t[idx],
-            y=self.y[idx],
-            z_true=pick(self.z_true),
-            tau_true=pick(self.tau_true),
-            y1=pick(self.y1),
-            y0=pick(self.y0),
-        )
+        truth = {name: getattr(self, name) for name in TRUTH_COLUMNS}
+        return Dataset(x=self.x[idx], t=self.t[idx], y=self.y[idx],
+                       **{name: None if v is None else v[idx] for name, v in truth.items()})
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Intervals and the PEHE from a collected fiducial sample.
 
 ATE confidence intervals come straight from the fiducial draws of the effect
-slot.  ITE prediction intervals and the PEHE take the chain's surfaces from
-engine.draw_surfaces.  ITE intervals depend on what the test subject exposed:
+slot that the chain's own layout names.  ITE prediction intervals and the
+PEHE take the chain's surfaces from engine.draw_surfaces.  ITE intervals
+depend on what the test subject exposed:
 
   Ic  control outcome observed; predict the treated arm per draw as
       c(x) + tau(x) + sigma Z and shift the interval by -y_obs.
@@ -30,7 +31,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .engine import Dataset, ThetaLayout
+from .engine import Dataset
 from .sampler import FiducialChain
 
 CASES = ("Ic", "It", "Im", "ATE")
@@ -98,16 +99,18 @@ def _linear_quantiles(draws: np.ndarray, levels) -> np.ndarray:
     return out.T
 
 
-def ate_draws(chain: FiducialChain, layout: ThetaLayout) -> np.ndarray:
-    """Fiducial sample of the average effect, in data units."""
-    if layout.tau_spec is not None:
+def ate_draws(chain: FiducialChain) -> np.ndarray:
+    """Fiducial sample of the average effect, in data units; the chain's
+    layout must have a constant effect."""
+    if chain.layout.tau_spec is not None:
         raise ValueError("ATE extraction needs the constant effect of a linear_ate layout")
     # the effect slot multiplies t' in {-1, +1}, so the 0-to-1 contrast is 2 tau'
-    return 2.0 * chain.scaler.y_std * chain.draws[:, 0]
+    return 2.0 * chain.scaler.y_std * chain.draws[:, chain.layout.tau_slice.start]
 
 
-def ate_interval(chain: FiducialChain, layout: ThetaLayout, alpha: float = 0.05) -> PredictionInterval:
-    draws = ate_draws(chain, layout)
+def ate_interval(chain: FiducialChain, alpha: float = 0.05) -> PredictionInterval:
+    """Equal-tailed level-(1 - alpha) interval of ate_draws(chain)."""
+    draws = ate_draws(chain)
     if draws.size == 0:
         raise ValueError("empty fiducial chain")
     lower, upper = _linear_quantiles(draws, (alpha / 2.0, 1.0 - alpha / 2.0)).tolist()

@@ -4,7 +4,9 @@ One experiment = R independent replications.  Each replication draws its own
 dataset (or reuses the CSV one, read once per run), runs every configured
 method, and returns its interval rows, each with the simulation truth it
 should cover, and the PEHE, both read off one engine.draw_surfaces call per
-EFI chain.  score_rows is the one scorer of interval rows:
+EFI chain; the chain's layout decides between ATE and ITE intervals.  Each
+replication writes its own intervals.csv as it finishes, so a failure keeps
+the files of those before it.  score_rows is the one scorer of interval rows:
 summary.json is a function of the replications' rows and PEHEs, and
 `fidte report` rescores an intervals.csv with the same code.  Replication
 r derives all of its randomness from a splittable seed sequence keyed by
@@ -25,8 +27,8 @@ import numpy as np
 
 from .config import LAYOUT_GROUPS, ExperimentConfig
 from .cqr import cqr_ite
-from .datagen import TRUTH_COLUMNS, GenSpec, generate
-from .engine import Dataset, ThetaLayout, draw_surfaces
+from .datagen import GenSpec, generate
+from .engine import TRUTH_COLUMNS, Dataset, ThetaLayout, draw_surfaces
 from .inference import (
     PredictionInterval,
     assign_cases,
@@ -42,6 +44,8 @@ from .sampler import run_efi
 # part of the model family, not of the per-replication randomness
 TAU_NET_SEED = 5
 C_NET_SEED = 6
+# the inverse network's hidden widths, the same in every run
+INVERSE_WIDTHS = (90, 30)
 
 
 def _cell(row: dict, col: str, line: int) -> float:
@@ -57,13 +61,10 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
     """Read (x, t, y) columns from a CSV file per the given schema.
 
     schema maps "y" and "t" to column names and "x" to a list of column
-    names.  The treatment column must be binary 0/1.  Truth columns a
-    simulated file carries (y0, y1, tau_true, z_true, see
-    datagen.save_dataset_csv) are read too, by those names.
+    names, the keys ExperimentConfig requires of a csv_schema.  The
+    treatment column must be binary 0/1.  Truth columns a simulated file
+    carries (engine.TRUTH_COLUMNS) are read too, by those names.
     """
-    for key in ("y", "t", "x"):
-        if key not in schema:
-            raise ValueError(f"csv schema is missing the {key!r} entry")
     x_cols = list(schema["x"])
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -136,21 +137,18 @@ def _replication_data(config: ExperimentConfig, ints) -> tuple[Dataset, Optional
 
 def _efi_results(config, train, ints, rep_dir):
     layout = build_layout(config, train.d)
-    inv_spec = MlpSpec((train.d + 3, *config.inverse_widths, layout.theta_dim), seed=ints[2])
+    inv_spec = MlpSpec((train.d + 3, *INVERSE_WIDTHS, layout.theta_dim), seed=ints[2])
     trace = nullcontext()
     if config.trace and rep_dir is not None:
         trace = open(os.path.join(rep_dir, "trace_efi.csv"), "w", newline="")
     with trace as trace_fh:
-        chain = run_efi(train, layout, inv_spec, config, ints[2], trace=trace_fh)
-    return chain, layout
+        return run_efi(train, layout, inv_spec, config, ints[2], trace=trace_fh)
 
 
 def _truth_for(iv: PredictionInterval, truth_vec, ate_truth) -> Optional[float]:
     if iv.case == "ATE":
         return ate_truth
-    if truth_vec is None or iv.subject_id < 0:
-        return None
-    return float(truth_vec[iv.subject_id])
+    return None if truth_vec is None else float(truth_vec[iv.subject_id])
 
 
 def run_replication(
@@ -179,13 +177,13 @@ def run_replication(
         ):
             ate_truth = float(train.tau_true[0])
 
-        chain = layout = surfaces = cases = None
-        pehe_value = None
+        chain = surfaces = cases = pehe_value = None
         if "efi" in config.methods:
-            chain, layout = _efi_results(config, train, ints, rep_dir)
-            if config.layout_kind != "linear_ate":
+            chain = _efi_results(config, train, ints, rep_dir)
+            # a constant effect gives ATE intervals, an effect surface ITE ones
+            if chain.layout.tau_spec is not None:
                 # every level's intervals and the PEHE read the same surfaces
-                surfaces = draw_surfaces(chain.draws, layout, test.x, chain.scaler)
+                surfaces = draw_surfaces(chain.draws, chain.layout, test.x, chain.scaler)
                 cases = assign_cases(test, np.random.default_rng(ints[3]))
                 if test.tau_true is not None:
                     pehe_value = pehe(surfaces, test)
@@ -195,8 +193,8 @@ def run_replication(
         for method in config.methods:
             for a_idx, alpha in enumerate(config.alphas):
                 if method == "efi":
-                    if config.layout_kind == "linear_ate":
-                        ivs = [ate_interval(chain, layout, alpha=alpha)]
+                    if surfaces is None:
+                        ivs = [ate_interval(chain, alpha=alpha)]
                     else:
                         ivs = ite_intervals(surfaces, test, alpha,
                                             np.random.default_rng([ints[3], a_idx]), cases)
@@ -297,28 +295,24 @@ def summarize(config: ExperimentConfig, reps: list[dict]) -> dict:
             entry["pehe"] = _mean_sd(rep["pehe"] for rep in reps)
             entry["pehe"]["per_replication"] = [{"r": rep["r"], "pehe": rep["pehe"]} for rep in reps]
         methods[method] = entry
-    cfg = asdict(config)
-    for name in ("tau_widths", "c_widths", "inverse_widths", "alphas", "methods"):
-        cfg[name] = list(cfg[name])
-    return {"config": cfg, "replications": config.R, "methods": methods}
+    return {"config": asdict(config), "replications": config.R, "methods": methods}
 
 
 def _rep_worker(args):
-    rep = run_replication(*args)
+    """Replication r, which writes its intervals.csv to rep_dir."""
+    config, r, csv_rows, rep_dir = args
+    os.makedirs(rep_dir, exist_ok=True)
+    rep = run_replication(config, r, csv_rows, rep_dir)
+    write_rows_csv(rep["rows"], os.path.join(rep_dir, "intervals.csv"))
     del rep["chain"]  # summaries need only rows and the PEHE; keep draws out of pickling
     return rep
 
 
-def _rep_dir(config: ExperimentConfig, r: int) -> str:
-    return os.path.join(config.outdir, f"rep_{r:03d}")
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
-    """Run all replications, write per-replication CSVs and summary JSON."""
+    """Run all replications (each writes its intervals.csv), then the summary JSON."""
     csv_rows = read_csv_rows(config)
-    jobs = [(config, r, csv_rows, _rep_dir(config, r)) for r in range(config.R)]
-    for *_, rep_dir in jobs:
-        os.makedirs(rep_dir, exist_ok=True)
+    jobs = [(config, r, csv_rows, os.path.join(config.outdir, f"rep_{r:03d}"))
+            for r in range(config.R)]
     if workers > 1 and config.R > 1:
         from multiprocessing import get_context  # only a pooled run pays its import
 
@@ -326,9 +320,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
             reps = pool.map(_rep_worker, jobs)
     else:
         reps = [_rep_worker(job) for job in jobs]
-    reps.sort(key=lambda rep: rep["r"])
-    for rep in reps:
-        write_rows_csv(rep["rows"], os.path.join(_rep_dir(config, rep["r"]), "intervals.csv"))
     summary = summarize(config, reps)
     with open(os.path.join(config.outdir, "summary.json"), "w") as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=2))

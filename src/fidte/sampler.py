@@ -146,7 +146,8 @@ def head_mask(spec: MlpSpec, layout: ThetaLayout) -> np.ndarray:
 class FiducialChain:
     """Recorded draws of one run.
 
-    draws rows are theta_bar in the solve's (standardized) parameterization;
+    draws rows are theta_bar in the solve's (standardized) parameterization,
+    slotted by layout, the run's ThetaLayout, so a chain is read alone.
     sigmas is exp of the log-sigma slot per draw, also solve-space.  scaler
     maps back to data units.
     """
@@ -154,6 +155,7 @@ class FiducialChain:
     draws: np.ndarray
     energies: np.ndarray
     scaler: Standardizer
+    layout: ThetaLayout
 
     @property
     def n_draws(self) -> int:
@@ -161,8 +163,7 @@ class FiducialChain:
 
     @property
     def sigmas(self) -> np.ndarray:
-        # log sigma is the last theta slot (ThetaLayout.log_sigma_index)
-        return np.exp(self.draws[:, -1])
+        return np.exp(self.draws[:, self.layout.log_sigma_index])
 
 
 def _group_w_rates(
@@ -321,4 +322,4 @@ def run_efi(
             draws[i] = er.theta_bar
             energies[i] = er.total
 
-    return FiducialChain(draws=draws, energies=energies, scaler=scaler)
+    return FiducialChain(draws=draws, energies=energies, scaler=scaler, layout=layout)

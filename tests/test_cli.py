@@ -13,6 +13,7 @@ import fidte.runner
 from fidte import cli
 from fidte.config import PRESETS, ExperimentConfig, preset_config
 from fidte.datagen import GenSpec, generate, save_dataset_csv
+from fidte.engine import ThetaLayout
 from fidte.runner import (
     _rep_worker,
     _replication_data,
@@ -108,6 +109,19 @@ def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch, capsys):
     assert scores["efi"]["0.05"]["ATE"]["n"] == 1
 
 
+def test_simulate_rejects_a_csv_config(tmp_path, capsys):
+    # a csv config has no design to draw from: one error line, exit status 2
+    cfg = tmp_path / "csv.yaml"
+    cfg.write_text(f"csv: {tmp_path / 'd.csv'}\ncsv_schema: {{y: y, t: t, x: [x1]}}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "fidte: error: simulate needs a design-based config, not a csv one\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_truth_less_csv_run_scores_length_only(tmp_path):
     # a csv file without the simulation's truth columns: nothing to cover
     full = tmp_path / "full.csv"
@@ -149,10 +163,32 @@ def test_fit_runs_the_sampler_once(tmp_path, monkeypatch, capsys):
     assert len(read_rows(tmp_path / "out" / "intervals.csv")) == 1 + 12
 
 
-def test_pool_results_carry_no_chain():
+def test_pool_results_carry_no_chain(tmp_path):
     cfg = preset_config("linear_ate_n250", n_train=20, k_burn=2, m_keep=2, thin=1, n_batches=1)
-    rep = _rep_worker((cfg, 0, None, None))
+    rep = _rep_worker((cfg, 0, None, str(tmp_path / "rep_000")))
     assert set(rep) == {"r", "rows", "pehe"}
+    assert (tmp_path / "rep_000" / "intervals.csv").is_file()
+
+
+def test_finished_replications_keep_their_files_when_a_later_one_fails(tmp_path, monkeypatch):
+    # each replication writes its intervals.csv where it ran, as it finishes
+    real = fidte.runner.run_replication
+
+    def failing_second(config, r, *args):
+        if r == 1:
+            raise RuntimeError("replication 1: energy diverged at iteration 3: inf")
+        return real(config, r, *args)
+
+    monkeypatch.setattr(fidte.runner, "run_replication", failing_second)
+    cfg = preset_config("linear_ate_n250", R=3, n_train=20, k_burn=2, m_keep=2, thin=1,
+                        n_batches=1, outdir=str(tmp_path / "out"))
+    with pytest.raises(RuntimeError, match="^replication 1: "):
+        fidte.runner.run_experiment(cfg)
+    alone = tmp_path / "alone.csv"
+    write_rows_csv(real(cfg, 0, None)["rows"], alone)
+    assert (tmp_path / "out" / "rep_000" / "intervals.csv").read_bytes() == alone.read_bytes()
+    assert not (tmp_path / "out" / "rep_001" / "intervals.csv").exists()
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def cli_import_loads(module, then=""):
@@ -206,7 +242,8 @@ def test_chain_csv_is_what_csv_writer_writes(tmp_path):
     draws = rng.standard_normal((25, 6)) * np.logspace(-300, 300, 6)
     draws[:, -1] = rng.standard_normal(25)
     draws[0, :3] = (-0.0, 1.0, 1e16)
-    chain = FiducialChain(draws=draws, energies=1e5 * rng.random(25), scaler=IDENTITY_SCALER)
+    chain = FiducialChain(draws=draws, energies=1e5 * rng.random(25), scaler=IDENTITY_SCALER,
+                          layout=ThetaLayout(4))  # theta_dim 6, log sigma last
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
         wr = csv.writer(fh)

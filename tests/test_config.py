@@ -24,7 +24,7 @@ def test_paper_scale_is_a_load_directive_not_a_field(tmp_path, capsys):
     # paper_scale chooses a preset's budgets at load; the config keeps the
     # budgets it chose, not the directive
     names = [f.name for f in fields(ExperimentConfig)]
-    assert len(names) == 22 and "paper_scale" not in names
+    assert len(names) == 21 and "paper_scale" not in names
     with pytest.raises(TypeError, match="paper_scale"):
         ExperimentConfig(design="linear_ate", paper_scale=True)
     full = PRESETS["linear_ate_n250"]["k_burn"]
@@ -70,6 +70,42 @@ def test_out_scale_is_an_unknown_field(tmp_path):
         # a Python caller's keyword override gets the same check as a file key
         with pytest.raises(ValueError, match=f"^{name}: unknown config field$"):
             preset_config("example1", **{name: value})
+
+
+def test_inverse_widths_is_an_unknown_field(tmp_path, capsys):
+    # every run's inverse network has the hidden widths runner.INVERSE_WIDTHS
+    for head in ("preset: example1\n", "design: linear_ate\n"):
+        path = write_yaml(tmp_path, f"{head}inverse_widths: [90, 30]\n")
+        with pytest.raises(ValueError, match="^inverse_widths: unknown config field$"):
+            load_config(path)
+    with pytest.raises(ValueError, match="^inverse_widths: unknown config field$"):
+        preset_config("example1", inverse_widths=(90, 30))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--config", path, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "fidte: error: inverse_widths: unknown config field\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["yaml-syntax", "directory"])
+def test_config_file_that_cannot_be_read_or_parsed_is_one_error_line(tmp_path, capsys, case):
+    # a YAML syntax error or a path that is no readable file is named on one
+    # stderr line with exit status 2, not a traceback
+    if case == "yaml-syntax":
+        path = write_yaml(tmp_path, "eta: [1")
+        message = f"config file {path} is not valid YAML: while parsing a flow sequence"
+    else:
+        path = str(tmp_path)
+        message = f"config file {path}: Is a directory"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        load_config(path)
+    for command in ("simulate", "fit", "benchmark"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", path, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fidte: error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_layout_kind_is_rejected():
@@ -144,7 +180,6 @@ def test_scalar_that_does_not_convert_is_rejected_at_load(tmp_path, line, messag
     [
         ("eps: 0", "eps: must be positive, got 0.0"),
         ("eta: -1", "eta: must be nonnegative, got -1.0"),
-        ("inverse_widths: []", "inverse_widths: need hidden layers of width >= 1, got []"),
         ("tau_widths: [10, 0]", "tau_widths: need hidden layers of width >= 1, got [10, 0]"),
         ("seed: -1", "seed: must be nonnegative"),
         # a repeat would write its rows twice, and the summary would score them as one

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,25 @@ def test_theta_bar_is_mean_of_rows(rng):
 
 
 # ---------------------------------------------------------------- layouts
+
+
+@pytest.mark.parametrize(
+    "layout, inverse_widths, message",
+    [
+        (linear_layout(), (4, 5, 5), "inverse network input width 4 != d + 3 = 5"),
+        (linear_layout(), (5, 5, 6), "inverse network output width 6 != theta dim 5"),
+        (tau_net_layout(d=3), (5, 5, 21), "surface network input width 3 != d = 2"),
+        (linear_layout(d=3), (5, 5, 6), "linear surface has 4 coefficients, data needs 3"),
+    ],
+    ids=["inverse-input", "inverse-output", "surface-input", "linear-coefficients"],
+)
+def test_energy_gradients_name_a_width_mismatch(layout, inverse_widths, message):
+    # rows of d = 2 covariates against an inverse net or a layout of another width
+    rng = np.random.default_rng(0)
+    data = random_dataset(rng, d=2)
+    w = mlp_init(MlpSpec(inverse_widths, seed=0))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        energy_gradients(w, solve_rows(data, layout), rng.standard_normal(data.n), 1.0, layout)
 
 
 def test_layout_dims():

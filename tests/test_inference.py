@@ -25,12 +25,13 @@ from conftest import IDENTITY_SCALER, per_draw_chain_surfaces, per_subject_ite_i
 LINEAR = ThetaLayout(5)  # linear_ate with d = 4
 
 
-def make_chain(draws: np.ndarray, scaler=IDENTITY_SCALER) -> FiducialChain:
+def make_chain(draws: np.ndarray, scaler=IDENTITY_SCALER, layout=LINEAR) -> FiducialChain:
     draws = np.atleast_2d(draws)
     return FiducialChain(
         draws=draws,
         energies=np.zeros(draws.shape[0]),
         scaler=scaler,
+        layout=layout,
     )
 
 
@@ -39,7 +40,7 @@ def const_chain(theta: np.ndarray, m: int) -> FiducialChain:
 
 
 def surfaces(chain: FiducialChain, test: Dataset):
-    return draw_surfaces(chain.draws, LINEAR, test.x, chain.scaler)
+    return draw_surfaces(chain.draws, chain.layout, test.x, chain.scaler)
 
 
 def toy_test_set(n: int, seed: int = 0, d: int = 4) -> Dataset:
@@ -68,7 +69,7 @@ def ate_chain(samples) -> FiducialChain:
 def test_quantile_median_of_ranks():
     # endpoints interpolate linearly between ranks: the 1/4 and 3/4 points of
     # 1..100 sit at positions 24.75 and 74.25
-    iv = ate_interval(ate_chain(np.arange(1.0, 101.0)), LINEAR, alpha=0.5)
+    iv = ate_interval(ate_chain(np.arange(1.0, 101.0)), alpha=0.5)
     assert (iv.lower, iv.upper) == (pytest.approx(25.75), pytest.approx(75.25))
 
 
@@ -76,16 +77,16 @@ def test_quantile_extremes_are_min_max(rng):
     s = rng.standard_normal(31)
     chain = ate_chain(s)
     for alpha in (0.05, 0.5):
-        iv = ate_interval(chain, LINEAR, alpha=alpha)
+        iv = ate_interval(chain, alpha=alpha)
         assert s.min() <= iv.lower <= iv.upper <= s.max()
-    iv = ate_interval(chain, LINEAR, alpha=1e-12)
+    iv = ate_interval(chain, alpha=1e-12)
     assert iv.lower == pytest.approx(s.min()) and iv.upper == pytest.approx(s.max())
 
 
 def test_quantile_matches_sort_oracle(rng):
     s = rng.standard_normal(137)
     v = np.sort(s)
-    iv = ate_interval(ate_chain(s), LINEAR, alpha=0.05)
+    iv = ate_interval(ate_chain(s), alpha=0.05)
     for q, got in ((0.025, iv.lower), (0.975, iv.upper)):
         pos = q * (len(s) - 1)
         lo = int(np.floor(pos))
@@ -95,9 +96,9 @@ def test_quantile_matches_sort_oracle(rng):
 
 def test_quantile_rejects_bad_input():
     with pytest.raises(ValueError, match="empty"):
-        ate_interval(ate_chain([]), LINEAR)
+        ate_interval(ate_chain([]))
     with pytest.raises(ValueError):
-        ate_interval(ate_chain([1.0, 2.0]), LINEAR, alpha=1.5)
+        ate_interval(ate_chain([1.0, 2.0]), alpha=1.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,7 +110,7 @@ def test_quantile_rejects_bad_input():
 def test_quantile_monotone_in_q(qa, qb, seed):
     # a smaller alpha reaches further into both tails
     chain = ate_chain(np.random.default_rng(seed).standard_normal(25))
-    small, large = (ate_interval(chain, LINEAR, alpha=a) for a in sorted((qa, qb)))
+    small, large = (ate_interval(chain, alpha=a) for a in sorted((qa, qb)))
     assert small.lower <= large.lower and large.upper <= small.upper
 
 
@@ -179,16 +180,19 @@ def test_kernel_rejects_a_level_outside_the_unit_interval(levels):
 def test_ate_interval_constant_draws():
     # tau' = 0.5 means a 0-to-1 contrast of exactly 1
     theta = np.array([0.5, 1.0, 0.0, 0.0, 0.0, 0.0, np.log(0.5)])
-    iv = ate_interval(const_chain(theta, 200), LINEAR, alpha=0.05)
+    iv = ate_interval(const_chain(theta, 200), alpha=0.05)
     assert iv.lower == iv.upper == pytest.approx(1.0)
     assert iv.case == "ATE"
 
 
 def test_ate_interval_rejects_wrong_layout():
     layout = ThetaLayout(3, MlpSpec((2, 4, 1), seed=0))
-    chain = const_chain(np.zeros(layout.theta_dim), 10)
+    # the chain's own layout says whether it has a constant effect
+    chain = make_chain(np.zeros((10, layout.theta_dim)), layout=layout)
     with pytest.raises(ValueError, match="linear_ate"):
-        ate_draws(chain, layout)
+        ate_draws(chain)
+    with pytest.raises(ValueError, match="linear_ate"):
+        ate_interval(chain)
 
 
 def test_prediction_interval_validation():
@@ -317,9 +321,9 @@ def test_chain_surfaces_equal_per_draw_surfaces(kind):
     scaler = Standardizer(x_mean=rng.standard_normal(4), x_std=0.5 + rng.random(4),
                           y_mean=1.3, y_std=2.1)
     # network blocks hold weights times 25, so these weights are O(1)
-    chain = make_chain(10.0 * rng.standard_normal((40, layout.theta_dim)), scaler)
+    chain = make_chain(10.0 * rng.standard_normal((40, layout.theta_dim)), scaler, layout)
     x = rng.standard_normal((17, 4))
-    got = draw_surfaces(chain.draws, layout, x, chain.scaler)
+    got = draw_surfaces(chain.draws, chain.layout, x, chain.scaler)
     want = per_draw_chain_surfaces(chain, layout, x)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
