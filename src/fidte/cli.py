@@ -9,11 +9,15 @@ Subcommands:
   report     re-score an existing intervals.csv
 
 simulate, fit, cqr and benchmark accept --config (a YAML file or a preset
-name), --seed, --out, --paper-scale and --workers.  simulate and fit handle
-one replication, so they say on stderr that they ignore --workers above 1.
-report takes the intervals.csv path and --out only.  A bad config, a config
-file that cannot be read or parsed, and a csv config given to simulate each
-exit 2 with one stderr line, "fidte: error: <message>".
+name), --seed, --out, --paper-scale and --workers.  The config's data source
+chooses the model: a design fits its own, a csv file the linear_ate model.
+simulate and fit handle one replication, so they say on stderr that they
+ignore --workers above 1.  report takes the intervals.csv path and --out
+only.  A bad config, a config file that cannot be read or parsed, a csv
+config given to simulate, and a csv data file or intervals.csv that cannot
+be read as one each exit 2 with one stderr line, "fidte: error: <message>",
+before any output directory is made; an error raised inside a replication
+keeps its traceback.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 from .config import PRESETS, VALID_METHODS, ExperimentConfig, load_config, preset_config
 from .datagen import save_dataset_csv
 from .runner import (
+    InputFileError,
     _replication_data,
     read_csv_rows,
     replication_ints,
@@ -40,7 +45,7 @@ from .runner import (
 
 
 def _fail(message: str):
-    """A config error: one stderr line, exit status 2."""
+    """A config or input-file error: one stderr line, exit status 2."""
     print(f"fidte: error: {message}", file=sys.stderr)
     raise SystemExit(2) from None
 
@@ -106,8 +111,9 @@ def cmd_fit(args) -> int:
             file=sys.stderr,
         )
     cfg = replace(cfg, methods=("efi",))
+    csv_rows = read_csv_rows(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
-    rep = run_replication(cfg, 0, read_csv_rows(cfg), rep_dir=cfg.outdir)
+    rep = run_replication(cfg, 0, csv_rows, rep_dir=cfg.outdir)
     chain = rep["chain"]
     write_chain_csv(chain, os.path.join(cfg.outdir, "chain.csv"))
     write_rows_csv(rep["rows"], os.path.join(cfg.outdir, "intervals.csv"))
@@ -216,7 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputFileError as e:
+        _fail(str(e))
 
 
 if __name__ == "__main__":

@@ -1,22 +1,23 @@
 """Experiment configuration: presets, config files, validation.
 
 ExperimentConfig is the one description of a run: the data source
-(simulation design or CSV), the model layout, the sampler's eps, eta and
-budgets, the methods to run, and the output location.  The runner hands it
-to sampler.run_efi as it is; no second config is derived from it.  Presets
-carry the published constants for the simulation studies except the
-step-size schedules: the sampler holds each step constant at an anchor it
-measures at its start state, so no step size is settable.  What no run
+(simulation design or CSV), the effect network's widths, the sampler's eps,
+eta and budgets, the methods to run, and the output location.  The runner
+hands it to sampler.run_efi as it is; no second config is derived from it.
+The model follows the data source: DESIGN_SURFACES names the surfaces each
+design's model learns with a network, a csv config fits the linear_ate
+model, and runner.build_layout turns config.surfaces into an
+engine.ThetaLayout.  Presets carry the published constants for the
+simulation studies except the step-size schedules: the sampler holds each
+step constant at an anchor it measures at its start state.  What no run
 varies is a constant: the sampler's momentum and early weight clip, the
-inverse network's hidden widths, and the CQR fits' Adam steps and rate (see
-sampler, runner.INVERSE_WIDTHS and cqr).  A preset's iteration
-budgets are halved at load time unless paper_scale, a load directive and not
-a field, asks for the full budgets (--paper-scale).  Every check on a config
-value is made when the config is built, so a bad value fails under every
-subcommand before any data is drawn or sampler run, with a message naming
-its field.  LAYOUT_GROUPS is the table of layout kinds and
-the surfaces each learns with a network; runner.build_layout turns a kind
-into the engine.ThetaLayout it stands for.
+inverse and control networks' hidden widths (runner.INVERSE_WIDTHS and
+runner.C_WIDTHS), and the CQR fits' Adam steps and rate.  A preset's
+iteration budgets are halved at load time unless paper_scale, a load
+directive and not a field, asks for the full budgets (--paper-scale).  Every
+check on a config value is made when the config is built, so a bad value
+fails under every subcommand before any data is drawn or sampler run, with a
+message naming its field.
 """
 
 from __future__ import annotations
@@ -28,36 +29,33 @@ from typing import Optional
 import yaml
 
 VALID_METHODS = ("efi", "cqr-naive", "cqr-exact", "cqr-inexact")
-VALID_DESIGNS = ("linear_ate", "example1", "example2")
 
 # iteration-budget fields subject to desk-scale halving
 _BUDGET_FIELDS = ("k_burn", "m_keep", "init_iters")
 
-# The surfaces, tau(x) and c(x), each layout_kind learns with a network; a
-# surface not named is linear (c) or constant (tau).
-LAYOUT_GROUPS = {
-    "linear_ate": (),
-    "dnn_tau_linear_c": ("tau",),
-    "dnn_both": ("tau", "c"),
-}
+# The surfaces, tau(x) and c(x), each design's model learns with a network;
+# a surface not named is linear (c) or constant (tau).  The keys are the
+# designs datagen.generate draws from.
+DESIGN_SURFACES = {"linear_ate": (), "example1": ("tau",), "example2": ("tau", "c")}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark run, fully specified.
 
-    Either design (with n_train / n_test) or csv + csv_schema must be set;
-    a csv config has no test set, so it runs EFI on the linear_ate layout
-    only, and its rows are the file's (a config file or preset override that
-    gives it n_train or n_test is rejected).  k_burn / m_keep / init_iters
-    are the counts actually run; presets fill them at the requested scale.
-    n_batches is the weight-update minibatch count per epoch (batch size =
-    rows // n_batches, rows being n_train or the csv file's; 1 = full
-    batch).  eps is the noise budget and eta the consensus weight; the
-    step sizes, the latent momentum and the weight clip are not fields (see
-    sampler).  tau_widths and c_widths are the hidden widths of the
-    effect and control networks, read only by a layout that has them; the
-    inverse network's are runner.INVERSE_WIDTHS, not a field.
+    Either design (with n_train / n_test) or csv + csv_schema must be set.
+    The data source chooses the model (surfaces).  A csv config has no test
+    set, so it fits the linear_ate model, and its rows are the file's (a
+    config file or preset override that gives it n_train or n_test is
+    rejected).  k_burn / m_keep / init_iters are the counts actually run;
+    presets fill them at the requested scale.  n_batches is the
+    weight-update minibatch count per epoch (batch size = rows // n_batches,
+    rows being n_train or the csv file's; 1 = full batch).  eps is the noise
+    budget and eta the consensus weight; the step sizes, the latent momentum
+    and the weight clip are not fields (see sampler).  tau_widths are the
+    hidden widths of the effect network, read only by a model that has one;
+    the control and inverse networks' are runner.C_WIDTHS and
+    runner.INVERSE_WIDTHS, not fields.
     """
 
     design: Optional[str] = None
@@ -66,9 +64,7 @@ class ExperimentConfig:
     R: int = 1
     n_train: int = 250
     n_test: int = 0
-    layout_kind: str = "linear_ate"
     tau_widths: tuple = (10, 10)
-    c_widths: tuple = (10, 10)
     eta: float = 500.0
     eps: float = 0.1
     k_burn: int = 5000
@@ -85,25 +81,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.design is None) == (self.csv is None):
             raise ValueError("config needs exactly one of design or csv")
-        if self.design is not None and self.design not in VALID_DESIGNS:
-            raise ValueError(
-                f"design: unknown design {self.design!r}, expected one of {VALID_DESIGNS}"
-            )
+        if self.design is not None and self.design not in DESIGN_SURFACES:
+            raise ValueError(f"design: unknown design {self.design!r}, "
+                             f"expected one of {tuple(DESIGN_SURFACES)}")
         if self.csv is not None and not {"y", "t", "x"} <= set(self.csv_schema or {}):
             raise ValueError("csv_schema: a csv config needs a mapping with keys y, t and x")
-        if self.layout_kind not in LAYOUT_GROUPS:
-            raise ValueError(
-                f"layout_kind: unknown layout {self.layout_kind!r}, "
-                f"expected one of {sorted(LAYOUT_GROUPS)}"
-            )
         if not self.eps > 0:
             raise ValueError(f"eps: must be positive, got {self.eps}")
         if self.eta < 0:
             raise ValueError(f"eta: must be nonnegative, got {self.eta}")
-        for name in ("tau_widths", "c_widths"):
-            widths = list(getattr(self, name))
-            if not widths or min(widths) < 1:
-                raise ValueError(f"{name}: need hidden layers of width >= 1, got {widths}")
+        if not self.tau_widths or min(self.tau_widths) < 1:
+            raise ValueError(f"tau_widths: need hidden layers of width >= 1, "
+                             f"got {list(self.tau_widths)}")
         if self.R < 1:
             raise ValueError(f"R: must be >= 1, got {self.R}")
         if not self.methods:
@@ -111,22 +100,13 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ValueError(f"methods: unknown method {m!r}, expected subset of {VALID_METHODS}")
-        needs_test = self.layout_kind != "linear_ate" or any(m != "efi" for m in self.methods)
-        if needs_test and self.n_test < 1 and self.design is not None:
-            raise ValueError(
-                "n_test: covariates-only methods and individual-effect layouts "
-                "need a test set (n_test >= 1)"
-            )
-        if self.csv is not None:
+        cqr = [m for m in self.methods if m != "efi"]
+        if cqr and self.csv is not None:
             # a csv file is the training set; nothing supplies a test set
-            cqr = [m for m in self.methods if m != "efi"]
-            if cqr:
-                raise ValueError(f"methods: {cqr} need a test set, which a csv config lacks")
-            if self.layout_kind != "linear_ate":
-                raise ValueError(
-                    f"layout_kind: {self.layout_kind} gives individual-effect intervals, "
-                    "which need a test set; a csv config supports linear_ate only"
-                )
+            raise ValueError(f"methods: {cqr} need a test set, which a csv config lacks")
+        if (cqr or self.surfaces) and self.design is not None and self.n_test < 1:
+            raise ValueError("n_test: covariates-only methods and individual-effect models "
+                             "need a test set (n_test >= 1)")
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError(f"alphas: levels must lie in (0, 1), got {self.alphas}")
         for name in ("alphas", "methods"):
@@ -146,9 +126,14 @@ class ExperimentConfig:
         if self.thin < 1:
             raise ValueError(f"thin: must be >= 1, got {self.thin}")
         if "efi" in self.methods and self.m_keep < self.thin:
-            raise ValueError(
-                f"m_keep: {self.m_keep} kept iterations at thin {self.thin} record no draws"
-            )
+            raise ValueError(f"m_keep: {self.m_keep} kept iterations at thin {self.thin} "
+                             "record no draws")
+
+    @property
+    def surfaces(self) -> tuple:
+        """The surfaces this run's model learns with a network: its design's
+        DESIGN_SURFACES entry, or none for a csv config."""
+        return () if self.design is None else DESIGN_SURFACES[self.design]
 
 
 # Published constants per study (no step sizes, see the module docstring).
@@ -158,32 +143,24 @@ PRESETS = {
     **{
         f"linear_ate_n{n}": dict(
             design="linear_ate", R=20, n_train=n, n_test=0,
-            layout_kind="linear_ate",
             eta=500.0, eps=0.1, k_burn=5000, m_keep=50000, n_batches=5,
             init_iters=0, methods=("efi",),
         )
         for n in (250, 500, 1000)
     },
-    "example1": dict(
-        design="example1", R=20, n_train=500, n_test=1000,
-        layout_kind="dnn_tau_linear_c", tau_widths=(10, 10),
-        eta=10.0, eps=0.1, k_burn=20000, m_keep=50000, n_batches=5,
-        init_iters=5000,
-        methods=("efi", "cqr-naive", "cqr-exact", "cqr-inexact"),
-    ),
-    "example2": dict(
-        design="example2", R=20, n_train=1000, n_test=1000,
-        layout_kind="dnn_both", tau_widths=(10, 10), c_widths=(10, 10),
-        eta=10.0, eps=0.1, k_burn=20000, m_keep=50000, n_batches=5,
-        init_iters=5000,
-        methods=("efi", "cqr-naive", "cqr-exact", "cqr-inexact"),
-    ),
+    # the two nonlinear studies differ in their design and n_train only
+    **{
+        design: dict(
+            design=design, R=20, n_train=n_train, n_test=1000, tau_widths=(10, 10),
+            eta=10.0, eps=0.1, k_burn=20000, m_keep=50000, n_batches=5,
+            init_iters=5000, methods=VALID_METHODS,
+        )
+        for design, n_train in (("example1", 500), ("example2", 1000))
+    },
 }
 
 # element type of each list field
-_TUPLE_FIELDS = {
-    "tau_widths": int, "c_widths": int, "alphas": float, "methods": str,
-}
+_TUPLE_FIELDS = {"tau_widths": int, "alphas": float, "methods": str}
 _FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
 _SCALAR_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
@@ -232,9 +209,7 @@ def _coerce(name: str, value):
             raise ValueError(f"{name}: expected a list, got {type(value).__name__}")
         return tuple(_scalar(name, _TUPLE_FIELDS[name], v) for v in value)
     if name == "csv_schema":
-        if not isinstance(value, dict):
-            raise ValueError(f"{name}: expected a mapping with keys y, t, x")
-        return value
+        return _csv_schema(value)
     declared = _FIELD_TYPES[name].type
     if declared.startswith("Optional["):
         if value is None:
@@ -243,13 +218,27 @@ def _coerce(name: str, value):
     return _scalar(name, _SCALAR_TYPES[declared], value)
 
 
+def _csv_schema(value) -> dict:
+    """A csv_schema value as {y: column, t: column, x: [columns]}, or a
+    ValueError; a lone x column is a one-item list, as for the tuple fields."""
+    if not isinstance(value, dict) or set(value) != {"y", "t", "x"}:
+        raise ValueError(f"csv_schema: expected a mapping with keys y, t and x, got {value!r}")
+    for key in ("y", "t"):
+        if not isinstance(value[key], str):
+            raise ValueError(f"csv_schema: {key} must be a column name, got {value[key]!r}")
+    x = [value["x"]] if isinstance(value["x"], str) else value["x"]
+    if not (isinstance(x, (list, tuple)) and x and all(isinstance(c, str) for c in x)):
+        raise ValueError(f"csv_schema: x must be one or more column names, got {value['x']!r}")
+    return {"y": value["y"], "t": value["t"], "x": list(x)}
+
+
 def _reject_unread_keys(cfg: ExperimentConfig, given) -> ExperimentConfig:
-    """cfg, unless one of the given keys sets a value its run never reads: a
-    width field for a network its layout lacks, or a row count of a csv
+    """cfg, unless one of the given keys sets a value its run never reads:
+    tau_widths for a model with no tau network, or a row count of a csv
     config, whose rows are its file's."""
-    for surface in ("tau", "c"):
-        if f"{surface}_widths" in given and surface not in LAYOUT_GROUPS[cfg.layout_kind]:
-            raise ValueError(f"{surface}_widths: layout {cfg.layout_kind} has no {surface} network")
+    if "tau_widths" in given and "tau" not in cfg.surfaces:
+        source = f"design {cfg.design}" if cfg.csv is None else f"csv file {cfg.csv}"
+        raise ValueError(f"tau_widths: the model of {source} has no tau network")
     if cfg.csv is not None:
         for name in ("n_train", "n_test"):
             if name in given:
@@ -262,8 +251,8 @@ def _reject_unread_keys(cfg: ExperimentConfig, given) -> ExperimentConfig:
 def preset_config(name: str, paper_scale: bool = False, **overrides) -> ExperimentConfig:
     """Expand a named preset into a config at the requested scale; each
     override is coerced as a YAML key is, and one that names no config field
-    fails, as does one the run would ignore: a width for a network the
-    layout lacks, or n_train or n_test on a csv config."""
+    fails, as does one the run would ignore: tau_widths for a model with no
+    tau network, or n_train or n_test on a csv config."""
     if name not in PRESETS:
         raise ValueError(f"preset: unknown preset {name!r}, expected one of {sorted(PRESETS)}")
     values = dict(PRESETS[name])
@@ -278,9 +267,9 @@ def preset_config(name: str, paper_scale: bool = False, **overrides) -> Experime
 def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConfig:
     """Read a YAML config file, expanding its preset if one is named.
 
-    File keys override preset values; a tau_widths or c_widths key for a
-    network the layout lacks, and an n_train or n_test key on a csv config,
-    are rejected, as is a file that cannot be read or is not valid YAML.
+    File keys override preset values; a tau_widths key for a model with no
+    tau network, and an n_train or n_test key on a csv config, are rejected,
+    as is a file that cannot be read or is not valid YAML.
     paper_scale, when not None, overrides the file's own (the --paper-scale
     flag); a file with no preset rejects either.
     """

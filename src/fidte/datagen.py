@@ -3,40 +3,27 @@
 Every design draws both potential outcomes with independent noise per arm,
 records the observed arm's latent draw as z_true, and satisfies
 y = c(x) + tau_true * t + z_true exactly for its control surface c(x)
-(noise scale 1 throughout).
+(noise scale 1 throughout).  generate draws from a design by name; the same
+names key config.DESIGN_SURFACES, so the design also chooses the model a run
+fits to its data.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .engine import TRUTH_COLUMNS, Dataset
 from .nn import sigmoid
 
-DESIGNS = ("linear_ate", "example1", "example2")
-
 # covariate width of the linear_ate design
 LINEAR_ATE_D = 4
 
 # E s(U) for U uniform on [0, 1] is exactly 1: s(u) + s(1 - u) = 2
 S_MEAN = 1.0
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    design: str
-    n: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.design not in DESIGNS:
-            raise ValueError(f"unknown design {self.design!r}, expected one of {DESIGNS}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
 
 
 def beta_cdf(x, a: int, b: int):
@@ -99,15 +86,14 @@ def _assemble(x, t, c, tau, z0, z1) -> Dataset:
     )
 
 
-def gen_linear_ate(spec: GenSpec) -> Dataset:
+def gen_linear_ate(n: int, seed: int) -> Dataset:
     """LINEAR_ATE_D Gaussian covariates, constant effect 1, logistic assignment.
 
     y = tau t + mu + x beta + z with tau = mu = 1, beta alternating (-1, 1, ...),
     P(T=1|x) = logistic(1 + x xi) with xi = beta.
     """
     d = LINEAR_ATE_D
-    n = spec.n
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     coef = np.array([(-1.0) ** j for j in range(1, d + 1)])
     x = rng.standard_normal((n, d))
     p = sigmoid(1.0 + x @ coef)
@@ -118,34 +104,35 @@ def gen_linear_ate(spec: GenSpec) -> Dataset:
     return _assemble(x, t, c, np.ones(n), z0, z1)
 
 
-def _gen_nonlinear(spec: GenSpec, c_of, d: int) -> Dataset:
-    rng = np.random.default_rng(spec.seed)
-    x = rng.random((spec.n, d))
+def _gen_nonlinear(n: int, seed: int, c_of, d: int) -> Dataset:
+    """Uniform covariates on [0,1]^d, control surface c_of(x), the nonlinear
+    effect surface and the bounded propensity, both driven by (x1, x2)."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, d))
     p = nonlinear_propensity(x)
-    t = rng.random(spec.n) < p
-    z0 = rng.standard_normal(spec.n)
-    z1 = rng.standard_normal(spec.n)
+    t = rng.random(n) < p
+    z0 = rng.standard_normal(n)
+    z1 = rng.standard_normal(n)
     return _assemble(x, t, c_of(x), nonlinear_tau(x), z0, z1)
 
 
-def gen_example1(spec: GenSpec) -> Dataset:
-    """Uniform covariates on [0,1]^2, linear control surface 1 + x1 + x2,
-    nonlinear effect surface, bounded propensity."""
-    return _gen_nonlinear(spec, lambda x: 1.0 + x[:, 0] + x[:, 1], d=2)
+# each design's generator (n, seed) -> Dataset, by the name a config gives it:
+# example1 has the linear control surface 1 + x1 + x2 on two covariates, and
+# example2 the nonlinear example2_c on five, whose trailing three are noise
+GENERATORS = {
+    "linear_ate": gen_linear_ate,
+    "example1": partial(_gen_nonlinear, c_of=lambda x: 1.0 + x[:, 0] + x[:, 1], d=2),
+    "example2": partial(_gen_nonlinear, c_of=example2_c, d=5),
+}
 
 
-def gen_example2(spec: GenSpec) -> Dataset:
-    """Uniform covariates on [0,1]^5 with nonlinear control and effect
-    surfaces driven by (x1, x2); trailing covariates are pure noise."""
-    return _gen_nonlinear(spec, example2_c, d=5)
-
-
-def generate(spec: GenSpec) -> Dataset:
-    return {
-        "linear_ate": gen_linear_ate,
-        "example1": gen_example1,
-        "example2": gen_example2,
-    }[spec.design](spec)
+def generate(design: str, n: int, seed: int = 0) -> Dataset:
+    """n rows of the named design, drawn from seed."""
+    if design not in GENERATORS:
+        raise ValueError(f"unknown design {design!r}, expected one of {tuple(GENERATORS)}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    return GENERATORS[design](n, seed)
 
 
 def save_dataset_csv(data: Dataset, path) -> None:

@@ -165,11 +165,12 @@ class ThetaLayout:
     a linear c: the intercept, then k - 1 slopes.  An MlpSpec is a network
     surface, stored as its weights times RESCALE so all inverse-network output
     slots have comparable magnitude.  tau_spec None is a constant effect tau'
-    on t' = 2t - 1.  The config's layout kinds and their slots:
+    on t' = 2t - 1.  Each data source's model (runner.build_layout) and its
+    slots:
 
-        linear_ate        ThetaLayout(d + 1)           [tau', mu', beta, log sigma]
-        dnn_tau_linear_c  ThetaLayout(d + 1, tau net)  [mu, beta, tau net, log sigma]
-        dnn_both          ThetaLayout(c net, tau net)  [c net, tau net, log sigma]
+        linear_ate, csv  ThetaLayout(d + 1)           [tau', mu', beta, log sigma]
+        example1         ThetaLayout(d + 1, tau net)  [mu, beta, tau net, log sigma]
+        example2         ThetaLayout(c net, tau net)  [c net, tau net, log sigma]
 
     c_net and tau_net are the one scratch network of each network surface
     (None otherwise), which every _surface call writes its block into; they

@@ -4,14 +4,17 @@ One experiment = R independent replications.  Each replication draws its own
 dataset (or reuses the CSV one, read once per run), runs every configured
 method, and returns its interval rows, each with the simulation truth it
 should cover, and the PEHE, both read off one engine.draw_surfaces call per
-EFI chain; the chain's layout decides between ATE and ITE intervals.  Each
-replication writes its own intervals.csv as it finishes, so a failure keeps
-the files of those before it.  score_rows is the one scorer of interval rows:
-summary.json is a function of the replications' rows and PEHEs, and
-`fidte report` rescores an intervals.csv with the same code.  Replication
-r derives all of its randomness from a splittable seed sequence keyed by
-(seed, r), so any single replication can be re-run in isolation and workers
-can run them in any order without changing results.
+EFI chain.  The model follows the data source: build_layout turns
+config.surfaces into the chain's layout, and the layout decides between ATE
+and ITE intervals.  Each replication writes its own intervals.csv as it
+finishes, so a failure keeps the files of those before it.  score_rows is
+the one scorer of interval rows: summary.json is a function of the
+replications' rows and PEHEs, and `fidte report` rescores an intervals.csv
+with the same code.  A csv data file or intervals file that cannot be read
+as one raises InputFileError, which the command line reports on one line.
+Replication r derives all of its randomness from a splittable seed sequence
+keyed by (seed, r), so any single replication can be re-run in isolation and
+workers can run them in any order without changing results.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import LAYOUT_GROUPS, ExperimentConfig
+from .config import ExperimentConfig
 from .cqr import cqr_ite
-from .datagen import GenSpec, generate
+from .datagen import generate
 from .engine import TRUTH_COLUMNS, Dataset, ThetaLayout, draw_surfaces
 from .inference import (
     PredictionInterval,
@@ -44,8 +47,14 @@ from .sampler import run_efi
 # part of the model family, not of the per-replication randomness
 TAU_NET_SEED = 5
 C_NET_SEED = 6
-# the inverse network's hidden widths, the same in every run
+# the hidden widths of the inverse network and of a c network, the same in
+# every run that has one
 INVERSE_WIDTHS = (90, 30)
+C_WIDTHS = (10, 10)
+
+
+class InputFileError(ValueError):
+    """A csv data file or intervals file that cannot be read as one."""
 
 
 def _cell(row: dict, col: str, line: int) -> float:
@@ -54,7 +63,15 @@ def _cell(row: dict, col: str, line: int) -> float:
     try:
         return float(raw)
     except (TypeError, ValueError):
-        raise ValueError(f"non-numeric value {raw!r} at line {line}, column {col!r}") from None
+        raise InputFileError(f"non-numeric value {raw!r} at line {line}, column {col!r}") from None
+
+
+def _open(path: str, kind: str):
+    """path opened for reading, or an InputFileError naming it."""
+    try:
+        return open(path, newline="")
+    except OSError as e:
+        raise InputFileError(f"{kind} file {path}: {e.strerror}") from None
 
 
 def load_csv_dataset(path: str, schema: dict) -> Dataset:
@@ -63,21 +80,22 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
     schema maps "y" and "t" to column names and "x" to a list of column
     names, the keys ExperimentConfig requires of a csv_schema.  The
     treatment column must be binary 0/1.  Truth columns a simulated file
-    carries (engine.TRUTH_COLUMNS) are read too, by those names.
+    carries (engine.TRUTH_COLUMNS) are read too, by those names.  A file
+    that does not hold such data raises InputFileError.
     """
     x_cols = list(schema["x"])
-    with open(path, newline="") as fh:
+    with _open(path, "csv") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in [schema["y"], schema["t"], *x_cols] if c not in header]
         if missing:
-            raise ValueError(f"csv file {path} is missing columns {missing}")
+            raise InputFileError(f"csv file {path} is missing columns {missing}")
         truth = {name: [] for name in TRUTH_COLUMNS if name in header}
         xs, ts, ys = [], [], []
         for i, row in enumerate(reader, start=2):  # header is line 1
             tv = _cell(row, schema["t"], i)
             if tv not in (0.0, 1.0):
-                raise ValueError(
+                raise InputFileError(
                     f"treatment column {schema['t']!r} must be binary 0/1, "
                     f"got {tv} at line {i}"
                 )
@@ -87,13 +105,16 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
             for name, col in truth.items():
                 col.append(_cell(row, name, i))
     if not ys:
-        raise ValueError(f"csv file {path} holds no data rows")
-    return Dataset(
-        x=np.array(xs, dtype=np.float64),
-        t=np.array(ts, dtype=np.float64),
-        y=np.array(ys, dtype=np.float64),
-        **{name: np.array(col, dtype=np.float64) for name, col in truth.items()},
-    )
+        raise InputFileError(f"csv file {path} holds no data rows")
+    try:
+        return Dataset(
+            x=np.array(xs, dtype=np.float64),
+            t=np.array(ts, dtype=np.float64),
+            y=np.array(ys, dtype=np.float64),
+            **{name: np.array(col, dtype=np.float64) for name, col in truth.items()},
+        )
+    except ValueError as e:  # e.g. a nan or inf cell
+        raise InputFileError(f"csv file {path}: {e}") from None
 
 
 def read_csv_rows(config: ExperimentConfig) -> Optional[Dataset]:
@@ -109,15 +130,12 @@ def read_csv_rows(config: ExperimentConfig) -> Optional[Dataset]:
 
 
 def build_layout(config: ExperimentConfig, d: int) -> ThetaLayout:
-    """config.layout_kind's ThetaLayout: a network for each surface
-    LAYOUT_GROUPS names."""
-    nets = LAYOUT_GROUPS[config.layout_kind]
-    tau_net = MlpSpec((d, *config.tau_widths, 1), seed=TAU_NET_SEED)
-    c_net = MlpSpec((d, *config.c_widths, 1), seed=C_NET_SEED)
-    return ThetaLayout(
-        c_net if "c" in nets else d + 1,
-        tau_net if "tau" in nets else None,
-    )
+    """The ThetaLayout of config's model on d covariates: a network for each
+    surface in config.surfaces, a linear c and a constant tau otherwise."""
+    nets = config.surfaces
+    c_spec = MlpSpec((d, *C_WIDTHS, 1), seed=C_NET_SEED) if "c" in nets else d + 1
+    tau_spec = MlpSpec((d, *config.tau_widths, 1), seed=TAU_NET_SEED) if "tau" in nets else None
+    return ThetaLayout(c_spec, tau_spec)
 
 
 def replication_ints(seed: int, r: int) -> list[int]:
@@ -128,10 +146,8 @@ def replication_ints(seed: int, r: int) -> list[int]:
 
 def _replication_data(config: ExperimentConfig, ints) -> tuple[Dataset, Optional[Dataset]]:
     # a design config's training and test sets
-    train = generate(GenSpec(config.design, config.n_train, seed=ints[0]))
-    test = None
-    if config.n_test > 0:
-        test = generate(GenSpec(config.design, config.n_test, seed=ints[1]))
+    train = generate(config.design, config.n_train, seed=ints[0])
+    test = generate(config.design, config.n_test, seed=ints[1]) if config.n_test > 0 else None
     return train, test
 
 
@@ -165,16 +181,11 @@ def run_replication(
     ints = replication_ints(config.seed, r)
     try:
         train, test = _replication_data(config, ints) if config.csv is None else (csv_rows, None)
-        truth_vec = None
-        ate_truth = None
+        truth_vec = ate_truth = None
         if test is not None and test.y1 is not None and test.y0 is not None:
             truth_vec = ite_truth(test)
-        if train.tau_true is not None and (
-            config.design == "linear_ate"
-            # a csv file's effect is the linear_ate layout's one effect when
-            # its tau_true column holds a single value
-            or (config.csv is not None and np.all(train.tau_true == train.tau_true[0]))
-        ):
+        # a constant effect is the ATE an ATE interval should cover
+        if train.tau_true is not None and np.all(train.tau_true == train.tau_true[0]):
             ate_truth = float(train.tau_true[0])
 
         chain = surfaces = cases = pehe_value = None
@@ -331,22 +342,22 @@ def rescore(intervals_path: str) -> dict:
     """Re-read an intervals.csv and score each (method, level, case) block.
 
     The covered flag is recomputed from (lower, upper, truth); rows without
-    truth contribute to lengths only.
+    truth contribute to lengths only.  A bad file raises InputFileError.
     """
     groups = {}
-    with open(intervals_path, newline="") as fh:
+    with _open(intervals_path, "intervals") as fh:
         reader = csv.DictReader(fh)
         needed = {"method", "alpha", "case", "lower", "upper", "truth"}
         have = set(reader.fieldnames or [])
         if not needed <= have:
-            raise ValueError(f"intervals file is missing columns {sorted(needed - have)}")
+            raise InputFileError(f"intervals file is missing columns {sorted(needed - have)}")
         for i, row in enumerate(reader, start=2):  # header is line 1
             tv = _cell(row, "truth", i) if row["truth"] != "" else None
             groups.setdefault((row["method"], row["alpha"], row["case"]), []).append(
                 (_cell(row, "lower", i), _cell(row, "upper", i), tv)
             )
     if not groups:
-        raise ValueError(f"intervals file {intervals_path} holds no interval rows")
+        raise InputFileError(f"intervals file {intervals_path} holds no interval rows")
     out = {}
     for (method, alpha, case), triples in sorted(groups.items()):
         out.setdefault(method, {}).setdefault(alpha, {})[case] = score_rows(triples)

@@ -12,7 +12,7 @@ import fidte.cqr
 import fidte.runner
 from fidte import cli
 from fidte.config import PRESETS, ExperimentConfig, preset_config
-from fidte.datagen import GenSpec, generate, save_dataset_csv
+from fidte.datagen import generate, save_dataset_csv
 from fidte.engine import ThetaLayout
 from fidte.runner import (
     _rep_worker,
@@ -125,7 +125,7 @@ def test_simulate_rejects_a_csv_config(tmp_path, capsys):
 def test_truth_less_csv_run_scores_length_only(tmp_path):
     # a csv file without the simulation's truth columns: nothing to cover
     full = tmp_path / "full.csv"
-    save_dataset_csv(generate(GenSpec("linear_ate", 40, seed=4)), full)
+    save_dataset_csv(generate("linear_ate", 40, seed=4), full)
     rows = read_rows(full)
     keep = [j for j, name in enumerate(rows[0]) if name not in ("tau_true", "y0", "y1", "z_true")]
     data = tmp_path / "observed.csv"
@@ -215,7 +215,7 @@ def test_generated_dataset_leaves_numpy_ma_out():
     # its only caller
     assert cli_import_loads("numpy.ma", "np = fidte.cli.np; np.quantile(np.zeros(3), 0.5)")
     assert not cli_import_loads(
-        "numpy.ma", "from fidte.datagen import GenSpec, generate; generate(GenSpec('example1', 50))"
+        "numpy.ma", "from fidte.datagen import generate; generate('example1', 50)"
     )
 
 
@@ -431,7 +431,7 @@ def test_workers_below_one_are_rejected(command, capsys):
 
 def test_csv_n_batches_is_checked_against_the_file_rows(tmp_path, monkeypatch):
     data = tmp_path / "d.csv"
-    save_dataset_csv(generate(GenSpec("linear_ate", 25, seed=1)), data)
+    save_dataset_csv(generate("linear_ate", 25, seed=1), data)
     csv_keys = dict(csv=str(data), csv_schema={"y": "y", "t": "t", "x": ["x1", "x2", "x3", "x4"]},
                     k_burn=2, m_keep=2, thin=1)
     # a csv run ignores n_train, so the config does not check n_batches against it
@@ -452,7 +452,7 @@ def test_csv_n_batches_is_checked_against_the_file_rows(tmp_path, monkeypatch):
 
 def test_csv_file_is_read_once_per_run(tmp_path, monkeypatch):
     data = tmp_path / "d.csv"
-    save_dataset_csv(generate(GenSpec("linear_ate", 30, seed=2)), data)
+    save_dataset_csv(generate("linear_ate", 30, seed=2), data)
     schema = {"y": "y", "t": "t", "x": ["x1", "x2", "x3", "x4"]}
     cfg = ExperimentConfig(csv=str(data), csv_schema=schema, R=3, k_burn=4, m_keep=6, thin=2,
                            n_batches=1, seed=5, outdir=str(tmp_path / "out"))
@@ -487,3 +487,68 @@ def test_pooled_run_writes_what_a_serial_run_writes(tmp_path):
     assert pooled["methods"] == serial["methods"]
     written = json.loads((tmp_path / "pooled" / "summary.json").read_text())
     assert written["methods"] == json.loads((tmp_path / "serial" / "summary.json").read_text())["methods"]
+
+
+# a csv data file fidte cannot use: its text (None for no file, "dir" for a
+# directory in its place) and the error line it gives
+UNUSABLE_DATA = {
+    "missing": (None, "csv file {path}: No such file or directory"),
+    "directory": ("dir", "csv file {path}: Is a directory"),
+    "missing-column": ("x1,t\n0.1,1\n", "csv file {path} is missing columns ['y']"),
+    "non-numeric": ("x1,t,y\n0.1,1,1.5\n0.2,0,oops\n",
+                    "non-numeric value 'oops' at line 3, column 'y'"),
+    "non-binary-t": ("x1,t,y\n0.1,1,1.5\n0.2,2,0.5\n",
+                     "treatment column 't' must be binary 0/1, got 2.0 at line 3"),
+    "non-finite": ("x1,t,y\n0.1,1,1.5\n0.2,0,nan\n",
+                   "csv file {path}: non-finite covariate or outcome values"),
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "benchmark"])
+@pytest.mark.parametrize("case", list(UNUSABLE_DATA))
+def test_unusable_csv_data_file_is_one_error_line(tmp_path, capsys, monkeypatch, command, case):
+    data = tmp_path / "d.csv"
+    text, message = UNUSABLE_DATA[case]
+    if text == "dir":
+        data.mkdir()
+    elif text is not None:
+        data.write_text(text)
+    cfg = tmp_path / "csv.yaml"
+    cfg.write_text(f"csv: {json.dumps(str(data))}\ncsv_schema: {{y: y, t: t, x: [x1]}}\n"
+                   "k_burn: 2\nm_keep: 2\nthin: 1\nn_batches: 1\n")
+    calls = count_efi_calls(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"fidte: error: {message.format(path=data)}\n"
+    assert not (tmp_path / "out").exists() and calls == []
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "missing-columns"])
+def test_unusable_intervals_file_is_one_error_line(tmp_path, capsys, case):
+    path = tmp_path / "intervals.csv"
+    message = {
+        "missing": f"intervals file {path}: No such file or directory",
+        "directory": f"intervals file {path}: Is a directory",
+        "missing-columns": "intervals file is missing columns ['truth', 'upper']",
+    }[case]
+    if case == "directory":
+        path.mkdir()
+    elif case == "missing-columns":
+        path.write_text("method,alpha,case,lower\nefi,0.05,ATE,0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--out", str(tmp_path / "out"), str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"fidte: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_error_inside_a_replication_keeps_its_traceback(tmp_path, monkeypatch):
+    # only a file the command cannot use is one error line; a failing
+    # replication raises as it did
+    def failing(*args, **kwargs):
+        raise ValueError("no draws")
+
+    monkeypatch.setattr(fidte.runner, "run_efi", failing)
+    with pytest.raises(ValueError, match="^replication 0: no draws$"):
+        cli.main(["benchmark", "--config", "linear_ate_n250", "--out", str(tmp_path / "out")])

@@ -1,5 +1,7 @@
+import importlib.util
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ def test_paper_scale_is_a_load_directive_not_a_field(tmp_path, capsys):
     # paper_scale chooses a preset's budgets at load; the config keeps the
     # budgets it chose, not the directive
     names = [f.name for f in fields(ExperimentConfig)]
-    assert len(names) == 21 and "paper_scale" not in names
+    assert len(names) == 19 and "paper_scale" not in names
     with pytest.raises(TypeError, match="paper_scale"):
         ExperimentConfig(design="linear_ate", paper_scale=True)
     full = PRESETS["linear_ate_n250"]["k_burn"]
@@ -108,21 +110,28 @@ def test_config_file_that_cannot_be_read_or_parsed_is_one_error_line(tmp_path, c
         assert not (tmp_path / "out").exists()
 
 
-def test_unknown_layout_kind_is_rejected():
-    with pytest.raises(ValueError, match="layout_kind: unknown layout 'dnn_three'"):
-        preset_config("linear_ate_n250", layout_kind="dnn_three")
+@pytest.mark.parametrize("name, value", [("layout_kind", "dnn_both"), ("c_widths", [10, 10])],
+                         ids=["layout_kind", "c_widths"])
+def test_model_choice_keys_are_unknown_fields(tmp_path, capsys, name, value):
+    # the design chooses the model, and a c network has the widths runner.C_WIDTHS
+    for head in ("preset: example2\n", "design: example2\nn_test: 5\n"):
+        path = write_yaml(tmp_path, f"{head}{name}: {value}\n")
+        with pytest.raises(ValueError, match=f"^{name}: unknown config field$"):
+            load_config(path)
+    with pytest.raises(ValueError, match=f"^{name}: unknown config field$"):
+        preset_config("example2", **{name: value})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--config", path, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"fidte: error: {name}: unknown config field\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_config_without_test_set_is_rejected(tmp_path):
     csv_keys = dict(csv=str(tmp_path / "d.csv"), csv_schema={"y": "y", "t": "t", "x": ["x1"]})
-    ExperimentConfig(**csv_keys)  # EFI on the linear layout needs no test set
+    ExperimentConfig(**csv_keys)  # EFI on the linear model needs no test set
     with pytest.raises(ValueError, match=r"\['cqr-naive'\] need a test set"):
         ExperimentConfig(methods=("efi", "cqr-naive"), **csv_keys)
-    with pytest.raises(ValueError, match="csv config supports linear_ate only"):
-        ExperimentConfig(
-            layout_kind="dnn_tau_linear_c",
-            **csv_keys,
-        )
 
 
 def test_efi_config_recording_no_draws_is_rejected(monkeypatch):
@@ -244,18 +253,81 @@ def test_csv_config_rejects_given_row_counts(tmp_path):
     assert load_config(design).n_test == 5
 
 
-def test_widths_of_a_network_the_layout_lacks_are_rejected(tmp_path):
-    with pytest.raises(ValueError, match="^tau_widths: layout linear_ate has no tau network$"):
+def test_widths_of_a_network_the_layout_lacks_are_rejected(tmp_path, capsys):
+    # tau_widths on a model with no tau network fails at load, naming the data source
+    message = "tau_widths: the model of design linear_ate has no tau network"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         preset_config("linear_ate_n250", tau_widths=(3,))
-    with pytest.raises(ValueError, match="^c_widths: layout linear_ate has no c network$"):
-        preset_config("linear_ate_n250", c_widths=(7,))
-    path = write_yaml(tmp_path, "preset: example1\nc_widths: [50, 50]\n")
-    with pytest.raises(ValueError, match="c_widths: layout dnn_tau_linear_c has no c network"):
-        load_config(path)
     bare = write_yaml(tmp_path, "design: linear_ate\ntau_widths: [4]\n")
-    with pytest.raises(ValueError, match="^tau_widths: layout linear_ate has no tau network$"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         load_config(bare)
-    # widths of networks the layout has load, and the defaults stay as they are
+    data = tmp_path / "d.csv"
+    path = write_yaml(tmp_path, f"csv: {data}\ncsv_schema: {{y: y, t: t, x: [x1]}}\n"
+                                "tau_widths: [4]\n")
+    csv_message = f"tau_widths: the model of csv file {data} has no tau network"
+    with pytest.raises(ValueError, match=f"^{re.escape(csv_message)}$"):
+        load_config(path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--config", path, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"fidte: error: {csv_message}\n"
+    assert not (tmp_path / "out").exists()
+    # the widths of a model's own tau network load, and the default stays as it is
     assert preset_config("example1", tau_widths=(5,)).tau_widths == (5,)
-    assert preset_config("example2", c_widths=(5,)).c_widths == (5,)
-    assert preset_config("linear_ate_n250").c_widths == (10, 10)
+    assert preset_config("example2", tau_widths=(5,)).tau_widths == (5,)
+    assert preset_config("example2").tau_widths == (10, 10)
+
+
+def test_csv_schema_lone_x_column_is_a_one_item_list(tmp_path):
+    # a lone name is one column, as a lone value of a tuple field is one item
+    path = write_yaml(tmp_path, f"csv: {tmp_path / 'd.csv'}\ncsv_schema: {{y: y, t: t, x: x1}}\n")
+    assert load_config(path).csv_schema == {"y": "y", "t": "t", "x": ["x1"]}
+    cfg = preset_config("linear_ate_n250", design=None, csv=str(tmp_path / "d.csv"),
+                        csv_schema={"y": "y", "t": "t", "x": ("x1", "x2")})
+    assert cfg.csv_schema["x"] == ["x1", "x2"]
+
+
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        ("{y: [y], t: t, x: [x1]}", "csv_schema: y must be a column name, got ['y']"),
+        ("{y: y, t: 1, x: [x1]}", "csv_schema: t must be a column name, got 1"),
+        ("{y: y, t: t, x: [x1, 2]}", "csv_schema: x must be one or more column names, got ['x1', 2]"),
+        ("{y: y, t: t, x: {a: b}}", "csv_schema: x must be one or more column names, got {'a': 'b'}"),
+        ("{y: y, t: t, x: []}", "csv_schema: x must be one or more column names, got []"),
+        ("{y: y, t: t}", "csv_schema: expected a mapping with keys y, t and x, got {'y': 'y', 't': 't'}"),
+        ("{y: y, t: t, x: [x1], w: w}",
+         "csv_schema: expected a mapping with keys y, t and x, got {'y': 'y', 't': 't', 'x': ['x1'], 'w': 'w'}"),
+        ("[y, t, x]", "csv_schema: expected a mapping with keys y, t and x, got ['y', 't', 'x']"),
+    ],
+    ids=["y-list", "t-number", "x-number", "x-mapping", "x-empty", "missing-key", "extra-key",
+         "list"],
+)
+def test_csv_schema_that_names_no_columns_is_rejected_at_load(tmp_path, capsys, schema, message):
+    # each fails at load, before any file is read: one error line, exit status 2
+    path = write_yaml(tmp_path, f"csv: {tmp_path / 'd.csv'}\ncsv_schema: {schema}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(path)
+    for command in ("fit", "benchmark"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", path, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"fidte: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_validate_script_configs_load(tmp_path):
+    # validate/same_outputs.py writes its configs with write_config; a field
+    # removal that breaks one fails here, not when the script is next run
+    path = Path(__file__).resolve().parents[1] / "validate" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    for name, _, keys in same_outputs.COMMANDS:
+        cfg_path = tmp_path / f"{name}.yaml"
+        same_outputs.write_config(str(cfg_path), keys, seed=1)
+        cfg = load_config(str(cfg_path))
+        assert cfg.seed == 1
+        for key, value in keys.items():
+            if key != "preset":
+                assert getattr(cfg, key) == (tuple(value) if isinstance(value, list) else value)

@@ -16,7 +16,7 @@ from fidte.cqr import (
     pinball_fit,
     predict_quantiles,
 )
-from fidte.datagen import GenSpec, generate
+from fidte.datagen import generate
 from fidte.engine import Dataset
 from fidte.nn import (
     MlpParams,
@@ -292,8 +292,8 @@ def test_split_conformal_marginal_coverage(adam_steps):
 def test_cqr_ite_modes_run_and_tag_im(adam_steps):
     adam_steps(*FAST)
     # large enough that every calibration fold supports a finite band
-    train = generate(GenSpec("example1", 400, seed=5))
-    test = generate(GenSpec("example1", 40, seed=6))
+    train = generate("example1", 400, seed=5)
+    test = generate("example1", 40, seed=6)
     for mode in ("naive", "exact", "inexact"):
         out = cqr_ite(train, test, alpha=0.1, mode=mode, seed=0)
         assert len(out) == test.n
@@ -304,8 +304,8 @@ def test_cqr_ite_modes_run_and_tag_im(adam_steps):
 
 def test_cqr_ite_deterministic_in_seed(adam_steps):
     adam_steps(*FAST)
-    train = generate(GenSpec("example1", 120, seed=7))
-    test = generate(GenSpec("example1", 20, seed=8))
+    train = generate("example1", 120, seed=7)
+    test = generate("example1", 20, seed=8)
     a = cqr_ite(train, test, alpha=0.1, mode="naive", seed=3)
     b = cqr_ite(train, test, alpha=0.1, mode="naive", seed=3)
     assert [(iv.lower, iv.upper) for iv in a] == [(iv.lower, iv.upper) for iv in b]
@@ -315,8 +315,8 @@ def test_cqr_ite_naive_wider_than_inexact(adam_steps):
     # differencing two outcome bands stacks both arms' widths; the inexact
     # variant regresses interval endpoints instead and should come out tighter
     adam_steps(*FAST)
-    train = generate(GenSpec("example1", 400, seed=9))
-    test = generate(GenSpec("example1", 100, seed=10))
+    train = generate("example1", 400, seed=9)
+    test = generate("example1", 100, seed=10)
     naive = cqr_ite(train, test, alpha=0.05, mode="naive", seed=1)
     inexact = cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1)
     def mean_length(ivs):
@@ -346,7 +346,7 @@ def test_cqr_ite_naive_covers_noise_free_effect(adam_steps):
 
 
 def test_cqr_ite_unknown_mode():
-    train = generate(GenSpec("example1", 40, seed=12))
+    train = generate("example1", 40, seed=12)
     with pytest.raises(ValueError, match="unknown mode"):
         cqr_ite(train, train, mode="magic")
     with pytest.raises(ValueError, match="alpha"):
@@ -358,8 +358,8 @@ def test_cqr_ite_endpoint_modes_reject_infinite_band(monkeypatch, adam_steps):
     # to infinity; the endpoint-regression modes must refuse rather than fit
     # infinite targets, and refuse before fitting anything
     adam_steps(*FAST)
-    train = generate(GenSpec("example1", 120, seed=13))
-    test = generate(GenSpec("example1", 20, seed=14))
+    train = generate("example1", 120, seed=13)
+    test = generate("example1", 20, seed=14)
     calls = count_pinball_fits(monkeypatch)
     with pytest.raises(ValueError, match="infinite band"):
         cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1)
@@ -371,8 +371,8 @@ def test_cqr_ite_naive_rejects_infinite_band(monkeypatch, adam_steps):
     # it must refuse rather than report (-inf, inf) intervals as covered,
     # before its fit
     adam_steps(*FAST)
-    train = generate(GenSpec("example1", 120, seed=13))
-    test = generate(GenSpec("example1", 20, seed=14))
+    train = generate("example1", 120, seed=13)
+    test = generate("example1", 20, seed=14)
     calls = count_pinball_fits(monkeypatch)
     with pytest.raises(ValueError, match=r"^calibration at alpha 0\.05 returned an infinite band"):
         cqr_ite(train, test, alpha=0.05, mode="naive", seed=1)
@@ -396,8 +396,8 @@ def test_exact_and_inexact_share_one_fold_one_fit(monkeypatch, adam_steps):
     # fold-1 fit, in either order, and gets what it gets on its own; the
     # inexact endpoint regression is one more fit
     adam_steps(*FAST)
-    train = generate(GenSpec("example1", 400, seed=5))
-    test = generate(GenSpec("example1", 30, seed=6))
+    train = generate("example1", 400, seed=5)
+    test = generate("example1", 30, seed=6)
     calls = count_pinball_fits(monkeypatch)
     alone = {
         mode: cqr_ite(train, test, alpha=0.1, mode=mode, seed=4)

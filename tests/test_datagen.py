@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.stats import beta as beta_dist
 
+from fidte.config import DESIGN_SURFACES
 from fidte.datagen import (
     LINEAR_ATE_D,
+    GENERATORS,
     S_MEAN,
-    GenSpec,
     beta_cdf,
     example2_c,
     generate,
@@ -135,14 +138,14 @@ CONTROL = {
 
 @pytest.mark.parametrize("design", ["linear_ate", "example1", "example2"])
 def test_construction_identity(design):
-    data = generate(GenSpec(design, 400, seed=3))
+    data = generate(design, 400, seed=3)
     rebuilt = CONTROL[design](data.x) + data.tau_true * data.t + data.z_true
     assert np.array_equal(data.y, rebuilt)
     assert np.array_equal(data.y, np.where(data.t == 1, data.y1, data.y0))
 
 
 def test_linear_ate_structure():
-    data = generate(GenSpec("linear_ate", 300, seed=5))
+    data = generate("linear_ate", 300, seed=5)
     assert data.d == LINEAR_ATE_D == 4
     np.testing.assert_allclose(data.tau_true, 1.0)
     np.testing.assert_allclose(
@@ -158,9 +161,9 @@ def test_linear_ate_structure():
 
 
 def test_example_designs_fixed_width():
-    assert generate(GenSpec("example1", 40, seed=2)).d == 2
-    assert generate(GenSpec("example2", 40, seed=2)).d == 5
-    data = generate(GenSpec("example1", 200, seed=9))
+    assert generate("example1", 40, seed=2).d == 2
+    assert generate("example2", 40, seed=2).d == 5
+    data = generate("example1", 200, seed=9)
     assert np.all(data.x >= 0.0) and np.all(data.x <= 1.0)
     np.testing.assert_allclose(
         data.y - data.tau_true * data.t - data.z_true,
@@ -175,7 +178,7 @@ def test_example_designs_fixed_width():
 
 
 def test_arm_noises_are_independent_standard_normal():
-    data = generate(GenSpec("example1", 4000, seed=13))
+    data = generate("example1", 4000, seed=13)
     c = CONTROL["example1"](data.x)
     z1 = data.y1 - c - data.tau_true
     z0 = data.y0 - c
@@ -189,18 +192,24 @@ def test_arm_noises_are_independent_standard_normal():
 
 
 def test_generation_is_deterministic_in_seed():
-    a = generate(GenSpec("example2", 64, seed=21))
-    b = generate(GenSpec("example2", 64, seed=21))
-    c = generate(GenSpec("example2", 64, seed=22))
+    a = generate("example2", 64, seed=21)
+    b = generate("example2", 64, seed=21)
+    c = generate("example2", 64, seed=22)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y) and np.array_equal(a.t, b.t)
     assert not np.array_equal(a.y, c.y)
 
 
 def test_genspec_validation():
-    with pytest.raises(ValueError):
-        GenSpec("unknown", 10)
-    with pytest.raises(ValueError):
-        GenSpec("linear_ate", 0)
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown design 'unknown', expected one of ('linear_ate', 'example1', 'example2')")):
+        generate("unknown", 10)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        generate("linear_ate", 0)
+
+
+def test_every_design_has_a_model_and_a_generator():
+    # config.DESIGN_SURFACES and GENERATORS name the same designs
+    assert list(DESIGN_SURFACES) == list(GENERATORS)
 
 
 # -------------------------------------------------------------------- csv
@@ -210,7 +219,7 @@ SCHEMA = {"y": "y", "t": "t", "x": ["x1", "x2"]}
 
 
 def test_csv_roundtrip_exact(tmp_path):
-    data = generate(GenSpec("example1", 37, seed=8))
+    data = generate("example1", 37, seed=8)
     path = tmp_path / "d.csv"
     save_dataset_csv(data, path)
     back = load_csv_dataset(str(path), SCHEMA)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import fidte.sampler
-from fidte.config import LAYOUT_GROUPS, PRESETS, ExperimentConfig, preset_config
-from fidte.datagen import GenSpec, generate
+from fidte.config import DESIGN_SURFACES, PRESETS, ExperimentConfig, preset_config
+from fidte.datagen import generate
 from fidte.engine import Dataset, SolveRows, Standardizer, ThetaLayout, least_squares_theta
 from fidte.nn import MlpParams, MlpSpec, _layer_slices, mlp_init, param_count
 from fidte.runner import build_layout
@@ -132,21 +132,24 @@ def test_gamma_groups_partition_both_heads():
 
 
 def layout_configs():
-    # every preset at its design's width, and every layout_kind at d 2 and 5
+    # every preset at its design's width, and every design's model and a csv
+    # config's at d 2 and 5
     for name in PRESETS:
         cfg = preset_config(name)
-        yield pytest.param(cfg, generate(GenSpec(cfg.design, 2)).d, id=name)
-    for kind in LAYOUT_GROUPS:
-        cfg = ExperimentConfig(design="example1", n_test=1, layout_kind=kind)
+        yield pytest.param(cfg, generate(cfg.design, 2).d, id=name)
+    for design in DESIGN_SURFACES:
         for d in (2, 5):
-            yield pytest.param(cfg, d, id=f"{kind}-d{d}")
+            yield pytest.param(ExperimentConfig(design=design, n_test=1), d, id=f"{design}-d{d}")
+    csv = ExperimentConfig(csv="d.csv", csv_schema={"y": "y", "t": "t", "x": ["x1"]})
+    for d in (2, 5):
+        yield pytest.param(csv, d, id=f"csv-d{d}")
 
 
 @pytest.mark.parametrize("config, d", layout_configs())
 def test_gamma_groups_are_the_config_layout_groups(config, d):
     # the head, stepped at its own rate, is exactly the W rows and biases of
-    # the output slots of each network surface the config's layout names
-    surfaces = LAYOUT_GROUPS[config.layout_kind]
+    # the output slots of each network surface the config's model learns
+    surfaces = config.surfaces
     layout = build_layout(config, d)
     nets = {s for s in ("tau", "c") if isinstance(getattr(layout, f"{s}_spec"), MlpSpec)}
     assert nets == set(surfaces)
@@ -307,12 +310,12 @@ def test_run_efi_rejects_an_inverse_net_of_another_width():
 
 def test_run_efi_draws_match_the_log_sum_exp_prior(monkeypatch):
     # the one-exp prior gradient agrees with the log-sum-exp form to ~1e-12
-    # relative, so a short dnn_tau_linear_c run, whose tau head also takes
+    # relative, so a short run of example1's model, whose tau head also takes
     # the scaled prior path, moves its draws by no more than a few ulps
-    cfg = make_config(design="example1", layout_kind="dnn_tau_linear_c", tau_widths=(4, 3),
+    cfg = make_config(design="example1", tau_widths=(4, 3),
                       n_test=1, eta=10.0, eps=0.1, k_burn=40, m_keep=60, thin=3,
                       init_iters=10, n_batches=2)
-    data = generate(GenSpec("example1", 40, seed=4))
+    data = generate("example1", 40, seed=4)
     layout = build_layout(cfg, data.d)
     spec = MlpSpec((data.d + 3, 12, 6, layout.theta_dim), seed=2)
     shipped = run_efi(data, layout, spec, cfg, 9)

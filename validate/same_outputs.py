@@ -108,10 +108,15 @@ def compare_outputs(a_dir: str, b_dir: str) -> tuple[list, list, int]:
     return diffs, notes, len(both)
 
 
+def write_config(path: str, keys: dict, seed: int) -> None:
+    """A command's config file: its keys plus the seed, one JSON value each."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{k}: {json.dumps(v)}\n" for k, v in {**keys, "seed": seed}.items())
+
+
 def run_command(name, subcommand, keys, seed, trees, work) -> tuple[list, list, int]:
     cfg_path = os.path.join(work, f"{name}.yaml")
-    with open(cfg_path, "w") as fh:
-        fh.writelines(f"{k}: {json.dumps(v)}\n" for k, v in {**keys, "seed": seed}.items())
+    write_config(cfg_path, keys, seed)
     outdirs = [os.path.join(work, side, name) for side in ("parent", "change")]
     procs = [start(root, subcommand, cfg_path, out) for root, out in zip(trees, outdirs)]
     tails = []
