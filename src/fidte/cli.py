@@ -14,8 +14,9 @@ chooses the model: a design fits its own, a csv file the linear_ate model.
 simulate and fit handle one replication, so they say on stderr that they
 ignore --workers above 1.  report takes the intervals.csv path and --out
 only.  A bad config, a config file that cannot be read or parsed, a csv
-config given to simulate, and a csv data file or intervals.csv that cannot
-be read as one each exit 2 with one stderr line, "fidte: error: <message>",
+config given to simulate or cqr, a csv data file or intervals.csv that
+cannot be read as one, and a csv data file with fewer rows than n_batches
+each exit 2 with one stderr line, "fidte: error: <message>",
 before any output directory is made; an error raised inside a replication
 keeps its traceback.
 """
@@ -141,15 +142,18 @@ def write_chain_csv(chain, path: str) -> None:
 
 def cmd_cqr(args) -> int:
     cfg = _resolve_config(args)
+    cqr_modes = lambda methods: tuple(m for m in methods if m.startswith("cqr-"))
+    try:  # a csv config has no test set for them
+        cqr_cfg = replace(cfg, methods=cqr_modes(cfg.methods) or cqr_modes(VALID_METHODS))
+    except ValueError as e:
+        _fail(str(e))
     if "efi" in cfg.methods:
         print(
             "cqr runs the conformal baselines only; skipping efi "
             "(run it with `fidte fit` or `fidte benchmark`)",
             file=sys.stderr,
         )
-    cqr_modes = lambda methods: tuple(m for m in methods if m.startswith("cqr-"))
-    cfg = replace(cfg, methods=cqr_modes(cfg.methods) or cqr_modes(VALID_METHODS))
-    run_experiment(cfg, workers=args.workers)
+    run_experiment(cqr_cfg, workers=args.workers)
     print(f"wrote summary.json to {cfg.outdir}")
     return 0
 

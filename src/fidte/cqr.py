@@ -12,24 +12,44 @@ Every quantile net, for the arm bands and the inexact endpoints alike, is
 fit by pinball_fit on raw columns, in ADAM_STEPS full-batch Adam steps at
 rate ADAM_LR, and read back by predict_quantiles.
 
-The quantile nets are nn's networks, made by mlp_init and evaluated by
-mlp_forward_batch, but _fit_pinball_net trains them in a layout of its own:
-bias-folded [W | b] matrices and feature-major activations with a row of
-ones, so each layer's forward and each weight-and-bias gradient is one
-matmul.  On a 6->10->10->2 net and 250 rows an Adam step takes 52-73 us
-against 96-124 us through nn's row-major passes, with their broadcast
-bias adds and column sums (one BLAS thread, 2 cores).  The layout is
-private to the fit, and the two share no pass code: nn keeps the row-major
-(n, d) form that the engine and sampler hand it and read back, and
-whether the sampler's networks would gain from feature-major passes is
-an open question (ROADMAP item 3).
+A replication plans its CQR work up front (fit_cqr): it draws every split,
+from one generator per mode family as one call per mode did, checks every
+arm band's calibration rows at every level and mode, and only then fits, in
+two pinball_fit stages.  Stage 1 holds every arm-band net, naive's and the
+fold-1 bands exact and inexact share, at every level ((d+1)->10->10->2);
+stage 2 every inexact endpoint net (d->10->10->2), whose targets are stage
+1's interval outcomes.  cqr_ite turns the fits into each (mode, level)'s
+intervals.  On example1 one level takes 2 stage fits where it took 3 net
+fits, and two levels 2 where they took 6.
 
-The feature-major weight gradient is a different GEMM from nn's, so it
-rounds differently in the last bit, and 3000 pinball steps amplify that.
-Against the same fit in nn's layout, on 250 random rows, the largest
-parameter gap is ~6e-17 after one step, 2e-6 to 0.1 after 1000 and 0.4 to
-1.4 after 3000; on example1 a seed's mean interval length moves by up to
-17%, while over 40 seeds the mean length and coverage do not move
+The quantile nets are nn's networks, made by mlp_init and evaluated by
+mlp_forward_batch, but _fit_pinball_stage trains a stage's nets in a layout
+of its own, stacked on a leading axis: bias-folded [W | b] matrices,
+(K, d_l, d_{l-1} + 1) per layer, and feature-major activations,
+(K, d_l + 1, N) with a row of ones and each net's rows padded to the
+stage's largest count N with zero-loss-weight columns.  Each layer's
+forward and each weight-and-bias gradient is one stacked matmul, and each
+tanh, each derivative op and each Adam op is one call per stage, not per
+net.  The passes run in float32 over float64 master weights and Adam
+moments (the mixed-precision recipe of Micikevicius et al. 2018): tanh on
+a stage-1 block, (2, 10, 250), takes ~6 us in float32 against ~18 us in
+float64.  On example1's shapes (stage 1 two 6->10->10->2 nets on 250 and
+125 rows, stage 2 one 5->10->10->2 net on 250) an Adam step of both
+stages takes ~112 us against ~160 us for the same three nets fitted one
+at a time in float64 (best of 10 interleaved runs), and ~107 us against
+~147 us for the same stages in float64 passes (62 + 45 against 89 + 58
+us; one BLAS thread, 2 cores, shared host).  The layout is private to
+the fit, and the two share no pass code: nn keeps the row-major (n, d)
+form that the engine and sampler hand it and read back.
+
+Stacking and padding move no bit: in either precision a stage's net is
+the net fitted alone.  The float32 passes do move the fit: 3000 pinball
+steps amplify any last-bit difference (the gradient of a row flips
+between two values as its output crosses its target), as they amplify the
+folded layout's different GEMM rounding against nn's (parameter gaps of
+~6e-17 after one step and 0.4 to 1.4 after 3000 on 250 random rows).  On
+example1 a seed's mean interval length moves by up to 21% against the
+float64 fit, while over 40 seeds the mean length and coverage do not move
 detectably.  A fit's intervals therefore depend on the BLAS kernel's
 rounding: compare CQR results across seeds (validate/compare_cqr.py), not
 bit for bit across machines.
@@ -39,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +75,7 @@ from .nn import mlp_backward_batch  # noqa: F401
 # read when a fit starts.
 ADAM_STEPS = 3000
 ADAM_LR = 0.02
+MODES = ("naive", "exact", "inexact")
 
 
 @dataclass
@@ -90,72 +111,104 @@ def _standardize_columns(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nd
     return (mat - mean) / sd, mean, sd
 
 
-def _fit_pinball_net(
-    features: np.ndarray,
-    targets: np.ndarray,
-    qs: Sequence[float],
-    spec: MlpSpec,
-) -> MlpParams:
-    """Full-batch Adam on the summed pinball losses, one level per output.
+def _fit_pinball_stage(
+    features: Sequence[np.ndarray],
+    targets: Sequence[np.ndarray],
+    qs: Sequence[Sequence[float]],
+    specs: Sequence[MlpSpec],
+    dtype=np.float32,
+) -> List[MlpParams]:
+    """Full-batch Adam on each net's summed pinball losses, one level per
+    output, for K nets of the same widths in one loop.
 
-    The fit runs in its own layout, not nn's.  Layer l is one augmented
-    matrix [W_l | b_l] of shape (d_l, d_{l-1} + 1), all of them views into
-    one flat vector that Adam steps elementwise.  Activations are
-    feature-major, (d_l + 1, n) with a last row of ones, so a layer's forward
-    is one matmul and an in-place tanh, and its weight-and-bias gradient is
-    one matmul.  Every array is made once per fit.  The network starts at
-    mlp_init(spec) and comes back in nn's layout.
+    Net k fits features[k] (n_k rows) to targets[k] at levels qs[k] from
+    mlp_init(specs[k]); the nets share nothing but the loop.  They are
+    stacked on a leading axis: layer l is one (K, d_l, d_{l-1} + 1) array
+    of bias-folded [W | b] matrices, all of them views into one float64
+    flat vector that Adam steps elementwise, and activations are
+    feature-major, (K, d_l + 1, N) with a last row of ones, N the largest
+    n_k.  A net's columns past its n_k carry zero loss weight, so they add
+    exact zeros to its gradient.  Each layer's forward and each
+    weight-and-bias gradient is one stacked matmul, and each tanh, each
+    derivative op and each Adam op is one call for the stage.
+
+    The passes (the layer copies, activations, deltas and gradients) run in
+    dtype; Adam's moments and the master weights stay float64, and the
+    finiteness check reads the master weights.  Every fit passes in
+    float32; dtype float64 is there for the tests that hold the fit to the
+    float64 references bit for bit.  Every array is made once per stage.
+    The nets come back in nn's float64 layout.
     """
-    n = features.shape[0]
-    widths = spec.layer_widths
-    start = mlp_init(spec).layers()
-    flat = np.concatenate([np.column_stack([W, b]).ravel() for W, b in start])
+    widths = specs[0].layer_widths
+    k_nets, depth = len(specs), len(widths) - 1
+    rows = [f.shape[0] for f in features]
+    n = max(rows)
+    starts = [mlp_init(spec).layers() for spec in specs]
+    flat = np.concatenate([
+        np.stack([np.column_stack(start[l]) for start in starts]).ravel() for l in range(depth)
+    ])
     grad = np.empty_like(flat)
-    layers, grads, pos = [], [], 0
+    # the pass copies: flat itself in float64, a low-precision copy otherwise
+    low = np.dtype(dtype) != flat.dtype
+    pass_flat = flat.astype(dtype) if low else flat
+    pass_grad = np.empty_like(pass_flat) if low else grad
+    layers, masters, grads, pos = [], [], [], 0
     for l in range(1, len(widths)):
-        shape = (widths[l], widths[l - 1] + 1)
-        size = shape[0] * shape[1]
-        layers.append(flat[pos:pos + size].reshape(shape))
-        grads.append(grad[pos:pos + size].reshape(shape))
+        shape = (k_nets, widths[l], widths[l - 1] + 1)
+        size = shape[0] * shape[1] * shape[2]
+        layers.append(pass_flat[pos:pos + size].reshape(shape))
+        masters.append(flat[pos:pos + size].reshape(shape))
+        grads.append(pass_grad[pos:pos + size].reshape(shape))
         pos += size
     # acts[l] is the input of layers[l] over a row of ones, acts[0] the
     # features; for a hidden acts[l], back[l] takes layers[l].T @ d, whose
     # ones-row slot is never read, and deltas[l] the gradient under its tanh
-    acts = [np.ones((w + 1, n)) for w in widths[:-1]]
-    acts[0][:-1] = features.T
-    back = [None] + [np.empty((w + 1, n)) for w in widths[1:-1]]
-    deltas = [None] + [np.empty((w, n)) for w in widths[1:-1]]
-    out = np.empty((widths[-1], n))
+    acts = [np.ones((k_nets, w + 1, n), dtype=dtype) for w in widths[:-1]]
+    acts[0][:, :-1] = 0.0
+    targets_t = np.zeros((k_nets, widths[-1], n), dtype=dtype)
+    # d/du of rho_q(y - u) / n_k is (1{y < u} - q) / n_k, one of these two
+    # values on net k's rows and 0 on its padding
+    grad_below = np.zeros((k_nets, widths[-1], n), dtype=dtype)
+    grad_above = np.zeros_like(grad_below)
+    for k, (feats, ys, levels, n_k) in enumerate(zip(features, targets, qs, rows)):
+        acts[0][k, :-1, :n_k] = feats.T
+        targets_t[k, :, :n_k] = ys.T
+        q = np.asarray(levels, dtype=np.float64)[:, None]
+        grad_below[k, :, :n_k] = (1.0 - q) / n_k
+        grad_above[k, :, :n_k] = (0.0 - q) / n_k
+    back = [None] + [np.empty((k_nets, w + 1, n), dtype=dtype) for w in widths[1:-1]]
+    deltas = [None] + [np.empty((k_nets, w, n), dtype=dtype) for w in widths[1:-1]]
+    out = np.empty((k_nets, widths[-1], n), dtype=dtype)
     below = np.empty(out.shape, dtype=bool)
-    targets_t = np.ascontiguousarray(targets.T)
-    # d/du of rho_q(y - u) / n is (1{y < u} - q) / n, one of these two values
-    q = np.asarray(qs, dtype=np.float64)[:, None]
-    grad_below, grad_above = (1.0 - q) / n, (0.0 - q) / n
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     mh = np.empty_like(flat)
     vh = np.empty_like(flat)
     finite = np.empty(flat.shape, dtype=bool)
     b1, b2, eps = 0.9, 0.999, 1e-8
-    last = len(layers) - 1
+    last = depth - 1
     iters, lr = ADAM_STEPS, ADAM_LR
     for step in range(1, iters + 1):
+        if low:
+            np.copyto(pass_flat, flat)
         for l in range(last):
-            h = np.matmul(layers[l], acts[l], out=acts[l + 1][:-1])
+            h = np.matmul(layers[l], acts[l], out=acts[l + 1][:, :-1])
             np.tanh(h, out=h)
         np.matmul(layers[last], acts[last], out=out)
         np.less(targets_t, out, out=below)
         d = np.where(below, grad_below, grad_above)
         for l in range(last, -1, -1):
-            np.matmul(d, acts[l].T, out=grads[l])
+            np.matmul(d, acts[l].transpose(0, 2, 1), out=grads[l])
             if l == 0:
                 break
-            np.matmul(layers[l].T, d, out=back[l])
+            np.matmul(layers[l].transpose(0, 2, 1), d, out=back[l])
             # tanh' from its output, 1 - a^2, times the gradient at a
-            a = acts[l][:-1]
+            a = acts[l][:, :-1]
             d = np.multiply(a, a, out=deltas[l])
             np.subtract(1.0, d, out=d)
-            d *= back[l][:-1]
+            d *= back[l][:, :-1]
+        if low:
+            np.copyto(grad, pass_grad)
         # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2
         m *= b1
         np.multiply(grad, 1.0 - b1, out=mh)
@@ -173,13 +226,17 @@ def _fit_pinball_net(
         mh /= vh
         flat -= mh
         if not np.isfinite(flat, out=finite).all():
+            k = next(k for k in range(k_nets) if not all(np.isfinite(W[k]).all() for W in masters))
             raise ValueError(
                 f"non-finite parameter values at Adam step {step} of {iters}, "
-                f"quantile levels {tuple(float(q) for q in qs)}"
+                f"quantile levels {tuple(float(q) for q in qs[k])}"
             )
     # nn's layout: per layer W_l row-major, then b_l
-    nn_flat = [p for Wb in layers for p in (Wb[:, :-1].ravel(), Wb[:, -1])]
-    return MlpParams(spec, np.concatenate(nn_flat))
+    return [
+        MlpParams(spec, np.concatenate(
+            [p for Wb in masters for p in (Wb[k, :, :-1].ravel(), Wb[k, :, -1])]))
+        for k, spec in enumerate(specs)
+    ]
 
 
 def _features(x: np.ndarray, t) -> np.ndarray:
@@ -187,20 +244,37 @@ def _features(x: np.ndarray, t) -> np.ndarray:
     return np.column_stack([x, np.broadcast_to(np.asarray(t, dtype=np.float64), x.shape[:1])])
 
 
-def pinball_fit(
-    features: np.ndarray, targets: np.ndarray, qs: Sequence[float], seed: int = 0
-) -> QuantileModel:
-    """A 10-10 tanh net's fit of the qs conditional quantiles of targets.
+class PinballTask(NamedTuple):
+    """One quantile net of a stage: raw feature and target columns, the
+    two levels and the init seed."""
 
-    features and targets are raw columns, standardized here.  targets holds
-    one column per level, or one column fitted at both; that column is
+    features: np.ndarray
+    targets: np.ndarray
+    qs: Tuple[float, float]
+    seed: int
+
+
+def pinball_fit(tasks: Sequence[PinballTask]) -> List[QuantileModel]:
+    """One stage: a 10-10 tanh net's fit of each task's quantiles, all of
+    them in one lockstep loop (_fit_pinball_stage).
+
+    Every task has the same number of feature columns.  features and
+    targets are raw columns, standardized here per task.  targets holds one
+    column per level, or one column fitted at both; that column is
     standardized before it is widened, so both outputs share its mean and sd.
     """
-    feats, f_mean, f_sd = _standardize_columns(features)
-    ys, y_mean, y_sd = _standardize_columns(targets)
-    spec = MlpSpec((features.shape[1], 10, 10, 2), seed=seed)
-    net = _fit_pinball_net(feats, np.broadcast_to(ys, (ys.shape[0], 2)), qs, spec)
-    return QuantileModel(net=net, f_mean=f_mean, f_sd=f_sd, y_mean=y_mean, y_sd=y_sd)
+    feats = [_standardize_columns(task.features) for task in tasks]
+    ys = [_standardize_columns(task.targets) for task in tasks]
+    nets = _fit_pinball_stage(
+        [f for f, _, _ in feats],
+        [np.broadcast_to(y, (y.shape[0], 2)) for y, _, _ in ys],
+        [task.qs for task in tasks],
+        [MlpSpec((task.features.shape[1], 10, 10, 2), seed=task.seed) for task in tasks],
+    )
+    return [
+        QuantileModel(net=net, f_mean=f_mean, f_sd=f_sd, y_mean=y_mean, y_sd=y_sd)
+        for net, (_, f_mean, f_sd), (_, y_mean, y_sd) in zip(nets, feats, ys)
+    ]
 
 
 def predict_quantiles(model: QuantileModel, features: np.ndarray) -> np.ndarray:
@@ -256,35 +330,6 @@ def _split(n: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     return perm[:half], perm[half:]
 
 
-def _arm_bands(
-    train: Dataset,
-    alpha: float,
-    rng: np.random.Generator,
-    seed: int,
-) -> Tuple[QuantileModel, ConformalCorrection]:
-    """Split-conformal per-arm outcome bands at level 1 - alpha/2.
-
-    Raises before the fit when an arm has too few calibration rows for that
-    level, whose band would then be infinite.
-    """
-    level_alpha = alpha / 2.0
-    fit_idx, cal_idx = _split(train.n, rng)
-    cal = train.subset(cal_idx)
-    for arm in (0, 1):
-        rows = int(np.count_nonzero(cal.t == arm))
-        if _calibration_rank(rows, level_alpha) > rows:
-            raise ValueError(
-                f"calibration at alpha {alpha} returned an infinite band: arm {arm} has "
-                f"{rows} calibration rows, too few for level {1.0 - level_alpha:g}; "
-                "use more training rows or a larger alpha"
-            )
-    fit = train.subset(fit_idx)
-    qs = (level_alpha / 2.0, 1.0 - level_alpha / 2.0)
-    model = pinball_fit(_features(fit.x, fit.t), fit.y[:, None], qs, seed)
-    s_hat = {arm: calibrate(conformal_scores(model, cal, arm), level_alpha) for arm in (0, 1)}
-    return model, ConformalCorrection(s_hat=s_hat)
-
-
 def _interval_outcomes(
     fold2: Dataset, model: QuantileModel, corr: ConformalCorrection
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -297,81 +342,123 @@ def _interval_outcomes(
     return c_lo, c_hi
 
 
-@dataclass
-class _FoldOne:
-    # what exact and inexact share: fold 2, its interval outcomes under the
-    # fold-1 per-arm bands, and exact's regression / calibration split of it
-    fold2: Dataset
-    c_lo: np.ndarray
-    c_hi: np.ndarray
-    reg_idx: np.ndarray
-    cal_idx: np.ndarray
+def _check_calibration_rows(cal: Dataset, alpha: float) -> None:
+    # an arm band at level 1 - alpha/2 needs ceil((n+1)(1 - alpha/2)) <= n
+    # calibration rows of its arm; with fewer its band would be infinite
+    for arm in (0, 1):
+        rows = int(np.count_nonzero(cal.t == arm))
+        if _calibration_rank(rows, alpha / 2.0) > rows:
+            raise ValueError(
+                f"calibration at alpha {alpha} returned an infinite band: arm {arm} has "
+                f"{rows} calibration rows, too few for level {1.0 - alpha / 2.0:g}; "
+                "use more training rows or a larger alpha"
+            )
 
 
-def _fold_one(train: Dataset, alpha: float, seed: int) -> _FoldOne:
-    rng = np.random.default_rng(seed)
-    fold1_idx, fold2_idx = _split(train.n, rng)
-    model, corr = _arm_bands(train.subset(fold1_idx), alpha, rng, seed)
-    fold2 = train.subset(fold2_idx)
-    c_lo, c_hi = _interval_outcomes(fold2, model, corr)
-    # exact's split, drawn right after the fit whichever mode runs first
-    reg_idx, cal_idx = _split(fold2.n, rng)
-    return _FoldOne(fold2, c_lo, c_hi, reg_idx, cal_idx)
+def fit_cqr(
+    train: Dataset, alphas: Sequence[float], modes: Sequence[str], seed: int
+) -> Dict[Tuple[str, float], object]:
+    """Every CQR fit one training set needs for modes at alphas.
+
+    The plan: draw every split, check every arm band's calibration rows at
+    every level, then fit in two pinball_fit stages, each net of a stage
+    in one lockstep loop.  Stage 1 fits the arm-band nets, naive's on half
+    of train and exact's and inexact's shared one on half of fold 1, at
+    each level; stage 2 fits inexact's endpoint nets on fold 2, which need
+    stage 1's bands.  Each mode draws its splits from its own generator at
+    seed, and no fit draws from one, so a (mode, alpha)'s fit does not
+    depend on which other modes and levels are fitted with it.
+
+    Returns, per (mode, alpha), what cqr_ite reads: naive's arm-band model
+    and correction, exact's endpoint coefficients and score quantile, and
+    inexact's endpoint model.
+    """
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}, expected naive, exact, or inexact")
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    # per-arm bands at level 1 - alpha/2: ("naive" or "fold1", fit rows, calibration rows)
+    band_sets = []
+    if "naive" in modes:
+        rng = np.random.default_rng(seed)
+        fit_idx, cal_idx = _split(train.n, rng)
+        band_sets.append(("naive", train.subset(fit_idx), train.subset(cal_idx)))
+    if "exact" in modes or "inexact" in modes:
+        # exact and inexact share fold 1's bands; exact also splits fold 2
+        rng = np.random.default_rng(seed)
+        fold1_idx, fold2_idx = _split(train.n, rng)
+        fold1, fold2 = train.subset(fold1_idx), train.subset(fold2_idx)
+        fit_idx, cal_idx = _split(fold1.n, rng)
+        reg_idx, cal2_idx = _split(fold2.n, rng)
+        band_sets.append(("fold1", fold1.subset(fit_idx), fold1.subset(cal_idx)))
+    for _, _, cal in band_sets:
+        for alpha in alphas:
+            _check_calibration_rows(cal, alpha)
+
+    keys = [(name, alpha) for name, _, _ in band_sets for alpha in alphas]
+    models = pinball_fit([
+        PinballTask(_features(fit.x, fit.t), fit.y[:, None],
+                    (alpha / 2.0 / 2.0, 1.0 - alpha / 2.0 / 2.0), seed)
+        for _, fit, _ in band_sets for alpha in alphas
+    ])
+    cals = {name: cal for name, _, cal in band_sets}
+    bands = {
+        (name, alpha): (model, ConformalCorrection(s_hat={
+            arm: calibrate(conformal_scores(model, cals[name], arm), alpha / 2.0)
+            for arm in (0, 1)}))
+        for (name, alpha), model in zip(keys, models)
+    }
+    fits = {("naive", alpha): bands["naive", alpha] for alpha in alphas if "naive" in modes}
+    outcomes = {alpha: _interval_outcomes(fold2, *bands["fold1", alpha])
+                for alpha in alphas if ("fold1", alpha) in bands}
+    if "exact" in modes:
+        # least-squares endpoint surfaces on one half of fold 2,
+        # interval-outcome conformal scores on the other
+        design = np.column_stack([np.ones(len(reg_idx)), fold2.x[reg_idx]])
+        cal_design = np.column_stack([np.ones(len(cal2_idx)), fold2.x[cal2_idx]])
+        for alpha, (c_lo, c_hi) in outcomes.items():
+            coef_lo, *_ = np.linalg.lstsq(design, c_lo[reg_idx], rcond=None)
+            coef_hi, *_ = np.linalg.lstsq(design, c_hi[reg_idx], rcond=None)
+            s = np.maximum(
+                cal_design @ coef_lo - c_lo[cal2_idx], c_hi[cal2_idx] - cal_design @ coef_hi
+            )
+            fits["exact", alpha] = (coef_lo, coef_hi, calibrate(s, alpha))
+    if "inexact" in modes:
+        # median regression of both endpoints, no second conformal step
+        models = pinball_fit([
+            PinballTask(fold2.x, np.column_stack(outcomes[alpha]), (0.5, 0.5), seed + 1)
+            for alpha in alphas
+        ])
+        fits.update((("inexact", alpha), model) for alpha, model in zip(alphas, models))
+    return fits
 
 
 def cqr_ite(
-    train: Dataset,
-    test: Dataset,
-    alpha: float = 0.05,
-    mode: str = "naive",
-    seed: int = 0,
-    fold_one_fits: Optional[dict] = None,
+    fits: Dict[Tuple[str, float], object], test: Dataset, alpha: float, mode: str
 ) -> List[PredictionInterval]:
-    """Covariates-only ITE intervals for every test row, tagged Im.
+    """Covariates-only ITE intervals for every test row, tagged Im, from
+    fit_cqr's fits of mode at alpha.
 
-    exact and inexact start from the same fold-1 fit.  Calls on one training
-    set share it through fold_one_fits, a dict their caller makes for that
-    set: the first exact or inexact call at an (alpha, seed) fits and
-    stores it, the next one reuses it, in either order.
+    naive differences the per-arm bands at level 1 - alpha/2; exact and
+    inexact read their endpoint surfaces.
     """
-    if mode not in ("naive", "exact", "inexact"):
-        raise ValueError(f"unknown mode {mode!r}, expected naive, exact, or inexact")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
+    if (mode, alpha) not in fits:
+        raise ValueError(f"no CQR fit for mode {mode!r} at alpha {alpha}")
+    fit = fits[mode, alpha]
     if mode == "naive":
-        # per-arm bands at level 1 - alpha/2, differenced
-        rng = np.random.default_rng(seed)
-        model, corr = _arm_bands(train, alpha, rng, seed)
+        model, corr = fit
         lo1, hi1 = _band(model, corr, test.x, 1)
         lo0, hi0 = _band(model, corr, test.x, 0)
         lower, upper = lo1 - hi0, hi1 - lo0
+    elif mode == "inexact":
+        lower, upper = predict_quantiles(fit, test.x).T
     else:
-        fits = {} if fold_one_fits is None else fold_one_fits
-        key = (alpha, seed)
-        if key not in fits:
-            fits[key] = _fold_one(train, alpha, seed)
-        fold = fits[key]
-        fold2, c_lo, c_hi = fold.fold2, fold.c_lo, fold.c_hi
-        if mode == "inexact":
-            # median regression of both endpoints, no second conformal step
-            model = pinball_fit(fold2.x, np.column_stack([c_lo, c_hi]), (0.5, 0.5), seed + 1)
-            lower, upper = predict_quantiles(model, test.x).T
-        else:
-            # least-squares endpoint surfaces on one half, interval-outcome
-            # conformal scores on the other
-            reg_idx, cal_idx = fold.reg_idx, fold.cal_idx
-            design = np.column_stack([np.ones(len(reg_idx)), fold2.x[reg_idx]])
-            coef_lo, *_ = np.linalg.lstsq(design, c_lo[reg_idx], rcond=None)
-            coef_hi, *_ = np.linalg.lstsq(design, c_hi[reg_idx], rcond=None)
-            cal_design = np.column_stack([np.ones(len(cal_idx)), fold2.x[cal_idx]])
-            s = np.maximum(
-                cal_design @ coef_lo - c_lo[cal_idx], c_hi[cal_idx] - cal_design @ coef_hi
-            )
-            s_hat = calibrate(s, alpha)
-            test_design = np.column_stack([np.ones(test.n), test.x])
-            lower = test_design @ coef_lo - s_hat
-            upper = test_design @ coef_hi + s_hat
+        coef_lo, coef_hi, s_hat = fit
+        test_design = np.column_stack([np.ones(test.n), test.x])
+        lower = test_design @ coef_lo - s_hat
+        upper = test_design @ coef_hi + s_hat
 
     # crossed endpoints mean an empty interval; report the degenerate point
     swap = lower > upper

@@ -2,16 +2,18 @@
 
 One experiment = R independent replications.  Each replication draws its own
 dataset (or reuses the CSV one, read once per run), runs every configured
-method, and returns its interval rows, each with the simulation truth it
-should cover, and the PEHE, both read off one engine.draw_surfaces call per
-EFI chain.  The model follows the data source: build_layout turns
+method (every CQR fit first, so that a calibration shortfall raises before
+any fit or EFI run), and returns its interval rows, each with the
+simulation truth it should cover, and the PEHE, both read off one
+engine.draw_surfaces call per EFI chain.  The model follows the data source: build_layout turns
 config.surfaces into the chain's layout, and the layout decides between ATE
 and ITE intervals.  Each replication writes its own intervals.csv as it
 finishes, so a failure keeps the files of those before it.  score_rows is
 the one scorer of interval rows: summary.json is a function of the
 replications' rows and PEHEs, and `fidte report` rescores an intervals.csv
 with the same code.  A csv data file or intervals file that cannot be read
-as one raises InputFileError, which the command line reports on one line.
+as one, or a csv data file with fewer rows than n_batches, raises
+InputFileError, which the command line reports on one line.
 Replication r derives all of its randomness from a splittable seed sequence
 keyed by (seed, r), so any single replication can be re-run in isolation and
 workers can run them in any order without changing results.
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .cqr import cqr_ite
+from .cqr import cqr_ite, fit_cqr
 from .datagen import generate
 from .engine import TRUTH_COLUMNS, Dataset, ThetaLayout, draw_surfaces
 from .inference import (
@@ -54,7 +56,8 @@ C_WIDTHS = (10, 10)
 
 
 class InputFileError(ValueError):
-    """A csv data file or intervals file that cannot be read as one."""
+    """A csv data file or intervals file that cannot be read as one, or a
+    csv data file too short for the config's n_batches."""
 
 
 def _cell(row: dict, col: str, line: int) -> float:
@@ -124,8 +127,8 @@ def read_csv_rows(config: ExperimentConfig) -> Optional[Dataset]:
         return None
     rows = load_csv_dataset(config.csv, config.csv_schema)
     if config.n_batches > rows.n:
-        raise ValueError(f"n_batches: must be in [1, {rows.n}], the row count of "
-                         f"{config.csv}, got {config.n_batches}")
+        raise InputFileError(f"n_batches: must be in [1, {rows.n}], the row count of "
+                             f"{config.csv}, got {config.n_batches}")
     return rows
 
 
@@ -188,6 +191,11 @@ def run_replication(
         if train.tau_true is not None and np.all(train.tau_true == train.tau_true[0]):
             ate_truth = float(train.tau_true[0])
 
+        # every CQR fit first: a calibration shortfall raises before any fit
+        # or EFI run, and the fits share two lockstep stages
+        modes = [m.split("-", 1)[1] for m in config.methods if m != "efi"]
+        cqr_fits = fit_cqr(train, config.alphas, modes, ints[3]) if modes else {}
+
         chain = surfaces = cases = pehe_value = None
         if "efi" in config.methods:
             chain = _efi_results(config, train, ints, rep_dir)
@@ -198,7 +206,6 @@ def run_replication(
                 cases = assign_cases(test, np.random.default_rng(ints[3]))
                 if test.tau_true is not None:
                     pehe_value = pehe(surfaces, test)
-        cqr_fold_one_fits = {}  # cqr-exact and cqr-inexact share one fold-1 fit
 
         rows = []
         for method in config.methods:
@@ -210,11 +217,7 @@ def run_replication(
                         ivs = ite_intervals(surfaces, test, alpha,
                                             np.random.default_rng([ints[3], a_idx]), cases)
                 else:
-                    mode = method.split("-", 1)[1]
-                    ivs = cqr_ite(
-                        train, test, alpha=alpha, mode=mode, seed=ints[3],
-                        fold_one_fits=cqr_fold_one_fits,
-                    )
+                    ivs = cqr_ite(cqr_fits, test, alpha=alpha, mode=method.split("-", 1)[1])
                 rows.extend((method, iv, _truth_for(iv, truth_vec, ate_truth)) for iv in ivs)
         return {"r": r, "rows": rows, "pehe": pehe_value, "chain": chain}
     except RuntimeError as e:

@@ -94,7 +94,7 @@ def allocating_pinball_net(features, targets, qs, spec):
 
     Full-batch Adam from mlp_init(spec), with fidte.cqr's step count and
     rate, and the parameter gradient of
-    sum_param_grad: the fit fidte.cqr._fit_pinball_net ran through nn's
+    sum_param_grad: the fit fidte.cqr ran through nn's
     passes before it trained in its folded layout.
     """
     n = features.shape[0]

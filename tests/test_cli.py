@@ -122,6 +122,21 @@ def test_simulate_rejects_a_csv_config(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cqr_rejects_a_csv_config(tmp_path, capsys):
+    # the cqr modes need a test set, which a csv config lacks: one error
+    # line, exit status 2, before any output directory is made
+    cfg = tmp_path / "csv.yaml"
+    cfg.write_text(f"csv: {tmp_path / 'd.csv'}\ncsv_schema: {{y: y, t: t, x: [x1]}}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cqr", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "fidte: error: methods: ['cqr-naive', 'cqr-exact', 'cqr-inexact'] need a test set, "
+        "which a csv config lacks\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_truth_less_csv_run_scores_length_only(tmp_path):
     # a csv file without the simulation's truth columns: nothing to cover
     full = tmp_path / "full.csv"
@@ -280,12 +295,12 @@ def run_cqr(tmp_path, name, methods, extra=""):
     return out
 
 
-def test_cqr_fits_fold_one_once_for_exact_and_inexact(tmp_path, monkeypatch, adam_steps):
+def test_cqr_fits_each_replication_in_two_stages(tmp_path, monkeypatch, adam_steps):
     calls = short_cqr_fits(monkeypatch, adam_steps)
     run_cqr(tmp_path, "all", ["cqr-naive", "cqr-exact", "cqr-inexact"], extra="R: 2\n")
-    # per replication and level: naive's fit, one fold-1 fit, not two, and
-    # inexact's endpoint fit
-    assert len(calls) == 3 * 2 * 2
+    # per replication: the arm bands of naive and fold 1 at both levels, then
+    # inexact's endpoints at both levels
+    assert len(calls) == 2 * 2
 
 
 def test_cqr_rows_do_not_depend_on_method_order(tmp_path, monkeypatch, adam_steps):
@@ -429,7 +444,7 @@ def test_workers_below_one_are_rejected(command, capsys):
         assert f"--workers: must be >= 1, got {value}" in capsys.readouterr().err
 
 
-def test_csv_n_batches_is_checked_against_the_file_rows(tmp_path, monkeypatch):
+def test_csv_n_batches_is_checked_against_the_file_rows(tmp_path, monkeypatch, capsys):
     data = tmp_path / "d.csv"
     save_dataset_csv(generate("linear_ate", 25, seed=1), data)
     csv_keys = dict(csv=str(data), csv_schema={"y": "y", "t": "t", "x": ["x1", "x2", "x3", "x4"]},
@@ -444,10 +459,15 @@ def test_csv_n_batches_is_checked_against_the_file_rows(tmp_path, monkeypatch):
     cfg = tmp_path / "csv.yaml"
     cfg.write_text("".join(f"{k}: {json.dumps(v)}\n" for k, v in csv_keys.items())
                    + "n_batches: 1000\n")
-    with pytest.raises(ValueError, match=r"^n_batches: must be in \[1, 25\], "
-                                         r"the row count of .*d\.csv, got 1000$"):
-        cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    for command in ("fit", "benchmark"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"fidte: error: n_batches: must be in [1, 25], the row count of {data}, got 1000\n"
+        )
     assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_file_is_read_once_per_run(tmp_path, monkeypatch):

@@ -6,13 +6,15 @@ import fidte.cqr
 
 from fidte.cqr import (
     ConformalCorrection,
+    PinballTask,
     QuantileModel,
     _band,
     _features,
-    _fit_pinball_net,
+    _fit_pinball_stage,
     calibrate,
     conformal_scores,
     cqr_ite,
+    fit_cqr,
     pinball_fit,
     predict_quantiles,
 )
@@ -63,9 +65,14 @@ def test_conformal_correction_rejects_nan():
 
 
 def arm_fit(data, alpha, seed=0):
-    # the (alpha/2, 1 - alpha/2) quantiles of y on (x, t), as _arm_bands fits them
+    # the (alpha/2, 1 - alpha/2) quantiles of y on (x, t), as an arm band fits them
     qs = (alpha / 2.0, 1.0 - alpha / 2.0)
-    return pinball_fit(_features(data.x, data.t), data.y[:, None], qs, seed)
+    return pinball_fit([PinballTask(_features(data.x, data.t), data.y[:, None], qs, seed)])[0]
+
+
+def fit_net(features, targets, qs, spec, dtype=np.float64):
+    # a one-net stage, by default in the float64 passes the references use
+    return _fit_pinball_stage([features], [targets], [qs], [spec], dtype=dtype)[0]
 
 
 def test_pinball_fit_constant_outcome(adam_steps):
@@ -121,7 +128,7 @@ def test_fit_is_bitwise_the_folded_reference(n, d_in, qs, depth, rng, adam_steps
     features = rng.normal(size=(n, d_in))
     targets = rng.normal(size=(n, 2))
     spec = MlpSpec((d_in, *HIDDEN[depth], 2), seed=3)
-    got = _fit_pinball_net(features, targets, qs, spec)
+    got = fit_net(features, targets, qs, spec)
     want = folded_pinball_net(features, targets, qs, spec)
     np.testing.assert_array_equal(got.flat, unfold_layers(want))
 
@@ -155,7 +162,7 @@ def test_fit_steps_match_the_row_major_reference(widths, qs, rng, adam_steps):
     features = rng.normal(size=(37, widths[0]))
     targets = np.repeat(rng.normal(size=(37, 1)), 2, axis=1)
     spec = MlpSpec(widths, seed=4)
-    got = _fit_pinball_net(features, targets, qs, spec)
+    got = fit_net(features, targets, qs, spec)
     want = allocating_pinball_net(features, targets, qs, spec)
     np.testing.assert_allclose(got.flat, want.flat, rtol=1e-12)
 
@@ -168,7 +175,7 @@ def test_fitted_net_predicts_the_folded_forward(rng, adam_steps):
     features = rng.normal(size=(n, d_in))
     targets = rng.normal(size=(n, 2))
     spec = MlpSpec((d_in, 10, 10, 2), seed=3)
-    model = QuantileModel(net=_fit_pinball_net(features, targets, qs, spec),
+    model = QuantileModel(net=fit_net(features, targets, qs, spec),
                           f_mean=np.zeros(d_in), f_sd=np.ones(d_in),
                           y_mean=np.zeros(1), y_sd=np.ones(1))
     _, out = folded_activations(folded_pinball_net(features, targets, qs, spec), features)
@@ -176,15 +183,71 @@ def test_fitted_net_predicts_the_folded_forward(rng, adam_steps):
     np.testing.assert_allclose(got, np.sort(out.T, axis=1), rtol=1e-12)
 
 
+# a stage's nets as one replication at alphas 0.05 and 0.10 fits them: the
+# naive and fold-1 arm bands at each level, 250 and 125 rows on one stack
+STAGE = [(250, (0.0125, 0.9875), 3), (125, (0.0125, 0.9875), 3),
+         (250, (0.025, 0.975), 4), (125, (0.025, 0.975), 4)]
+
+
+def stage_inputs(rng, nets, d_in=6):
+    features = [rng.normal(size=(n, d_in)) for n, _, _ in nets]
+    targets = [rng.normal(size=(n, 2)) for n, _, _ in nets]
+    qs = [q for _, q, _ in nets]
+    specs = [MlpSpec((d_in, 10, 10, 2), seed=seed) for _, _, seed in nets]
+    return features, targets, qs, specs
+
+
+@pytest.mark.parametrize("nets", [STAGE[:1], STAGE[:2], STAGE], ids=["K1", "K2", "K4"])
+def test_stage_nets_are_bitwise_the_folded_reference(nets, rng, adam_steps):
+    # in float64 the lockstep stage is each net's own fit, padding and all
+    adam_steps(200, 0.02)
+    features, targets, qs, specs = stage_inputs(rng, nets)
+    got = _fit_pinball_stage(features, targets, qs, specs, dtype=np.float64)
+    for k, net in enumerate(got):
+        want = folded_pinball_net(features[k], targets[k], qs[k], specs[k])
+        np.testing.assert_array_equal(net.flat, unfold_layers(want))
+
+
+def test_float32_stage_nets_are_bitwise_the_nets_alone(rng, adam_steps):
+    # stacking and padding move no bit of a net's float32 fit either, so a
+    # net's fit does not depend on the stage it runs in
+    adam_steps(200, 0.02)
+    features, targets, qs, specs = stage_inputs(rng, STAGE)
+    stacked = _fit_pinball_stage(features, targets, qs, specs)
+    for k, net in enumerate(stacked):
+        alone = _fit_pinball_stage(features[k:k + 1], targets[k:k + 1], qs[k:k + 1], specs[k:k + 1])
+        np.testing.assert_array_equal(net.flat, alone[0].flat)
+
+
+def test_float32_passes_track_the_float64_fit(rng, adam_steps):
+    # float32 passes round each gradient to ~1e-7 relative, and Adam's
+    # steps of at most ~lr carry that into the weights: five steps at lr
+    # 0.02 stay within 1e-6 (measured ~4e-8).  Longer fits flip some row's
+    # pinball indicator, after which the two fits part by up to ~lr a step
+    adam_steps(5, 0.02)
+    features, targets, qs, specs = stage_inputs(rng, STAGE)
+    low = _fit_pinball_stage(features, targets, qs, specs)
+    high = _fit_pinball_stage(features, targets, qs, specs, dtype=np.float64)
+    for a, b in zip(low, high):
+        assert a.flat.dtype == np.float64
+        np.testing.assert_allclose(a.flat, b.flat, rtol=0, atol=1e-6)
+
+
 def test_pinball_fit_names_the_step_that_went_non_finite(rng, adam_steps):
+    # the error names the step and the levels of the net that went
+    # non-finite: the first net cannot move, since at levels 0 with targets
+    # above every output its gradient is exactly 0; the second overflows at
+    # the second step
     adam_steps(5, 1e308)
-    features = rng.normal(size=(30, 3))
-    targets = np.repeat(rng.normal(size=(30, 1)), 2, axis=1)
-    with np.errstate(all="ignore"), pytest.raises(
-        ValueError, match=r"^non-finite parameter values at Adam step 2 of 5, "
-                          r"quantile levels \(0\.1, 0\.9\)$"
-    ):
-        _fit_pinball_net(features, targets, (0.1, 0.9), MlpSpec((3, 4, 2), seed=1))
+    features = [rng.normal(size=(30, 3)), rng.normal(size=(20, 3))]
+    targets = [np.full((30, 2), 1e30), np.repeat(rng.normal(size=(20, 1)), 2, axis=1)]
+    specs = [MlpSpec((3, 4, 2), seed=1), MlpSpec((3, 4, 2), seed=2)]
+    for dtype in (np.float32, np.float64):
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^non-finite parameter values at Adam step 2 of 5, "
+                              r"quantile levels \(0\.1, 0\.9\)$"
+        ):
+            _fit_pinball_stage(features, targets, [(0.0, 0.0), (0.1, 0.9)], specs, dtype=dtype)
 
 
 def test_pinball_fit_rejects_non_finite_weights(rng, adam_steps):
@@ -289,13 +352,18 @@ def test_split_conformal_marginal_coverage(adam_steps):
     assert hits / reps >= floor
 
 
+def one_mode(train, test, alpha, mode, seed):
+    # one mode's intervals at one level, fitted for it alone
+    return cqr_ite(fit_cqr(train, (alpha,), (mode,), seed), test, alpha=alpha, mode=mode)
+
+
 def test_cqr_ite_modes_run_and_tag_im(adam_steps):
     adam_steps(*FAST)
     # large enough that every calibration fold supports a finite band
     train = generate("example1", 400, seed=5)
     test = generate("example1", 40, seed=6)
     for mode in ("naive", "exact", "inexact"):
-        out = cqr_ite(train, test, alpha=0.1, mode=mode, seed=0)
+        out = one_mode(train, test, 0.1, mode, seed=0)
         assert len(out) == test.n
         assert all(iv.case == "Im" for iv in out)
         assert all(iv.lower <= iv.upper for iv in out)
@@ -306,8 +374,8 @@ def test_cqr_ite_deterministic_in_seed(adam_steps):
     adam_steps(*FAST)
     train = generate("example1", 120, seed=7)
     test = generate("example1", 20, seed=8)
-    a = cqr_ite(train, test, alpha=0.1, mode="naive", seed=3)
-    b = cqr_ite(train, test, alpha=0.1, mode="naive", seed=3)
+    a = one_mode(train, test, 0.1, "naive", seed=3)
+    b = one_mode(train, test, 0.1, "naive", seed=3)
     assert [(iv.lower, iv.upper) for iv in a] == [(iv.lower, iv.upper) for iv in b]
 
 
@@ -317,8 +385,8 @@ def test_cqr_ite_naive_wider_than_inexact(adam_steps):
     adam_steps(*FAST)
     train = generate("example1", 400, seed=9)
     test = generate("example1", 100, seed=10)
-    naive = cqr_ite(train, test, alpha=0.05, mode="naive", seed=1)
-    inexact = cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1)
+    naive = one_mode(train, test, 0.05, "naive", seed=1)
+    inexact = one_mode(train, test, 0.05, "inexact", seed=1)
     def mean_length(ivs):
         return np.mean([iv.upper - iv.lower for iv in ivs])
 
@@ -338,8 +406,7 @@ def test_cqr_ite_naive_covers_noise_free_effect(adam_steps):
     y = c + tau * t
     train = Dataset(x=x[:300], t=t[:300], y=y[:300])
     test_x = x[300:]
-    out = cqr_ite(train, Dataset(x=test_x, t=t[300:], y=y[300:]), alpha=0.1,
-                  mode="naive", seed=2)
+    out = one_mode(train, Dataset(x=test_x, t=t[300:], y=y[300:]), 0.1, "naive", seed=2)
     truth = 2.0 * test_x[:, 0]
     covered = np.mean([iv.lower <= tr <= iv.upper for iv, tr in zip(out, truth)])
     assert covered >= 0.9
@@ -348,9 +415,11 @@ def test_cqr_ite_naive_covers_noise_free_effect(adam_steps):
 def test_cqr_ite_unknown_mode():
     train = generate("example1", 40, seed=12)
     with pytest.raises(ValueError, match="unknown mode"):
-        cqr_ite(train, train, mode="magic")
+        fit_cqr(train, (0.1,), ("magic",), 0)
     with pytest.raises(ValueError, match="alpha"):
-        cqr_ite(train, train, alpha=0.0)
+        fit_cqr(train, (0.0,), ("naive",), 0)
+    with pytest.raises(ValueError, match=r"^no CQR fit for mode 'exact' at alpha 0\.5$"):
+        cqr_ite(fit_cqr(train, (0.5,), ("naive",), 0), train, alpha=0.5, mode="exact")
 
 
 def test_cqr_ite_endpoint_modes_reject_infinite_band(monkeypatch, adam_steps):
@@ -362,7 +431,7 @@ def test_cqr_ite_endpoint_modes_reject_infinite_band(monkeypatch, adam_steps):
     test = generate("example1", 20, seed=14)
     calls = count_pinball_fits(monkeypatch)
     with pytest.raises(ValueError, match="infinite band"):
-        cqr_ite(train, test, alpha=0.05, mode="inexact", seed=1)
+        one_mode(train, test, 0.05, "inexact", seed=1)
     assert calls == []
 
 
@@ -375,7 +444,7 @@ def test_cqr_ite_naive_rejects_infinite_band(monkeypatch, adam_steps):
     test = generate("example1", 20, seed=14)
     calls = count_pinball_fits(monkeypatch)
     with pytest.raises(ValueError, match=r"^calibration at alpha 0\.05 returned an infinite band"):
-        cqr_ite(train, test, alpha=0.05, mode="naive", seed=1)
+        one_mode(train, test, 0.05, "naive", seed=1)
     assert calls == []
 
 
@@ -391,23 +460,33 @@ def count_pinball_fits(monkeypatch):
     return calls
 
 
-def test_exact_and_inexact_share_one_fold_one_fit(monkeypatch, adam_steps):
-    # with a shared dict the second endpoint mode reuses the first one's
-    # fold-1 fit, in either order, and gets what it gets on its own; the
-    # inexact endpoint regression is one more fit
+def test_a_replication_fits_in_two_stages(monkeypatch, adam_steps):
+    # two levels and all three modes: stage 1 fits the naive and fold-1 arm
+    # bands at both levels, stage 2 inexact's endpoints at both levels; each
+    # (mode, level) gets what it gets fitted alone
     adam_steps(*FAST)
-    train = generate("example1", 400, seed=5)
+    train = generate("example1", 800, seed=5)
     test = generate("example1", 30, seed=6)
+    alphas = (0.05, 0.10)
     calls = count_pinball_fits(monkeypatch)
-    alone = {
-        mode: cqr_ite(train, test, alpha=0.1, mode=mode, seed=4)
-        for mode in ("exact", "inexact")
-    }
-    assert len(calls) == 3
-    for order in (("exact", "inexact"), ("inexact", "exact")):
-        calls.clear()
-        fits = {}
-        for mode in order:
-            shared = cqr_ite(train, test, alpha=0.1, mode=mode, seed=4, fold_one_fits=fits)
-            assert shared == alone[mode]
-        assert len(calls) == 2 and len(fits) == 1
+    fits = fit_cqr(train, alphas, ("naive", "exact", "inexact"), seed=4)
+    assert len(calls) == 2
+    assert sorted(fits) == sorted((m, a) for m in ("naive", "exact", "inexact") for a in alphas)
+    for mode, alpha in fits:
+        want = one_mode(train, test, alpha, mode, seed=4)
+        assert cqr_ite(fits, test, alpha=alpha, mode=mode) == want
+
+
+@pytest.mark.parametrize("modes, n", [(("exact",), 120), (("naive", "inexact"), 200)])
+def test_a_shortfall_at_any_level_or_mode_raises_before_any_fit(modes, n, monkeypatch, adam_steps):
+    # level 0.975 needs 39 calibration rows of each arm: 120 rows leave too
+    # few in every mode; of 200, naive's 100 calibration rows hold enough and
+    # fold 1's 50 do not.  At alpha 0.5 every mode has enough
+    adam_steps(*FAST)
+    train = generate("example1", n, seed=13)
+    calls = count_pinball_fits(monkeypatch)
+    fit_cqr(train, (0.5,), modes, seed=1)
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^calibration at alpha 0\.05 returned an infinite band"):
+        fit_cqr(train, (0.5, 0.05), modes, seed=1)
+    assert calls == []

@@ -16,14 +16,18 @@ Every file a command writes is compared byte for byte with the other tree's.
 summary.json is compared after one mask: its config.outdir, which names each
 tree's own output directory, is dropped.  A config key that only one tree
 writes (a field one of them added or removed) is listed as a note and left
-out of the comparison.  A command that fails in both trees with the same
-last stderr line is a note; one that fails in one tree only is a
-difference.  The run exits 1 on any difference, 0 otherwise.
+out of the comparison.  A difference names what differs: the methods whose
+rows differ in an intervals.csv, and the method blocks (and other top-level
+keys) that differ in summary.json, so a change that should move one method
+shows that the others did not move.  A command that fails in both trees
+with the same last stderr line is a note; one that fails in one tree only
+is a difference.  The run exits 1 on any difference, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -68,8 +72,9 @@ def masked_summary(path: str) -> dict:
     return summary
 
 
-def compare_summaries(a_path: str, b_path: str, notes: list) -> bool:
-    """Whether the two summary.json files agree once masked; one-sided
+def summary_differences(a_path: str, b_path: str, notes: list) -> list:
+    """The parts of two summary.json files that differ once masked: a
+    "method X" per differing method block, else the top-level key; one-sided
     config keys go to notes."""
     a, b = masked_summary(a_path), masked_summary(b_path)
     for key in sorted(set(a["config"]) ^ set(b["config"])):
@@ -78,7 +83,14 @@ def compare_summaries(a_path: str, b_path: str, notes: list) -> bool:
         a["config"].pop(key, None)
         b["config"].pop(key, None)
     dump = lambda s: json.dumps(s, sort_keys=True, indent=2)
-    return dump(a) == dump(b)
+    parts = []
+    for key in sorted(set(a) | set(b)):
+        if key == "methods":
+            parts += [f"method {m}" for m in sorted(set(a[key]) | set(b[key]))
+                      if dump(a[key].get(m)) != dump(b[key].get(m))]
+        elif dump(a.get(key)) != dump(b.get(key)):
+            parts.append(key)
+    return parts
 
 
 def first_differing_line(a_path: str, b_path: str) -> str:
@@ -87,6 +99,30 @@ def first_differing_line(a_path: str, b_path: str) -> str:
             if la != lb:
                 return f"line {i}"
     return "length"
+
+
+def rows_by_method(path: str) -> tuple[list, dict]:
+    """An intervals.csv's header and its rows grouped by their first column,
+    the method."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    groups = {}
+    for row in rows[1:]:
+        groups.setdefault(row[0], []).append(row)
+    return rows[:1], groups
+
+
+def interval_differences(a_path: str, b_path: str) -> str:
+    """Which methods' rows differ in two intervals.csv files."""
+    (a_head, a_rows), (b_head, b_rows) = rows_by_method(a_path), rows_by_method(b_path)
+    moved = sorted(m for m in set(a_rows) | set(b_rows) if a_rows.get(m) != b_rows.get(m))
+    same = sorted(set(a_rows) & set(b_rows) - set(moved))
+    parts = [] if a_head == b_head else ["header"]
+    if moved:
+        parts.append(f"rows of {', '.join(moved)}")
+    if not parts:  # the same cells written differently
+        return f"differs at {first_differing_line(a_path, b_path)}"
+    return f"differs in {'; '.join(parts)}" + (f" (same: {', '.join(same)})" if same else "")
 
 
 def compare_outputs(a_dir: str, b_dir: str) -> tuple[list, list, int]:
@@ -99,12 +135,17 @@ def compare_outputs(a_dir: str, b_dir: str) -> tuple[list, list, int]:
     for rel in both:
         a_path, b_path = os.path.join(a_dir, rel), os.path.join(b_dir, rel)
         if os.path.basename(rel) == "summary.json":
-            if not compare_summaries(a_path, b_path, notes):
-                diffs.append(f"{rel}: differs after masking config.outdir")
+            parts = summary_differences(a_path, b_path, notes)
+            if parts:
+                diffs.append(f"{rel}: differs after masking config.outdir, in {', '.join(parts)}")
             continue
         with open(a_path, "rb") as fa, open(b_path, "rb") as fb:
-            if fa.read() != fb.read():
-                diffs.append(f"{rel}: differs at {first_differing_line(a_path, b_path)}")
+            if fa.read() == fb.read():
+                continue
+        if os.path.basename(rel) == "intervals.csv":
+            diffs.append(f"{rel}: {interval_differences(a_path, b_path)}")
+        else:
+            diffs.append(f"{rel}: differs at {first_differing_line(a_path, b_path)}")
     return diffs, notes, len(both)
 
 
