@@ -13,12 +13,13 @@ name), --seed, --out, --paper-scale and --workers.  The config's data source
 chooses the model: a design fits its own, a csv file the linear_ate model.
 simulate and fit handle one replication, so they say on stderr that they
 ignore --workers above 1.  report takes the intervals.csv path and --out
-only.  A bad config, a config file that cannot be read or parsed, a csv
-config given to simulate or cqr, a csv data file or intervals.csv that
-cannot be read as one, and a csv data file with fewer rows than n_batches
-each exit 2 with one stderr line, "fidte: error: <message>",
-before any output directory is made; an error raised inside a replication
-keeps its traceback.
+only, and keys a level by its alpha as a number (0.10 and 1e-1 are 0.1).
+A bad config, a config file that cannot be read or parsed, a csv config
+given to simulate or cqr, a csv data file or intervals.csv that cannot be
+read as one (for report, a malformed row, named by its line and column),
+and a csv data file with fewer rows than n_batches each exit 2 with one
+stderr line, "fidte: error: <message>", before any output directory is
+made; an error raised inside a replication keeps its traceback.
 """
 
 from __future__ import annotations

@@ -8,51 +8,28 @@ differenced (naive), interval-outcome conformal on a second fold (exact), and
 median regression of the fold-two interval endpoints (inexact, no coverage
 guarantee).
 
-Every quantile net, for the arm bands and the inexact endpoints alike, is
-fit by pinball_fit on raw columns, in ADAM_STEPS full-batch Adam steps at
-rate ADAM_LR, and read back by predict_quantiles.
-
-A replication plans its CQR work up front (fit_cqr): it draws every split,
-from one generator per mode family as one call per mode did, checks every
-arm band's calibration rows at every level and mode, and only then fits, in
-two pinball_fit stages.  Stage 1 holds every arm-band net, naive's and the
-fold-1 bands exact and inexact share, at every level ((d+1)->10->10->2);
-stage 2 every inexact endpoint net (d->10->10->2), whose targets are stage
-1's interval outcomes.  cqr_ite turns the fits into each (mode, level)'s
-intervals.  On example1 one level takes 2 stage fits where it took 3 net
-fits, and two levels 2 where they took 6.
+A replication plans its CQR work up front (fit_cqr) and fits it in two
+pinball_fit stages of ADAM_STEPS full-batch Adam steps: every arm-band net
+((d+1)->10->10->2), then every inexact endpoint net (d->10->10->2), whose
+targets are stage 1's interval outcomes.  predict_quantiles reads a net
+back, and cqr_ite turns the fits into each (mode, level)'s intervals.
 
 The quantile nets are nn's networks, made by mlp_init and evaluated by
-mlp_forward_batch, but _fit_pinball_stage trains a stage's nets in a layout
-of its own, stacked on a leading axis: bias-folded [W | b] matrices,
-(K, d_l, d_{l-1} + 1) per layer, and feature-major activations,
-(K, d_l + 1, N) with a row of ones and each net's rows padded to the
-stage's largest count N with zero-loss-weight columns.  Each layer's
-forward and each weight-and-bias gradient is one stacked matmul, and each
-tanh, each derivative op and each Adam op is one call per stage, not per
-net.  The passes run in float32 over float64 master weights and Adam
-moments (the mixed-precision recipe of Micikevicius et al. 2018): tanh on
-a stage-1 block, (2, 10, 250), takes ~6 us in float32 against ~18 us in
-float64.  On example1's shapes (stage 1 two 6->10->10->2 nets on 250 and
-125 rows, stage 2 one 5->10->10->2 net on 250) an Adam step of both
-stages takes ~112 us against ~160 us for the same three nets fitted one
-at a time in float64 (best of 10 interleaved runs), and ~107 us against
-~147 us for the same stages in float64 passes (62 + 45 against 89 + 58
-us; one BLAS thread, 2 cores, shared host).  The layout is private to
-the fit, and the two share no pass code: nn keeps the row-major (n, d)
-form that the engine and sampler hand it and read back.
+mlp_forward_batch, but _fit_pinball_stage trains a stage's nets stacked on
+a leading axis, in a bias-folded, feature-major layout private to the fit
+(nn keeps the row-major (n, d) form of the engine and sampler), so each
+matmul, tanh, derivative op and Adam op is one call per stage.  The passes
+run in float32 over float64 master weights and Adam moments (the
+mixed-precision recipe of Micikevicius et al. 2018).
 
 Stacking and padding move no bit: in either precision a stage's net is
-the net fitted alone.  The float32 passes do move the fit: 3000 pinball
-steps amplify any last-bit difference (the gradient of a row flips
-between two values as its output crosses its target), as they amplify the
-folded layout's different GEMM rounding against nn's (parameter gaps of
-~6e-17 after one step and 0.4 to 1.4 after 3000 on 250 random rows).  On
-example1 a seed's mean interval length moves by up to 21% against the
-float64 fit, while over 40 seeds the mean length and coverage do not move
-detectably.  A fit's intervals therefore depend on the BLAS kernel's
-rounding: compare CQR results across seeds (validate/compare_cqr.py), not
-bit for bit across machines.
+the net fitted alone.  The float32 passes, like the folded layout's GEMM
+rounding against nn's, do move the fit, as 3000 pinball steps amplify any
+last-bit difference (a row's gradient flips between two values as its
+output crosses its target): on example1 a seed's mean interval length moves
+by up to 21% against the float64 fit, while over 40 seeds the mean length
+and coverage do not move detectably.  So compare CQR results across seeds
+(validate/compare_cqr.py), not bit for bit across machines.
 """
 
 from __future__ import annotations
@@ -64,7 +41,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .engine import Dataset
-from .inference import PredictionInterval
+from .inference import Intervals
 from .nn import MlpParams, MlpSpec, mlp_forward_batch, mlp_init
 # no fit calls it, but perfbench's tracer wraps fidte.cqr.mlp_backward_batch and
 # its selftest resolves every name the tracer wraps
@@ -437,9 +414,9 @@ def fit_cqr(
 
 def cqr_ite(
     fits: Dict[Tuple[str, float], object], test: Dataset, alpha: float, mode: str
-) -> List[PredictionInterval]:
+) -> Intervals:
     """Covariates-only ITE intervals for every test row, tagged Im, from
-    fit_cqr's fits of mode at alpha.
+    fit_cqr's fits of mode at alpha, as one block in test order.
 
     naive differences the per-arm bands at level 1 - alpha/2; exact and
     inexact read their endpoint surfaces.
@@ -461,14 +438,7 @@ def cqr_ite(
         upper = test_design @ coef_hi + s_hat
 
     # crossed endpoints mean an empty interval; report the degenerate point
-    swap = lower > upper
-    if np.any(swap):
-        mid = 0.5 * (lower[swap] + upper[swap])
-        lower = np.where(swap, mid, lower)
-        upper = np.where(swap, mid, upper)
+    swap, mid = lower > upper, 0.5 * (lower + upper)
+    lower, upper = np.where(swap, mid, lower), np.where(swap, mid, upper)
 
-    return [
-        PredictionInterval(subject_id=i, case="Im", lower=float(lower[i]),
-                           upper=float(upper[i]), alpha=alpha)
-        for i in range(test.n)
-    ]
+    return Intervals(np.arange(test.n), np.full(test.n, "Im"), lower, upper, alpha)

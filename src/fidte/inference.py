@@ -1,4 +1,5 @@
-"""Intervals and the PEHE from a collected fiducial sample.
+"""Intervals and the PEHE from a collected fiducial sample.  An interval
+result is one Intervals block per method and level, checked once, as columns.
 
 ATE confidence intervals come straight from the fiducial draws of the effect
 slot that the chain's own layout names.  ITE prediction intervals and the
@@ -27,7 +28,7 @@ a quantile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,24 +44,47 @@ P_MISSING = 1.0 / 3.0
 _BLOCK_VALUES = 1 << 16
 
 
-@dataclass(frozen=True)
-class PredictionInterval:
-    subject_id: int
-    case: str
-    lower: float
-    upper: float
+class IntervalError(ValueError):
+    """An Intervals row that breaks a rule: its index in the block and its column."""
+
+    def __init__(self, message: str, row: int, column: str):
+        super().__init__(message)
+        self.row, self.column = row, column
+
+
+@dataclass(frozen=True, eq=False)
+class Intervals:
+    """One method's prediction intervals at one level, as columns: row k is
+    [lower[k], upper[k]] for subject subject_id[k] in case case[k] (an ATE
+    block is one row, subject -1).  Building one checks every row at once:
+    alpha in (0, 1), a known case, finite endpoints with lower <= upper.  The
+    first row to break a rule raises IntervalError; ragged columns ValueError.
+    """
+
+    subject_id: np.ndarray
+    case: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     alpha: float
 
     def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case!r}, expected one of {CASES}")
+        for name, kind in zip(("subject_id", "case", "lower", "upper"), (np.int64, str, float, float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=kind))
+        object.__setattr__(self, "alpha", float(self.alpha))
+        shapes = [col.shape for col in (self.subject_id, self.case, self.lower, self.upper)]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"interval columns must be 1-d and of one length, got shapes {shapes}")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.lower <= self.upper:
-            raise ValueError(f"interval must satisfy lower <= upper, got ({self.lower}, {self.upper})")
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+            raise IntervalError(f"alpha must lie in (0, 1), got {self.alpha}", 0, "alpha")
+        rules = {"case": np.isin(self.case, CASES), "lower": np.isfinite(self.lower),
+                 "upper": np.isfinite(self.upper) & (self.lower <= self.upper)}
+        for column, ok in rules.items():
+            if not ok.all():
+                k = int(np.argmin(ok))
+                got = f"({float(self.lower[k])}, {float(self.upper[k])})"
+                raise IntervalError(f"unknown case {str(self.case[k])!r}, expected one of {CASES}"
+                                    if column == "case" else "interval must have finite endpoints "
+                                    f"with lower <= upper, got {got}", k, column)
 
 
 def _linear_quantiles(draws: np.ndarray, levels) -> np.ndarray:
@@ -108,13 +132,13 @@ def ate_draws(chain: FiducialChain) -> np.ndarray:
     return 2.0 * chain.scaler.y_std * chain.draws[:, chain.layout.tau_slice.start]
 
 
-def ate_interval(chain: FiducialChain, alpha: float = 0.05) -> PredictionInterval:
-    """Equal-tailed level-(1 - alpha) interval of ate_draws(chain)."""
+def ate_interval(chain: FiducialChain, alpha: float = 0.05) -> Intervals:
+    """Equal-tailed level-(1 - alpha) interval of ate_draws(chain): one ATE row."""
     draws = ate_draws(chain)
     if draws.size == 0:
         raise ValueError("empty fiducial chain")
-    lower, upper = _linear_quantiles(draws, (alpha / 2.0, 1.0 - alpha / 2.0)).tolist()
-    return PredictionInterval(subject_id=-1, case="ATE", lower=lower, upper=upper, alpha=alpha)
+    lower, upper = _linear_quantiles(draws, (alpha / 2.0, 1.0 - alpha / 2.0))[:, None]
+    return Intervals([-1], ["ATE"], lower, upper, alpha)
 
 
 def assign_cases(test: Dataset, rng: np.random.Generator) -> np.ndarray:
@@ -129,11 +153,10 @@ def ite_intervals(
     alpha: float,
     rng: np.random.Generator,
     cases: Sequence[str],
-) -> List[PredictionInterval]:
-    """Per-subject prediction intervals for the individual effect.
-
-    surfaces come from engine.draw_surfaces on test.x.  cases gives one tag per
-    test row (assign_cases); subjects without an observed arm are Im.
+) -> Intervals:
+    """Per-subject prediction intervals for the individual effect, one row
+    per test row in test order.  surfaces come from engine.draw_surfaces on
+    test.x; cases gives one tag per test row (assign_cases).
 
     Subject i's normals stay streams[i].standard_normal(m) of rng.spawn, so
     the answer does not depend on how subjects are grouped.  A case's
@@ -189,10 +212,7 @@ def ite_intervals(
                 lower[idx], upper[idx] = test.y[idx] - q_hi, test.y[idx] - q_lo
             else:
                 lower[idx], upper[idx] = q_lo, q_hi
-    return [
-        PredictionInterval(subject_id=i, case=str(case), lower=lo, upper=hi, alpha=alpha)
-        for i, (case, lo, hi) in enumerate(zip(cases, lower.tolist(), upper.tolist()))
-    ]
+    return Intervals(np.arange(test.n), cases, lower, upper, alpha)
 
 
 def pehe(surfaces: tuple, test: Dataset) -> float:
@@ -207,10 +227,3 @@ def pehe(surfaces: tuple, test: Dataset) -> float:
         raise ValueError("no treated test units")
     tau_hat = surfaces[1].mean(axis=0)
     return float(np.mean((tau_hat[keep] - test.tau_true[keep]) ** 2))
-
-
-def ite_truth(test: Dataset) -> np.ndarray:
-    """Realized individual effects Y(1) - Y(0); needs both stored arms."""
-    if test.y1 is None or test.y0 is None:
-        raise ValueError("test set lacks stored potential outcomes")
-    return test.y1 - test.y0

@@ -3,26 +3,27 @@
 One experiment = R independent replications.  Each replication draws its own
 dataset (or reuses the CSV one, read once per run), runs every configured
 method (every CQR fit first, so that a calibration shortfall raises before
-any fit or EFI run), and returns its interval rows, each with the
-simulation truth it should cover, and the PEHE, both read off one
-engine.draw_surfaces call per EFI chain.  The model follows the data source: build_layout turns
-config.surfaces into the chain's layout, and the layout decides between ATE
-and ITE intervals.  Each replication writes its own intervals.csv as it
-finishes, so a failure keeps the files of those before it.  score_rows is
-the one scorer of interval rows: summary.json is a function of the
-replications' rows and PEHEs, and `fidte report` rescores an intervals.csv
-with the same code.  A csv data file or intervals file that cannot be read
-as one, or a csv data file with fewer rows than n_batches, raises
-InputFileError, which the command line reports on one line.
-Replication r derives all of its randomness from a splittable seed sequence
-keyed by (seed, r), so any single replication can be re-run in isolation and
-workers can run them in any order without changing results.
+any fit or EFI run), and returns one inference.Intervals block per method
+and level with the simulation truth of its rows, and the PEHE; the EFI
+results read one engine.draw_surfaces call per chain.  build_layout turns
+config.surfaces into the chain's layout, which decides between ATE and ITE
+intervals.  Each replication writes its intervals.csv as it finishes, so a
+failure keeps the files of those before it.  intervals.csv has one codec,
+write_rows_csv and read_rows_csv, and score_rows is the one scorer:
+summary.json is a function of the replications' blocks and PEHEs, and
+`fidte report` rescores the blocks read back with the same code.  A csv
+data file or intervals file that cannot be read as one, or a csv data file
+with fewer rows than n_batches, raises InputFileError, which the command
+line reports on one line.  Replication r derives all of its randomness from
+a seed sequence keyed by (seed, r), so any replication can be re-run alone
+and workers can run them in any order without changing results.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -35,11 +36,11 @@ from .cqr import cqr_ite, fit_cqr
 from .datagen import generate
 from .engine import TRUTH_COLUMNS, Dataset, ThetaLayout, draw_surfaces
 from .inference import (
-    PredictionInterval,
+    IntervalError,
+    Intervals,
     assign_cases,
     ate_interval,
     ite_intervals,
-    ite_truth,
     pehe,
 )
 from .nn import MlpSpec
@@ -60,13 +61,14 @@ class InputFileError(ValueError):
     csv data file too short for the config's n_batches."""
 
 
-def _cell(row: dict, col: str, line: int) -> float:
-    """A csv cell as a float; a bad cell is named by its line and column."""
+def _cell(row: dict, col: str, line: int, kind=float):
+    """A csv cell as a kind; a bad cell is named by its line and column."""
     raw = row[col]
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise InputFileError(f"non-numeric value {raw!r} at line {line}, column {col!r}") from None
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as e:
+        what = "out-of-range" if isinstance(e, OverflowError) else "non-numeric"
+        raise InputFileError(f"{what} value {raw!r} at line {line}, column {col!r}") from None
 
 
 def _open(path: str, kind: str):
@@ -164,21 +166,16 @@ def _efi_results(config, train, ints, rep_dir):
         return run_efi(train, layout, inv_spec, config, ints[2], trace=trace_fh)
 
 
-def _truth_for(iv: PredictionInterval, truth_vec, ate_truth) -> Optional[float]:
-    if iv.case == "ATE":
-        return ate_truth
-    return None if truth_vec is None else float(truth_vec[iv.subject_id])
-
-
 def run_replication(
     config: ExperimentConfig, r: int, csv_rows: Optional[Dataset], rep_dir: Optional[str] = None
 ) -> dict:
     """All methods on replication r's data.
 
     csv_rows is read_csv_rows(config), the training set of a csv config.
-    Returns the interval rows (method, interval, truth), the PEHE of the
-    EFI effect surface (None without one or without tau_true) and the EFI
-    chain (None without efi).  With config.trace set, the sampler trace
+    Returns the interval rows, a (method, block, truth) per method and
+    level, truth being each block row's simulation truth or None; the PEHE
+    of the EFI effect surface (None without one or without tau_true) and
+    the EFI chain (None without efi).  With config.trace set, the sampler trace
     goes to rep_dir.
     """
     ints = replication_ints(config.seed, r)
@@ -186,10 +183,10 @@ def run_replication(
         train, test = _replication_data(config, ints) if config.csv is None else (csv_rows, None)
         truth_vec = ate_truth = None
         if test is not None and test.y1 is not None and test.y0 is not None:
-            truth_vec = ite_truth(test)
+            truth_vec = test.y1 - test.y0  # the realized individual effects
         # a constant effect is the ATE an ATE interval should cover
         if train.tau_true is not None and np.all(train.tau_true == train.tau_true[0]):
-            ate_truth = float(train.tau_true[0])
+            ate_truth = train.tau_true[:1]
 
         # every CQR fit first: a calibration shortfall raises before any fit
         # or EFI run, and the fits share two lockstep stages
@@ -207,18 +204,19 @@ def run_replication(
                 if test.tau_true is not None:
                     pehe_value = pehe(surfaces, test)
 
+        # every ITE block holds the test rows in order, so truth_vec is its truth
         rows = []
         for method in config.methods:
             for a_idx, alpha in enumerate(config.alphas):
-                if method == "efi":
-                    if surfaces is None:
-                        ivs = [ate_interval(chain, alpha=alpha)]
-                    else:
-                        ivs = ite_intervals(surfaces, test, alpha,
-                                            np.random.default_rng([ints[3], a_idx]), cases)
+                if method != "efi":
+                    mode = method.split("-", 1)[1]
+                    row = cqr_ite(cqr_fits, test, alpha=alpha, mode=mode), truth_vec
+                elif surfaces is None:
+                    row = ate_interval(chain, alpha=alpha), ate_truth
                 else:
-                    ivs = cqr_ite(cqr_fits, test, alpha=alpha, mode=method.split("-", 1)[1])
-                rows.extend((method, iv, _truth_for(iv, truth_vec, ate_truth)) for iv in ivs)
+                    rng = np.random.default_rng([ints[3], a_idx])
+                    row = ite_intervals(surfaces, test, alpha, rng, cases), truth_vec
+                rows.append((method, *row))
         return {"r": r, "rows": rows, "pehe": pehe_value, "chain": chain}
     except RuntimeError as e:
         raise RuntimeError(f"replication {r}: {e}") from e
@@ -226,18 +224,24 @@ def run_replication(
         raise ValueError(f"replication {r}: {e}") from e
 
 
+INTERVAL_COLUMNS = ("method", "alpha", "subject_id", "case", "lower", "upper", "truth", "covered")
+
+
 def write_rows_csv(rows, path) -> None:
-    """Interval rows of one replication, one line per interval."""
+    """run_replication's rows, one line per block row (a None truth leaves
+    truth and covered empty), made from .tolist() columns; no cell holds a
+    comma, quote or line break, so each line is what csv.writer writes."""
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["method", "alpha", "subject_id", "case", "lower", "upper", "truth", "covered"])
-        for method, iv, tv in rows:
-            base = [method, repr(float(iv.alpha)), iv.subject_id, iv.case,
-                    repr(float(iv.lower)), repr(float(iv.upper))]
-            if tv is None:
-                wr.writerow(base + ["", ""])
-            else:
-                wr.writerow(base + [repr(float(tv)), int(iv.contains(float(tv)))])
+        fh.write(",".join(INTERVAL_COLUMNS) + "\r\n")
+        for method, block, truth in rows:
+            head = f"{method},{block.alpha!r},"
+            lo, hi, empty = block.lower, block.upper, [""] * block.lower.size
+            truths = empty if truth is None else map(repr, truth.tolist())
+            covers = empty if truth is None else ((lo <= truth) & (truth <= hi)).view(np.int8).tolist()
+            fh.writelines(
+                f"{head}{i},{case},{a!r},{b!r},{t},{c}\r\n" for i, case, a, b, t, c in zip(
+                    block.subject_id.tolist(), block.case.tolist(), lo.tolist(), hi.tolist(),
+                    truths, covers))
 
 
 def _mean_sd(values) -> dict:
@@ -248,61 +252,60 @@ def _mean_sd(values) -> dict:
     return {"mean": float(np.mean(arr)), "sd": sd}
 
 
-def score_rows(triples) -> dict:
-    """Count, mean length and coverage of (lower, upper, truth) triples.
+def _spread(scores) -> dict:
+    """Mean and sd of score_rows results' coverage and mean length."""
+    return {"coverage": _mean_sd(s["coverage"] for s in scores),
+            "length": _mean_sd(s["mean_length"] for s in scores)}
 
-    Coverage is the share of triples with truth whose interval holds it, or
-    None when no triple has truth.
-    """
-    covered = [lo <= tv <= hi for lo, hi, tv in triples if tv is not None]
-    return {
-        "n": len(triples),
-        "mean_length": float(np.mean([hi - lo for lo, hi, _ in triples])),
-        "coverage": float(np.mean(covered)) if covered else None,
-    }
+
+def score_rows(lower, upper, truth=None) -> dict:
+    """Count, mean length and coverage of the intervals [lower, upper]; truth
+    is None or one value per row, NaN where a row has none, and coverage is
+    the share of rows with a truth whose interval holds it, or None."""
+    coverage = None
+    if truth is not None:
+        has = ~np.isnan(truth)
+        if has.any():
+            lo, hi, tv = lower[has], upper[has], truth[has]
+            coverage = float(np.mean((lo <= tv) & (tv <= hi)))
+    return {"n": lower.size, "mean_length": float(np.mean(upper - lower)), "coverage": coverage}
+
+
+def _case_scores(block: Intervals, truth) -> tuple[dict, dict]:
+    """score_rows of a block's rows pooled, case after case in the order the
+    cases first appear, and of each case's rows apart."""
+    parts = {case: np.flatnonzero(block.case == case) for case in dict.fromkeys(block.case.tolist())}
+    def score(idx):
+        return score_rows(block.lower[idx], block.upper[idx], None if truth is None else truth[idx])
+    return score(np.concatenate(list(parts.values()))), {c: score(idx) for c, idx in parts.items()}
 
 
 def summarize(config: ExperimentConfig, reps: list[dict]) -> dict:
     """Cross-replication summary: per method and level, mean and sd.
 
     It is a function of each replication's interval rows and PEHE alone:
-    score_rows scores a replication's rows of one method and level pooled
+    score_rows scores a replication's block of one method and level pooled
     over cases, and each case Ic/It/Im apart for per_case, which holds the
     mean and sd across replications of that case's coverage and length, so
     methods that score different cases can be compared on a shared one.
     """
-    grouped = []  # per replication: (method, level key) -> {case: triples}
-    for rep in reps:
-        groups = {}
-        for method, iv, tv in rep["rows"]:
-            groups.setdefault((method, repr(float(iv.alpha))), {}).setdefault(iv.case, []).append(
-                (iv.lower, iv.upper, tv))
-        grouped.append(groups)
+    # per replication: (method, level key) -> (pooled score, {case: score})
+    scored = [{(method, repr(block.alpha)): _case_scores(block, truth)
+               for method, block, truth in rep["rows"]} for rep in reps]
     methods = {}
     for method in config.methods:
         blocks = {}
         for alpha in config.alphas:
             key = repr(float(alpha))
-            pooled, by_case = [], []
-            for groups in grouped:
-                cases = groups[method, key]
-                # pooled case after case, in the order the cases first appear
-                pooled.append(score_rows([triple for ts in cases.values() for triple in ts]))
-                by_case.append({case: score_rows(ts) for case, ts in cases.items() if case != "ATE"})
+            pooled = [scores[method, key][0] for scores in scored]
+            by_case = [{case: s for case, s in scores[method, key][1].items() if case != "ATE"}
+                       for scores in scored]
             blocks[key] = {
-                "coverage": _mean_sd(s["coverage"] for s in pooled),
-                "length": _mean_sd(s["mean_length"] for s in pooled),
-                "per_case": {
-                    case: {
-                        "coverage": _mean_sd(sc[case]["coverage"] for sc in by_case if case in sc),
-                        "length": _mean_sd(sc[case]["mean_length"] for sc in by_case if case in sc),
-                    }
-                    for case in sorted({case for sc in by_case for case in sc})
-                },
-                "per_replication": [
-                    {"r": rep["r"], "coverage": s["coverage"], "mean_length": s["mean_length"]}
-                    for rep, s in zip(reps, pooled)
-                ],
+                **_spread(pooled),
+                "per_case": {case: _spread([sc[case] for sc in by_case if case in sc])
+                             for case in sorted({case for sc in by_case for case in sc})},
+                "per_replication": [{"r": rep["r"], "coverage": s["coverage"],
+                                     "mean_length": s["mean_length"]} for rep, s in zip(reps, pooled)],
             }
         entry = {"alphas": blocks}
         if method == "efi" and any(rep["pehe"] is not None for rep in reps):
@@ -341,27 +344,39 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     return summary
 
 
-def rescore(intervals_path: str) -> dict:
-    """Re-read an intervals.csv and score each (method, level, case) block.
-
-    The covered flag is recomputed from (lower, upper, truth); rows without
-    truth contribute to lengths only.  A bad file raises InputFileError.
-    """
-    groups = {}
+def read_rows_csv(intervals_path: str) -> list:
+    """An intervals.csv as write_rows_csv's rows, a (method, block, truth)
+    per method and level, truth NaN where its cell is empty.  A bad row
+    raises InputFileError naming its line and column."""
+    groups = {}  # (method, alpha) -> lines, subject ids, cases, lowers, uppers, truths
     with _open(intervals_path, "intervals") as fh:
         reader = csv.DictReader(fh)
-        needed = {"method", "alpha", "case", "lower", "upper", "truth"}
-        have = set(reader.fieldnames or [])
-        if not needed <= have:
-            raise InputFileError(f"intervals file is missing columns {sorted(needed - have)}")
+        missing = set(INTERVAL_COLUMNS[:-1]) - set(reader.fieldnames or [])
+        if missing:
+            raise InputFileError(f"intervals file is missing columns {sorted(missing)}")
         for i, row in enumerate(reader, start=2):  # header is line 1
-            tv = _cell(row, "truth", i) if row["truth"] != "" else None
-            groups.setdefault((row["method"], row["alpha"], row["case"]), []).append(
-                (_cell(row, "lower", i), _cell(row, "upper", i), tv)
-            )
+            tv = _cell(row, "truth", i) if row["truth"] != "" else math.nan  # NaN: no truth
+            if row["truth"] != "" and not math.isfinite(tv):
+                raise InputFileError(f"non-finite value {row['truth']!r} at line {i}, column 'truth'")
+            cols = groups.setdefault((row["method"], _cell(row, "alpha", i)), ([], [], [], [], [], []))
+            for col, value in zip(cols, (i, _cell(row, "subject_id", i, np.int64), row["case"],
+                                         _cell(row, "lower", i), _cell(row, "upper", i), tv)):
+                col.append(value)
     if not groups:
         raise InputFileError(f"intervals file {intervals_path} holds no interval rows")
+    rows = []
+    for (method, alpha), (lines, *cols, truth) in groups.items():
+        try:
+            rows.append((method, Intervals(*cols, alpha), np.array(truth)))
+        except IntervalError as e:
+            raise InputFileError(f"{e} at line {lines[e.row]}, column {e.column!r}") from None
+    return rows
+
+
+def rescore(intervals_path: str) -> dict:
+    """Score each (method, level, case) of an intervals.csv as summarize
+    scores a replication's rows; rows without truth count in lengths only."""
     out = {}
-    for (method, alpha, case), triples in sorted(groups.items()):
-        out.setdefault(method, {}).setdefault(alpha, {})[case] = score_rows(triples)
+    for method, block, truth in read_rows_csv(intervals_path):
+        out.setdefault(method, {})[repr(block.alpha)] = _case_scores(block, truth)[1]
     return out

@@ -3,7 +3,7 @@ import pytest
 
 import fidte.cqr
 from fidte.engine import RESCALE, Standardizer
-from fidte.inference import PredictionInterval
+from fidte.inference import Intervals
 from fidte.nn import MlpParams, mlp_forward_batch, mlp_init
 from fidte.prior import RHO, SIGMA0, SIGMA1
 
@@ -235,5 +235,6 @@ def per_subject_ite_intervals(surfaces, test, alpha, rng, cases):
         else:
             diff = tau_mat[:, i] + np.sqrt(2.0) * sig * z_new
             lower, upper = np.quantile(diff, qs, method="linear").tolist()
-        out.append(PredictionInterval(subject_id=i, case=case, lower=lower, upper=upper, alpha=alpha))
-    return out
+        out.append((case, lower, upper))
+    cases, lowers, uppers = zip(*out)
+    return Intervals(np.arange(test.n), cases, lowers, uppers, alpha)

@@ -1,9 +1,11 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +21,10 @@ from fidte.runner import (
     _replication_data,
     load_csv_dataset,
     read_csv_rows,
+    read_rows_csv,
     replication_ints,
     rescore,
+    score_rows,
     write_rows_csv,
 )
 from fidte.sampler import FiducialChain
@@ -415,6 +419,79 @@ def test_summary_carries_per_case_blocks(tmp_path, monkeypatch, adam_steps):
         assert cases["Im"]["coverage"]["mean"] == np.mean([sc["coverage"] for sc in scores])
 
 
+def test_summary_scores_equal_the_rescored_files(tmp_path, monkeypatch, adam_steps):
+    # summary.json and `fidte report` score through one score_rows: each
+    # replication's pooled score, its cases' rows concatenated in the order
+    # the cases first appear, and each case's mean and sd across
+    # replications are, bit for bit, those of the written intervals.csv files
+    short_cqr_fits(monkeypatch, adam_steps)
+    cfg = tmp_path / "ex1.yaml"
+    cfg.write_text("preset: example1\nR: 2\nn_train: 400\nn_test: 30\nalphas: [0.1, 0.2]\n"
+                   "init_iters: 2\nk_burn: 2\nm_keep: 4\nthin: 1\nn_batches: 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    files = [str(out / f"rep_{r:03d}" / "intervals.csv") for r in range(2)]
+    pooled = []
+    for path in files:
+        pooled.append({})
+        for method, block, truth in read_rows_csv(path):
+            order = np.concatenate([np.flatnonzero(block.case == case)
+                                    for case in dict.fromkeys(block.case.tolist())])
+            pooled[-1][method, repr(block.alpha)] = score_rows(
+                block.lower[order], block.upper[order], truth[order])
+    rescored = [rescore(path) for path in files]
+    spread = lambda values: {"mean": float(np.mean(values)), "sd": float(np.std(values, ddof=1))}
+    checked = 0
+    for method in PRESETS["example1"]["methods"]:
+        for key in ("0.1", "0.2"):
+            got = summary["methods"][method]["alphas"][key]
+            assert got["per_replication"] == [
+                {"r": r, "coverage": pooled[r][method, key]["coverage"],
+                 "mean_length": pooled[r][method, key]["mean_length"]} for r in range(2)]
+            cases = sorted(rescored[0][method][key])
+            assert sorted(got["per_case"]) == cases == (["Im"] if method != "efi" else
+                                                        ["Ic", "Im", "It"])
+            for case in cases:
+                scores = [rescored[r][method][key][case] for r in range(2)]
+                assert got["per_case"][case] == {
+                    "coverage": spread([sc["coverage"] for sc in scores]),
+                    "length": spread([sc["mean_length"] for sc in scores])}
+                checked += 1
+    assert checked == 2 * (3 + 3)
+
+
+def test_compare_cqr_child_scores_the_replication_rows(monkeypatch, adam_steps):
+    # validate/compare_cqr.py's child reads run_replication's rows; a change
+    # of their shape fails here, not when the script is next run
+    path = os.path.join(os.path.dirname(SRC), "validate", "compare_cqr.py")
+    spec = importlib.util.spec_from_file_location("compare_cqr", path)
+    compare_cqr = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_cqr)
+    short_cqr_fits(monkeypatch, adam_steps)
+    real, reps = fidte.runner.run_replication, []
+    monkeypatch.setattr(fidte.runner, "run_replication",
+                        lambda *args: reps.append(real(*args)) or reps[-1])
+    got = compare_cqr.run_seeds(1, 1)
+    expected = {}
+    for method, block, truth in reps[0]["rows"]:
+        s = score_rows(block.lower, block.upper, truth)
+        expected.setdefault(method[len("cqr-"):], {})[repr(block.alpha)] = [
+            s["mean_length"], s["coverage"]]
+    assert got == {1: expected}
+    assert sorted(expected) == sorted(compare_cqr.MODES)
+    # rows of one interval per subject, as trees before interval blocks keep
+    # them, score the same
+    per_subject = [(method, SimpleNamespace(lower=lo, upper=hi, alpha=block.alpha), t)
+                   for method, block, truth in reps[0]["rows"]
+                   for lo, hi, t in zip(block.lower.tolist(), block.upper.tolist(), truth.tolist())]
+    monkeypatch.setattr(fidte.runner, "run_replication", lambda *args: {"rows": per_subject})
+    assert compare_cqr.run_seeds(1, 1) == got
+    rows, skipped = compare_cqr.compare(got, got)
+    assert skipped == [] and len(rows) == len(compare_cqr.MODES) * len(compare_cqr.ALPHAS)
+    assert all(r["rel_length_change"] == r["coverage_change_diff"] == 0.0 for r in rows)
+
+
 def test_replication_computes_chain_surfaces_once(monkeypatch):
     # every level's ITE intervals and the PEHE read one set of surfaces
     calls = []
@@ -429,7 +506,7 @@ def test_replication_computes_chain_surfaces_once(monkeypatch):
                         thin=1, n_batches=1, alphas=(0.1, 0.2), methods=("efi",))
     rep = fidte.runner.run_replication(cfg, 0, None)
     assert len(calls) == 1
-    assert {repr(iv.alpha) for _, iv, _ in rep["rows"]} == {"0.1", "0.2"}
+    assert {repr(block.alpha) for _, block, _ in rep["rows"]} == {"0.1", "0.2"}
     assert rep["pehe"] >= 0.0
 
 
@@ -544,18 +621,24 @@ def test_unusable_csv_data_file_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists() and calls == []
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "missing-columns"])
+@pytest.mark.parametrize("case", ["missing", "directory", "missing-columns", "crossed-row"])
 def test_unusable_intervals_file_is_one_error_line(tmp_path, capsys, case):
     path = tmp_path / "intervals.csv"
     message = {
         "missing": f"intervals file {path}: No such file or directory",
         "directory": f"intervals file {path}: Is a directory",
-        "missing-columns": "intervals file is missing columns ['truth', 'upper']",
+        "missing-columns": "intervals file is missing columns ['subject_id', 'truth', 'upper']",
+        "crossed-row": "interval must have finite endpoints with lower <= upper, got (2.0, 1.0) "
+                       "at line 2, column 'upper'",
     }[case]
     if case == "directory":
         path.mkdir()
     elif case == "missing-columns":
         path.write_text("method,alpha,case,lower\nefi,0.05,ATE,0.5\n")
+    elif case == "crossed-row":
+        # it would report a negative mean length
+        path.write_text("method,alpha,subject_id,case,lower,upper,truth,covered\n"
+                        "efi,0.05,0,Im,2.0,1.0,1.5,0\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["report", "--out", str(tmp_path / "out"), str(path)])
     assert exc.value.code == 2

@@ -357,6 +357,12 @@ def one_mode(train, test, alpha, mode, seed):
     return cqr_ite(fit_cqr(train, (alpha,), (mode,), seed), test, alpha=alpha, mode=mode)
 
 
+def columns(ivs):
+    # a block's rows as plain values, to compare two blocks
+    return (ivs.subject_id.tolist(), ivs.case.tolist(), ivs.lower.tolist(), ivs.upper.tolist(),
+            ivs.alpha)
+
+
 def test_cqr_ite_modes_run_and_tag_im(adam_steps):
     adam_steps(*FAST)
     # large enough that every calibration fold supports a finite band
@@ -364,10 +370,10 @@ def test_cqr_ite_modes_run_and_tag_im(adam_steps):
     test = generate("example1", 40, seed=6)
     for mode in ("naive", "exact", "inexact"):
         out = one_mode(train, test, 0.1, mode, seed=0)
-        assert len(out) == test.n
-        assert all(iv.case == "Im" for iv in out)
-        assert all(iv.lower <= iv.upper for iv in out)
-        assert [iv.subject_id for iv in out] == list(range(test.n))
+        assert out.lower.shape == (test.n,)
+        assert out.case.tolist() == ["Im"] * test.n
+        assert np.all(out.lower <= out.upper)
+        assert out.subject_id.tolist() == list(range(test.n))
 
 
 def test_cqr_ite_deterministic_in_seed(adam_steps):
@@ -376,7 +382,7 @@ def test_cqr_ite_deterministic_in_seed(adam_steps):
     test = generate("example1", 20, seed=8)
     a = one_mode(train, test, 0.1, "naive", seed=3)
     b = one_mode(train, test, 0.1, "naive", seed=3)
-    assert [(iv.lower, iv.upper) for iv in a] == [(iv.lower, iv.upper) for iv in b]
+    assert columns(a) == columns(b)
 
 
 def test_cqr_ite_naive_wider_than_inexact(adam_steps):
@@ -388,7 +394,7 @@ def test_cqr_ite_naive_wider_than_inexact(adam_steps):
     naive = one_mode(train, test, 0.05, "naive", seed=1)
     inexact = one_mode(train, test, 0.05, "inexact", seed=1)
     def mean_length(ivs):
-        return np.mean([iv.upper - iv.lower for iv in ivs])
+        return np.mean(ivs.upper - ivs.lower)
 
     assert mean_length(naive) > mean_length(inexact)
 
@@ -408,8 +414,22 @@ def test_cqr_ite_naive_covers_noise_free_effect(adam_steps):
     test_x = x[300:]
     out = one_mode(train, Dataset(x=test_x, t=t[300:], y=y[300:]), 0.1, "naive", seed=2)
     truth = 2.0 * test_x[:, 0]
-    covered = np.mean([iv.lower <= tr <= iv.upper for iv, tr in zip(out, truth)])
+    covered = np.mean((out.lower <= truth) & (truth <= out.upper))
     assert covered >= 0.9
+
+
+def test_cqr_ite_reports_crossed_endpoints_as_their_midpoint():
+    # exact's endpoint surfaces x1 and 1/2 cross on the rows with x1 > 1/2,
+    # some but not all of the test rows; each crossed row is its midpoint
+    test = generate("example1", 20, seed=3)
+    fits = {("exact", 0.1): (np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.0, 0.0]), 0.0)}
+    out = cqr_ite(fits, test, alpha=0.1, mode="exact")
+    x1 = test.x[:, 0]
+    crossed = x1 > 0.5
+    assert 1 < crossed.sum() < test.n
+    mid = 0.5 * (x1 + 0.5)
+    assert np.array_equal(out.lower, np.where(crossed, mid, x1))
+    assert np.array_equal(out.upper, np.where(crossed, mid, 0.5))
 
 
 def test_cqr_ite_unknown_mode():
@@ -474,7 +494,7 @@ def test_a_replication_fits_in_two_stages(monkeypatch, adam_steps):
     assert sorted(fits) == sorted((m, a) for m in ("naive", "exact", "inexact") for a in alphas)
     for mode, alpha in fits:
         want = one_mode(train, test, alpha, mode, seed=4)
-        assert cqr_ite(fits, test, alpha=alpha, mode=mode) == want
+        assert columns(cqr_ite(fits, test, alpha=alpha, mode=mode)) == columns(want)
 
 
 @pytest.mark.parametrize("modes, n", [(("exact",), 120), (("naive", "inexact"), 200)])

@@ -8,16 +8,16 @@ from fidte.engine import Dataset, Standardizer, ThetaLayout, draw_surfaces
 from fidte.inference import (
     _BLOCK_VALUES,
     _linear_quantiles,
-    PredictionInterval,
+    IntervalError,
+    Intervals,
     assign_cases,
     ate_draws,
     ate_interval,
     ite_intervals,
-    ite_truth,
     pehe,
 )
 from fidte.nn import MlpSpec
-from fidte.runner import rescore, score_rows, summarize, write_rows_csv
+from fidte.runner import InputFileError, rescore, score_rows, summarize, write_rows_csv
 from fidte.sampler import FiducialChain
 
 from conftest import IDENTITY_SCALER, per_draw_chain_surfaces, per_subject_ite_intervals
@@ -66,28 +66,34 @@ def ate_chain(samples) -> FiducialChain:
     return make_chain(draws)
 
 
+def ate_bounds(chain, alpha):
+    """(lower, upper) of ate_interval's block, which has one row."""
+    iv = ate_interval(chain, alpha=alpha)
+    return iv.lower.item(), iv.upper.item()
+
+
 def test_quantile_median_of_ranks():
     # endpoints interpolate linearly between ranks: the 1/4 and 3/4 points of
     # 1..100 sit at positions 24.75 and 74.25
-    iv = ate_interval(ate_chain(np.arange(1.0, 101.0)), alpha=0.5)
-    assert (iv.lower, iv.upper) == (pytest.approx(25.75), pytest.approx(75.25))
+    lower, upper = ate_bounds(ate_chain(np.arange(1.0, 101.0)), alpha=0.5)
+    assert (lower, upper) == (pytest.approx(25.75), pytest.approx(75.25))
 
 
 def test_quantile_extremes_are_min_max(rng):
     s = rng.standard_normal(31)
     chain = ate_chain(s)
     for alpha in (0.05, 0.5):
-        iv = ate_interval(chain, alpha=alpha)
-        assert s.min() <= iv.lower <= iv.upper <= s.max()
-    iv = ate_interval(chain, alpha=1e-12)
-    assert iv.lower == pytest.approx(s.min()) and iv.upper == pytest.approx(s.max())
+        lower, upper = ate_bounds(chain, alpha=alpha)
+        assert s.min() <= lower <= upper <= s.max()
+    lower, upper = ate_bounds(chain, alpha=1e-12)
+    assert lower == pytest.approx(s.min()) and upper == pytest.approx(s.max())
 
 
 def test_quantile_matches_sort_oracle(rng):
     s = rng.standard_normal(137)
     v = np.sort(s)
-    iv = ate_interval(ate_chain(s), alpha=0.05)
-    for q, got in ((0.025, iv.lower), (0.975, iv.upper)):
+    lower, upper = ate_bounds(ate_chain(s), alpha=0.05)
+    for q, got in ((0.025, lower), (0.975, upper)):
         pos = q * (len(s) - 1)
         lo = int(np.floor(pos))
         want = v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
@@ -110,8 +116,8 @@ def test_quantile_rejects_bad_input():
 def test_quantile_monotone_in_q(qa, qb, seed):
     # a smaller alpha reaches further into both tails
     chain = ate_chain(np.random.default_rng(seed).standard_normal(25))
-    small, large = (ate_interval(chain, alpha=a) for a in sorted((qa, qb)))
-    assert small.lower <= large.lower and large.upper <= small.upper
+    small, large = (ate_bounds(chain, alpha=a) for a in sorted((qa, qb)))
+    assert small[0] <= large[0] and large[1] <= small[1]
 
 
 # levels: the endpoints' own, the extremes, and any in between
@@ -181,8 +187,8 @@ def test_ate_interval_constant_draws():
     # tau' = 0.5 means a 0-to-1 contrast of exactly 1
     theta = np.array([0.5, 1.0, 0.0, 0.0, 0.0, 0.0, np.log(0.5)])
     iv = ate_interval(const_chain(theta, 200), alpha=0.05)
-    assert iv.lower == iv.upper == pytest.approx(1.0)
-    assert iv.case == "ATE"
+    assert iv.lower.item() == iv.upper.item() == pytest.approx(1.0)
+    assert (iv.subject_id.tolist(), iv.case.tolist()) == ([-1], ["ATE"])
 
 
 def test_ate_interval_rejects_wrong_layout():
@@ -196,12 +202,28 @@ def test_ate_interval_rejects_wrong_layout():
 
 
 def test_prediction_interval_validation():
-    with pytest.raises(ValueError, match="lower <= upper"):
-        PredictionInterval(0, "Im", 2.0, 1.0, 0.05)
-    with pytest.raises(ValueError, match="alpha"):
-        PredictionInterval(0, "Im", 0.0, 1.0, -0.05)
-    with pytest.raises(ValueError, match="case"):
-        PredictionInterval(0, "nope", 0.0, 1.0, 0.05)
+    # every rule names the first row that breaks it and that row's column
+    def fault(case=("Im", "Im", "Im"), lower=(0.0, 0.0, 0.0), upper=(1.0, 1.0, 1.0), alpha=0.05):
+        with pytest.raises(IntervalError) as exc:
+            Intervals([0, 1, 2], case, lower, upper, alpha)
+        return str(exc.value), exc.value.row, exc.value.column
+
+    message, row, column = fault(lower=(0.0, 2.0, 3.0))
+    assert "lower <= upper" in message and (row, column) == (1, "upper")
+    assert fault(upper=(1.0, 1.0, np.nan))[1:] == (2, "upper")
+    assert fault(lower=(np.nan, 0.0, 0.0))[1:] == (0, "lower")
+    assert fault(upper=(1.0, np.inf, 1.0))[1:] == (1, "upper")
+    message, row, column = fault(alpha=-0.05)
+    assert "alpha" in message and (row, column) == (0, "alpha")
+    assert fault(alpha=1.0)[1:] == (0, "alpha")
+    message, row, column = fault(case=("Im", "Ic", "nope"))
+    assert "case" in message and (row, column) == (2, "case")
+    with pytest.raises(ValueError, match="one length"):
+        Intervals([0, 1], ["Im", "Im"], [0.0, 0.0], [1.0], 0.05)
+    with pytest.raises(ValueError, match="one length"):
+        Intervals([0], ["Im", "Im"], [0.0, 0.0], [1.0, 1.0], 0.05)
+    block = Intervals([0, 1], ["Im", "ATE"], [0.0, -1.0], [0.0, 1.0], 0.05)
+    assert block.subject_id.dtype == np.int64 and block.lower.dtype == np.float64
 
 
 def test_im_interval_matches_gaussian_predictive_law():
@@ -214,9 +236,9 @@ def test_im_interval_matches_gaussian_predictive_law():
     ivs = ite_intervals(surfaces(chain, test), test, alpha=0.05,
                         rng=np.random.default_rng(9), cases=["Im"] * 3)
     half = 1.959964 * np.sqrt(2.0) * sigma0
-    for iv in ivs:
-        assert iv.lower == pytest.approx(tau0 - half, abs=0.08)
-        assert iv.upper == pytest.approx(tau0 + half, abs=0.08)
+    for lower, upper in zip(ivs.lower, ivs.upper):
+        assert lower == pytest.approx(tau0 - half, abs=0.08)
+        assert upper == pytest.approx(tau0 + half, abs=0.08)
 
 
 def test_ic_interval_is_shifted_treated_prediction():
@@ -227,12 +249,12 @@ def test_ic_interval_is_shifted_treated_prediction():
                         rng=np.random.default_rng(11), cases=["Ic"] * 4)
     # rebuild the treated-arm prediction interval with the same subject streams
     streams = np.random.default_rng(11).spawn(4)
-    for i, iv in enumerate(ivs):
+    for i, (lower, upper) in enumerate(zip(ivs.lower, ivs.upper)):
         z = streams[i].standard_normal(5000)
         (c,), (tau,), _ = draw_surfaces(theta[None, :], LINEAR, test.x[i], IDENTITY_SCALER)
         y1_hat = c[0] + tau[0] + 0.5 * z
-        assert iv.lower == pytest.approx(np.quantile(y1_hat, 0.05) - test.y[i], rel=1e-12)
-        assert iv.upper == pytest.approx(np.quantile(y1_hat, 0.95) - test.y[i], rel=1e-12)
+        assert lower == pytest.approx(np.quantile(y1_hat, 0.05) - test.y[i], rel=1e-12)
+        assert upper == pytest.approx(np.quantile(y1_hat, 0.95) - test.y[i], rel=1e-12)
 
 
 def test_translation_equivariance_of_cases():
@@ -254,10 +276,11 @@ def test_translation_equivariance_of_cases():
                          np.random.default_rng(7), cases)
     moved = ite_intervals(surfaces(make_chain(shifted), test), test, 0.05,
                           np.random.default_rng(7), cases)
-    for b, m in zip(base, moved):
-        want = {"Ic": shift, "It": -shift, "Im": 0.0}[b.case]
-        assert m.lower - b.lower == pytest.approx(want, abs=1e-9)
-        assert m.upper - b.upper == pytest.approx(want, abs=1e-9)
+    assert base.case.tolist() == moved.case.tolist() == cases.tolist()
+    for case, dl, du in zip(cases, moved.lower - base.lower, moved.upper - base.upper):
+        want = {"Ic": shift, "It": -shift, "Im": 0.0}[case]
+        assert dl == pytest.approx(want, abs=1e-9)
+        assert du == pytest.approx(want, abs=1e-9)
 
 
 def test_ite_intervals_ordered_bounds_and_tags(rng):
@@ -267,10 +290,9 @@ def test_ite_intervals_ordered_bounds_and_tags(rng):
     cases = np.where(test.t == 1, "It", "Ic")
     ivs = ite_intervals(surfaces(make_chain(draws), test), test, 0.05, np.random.default_rng(1),
                         cases)
-    assert len(ivs) == 20
-    for iv in ivs:
-        assert iv.lower <= iv.upper
-        assert iv.case == cases[iv.subject_id]
+    assert ivs.subject_id.tolist() == list(range(20))
+    assert np.all(ivs.lower <= ivs.upper)
+    assert ivs.case.tolist() == cases[ivs.subject_id].tolist()
 
 
 def test_ite_intervals_validation():
@@ -286,7 +308,8 @@ def test_ite_intervals_validation():
 
 
 def endpoint_bits(ivs):
-    return [(iv.subject_id, iv.case, iv.lower.hex(), iv.upper.hex(), iv.alpha) for iv in ivs]
+    return [(i, case, lo.hex(), hi.hex(), ivs.alpha) for i, case, lo, hi in zip(
+        ivs.subject_id.tolist(), ivs.case.tolist(), ivs.lower.tolist(), ivs.upper.tolist())]
 
 
 # m = _BLOCK_VALUES // 7 + 3 puts 6 subjects in a block: 16 Ic subjects make
@@ -390,24 +413,24 @@ def test_pehe_scores_treated_rows_only():
 
 
 def test_score_intervals_huge_bounds_cover():
-    rep = score_rows([(-1e12, 1e12, float(i)) for i in range(5)])
+    rep = score_rows(np.full(5, -1e12), np.full(5, 1e12), np.arange(5.0))
     assert rep == {"n": 5, "mean_length": 2e12, "coverage": 1.0}
 
 
 def test_score_intervals_points_at_truth(tmp_path):
     # degenerate intervals at the truth cover it, through a written file
-    truth = np.linspace(-1.0, 1.0, 7).tolist()
+    truth = np.linspace(-1.0, 1.0, 7)
     path = tmp_path / "iv.csv"
-    write_rows_csv([("efi", PredictionInterval(i, "Ic", truth[i], truth[i], 0.05), truth[i])
-                    for i in range(7)], path)
+    write_rows_csv([("efi", Intervals(np.arange(7), ["Ic"] * 7, truth, truth, 0.05), truth)], path)
     assert rescore(str(path))["efi"]["0.05"]["Ic"] == {"n": 7, "mean_length": 0.0, "coverage": 1.0}
 
 
 def test_score_intervals_hand_fixture(tmp_path):
     # 10 subjects with truth 0; seven unit-radius intervals centered at 0
     # cover, three centered at 5 miss; every interval has length 2
-    rows = [("efi", PredictionInterval(i, "Im", -1.0, 1.0, 0.05), 0.0) for i in range(7)]
-    rows += [("efi", PredictionInterval(i, "It", 4.0, 6.0, 0.05), 0.0) for i in range(7, 10)]
+    block = Intervals(np.arange(10), ["Im"] * 7 + ["It"] * 3, [-1.0] * 7 + [4.0] * 3,
+                      [1.0] * 7 + [6.0] * 3, 0.05)
+    rows = [("efi", block, np.zeros(10))]
     path = tmp_path / "iv.csv"
     write_rows_csv(rows, path)
     per_case = rescore(str(path))["efi"]["0.05"]
@@ -421,21 +444,11 @@ def test_score_intervals_hand_fixture(tmp_path):
     assert block["per_case"]["It"]["coverage"]["mean"] == 0.0
 
 
-def test_ite_truth_requires_arms():
-    test = toy_test_set(4)
-    np.testing.assert_allclose(ite_truth(test), test.y1 - test.y0)
-    with pytest.raises(ValueError, match="potential outcomes"):
-        ite_truth(Dataset(x=test.x, t=test.t, y=test.y))
-
-
 def test_write_intervals_csv_roundtrip(tmp_path):
-    ivs = [
-        PredictionInterval(0, "Im", 0.0, 1.0, 0.05),
-        PredictionInterval(1, "Ic", -1.0, 2.0, 0.05),
-        PredictionInterval(-1, "ATE", 0.5, 1.5, 0.05),
-    ]
+    ite = Intervals([0, 1], ["Im", "Ic"], [0.0, -1.0], [1.0, 2.0], 0.05)
+    ate = Intervals([-1], ["ATE"], [0.5], [1.5], 0.05)
     path = tmp_path / "iv.csv"
-    write_rows_csv([("efi", ivs[0], 0.5), ("efi", ivs[1], 3.0), ("efi", ivs[2], None)], path)
+    write_rows_csv([("efi", ite, np.array([0.5, 3.0])), ("efi", ate, None)], path)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "method,alpha,subject_id,case,lower,upper,truth,covered"
     assert rows[1].split(",") == ["efi", "0.05", "0", "Im", "0.0", "1.0", "0.5", "1"]
@@ -450,7 +463,8 @@ def test_interval_of_numpy_scalars_reads_back(tmp_path):
     # endpoints taken from an array are numpy scalars; the file holds plain numbers
     lower, upper = np.array([-1.0, 1.0])
     path = tmp_path / "iv.csv"
-    write_rows_csv([("efi", PredictionInterval(0, "Im", lower, upper, 0.05), 0.5)], path)
+    write_rows_csv([("efi", Intervals([0], ["Im"], [lower], [upper], np.float64(0.05)),
+                     np.array([0.5]))], path)
     assert path.read_text().splitlines()[1].split(",")[4:6] == ["-1.0", "1.0"]
     assert rescore(str(path))["efi"]["0.05"]["Im"] == {"n": 1, "mean_length": 2.0, "coverage": 1.0}
 
@@ -465,5 +479,33 @@ def test_rescore_rejects_a_malformed_file(tmp_path):
     with pytest.raises(ValueError, match=r"^intervals file .*iv\.csv holds no interval rows$"):
         rescore(str(path))
     path.write_text("method,alpha,case,lower\nefi,0.05,ATE,0.5\n")
-    with pytest.raises(ValueError, match=r"^intervals file is missing columns \['truth', 'upper'\]$"):
+    with pytest.raises(ValueError, match=r"^intervals file is missing columns "
+                                         r"\['subject_id', 'truth', 'upper'\]$"):
         rescore(str(path))
+    # each bad row after a good one of the same block is named by its line and column
+    for row, message in BAD_INTERVAL_ROWS.items():
+        path.write_text(header + "efi,0.05,0,Im,0.5,1.5,1.0,1\n" + row + "\n")
+        with pytest.raises(InputFileError) as exc:
+            rescore(str(path))
+        assert str(exc.value) == message
+
+
+# a malformed intervals.csv row, read at line 3, and the error it gives
+BAD_INTERVAL_ROWS = {
+    "efi,0.05,1,XX,0.5,1.5,1.0,1":
+        "unknown case 'XX', expected one of ('Ic', 'It', 'Im', 'ATE') at line 3, column 'case'",
+    "efi,abc,1,Im,0.5,1.5,1.0,1": "non-numeric value 'abc' at line 3, column 'alpha'",
+    "efi,1.5,1,Im,0.5,1.5,1.0,1": "alpha must lie in (0, 1), got 1.5 at line 3, column 'alpha'",
+    "efi,nan,1,Im,0.5,1.5,1.0,1": "alpha must lie in (0, 1), got nan at line 3, column 'alpha'",
+    "efi,0.05,1,Im,2.0,1.0,1.0,1": "interval must have finite endpoints with lower <= upper, "
+                                   "got (2.0, 1.0) at line 3, column 'upper'",
+    "efi,0.05,1,Im,nan,1.0,1.0,1": "interval must have finite endpoints with lower <= upper, "
+                                   "got (nan, 1.0) at line 3, column 'lower'",
+    "efi,0.05,1,Im,0.0,inf,1.0,1": "interval must have finite endpoints with lower <= upper, "
+                                   "got (0.0, inf) at line 3, column 'upper'",
+    "efi,0.05,1,Im,0.5,1.5,nan,0": "non-finite value 'nan' at line 3, column 'truth'",
+    "efi,0.05,1,Im,0.5,1.5,-inf,0": "non-finite value '-inf' at line 3, column 'truth'",
+    "efi,0.05,x,Im,0.5,1.5,1.0,1": "non-numeric value 'x' at line 3, column 'subject_id'",
+    "efi,0.05,99999999999999999999,Im,0.5,1.5,1.0,1":
+        "out-of-range value '99999999999999999999' at line 3, column 'subject_id'",
+}

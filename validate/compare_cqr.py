@@ -54,16 +54,22 @@ def run_seeds(base: int, count: int) -> dict:
                 raise
             out[seed] = {"shortfall": str(e)}
             continue
+        # a row is one block of intervals per method and level, or, in trees
+        # before interval blocks, one interval per test subject
         cells = {}
         for method, iv, truth in rows:
             cells.setdefault((method[len("cqr-"):], iv.alpha), []).append(
-                (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
+                [np.atleast_1d(v) for v in (iv.lower, iv.upper, truth)]
             )
-        out[seed] = {
-            mode: {str(a): np.mean(cells[(mode, a)], axis=0).tolist() for a in ALPHAS}
-            for mode in MODES
-        }
+        out[seed] = {mode: {str(a): length_and_coverage(cells[(mode, a)]) for a in ALPHAS}
+                     for mode in MODES}
     return out
+
+
+def length_and_coverage(parts) -> list:
+    """Mean length and coverage of (lower, upper, truth) arrays taken together."""
+    lower, upper, truth = map(np.concatenate, zip(*parts))
+    return [float(np.mean(upper - lower)), float(np.mean((lower <= truth) & (truth <= upper)))]
 
 
 def start_tree(root: str, base: int, count: int) -> subprocess.Popen:

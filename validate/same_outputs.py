@@ -3,16 +3,21 @@
     python3 validate/same_outputs.py PARENT CHANGE [--seed S]
 
 PARENT and CHANGE are checkouts of this repository (each holds src/fidte).
-Each tree runs three commands at seed S (default 1), each command in its own
+Each tree runs four commands at seed S (default 1), each command in its own
 interpreter with BLAS on one thread:
 
   fit        example2, n_train 1000, n_test 1000, init 5 / burn 10 / keep 30
              / thin 1, efi (the perfbench ite_ex2_fit workload's config);
   benchmark  example1, R 2, init 20 / burn 50 / keep 200 / thin 2, alphas
              0.05 and 0.10, efi and the three cqr-* modes;
-  benchmark  linear_ate_n250, R 2, burn 100, keep 300.
+  benchmark  linear_ate_n250, R 2, burn 100, keep 300;
+  cqr        example1, R 1, n_train 500, n_test 1000, the three cqr-* modes
+             (the perfbench cqr_ex1 workload's config).
 
-Every file a command writes is compared byte for byte with the other tree's.
+After each command, each tree runs `fidte report --out OUT/report` on its
+own copy of the first intervals.csv the command wrote, so report.json is
+compared too.  Every file a command writes is compared byte for byte with
+the other tree's.
 summary.json is compared after one mask: its config.outdir, which names each
 tree's own output directory, is dropped.  A config key that only one tree
 writes (a field one of them added or removed) is listed as a note and left
@@ -44,19 +49,31 @@ COMMANDS = (
       "alphas": [0.05, 0.10], "methods": ["efi", "cqr-naive", "cqr-exact", "cqr-inexact"]}),
     ("linear_ate_n250", "benchmark",
      {"preset": "linear_ate_n250", "R": 2, "k_burn": 100, "m_keep": 300}),
+    ("cqr_ex1", "cqr",
+     {"preset": "example1", "R": 1, "n_train": 500, "n_test": 1000,
+      "methods": ["cqr-naive", "cqr-exact", "cqr-inexact"]}),
 )
 
 
-def start(root: str, subcommand: str, cfg_path: str, outdir: str) -> subprocess.Popen:
+def start(root: str, args: list) -> subprocess.Popen:
+    """`python -m fidte.cli ARGS` on root's src, BLAS on one thread."""
     src = os.path.join(os.path.abspath(root), "src")
     if not os.path.isdir(os.path.join(src, "fidte")):
         raise SystemExit(f"{root}: no src/fidte here")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cmd = [sys.executable, "-m", "fidte.cli", subcommand, "--config", cfg_path,
-           "--out", outdir, "--workers", "1"]
-    return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True)
+    return subprocess.Popen([sys.executable, "-m", "fidte.cli", *args], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def finish(procs: list) -> list:
+    """(exit status, last stderr line) of each process, once it has ended."""
+    tails = []
+    for proc in procs:
+        _, err = proc.communicate()
+        lines = err.strip().splitlines()
+        tails.append((proc.returncode, lines[-1] if lines else ""))
+    return tails
 
 
 def files_under(root: str) -> set:
@@ -159,18 +176,22 @@ def run_command(name, subcommand, keys, seed, trees, work) -> tuple[list, list, 
     cfg_path = os.path.join(work, f"{name}.yaml")
     write_config(cfg_path, keys, seed)
     outdirs = [os.path.join(work, side, name) for side in ("parent", "change")]
-    procs = [start(root, subcommand, cfg_path, out) for root, out in zip(trees, outdirs)]
-    tails = []
-    for proc in procs:
-        _, err = proc.communicate()
-        lines = err.strip().splitlines()
-        tails.append((proc.returncode, lines[-1] if lines else ""))
+    args = [subcommand, "--config", cfg_path, "--workers", "1"]
+    steps = [(subcommand, finish([start(root, args + ["--out", out])
+                                  for root, out in zip(trees, outdirs)]))]
+    written = sorted(rel for rel in files_under(outdirs[0])
+                     if os.path.basename(rel) == "intervals.csv")
+    if written:
+        steps.append(("report", finish([
+            start(root, ["report", "--out", os.path.join(out, "report"),
+                         os.path.join(out, written[0])]) for root, out in zip(trees, outdirs)])))
     diffs, notes, compared = compare_outputs(*outdirs)
-    (a_code, a_tail), (b_code, b_tail) = tails
-    if (a_code != 0 or b_code != 0) and tails[0] == tails[1]:
-        notes.append(f"both trees exited {a_code}: {a_tail}")
-    elif a_code != 0 or b_code != 0:
-        diffs.append(f"exit status parent {a_code} ({a_tail}), change {b_code} ({b_tail})")
+    for step, ((a_code, a_tail), (b_code, b_tail)) in steps:
+        if (a_code != 0 or b_code != 0) and (a_code, a_tail) == (b_code, b_tail):
+            notes.append(f"{step}: both trees exited {a_code}: {a_tail}")
+        elif a_code != 0 or b_code != 0:
+            diffs.append(f"{step}: exit status parent {a_code} ({a_tail}), "
+                         f"change {b_code} ({b_tail})")
     return diffs, notes, compared
 
 
