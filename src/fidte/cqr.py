@@ -2,7 +2,8 @@
 
 A single network with a treatment input slot and two output neurons learns
 the lower and upper conditional quantiles by pinball loss.  Split-conformal
-calibration per arm expands the raw band by the finite-sample score quantile.
+calibration per arm expands the raw band by the finite-sample score
+quantile, so a band's correction is the pair (s_0, s_1), one per arm.
 Three constructions cover the covariates-only test case: per-arm bands
 differenced (naive), interval-outcome conformal on a second fold (exact), and
 median regression of the fold-two interval endpoints (inexact, no coverage
@@ -18,9 +19,9 @@ The quantile nets are nn's networks, made by mlp_init and evaluated by
 mlp_forward_batch, but _fit_pinball_stage trains a stage's nets stacked on
 a leading axis, in a bias-folded, feature-major layout private to the fit
 (nn keeps the row-major (n, d) form of the engine and sampler), so each
-matmul, tanh, derivative op and Adam op is one call per stage.  The passes
-run in float32 over float64 master weights and Adam moments (the
-mixed-precision recipe of Micikevicius et al. 2018).
+matmul, tanh, derivative op and Adam op is one call per stage.  Each step's
+passes run on a float32 copy of the master weights; the weights and Adam
+moments stay float64 (the mixed-precision recipe of Micikevicius et al. 2018).
 
 Stacking and padding move no bit: in either precision a stage's net is
 the net fitted alone.  The float32 passes, like the folded layout's GEMM
@@ -35,7 +36,7 @@ and coverage do not move detectably.  So compare CQR results across seeds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -66,20 +67,6 @@ class QuantileModel:
     y_mean: np.ndarray
     y_sd: np.ndarray
 
-    def __post_init__(self):
-        if self.net.spec.d_out != 2:
-            raise ValueError(f"quantile net needs 2 outputs, got {self.net.spec.d_out}")
-
-
-@dataclass(frozen=True)
-class ConformalCorrection:
-    s_hat: Dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for arm, s in self.s_hat.items():
-            if math.isnan(s):
-                raise ValueError(f"correction for arm {arm} is NaN")
-
 
 def _standardize_columns(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean = mat.mean(axis=0)
@@ -109,10 +96,10 @@ def _fit_pinball_stage(
     weight-and-bias gradient is one stacked matmul, and each tanh, each
     derivative op and each Adam op is one call for the stage.
 
-    The passes (the layer copies, activations, deltas and gradients) run in
-    dtype; Adam's moments and the master weights stay float64, and the
-    finiteness check reads the master weights.  Every fit passes in
-    float32; dtype float64 is there for the tests that hold the fit to the
+    The passes (activations, deltas, gradients) run in dtype on a copy of
+    the float64 master weights made each step; Adam's moments stay float64
+    and the finiteness check reads the master weights.  Every fit passes in
+    float32; dtype float64, an exact copy, lets the tests hold the fit to the
     float64 references bit for bit.  Every array is made once per stage.
     The nets come back in nn's float64 layout.
     """
@@ -125,10 +112,9 @@ def _fit_pinball_stage(
         np.stack([np.column_stack(start[l]) for start in starts]).ravel() for l in range(depth)
     ])
     grad = np.empty_like(flat)
-    # the pass copies: flat itself in float64, a low-precision copy otherwise
-    low = np.dtype(dtype) != flat.dtype
-    pass_flat = flat.astype(dtype) if low else flat
-    pass_grad = np.empty_like(pass_flat) if low else grad
+    # the passes' copy of flat, refreshed each step, and their gradient
+    pass_flat = np.empty(flat.shape, dtype=dtype)
+    pass_grad = np.empty_like(pass_flat)
     layers, masters, grads, pos = [], [], [], 0
     for l in range(1, len(widths)):
         shape = (k_nets, widths[l], widths[l - 1] + 1)
@@ -166,8 +152,7 @@ def _fit_pinball_stage(
     last = depth - 1
     iters, lr = ADAM_STEPS, ADAM_LR
     for step in range(1, iters + 1):
-        if low:
-            np.copyto(pass_flat, flat)
+        np.copyto(pass_flat, flat)
         for l in range(last):
             h = np.matmul(layers[l], acts[l], out=acts[l + 1][:, :-1])
             np.tanh(h, out=h)
@@ -184,8 +169,7 @@ def _fit_pinball_stage(
             d = np.multiply(a, a, out=deltas[l])
             np.subtract(1.0, d, out=d)
             d *= back[l][:, :-1]
-        if low:
-            np.copyto(grad, pass_grad)
+        np.copyto(grad, pass_grad)
         # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2
         m *= b1
         np.multiply(grad, 1.0 - b1, out=mh)
@@ -292,12 +276,10 @@ def _calibration_rank(n: int, alpha: float) -> int:
 
 
 def _band(
-    model: QuantileModel, corr: ConformalCorrection, x: np.ndarray, arm: int
+    model: QuantileModel, s_hat: Tuple[float, float], x: np.ndarray, arm: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    if arm not in corr.s_hat:
-        raise ValueError(f"no calibrated correction for arm {arm}")
     q = predict_quantiles(model, _features(x, arm))
-    s = corr.s_hat[arm]
+    s = s_hat[arm]
     return q[:, 0] - s, q[:, 1] + s
 
 
@@ -308,11 +290,11 @@ def _split(n: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _interval_outcomes(
-    fold2: Dataset, model: QuantileModel, corr: ConformalCorrection
+    fold2: Dataset, model: QuantileModel, s_hat: Tuple[float, float]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row ITE interval outcomes from observed arms and counterfactual bands."""
-    lo1, hi1 = _band(model, corr, fold2.x, 1)
-    lo0, hi0 = _band(model, corr, fold2.x, 0)
+    lo1, hi1 = _band(model, s_hat, fold2.x, 1)
+    lo0, hi0 = _band(model, s_hat, fold2.x, 0)
     treated = fold2.t == 1
     c_lo = np.where(treated, fold2.y - hi0, lo1 - fold2.y)
     c_hi = np.where(treated, fold2.y - lo0, hi1 - fold2.y)
@@ -347,8 +329,8 @@ def fit_cqr(
     depend on which other modes and levels are fitted with it.
 
     Returns, per (mode, alpha), what cqr_ite reads: naive's arm-band model
-    and correction, exact's endpoint coefficients and score quantile, and
-    inexact's endpoint model.
+    and per-arm corrections (s_0, s_1), exact's endpoint coefficients and
+    score quantile, and inexact's endpoint model.
     """
     for mode in modes:
         if mode not in MODES:
@@ -382,9 +364,8 @@ def fit_cqr(
     ])
     cals = {name: cal for name, _, cal in band_sets}
     bands = {
-        (name, alpha): (model, ConformalCorrection(s_hat={
-            arm: calibrate(conformal_scores(model, cals[name], arm), alpha / 2.0)
-            for arm in (0, 1)}))
+        (name, alpha): (model, tuple(
+            calibrate(conformal_scores(model, cals[name], arm), alpha / 2.0) for arm in (0, 1)))
         for (name, alpha), model in zip(keys, models)
     }
     fits = {("naive", alpha): bands["naive", alpha] for alpha in alphas if "naive" in modes}
@@ -425,9 +406,9 @@ def cqr_ite(
         raise ValueError(f"no CQR fit for mode {mode!r} at alpha {alpha}")
     fit = fits[mode, alpha]
     if mode == "naive":
-        model, corr = fit
-        lo1, hi1 = _band(model, corr, test.x, 1)
-        lo0, hi0 = _band(model, corr, test.x, 0)
+        model, s_hat = fit
+        lo1, hi1 = _band(model, s_hat, test.x, 1)
+        lo0, hi0 = _band(model, s_hat, test.x, 0)
         lower, upper = lo1 - hi0, hi1 - lo0
     elif mode == "inexact":
         lower, upper = predict_quantiles(fit, test.x).T

@@ -16,9 +16,10 @@ With weight-update minibatches (n_batches > 1) the stochastic gradient keeps
 the weights diffusing around the posterior mode, which is what spreads
 theta_bar into a non-degenerate fiducial sample.
 
-Before the sampling phase an optional initial phase trains the weights
-against freshly resampled reference noise.  After burn-in every thin-th
-iteration records theta_bar, giving the fiducial sample.
+The phases are ranges of the iteration k in one loop.  For k <= init_iters
+(an optional initial phase) only the weights step, against fresh reference
+noise; past it the latent step comes first; past init_iters + k_burn every
+thin-th iteration records theta_bar, giving the fiducial sample.
 
 A run standardizes its rows once (engine.SolveRows) and draws each weight
 minibatch as a row selection of them.  It keeps one inverse network for the
@@ -212,10 +213,13 @@ def run_efi(
     seed: int,
     trace: Optional[IO] = None,
 ) -> FiducialChain:
-    """Run the two-phase sampler and collect the fiducial sample.
+    """Run the sampler and collect the fiducial sample.
 
     config is the run's ExperimentConfig, read for eps, eta and the
     budgets; a weight step uses n // n_batches rows.  seed drives every draw.
+    One loop runs k = 1 .. init_iters + k_burn + m_keep, the phases being
+    ranges of k; after its weight step, k < init_iters draws fresh z and
+    k == init_iters restores the log-sigma output bias.
     The run is solved in the units of a Standardizer fit to data; the rows
     are standardized once, and one inverse network is stepped in place.
 
@@ -261,13 +265,26 @@ def run_efi(
     kappa_z = 1.0 + 2.0 * sigma_warm**2 / config.eps
     upsilon = Z_STEP_TARGET / kappa_z
 
-    def w_update(k: int, z_now: np.ndarray) -> None:
+    v = np.zeros(n)
+    k_init, k_kept = config.init_iters, config.init_iters + config.k_burn
+    # every thin-th of the m_keep iterations after burn-in is recorded
+    draws = np.empty((config.m_keep // config.thin, layout.theta_dim))
+    energies = np.empty(draws.shape[0])
+    for k in range(1, k_kept + config.m_keep + 1):
+        if k > k_init:
+            rep = energy_gradients(w, rows, z, config.eta, layout, need_z=True, need_w=False)
+            if not np.isfinite(rep.total):
+                raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
+            gz = -z - rep.z_grad / config.eps
+            z, v = sghmc_z_step(z, v, gz, upsilon, VARPI, rng)
+            if not np.all(np.isfinite(z)):
+                raise RuntimeError(f"latent chain diverged at iteration {k}")
         # one batched pass yields the batch energy and the weight gradient
         if m_batch < n:
             idx = rng.choice(n, size=m_batch, replace=False)
-            batch, zb, scale = rows.take(idx), z_now[idx], n / m_batch
+            batch, zb, scale = rows.take(idx), z[idx], n / m_batch
         else:
-            batch, zb, scale = rows, z_now, 1.0
+            batch, zb, scale = rows, z, 1.0
         rep = energy_gradients(w, batch, zb, config.eta, layout, need_z=False, need_w=True)
         if not np.isfinite(rep.total):
             raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
@@ -284,41 +301,19 @@ def run_efi(
                  repr(float(np.linalg.norm(gw)))]
             )
         sgd_w_step(w, gw, step, CLIP_NORM if k <= CLIP_ITERS else None)
-
-    # phase one: weights only, latent noise resampled from the reference
-    for k in range(1, config.init_iters + 1):
-        w_update(k, z)
-        if k < config.init_iters:
+        del rep, gw  # drop the P-sized gradient before the next pass
+        if k < k_init:
             z = rng.standard_normal(n)
-    if config.init_iters > 0:
-        # the resampled-noise phase carries no scale information (residuals
-        # are independent of the fresh draws, so its sigma-MLE degenerates
-        # at zero); restore the marginalized-fit value before the chain runs
-        w.flat[bias_slice.start + layout.log_sigma_index] = theta_ls[
-            layout.log_sigma_index
-        ]
-
-    # phase two: alternate latent SGHMC and weight SGD, record after burn-in
-    v = np.zeros(n)
-    total = config.k_burn + config.m_keep
-    # every thin-th of the m_keep iterations after burn-in is recorded
-    draws = np.empty((config.m_keep // config.thin, layout.theta_dim))
-    energies = np.empty(draws.shape[0])
-    for j in range(1, total + 1):
-        k = config.init_iters + j
-        rep = energy_gradients(w, rows, z, config.eta, layout, need_z=True, need_w=False)
-        if not np.isfinite(rep.total):
-            raise RuntimeError(f"energy diverged at iteration {k}: {rep.total}")
-        gz = -z - rep.z_grad / config.eps
-        z, v = sghmc_z_step(z, v, gz, upsilon, VARPI, rng)
-        if not np.all(np.isfinite(z)):
-            raise RuntimeError(f"latent chain diverged at iteration {k}")
-        w_update(k, z)
-        if j > config.k_burn and (j - config.k_burn) % config.thin == 0:
+        elif k == k_init:
+            # the resampled-noise phase carries no scale information (residuals
+            # are independent of the fresh draws, so its sigma-MLE degenerates
+            # at zero); restore the marginalized-fit value before the chain runs
+            w.flat[bias_slice.start + layout.log_sigma_index] = theta_ls[layout.log_sigma_index]
+        elif k > k_kept and (k - k_kept) % config.thin == 0:
             er = energy(w, rows, z, config.eta, layout)
             if not np.isfinite(er.total):
                 raise RuntimeError(f"energy diverged at iteration {k}: {er.total}")
-            i = (j - config.k_burn) // config.thin - 1
+            i = (k - k_kept) // config.thin - 1
             draws[i] = er.theta_bar
             energies[i] = er.total
 

@@ -2,8 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.stats import beta as beta_dist
 
@@ -12,7 +10,6 @@ from fidte.datagen import (
     LINEAR_ATE_D,
     GENERATORS,
     S_MEAN,
-    beta_cdf,
     example2_c,
     generate,
     nonlinear_propensity,
@@ -21,58 +18,6 @@ from fidte.datagen import (
     save_dataset_csv,
 )
 from fidte.runner import load_csv_dataset
-
-
-# ---------------------------------------------------------------- beta_cdf
-
-
-def test_beta_cdf_half_point():
-    # I_{1/2}(2, 4) = (C(5,2)+C(5,3)+C(5,4)+C(5,5)) / 32 = 26/32
-    assert beta_cdf(0.5, 2, 4) == pytest.approx(0.8125, abs=1e-15)
-
-
-def test_beta_cdf_uniform_is_identity():
-    x = np.linspace(0.0, 1.0, 17)
-    np.testing.assert_allclose(beta_cdf(x, 1, 1), x, atol=1e-15)
-
-
-def test_beta_cdf_endpoints():
-    for a, b in [(1, 1), (2, 4), (7, 3)]:
-        assert beta_cdf(0.0, a, b) == 0.0
-        assert beta_cdf(1.0, a, b) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_beta_cdf_matches_scipy_oracle(rng):
-    for _ in range(20):
-        a = int(rng.integers(1, 9))
-        b = int(rng.integers(1, 9))
-        x = rng.random(50)
-        np.testing.assert_allclose(
-            beta_cdf(x, a, b), beta_dist.cdf(x, a, b), rtol=0, atol=1e-12
-        )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    a=st.integers(1, 10),
-    b=st.integers(1, 10),
-    x1=st.floats(0.0, 1.0),
-    x2=st.floats(0.0, 1.0),
-)
-def test_beta_cdf_monotone(a, b, x1, x2):
-    lo, hi = sorted((x1, x2))
-    assert beta_cdf(lo, a, b) <= beta_cdf(hi, a, b) + 1e-12
-
-
-def test_beta_cdf_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        beta_cdf(0.5, 0, 2)
-    with pytest.raises(ValueError):
-        beta_cdf(0.5, 2.5, 2)
-    with pytest.raises(ValueError):
-        beta_cdf(1.5, 2, 2)
-    with pytest.raises(ValueError):
-        beta_cdf(-0.1, 2, 2)
 
 
 # ------------------------------------------------------- effect primitives
@@ -115,6 +60,16 @@ def test_propensity_bounds_and_endpoints(rng):
     assert np.all(p >= 0.25) and np.all(p <= 0.5)
     assert nonlinear_propensity(np.array([[0.0, 0.3]]))[0] == pytest.approx(0.25)
     assert nonlinear_propensity(np.array([[1.0, 0.3]]))[0] == pytest.approx(0.5)
+
+
+def test_propensity_is_the_beta_cdf(rng):
+    # (1 + I_x1(2, 4)) / 4, with I_{1/2}(2, 4) = (C(5,2)+C(5,3)+C(5,4)+C(5,5)) / 32 = 26/32
+    x = rng.random((2000, 2))
+    np.testing.assert_allclose(
+        nonlinear_propensity(x), (1.0 + beta_dist.cdf(x[:, 0], 2, 4)) / 4.0, rtol=0, atol=1e-15
+    )
+    exact = nonlinear_propensity(np.array([[0.0, 0.3], [0.5, 0.3], [1.0, 0.3]]))
+    assert exact.tolist() == [0.25, (1.0 + 26.0 / 32.0) / 4.0, 0.5]
 
 
 def test_example2_surface_value():

@@ -238,6 +238,35 @@ def test_run_efi_with_init_phase_and_minibatch():
     assert np.all(np.isfinite(chain.draws))
 
 
+def test_run_efi_ends_the_init_phase_at_init_iters(monkeypatch):
+    # init 3, burn 2, keep 4: three weight passes on fresh reference noise,
+    # then the log-sigma bias reset, then latent and weight passes alternating
+    data, layout, spec, config, seed = small_run(
+        init_iters=3, k_burn=2, m_keep=4, thin=2, n_batches=1)
+    sigma_slot = _layer_slices(spec)[-1][1].start + layout.log_sigma_index
+    calls = []
+    real = fidte.sampler.energy_gradients
+
+    def recorded(w, rows, z, *args, need_z, need_w):
+        calls.append((need_z, need_w, z.copy(), float(w.flat[sigma_slot])))
+        return real(w, rows, z, *args, need_z=need_z, need_w=need_w)
+
+    monkeypatch.setattr(fidte.sampler, "energy_gradients", recorded)
+    run_efi(data, layout, spec, config, seed)
+    rows = SolveRows.build(data, Standardizer.fit(data), layout)
+    log_sigma = least_squares_theta(rows, layout)[layout.log_sigma_index]
+    assert len(calls) == 3 + 2 * (2 + 4)
+    assert [c[:2] for c in calls[:3]] == [(False, True)] * 3
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        assert not np.array_equal(calls[a][2], calls[b][2])
+    # the init phase moved the bias, and the reset put it back
+    assert calls[2][3] != log_sigma
+    assert calls[3][:2] == (True, False)
+    np.testing.assert_array_equal(calls[3][2], calls[2][2])
+    assert calls[3][3] == log_sigma
+    assert [c[:2] for c in calls[3:]] == [(True, False), (False, True)] * 6
+
+
 def test_run_efi_trace_stream():
     data, layout, spec, config, seed = small_run(init_iters=5)
     buf = io.StringIO()

@@ -3,19 +3,23 @@
     python3 validate/same_outputs.py PARENT CHANGE [--seed S]
 
 PARENT and CHANGE are checkouts of this repository (each holds src/fidte).
-Each tree runs four commands at seed S (default 1), each command in its own
+Each tree runs six commands at seed S (default 1), each command in its own
 interpreter with BLAS on one thread:
 
   fit        example2, n_train 1000, n_test 1000, init 5 / burn 10 / keep 30
              / thin 1, efi (the perfbench ite_ex2_fit workload's config);
   benchmark  example1, R 2, init 20 / burn 50 / keep 200 / thin 2, alphas
-             0.05 and 0.10, efi and the three cqr-* modes;
+             0.05 and 0.10, efi and the three cqr-* modes, with trace on, so
+             each replication's trace_efi.csv is compared across the end of
+             the initial phase;
   benchmark  linear_ate_n250, R 2, burn 100, keep 300;
   cqr        example1, R 1, n_train 500, n_test 1000, the three cqr-* modes
-             (the perfbench cqr_ex1 workload's config).
+             (the perfbench cqr_ex1 workload's config);
+  simulate   example1 and example2 at their preset sizes, so the generated
+             train.csv and test.csv are compared.
 
-After each command, each tree runs `fidte report --out OUT/report` on its
-own copy of the first intervals.csv the command wrote, so report.json is
+After each command that writes an intervals.csv, each tree runs `fidte
+report --out OUT/report` on its own copy of the first one, so report.json is
 compared too.  Every file a command writes is compared byte for byte with
 the other tree's.
 summary.json is compared after one mask: its config.outdir, which names each
@@ -46,12 +50,15 @@ COMMANDS = (
       "m_keep": 30, "thin": 1, "methods": ["efi"]}),
     ("example1", "benchmark",
      {"preset": "example1", "R": 2, "init_iters": 20, "k_burn": 50, "m_keep": 200, "thin": 2,
-      "alphas": [0.05, 0.10], "methods": ["efi", "cqr-naive", "cqr-exact", "cqr-inexact"]}),
+      "alphas": [0.05, 0.10], "methods": ["efi", "cqr-naive", "cqr-exact", "cqr-inexact"],
+      "trace": True}),
     ("linear_ate_n250", "benchmark",
      {"preset": "linear_ate_n250", "R": 2, "k_burn": 100, "m_keep": 300}),
     ("cqr_ex1", "cqr",
      {"preset": "example1", "R": 1, "n_train": 500, "n_test": 1000,
       "methods": ["cqr-naive", "cqr-exact", "cqr-inexact"]}),
+    ("simulate_example1", "simulate", {"preset": "example1"}),
+    ("simulate_example2", "simulate", {"preset": "example2"}),
 )
 
 
