@@ -62,14 +62,25 @@ def test_propensity_bounds_and_endpoints(rng):
     assert nonlinear_propensity(np.array([[1.0, 0.3]]))[0] == pytest.approx(0.5)
 
 
-def test_propensity_is_the_beta_cdf(rng):
-    # (1 + I_x1(2, 4)) / 4, with I_{1/2}(2, 4) = (C(5,2)+C(5,3)+C(5,4)+C(5,5)) / 32 = 26/32
+# The propensity is (1 + I_x1(2, 4)) / 4, so 4 p - 1 recovers the Beta(2, 4) CDF.
+
+
+def test_beta_cdf_half_point():
+    # I_{1/2}(2, 4) = (C(5,2)+C(5,3)+C(5,4)+C(5,5)) / 32 = 26/32
+    p = nonlinear_propensity(np.array([[0.5, 0.3]]))[0]
+    assert p == (1.0 + 26.0 / 32.0) / 4.0
+
+
+def test_beta_cdf_endpoints():
+    p = nonlinear_propensity(np.array([[0.0, 0.3], [1.0, 0.3]]))
+    assert p.tolist() == [0.25, 0.5]
+
+
+def test_beta_cdf_matches_scipy_oracle(rng):
     x = rng.random((2000, 2))
     np.testing.assert_allclose(
         nonlinear_propensity(x), (1.0 + beta_dist.cdf(x[:, 0], 2, 4)) / 4.0, rtol=0, atol=1e-15
     )
-    exact = nonlinear_propensity(np.array([[0.0, 0.3], [0.5, 0.3], [1.0, 0.3]]))
-    assert exact.tolist() == [0.25, (1.0 + 26.0 / 32.0) / 4.0, 0.5]
 
 
 def test_example2_surface_value():
