@@ -314,28 +314,7 @@ def least_squares_theta(rows: SolveRows, layout: ThetaLayout) -> np.ndarray:
 
 def feature_matrix(rows: SolveRows, z: np.ndarray) -> np.ndarray:
     """Inverse-network input rows [y, 2t - 1, x, z], with y and x standardized."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (rows.n,):
-        raise ValueError(f"z has shape {z.shape}, expected ({rows.n},)")
     return np.concatenate([rows.feats, z[:, None]], axis=1)
-
-
-def _check_widths(w: MlpParams, rows: SolveRows, layout: ThetaLayout) -> None:
-    if w.spec.d_in != rows.d + 3:
-        raise ValueError(
-            f"inverse network input width {w.spec.d_in} != d + 3 = {rows.d + 3}"
-        )
-    if w.spec.d_out != layout.theta_dim:
-        raise ValueError(
-            f"inverse network output width {w.spec.d_out} != theta dim {layout.theta_dim}"
-        )
-    for spec in (layout.c_spec, layout.tau_spec):
-        if isinstance(spec, MlpSpec) and spec.d_in != rows.d:
-            raise ValueError(f"surface network input width {spec.d_in} != d = {rows.d}")
-    if isinstance(layout.c_spec, int) and layout.c_spec != rows.d + 1:
-        raise ValueError(
-            f"linear surface has {layout.c_spec} coefficients, data needs {rows.d + 1}"
-        )
 
 
 def draw_surfaces(draws: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler: Standardizer):
@@ -345,16 +324,8 @@ def draw_surfaces(draws: np.ndarray, layout: ThetaLayout, x: np.ndarray, scaler:
     their surfaces.
 
     x is standardized once and each network surface is the layout's net.
-    The draws are checked for width and non-finite values once, up front.
     """
-    draws = np.asarray(draws, dtype=np.float64)
-    if draws.ndim != 2 or draws.shape[1] != layout.theta_dim:
-        raise ValueError(
-            f"draws have shape {draws.shape}, layout needs (m, theta_dim {layout.theta_dim})"
-        )
-    if not np.isfinite(draws).all():
-        raise ValueError("non-finite parameter values")
-    xs = scaler.scale_x(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    xs = scaler.scale_x(x)
     m, n = draws.shape[0], xs.shape[0]
     c_mat, tau_mat, sig = np.empty((m, n)), np.empty((m, n)), np.empty(m)
     for k, theta in enumerate(draws):
@@ -409,8 +380,6 @@ def energy_gradients(
     overwrites.  A non-finite theta_bar ends the pass with a NaN total and
     no gradients, which the sampler reports as a divergence.
     """
-    _check_widths(w, rows, layout)
-    z = np.asarray(z, dtype=np.float64)
     feats = feature_matrix(rows, z)
     trunk = mlp_forward_batch(w, feats, head=False)
     hidden = trunk[-1]

@@ -159,15 +159,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[-1] != params.spec.d_in:
-        raise ValueError(
-            f"input shape {x.shape} does not match network input width {params.spec.d_in}"
-        )
-    return x
-
-
 def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> list[np.ndarray]:
     """Forward pass for a batch x of shape (n, d_in).
 
@@ -179,10 +170,10 @@ def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> li
     next forward on n rows or by a backward through them (see MlpParams);
     the output is a new array.
     """
-    acts = [_check_input(params, x)]
+    acts = [x]
     layers = params.layers()
-    n = acts[0].shape[0]
-    a = acts[0]
+    n = x.shape[0]
+    a = x
     for l, (W, b) in enumerate(layers[:-1], start=1):
         h = np.matmul(a, W.T, out=params._pass_array("act", l, n))
         h += b
@@ -242,12 +233,7 @@ def mlp_backward_batch(
     """
     layers = params.layers()
     last = len(layers) - 1
-    if len(acts) < last + 1:
-        raise ValueError(f"need the input and {last} hidden activations, got {len(acts)} arrays")
-    grads = np.asarray(out_grads, dtype=np.float64)
-    width = params.spec.layer_widths[-1 if head else -2]
-    if grads.shape != (acts[0].shape[0], width):
-        raise ValueError(f"out_grads shape {grads.shape} != ({acts[0].shape[0]}, {width})")
+    grads = out_grads
     n = grads.shape[0]
     # per-layer (weight, bias) gradients, output layer first
     pieces = []

@@ -43,8 +43,6 @@ def log_prior_grad(w: np.ndarray, scale=None) -> np.ndarray:
     s = None
     if scale is not None:
         s = np.broadcast_to(np.asarray(scale, dtype=np.float64), w.shape)
-        if not np.all(s > 0):
-            raise ValueError("scale entries must be positive")
     out = np.empty(w.shape)
     with np.errstate(over="ignore"):
         if s is None:

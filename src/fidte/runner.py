@@ -13,10 +13,28 @@ write_rows_csv and read_rows_csv, and score_rows is the one scorer:
 summary.json is a function of the replications' blocks and PEHEs, and
 `fidte report` rescores the blocks read back with the same code.  A csv
 data file or intervals file that cannot be read as one, or a csv data file
-with fewer rows than n_batches, raises InputFileError, which the command
-line reports on one line.  Replication r derives all of its randomness from
-a seed sequence keyed by (seed, r), so any replication can be re-run alone
-and workers can run them in any order without changing results.
+with one treatment arm or fewer rows than n_batches, raises InputFileError,
+which the command line reports on one line.  Replication r derives all of
+its randomness from a seed sequence keyed by (seed, r), so any replication
+can be re-run alone and workers can run them in any order without changing
+results.
+
+Each input is checked once, where it enters, and the code it flows into
+takes it as checked:
+  * a config value, when its ExperimentConfig is built (config);
+  * a csv data file, by load_csv_dataset (cells, columns, a binary
+    treatment) and read_csv_rows (both arms, rows for n_batches), once per
+    run, before any replication;
+  * a dataset's shapes and finite values, when its engine.Dataset is built;
+  * a replication's test set, for a treated row when the PEHE of an effect
+    surface is taken, and the CQR bands' calibration rows (cqr.fit_cqr),
+    before any fit;
+  * the inverse network's widths against the rows and the layout, once per
+    sampler run (sampler.run_efi);
+  * an intervals file's rows, when read_rows_csv builds their
+    inference.Intervals blocks.
+What a run computes is checked only for divergence: the sampler's energy,
+latent and weight steps and the CQR fits' Adam steps.
 """
 
 from __future__ import annotations
@@ -58,7 +76,8 @@ C_WIDTHS = (10, 10)
 
 class InputFileError(ValueError):
     """A csv data file or intervals file that cannot be read as one, or a
-    csv data file too short for the config's n_batches."""
+    csv data file with one treatment arm or too short for the config's
+    n_batches."""
 
 
 def _cell(row: dict, col: str, line: int, kind=float):
@@ -123,11 +142,16 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
 
 
 def read_csv_rows(config: ExperimentConfig) -> Optional[Dataset]:
-    """A csv config's rows, read once per run and checked against n_batches
-    before any replication starts; None for a design config."""
+    """A csv config's rows, read once per run and checked for both treatment
+    arms and against n_batches before any replication starts; None for a
+    design config."""
     if config.csv is None:
         return None
     rows = load_csv_dataset(config.csv, config.csv_schema)
+    treated = int(rows.t.sum())
+    if treated in (0, rows.n):
+        raise InputFileError(f"csv file {config.csv}: treatment column {config.csv_schema['t']!r} "
+                             f"holds arm {int(treated > 0)} only; an effect needs both arms")
     if config.n_batches > rows.n:
         raise InputFileError(f"n_batches: must be in [1, {rows.n}], the row count of "
                              f"{config.csv}, got {config.n_batches}")
@@ -174,19 +198,22 @@ def run_replication(
     csv_rows is read_csv_rows(config), the training set of a csv config.
     Returns the interval rows, a (method, block, truth) per method and
     level, truth being each block row's simulation truth or None; the PEHE
-    of the EFI effect surface (None without one or without tau_true) and
-    the EFI chain (None without efi).  With config.trace set, the sampler trace
-    goes to rep_dir.
+    of the EFI effect surface (None without one) and the EFI chain (None
+    without efi).  With config.trace set, the sampler trace goes to rep_dir.
     """
     ints = replication_ints(config.seed, r)
     try:
         train, test = _replication_data(config, ints) if config.csv is None else (csv_rows, None)
-        truth_vec = ate_truth = None
-        if test is not None and test.y1 is not None and test.y0 is not None:
-            truth_vec = test.y1 - test.y0  # the realized individual effects
+        # a generated test set holds the realized individual effects
+        truth_vec = None if test is None else test.y1 - test.y0
         # a constant effect is the ATE an ATE interval should cover
+        ate_truth = None
         if train.tau_true is not None and np.all(train.tau_true == train.tau_true[0]):
             ate_truth = train.tau_true[:1]
+        # the PEHE of an EFI effect surface is taken over the treated test
+        # rows, so a test set without one fails here, before any fit
+        if "efi" in config.methods and "tau" in config.surfaces and not np.any(test.t == 1):
+            raise ValueError("no treated test units")
 
         # every CQR fit first: a calibration shortfall raises before any fit
         # or EFI run, and the fits share two lockstep stages
@@ -201,8 +228,7 @@ def run_replication(
                 # every level's intervals and the PEHE read the same surfaces
                 surfaces = draw_surfaces(chain.draws, chain.layout, test.x, chain.scaler)
                 cases = assign_cases(test, np.random.default_rng(ints[3]))
-                if test.tau_true is not None:
-                    pehe_value = pehe(surfaces, test)
+                pehe_value = pehe(surfaces, test)
 
         # every ITE block holds the test rows in order, so truth_vec is its truth
         rows = []

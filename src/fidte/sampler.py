@@ -110,14 +110,11 @@ def sgd_w_step(
     With clip_norm set, grad is rescaled to norm <= clip_norm before the step.
     A step that leaves a parameter non-finite raises ValueError.
     """
-    g = np.asarray(grad, dtype=np.float64)
-    if g.shape != w.flat.shape:
-        raise ValueError(f"gradient shape {g.shape} != parameter shape {w.flat.shape}")
     if clip_norm is not None:
-        nrm = float(np.linalg.norm(g))
+        nrm = float(np.linalg.norm(grad))
         if nrm > clip_norm:
-            g = g * (clip_norm / nrm)
-    w.flat += gamma * g
+            grad = grad * (clip_norm / nrm)
+    w.flat += gamma * grad
     if not np.all(np.isfinite(w.flat)):
         raise ValueError("weight step gave non-finite parameter values")
 
@@ -129,11 +126,7 @@ def head_mask(spec: MlpSpec, layout: ThetaLayout) -> np.ndarray:
     lies in the theta block of a network surface, tau(x) or c(x); it is
     empty when no surface is a network.
     """
-    ws, bs, (d_out, d_prev) = _layer_slices(spec)[-1]
-    if d_out != layout.theta_dim:
-        raise ValueError(
-            f"inverse output width {d_out} != theta dim {layout.theta_dim}"
-        )
+    ws, bs, (_, d_prev) = _layer_slices(spec)[-1]
     mask = np.zeros(param_count(spec), dtype=bool)
     for surface, sl in ((layout.tau_spec, layout.tau_slice), (layout.c_spec, layout.c_slice)):
         if isinstance(surface, MlpSpec):
@@ -141,6 +134,22 @@ def head_mask(spec: MlpSpec, layout: ThetaLayout) -> np.ndarray:
             mask[ws.start + sl.start * d_prev : ws.start + sl.stop * d_prev] = True
             mask[bs.start + sl.start : bs.start + sl.stop] = True
     return mask
+
+
+def _check_widths(spec: MlpSpec, rows: SolveRows, layout: ThetaLayout) -> None:
+    """Raise ValueError unless the inverse net spec, the rows and the layout
+    fit one another; run_efi checks once per run, and no pass re-checks.  A
+    net of the wrong output width would otherwise fill the wrong theta
+    slots without an error."""
+    if spec.d_in != rows.d + 3:
+        raise ValueError(f"inverse network input width {spec.d_in} != d + 3 = {rows.d + 3}")
+    if spec.d_out != layout.theta_dim:
+        raise ValueError(f"inverse network output width {spec.d_out} != theta dim {layout.theta_dim}")
+    for surface in (layout.c_spec, layout.tau_spec):
+        if isinstance(surface, MlpSpec) and surface.d_in != rows.d:
+            raise ValueError(f"surface network input width {surface.d_in} != d = {rows.d}")
+    if isinstance(layout.c_spec, int) and layout.c_spec != rows.d + 1:
+        raise ValueError(f"linear surface has {layout.c_spec} coefficients, data needs {rows.d + 1}")
 
 
 @dataclass
@@ -221,7 +230,8 @@ def run_efi(
     ranges of k; after its weight step, k < init_iters draws fresh z and
     k == init_iters restores the log-sigma output bias.
     The run is solved in the units of a Standardizer fit to data; the rows
-    are standardized once, and one inverse network is stepped in place.
+    are standardized once, checked against inverse_spec and layout once
+    (_check_widths), and one inverse network is stepped in place.
 
     trace, if given, receives one CSV row per iteration:
     iteration, energy, upsilon, gamma (rest of the weights), grad norm;
@@ -229,6 +239,7 @@ def run_efi(
     """
     scaler = Standardizer.fit(data)
     rows = SolveRows.build(data, scaler, layout)
+    _check_widths(inverse_spec, rows, layout)
     rng = np.random.default_rng(seed)
     w = mlp_init(inverse_spec)
     head = head_mask(inverse_spec, layout)

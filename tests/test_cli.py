@@ -598,6 +598,9 @@ UNUSABLE_DATA = {
                      "treatment column 't' must be binary 0/1, got 2.0 at line 3"),
     "non-finite": ("x1,t,y\n0.1,1,1.5\n0.2,0,nan\n",
                    "csv file {path}: non-finite covariate or outcome values"),
+    # no control row: the effect is not identified
+    "one-arm": ("x1,t,y\n0.1,1,1.5\n0.2,1,0.5\n",
+                "csv file {path}: treatment column 't' holds arm 1 only; an effect needs both arms"),
 }
 
 
@@ -644,6 +647,23 @@ def test_unusable_intervals_file_is_one_error_line(tmp_path, capsys, case):
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"fidte: error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_test_set_without_a_treated_row_fails_before_any_fit(tmp_path, monkeypatch):
+    # the PEHE of example1's effect surface is taken over the treated test
+    # rows; a one-row test set of a control fails before the CQR fits and
+    # the sampler run, not after them
+    seed = next(s for s in range(20)
+                if generate("example1", 1, seed=replication_ints(s, 0)[1]).t[0] == 0)
+    calls = count_efi_calls(monkeypatch)
+    fits = []
+    monkeypatch.setattr(fidte.runner, "fit_cqr", lambda *args: fits.append(1))
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text(f"preset: example1\nn_train: 30\nn_test: 1\ninit_iters: 2\nk_burn: 2\n"
+                   f"m_keep: 4\nthin: 1\nseed: {seed}\n")
+    with pytest.raises(ValueError, match="^replication 0: no treated test units$"):
+        cli.main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert calls == [] and fits == []
 
 
 def test_error_inside_a_replication_keeps_its_traceback(tmp_path, monkeypatch):

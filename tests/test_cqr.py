@@ -4,6 +4,7 @@ from scipy import stats
 
 import fidte.cqr
 
+from fidte.config import preset_config
 from fidte.cqr import (
     PinballTask,
     QuantileModel,
@@ -266,11 +267,16 @@ def test_conformal_scores_sign_convention():
     np.testing.assert_allclose(s, [-1.0, 0.0, 1.5], atol=1e-12)
 
 
-def test_conformal_scores_requires_arm_rows():
-    model = exact_model(-1.0, 1.0)
-    valid = Dataset(x=np.zeros((2, 2)), t=np.zeros(2), y=np.zeros(2))
-    with pytest.raises(ValueError, match="no rows with arm 1"):
-        conformal_scores(model, valid, arm=1)
+def test_conformal_scores_requires_arm_rows(monkeypatch):
+    # conformal_scores takes an arm's calibration rows as given: fit_cqr
+    # refuses a training set without treated rows, before any fit
+    base = generate("example1", 40, seed=12)
+    train = Dataset(x=base.x, t=np.zeros(40), y=base.y)
+    calls = count_pinball_fits(monkeypatch)
+    with pytest.raises(ValueError, match=r"^calibration at alpha 0\.1 returned an infinite band: "
+                                         r"arm 1 has 0 calibration rows"):
+        fit_cqr(train, (0.1,), ("naive",), 0)
+    assert calls == []
 
 
 def test_calibrate_order_statistic():
@@ -282,18 +288,19 @@ def test_calibrate_order_statistic():
     assert calibrate(np.arange(5.0), alpha=0.05) == float("inf")
 
 
+def test_calibrate_validation():
+    # calibrate takes its level, alpha or alpha / 2 of a configured alpha, as
+    # given: the config rejects an alpha outside (0, 1) when it is built
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^alphas: levels must lie in \(0, 1\)"):
+            preset_config("example1", alphas=(0.05, alpha))
+
+
 def test_calibrate_monotone_in_alpha():
     rng = np.random.default_rng(3)
     scores = rng.normal(size=40)
     vals = [calibrate(scores, a) for a in (0.01, 0.05, 0.1, 0.25, 0.5)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_calibrate_validation():
-    with pytest.raises(ValueError, match="empty"):
-        calibrate(np.array([]), alpha=0.1)
-    with pytest.raises(ValueError, match="alpha"):
-        calibrate(np.ones(3), alpha=1.0)
 
 
 def test_cqr_counterfactual_applies_correction():
@@ -412,13 +419,10 @@ def test_cqr_ite_reports_crossed_endpoints_as_their_midpoint():
 
 
 def test_cqr_ite_unknown_mode():
-    train = generate("example1", 40, seed=12)
-    with pytest.raises(ValueError, match="unknown mode"):
-        fit_cqr(train, (0.1,), ("magic",), 0)
-    with pytest.raises(ValueError, match="alpha"):
-        fit_cqr(train, (0.0,), ("naive",), 0)
-    with pytest.raises(ValueError, match=r"^no CQR fit for mode 'exact' at alpha 0\.5$"):
-        cqr_ite(fit_cqr(train, (0.5,), ("naive",), 0), train, alpha=0.5, mode="exact")
+    # fit_cqr and cqr_ite take their modes as given: the config rejects an
+    # unknown one when it is built
+    with pytest.raises(ValueError, match=r"^methods: unknown method 'cqr-magic'"):
+        preset_config("example1", methods=("efi", "cqr-magic"))
 
 
 def test_cqr_ite_endpoint_modes_reject_infinite_band(monkeypatch, adam_steps):

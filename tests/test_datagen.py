@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.stats import beta as beta_dist
 
-from fidte.config import DESIGN_SURFACES
+from fidte.config import DESIGN_SURFACES, ExperimentConfig
 from fidte.datagen import (
     LINEAR_ATE_D,
     GENERATORS,
@@ -17,7 +17,7 @@ from fidte.datagen import (
     s_curve,
     save_dataset_csv,
 )
-from fidte.runner import load_csv_dataset
+from fidte.runner import _replication_data, load_csv_dataset
 
 
 # ------------------------------------------------------- effect primitives
@@ -166,11 +166,17 @@ def test_generation_is_deterministic_in_seed():
 
 
 def test_genspec_validation():
+    # generate takes its design and row count as given: the config rejects an
+    # unknown design and fewer than two training rows, and a replication
+    # draws no test set when n_test is 0
     with pytest.raises(ValueError, match=re.escape(
-            "unknown design 'unknown', expected one of ('linear_ate', 'example1', 'example2')")):
-        generate("unknown", 10)
-    with pytest.raises(ValueError, match="^n must be positive$"):
-        generate("linear_ate", 0)
+            "design: unknown design 'unknown', expected one of "
+            "('linear_ate', 'example1', 'example2')")):
+        ExperimentConfig(design="unknown")
+    with pytest.raises(ValueError, match="^n_train: must be >= 2, got 1$"):
+        ExperimentConfig(design="linear_ate", n_train=1, n_batches=1)
+    train, test = _replication_data(ExperimentConfig(design="linear_ate", n_test=0), [1, 2])
+    assert train.n == 250 and test is None
 
 
 def test_every_design_has_a_model_and_a_generator():

@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+import fidte.sampler
+from fidte.config import ExperimentConfig
 from fidte.engine import (
     OUT_SCALE,
     RESCALE,
@@ -26,8 +28,13 @@ from fidte.nn import (
     mlp_init,
     param_count,
 )
+from fidte.sampler import run_efi
 
 from conftest import IDENTITY_SCALER, assert_grad_close, central_diff
+
+
+# a one-iteration run, for run_efi's checks of its arguments
+SHORT_RUN = ExperimentConfig(design="linear_ate", n_batches=1, k_burn=1, m_keep=1, thin=1)
 
 
 def linear_layout(d=2):
@@ -163,12 +170,11 @@ def test_theta_bar_is_mean_of_rows(rng):
     ids=["inverse-input", "inverse-output", "surface-input", "linear-coefficients"],
 )
 def test_energy_gradients_name_a_width_mismatch(layout, inverse_widths, message):
-    # rows of d = 2 covariates against an inverse net or a layout of another width
-    rng = np.random.default_rng(0)
-    data = random_dataset(rng, d=2)
-    w = mlp_init(MlpSpec(inverse_widths, seed=0))
+    # rows of d = 2 covariates against an inverse net or a layout of another
+    # width: run_efi names the mismatch, and energy_gradients takes it as checked
+    data = random_dataset(np.random.default_rng(0), d=2)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        energy_gradients(w, solve_rows(data, layout), rng.standard_normal(data.n), 1.0, layout)
+        run_efi(data, layout, MlpSpec(inverse_widths, seed=0), SHORT_RUN, 0)
 
 
 def test_layout_dims():
@@ -228,11 +234,6 @@ def test_layout_validation():
         ThetaLayout(MlpSpec((2, 3, 1)))
     with pytest.raises(ValueError, match="tau network must have a single output"):
         ThetaLayout(MlpSpec((2, 3, 1)), MlpSpec((2, 3, 2)))
-    # draws narrower or wider than theta_dim, or not one row per draw, are
-    # rejected, not cut or indexed past
-    for draws in (np.zeros((1, 5)), np.zeros((1, 7)), np.zeros(6)):
-        with pytest.raises(ValueError, match=r"layout needs \(m, theta_dim 6\)"):
-            draw_surfaces(draws, linear_layout(d=3), np.zeros((1, 3)), IDENTITY_SCALER)
 
 
 # ---------------------------------------------------------------- model
@@ -589,16 +590,16 @@ def test_dataset_validation():
         Dataset(x=np.zeros((3, 2)), t=np.zeros(3, dtype=int), y=np.zeros(3), y1=np.zeros(2))
 
 
-def test_width_mismatch_rejected(rng):
-    layout = linear_layout(d=2)
-    data = random_dataset(rng, n=4, d=2)
-    w_bad = mlp_init(MlpSpec((4, 3, layout.theta_dim), seed=0))  # d+3 should be 5
-    rows = solve_rows(data, layout)
-    with pytest.raises(ValueError):
-        energy(w_bad, rows, rng.normal(size=4), 1.0, layout)
-    w_bad_out = mlp_init(MlpSpec((5, 3, layout.theta_dim + 1), seed=0))
-    with pytest.raises(ValueError):
-        energy(w_bad_out, rows, rng.normal(size=4), 1.0, layout)
+def test_width_mismatch_rejected(monkeypatch):
+    # run_efi checks the widths once per run, before any network pass
+    passes = []
+    monkeypatch.setattr(fidte.sampler, "mlp_forward_batch", lambda *args, **kw: passes.append(1))
+    monkeypatch.setattr(fidte.sampler, "energy_gradients", lambda *args, **kw: passes.append(1))
+    data = random_dataset(np.random.default_rng(1), n=4, d=2)
+    for widths in ((4, 3, 5), (5, 3, 6)):  # d + 3 = 5 inputs and theta_dim 5 outputs are right
+        with pytest.raises(ValueError, match="^inverse network (input|output) width"):
+            run_efi(data, linear_layout(d=2), MlpSpec(widths, seed=0), SHORT_RUN, 0)
+    assert passes == []
 
 
 def test_standardizer_zero_variance_guard():

@@ -132,13 +132,6 @@ def test_scalar_scale_broadcasts(rng):
     )
 
 
-def test_scale_must_be_positive():
-    with pytest.raises(ValueError, match="positive"):
-        log_prior_grad(np.ones(3), scale=np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError, match="positive"):
-        log_prior_grad(np.ones(2), scale=-1.0)
-
-
 # spike (|w| << SIGMA0), the spike/slab crossover near 0.043, the slab
 # below the exp overflow at ~0.379, and the slab past it
 PRIOR_RANGES = [

@@ -333,7 +333,7 @@ def test_run_efi_rejects_an_inverse_net_of_another_width():
     # an inverse net sized for the linear layout cannot emit the tau block
     spec = MlpSpec((5, 6, ThetaLayout(3).theta_dim), seed=1)
     config = make_config(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
-    with pytest.raises(ValueError, match="inverse output width 5 != theta dim 17"):
+    with pytest.raises(ValueError, match="^inverse network output width 5 != theta dim 17$"):
         run_efi(data, layout, spec, config, 0)
 
 

@@ -3,8 +3,8 @@
     python3 validate/same_outputs.py PARENT CHANGE [--seed S]
 
 PARENT and CHANGE are checkouts of this repository (each holds src/fidte).
-Each tree runs six commands at seed S (default 1), each command in its own
-interpreter with BLAS on one thread:
+Each tree runs seven commands at seed S (default 1), each command in its
+own interpreter with BLAS on one thread:
 
   fit        example2, n_train 1000, n_test 1000, init 5 / burn 10 / keep 30
              / thin 1, efi (the perfbench ite_ex2_fit workload's config);
@@ -16,7 +16,12 @@ interpreter with BLAS on one thread:
   cqr        example1, R 1, n_train 500, n_test 1000, the three cqr-* modes
              (the perfbench cqr_ex1 workload's config);
   simulate   example1 and example2 at their preset sizes, so the generated
-             train.csv and test.csv are compared.
+             train.csv and test.csv are compared;
+  fit        a csv config, burn 100 / keep 300 / thin 5, on a 200-row file
+             of three covariates and both arms that this script writes from
+             seed S with its own numpy code into the directory the commands
+             run in, so the csv reader and the linear_ate model's ATE
+             interval are compared.
 
 After each command that writes an intervals.csv, each tree runs `fidte
 report --out OUT/report` on its own copy of the first one, so report.json is
@@ -43,6 +48,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 # (name, subcommand, config keys); the seed is added per run
 COMMANDS = (
     ("ite_ex2_fit", "fit",
@@ -59,17 +66,33 @@ COMMANDS = (
       "methods": ["cqr-naive", "cqr-exact", "cqr-inexact"]}),
     ("simulate_example1", "simulate", {"preset": "example1"}),
     ("simulate_example2", "simulate", {"preset": "example2"}),
+    ("csv_fit", "fit",
+     {"csv": "data.csv", "csv_schema": {"y": "y", "t": "t", "x": ["x1", "x2", "x3"]},
+      "k_burn": 100, "m_keep": 300, "thin": 5}),
 )
 
 
-def start(root: str, args: list) -> subprocess.Popen:
-    """`python -m fidte.cli ARGS` on root's src, BLAS on one thread."""
+def write_csv_data(path: str, seed: int) -> None:
+    """The csv_fit command's data file: 200 rows of x1..x3, t and y, half of
+    them treated, y = 1 + x1 - x2 + x3 / 2 + t + N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((200, 3))
+    t = rng.permutation(np.arange(200) % 2)
+    y = 1.0 + x @ np.array([1.0, -1.0, 0.5]) + t + rng.standard_normal(200)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "x3", "t", "y"])
+        writer.writerows([*map(repr, row)] for row in np.column_stack([x, t, y]).tolist())
+
+
+def start(root: str, args: list, cwd: str) -> subprocess.Popen:
+    """`python -m fidte.cli ARGS` on root's src in cwd, BLAS on one thread."""
     src = os.path.join(os.path.abspath(root), "src")
     if not os.path.isdir(os.path.join(src, "fidte")):
         raise SystemExit(f"{root}: no src/fidte here")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.Popen([sys.executable, "-m", "fidte.cli", *args], env=env,
+    return subprocess.Popen([sys.executable, "-m", "fidte.cli", *args], env=env, cwd=cwd,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
 
 
@@ -184,14 +207,15 @@ def run_command(name, subcommand, keys, seed, trees, work) -> tuple[list, list, 
     write_config(cfg_path, keys, seed)
     outdirs = [os.path.join(work, side, name) for side in ("parent", "change")]
     args = [subcommand, "--config", cfg_path, "--workers", "1"]
-    steps = [(subcommand, finish([start(root, args + ["--out", out])
+    steps = [(subcommand, finish([start(root, args + ["--out", out], work)
                                   for root, out in zip(trees, outdirs)]))]
     written = sorted(rel for rel in files_under(outdirs[0])
                      if os.path.basename(rel) == "intervals.csv")
     if written:
         steps.append(("report", finish([
             start(root, ["report", "--out", os.path.join(out, "report"),
-                         os.path.join(out, written[0])]) for root, out in zip(trees, outdirs)])))
+                         os.path.join(out, written[0])], work)
+            for root, out in zip(trees, outdirs)])))
     diffs, notes, compared = compare_outputs(*outdirs)
     for step, ((a_code, a_tail), (b_code, b_tail)) in steps:
         if (a_code != 0 or b_code != 0) and (a_code, a_tail) == (b_code, b_tail):
@@ -211,6 +235,7 @@ def main(argv=None) -> int:
 
     total = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
+        write_csv_data(os.path.join(work, "data.csv"), args.seed)
         for name, subcommand, keys in COMMANDS:
             diffs, notes, compared = run_command(
                 name, subcommand, keys, args.seed, (args.parent, args.change), work)
