@@ -7,13 +7,15 @@ can treat a network as a point in R^P.  The sampler's networks train
 through the passes below; the quantile networks are made and evaluated
 here but trained in a layout of cqr's own (see fidte.cqr).
 
-A network keeps, per row count, two kinds of array its passes write (see
-MlpParams): the hidden activations of the forward and the gradients the
-backward propagates below the output layer.  A sampler that runs the same
-network on the same rows step after step allocates no activation-sized
-array.  The backward writes each hidden layer's delta over that layer's
-activation, so the activations a forward returned are spent once a backward
-has run through them.  The backward pass forms each bias gradient by
+A network keeps one set of arrays its passes write, whatever the row count
+(see MlpParams): one array per hidden activation of the forward, and one
+scratch for the gradients the backward propagates below the output layer.
+They are sized to the most rows the network has run on, and a pass on fewer
+rows works in their leading rows, so a sampler's full-data and minibatch
+passes write the same arrays once it has run on all its rows.
+The backward writes each hidden layer's delta over that layer's activation,
+so the activations a forward returned are spent once a backward has run
+through them.  The backward pass forms each bias gradient by
 whichever of einsum and .sum(axis=0) is cheaper where the two agree bit for
 bit (see _column_sums), so its results are those of a plain numpy sum.
 """
@@ -80,17 +82,18 @@ class MlpParams:
     The layer views into flat are built once per vector; an optimizer that
     updates flat in place keeps them valid.
 
-    The arrays a pass writes are kept per row count n and reused by the next
-    pass on n rows.  They are of two kinds: "act", each hidden activation,
-    which the forward writes and the backward overwrites with that layer's
-    delta; and "grad", each gradient the backward propagates below the
-    output layer.  So the hidden activations that mlp_forward_batch returns
-    stay valid until the next forward of the same params on as many rows,
-    or until a backward through them, whichever comes first; after a
-    backward they hold its deltas.  The input gradient that
-    mlp_backward_batch returns stays valid until the next backward on as
-    many rows.  A caller that keeps one across such a pass copies it.  The
-    output layer's values and the parameter gradient are new arrays on
+    A pass writes one set of arrays, whatever its row count n.  They are of
+    two kinds: "act", each hidden activation, which the forward writes and
+    the backward overwrites with that layer's delta; and "grad", one scratch
+    shared by the gradients the backward propagates below the output layer,
+    each spent into its layer's delta before the next is written.  Each is
+    sized to the most rows the network has run on, regrown only for more,
+    and a pass on n rows writes its leading n rows.  So the hidden
+    activations that mlp_forward_batch returns and the input gradient that
+    mlp_backward_batch returns stay valid until the next pass of the same
+    params, on any row count; after a backward through them the activations
+    hold its deltas.  A caller that keeps one across such a pass copies it.
+    The output layer's values and the parameter gradient are new arrays on
     every pass.
     """
 
@@ -98,6 +101,7 @@ class MlpParams:
     flat: np.ndarray = field(repr=False)
     _views_of: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _views: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _storage: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,13 +129,24 @@ class MlpParams:
         kind is "act", the activation of hidden layer l, which the backward
         overwrites with the gradient at its pre-activation; or "grad", the
         gradient propagated to layer l's output (layer 0 being the input).
-        It is allocated on first use, so a pass allocates only what it
-        writes.
+        It is the leading n * d_l values of kind's storage: one flat array
+        per activation, and one for every gradient, of n times the widest
+        layer below the output.  Storage is allocated on first use, so a
+        pass allocates only what it writes, and regrown for a larger n; the
+        view for each row count is kept, so a pass looks it up once.
         """
         key = (kind, l, n)
         arr = self._arrays.get(key)
         if arr is None:
-            arr = self._arrays[key] = np.empty((n, self.spec.layer_widths[l]))
+            widths = self.spec.layer_widths
+            store = (kind, l) if kind == "act" else kind
+            size = n * (widths[l] if kind == "act" else max(widths[:-1]))
+            base = self._storage.get(store)
+            if base is None or base.size < size:
+                # drop the old storage's views, which would keep it alive
+                self._arrays = {k: v for k, v in self._arrays.items() if v.base is not base}
+                base = self._storage[store] = np.empty(size)
+            arr = self._arrays[key] = base[: n * widths[l]].reshape(n, widths[l])
         return arr
 
 
@@ -166,9 +181,9 @@ def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> li
     (n, d_out) output is the last entry.  With head=False the list ends at
     the last hidden layer a, which the linear output layer would map to
     a @ W.T + b.  mlp_backward_batch takes the list as it is, and spends it.
-    The hidden activations are params' arrays for n rows, overwritten by its
-    next forward on n rows or by a backward through them (see MlpParams);
-    the output is a new array.
+    The hidden activations are params' arrays, overwritten by its next pass
+    on any row count or by a backward through them (see MlpParams); the
+    output is a new array.
     """
     acts = [x]
     layers = params.layers()
@@ -228,8 +243,8 @@ def mlp_backward_batch(
     shape (n, d_{L-1}), and the output-layer slots of the parameter gradient
     are left zero for the caller to fill.  A gradient not needed
     (need_params, need_input) is not computed and comes back as None.  The
-    parameter gradient is a new array; the input gradient is params' array
-    for n rows, overwritten by its next backward on n rows (see MlpParams).
+    parameter gradient is a new array; the input gradient is params'
+    scratch, overwritten by its next pass on any row count (see MlpParams).
     """
     layers = params.layers()
     last = len(layers) - 1

@@ -26,6 +26,8 @@ takes it as checked:
     treatment) and read_csv_rows (both arms, rows for n_batches), once per
     run, before any replication;
   * a dataset's shapes and finite values, when its engine.Dataset is built;
+  * a generated training set, for both arms, as each replication draws it,
+    before any fit;
   * a replication's test set, for a treated row when the PEHE of an effect
     surface is taken, and the CQR bands' calibration rows (cqr.fit_cqr),
     before any fit;
@@ -148,10 +150,9 @@ def read_csv_rows(config: ExperimentConfig) -> Optional[Dataset]:
     if config.csv is None:
         return None
     rows = load_csv_dataset(config.csv, config.csv_schema)
-    treated = int(rows.t.sum())
-    if treated in (0, rows.n):
+    if np.all(rows.t == rows.t[0]):
         raise InputFileError(f"csv file {config.csv}: treatment column {config.csv_schema['t']!r} "
-                             f"holds arm {int(treated > 0)} only; an effect needs both arms")
+                             f"holds arm {rows.t[0]} only; an effect needs both arms")
     if config.n_batches > rows.n:
         raise InputFileError(f"n_batches: must be in [1, {rows.n}], the row count of "
                              f"{config.csv}, got {config.n_batches}")
@@ -204,6 +205,11 @@ def run_replication(
     ints = replication_ints(config.seed, r)
     try:
         train, test = _replication_data(config, ints) if config.csv is None else (csv_rows, None)
+        # read_csv_rows checked a csv training set for both arms; a drawn
+        # one of one arm fails here, before any fit.  Both checks compare
+        # rather than sum: a first int64 sum raised cqr_ex1's peak ~0.1 MB
+        if config.csv is None and np.all(train.t == train.t[0]):
+            raise ValueError(f"training set holds arm {train.t[0]} only; an effect needs both arms")
         # a generated test set holds the realized individual effects
         truth_vec = None if test is None else test.y1 - test.y0
         # a constant effect is the ATE an ATE interval should cover

@@ -23,8 +23,9 @@ thin-th iteration records theta_bar, giving the fiducial sample.
 
 A run standardizes its rows once (engine.SolveRows) and draws each weight
 minibatch as a row selection of them.  It keeps one inverse network for the
-whole run and steps its flat vector in place, so the arrays the network's
-passes write (see nn.MlpParams) are reused from one iteration to the next.
+whole run and steps its flat vector in place, so the one set of arrays the
+network's passes write (see nn.MlpParams) serves the passes on all rows and
+on a minibatch alike, from one iteration to the next.
 
 run_efi reads eps, eta and the budgets from the run's ExperimentConfig (see
 config), which checks every one of them when it is built; VARPI, CLIP_NORM

@@ -666,6 +666,25 @@ def test_test_set_without_a_treated_row_fails_before_any_fit(tmp_path, monkeypat
     assert calls == [] and fits == []
 
 
+def test_training_set_of_one_arm_fails_before_any_fit(tmp_path, monkeypatch):
+    # a drawn training set of treated rows only cannot identify an effect;
+    # it fails in the csv check's words before the CQR fits and the sampler
+    seed = next(s for s in range(50)
+                if generate("linear_ate", 4, seed=replication_ints(s, 0)[0]).t.sum() in (0, 4))
+    arm = int(generate("linear_ate", 4, seed=replication_ints(seed, 0)[0]).t[0])
+    calls = []
+    monkeypatch.setattr(fidte.runner, "run_efi", lambda *args, **kw: calls.append(1))
+    monkeypatch.setattr(fidte.runner, "fit_cqr", lambda *args: calls.append(1))
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text(f"preset: linear_ate_n250\nn_train: 4\nn_batches: 1\nk_burn: 20\n"
+                   f"m_keep: 40\nseed: {seed}\n")
+    message = f"^replication 0: training set holds arm {arm} only; an effect needs both arms$"
+    for command in ("fit", "benchmark"):
+        with pytest.raises(ValueError, match=message):
+            cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+    assert calls == []
+
+
 def test_error_inside_a_replication_keeps_its_traceback(tmp_path, monkeypatch):
     # only a file the command cannot use is one error line; a failing
     # replication raises as it did

@@ -576,6 +576,33 @@ def test_passes_and_draw_surfaces_share_the_layouts_nets(make, rng):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("make", [linear_layout, tau_net_layout, both_net_layout])
+def test_passes_on_two_row_counts_match_passes_on_fresh_networks(make, rng):
+    # a sampler iteration's z pass on all rows, w pass on a minibatch and next
+    # z pass share one set of pass arrays per network; each must give what
+    # the same pass gives on networks that never ran, bit for bit
+    layout = make(d=2)
+    data = random_dataset(rng, n=30)
+    scaler = Standardizer.fit(data)
+    spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=17)
+    w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
+    rows = solve_rows(data, layout, scaler)
+    z1, z2 = rng.normal(size=(2, 30))
+    idx = rng.choice(30, size=10, replace=False)
+    passes = (
+        (rows, z1, True, False),
+        (rows.take(idx), z1[idx], False, True),
+        (rows, z2, True, False),
+    )
+    for pass_rows, z, need_z, need_w in passes:
+        got = energy_gradients(w, pass_rows, z, 5.0, layout, need_z, need_w)
+        fresh_w, fresh_layout = MlpParams(spec, w.flat.copy()), make(d=2)
+        want = energy_gradients(fresh_w, pass_rows, z, 5.0, fresh_layout, need_z, need_w)
+        assert got.total == want.total
+        for name in ("theta_bar", "z_grad", "w_grad"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 # ---------------------------------------------------------------- validation
 
 

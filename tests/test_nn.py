@@ -77,6 +77,13 @@ def test_passes_on_as_many_rows_reuse_the_hidden_arrays(rng):
     fresh = mlp_forward_batch(MlpParams(params.spec, params.flat.copy()), x2)
     for a, b in zip(second, fresh, strict=True):
         np.testing.assert_array_equal(a, b)
+    # a pass on fewer rows writes the leading rows of the same storage
+    fewer = mlp_forward_batch(params, x1[:4])
+    for a, b in zip(fewer[1:-1], second[1:-1], strict=True):
+        assert a.shape[0] == 4 and np.shares_memory(a, b)
+    fresh = mlp_forward_batch(MlpParams(params.spec, params.flat.copy()), x1[:4])
+    for a, b in zip(fewer, fresh, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_backward_stays_correct_after_a_pass_on_another_row_count(rng):
@@ -84,11 +91,11 @@ def test_backward_stays_correct_after_a_pass_on_another_row_count(rng):
     x, gout = rng.normal(size=(9, 3)), rng.normal(size=(9, 6))
     oracle = MlpParams(params.spec, params.flat.copy())
     want_pg, want_ig = mlp_backward_batch(oracle, mlp_forward_batch(oracle, x), gout)
-    acts = mlp_forward_batch(params, x)
-    # a full pass on 4 rows in between writes that row count's arrays only
+    # a full pass on 4 rows writes the leading rows of the arrays the pass
+    # on 9 rows then writes whole, and leaves it nothing to read
     other = mlp_forward_batch(params, rng.normal(size=(4, 3)))
     mlp_backward_batch(params, other, rng.normal(size=(4, 6)))
-    pg, ig = mlp_backward_batch(params, acts, gout)
+    pg, ig = mlp_backward_batch(params, mlp_forward_batch(params, x), gout)
     np.testing.assert_array_equal(pg, want_pg)
     np.testing.assert_array_equal(ig, want_ig)
 
@@ -135,6 +142,7 @@ def test_backward_batch_sums_per_row_grads(rng):
     x = rng.normal(size=(7, 3))
     gout = rng.normal(size=(7, 2))
     pg_batch, ig_batch = mlp_backward_batch(params, mlp_forward_batch(params, x), gout)
+    ig_batch = ig_batch.copy()  # the one-row passes write the same scratch
     pg_sum = np.zeros_like(params.flat)
     for i in range(7):
         acts_i = mlp_forward_batch(params, x[i : i + 1])
