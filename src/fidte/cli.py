@@ -20,7 +20,9 @@ read as one (for report, a malformed row, named by its line and column),
 a csv data file whose treatment column holds one arm only, and a csv data
 file with fewer rows than n_batches each exit 2 with one stderr line,
 "fidte: error: <message>", before any output directory is made; an error
-raised inside a replication keeps its traceback.
+raised inside a replication keeps its traceback.  Each output directory is
+made at its first write, so a replication that fails before writing leaves
+no directory behind.
 """
 
 from __future__ import annotations
@@ -115,9 +117,9 @@ def cmd_fit(args) -> int:
         )
     cfg = replace(cfg, methods=("efi",))
     csv_rows = read_csv_rows(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
     rep = run_replication(cfg, 0, csv_rows, rep_dir=cfg.outdir)
     chain = rep["chain"]
+    os.makedirs(cfg.outdir, exist_ok=True)
     write_chain_csv(chain, os.path.join(cfg.outdir, "chain.csv"))
     write_rows_csv(rep["rows"], os.path.join(cfg.outdir, "intervals.csv"))
     print(f"wrote chain.csv ({chain.n_draws} draws) and intervals.csv to {cfg.outdir}")

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import RESCALE
+
 RHO = 1e-2
 SIGMA1 = 1.0
 SIGMA0 = 1e-2
@@ -26,7 +28,7 @@ _K = 0.5 * (1.0 / SIGMA0**2 - 1.0 / SIGMA1**2)
 _L0 = float(np.log((1.0 - RHO) * SIGMA1 / (RHO * SIGMA0)))
 
 
-def log_prior_grad(w: np.ndarray, scale=None) -> np.ndarray:
+def log_prior_grad(w: np.ndarray, head=None) -> np.ndarray:
     """Elementwise gradient of the log prior density of w.
 
     d/dw = -w * (1/SIGMA1^2 + r0 * (1/SIGMA0^2 - 1/SIGMA1^2)), with the
@@ -35,20 +37,19 @@ def log_prior_grad(w: np.ndarray, scale=None) -> np.ndarray:
     (for |w| > ~1e154) overflows to inf, r0 is 0 and the gradient is the
     slab's -w / SIGMA1^2, so those overflows are silenced.  r0 is never
     written as e^l / (1 + e^l), whose inf / inf would be NaN.
-    scale, if given, holds per-element positive factors for parameters that
-    are stored as scaled copies of their natural units: the mixture reads
-    w / scale and the gradient carries the 1 / scale chain factor.
+    head, if given, is a boolean mask over w (sampler.head_mask) of the
+    parameters stored at RESCALE times their natural units: there the
+    mixture reads w / RESCALE and the gradient carries the 1 / RESCALE chain
+    factor.  None, for a network without a head, skips the masked steps.
     """
     w = np.asarray(w, dtype=np.float64)
-    s = None
-    if scale is not None:
-        s = np.broadcast_to(np.asarray(scale, dtype=np.float64), w.shape)
     out = np.empty(w.shape)
     with np.errstate(over="ignore"):
-        if s is None:
+        if head is None:
             np.multiply(w, w, out=out)
         else:
-            np.divide(w, s, out=out)
+            np.copyto(out, w)
+            np.divide(w, RESCALE, out=out, where=head)
             out *= out
         out *= _K
         out -= _L0
@@ -58,7 +59,7 @@ def log_prior_grad(w: np.ndarray, scale=None) -> np.ndarray:
         np.divide(-2.0 * _K, out, out=out)
         out -= 1.0 / SIGMA1**2
     out *= w
-    if s is not None:
-        out /= s
-        out /= s
+    if head is not None:
+        np.divide(out, RESCALE, out=out, where=head)
+        np.divide(out, RESCALE, out=out, where=head)
     return out

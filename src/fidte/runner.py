@@ -186,6 +186,7 @@ def _efi_results(config, train, ints, rep_dir):
     inv_spec = MlpSpec((train.d + 3, *INVERSE_WIDTHS, layout.theta_dim), seed=ints[2])
     trace = nullcontext()
     if config.trace and rep_dir is not None:
+        os.makedirs(rep_dir, exist_ok=True)
         trace = open(os.path.join(rep_dir, "trace_efi.csv"), "w", newline="")
     with trace as trace_fh:
         return run_efi(train, layout, inv_spec, config, ints[2], trace=trace_fh)
@@ -259,21 +260,31 @@ def run_replication(
 INTERVAL_COLUMNS = ("method", "alpha", "subject_id", "case", "lower", "upper", "truth", "covered")
 
 
+# rows write_rows_csv turns into Python objects at a time
+_CSV_ROWS = 256
+
+
 def write_rows_csv(rows, path) -> None:
     """run_replication's rows, one line per block row (a None truth leaves
-    truth and covered empty), made from .tolist() columns; no cell holds a
-    comma, quote or line break, so each line is what csv.writer writes."""
+    truth and covered empty), made from .tolist() columns _CSV_ROWS rows at
+    a time, so a block's Python objects never all exist at once; no cell
+    holds a comma, quote or line break, so each line is what csv.writer
+    writes."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(INTERVAL_COLUMNS) + "\r\n")
         for method, block, truth in rows:
             head = f"{method},{block.alpha!r},"
-            lo, hi, empty = block.lower, block.upper, [""] * block.lower.size
-            truths = empty if truth is None else map(repr, truth.tolist())
-            covers = empty if truth is None else ((lo <= truth) & (truth <= hi)).view(np.int8).tolist()
-            fh.writelines(
-                f"{head}{i},{case},{a!r},{b!r},{t},{c}\r\n" for i, case, a, b, t, c in zip(
-                    block.subject_id.tolist(), block.case.tolist(), lo.tolist(), hi.tolist(),
-                    truths, covers))
+            for k in range(0, block.lower.size, _CSV_ROWS):
+                part = slice(k, k + _CSV_ROWS)
+                lo, hi = block.lower[part], block.upper[part]
+                empty = [""] * lo.size
+                truths = empty if truth is None else map(repr, truth[part].tolist())
+                covers = (empty if truth is None
+                          else ((lo <= truth[part]) & (truth[part] <= hi)).view(np.int8).tolist())
+                fh.writelines(
+                    f"{head}{i},{case},{a!r},{b!r},{t},{c}\r\n" for i, case, a, b, t, c in zip(
+                        block.subject_id[part].tolist(), block.case[part].tolist(), lo.tolist(),
+                        hi.tolist(), truths, covers))
 
 
 def _mean_sd(values) -> dict:
@@ -350,8 +361,8 @@ def summarize(config: ExperimentConfig, reps: list[dict]) -> dict:
 def _rep_worker(args):
     """Replication r, which writes its intervals.csv to rep_dir."""
     config, r, csv_rows, rep_dir = args
-    os.makedirs(rep_dir, exist_ok=True)
     rep = run_replication(config, r, csv_rows, rep_dir)
+    os.makedirs(rep_dir, exist_ok=True)
     write_rows_csv(rep["rows"], os.path.join(rep_dir, "intervals.csv"))
     del rep["chain"]  # summaries need only rows and the PEHE; keep draws out of pickling
     return rep

@@ -101,21 +101,30 @@ def sghmc_z_step(
 def sgd_w_step(
     w: MlpParams,
     grad: np.ndarray,
-    gamma,
+    rate_rest: float,
+    rate_head: float,
+    head: Optional[np.ndarray],
     clip_norm: Optional[float] = None,
 ) -> None:
     """Ascent step on the weight log posterior, made in place on w.flat.
 
-    gamma may be a scalar or a per-parameter vector; run_efi passes its
-    constant anchored rates, one for the head (head_mask) and one for the rest.
-    With clip_norm set, grad is rescaled to norm <= clip_norm before the step.
-    A step that leaves a parameter non-finite raises ValueError.
+    grad is turned into the step in place: it is multiplied by rate_head
+    where the boolean mask head (head_mask) is set and by rate_rest
+    elsewhere; head None, for a network without a head, steps every
+    parameter at rate_rest.  With clip_norm set, grad is first rescaled to
+    norm <= clip_norm.  A step that leaves a parameter non-finite raises
+    ValueError.
     """
     if clip_norm is not None:
         nrm = float(np.linalg.norm(grad))
         if nrm > clip_norm:
-            grad = grad * (clip_norm / nrm)
-    w.flat += gamma * grad
+            grad *= clip_norm / nrm
+    if head is None:
+        grad *= rate_rest
+    else:
+        np.multiply(grad, rate_head, out=grad, where=head)
+        np.multiply(grad, rate_rest, out=grad, where=~head)
+    w.flat += grad
     if not np.all(np.isfinite(w.flat)):
         raise ValueError("weight step gave non-finite parameter values")
 
@@ -243,7 +252,13 @@ def run_efi(
     _check_widths(inverse_spec, rows, layout)
     rng = np.random.default_rng(seed)
     w = mlp_init(inverse_spec)
+    # head rows emit theta blocks stored at RESCALE times their natural
+    # network units; they take their own weight step, and the shrinkage prior
+    # reads them in natural units, otherwise it is RESCALE times stiffer there
+    # than anywhere else and flattens whatever surface the head has learned.
+    # A net without a head (a linear layout) takes the unmasked paths
     head = head_mask(inverse_spec, layout)
+    head = head if head.any() else None
     n = data.n
     m_batch = max(1, n // config.n_batches)
     writer = csv.writer(trace) if trace is not None else None
@@ -262,13 +277,6 @@ def run_efi(
     # group's step is anchored to its own stability limit measured at the
     # start state
     rate_rest, rate_head = _group_w_rates(w, rows, z, config)
-    step = np.where(head, rate_head, rate_rest)
-
-    # head rows emit theta blocks stored at RESCALE times their natural
-    # network units; the shrinkage prior reads those rows in natural units,
-    # otherwise it is RESCALE times stiffer there than anywhere else and
-    # flattens whatever surface the head has learned
-    prior_scale = np.where(head, RESCALE, 1.0) if head.any() else None
 
     # the latent step is anchored the same way: its curvature at the start
     # state is 1 + 2 sigma^2 / eps from the reference prior plus the pinned
@@ -304,7 +312,7 @@ def run_efi(
         gw = np.negative(rep.w_grad, out=rep.w_grad)
         gw /= config.eps
         gw *= scale
-        gw += log_prior_grad(w.flat, prior_scale)
+        gw += log_prior_grad(w.flat, head)
         if not np.all(np.isfinite(gw)):
             raise RuntimeError(f"weight gradient diverged at iteration {k}")
         if writer is not None:
@@ -312,7 +320,7 @@ def run_efi(
                 [k, repr(rep.total), repr(upsilon), repr(rate_rest),
                  repr(float(np.linalg.norm(gw)))]
             )
-        sgd_w_step(w, gw, step, CLIP_NORM if k <= CLIP_ITERS else None)
+        sgd_w_step(w, gw, rate_rest, rate_head, head, CLIP_NORM if k <= CLIP_ITERS else None)
         del rep, gw  # drop the P-sized gradient before the next pass
         if k < k_init:
             z = rng.standard_normal(n)

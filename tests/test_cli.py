@@ -685,6 +685,18 @@ def test_training_set_of_one_arm_fails_before_any_fit(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["fit", "benchmark"])
+def test_replication_that_fails_its_data_check_leaves_no_output_directory(tmp_path, command):
+    # seed 4 draws four treated training rows; each directory is made at its
+    # first write, so the failed check leaves none, trace file included
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text("preset: linear_ate_n250\nn_train: 4\nn_batches: 1\nseed: 4\ntrace: true\n")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^replication 0: training set holds arm 1 only"):
+        cli.main([command, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_error_inside_a_replication_keeps_its_traceback(tmp_path, monkeypatch):
     # only a file the command cannot use is one error line; a failing
     # replication raises as it did

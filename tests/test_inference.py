@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +320,27 @@ def test_ite_intervals_equal_the_per_subject_loop(m):
             assert endpoint_bits(got) == endpoint_bits(want)
 
 
+@pytest.mark.parametrize("spawned", [0, 3])
+def test_ite_intervals_build_the_streams_rng_spawn_gives(spawned):
+    # each subject's stream is built as its block fills, and it is the one
+    # rng.spawn(test.n) gives: on a generator seeded as run_replication seeds
+    # it and on a child generator (a non-empty spawn key), after `spawned`
+    # children were already taken from either
+    rng = np.random.default_rng(30)
+    test = toy_test_set(40, seed=13)
+    draws = 0.3 * rng.standard_normal((30, 7))
+    draws[:, -1] = np.log(0.5) + 0.2 * rng.standard_normal(30)
+    sf = surfaces(make_chain(draws), test)
+    cases = np.array(["Ic", "It", "Im", "Im", "Ic"] * 8)
+    for make in (lambda: np.random.default_rng([21, 1]), lambda: np.random.default_rng(5).spawn(2)[1]):
+        on_demand, spawning = make(), make()
+        on_demand.spawn(spawned)
+        spawning.spawn(spawned)
+        got = ite_intervals(sf, test, 0.1, on_demand, cases)
+        want = per_subject_ite_intervals(sf, test, 0.1, spawning, cases)
+        assert endpoint_bits(got) == endpoint_bits(want)
+
+
 SURFACE_LAYOUTS = {
     "linear_ate": ThetaLayout(5),
     "dnn_tau_linear_c": ThetaLayout(5, MlpSpec((4, 6, 1), seed=5)),
@@ -431,6 +455,29 @@ def test_write_intervals_csv_roundtrip(tmp_path):
     back = rescore(str(path))["efi"]["0.05"]
     assert (back["Im"]["coverage"], back["Ic"]["coverage"]) == (1.0, 0.0)
     assert back["ATE"] == {"n": 1, "mean_length": 1.0, "coverage": None}
+
+
+def test_blocks_longer_than_a_write_chunk_are_what_csv_writer_writes(tmp_path):
+    # write_rows_csv converts _CSV_ROWS rows at a time; across the chunk
+    # boundaries each line is csv.writer's line of the same row
+    n = 2 * fidte.runner._CSV_ROWS + 5
+    rng = np.random.default_rng(3)
+    lower = rng.normal(size=n)
+    upper = lower + rng.exponential(size=n)
+    truth = rng.normal(size=n)
+    cases = rng.choice(["Ic", "It", "Im"], size=n)
+    block = Intervals(np.arange(n), cases, lower, upper, 0.1)
+    path = tmp_path / "iv.csv"
+    write_rows_csv([("efi", block, truth), ("cqr-naive", block, None)], path)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(fidte.runner.INTERVAL_COLUMNS)
+    for method, t in (("efi", truth), ("cqr-naive", None)):
+        for k in range(n):
+            cells = ["", ""] if t is None else [repr(float(t[k])), int(lower[k] <= t[k] <= upper[k])]
+            writer.writerow([method, 0.1, k, cases[k], repr(float(lower[k])), repr(float(upper[k])),
+                             *cells])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_interval_of_numpy_scalars_reads_back(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from fidte.engine import RESCALE
 from fidte.prior import RHO, SIGMA0, SIGMA1, log_prior_grad
 
 from conftest import assert_grad_close, central_diff, lse_log_prior_grad
@@ -103,14 +104,16 @@ def test_slab_pull_in_tail():
 
 
 def test_scaled_density_identity(rng):
-    # reading w in natural units w / s must match evaluating the plain
-    # mixture there, up to the change-of-variables constant
+    # reading w in natural units w / s, s = RESCALE on the head mask and 1
+    # off it, must match evaluating the plain mixture there, up to the
+    # change-of-variables constant
     w = rng.normal(scale=2.0, size=8)
-    s = np.abs(rng.normal(scale=10.0, size=8)) + 0.5
+    head = rng.random(8) < 0.5
+    s = np.where(head, RESCALE, 1.0)
     want = log_prior(w / s) - float(np.sum(np.log(s)))
     assert log_prior(w, scale=s) == pytest.approx(want, rel=1e-12)
     np.testing.assert_allclose(
-        log_prior_grad(w, scale=s),
+        log_prior_grad(w, head),
         log_prior_grad(w / s) / s,
         rtol=1e-12,
     )
@@ -118,18 +121,15 @@ def test_scaled_density_identity(rng):
 
 def test_scaled_gradient_matches_fd(rng):
     w = rng.normal(scale=5.0, size=6)
-    s = np.full(6, 25.0)
-    analytic = log_prior_grad(w, scale=s)
+    s = np.full(6, RESCALE)
+    analytic = log_prior_grad(w, np.ones(6, dtype=bool))
     numeric = central_diff(lambda v: log_prior(v, scale=s), w, h=1e-6)
     assert_grad_close(analytic, numeric, rtol=2e-4, atol=1e-6)
 
 
-def test_scalar_scale_broadcasts(rng):
+def test_empty_head_equals_the_unmasked_path(rng):
     w = rng.normal(size=5)
-    np.testing.assert_array_equal(
-        log_prior_grad(w, scale=25.0),
-        log_prior_grad(w, scale=np.full(5, 25.0)),
-    )
+    np.testing.assert_array_equal(log_prior_grad(w, np.zeros(5, dtype=bool)), log_prior_grad(w))
 
 
 # spike (|w| << SIGMA0), the spike/slab crossover near 0.043, the slab
@@ -149,12 +149,13 @@ def test_one_exp_form_matches_log_sum_exp(w):
 
 
 def test_one_exp_form_matches_log_sum_exp_scaled(rng):
-    # the head rows' path: natural units w / scale, chain factor 1 / scale
-    s = np.where(rng.random(200) < 0.5, 25.0, 1.0)
+    # the head rows' path: natural units w / RESCALE, chain factor 1 / RESCALE
+    head = rng.random(200) < 0.5
+    s = np.where(head, RESCALE, 1.0)
     for spread in (0.005, 0.043, 0.3, 5.0, 1e3):
         w = rng.normal(scale=spread, size=200) * s
         np.testing.assert_allclose(
-            log_prior_grad(w, scale=s), lse_log_prior_grad(w, scale=s), rtol=1e-12, atol=0
+            log_prior_grad(w, head), lse_log_prior_grad(w, scale=s), rtol=1e-12, atol=0
         )
 
 
@@ -164,7 +165,8 @@ def test_slab_limit_where_squares_overflow():
     # gives it exactly from |w| 0.38 up
     w = np.array([1e150, 1e154, 1e155, 1e200, -1e200, 1e308])
     np.testing.assert_array_equal(log_prior_grad(w), -w / SIGMA1**2)
-    np.testing.assert_array_equal(log_prior_grad(w, scale=25.0), -(w / 25.0) / SIGMA1**2 / 25.0)
+    np.testing.assert_array_equal(log_prior_grad(w, np.ones(6, dtype=bool)),
+                                  -(w / RESCALE) / SIGMA1**2 / RESCALE)
     assert lse_log_prior_grad(np.array([0.38, 1e150]))[1] == -1e150 / SIGMA1**2
 
 
@@ -175,16 +177,16 @@ def test_overflow_is_silent():
     w = np.array([0.0, 1e-300, 0.043, 0.38, 5.0, 1e154, 1e200, -1e300])
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         assert np.all(np.isfinite(log_prior_grad(w)))
-        assert np.all(np.isfinite(log_prior_grad(w, scale=np.full(8, 25.0))))
+        assert np.all(np.isfinite(log_prior_grad(w, np.ones(8, dtype=bool))))
 
 
 def test_input_is_left_unchanged_and_result_is_new(rng):
     w = rng.normal(scale=0.1, size=50)
-    s = np.full(50, 25.0)
-    w0, s0 = w.copy(), s.copy()
-    for scale in (None, s):
-        g = log_prior_grad(w, scale)
+    head = rng.random(50) < 0.5
+    w0, head0 = w.copy(), head.copy()
+    for mask in (None, head):
+        g = log_prior_grad(w, mask)
         assert not np.shares_memory(g, w)
         np.testing.assert_array_equal(w, w0)
-        np.testing.assert_array_equal(s, s0)
+        np.testing.assert_array_equal(head, head0)
     assert log_prior_grad(0.3).shape == ()

@@ -6,9 +6,10 @@ import pytest
 import fidte.sampler
 from fidte.config import DESIGN_SURFACES, PRESETS, ExperimentConfig, preset_config
 from fidte.datagen import generate
-from fidte.engine import Dataset, SolveRows, Standardizer, ThetaLayout, least_squares_theta
+from fidte.engine import RESCALE, Dataset, SolveRows, Standardizer, ThetaLayout, least_squares_theta
 from fidte.nn import MlpParams, MlpSpec, _layer_slices, mlp_init, param_count
-from fidte.runner import build_layout
+from fidte.prior import _K, _L0, SIGMA1, log_prior_grad
+from fidte.runner import INVERSE_WIDTHS, build_layout
 from fidte.sampler import (
     Z_STEP_TARGET,
     FiducialChain,
@@ -75,7 +76,7 @@ def test_sgd_step_converges_on_quadratic():
     target = np.arange(param_count(spec), dtype=float) / 7.0
     w = mlp_init(spec)
     for _ in range(400):
-        sgd_w_step(w, target - w.flat, gamma=0.1)
+        sgd_w_step(w, target - w.flat, 0.1, 0.1, None)
     np.testing.assert_allclose(w.flat, target, atol=1e-8)
 
 
@@ -84,28 +85,29 @@ def zero_params():
 
 
 def test_sgd_step_clips_by_norm():
-    # the step is made in place, so each case starts from its own zero vector
+    # the step is made in place on the weights and on the gradient, so each
+    # case starts from its own zero vector and its own gradient copy
     grad = np.array([3.0, 0.0, 4.0, 0.0])  # norm 5
     clipped = zero_params()
-    sgd_w_step(clipped, grad, gamma=1.0, clip_norm=1.0)
+    sgd_w_step(clipped, grad.copy(), 1.0, 1.0, None, clip_norm=1.0)
     np.testing.assert_allclose(clipped.flat, grad / 5.0, rtol=1e-12)
     unclipped = zero_params()
-    sgd_w_step(unclipped, grad, gamma=1.0, clip_norm=10.0)
+    sgd_w_step(unclipped, grad.copy(), 1.0, 1.0, None, clip_norm=10.0)
     np.testing.assert_array_equal(unclipped.flat, grad)
 
 
 def test_sgd_step_accepts_per_parameter_gamma():
+    # the head rate where the mask is set, the rest rate elsewhere
     w = zero_params()
-    gam = np.array([1.0, 0.5, 0.25, 0.0])
-    sgd_w_step(w, np.ones(4), gamma=gam)
-    np.testing.assert_array_equal(w.flat, gam)
+    sgd_w_step(w, np.ones(4), 0.5, 0.25, np.array([False, True, True, False]))
+    np.testing.assert_array_equal(w.flat, [0.5, 0.25, 0.25, 0.5])
 
 
 def test_sgd_step_to_a_non_finite_weight_raises():
     w = MlpParams(MlpSpec((1, 1, 1), seed=0), np.full(4, 1e308))
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite parameter values"):
-            sgd_w_step(w, np.ones(4), gamma=1e308)
+            sgd_w_step(w, np.ones(4), 1e308, 1e308, None)
 
 
 # ---------------------------------------------------------------- groups
@@ -164,6 +166,68 @@ def test_gamma_groups_are_the_config_layout_groups(config, d):
     want[ws], want[bs] = weights.ravel(), biases
     np.testing.assert_array_equal(head_mask(spec, layout), want)
     assert want.any() == bool(surfaces)
+
+
+def vector_prior_grad(w, scale):
+    """Reference: the prior gradient with a per-element scale vector, the
+    form run_efi used before log_prior_grad took the head mask (scale was
+    np.where(head, RESCALE, 1.0), or None for a net without a head)."""
+    out = np.empty(w.shape)
+    with np.errstate(over="ignore"):
+        if scale is None:
+            np.multiply(w, w, out=out)
+        else:
+            np.divide(w, scale, out=out)
+            out *= out
+        out *= _K
+        out -= _L0
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(-2.0 * _K, out, out=out)
+        out -= 1.0 / SIGMA1**2
+    out *= w
+    if scale is not None:
+        out /= scale
+        out /= scale
+    return out
+
+
+def vector_w_step(flat, grad, step, clip_norm):
+    """Reference: the weight step with a per-element step vector, the form
+    run_efi used before sgd_w_step took the head mask
+    (step was np.where(head, rate_head, rate_rest))."""
+    if clip_norm is not None:
+        nrm = float(np.linalg.norm(grad))
+        if nrm > clip_norm:
+            grad = grad * (clip_norm / nrm)
+    return flat + step * grad
+
+
+@pytest.mark.parametrize("preset", ["example1", "example2", "linear_ate_n250"])
+def test_head_mask_step_and_prior_equal_the_vector_forms(preset):
+    # run_efi's inverse net on the preset's layout; weights spread over the
+    # spike, the crossover, the slab and the exp overflow, head rows at
+    # RESCALE times that
+    cfg = preset_config(preset)
+    d = generate(cfg.design, 2).d
+    layout = build_layout(cfg, d)
+    spec = MlpSpec((d + 3, *INVERSE_WIDTHS, layout.theta_dim), seed=3)
+    head = head_mask(spec, layout)
+    assert head.any() == (preset != "linear_ate_n250")
+    mask = head if head.any() else None
+    scale = None if mask is None else np.where(head, RESCALE, 1.0)
+    rng = np.random.default_rng(8)
+    p = param_count(spec)
+    flat = rng.normal(size=p) * rng.choice([0.005, 0.043, 0.3, 5.0], size=p)
+    flat *= 1.0 if scale is None else scale
+    np.testing.assert_array_equal(log_prior_grad(flat, mask), vector_prior_grad(flat, scale))
+    rate_rest, rate_head = 1.37e-4, 2.9e-2
+    step = np.where(head, rate_head, rate_rest)
+    grad = rng.normal(scale=300.0, size=p)
+    for clip_norm in (None, 5000.0, 1e9):
+        w = MlpParams(spec, flat.copy())
+        sgd_w_step(w, grad.copy(), rate_rest, rate_head, mask, clip_norm)
+        np.testing.assert_array_equal(w.flat, vector_w_step(flat, grad, step, clip_norm))
 
 
 # ---------------------------------------------------------------- run_efi
@@ -348,7 +412,8 @@ def test_run_efi_draws_match_the_log_sum_exp_prior(monkeypatch):
     layout = build_layout(cfg, data.d)
     spec = MlpSpec((data.d + 3, 12, 6, layout.theta_dim), seed=2)
     shipped = run_efi(data, layout, spec, cfg, 9)
-    monkeypatch.setattr(fidte.sampler, "log_prior_grad", lse_log_prior_grad)
+    monkeypatch.setattr(fidte.sampler, "log_prior_grad", lambda w, head: lse_log_prior_grad(
+        w, None if head is None else np.where(head, RESCALE, 1.0)))
     reference = run_efi(data, layout, spec, cfg, 9)
     assert head_mask(spec, layout).any()
     assert shipped.n_draws == 20

@@ -16,9 +16,13 @@ parent into the child's ru_maxrss, so a command that stays smaller than the
 perfbench parent reads the parent's peak.  VmHWM counts the command's own
 memory only.  This launcher imports no numpy, so it stays small anyway.
 
-The script prints, per workload, each tree's median in MB, the change's
-median minus the parent's, and every run in order.  It exits 1 if a command
-fails, 0 otherwise.
+The script prints, per workload, each tree's quartiles (q1, median, q3) in
+MB and every run in order, then the change's median minus the parent's, the
+parent's quartile distance (q3 - q1) and the count of pairs in which the
+change is lower (pair i is each tree's i-th run; a tie counts for neither).
+These are the numbers a claimed gain is judged by: the change lower in at
+least nine tenths of the pairs, and the medians apart by more than the
+parent's quartile distance.  It exits 1 if a command fails, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -75,11 +79,13 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--workload", choices=sorted(WORKLOADS), default=None)
     args = ap.parse_args(argv)
+    if args.repeats < 2:
+        ap.error("--repeats: quartiles need at least 2 runs per tree")
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     names = [args.workload] if args.workload else list(WORKLOADS)
     work = tempfile.mkdtemp(prefix="peak_rss_")
     try:
-        print(f"{'workload':<12} {'parent MB':>10} {'change MB':>10} {'change-parent':>14}  runs")
+        print(f"{'workload':<12} {'tree':<7} {'q1 MB':>8} {'median':>8} {'q3 MB':>8}  runs")
         for name in names:
             workload = WORKLOADS[name]
             cfg_path = os.path.join(work, f"{name}.yaml")
@@ -89,11 +95,15 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for tree in order:
                     runs[tree].append(peak_mb(trees[tree], workload, cfg_path, work))
-            med = {tree: statistics.median(v) for tree, v in runs.items()}
-            listed = "; ".join(f"{tree} " + " ".join(f"{v:.3f}" for v in runs[tree])
-                               for tree in trees)
-            print(f"{name:<12} {med['parent']:>10.3f} {med['change']:>10.3f} "
-                  f"{med['change'] - med['parent']:>+14.3f}  {listed}")
+            quart = {tree: statistics.quantiles(v, n=4) for tree, v in runs.items()}
+            for tree in trees:
+                q1, med, q3 = quart[tree]
+                listed = " ".join(f"{v:.3f}" for v in runs[tree])
+                print(f"{name:<12} {tree:<7} {q1:>8.3f} {med:>8.3f} {q3:>8.3f}  {listed}")
+            lower = sum(c < p for p, c in zip(runs["parent"], runs["change"]))
+            print(f"{name:<12} change-parent {quart['change'][1] - quart['parent'][1]:+.3f} MB, "
+                  f"parent q3-q1 {quart['parent'][2] - quart['parent'][0]:.3f} MB, "
+                  f"change lower in {lower}/{args.repeats} pairs")
     except RuntimeError as e:
         print(f"peak_rss: {e}", file=sys.stderr)
         return 1
