@@ -28,7 +28,7 @@ _K = 0.5 * (1.0 / SIGMA0**2 - 1.0 / SIGMA1**2)
 _L0 = float(np.log((1.0 - RHO) * SIGMA1 / (RHO * SIGMA0)))
 
 
-def log_prior_grad(w: np.ndarray, head=None) -> np.ndarray:
+def log_prior_grad(w: np.ndarray, head: tuple[slice, ...] = ()) -> np.ndarray:
     """Elementwise gradient of the log prior density of w.
 
     d/dw = -w * (1/SIGMA1^2 + r0 * (1/SIGMA0^2 - 1/SIGMA1^2)), with the
@@ -37,20 +37,17 @@ def log_prior_grad(w: np.ndarray, head=None) -> np.ndarray:
     (for |w| > ~1e154) overflows to inf, r0 is 0 and the gradient is the
     slab's -w / SIGMA1^2, so those overflows are silenced.  r0 is never
     written as e^l / (1 + e^l), whose inf / inf would be NaN.
-    head, if given, is a boolean mask over w (sampler.head_mask) of the
-    parameters stored at RESCALE times their natural units: there the
-    mixture reads w / RESCALE and the gradient carries the 1 / RESCALE chain
-    factor.  None, for a network without a head, skips the masked steps.
+    head holds slices of w (sampler.head_slices) of the parameters stored
+    at RESCALE times their natural units: there the mixture reads
+    w / RESCALE and the gradient carries the 1 / RESCALE chain factor.
     """
     w = np.asarray(w, dtype=np.float64)
     out = np.empty(w.shape)
     with np.errstate(over="ignore"):
-        if head is None:
-            np.multiply(w, w, out=out)
-        else:
-            np.copyto(out, w)
-            np.divide(w, RESCALE, out=out, where=head)
-            out *= out
+        np.multiply(w, w, out=out)
+        for sl in head:
+            natural = np.divide(w[sl], RESCALE, out=out[sl])
+            natural *= natural
         out *= _K
         out -= _L0
         np.exp(out, out=out)
@@ -59,7 +56,7 @@ def log_prior_grad(w: np.ndarray, head=None) -> np.ndarray:
         np.divide(-2.0 * _K, out, out=out)
         out -= 1.0 / SIGMA1**2
     out *= w
-    if head is not None:
-        np.divide(out, RESCALE, out=out, where=head)
-        np.divide(out, RESCALE, out=out, where=head)
+    for sl in head:
+        out[sl] /= RESCALE
+        out[sl] /= RESCALE
     return out

@@ -4,8 +4,8 @@ One run alternates two moves per iteration:
   * an SGHMC step on the latent vector Z targeting pi_0(Z) e^(-U/eps),
     with step size upsilon and momentum 1 - VARPI, temperature fixed at 1;
   * an SGD step on the inverse-network weights along the log posterior
-    gradient with a per-parameter step gamma: one rate for the output-layer
-    rows feeding network-valued theta blocks (head_mask), one for the rest.
+    gradient with two rates: one for the head (head_slices: the output-layer
+    rows and biases feeding network-valued theta blocks), one for the rest.
 
 Both steps are constant, anchored to a curvature measured at the start state
 (see _group_w_rates and Z_STEP_TARGET).  The paper's schedules decay as
@@ -13,8 +13,9 @@ Both steps are constant, anchored to a curvature measured at the start state
 by at most 2e-4 over a paper-scale run, so the steps are held at their
 anchors.  The chain starts from the noise-marginalized least-squares fit.
 With weight-update minibatches (n_batches > 1) the stochastic gradient keeps
-the weights diffusing around the posterior mode, which is what spreads
-theta_bar into a non-degenerate fiducial sample.
+the weights diffusing around the posterior mode.  That step noise, not Z,
+spreads theta_bar today (full-batch steps under-spread); in EFI the spread
+should come from Z, so this is a measured fault (ROADMAP item 2).
 
 The phases are ranges of the iteration k in one loop.  For k <= init_iters
 (an optional initial phase) only the weights step, against fresh reference
@@ -52,13 +53,13 @@ from .engine import (
     feature_matrix,
     least_squares_theta,
 )
-from .nn import MlpParams, MlpSpec, _layer_slices, mlp_forward_batch, mlp_init, param_count
+from .nn import MlpParams, MlpSpec, _layer_slices, mlp_forward_batch, mlp_init
 from .prior import SIGMA0, log_prior_grad
 
 # Fraction of the 2/kappa gradient-descent stability bound used as the base
-# weight step.  0.5 keeps the stiffest mode contracting while leaving enough
-# minibatch jitter for the fiducial spread; 1.0 diverges through the
-# z-coupling. See _group_w_rates for the curvature estimate kappa.
+# weight step.  0.5 keeps the stiffest mode contracting; 1.0 diverges through
+# the z-coupling.  The minibatch jitter it leaves is what spreads the sample
+# today (a fault, see the module docstring).  _group_w_rates estimates kappa.
 STEP_SAFETY = 0.5
 
 # The binding curvature for head-row groups is the consensus mode, estimated
@@ -103,47 +104,44 @@ def sgd_w_step(
     grad: np.ndarray,
     rate_rest: float,
     rate_head: float,
-    head: Optional[np.ndarray],
+    head: tuple[slice, ...],
     clip_norm: Optional[float] = None,
 ) -> None:
     """Ascent step on the weight log posterior, made in place on w.flat.
 
-    grad is turned into the step in place: it is multiplied by rate_head
-    where the boolean mask head (head_mask) is set and by rate_rest
-    elsewhere; head None, for a network without a head, steps every
-    parameter at rate_rest.  With clip_norm set, grad is first rescaled to
-    norm <= clip_norm.  A step that leaves a parameter non-finite raises
-    ValueError.
+    grad is turned into the step in place, in one walk over it: multiplied
+    by rate_head inside the ascending slices head (head_slices) and by
+    rate_rest between them; head () steps every parameter at rate_rest.
+    With clip_norm set, grad is first rescaled to norm <= clip_norm.  A step
+    that leaves a parameter non-finite raises ValueError.
     """
     if clip_norm is not None:
         nrm = float(np.linalg.norm(grad))
         if nrm > clip_norm:
             grad *= clip_norm / nrm
-    if head is None:
-        grad *= rate_rest
-    else:
-        np.multiply(grad, rate_head, out=grad, where=head)
-        np.multiply(grad, rate_rest, out=grad, where=~head)
+    k = 0
+    for sl in head:
+        grad[k : sl.start] *= rate_rest
+        grad[sl] *= rate_head
+        k = sl.stop
+    grad[k:] *= rate_rest
     w.flat += grad
     if not np.all(np.isfinite(w.flat)):
         raise ValueError("weight step gave non-finite parameter values")
 
 
-def head_mask(spec: MlpSpec, layout: ThetaLayout) -> np.ndarray:
-    """Boolean mask over the inverse net's flat parameters marking its head.
-
-    The head is the output-layer rows (weights and bias) whose output slot
-    lies in the theta block of a network surface, tau(x) or c(x); it is
-    empty when no surface is a network.
-    """
+def head_slices(spec: MlpSpec, layout: ThetaLayout) -> tuple[slice, ...]:
+    """The inverse net's head as slices of its flat parameters: the output
+    layer's weight rows, then its biases, whose output slots lie in the theta
+    block of a network surface, tau(x) or c(x); () when no surface is a
+    network.  ThetaLayout puts c's block just before tau's and refuses a
+    network c without a network tau, so those slots are one run [lo, hi)."""
+    if layout.tau_spec is None:
+        return ()
+    lo = (layout.c_slice if isinstance(layout.c_spec, MlpSpec) else layout.tau_slice).start
+    hi = layout.tau_slice.stop
     ws, bs, (_, d_prev) = _layer_slices(spec)[-1]
-    mask = np.zeros(param_count(spec), dtype=bool)
-    for surface, sl in ((layout.tau_spec, layout.tau_slice), (layout.c_spec, layout.c_slice)):
-        if isinstance(surface, MlpSpec):
-            # rows of a row-major weight matrix are contiguous
-            mask[ws.start + sl.start * d_prev : ws.start + sl.stop * d_prev] = True
-            mask[bs.start + sl.start : bs.start + sl.stop] = True
-    return mask
+    return slice(ws.start + lo * d_prev, ws.start + hi * d_prev), slice(bs.start + lo, bs.start + hi)
 
 
 def _check_widths(spec: MlpSpec, rows: SolveRows, layout: ThetaLayout) -> None:
@@ -255,10 +253,8 @@ def run_efi(
     # head rows emit theta blocks stored at RESCALE times their natural
     # network units; they take their own weight step, and the shrinkage prior
     # reads them in natural units, otherwise it is RESCALE times stiffer there
-    # than anywhere else and flattens whatever surface the head has learned.
-    # A net without a head (a linear layout) takes the unmasked paths
-    head = head_mask(inverse_spec, layout)
-    head = head if head.any() else None
+    # than anywhere else and flattens whatever surface the head has learned
+    head = head_slices(inverse_spec, layout)
     n = data.n
     m_batch = max(1, n // config.n_batches)
     writer = csv.writer(trace) if trace is not None else None

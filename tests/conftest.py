@@ -45,6 +45,15 @@ def adam_steps(monkeypatch):
     return set_steps
 
 
+def slices_mask(size, slices):
+    """Boolean mask of length size, set on each of slices (a head_slices
+    head), for the np.where reference forms of the head's scaling."""
+    mask = np.zeros(size, dtype=bool)
+    for sl in slices:
+        mask[sl] = True
+    return mask
+
+
 def lse_log_prior_grad(w, scale=None):
     """Reference gradient of the mixture prior, by log-sum-exp responsibilities.
 

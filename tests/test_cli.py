@@ -17,6 +17,7 @@ from fidte.config import PRESETS, ExperimentConfig, preset_config
 from fidte.datagen import generate, save_dataset_csv
 from fidte.engine import ThetaLayout
 from fidte.runner import (
+    _CSV_ROWS,
     _rep_worker,
     _replication_data,
     load_csv_dataset,
@@ -257,11 +258,13 @@ def test_efi_commands_leave_numpy_ma_out(command, config, tmp_path):
 
 
 def test_chain_csv_is_what_csv_writer_writes(tmp_path):
+    # enough draws to cross two of the writer's chunk boundaries
+    m = 2 * _CSV_ROWS + 5
     rng = np.random.default_rng(3)
-    draws = rng.standard_normal((25, 6)) * np.logspace(-300, 300, 6)
-    draws[:, -1] = rng.standard_normal(25)
+    draws = rng.standard_normal((m, 6)) * np.logspace(-300, 300, 6)
+    draws[:, -1] = rng.standard_normal(m)
     draws[0, :3] = (-0.0, 1.0, 1e16)
-    chain = FiducialChain(draws=draws, energies=1e5 * rng.random(25), scaler=IDENTITY_SCALER,
+    chain = FiducialChain(draws=draws, energies=1e5 * rng.random(m), scaler=IDENTITY_SCALER,
                           layout=ThetaLayout(4))  # theta_dim 6, log sigma last
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:

@@ -7,7 +7,7 @@ from scipy.stats import norm
 from fidte.engine import RESCALE
 from fidte.prior import RHO, SIGMA0, SIGMA1, log_prior_grad
 
-from conftest import assert_grad_close, central_diff, lse_log_prior_grad
+from conftest import assert_grad_close, central_diff, lse_log_prior_grad, slices_mask
 
 
 def mixture_logpdf(w):
@@ -104,12 +104,12 @@ def test_slab_pull_in_tail():
 
 
 def test_scaled_density_identity(rng):
-    # reading w in natural units w / s, s = RESCALE on the head mask and 1
-    # off it, must match evaluating the plain mixture there, up to the
+    # reading w in natural units w / s, s = RESCALE on the head slices and 1
+    # off them, must match evaluating the plain mixture there, up to the
     # change-of-variables constant
     w = rng.normal(scale=2.0, size=8)
-    head = rng.random(8) < 0.5
-    s = np.where(head, RESCALE, 1.0)
+    head = (slice(0, 2), slice(5, 8))
+    s = np.where(slices_mask(8, head), RESCALE, 1.0)
     want = log_prior(w / s) - float(np.sum(np.log(s)))
     assert log_prior(w, scale=s) == pytest.approx(want, rel=1e-12)
     np.testing.assert_allclose(
@@ -122,14 +122,14 @@ def test_scaled_density_identity(rng):
 def test_scaled_gradient_matches_fd(rng):
     w = rng.normal(scale=5.0, size=6)
     s = np.full(6, RESCALE)
-    analytic = log_prior_grad(w, np.ones(6, dtype=bool))
+    analytic = log_prior_grad(w, (slice(0, 6),))
     numeric = central_diff(lambda v: log_prior(v, scale=s), w, h=1e-6)
     assert_grad_close(analytic, numeric, rtol=2e-4, atol=1e-6)
 
 
 def test_empty_head_equals_the_unmasked_path(rng):
     w = rng.normal(size=5)
-    np.testing.assert_array_equal(log_prior_grad(w, np.zeros(5, dtype=bool)), log_prior_grad(w))
+    np.testing.assert_array_equal(log_prior_grad(w, (slice(2, 2), slice(5, 5))), log_prior_grad(w))
 
 
 # spike (|w| << SIGMA0), the spike/slab crossover near 0.043, the slab
@@ -149,9 +149,10 @@ def test_one_exp_form_matches_log_sum_exp(w):
 
 
 def test_one_exp_form_matches_log_sum_exp_scaled(rng):
-    # the head rows' path: natural units w / RESCALE, chain factor 1 / RESCALE
-    head = rng.random(200) < 0.5
-    s = np.where(head, RESCALE, 1.0)
+    # the head rows' path: natural units w / RESCALE, chain factor 1 / RESCALE;
+    # one head slice at each end of w
+    head = (slice(0, 70), slice(130, 200))
+    s = np.where(slices_mask(200, head), RESCALE, 1.0)
     for spread in (0.005, 0.043, 0.3, 5.0, 1e3):
         w = rng.normal(scale=spread, size=200) * s
         np.testing.assert_allclose(
@@ -165,7 +166,7 @@ def test_slab_limit_where_squares_overflow():
     # gives it exactly from |w| 0.38 up
     w = np.array([1e150, 1e154, 1e155, 1e200, -1e200, 1e308])
     np.testing.assert_array_equal(log_prior_grad(w), -w / SIGMA1**2)
-    np.testing.assert_array_equal(log_prior_grad(w, np.ones(6, dtype=bool)),
+    np.testing.assert_array_equal(log_prior_grad(w, (slice(0, 6),)),
                                   -(w / RESCALE) / SIGMA1**2 / RESCALE)
     assert lse_log_prior_grad(np.array([0.38, 1e150]))[1] == -1e150 / SIGMA1**2
 
@@ -177,16 +178,15 @@ def test_overflow_is_silent():
     w = np.array([0.0, 1e-300, 0.043, 0.38, 5.0, 1e154, 1e200, -1e300])
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         assert np.all(np.isfinite(log_prior_grad(w)))
-        assert np.all(np.isfinite(log_prior_grad(w, np.ones(8, dtype=bool))))
+        assert np.all(np.isfinite(log_prior_grad(w, (slice(0, 3), slice(5, 8)))))
+        assert np.all(np.isfinite(log_prior_grad(w, (slice(0, 8),))))
 
 
 def test_input_is_left_unchanged_and_result_is_new(rng):
     w = rng.normal(scale=0.1, size=50)
-    head = rng.random(50) < 0.5
-    w0, head0 = w.copy(), head.copy()
-    for mask in (None, head):
-        g = log_prior_grad(w, mask)
+    w0 = w.copy()
+    for head in ((), (slice(0, 10), slice(30, 50))):
+        g = log_prior_grad(w, head)
         assert not np.shares_memory(g, w)
         np.testing.assert_array_equal(w, w0)
-        np.testing.assert_array_equal(head, head0)
     assert log_prior_grad(0.3).shape == ()

@@ -13,13 +13,13 @@ from fidte.runner import INVERSE_WIDTHS, build_layout
 from fidte.sampler import (
     Z_STEP_TARGET,
     FiducialChain,
-    head_mask,
+    head_slices,
     run_efi,
     sgd_w_step,
     sghmc_z_step,
 )
 
-from conftest import lse_log_prior_grad
+from conftest import lse_log_prior_grad, slices_mask
 
 
 def make_config(**kw):
@@ -76,7 +76,7 @@ def test_sgd_step_converges_on_quadratic():
     target = np.arange(param_count(spec), dtype=float) / 7.0
     w = mlp_init(spec)
     for _ in range(400):
-        sgd_w_step(w, target - w.flat, 0.1, 0.1, None)
+        sgd_w_step(w, target - w.flat, 0.1, 0.1, ())
     np.testing.assert_allclose(w.flat, target, atol=1e-8)
 
 
@@ -89,25 +89,28 @@ def test_sgd_step_clips_by_norm():
     # case starts from its own zero vector and its own gradient copy
     grad = np.array([3.0, 0.0, 4.0, 0.0])  # norm 5
     clipped = zero_params()
-    sgd_w_step(clipped, grad.copy(), 1.0, 1.0, None, clip_norm=1.0)
+    sgd_w_step(clipped, grad.copy(), 1.0, 1.0, (), clip_norm=1.0)
     np.testing.assert_allclose(clipped.flat, grad / 5.0, rtol=1e-12)
     unclipped = zero_params()
-    sgd_w_step(unclipped, grad.copy(), 1.0, 1.0, None, clip_norm=10.0)
+    sgd_w_step(unclipped, grad.copy(), 1.0, 1.0, (), clip_norm=10.0)
     np.testing.assert_array_equal(unclipped.flat, grad)
 
 
 def test_sgd_step_accepts_per_parameter_gamma():
-    # the head rate where the mask is set, the rest rate elsewhere
+    # the head rate inside the head slices, the rest rate between and around them
     w = zero_params()
-    sgd_w_step(w, np.ones(4), 0.5, 0.25, np.array([False, True, True, False]))
+    sgd_w_step(w, np.ones(4), 0.5, 0.25, (slice(1, 2), slice(2, 3)))
     np.testing.assert_array_equal(w.flat, [0.5, 0.25, 0.25, 0.5])
+    w = zero_params()
+    sgd_w_step(w, np.ones(4), 0.5, 0.25, (slice(0, 1), slice(3, 4)))
+    np.testing.assert_array_equal(w.flat, [0.25, 0.5, 0.5, 0.25])
 
 
 def test_sgd_step_to_a_non_finite_weight_raises():
     w = MlpParams(MlpSpec((1, 1, 1), seed=0), np.full(4, 1e308))
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite parameter values"):
-            sgd_w_step(w, np.ones(4), 1e308, 1e308, None)
+            sgd_w_step(w, np.ones(4), 1e308, 1e308, ())
 
 
 # ---------------------------------------------------------------- groups
@@ -116,21 +119,21 @@ def test_sgd_step_to_a_non_finite_weight_raises():
 def test_gamma_groups_linear_model_is_all_rest():
     layout = ThetaLayout(3)
     spec = MlpSpec((5, 6, layout.theta_dim), seed=0)
-    assert not head_mask(spec, layout).any()
+    assert head_slices(spec, layout) == ()
 
 
 def test_gamma_groups_partition_tau_head():
     layout = ThetaLayout(3, MlpSpec((2, 4, 1), seed=0))
     spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=0)
     # each of the 17 tau output slots owns one row of the last weight matrix plus a bias
-    assert head_mask(spec, layout).sum() == 17 * (6 + 1)
+    assert slices_mask(param_count(spec), head_slices(spec, layout)).sum() == 17 * (6 + 1)
 
 
 def test_gamma_groups_partition_both_heads():
     layout = ThetaLayout(MlpSpec((2, 3, 1), seed=0), MlpSpec((2, 3, 1), seed=1))
     spec = MlpSpec((5, 7, layout.theta_dim), seed=0)
     # 13 c slots and 13 tau slots; only the log-sigma row stays out of the head
-    assert head_mask(spec, layout).sum() == (13 + 13) * (7 + 1)
+    assert slices_mask(param_count(spec), head_slices(spec, layout)).sum() == (13 + 13) * (7 + 1)
 
 
 def layout_configs():
@@ -164,14 +167,17 @@ def test_gamma_groups_are_the_config_layout_groups(config, d):
         biases[getattr(layout, f"{s}_slice")] = True
     want = np.zeros(param_count(spec), dtype=bool)
     want[ws], want[bs] = weights.ravel(), biases
-    np.testing.assert_array_equal(head_mask(spec, layout), want)
+    head = head_slices(spec, layout)
+    assert len(head) == (2 if surfaces else 0)
+    np.testing.assert_array_equal(slices_mask(param_count(spec), head), want)
     assert want.any() == bool(surfaces)
 
 
 def vector_prior_grad(w, scale):
     """Reference: the prior gradient with a per-element scale vector, the
-    form run_efi used before log_prior_grad took the head mask (scale was
-    np.where(head, RESCALE, 1.0), or None for a net without a head)."""
+    form run_efi used before log_prior_grad took the head (scale was
+    np.where(mask, RESCALE, 1.0) on the head's boolean mask, or None for a
+    net without a head)."""
     out = np.empty(w.shape)
     with np.errstate(over="ignore"):
         if scale is None:
@@ -194,8 +200,8 @@ def vector_prior_grad(w, scale):
 
 def vector_w_step(flat, grad, step, clip_norm):
     """Reference: the weight step with a per-element step vector, the form
-    run_efi used before sgd_w_step took the head mask
-    (step was np.where(head, rate_head, rate_rest))."""
+    run_efi used before sgd_w_step took the head
+    (step was np.where(mask, rate_head, rate_rest) on the head's boolean mask)."""
     if clip_norm is not None:
         nrm = float(np.linalg.norm(grad))
         if nrm > clip_norm:
@@ -203,30 +209,28 @@ def vector_w_step(flat, grad, step, clip_norm):
     return flat + step * grad
 
 
-@pytest.mark.parametrize("preset", ["example1", "example2", "linear_ate_n250"])
-def test_head_mask_step_and_prior_equal_the_vector_forms(preset):
-    # run_efi's inverse net on the preset's layout; weights spread over the
+@pytest.mark.parametrize("config, d", layout_configs())
+def test_head_step_and_prior_equal_the_vector_forms(config, d):
+    # run_efi's inverse net on the config's layout; weights spread over the
     # spike, the crossover, the slab and the exp overflow, head rows at
     # RESCALE times that
-    cfg = preset_config(preset)
-    d = generate(cfg.design, 2).d
-    layout = build_layout(cfg, d)
+    layout = build_layout(config, d)
     spec = MlpSpec((d + 3, *INVERSE_WIDTHS, layout.theta_dim), seed=3)
-    head = head_mask(spec, layout)
-    assert head.any() == (preset != "linear_ate_n250")
-    mask = head if head.any() else None
-    scale = None if mask is None else np.where(head, RESCALE, 1.0)
-    rng = np.random.default_rng(8)
+    head = head_slices(spec, layout)
+    assert bool(head) == bool(config.surfaces)
     p = param_count(spec)
+    mask = slices_mask(p, head)
+    scale = np.where(mask, RESCALE, 1.0) if head else None
+    rng = np.random.default_rng(8)
     flat = rng.normal(size=p) * rng.choice([0.005, 0.043, 0.3, 5.0], size=p)
     flat *= 1.0 if scale is None else scale
-    np.testing.assert_array_equal(log_prior_grad(flat, mask), vector_prior_grad(flat, scale))
+    np.testing.assert_array_equal(log_prior_grad(flat, head), vector_prior_grad(flat, scale))
     rate_rest, rate_head = 1.37e-4, 2.9e-2
-    step = np.where(head, rate_head, rate_rest)
+    step = np.where(mask, rate_head, rate_rest)
     grad = rng.normal(scale=300.0, size=p)
     for clip_norm in (None, 5000.0, 1e9):
         w = MlpParams(spec, flat.copy())
-        sgd_w_step(w, grad.copy(), rate_rest, rate_head, mask, clip_norm)
+        sgd_w_step(w, grad.copy(), rate_rest, rate_head, head, clip_norm)
         np.testing.assert_array_equal(w.flat, vector_w_step(flat, grad, step, clip_norm))
 
 
@@ -413,9 +417,9 @@ def test_run_efi_draws_match_the_log_sum_exp_prior(monkeypatch):
     spec = MlpSpec((data.d + 3, 12, 6, layout.theta_dim), seed=2)
     shipped = run_efi(data, layout, spec, cfg, 9)
     monkeypatch.setattr(fidte.sampler, "log_prior_grad", lambda w, head: lse_log_prior_grad(
-        w, None if head is None else np.where(head, RESCALE, 1.0)))
+        w, np.where(slices_mask(w.size, head), RESCALE, 1.0)))
     reference = run_efi(data, layout, spec, cfg, 9)
-    assert head_mask(spec, layout).any()
+    assert head_slices(spec, layout)
     assert shipped.n_draws == 20
     np.testing.assert_allclose(shipped.draws, reference.draws, rtol=0, atol=1e-10)
 
