@@ -33,12 +33,8 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .config import PRESETS, VALID_METHODS, ExperimentConfig, load_config, preset_config
-from .datagen import save_dataset_csv
 from .runner import (
-    _CSV_ROWS,
     InputFileError,
     _replication_data,
     read_csv_rows,
@@ -46,6 +42,8 @@ from .runner import (
     rescore,
     run_experiment,
     run_replication,
+    save_dataset_csv,
+    write_float_csv,
     write_rows_csv,
 )
 
@@ -136,17 +134,9 @@ def write_chain_csv(chain, path: str) -> None:
     (multiply by the train set's outcome sd for data units).  energy is U
     at the draw.
 
-    Made from .tolist() _CSV_ROWS draws at a time, so the chain's Python
-    floats never all exist at once; a float's repr holds no comma, quote or
-    line break, so each line is what csv.writer would write, CRLF-terminated."""
+    Written by runner.write_float_csv."""
     header = [f"theta_{j}" for j in range(chain.draws.shape[1])] + ["sigma", "energy"]
-    sigmas = chain.sigmas
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for k in range(0, chain.n_draws, _CSV_ROWS):
-            part = slice(k, k + _CSV_ROWS)
-            rows = np.column_stack([chain.draws[part], sigmas[part], chain.energies[part]])
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+    write_float_csv(path, header, [chain.draws, chain.sigmas, chain.energies])
 
 
 def cmd_cqr(args) -> int:

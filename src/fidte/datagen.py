@@ -10,12 +10,11 @@ fits to its data.
 
 from __future__ import annotations
 
-import csv
 from functools import partial
 
 import numpy as np
 
-from .engine import TRUTH_COLUMNS, Dataset
+from .engine import Dataset
 from .nn import sigmoid
 
 # covariate width of the linear_ate design
@@ -109,19 +108,3 @@ def generate(design: str, n: int, seed: int = 0) -> Dataset:
     """n rows of the named design, drawn from seed."""
     return GENERATORS[design](n, seed)
 
-
-def save_dataset_csv(data: Dataset, path) -> None:
-    """Write x1..xd, t, y and whatever truth columns are present.
-
-    runner.load_csv_dataset reads the file back with the schema
-    {y: y, t: t, x: [x1, ..., xd]}.
-    """
-    truth = [name for name in TRUTH_COLUMNS if getattr(data, name) is not None]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"x{j + 1}" for j in range(data.d)] + ["t", "y"] + truth)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.x[i]]
-            row += [repr(float(data.t[i])), repr(float(data.y[i]))]
-            row += [repr(float(getattr(data, name)[i])) for name in truth]
-            wr.writerow(row)

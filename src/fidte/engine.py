@@ -45,6 +45,7 @@ from .nn import (
     MlpParams,
     MlpSpec,
     _layer_slices,
+    hidden_grad_array,
     mlp_backward_batch,
     mlp_forward_batch,
     mlp_init,
@@ -374,11 +375,15 @@ def energy_gradients(
     the sampler forms its latent and weight log-density gradients from them.
     Both come from the hidden-space closed forms in the module docstring:
     the trunk below the output layer is back-propagated from dU/da_i, and
-    the output layer's gradient is filled in from dU/dW and dU/db.  A
-    gradient not asked for is None; with neither, the pass ends after the
-    forward.  The gradients are new arrays, which no later pass of w
-    overwrites.  A non-finite theta_bar ends the pass with a NaN total and
-    no gradients, which the sampler reports as a divergence.
+    the output layer's gradient is filled in from dU/dW and dU/db.  dU/da_i
+    is formed in w's own slot for it (nn.hidden_grad_array), which the
+    headless backward reads before it overwrites it, and w's pass arrays
+    are allocated at its row capacity (see nn.MlpParams), which the
+    sampler's step-size estimate sets to all rows before the first
+    minibatch.  A gradient not asked for is None; with neither, the pass
+    ends after the forward.  The gradients are new arrays, which no later
+    pass of w overwrites.  A non-finite theta_bar ends the pass with a NaN
+    total and no gradients, which the sampler reports as a divergence.
     """
     feats = feature_matrix(rows, z)
     trunk = mlp_forward_batch(w, feats, head=False)
@@ -409,7 +414,8 @@ def energy_gradients(
     a_total[layout.log_sigma_index] = sigma * (r @ z)
     a_total *= -2.0
     cons = 2.0 * eta * s * s
-    hidden_grads = dev @ (cons * gram)
+    # dU/da_i, formed in w's scratch slot for it, which the backward reads
+    hidden_grads = np.matmul(dev, cons * gram, out=hidden_grad_array(w, rows.n))
     hidden_grads += (s / rows.n) * (W.T @ a_total)
     # the z pass needs only the input gradient, the w pass the weight
     # gradient; the backward spends trunk, which nothing below reads
@@ -420,8 +426,11 @@ def energy_gradients(
         # direct path d d_i / d z_i at fixed theta_bar, plus the inverse-net path
         rep.z_grad = -2.0 * r * sigma + input_grads[:, -1]
     if need_w:
-        ws, bs, _ = _layer_slices(w.spec)[-1]
-        w_grad[ws] = (cons * (W @ cov) + s * np.outer(a_total, a_bar)).ravel()
+        ws, bs, shape = _layer_slices(w.spec)[-1]
+        Wg = w_grad[ws].reshape(shape)
+        np.matmul(W, cov, out=Wg)
+        Wg *= cons
+        Wg += s * np.outer(a_total, a_bar)
         w_grad[bs] = a_total
         rep.w_grad = w_grad
     return rep

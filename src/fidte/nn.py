@@ -10,12 +10,15 @@ here but trained in a layout of cqr's own (see fidte.cqr).
 A network keeps one set of arrays its passes write, whatever the row count
 (see MlpParams): one array per hidden activation of the forward, and one
 scratch for the gradients the backward propagates below the output layer.
-They are sized to the most rows the network has run on, and a pass on fewer
-rows works in their leading rows, so a sampler's full-data and minibatch
-passes write the same arrays once it has run on all its rows.
+Each is allocated at the network's row capacity, the most rows any of its
+passes has run on, and a pass on fewer rows works in their leading rows, so
+a sampler's full-data and minibatch passes write the same arrays once it
+has run on all its rows.  A pass on more rows drops them all at once.
 The backward writes each hidden layer's delta over that layer's activation,
 so the activations a forward returned are spent once a backward has run
-through them.  The backward pass forms each bias gradient by
+through them.  The gradient at the last hidden layer has its slot in the
+scratch (hidden_grad_array), so a caller that forms it for a head=False
+backward writes it there.  The backward pass forms each bias gradient by
 whichever of einsum and .sum(axis=0) is cheaper where the two agree bit for
 bit (see _column_sums), so its results are those of a plain numpy sum.
 """
@@ -86,14 +89,20 @@ class MlpParams:
     two kinds: "act", each hidden activation, which the forward writes and
     the backward overwrites with that layer's delta; and "grad", one scratch
     shared by the gradients the backward propagates below the output layer,
-    each spent into its layer's delta before the next is written.  Each is
-    sized to the most rows the network has run on, regrown only for more,
-    and a pass on n rows writes its leading n rows.  So the hidden
-    activations that mlp_forward_batch returns and the input gradient that
-    mlp_backward_batch returns stay valid until the next pass of the same
-    params, on any row count; after a backward through them the activations
-    hold its deltas.  A caller that keeps one across such a pass copies it.
-    The output layer's values and the parameter gradient are new arrays on
+    each spent into its layer's delta before the next is written.  The
+    network has one row capacity, the most rows any pass, forward or
+    backward, has run on; each array is allocated on first use at the
+    capacity times its width, and a pass on n rows writes its leading n
+    rows.  A pass on more rows raises the capacity and drops every array at
+    once.  So the hidden activations that mlp_forward_batch returns and the
+    input gradient that mlp_backward_batch returns stay valid until the next
+    pass of the same params, on any row count; after a backward through them
+    the activations hold its deltas.  A caller that keeps one across such a
+    pass copies it.  The leading (n, d_{L-1}) block of the scratch is the
+    gradient at the last hidden layer (hidden_grad_array): a head=True
+    backward writes it there, and a head=False backward reads its out_grads
+    before it overwrites the scratch, so a caller may form them there.  The
+    output layer's values and the parameter gradient are new arrays on
     every pass.
     """
 
@@ -101,6 +110,7 @@ class MlpParams:
     flat: np.ndarray = field(repr=False)
     _views_of: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _views: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _capacity: int = field(default=0, init=False, repr=False, compare=False)
     _storage: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -130,24 +140,39 @@ class MlpParams:
         overwrites with the gradient at its pre-activation; or "grad", the
         gradient propagated to layer l's output (layer 0 being the input).
         It is the leading n * d_l values of kind's storage: one flat array
-        per activation, and one for every gradient, of n times the widest
-        layer below the output.  Storage is allocated on first use, so a
-        pass allocates only what it writes, and regrown for a larger n; the
+        per activation, and one for every gradient, as wide as the widest
+        layer below the output, each allocated on first use at the row
+        capacity, so a network allocates only what its passes write.  The
         view for each row count is kept, so a pass looks it up once.
         """
         key = (kind, l, n)
         arr = self._arrays.get(key)
         if arr is None:
+            if n > self._capacity:
+                self._capacity = n
+                self._storage.clear()
+                self._arrays.clear()
             widths = self.spec.layer_widths
             store = (kind, l) if kind == "act" else kind
-            size = n * (widths[l] if kind == "act" else max(widths[:-1]))
             base = self._storage.get(store)
-            if base is None or base.size < size:
-                # drop the old storage's views, which would keep it alive
-                self._arrays = {k: v for k, v in self._arrays.items() if v.base is not base}
-                base = self._storage[store] = np.empty(size)
+            if base is None:
+                width = widths[l] if kind == "act" else max(widths[:-1])
+                base = self._storage[store] = np.empty(self._capacity * width)
             arr = self._arrays[key] = base[: n * widths[l]].reshape(n, widths[l])
         return arr
+
+
+def hidden_grad_array(params: MlpParams, n: int) -> np.ndarray:
+    """The (n, d_{L-1}) block of params' gradient scratch that holds the
+    gradient at the last hidden layer of a pass on n rows.
+
+    A caller of a head=False backward may write its out_grads here: the
+    backward reads them into its top layer's delta before anything
+    overwrites the scratch.  What is written here lasts until the next
+    backward of params, or its next pass on more rows than it has run on
+    (see MlpParams).
+    """
+    return params._pass_array("grad", len(params.spec.layer_widths) - 2, n)
 
 
 def mlp_init(spec: MlpSpec) -> MlpParams:
@@ -240,8 +265,10 @@ def mlp_backward_batch(
     an (n, d_l) array, formed by _column_sums, so it equals .sum(axis=0) bit
     for bit at every width.
     With head=False out_grads are gradients at the last hidden activations,
-    shape (n, d_{L-1}), and the output-layer slots of the parameter gradient
-    are left zero for the caller to fill.  A gradient not needed
+    shape (n, d_{L-1}), and may be hidden_grad_array(params, n), which the
+    top layer's delta reads before the next gradient overwrites it; the
+    output-layer slots of the parameter gradient are left zero for the
+    caller to fill.  A gradient not needed
     (need_params, need_input) is not computed and comes back as None.  The
     parameter gradient is a new array; the input gradient is params'
     scratch, overwritten by its next pass on any row count (see MlpParams).
@@ -250,14 +277,17 @@ def mlp_backward_batch(
     last = len(layers) - 1
     grads = out_grads
     n = grads.shape[0]
-    # per-layer (weight, bias) gradients, output layer first
-    pieces = []
+    pg = None
+    if need_params:
+        # one flat gradient, each layer's (weight, bias) gradient written
+        # into its views of it
+        pg = np.zeros(params.flat.size)
+        slots = [(pg[ws].reshape(shape), pg[bs]) for ws, bs, shape in _layer_slices(params.spec)]
     if head:
         if need_params:
-            pieces.append(((grads.T @ acts[last]).ravel(), _column_sums(grads)))
-        grads = np.matmul(grads, layers[last][0], out=params._pass_array("grad", last, n))
-    elif need_params:
-        pieces.append((np.zeros(layers[last][0].size), np.zeros(layers[last][1].size)))
+            np.matmul(grads.T, acts[last], out=slots[last][0])
+            slots[last][1][:] = _column_sums(grads)
+        grads = np.matmul(grads, layers[last][0], out=hidden_grad_array(params, n))
     # grads is the gradient at the last hidden activations from here on
     for l in range(last - 1, -1, -1):
         # tanh' from its output, 1 - a^2, times the gradient at a, written
@@ -266,11 +296,10 @@ def mlp_backward_batch(
         np.subtract(1.0, delta, out=delta)
         delta *= grads
         if need_params:
-            pieces.append(((delta.T @ acts[l]).ravel(), _column_sums(delta)))
+            np.matmul(delta.T, acts[l], out=slots[l][0])
+            slots[l][1][:] = _column_sums(delta)
         if l > 0 or need_input:
             grads = np.matmul(delta, layers[l][0], out=params._pass_array("grad", l, n))
         else:
             grads = None
-    if not need_params:
-        return None, grads
-    return np.concatenate([g for pair in reversed(pieces) for g in pair]), grads
+    return pg, grads

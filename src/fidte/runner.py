@@ -8,7 +8,9 @@ and level with the simulation truth of its rows, and the PEHE; the EFI
 results read one engine.draw_surfaces call per chain.  build_layout turns
 config.surfaces into the chain's layout, which decides between ATE and ITE
 intervals.  Each replication writes its intervals.csv as it finishes, so a
-failure keeps the files of those before it.  intervals.csv has one codec,
+failure keeps the files of those before it.  A data csv file has one
+codec, save_dataset_csv and load_csv_dataset, and write_float_csv writes
+it and the command line's chain.csv.  intervals.csv has one codec,
 write_rows_csv and read_rows_csv, and score_rows is the one scorer:
 summary.json is a function of the replications' blocks and PEHEs, and
 `fidte report` rescores the blocks read back with the same code.  A csv
@@ -260,8 +262,34 @@ def run_replication(
 INTERVAL_COLUMNS = ("method", "alpha", "subject_id", "case", "lower", "upper", "truth", "covered")
 
 
-# rows write_rows_csv turns into Python objects at a time
+# rows a csv writer turns into Python objects at a time
 _CSV_ROWS = 256
+
+
+def write_float_csv(path, header, columns) -> None:
+    """A table of floats: the header line, then one line per row of the
+    columns (1-d arrays and 2-d blocks of them, as np.column_stack takes
+    them), each cell repr(float), CRLF-terminated.  Made from .tolist()
+    _CSV_ROWS rows at a time, so the table's Python floats never all exist
+    at once; a float's repr holds no comma, quote or line break, so each
+    line is what csv.writer writes."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for k in range(0, columns[0].shape[0], _CSV_ROWS):
+            rows = np.column_stack([col[k : k + _CSV_ROWS] for col in columns])
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+
+
+def save_dataset_csv(data: Dataset, path) -> None:
+    """Write x1..xd, t, y and whatever truth columns are present, by
+    write_float_csv; load_csv_dataset reads the file back with the schema
+    {y: y, t: t, x: [x1, ..., xd]}."""
+    truth = [name for name in TRUTH_COLUMNS if getattr(data, name) is not None]
+    write_float_csv(
+        path,
+        [f"x{j + 1}" for j in range(data.d)] + ["t", "y"] + truth,
+        [data.x, data.t, data.y] + [getattr(data, name) for name in truth],
+    )
 
 
 def write_rows_csv(rows, path) -> None:

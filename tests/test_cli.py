@@ -14,7 +14,7 @@ import fidte.cqr
 import fidte.runner
 from fidte import cli
 from fidte.config import PRESETS, ExperimentConfig, preset_config
-from fidte.datagen import generate, save_dataset_csv
+from fidte.datagen import generate
 from fidte.engine import ThetaLayout
 from fidte.runner import (
     _CSV_ROWS,
@@ -25,6 +25,7 @@ from fidte.runner import (
     read_rows_csv,
     replication_ints,
     rescore,
+    save_dataset_csv,
     score_rows,
     write_rows_csv,
 )

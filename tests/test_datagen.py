@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -15,9 +16,8 @@ from fidte.datagen import (
     nonlinear_propensity,
     nonlinear_tau,
     s_curve,
-    save_dataset_csv,
 )
-from fidte.runner import _replication_data, load_csv_dataset
+from fidte.runner import _replication_data, load_csv_dataset, save_dataset_csv
 
 
 # ------------------------------------------------------- effect primitives
@@ -204,6 +204,15 @@ def test_csv_roundtrip_exact(tmp_path):
     truth = load_csv_dataset(str(path), {"y": "tau_true", "t": "t", "x": ["y0", "y1", "z_true"]})
     assert np.array_equal(truth.y, data.tau_true)
     assert np.array_equal(truth.x, np.column_stack([data.y0, data.y1, data.z_true]))
+    # the file is what csv.writer writes, repr(float) per cell, t included
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["x1", "x2", "t", "y", "y0", "y1", "tau_true", "z_true"])
+        for i in range(data.n):
+            wr.writerow([repr(float(v)) for v in (*data.x[i], data.t[i], data.y[i], data.y0[i],
+                                                   data.y1[i], data.tau_true[i], data.z_true[i])])
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_csv_load_without_truth_columns(tmp_path):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fidte.nn import MlpParams, MlpSpec, mlp_backward_batch, mlp_forward_batch, mlp_init, param_count
+from fidte.nn import (
+    MlpParams,
+    MlpSpec,
+    hidden_grad_array,
+    mlp_backward_batch,
+    mlp_forward_batch,
+    mlp_init,
+    param_count,
+)
 
 from conftest import assert_grad_close, central_diff, sum_param_grad
 
@@ -89,13 +97,20 @@ def test_passes_on_as_many_rows_reuse_the_hidden_arrays(rng):
 def test_backward_stays_correct_after_a_pass_on_another_row_count(rng):
     params = headed_net(rng)
     x, gout = rng.normal(size=(9, 3)), rng.normal(size=(9, 6))
+    x4, gout4 = rng.normal(size=(4, 3)), rng.normal(size=(4, 6))
     oracle = MlpParams(params.spec, params.flat.copy())
     want_pg, want_ig = mlp_backward_batch(oracle, mlp_forward_batch(oracle, x), gout)
-    # a full pass on 4 rows writes the leading rows of the arrays the pass
-    # on 9 rows then writes whole, and leaves it nothing to read
-    other = mlp_forward_batch(params, rng.normal(size=(4, 3)))
-    mlp_backward_batch(params, other, rng.normal(size=(4, 6)))
+    oracle4 = MlpParams(params.spec, params.flat.copy())
+    want_pg4, want_ig4 = mlp_backward_batch(oracle4, mlp_forward_batch(oracle4, x4), gout4)
+    # a forward on 9 rows sets the row capacity; a full pass on 4 rows then
+    # writes the leading rows of the arrays the pass on 9 rows writes whole,
+    # the gradient scratch included, and leaves it nothing to read
+    mlp_forward_batch(params, x)
+    pg4, ig4 = mlp_backward_batch(params, mlp_forward_batch(params, x4), gout4)
+    np.testing.assert_array_equal(pg4, want_pg4)
+    np.testing.assert_array_equal(ig4, want_ig4)
     pg, ig = mlp_backward_batch(params, mlp_forward_batch(params, x), gout)
+    assert np.shares_memory(ig4, ig)
     np.testing.assert_array_equal(pg, want_pg)
     np.testing.assert_array_equal(ig, want_ig)
 
@@ -225,6 +240,13 @@ def test_headless_backward_matches_full_backward_below_the_head(rng):
     np.testing.assert_array_equal(pg[:head], pg_full[:head])
     np.testing.assert_array_equal(pg[head:], 0.0)
     np.testing.assert_array_equal(ig, ig_full)
+    # out_grads formed in the network's own slot for them give the same pass
+    ig = ig.copy()
+    headless = mlp_forward_batch(params, x, head=False)
+    slot = np.matmul(gout, W, out=hidden_grad_array(params, 9))
+    pg_slot, ig_slot = mlp_backward_batch(params, headless, slot, head=False)
+    np.testing.assert_array_equal(pg_slot, pg)
+    np.testing.assert_array_equal(ig_slot, ig)
 
 
 @pytest.mark.parametrize("head", [True, False])
