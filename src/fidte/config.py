@@ -6,13 +6,13 @@ eta and budgets, the methods to run, and the output location.  The runner
 hands it to sampler.run_efi as it is; no second config is derived from it.
 The model follows the data source: DESIGN_SURFACES names the surfaces each
 design's model learns with a network, a csv config fits the linear_ate
-model, and runner.build_layout turns config.surfaces into an
+model, and sampler.build_layout turns config.surfaces into an
 engine.ThetaLayout.  Presets carry the published constants for the
 simulation studies except the step-size schedules: the sampler holds each
 step constant at an anchor it measures at its start state.  What no run
 varies is a constant: the sampler's momentum and early weight clip, the
-inverse and control networks' hidden widths (runner.INVERSE_WIDTHS and
-runner.C_WIDTHS), and the CQR fits' Adam steps and rate.  A preset's
+inverse and control networks' hidden widths (sampler.INVERSE_WIDTHS and
+sampler.C_WIDTHS), and the CQR fits' Adam steps and rate.  A preset's
 iteration budgets are halved at load time unless paper_scale, a load
 directive and not a field, asks for the full budgets (--paper-scale).  Every
 check on a config value is made when the config is built, so a bad value
@@ -54,8 +54,8 @@ class ExperimentConfig:
     budget and eta the consensus weight; the step sizes, the latent momentum
     and the weight clip are not fields (see sampler).  tau_widths are the
     hidden widths of the effect network, read only by a model that has one;
-    the control and inverse networks' are runner.C_WIDTHS and
-    runner.INVERSE_WIDTHS, not fields.
+    the control and inverse networks' are sampler.C_WIDTHS and
+    sampler.INVERSE_WIDTHS, not fields.
     """
 
     design: Optional[str] = None

@@ -15,13 +15,22 @@ from functools import partial
 import numpy as np
 
 from .engine import Dataset
-from .nn import sigmoid
 
 # covariate width of the linear_ate design
 LINEAR_ATE_D = 4
 
 # E s(U) for U uniform on [0, 1] is exactly 1: s(u) + s(1 - u) = 2
 S_MEAN = 1.0
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, numerically safe on both tails."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def s_curve(a):

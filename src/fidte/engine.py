@@ -166,7 +166,7 @@ class ThetaLayout:
     a linear c: the intercept, then k - 1 slopes.  An MlpSpec is a network
     surface, stored as its weights times RESCALE so all inverse-network output
     slots have comparable magnitude.  tau_spec None is a constant effect tau'
-    on t' = 2t - 1.  Each data source's model (runner.build_layout) and its
+    on t' = 2t - 1.  Each data source's model (sampler.build_layout) and its
     slots:
 
         linear_ate, csv  ThetaLayout(d + 1)           [tau', mu', beta, log sigma]

@@ -13,7 +13,7 @@ depend on what the test subject exposed:
   Im  covariates only; predict the difference tau(x) + sqrt(2) sigma Z.
 
 Every draw gets one fresh standard normal per subject and case, taken from
-per-subject child streams of the caller's generator so subjects can be
+per-subject child streams of the caller's seed so subjects can be
 processed in any order (or in parallel) without changing the answer;
 ite_intervals takes them in blocks of subjects, one quantile call a block,
 and builds each subject's stream as its block fills.
@@ -141,19 +141,19 @@ def ite_intervals(
     surfaces: tuple,
     test: Dataset,
     alpha: float,
-    rng: np.random.Generator,
+    seed: int | Sequence[int],
     cases: Sequence[str],
 ) -> Intervals:
     """Per-subject prediction intervals for the individual effect, one row
     per test row in test order.  surfaces come from engine.draw_surfaces on
     test.x; cases gives one tag per test row (assign_cases).
 
-    Subject i's normals stay rng.spawn(test.n)[i].standard_normal(m), so
-    the answer does not depend on how subjects are grouped; that stream is
-    built alone as the subject's block fills, so one block's streams exist
-    at a time, and rng's seed sequence is not advanced.  A case's subjects
-    go in blocks of at most _BLOCK_VALUES predictive draws (one row per
-    subject), each built in place and partitioned in place by one
+    Subject i's normals come from SeedSequence(seed, spawn_key=(i,)), the
+    stream default_rng(seed).spawn(test.n)[i] gives, so the answer does not
+    depend on how subjects are grouped; that stream is built alone as the
+    subject's block fills, so one block's streams exist at a time.  A case's
+    subjects go in blocks of at most _BLOCK_VALUES predictive draws (one row
+    per subject), each built in place and partitioned in place by one
     _linear_quantiles call, so the extra memory is a few blocks, not n x m.
     Every endpoint equals the one-subject-at-a-time computation bit for bit:
     the sums differ from it only in the order of two terms, which IEEE
@@ -164,10 +164,6 @@ def ite_intervals(
     qs = (alpha / 2.0, 1.0 - alpha / 2.0)
     m = sig.size
     block = max(1, _BLOCK_VALUES // m)
-    # subject i's stream: child i past those rng's seed sequence has already
-    # spawned, built as SeedSequence.spawn and Generator.spawn build it
-    seq = rng.bit_generator.seed_seq
-    key, base = seq.spawn_key, seq.n_children_spawned
     lower = np.empty(test.n)
     upper = np.empty(test.n)
     for case in ("Ic", "It", "Im"):
@@ -176,8 +172,8 @@ def ite_intervals(
             idx = members[start : start + block]
             pred = np.empty((idx.size, m))
             for j, i in enumerate(idx.tolist()):
-                child = type(seq)(seq.entropy, spawn_key=key + (base + i,), pool_size=seq.pool_size)
-                type(rng)(type(rng.bit_generator)(child)).standard_normal(out=pred[j])
+                child = np.random.SeedSequence(seed, spawn_key=(i,))
+                np.random.default_rng(child).standard_normal(out=pred[j])
             # draw k of subject i: c + tau + sig z (Ic), c + sig z (It) or
             # tau + sqrt(2) sig z (Im), at column i of the surfaces
             if case == "Ic":

@@ -189,16 +189,6 @@ def mlp_init(spec: MlpSpec) -> MlpParams:
     return MlpParams(spec, flat)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, numerically safe on both tails."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> list[np.ndarray]:
     """Forward pass for a batch x of shape (n, d_in).
 

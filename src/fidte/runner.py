@@ -5,10 +5,10 @@ dataset (or reuses the CSV one, read once per run), runs every configured
 method (every CQR fit first, so that a calibration shortfall raises before
 any fit or EFI run), and returns one inference.Intervals block per method
 and level with the simulation truth of its rows, and the PEHE; the EFI
-results read one engine.draw_surfaces call per chain.  build_layout turns
-config.surfaces into the chain's layout, which decides between ATE and ITE
-intervals.  Each replication writes its intervals.csv as it finishes, so a
-failure keeps the files of those before it.  A data csv file has one
+results read one engine.draw_surfaces call per chain.  The chain's layout,
+which sampler.run_efi builds from config.surfaces, decides between ATE and
+ITE intervals.  Each replication writes its intervals.csv as it finishes, so
+a failure keeps the files of those before it.  A data csv file has one
 codec, save_dataset_csv and load_csv_dataset, and write_float_csv writes
 it and the command line's chain.csv.  intervals.csv has one codec,
 write_rows_csv and read_rows_csv, and score_rows is the one scorer:
@@ -33,8 +33,6 @@ takes it as checked:
   * a replication's test set, for a treated row when the PEHE of an effect
     surface is taken, and the CQR bands' calibration rows (cqr.fit_cqr),
     before any fit;
-  * the inverse network's widths against the rows and the layout, once per
-    sampler run (sampler.run_efi);
   * an intervals file's rows, when read_rows_csv builds their
     inference.Intervals blocks.
 What a run computes is checked only for divergence: the sampler's energy,
@@ -56,7 +54,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .cqr import cqr_ite, fit_cqr
 from .datagen import generate
-from .engine import TRUTH_COLUMNS, Dataset, ThetaLayout, draw_surfaces
+from .engine import TRUTH_COLUMNS, Dataset, draw_surfaces
 from .inference import (
     IntervalError,
     Intervals,
@@ -65,17 +63,7 @@ from .inference import (
     ite_intervals,
     pehe,
 )
-from .nn import MlpSpec
 from .sampler import run_efi
-
-# fixed init seeds for the data-model networks: the warm-start blocks are
-# part of the model family, not of the per-replication randomness
-TAU_NET_SEED = 5
-C_NET_SEED = 6
-# the hidden widths of the inverse network and of a c network, the same in
-# every run that has one
-INVERSE_WIDTHS = (90, 30)
-C_WIDTHS = (10, 10)
 
 
 class InputFileError(ValueError):
@@ -161,15 +149,6 @@ def read_csv_rows(config: ExperimentConfig) -> Optional[Dataset]:
     return rows
 
 
-def build_layout(config: ExperimentConfig, d: int) -> ThetaLayout:
-    """The ThetaLayout of config's model on d covariates: a network for each
-    surface in config.surfaces, a linear c and a constant tau otherwise."""
-    nets = config.surfaces
-    c_spec = MlpSpec((d, *C_WIDTHS, 1), seed=C_NET_SEED) if "c" in nets else d + 1
-    tau_spec = MlpSpec((d, *config.tau_widths, 1), seed=TAU_NET_SEED) if "tau" in nets else None
-    return ThetaLayout(c_spec, tau_spec)
-
-
 def replication_ints(seed: int, r: int) -> list[int]:
     """Four independent 32-bit seeds for replication r of a run."""
     ss = np.random.SeedSequence(seed, spawn_key=(r,))
@@ -184,14 +163,12 @@ def _replication_data(config: ExperimentConfig, ints) -> tuple[Dataset, Optional
 
 
 def _efi_results(config, train, ints, rep_dir):
-    layout = build_layout(config, train.d)
-    inv_spec = MlpSpec((train.d + 3, *INVERSE_WIDTHS, layout.theta_dim), seed=ints[2])
     trace = nullcontext()
     if config.trace and rep_dir is not None:
         os.makedirs(rep_dir, exist_ok=True)
         trace = open(os.path.join(rep_dir, "trace_efi.csv"), "w", newline="")
     with trace as trace_fh:
-        return run_efi(train, layout, inv_spec, config, ints[2], trace=trace_fh)
+        return run_efi(train, config, ints[2], trace=trace_fh)
 
 
 def run_replication(
@@ -249,8 +226,7 @@ def run_replication(
                 elif surfaces is None:
                     row = ate_interval(chain, alpha=alpha), ate_truth
                 else:
-                    rng = np.random.default_rng([ints[3], a_idx])
-                    row = ite_intervals(surfaces, test, alpha, rng, cases), truth_vec
+                    row = ite_intervals(surfaces, test, alpha, [ints[3], a_idx], cases), truth_vec
                 rows.append((method, *row))
         return {"r": r, "rows": rows, "pehe": pehe_value, "chain": chain}
     except RuntimeError as e:

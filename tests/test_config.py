@@ -75,7 +75,7 @@ def test_out_scale_is_an_unknown_field(tmp_path):
 
 
 def test_inverse_widths_is_an_unknown_field(tmp_path, capsys):
-    # every run's inverse network has the hidden widths runner.INVERSE_WIDTHS
+    # every run's inverse network has the hidden widths sampler.INVERSE_WIDTHS
     for head in ("preset: example1\n", "design: linear_ate\n"):
         path = write_yaml(tmp_path, f"{head}inverse_widths: [90, 30]\n")
         with pytest.raises(ValueError, match="^inverse_widths: unknown config field$"):
@@ -113,7 +113,7 @@ def test_config_file_that_cannot_be_read_or_parsed_is_one_error_line(tmp_path, c
 @pytest.mark.parametrize("name, value", [("layout_kind", "dnn_both"), ("c_widths", [10, 10])],
                          ids=["layout_kind", "c_widths"])
 def test_model_choice_keys_are_unknown_fields(tmp_path, capsys, name, value):
-    # the design chooses the model, and a c network has the widths runner.C_WIDTHS
+    # the design chooses the model, and a c network has the widths sampler.C_WIDTHS
     for head in ("preset: example2\n", "design: example2\nn_test: 5\n"):
         path = write_yaml(tmp_path, f"{head}{name}: {value}\n")
         with pytest.raises(ValueError, match=f"^{name}: unknown config field$"):

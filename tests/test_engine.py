@@ -1,10 +1,6 @@
-import re
-
 import numpy as np
 import pytest
 
-import fidte.sampler
-from fidte.config import ExperimentConfig
 from fidte.engine import (
     OUT_SCALE,
     RESCALE,
@@ -28,13 +24,8 @@ from fidte.nn import (
     mlp_init,
     param_count,
 )
-from fidte.sampler import run_efi
 
 from conftest import IDENTITY_SCALER, assert_grad_close, central_diff
-
-
-# a one-iteration run, for run_efi's checks of its arguments
-SHORT_RUN = ExperimentConfig(design="linear_ate", n_batches=1, k_burn=1, m_keep=1, thin=1)
 
 
 def linear_layout(d=2):
@@ -157,24 +148,6 @@ def test_theta_bar_is_mean_of_rows(rng):
 
 
 # ---------------------------------------------------------------- layouts
-
-
-@pytest.mark.parametrize(
-    "layout, inverse_widths, message",
-    [
-        (linear_layout(), (4, 5, 5), "inverse network input width 4 != d + 3 = 5"),
-        (linear_layout(), (5, 5, 6), "inverse network output width 6 != theta dim 5"),
-        (tau_net_layout(d=3), (5, 5, 21), "surface network input width 3 != d = 2"),
-        (linear_layout(d=3), (5, 5, 6), "linear surface has 4 coefficients, data needs 3"),
-    ],
-    ids=["inverse-input", "inverse-output", "surface-input", "linear-coefficients"],
-)
-def test_energy_gradients_name_a_width_mismatch(layout, inverse_widths, message):
-    # rows of d = 2 covariates against an inverse net or a layout of another
-    # width: run_efi names the mismatch, and energy_gradients takes it as checked
-    data = random_dataset(np.random.default_rng(0), d=2)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_efi(data, layout, MlpSpec(inverse_widths, seed=0), SHORT_RUN, 0)
 
 
 def test_layout_dims():
@@ -615,18 +588,6 @@ def test_dataset_validation():
         Dataset(x=np.zeros((3, 2)), t=np.zeros(3, dtype=int), y=np.array([1.0, np.inf, 0.0]))
     with pytest.raises(ValueError):
         Dataset(x=np.zeros((3, 2)), t=np.zeros(3, dtype=int), y=np.zeros(3), y1=np.zeros(2))
-
-
-def test_width_mismatch_rejected(monkeypatch):
-    # run_efi checks the widths once per run, before any network pass
-    passes = []
-    monkeypatch.setattr(fidte.sampler, "mlp_forward_batch", lambda *args, **kw: passes.append(1))
-    monkeypatch.setattr(fidte.sampler, "energy_gradients", lambda *args, **kw: passes.append(1))
-    data = random_dataset(np.random.default_rng(1), n=4, d=2)
-    for widths in ((4, 3, 5), (5, 3, 6)):  # d + 3 = 5 inputs and theta_dim 5 outputs are right
-        with pytest.raises(ValueError, match="^inverse network (input|output) width"):
-            run_efi(data, linear_layout(d=2), MlpSpec(widths, seed=0), SHORT_RUN, 0)
-    assert passes == []
 
 
 def test_standardizer_zero_variance_guard():

@@ -217,7 +217,7 @@ def test_im_interval_matches_gaussian_predictive_law():
     chain = const_chain(theta, 30000)
     test = toy_test_set(3, seed=4)
     ivs = ite_intervals(surfaces(chain, test), test, alpha=0.05,
-                        rng=np.random.default_rng(9), cases=["Im"] * 3)
+                        seed=9, cases=["Im"] * 3)
     half = 1.959964 * np.sqrt(2.0) * sigma0
     for lower, upper in zip(ivs.lower, ivs.upper):
         assert lower == pytest.approx(tau0 - half, abs=0.08)
@@ -229,7 +229,7 @@ def test_ic_interval_is_shifted_treated_prediction():
     chain = const_chain(theta, 5000)
     test = toy_test_set(4, seed=5)
     ivs = ite_intervals(surfaces(chain, test), test, alpha=0.1,
-                        rng=np.random.default_rng(11), cases=["Ic"] * 4)
+                        seed=11, cases=["Ic"] * 4)
     # rebuild the treated-arm prediction interval with the same subject streams
     streams = np.random.default_rng(11).spawn(4)
     for i, (lower, upper) in enumerate(zip(ivs.lower, ivs.upper)):
@@ -255,10 +255,8 @@ def test_translation_equivariance_of_cases():
     shifted[:, 1] += shift  # moves every c-hat draw by +shift
     test = toy_test_set(6, seed=6)
     cases = np.array(["Ic", "It", "Im", "Ic", "It", "Im"], dtype=object)
-    base = ite_intervals(surfaces(make_chain(draws), test), test, 0.05,
-                         np.random.default_rng(7), cases)
-    moved = ite_intervals(surfaces(make_chain(shifted), test), test, 0.05,
-                          np.random.default_rng(7), cases)
+    base = ite_intervals(surfaces(make_chain(draws), test), test, 0.05, 7, cases)
+    moved = ite_intervals(surfaces(make_chain(shifted), test), test, 0.05, 7, cases)
     assert base.case.tolist() == moved.case.tolist() == cases.tolist()
     for case, dl, du in zip(cases, moved.lower - base.lower, moved.upper - base.upper):
         want = {"Ic": shift, "It": -shift, "Im": 0.0}[case]
@@ -271,8 +269,7 @@ def test_ite_intervals_ordered_bounds_and_tags(rng):
     draws[:, -1] = np.log(0.5)
     test = toy_test_set(20, seed=8)
     cases = np.where(test.t == 1, "It", "Ic")
-    ivs = ite_intervals(surfaces(make_chain(draws), test), test, 0.05, np.random.default_rng(1),
-                        cases)
+    ivs = ite_intervals(surfaces(make_chain(draws), test), test, 0.05, 1, cases)
     assert ivs.subject_id.tolist() == list(range(20))
     assert np.all(ivs.lower <= ivs.upper)
     assert ivs.case.tolist() == cases[ivs.subject_id].tolist()
@@ -284,9 +281,9 @@ def test_ite_intervals_validation(monkeypatch):
     seen = []
     real = fidte.runner.ite_intervals
 
-    def recorded(surfaces, test, alpha, rng, cases):
+    def recorded(surfaces, test, alpha, seed, cases):
         seen.append((alpha, cases))
-        return real(surfaces, test, alpha, rng, cases)
+        return real(surfaces, test, alpha, seed, cases)
 
     monkeypatch.setattr(fidte.runner, "ite_intervals", recorded)
     cfg = preset_config("example1", n_train=30, n_test=12, init_iters=2, k_burn=2, m_keep=3,
@@ -315,30 +312,24 @@ def test_ite_intervals_equal_the_per_subject_loop(m):
     no_it = np.where(test.t == 1, "Im", "Ic")
     for cases in (mixed, no_it, ["Im"] * 40):
         for alpha in (0.05, 0.1):
-            got = ite_intervals(sf, test, alpha, np.random.default_rng(21), cases)
+            got = ite_intervals(sf, test, alpha, 21, cases)
             want = per_subject_ite_intervals(sf, test, alpha, np.random.default_rng(21), cases)
             assert endpoint_bits(got) == endpoint_bits(want)
 
 
-@pytest.mark.parametrize("spawned", [0, 3])
-def test_ite_intervals_build_the_streams_rng_spawn_gives(spawned):
+def test_ite_intervals_build_the_streams_rng_spawn_gives():
     # each subject's stream is built as its block fills, and it is the one
-    # rng.spawn(test.n) gives: on a generator seeded as run_replication seeds
-    # it and on a child generator (a non-empty spawn key), after `spawned`
-    # children were already taken from either
+    # default_rng(seed).spawn(test.n) gives, at a seed of the form
+    # run_replication passes
     rng = np.random.default_rng(30)
     test = toy_test_set(40, seed=13)
     draws = 0.3 * rng.standard_normal((30, 7))
     draws[:, -1] = np.log(0.5) + 0.2 * rng.standard_normal(30)
     sf = surfaces(make_chain(draws), test)
     cases = np.array(["Ic", "It", "Im", "Im", "Ic"] * 8)
-    for make in (lambda: np.random.default_rng([21, 1]), lambda: np.random.default_rng(5).spawn(2)[1]):
-        on_demand, spawning = make(), make()
-        on_demand.spawn(spawned)
-        spawning.spawn(spawned)
-        got = ite_intervals(sf, test, 0.1, on_demand, cases)
-        want = per_subject_ite_intervals(sf, test, 0.1, spawning, cases)
-        assert endpoint_bits(got) == endpoint_bits(want)
+    got = ite_intervals(sf, test, 0.1, [21, 1], cases)
+    want = per_subject_ite_intervals(sf, test, 0.1, np.random.default_rng([21, 1]), cases)
+    assert endpoint_bits(got) == endpoint_bits(want)
 
 
 SURFACE_LAYOUTS = {

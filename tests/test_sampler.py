@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from fidte.datagen import generate
 from fidte.engine import RESCALE, Dataset, SolveRows, Standardizer, ThetaLayout, least_squares_theta
 from fidte.nn import MlpParams, MlpSpec, _layer_slices, mlp_init, param_count
 from fidte.prior import _K, _L0, SIGMA1, log_prior_grad
-from fidte.runner import INVERSE_WIDTHS, build_layout
+from fidte.runner import _replication_data, replication_ints, run_replication
 from fidte.sampler import (
+    INVERSE_WIDTHS,
     Z_STEP_TARGET,
     FiducialChain,
+    build_layout,
     head_slices,
     run_efi,
     sgd_w_step,
@@ -240,24 +243,45 @@ def test_head_step_and_prior_equal_the_vector_forms(config, d):
 def small_run(seed=0, **kw):
     rng = np.random.default_rng(123)
     data = toy_data(rng, n=30)
-    layout = ThetaLayout(3)
-    spec = MlpSpec((5, 8, layout.theta_dim), seed=1)
     cfg_kw = dict(eta=500.0, eps=0.1, k_burn=60, m_keep=100, thin=5)
     cfg_kw.update(kw)
-    return data, layout, spec, make_config(**cfg_kw), seed
+    return data, make_config(**cfg_kw), seed
+
+
+@pytest.mark.parametrize("config, d", layout_configs())
+def test_run_efi_builds_the_config_networks(monkeypatch, config, d):
+    # the config and the data's width decide the model and the inverse net,
+    # whose init reads the chain's seed; a replication's chain is run_efi on
+    # its training set at the replication's chain seed
+    sizes = {} if config.csv else dict(n_train=40, n_test=20)
+    config = replace(config, init_iters=2, k_burn=3, m_keep=4, thin=2, n_batches=2,
+                     methods=("efi",), **sizes)
+    specs = []
+    real = fidte.sampler.mlp_init
+    monkeypatch.setattr(fidte.sampler, "mlp_init", lambda spec: specs.append(spec) or real(spec))
+    rng = np.random.default_rng(d)
+    data = Dataset(x=rng.normal(size=(40, d)), t=np.arange(40) % 2, y=rng.normal(size=40))
+    chain = run_efi(data, config, 11)
+    layout = build_layout(config, d)
+    assert specs == [MlpSpec((d + 3, *INVERSE_WIDTHS, layout.theta_dim), seed=11)]
+    assert chain.layout == layout
+    ints = replication_ints(config.seed, 0)
+    train = data if config.csv else _replication_data(config, ints)[0]
+    rep = run_replication(config, 0, data if config.csv else None)
+    np.testing.assert_array_equal(rep["chain"].draws, run_efi(train, config, ints[2]).draws)
 
 
 def test_run_efi_shapes_and_determinism():
-    data, layout, spec, config, seed = small_run()
-    chain = run_efi(data, layout, spec, config, seed)
+    data, config, seed = small_run()
+    chain = run_efi(data, config, seed)
     assert isinstance(chain, FiducialChain)
-    assert chain.draws.shape == (20, layout.theta_dim)
+    assert chain.draws.shape == (20, build_layout(config, data.d).theta_dim)
     assert chain.sigmas.shape == (20,)
     assert (chain.sigmas > 0).all()
     assert np.all(np.isfinite(chain.draws))
     assert np.all(np.isfinite(chain.energies))
     assert chain.scaler is not None
-    again = run_efi(data, layout, spec, config, seed)
+    again = run_efi(data, config, seed)
     np.testing.assert_array_equal(chain.draws, again.draws)
     np.testing.assert_array_equal(chain.sigmas, again.sigmas)
     np.testing.assert_array_equal(chain.energies, again.energies)
@@ -283,25 +307,22 @@ def test_run_efi_leaves_no_state_between_runs():
     # a run on another row count in between must not change a run's draws
     first = run_efi(*small_run())
     rng = np.random.default_rng(5)
-    _, layout, spec, config, _ = small_run()
-    run_efi(toy_data(rng, n=45), layout, spec, config, 3)
+    _, config, _ = small_run()
+    run_efi(toy_data(rng, n=45), config, 3)
     again = run_efi(*small_run())
     np.testing.assert_array_equal(first.draws, again.draws)
     np.testing.assert_array_equal(first.energies, again.energies)
 
 
 def test_run_efi_seed_changes_draws():
-    data, layout, spec, config, seed = small_run(seed=7)
-    data2, _, _, config2, seed2 = small_run(seed=8)
-    a = run_efi(data, layout, spec, config, seed)
-    b = run_efi(data2, layout, spec, config2, seed2)
+    a = run_efi(*small_run(seed=7))
+    b = run_efi(*small_run(seed=8))
     assert not np.array_equal(a.draws, b.draws)
 
 
 def test_run_efi_with_init_phase_and_minibatch():
     # 30 rows in 3 batches: weight steps on 10-row minibatches
-    data, layout, spec, config, seed = small_run(init_iters=40, n_batches=3)
-    chain = run_efi(data, layout, spec, config, seed)
+    chain = run_efi(*small_run(init_iters=40, n_batches=3))
     assert chain.n_draws == 20
     assert np.all(np.isfinite(chain.draws))
 
@@ -309,8 +330,9 @@ def test_run_efi_with_init_phase_and_minibatch():
 def test_run_efi_ends_the_init_phase_at_init_iters(monkeypatch):
     # init 3, burn 2, keep 4: three weight passes on fresh reference noise,
     # then the log-sigma bias reset, then latent and weight passes alternating
-    data, layout, spec, config, seed = small_run(
-        init_iters=3, k_burn=2, m_keep=4, thin=2, n_batches=1)
+    data, config, seed = small_run(init_iters=3, k_burn=2, m_keep=4, thin=2, n_batches=1)
+    layout = build_layout(config, data.d)
+    spec = MlpSpec((data.d + 3, *INVERSE_WIDTHS, layout.theta_dim), seed=seed)
     sigma_slot = _layer_slices(spec)[-1][1].start + layout.log_sigma_index
     calls = []
     real = fidte.sampler.energy_gradients
@@ -320,7 +342,7 @@ def test_run_efi_ends_the_init_phase_at_init_iters(monkeypatch):
         return real(w, rows, z, *args, need_z=need_z, need_w=need_w)
 
     monkeypatch.setattr(fidte.sampler, "energy_gradients", recorded)
-    run_efi(data, layout, spec, config, seed)
+    run_efi(data, config, seed)
     rows = SolveRows.build(data, Standardizer.fit(data), layout)
     log_sigma = least_squares_theta(rows, layout)[layout.log_sigma_index]
     assert len(calls) == 3 + 2 * (2 + 4)
@@ -336,9 +358,9 @@ def test_run_efi_ends_the_init_phase_at_init_iters(monkeypatch):
 
 
 def test_run_efi_trace_stream():
-    data, layout, spec, config, seed = small_run(init_iters=5)
+    data, config, seed = small_run(init_iters=5)
     buf = io.StringIO()
-    run_efi(data, layout, spec, config, seed, trace=buf)
+    run_efi(data, config, seed, trace=buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].split(",") == ["iteration", "energy", "upsilon", "gamma_rest", "grad_w_norm"]
     assert len(lines) == 1 + 5 + 160  # header + init phase + sampling phase
@@ -346,6 +368,7 @@ def test_run_efi_trace_stream():
     assert [int(c[0]) for c in cols] == list(range(1, 1 + 5 + 160))
     # both steps are constant: upsilon is anchored so that
     # upsilon * kappa_z = Z_STEP_TARGET, and the weight step keeps its anchor
+    layout = build_layout(config, data.d)
     rows = SolveRows.build(data, Standardizer.fit(data), layout)
     sig = np.exp(least_squares_theta(rows, layout)[layout.log_sigma_index])
     kappa_z = 1.0 + 2.0 * sig**2 / config.eps
@@ -362,21 +385,15 @@ def test_run_efi_divergence_guard(monkeypatch):
     x = rng.normal(size=(40, 2)) * 1e6
     t = (rng.random(40) < 0.5).astype(float)
     data = Dataset(x=x, t=t, y=1e8 * rng.normal(size=40))
-    layout = ThetaLayout(3)
-    spec = MlpSpec((5, 8, layout.theta_dim), seed=1)
     config = make_config(eta=500.0, eps=0.005, k_burn=50, m_keep=100, thin=5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged"):
-            run_efi(data, layout, spec, config, 0)
+            run_efi(data, config, 0)
 
 
-@pytest.mark.parametrize(
-    "c_spec, tau_spec",
-    [(3, None), (3, MlpSpec((2, 3, 1), seed=0)),
-     (MlpSpec((2, 3, 1), seed=2), MlpSpec((2, 3, 1), seed=0))],
-    ids=["linear_ate", "dnn_tau_linear_c", "dnn_both"],
-)
-def test_run_efi_reports_a_non_finite_start_as_a_divergence(monkeypatch, c_spec, tau_spec):
+@pytest.mark.parametrize("design", ["linear_ate", "example1", "example2"],
+                         ids=["linear_ate", "dnn_tau_linear_c", "dnn_both"])
+def test_run_efi_reports_a_non_finite_start_as_a_divergence(monkeypatch, design):
     # an inf in the tau block of the start state (tau' on linear_ate, a hidden
     # weight of the tau network otherwise) is one error on every layout
     real = fidte.sampler.least_squares_theta
@@ -387,22 +404,9 @@ def test_run_efi_reports_a_non_finite_start_as_a_divergence(monkeypatch, c_spec,
         return theta
 
     monkeypatch.setattr(fidte.sampler, "least_squares_theta", with_inf)
-    layout = ThetaLayout(c_spec, tau_spec)
-    spec = MlpSpec((5, 6, layout.theta_dim), seed=1)
-    config = make_config(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
+    config = make_config(design=design, n_test=1, eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
     with pytest.raises(RuntimeError, match="^energy diverged at iteration 1: nan$"):
-        run_efi(toy_data(np.random.default_rng(3), n=20), layout, spec, config, 0)
-
-
-def test_run_efi_rejects_an_inverse_net_of_another_width():
-    rng = np.random.default_rng(3)
-    data = toy_data(rng, n=20)
-    layout = ThetaLayout(3, MlpSpec((2, 3, 1), seed=0))
-    # an inverse net sized for the linear layout cannot emit the tau block
-    spec = MlpSpec((5, 6, ThetaLayout(3).theta_dim), seed=1)
-    config = make_config(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
-    with pytest.raises(ValueError, match="^inverse network output width 5 != theta dim 17$"):
-        run_efi(data, layout, spec, config, 0)
+        run_efi(toy_data(np.random.default_rng(3), n=20), config, 0)
 
 
 def test_run_efi_draws_match_the_log_sum_exp_prior(monkeypatch):
@@ -414,11 +418,11 @@ def test_run_efi_draws_match_the_log_sum_exp_prior(monkeypatch):
                       init_iters=10, n_batches=2)
     data = generate("example1", 40, seed=4)
     layout = build_layout(cfg, data.d)
-    spec = MlpSpec((data.d + 3, 12, 6, layout.theta_dim), seed=2)
-    shipped = run_efi(data, layout, spec, cfg, 9)
+    spec = MlpSpec((data.d + 3, *INVERSE_WIDTHS, layout.theta_dim), seed=9)
+    shipped = run_efi(data, cfg, 9)
     monkeypatch.setattr(fidte.sampler, "log_prior_grad", lambda w, head: lse_log_prior_grad(
         w, np.where(slices_mask(w.size, head), RESCALE, 1.0)))
-    reference = run_efi(data, layout, spec, cfg, 9)
+    reference = run_efi(data, cfg, 9)
     assert head_slices(spec, layout)
     assert shipped.n_draws == 20
     np.testing.assert_allclose(shipped.draws, reference.draws, rtol=0, atol=1e-10)
@@ -445,9 +449,7 @@ def test_recovery_on_easy_linear_problem():
     t = (rng.random(n) < 0.5).astype(int)
     y = 1.0 * t + 0.5 + x @ np.array([1.0, -1.0]) + 0.3 * rng.standard_normal(n)
     data = Dataset(x=x, t=t, y=y)
-    layout = ThetaLayout(3)
-    spec = MlpSpec((5, 30, 10, layout.theta_dim), seed=2)
     config = make_config(eta=500.0, eps=0.1, k_burn=1500, m_keep=1500, thin=5)
-    chain = run_efi(data, layout, spec, config, 4)
+    chain = run_efi(data, config, 4)
     tau_draws = 2.0 * chain.scaler.y_std * chain.draws[:, 0]
     assert abs(tau_draws.mean() - 1.0) < 0.35
