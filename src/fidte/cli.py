@@ -12,7 +12,8 @@ simulate, fit, cqr and benchmark accept --config (a YAML file or a preset
 name), --seed, --out, --paper-scale and --workers.  The config's data source
 chooses the model: a design fits its own, a csv file the linear_ate model.
 simulate and fit handle one replication, so they say on stderr that they
-ignore --workers above 1.  report takes the intervals.csv path and --out
+ignore --workers above 1; simulate and cqr run no sampler, so they say
+that they ignore --paper-scale.  report takes the intervals.csv path and --out
 only, and keys a level by its alpha as a number (0.10 and 1e-1 are 0.1).
 A bad config, a config file that cannot be read or parsed, a csv config
 given to simulate or cqr, a csv data file or intervals.csv that cannot be
@@ -90,11 +91,17 @@ def _ignore_workers(args) -> None:
         )
 
 
+def _ignore_paper_scale(args) -> None:
+    if args.paper_scale:
+        print(f"{args.command} runs no sampler; ignoring --paper-scale", file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     _ignore_workers(args)
     cfg = _resolve_config(args)
     if cfg.design is None:
         _fail("simulate needs a design-based config, not a csv one")
+    _ignore_paper_scale(args)
     train, test = _replication_data(cfg, replication_ints(cfg.seed, 0))
     os.makedirs(cfg.outdir, exist_ok=True)
     save_dataset_csv(train, os.path.join(cfg.outdir, "train.csv"))
@@ -146,6 +153,7 @@ def cmd_cqr(args) -> int:
         cqr_cfg = replace(cfg, methods=cqr_modes(cfg.methods) or cqr_modes(VALID_METHODS))
     except ValueError as e:
         _fail(str(e))
+    _ignore_paper_scale(args)
     if "efi" in cfg.methods:
         print(
             "cqr runs the conformal baselines only; skipping efi "

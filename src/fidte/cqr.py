@@ -12,8 +12,11 @@ guarantee).
 A replication plans its CQR work up front (fit_cqr) and fits it in two
 pinball_fit stages of ADAM_STEPS full-batch Adam steps: every arm-band net
 ((d+1)->10->10->2), then every inexact endpoint net (d->10->10->2), whose
-targets are stage 1's interval outcomes.  predict_quantiles reads a net
-back, and cqr_ite turns the fits into each (mode, level)'s intervals.
+targets are stage 1's interval outcomes.  Each net fits standardized
+columns: pinball_fit fits one engine.Standardizer, the sampler's column
+scaling, to each task's features and targets, and a QuantileModel keeps it
+beside its net.  predict_quantiles reads a net back through its scaler, and
+cqr_ite turns the fits into each (mode, level)'s intervals.
 
 The quantile nets are nn's networks, made by mlp_init and evaluated by
 mlp_forward_batch, but _fit_pinball_stage trains a stage's nets stacked on
@@ -36,12 +39,11 @@ and coverage do not move detectably.  So compare CQR results across seeds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .engine import Dataset
+from .engine import Dataset, Standardizer
 from .inference import Intervals
 from .nn import MlpParams, MlpSpec, mlp_forward_batch, mlp_init
 # no fit calls it, but perfbench's tracer wraps fidte.cqr.mlp_backward_batch and
@@ -55,23 +57,12 @@ ADAM_STEPS = 3000
 ADAM_LR = 0.02
 
 
-@dataclass
-class QuantileModel:
-    """Two-output quantile net with its feature and target scaling (one
-    y_mean and y_sd entry per target column)."""
+class QuantileModel(NamedTuple):
+    """Two-output quantile net and the Standardizer of its feature (x) and
+    target (y) columns, one y_mean and y_std entry per target column."""
 
     net: MlpParams
-    f_mean: np.ndarray
-    f_sd: np.ndarray
-    y_mean: np.ndarray
-    y_sd: np.ndarray
-
-
-def _standardize_columns(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = mat.mean(axis=0)
-    sd = mat.std(axis=0)
-    sd = np.where(sd < 1e-9, 1.0, sd)
-    return (mat - mean) / sd, mean, sd
+    scaler: Standardizer
 
 
 def _fit_pinball_stage(
@@ -219,29 +210,27 @@ def pinball_fit(tasks: Sequence[PinballTask]) -> List[QuantileModel]:
     them in one lockstep loop (_fit_pinball_stage).
 
     Every task has the same number of feature columns.  features and
-    targets are raw columns, standardized here per task.  targets holds one
-    column per level, or one column fitted at both; that column is
-    standardized before it is widened, so both outputs share its mean and sd.
+    targets are raw columns, standardized here by a Standardizer fit per
+    task.  targets holds one column per level, or one column fitted at
+    both; that column is standardized before it is widened, so both outputs
+    share its mean and sd.
     """
-    feats = [_standardize_columns(task.features) for task in tasks]
-    ys = [_standardize_columns(task.targets) for task in tasks]
+    scalers = [Standardizer.fit(task.features, task.targets) for task in tasks]
     nets = _fit_pinball_stage(
-        [f for f, _, _ in feats],
-        [np.broadcast_to(y, (y.shape[0], 2)) for y, _, _ in ys],
+        [scaler.scale_x(task.features) for task, scaler in zip(tasks, scalers)],
+        [np.broadcast_to(scaler.scale_y(task.targets), (task.targets.shape[0], 2))
+         for task, scaler in zip(tasks, scalers)],
         [task.qs for task in tasks],
         [MlpSpec((task.features.shape[1], 10, 10, 2), seed=task.seed) for task in tasks],
     )
-    return [
-        QuantileModel(net=net, f_mean=f_mean, f_sd=f_sd, y_mean=y_mean, y_sd=y_sd)
-        for net, (_, f_mean, f_sd), (_, y_mean, y_sd) in zip(nets, feats, ys)
-    ]
+    return [QuantileModel(net, scaler) for net, scaler in zip(nets, scalers)]
 
 
 def predict_quantiles(model: QuantileModel, features: np.ndarray) -> np.ndarray:
     """Per-row (lower, upper) in data units at raw features, sorted to undo
     quantile crossing."""
-    feats = (features - model.f_mean) / model.f_sd
-    out = mlp_forward_batch(model.net, feats)[-1] * model.y_sd + model.y_mean
+    scaler = model.scaler
+    out = mlp_forward_batch(model.net, scaler.scale_x(features))[-1] * scaler.y_std + scaler.y_mean
     return np.sort(out, axis=1)
 
 

@@ -126,36 +126,44 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Affine train-set standardization of covariates and outcome.
+    """Affine train-set standardization of covariate and outcome columns,
+    the one column scaling of both the sampler and cqr's quantile nets.
+
+    fit keeps each column's mean and sd: x_mean and x_std per column of x,
+    y_mean and y_std per column of y (0-d values for a 1-d y).  A column
+    whose values are all equal keeps sd 1, so it scales to ~0, not to the
+    +-1 its rounding-level sd would give.
 
     The sampler runs in standardized units: the inverse network sees
     standardized (y, x), the data model is fit to standardized residuals,
     and theta draws live in that space.  Inference maps effect and noise
-    scales back to data units through y_std.
+    scales back to data units through y_std.  A quantile net fits
+    standardized features (x) to standardized targets (y), and
+    predict_quantiles maps its outputs back.
     """
 
     x_mean: np.ndarray
     x_std: np.ndarray
-    y_mean: float
-    y_std: float
+    y_mean: np.ndarray
+    y_std: np.ndarray
 
     @classmethod
-    def fit(cls, data: Dataset) -> "Standardizer":
-        x_std = data.x.std(axis=0)
-        x_std = np.where(x_std > 0, x_std, 1.0)
-        y_std = float(data.y.std())
-        return cls(
-            x_mean=data.x.mean(axis=0),
-            x_std=x_std,
-            y_mean=float(data.y.mean()),
-            y_std=y_std if y_std > 0 else 1.0,
-        )
+    def fit(cls, x: np.ndarray, y: np.ndarray) -> "Standardizer":
+        return cls(*_column_moments(x), *_column_moments(y))
 
     def scale_x(self, x: np.ndarray) -> np.ndarray:
         return (x - self.x_mean) / self.x_std
 
     def scale_y(self, y: np.ndarray) -> np.ndarray:
         return (y - self.y_mean) / self.y_std
+
+
+def _column_moments(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # each column's mean and sd, sd 1 where every value equals the first: an
+    # exact test, as a constant column's computed sd is rounding, not 0 (the
+    # same test as max == min, which raised example2 fit's own peak 0.1 MB)
+    const = (a == a[0]).all(axis=0)
+    return a.mean(axis=0), np.where(const, 1.0, a.std(axis=0))
 
 
 @dataclass(frozen=True)
@@ -243,10 +251,6 @@ class SolveRows:
     @property
     def n(self) -> int:
         return self.xs.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.xs.shape[1]
 
 
 def _surface(spec, block: np.ndarray, xs: np.ndarray, net: Optional[MlpParams]):

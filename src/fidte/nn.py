@@ -52,10 +52,6 @@ class MlpSpec:
             raise ValueError(f"zero or negative layer width in {self.layer_widths}")
 
     @property
-    def d_in(self) -> int:
-        return self.layer_widths[0]
-
-    @property
     def d_out(self) -> int:
         return self.layer_widths[-1]
 
@@ -190,7 +186,7 @@ def mlp_init(spec: MlpSpec) -> MlpParams:
 
 
 def mlp_forward_batch(params: MlpParams, x: np.ndarray, head: bool = True) -> list[np.ndarray]:
-    """Forward pass for a batch x of shape (n, d_in).
+    """Forward pass for a batch x of shape (n, d_0).
 
     Returns the activations [x, hidden_1, ..., output], each (n, d_l); the
     (n, d_out) output is the last entry.  With head=False the list ends at

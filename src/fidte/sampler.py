@@ -250,7 +250,7 @@ def run_efi(
     """
     layout = build_layout(config, data.d)
     inverse_spec = MlpSpec((data.d + 3, *INVERSE_WIDTHS, layout.theta_dim), seed=seed)
-    scaler = Standardizer.fit(data)
+    scaler = Standardizer.fit(data.x, data.y)
     rows = SolveRows.build(data, scaler, layout)
     # mlp_init and the generator both read seed, so the first latent draw
     # reads the words the initial weights came from: a known defect (ROADMAP,

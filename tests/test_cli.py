@@ -115,6 +115,16 @@ def test_simulate_csv_fit_benchmark_report(tmp_path, monkeypatch, capsys):
     assert scores["efi"]["0.05"]["ATE"]["n"] == 1
 
 
+def test_simulate_writes_the_test_draw_with_its_truth(tmp_path):
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", "example1", "--seed", "5", "--out", str(sim)]) == 0
+    _, drawn = _replication_data(preset_config("example1", seed=5), replication_ints(5, 0))
+    back = load_csv_dataset(str(sim / "test.csv"), {"y": "y", "t": "t", "x": ["x1", "x2"]})
+    assert back.n == drawn.n == PRESETS["example1"]["n_test"]
+    for name in ("x", "t", "y", "y0", "y1", "tau_true", "z_true"):
+        assert np.array_equal(getattr(back, name), getattr(drawn, name))
+
+
 def test_simulate_rejects_a_csv_config(tmp_path, capsys):
     # a csv config has no design to draw from: one error line, exit status 2
     cfg = tmp_path / "csv.yaml"
@@ -397,6 +407,24 @@ def test_single_replication_commands_say_they_ignore_workers(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
+def test_commands_without_a_sampler_say_they_ignore_paper_scale(tmp_path, capsys, adam_steps):
+    adam_steps(2, 0.02)
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text("preset: example1\nn_train: 80\nn_test: 5\nk_burn: 2\nm_keep: 2\nthin: 1\n"
+                   "init_iters: 2\nn_batches: 1\nR: 1\nalphas: [0.5]\n")
+    # the flag adds its line to what a command says without it (fit and cqr
+    # name the preset's methods they skip)
+    for command, line in (("simulate", "simulate runs no sampler; ignoring --paper-scale\n"),
+                          ("cqr", "cqr runs no sampler; ignoring --paper-scale\n"),
+                          ("fit", ""), ("benchmark", "")):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", str(cfg), "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "paper-scale" not in err
+        assert cli.main([command, "--config", str(cfg), "--out", out, "--paper-scale"]) == 0
+        assert capsys.readouterr().err == line + err
+
+
 def test_summary_carries_per_case_blocks(tmp_path, monkeypatch, adam_steps):
     # EFI scores Ic, It and Im, CQR only Im; the summary keeps each case apart
     short_cqr_fits(monkeypatch, adam_steps)
@@ -605,6 +633,7 @@ UNUSABLE_DATA = {
     # no control row: the effect is not identified
     "one-arm": ("x1,t,y\n0.1,1,1.5\n0.2,1,0.5\n",
                 "csv file {path}: treatment column 't' holds arm 1 only; an effect needs both arms"),
+    "no-rows": ("x1,t,y\n", "csv file {path} holds no data rows"),
 }
 
 
@@ -699,6 +728,18 @@ def test_replication_that_fails_its_data_check_leaves_no_output_directory(tmp_pa
     with pytest.raises(ValueError, match="^replication 0: training set holds arm 1 only"):
         cli.main([command, "--config", str(cfg), "--out", str(out)])
     assert not out.exists()
+
+
+def test_sampler_divergence_names_its_replication(monkeypatch):
+    # run_efi reports a divergence as a RuntimeError; the replication that
+    # ran it prefixes its index
+    def diverging(*args, **kwargs):
+        raise RuntimeError("energy diverged at iteration 3: inf")
+
+    monkeypatch.setattr(fidte.runner, "run_efi", diverging)
+    cfg = preset_config("linear_ate_n250", n_train=20, k_burn=2, m_keep=2, thin=1, n_batches=1)
+    with pytest.raises(RuntimeError, match="^replication 1: energy diverged at iteration 3: inf$"):
+        fidte.runner.run_replication(cfg, 1, None)
 
 
 def test_error_inside_a_replication_keeps_its_traceback(tmp_path, monkeypatch):

@@ -176,6 +176,7 @@ def test_yaml_numbers_without_a_dot_load_as_numbers(tmp_path):
         ("paper_scale: 'no'", "paper_scale: expected bool, got 'no'"),
         ("eta: .nan", "eta: expected a finite number, got nan"),
         ("eps: inf", "eps: expected a finite number, got 'inf'"),
+        ("alphas: {a: 1}", "alphas: expected a list, got dict"),
     ],
 )
 def test_scalar_that_does_not_convert_is_rejected_at_load(tmp_path, line, message):
@@ -191,6 +192,8 @@ def test_scalar_that_does_not_convert_is_rejected_at_load(tmp_path, line, messag
         ("eta: -1", "eta: must be nonnegative, got -1.0"),
         ("tau_widths: [10, 0]", "tau_widths: need hidden layers of width >= 1, got [10, 0]"),
         ("seed: -1", "seed: must be nonnegative"),
+        ("R: 0", "R: must be >= 1, got 0"),
+        ("methods: []", "methods: must not be empty"),
         # a repeat would write its rows twice, and the summary would score them as one
         ("alphas: [0.1, 0.10]", "alphas: repeated entry in [0.1, 0.1]"),
         ("methods: [efi, cqr-naive, cqr-naive]",
@@ -209,6 +212,28 @@ def test_sampler_value_out_of_range_is_rejected_at_load(tmp_path, capsys, line, 
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"fidte: error: {message}\n"
         assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "config needs exactly one of design or csv"),
+        ("design: linear_ate\ncsv: data.csv\n", "config needs exactly one of design or csv"),
+        ("preset: nope\n", f"preset: unknown preset 'nope', expected one of {sorted(PRESETS)}"),
+        ("- preset: example1\n", "config.yaml must hold a mapping at top level"),
+    ],
+    ids=["empty", "design-and-csv", "unknown-preset", "top-level-list"],
+)
+def test_malformed_config_file_is_rejected_at_load(tmp_path, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(write_yaml(tmp_path, text))
+
+
+def test_scalar_and_list_fields_take_a_lone_yaml_value(tmp_path):
+    # a number where a string is due is read as its text, and a lone value
+    # where a list is due as a one-item list
+    cfg = load_config(write_yaml(tmp_path, "preset: linear_ate_n250\noutdir: 5\nalphas: 0.1\n"))
+    assert cfg.outdir == "5" and cfg.alphas == (0.1,)
 
 
 def test_individual_effect_layout_without_test_set_is_rejected():

@@ -19,7 +19,7 @@ from fidte.cqr import (
     predict_quantiles,
 )
 from fidte.datagen import generate
-from fidte.engine import Dataset
+from fidte.engine import Dataset, Standardizer
 from fidte.nn import (
     MlpParams,
     MlpSpec,
@@ -161,8 +161,8 @@ def test_fitted_net_predicts_the_folded_forward(rng, adam_steps):
     targets = rng.normal(size=(n, 2))
     spec = MlpSpec((d_in, 10, 10, 2), seed=3)
     model = QuantileModel(net=fit_net(features, targets, qs, spec),
-                          f_mean=np.zeros(d_in), f_sd=np.ones(d_in),
-                          y_mean=np.zeros(1), y_sd=np.ones(1))
+                          scaler=Standardizer(x_mean=np.zeros(d_in), x_std=np.ones(d_in),
+                                              y_mean=np.zeros(1), y_std=np.ones(1)))
     _, out = folded_activations(folded_pinball_net(features, targets, qs, spec), features)
     got = predict_quantiles(model, features)
     np.testing.assert_allclose(got, np.sort(out.T, axis=1), rtol=1e-12)
@@ -243,7 +243,7 @@ def test_pinball_fit_rejects_non_finite_weights(rng, adam_steps):
 
 
 def exact_model(lo, hi):
-    # zero-weight net emits (0, 0); shifting by y_mean and scaling y_sd makes
+    # zero-weight net emits (0, 0); shifting by y_mean and scaling by y_std makes
     # a model with constant band [lo, hi] at alpha irrelevant for these tests
     spec = MlpSpec((3, 2, 2), seed=0)
     net = mlp_init(spec)
@@ -253,8 +253,8 @@ def exact_model(lo, hi):
     net.flat[-2:] = np.array([-1.0, 1.0]) if half > 0 else np.zeros(2)
     return QuantileModel(
         net=net,
-        f_mean=np.zeros(3), f_sd=np.ones(3),
-        y_mean=np.array([mid]), y_sd=np.array([half if half > 0 else 1.0]),
+        scaler=Standardizer(x_mean=np.zeros(3), x_std=np.ones(3), y_mean=np.array([mid]),
+                            y_std=np.array([half if half > 0 else 1.0])),
     )
 
 

@@ -125,7 +125,7 @@ def test_theta_hat_is_forward_on_feature_row(rng):
 
 def test_feature_matrix_standardizes_y_and_x_only(rng):
     data = random_dataset(rng, n=20)
-    scaler = Standardizer.fit(data)
+    scaler = Standardizer.fit(data.x, data.y)
     z = rng.normal(size=20)
     f = feature_matrix(solve_rows(data, linear_layout(), scaler), z)
     np.testing.assert_allclose(f[:, 0].mean(), 0.0, atol=1e-12)
@@ -368,7 +368,7 @@ def test_gradients_with_standardizer(rng):
     layout = tau_net_layout(d=2)
     data = random_dataset(rng, n=6)
     data.y[:] = 3.0 + 2.0 * data.y  # give the scaler something to do
-    scaler = Standardizer.fit(data)
+    scaler = Standardizer.fit(data.x, data.y)
     w = random_inverse(rng, 2, layout, seed=8)
     z = rng.normal(size=6)
     fd_check_z_grad(layout, data, w, z, eta=4.0, scaler=scaler)
@@ -445,7 +445,7 @@ def test_hidden_space_matches_explicit_consensus(make, standardize, rng):
     layout = make(d=2)
     data = random_dataset(rng, n=40)
     data.y[:] = 3.0 + 2.0 * data.y
-    scaler = Standardizer.fit(data) if standardize else IDENTITY_SCALER
+    scaler = Standardizer.fit(data.x, data.y) if standardize else IDENTITY_SCALER
     spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=14)
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     z = rng.normal(size=40)
@@ -469,7 +469,7 @@ def test_z_pass_skips_weight_gradient_with_the_same_z_grad(make, rng):
     # must equal those of a pass that computes everything, bit for bit
     layout = make(d=2)
     data = random_dataset(rng, n=30)
-    scaler = Standardizer.fit(data)
+    scaler = Standardizer.fit(data.x, data.y)
     spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=15)
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     z = rng.normal(size=30)
@@ -488,7 +488,7 @@ def test_minibatch_rows_match_rows_of_the_subset(make, rng):
     layout = make(d=2)
     data = random_dataset(rng, n=30)
     data.y[:] = 3.0 + 2.0 * data.y
-    scaler = Standardizer.fit(data)
+    scaler = Standardizer.fit(data.x, data.y)
     spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=16)
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     z = rng.normal(size=30)
@@ -533,7 +533,7 @@ def test_passes_and_draw_surfaces_share_the_layouts_nets(make, rng):
     # draw_surfaces and the passes write the same pass arrays of the layout's
     # nets on the same row count; neither leaves the other a different result
     data = random_dataset(rng, n=12)
-    scaler = Standardizer.fit(data)
+    scaler = Standardizer.fit(data.x, data.y)
     used, fresh = make(d=2), make(d=2)
     w = random_inverse(rng, 2, used, seed=4)
     z = rng.normal(size=12)
@@ -556,7 +556,7 @@ def test_passes_on_two_row_counts_match_passes_on_fresh_networks(make, rng):
     # the same pass gives on networks that never ran, bit for bit
     layout = make(d=2)
     data = random_dataset(rng, n=30)
-    scaler = Standardizer.fit(data)
+    scaler = Standardizer.fit(data.x, data.y)
     spec = MlpSpec((5, 8, 6, layout.theta_dim), seed=17)
     w = MlpParams(spec, mlp_init(spec).flat + 0.3 * rng.normal(size=param_count(spec)))
     rows = solve_rows(data, layout, scaler)
@@ -592,6 +592,20 @@ def test_dataset_validation():
 
 def test_standardizer_zero_variance_guard():
     data = Dataset(x=np.ones((4, 2)), t=np.array([0, 1, 0, 1]), y=np.ones(4))
-    s = Standardizer.fit(data)
+    s = Standardizer.fit(data.x, data.y)
     np.testing.assert_array_equal(s.x_std, 1.0)
     assert s.y_std == 1.0
+
+
+def test_standardizer_scales_a_constant_column_to_zero(rng):
+    # the mean of 250 copies of 0.1 (or of 0.9) is not exactly 0.1, so the
+    # column's computed sd is ~3e-16 (~2e-16), not 0; divided by it, the
+    # rounding in x - mean scaled the column to -1.0 in every row
+    x = rng.normal(size=(250, 3))
+    x[:, 0] = 0.1
+    data = Dataset(x=x, t=rng.integers(0, 2, 250), y=np.full(250, 0.9))
+    s = Standardizer.fit(data.x, data.y)
+    assert np.abs(s.scale_x(data.x)[:, 0]).max() < 1e-12
+    assert np.abs(s.scale_y(data.y)).max() < 1e-12
+    # a varying column still scales to mean 0 and sd 1
+    np.testing.assert_allclose(s.scale_x(data.x)[:, 1:].std(axis=0), 1.0, rtol=1e-12)

@@ -343,7 +343,7 @@ def test_run_efi_ends_the_init_phase_at_init_iters(monkeypatch):
 
     monkeypatch.setattr(fidte.sampler, "energy_gradients", recorded)
     run_efi(data, config, seed)
-    rows = SolveRows.build(data, Standardizer.fit(data), layout)
+    rows = SolveRows.build(data, Standardizer.fit(data.x, data.y), layout)
     log_sigma = least_squares_theta(rows, layout)[layout.log_sigma_index]
     assert len(calls) == 3 + 2 * (2 + 4)
     assert [c[:2] for c in calls[:3]] == [(False, True)] * 3
@@ -369,7 +369,7 @@ def test_run_efi_trace_stream():
     # both steps are constant: upsilon is anchored so that
     # upsilon * kappa_z = Z_STEP_TARGET, and the weight step keeps its anchor
     layout = build_layout(config, data.d)
-    rows = SolveRows.build(data, Standardizer.fit(data), layout)
+    rows = SolveRows.build(data, Standardizer.fit(data.x, data.y), layout)
     sig = np.exp(least_squares_theta(rows, layout)[layout.log_sigma_index])
     kappa_z = 1.0 + 2.0 * sig**2 / config.eps
     assert {float(c[2]) for c in cols} == {Z_STEP_TARGET / kappa_z}
@@ -406,6 +406,37 @@ def test_run_efi_reports_a_non_finite_start_as_a_divergence(monkeypatch, design)
     monkeypatch.setattr(fidte.sampler, "least_squares_theta", with_inf)
     config = make_config(design=design, n_test=1, eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
     with pytest.raises(RuntimeError, match="^energy diverged at iteration 1: nan$"):
+        run_efi(toy_data(np.random.default_rng(3), n=20), config, 0)
+
+
+def _non_finite_w_pass(real):
+    def stage(*args, need_w, **kwargs):
+        rep = real(*args, need_w=need_w, **kwargs)
+        return replace(rep, total=np.inf) if need_w else rep
+    return stage
+
+
+# run_efi's stages that can diverge on their own: (name in fidte.sampler, the
+# stage with a non-finite result, the message)
+DIVERGING_STAGES = {
+    "latent-step": ("sghmc_z_step", lambda real: lambda z, v, *a: (z * np.nan, v),
+                    "^latent chain diverged at iteration 1$"),
+    "w-pass-energy": ("energy_gradients", _non_finite_w_pass,
+                      "^energy diverged at iteration 1: inf$"),
+    "weight-gradient": ("log_prior_grad", lambda real: lambda *a: np.full_like(real(*a), np.nan),
+                        "^weight gradient diverged at iteration 1$"),
+    # k_burn 5 at thin 1: the first draw is recorded at iteration 6
+    "recorded-draw": ("energy", lambda real: lambda *a: replace(real(*a), total=np.inf),
+                      "^energy diverged at iteration 6: inf$"),
+}
+
+
+@pytest.mark.parametrize("stage", list(DIVERGING_STAGES))
+def test_run_efi_names_the_stage_that_diverged(monkeypatch, stage):
+    name, make, message = DIVERGING_STAGES[stage]
+    monkeypatch.setattr(fidte.sampler, name, make(getattr(fidte.sampler, name)))
+    config = make_config(eta=10.0, eps=0.1, k_burn=5, m_keep=5, thin=1)
+    with pytest.raises(RuntimeError, match=message):
         run_efi(toy_data(np.random.default_rng(3), n=20), config, 0)
 
 
