@@ -17,13 +17,13 @@ that they ignore --paper-scale.  report takes the intervals.csv path and --out
 only, and keys a level by its alpha as a number (0.10 and 1e-1 are 0.1).
 A bad config, a config file that cannot be read or parsed, a csv config
 given to simulate or cqr, a csv data file or intervals.csv that cannot be
-read as one (for report, a malformed row, named by its line and column),
-a csv data file whose treatment column holds one arm only, and a csv data
-file with fewer rows than n_batches each exit 2 with one stderr line,
-"fidte: error: <message>", before any output directory is made; an error
-raised inside a replication keeps its traceback.  Each output directory is
-made at its first write, so a replication that fails before writing leaves
-no directory behind.
+read as one (a cell that is not a finite number, or for report a malformed
+row, named by its line and column), a csv data file whose treatment column
+holds one arm only, and a csv data file with fewer rows than n_batches each
+exit 2 with one stderr line, "fidte: error: <message>", before any output
+directory is made; an error raised inside a replication keeps its
+traceback.  Each output directory is made at its first write, so a
+replication that fails before writing leaves no directory behind.
 """
 
 from __future__ import annotations

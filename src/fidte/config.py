@@ -288,9 +288,11 @@ def load_config(path: str, paper_scale: Optional[bool] = None) -> ExperimentConf
     if "paper_scale" in raw:
         scale = _scalar("paper_scale", bool, raw.pop("paper_scale"))
         paper_scale = scale if paper_scale is None else paper_scale
-    overrides = {str(key): _coerce(str(key), value) for key, value in raw.items()}
     if preset is not None:
-        return preset_config(str(preset), paper_scale=bool(paper_scale), **overrides)
+        # preset_config coerces each key as an override
+        return preset_config(str(preset), paper_scale=bool(paper_scale),
+                             **{str(key): value for key, value in raw.items()})
+    overrides = {str(key): _coerce(str(key), value) for key, value in raw.items()}
     if paper_scale is not None:
         raise ValueError(f"paper_scale: {path} names no preset, so it has no budgets to scale")
     return _reject_unread_keys(ExperimentConfig(**overrides), overrides)

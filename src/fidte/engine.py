@@ -74,7 +74,10 @@ class Dataset:
     x: covariates (n, d); t: binary treatment (n,); y: outcome (n,).
     Truth columns (TRUTH_COLUMNS), when present, come from a generator: the
     latent draw that produced the observed arm, the effect surface, and both
-    potential outcomes.
+    potential outcomes.  Building one converts the columns to float64 (t to
+    int64) and checks nothing: its rows are finite, of one length and of a
+    binary t wherever they come from, datagen.generate or a csv file that
+    runner.load_csv_dataset has checked cell by cell.
     """
 
     x: np.ndarray
@@ -87,27 +90,12 @@ class Dataset:
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        self.t = np.asarray(self.t)
+        self.t = np.asarray(self.t).astype(np.int64)
         self.y = np.asarray(self.y, dtype=np.float64)
-        n = self.x.shape[0]
-        if self.t.shape != (n,) or self.y.shape != (n,):
-            raise ValueError(
-                f"inconsistent shapes: x {self.x.shape}, t {self.t.shape}, y {self.y.shape}"
-            )
-        # np.unique only for the message: it imports numpy.ma, which no
-        # command loads otherwise (inference takes no np.quantile)
-        if not np.all((self.t == 0) | (self.t == 1)):
-            raise ValueError(f"treatment must be binary 0/1, found values {np.unique(self.t)}")
-        self.t = self.t.astype(np.int64)
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("non-finite covariate or outcome values")
         for name in TRUTH_COLUMNS:
             v = getattr(self, name)
             if v is not None:
-                v = np.asarray(v, dtype=np.float64)
-                if v.shape != (n,):
-                    raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
-                setattr(self, name, v)
+                setattr(self, name, np.asarray(v, dtype=np.float64))
 
     @property
     def n(self) -> int:
@@ -181,6 +169,9 @@ class ThetaLayout:
         example1         ThetaLayout(d + 1, tau net)  [mu, beta, tau net, log sigma]
         example2         ThetaLayout(c net, tau net)  [c net, tau net, log sigma]
 
+    build_layout, the one builder, gives each network one output and a
+    network c only with a network tau, so neither is checked here.
+
     c_net and tau_net are the one scratch network of each network surface
     (None otherwise), which every _surface call writes its block into; they
     take no part in the layout's equality, hash or repr.
@@ -195,11 +186,7 @@ class ThetaLayout:
     tau_net: Optional[MlpParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.c_spec, MlpSpec) and self.tau_spec is None:
-            raise ValueError("a network c surface needs a tau network, not a constant effect")
         for spec, name in ((self.c_spec, "c"), (self.tau_spec, "tau")):
-            if isinstance(spec, MlpSpec) and spec.d_out != 1:
-                raise ValueError(f"{name} network must have a single output, got {spec.d_out}")
             net = MlpParams(spec, np.zeros(param_count(spec))) if isinstance(spec, MlpSpec) else None
             object.__setattr__(self, f"{name}_net", net)
         c_dim = param_count(self.c_spec) if isinstance(self.c_spec, MlpSpec) else self.c_spec
@@ -245,7 +232,7 @@ class SolveRows:
         return cls(ys=ys, xs=xs, feats=feats, u=layout.code(data.t))
 
     def take(self, idx: np.ndarray) -> "SolveRows":
-        """The rows idx.  Rows of a checked Dataset are valid, so nothing is re-checked."""
+        """The rows idx, taken as they are (see Dataset)."""
         return SolveRows(ys=self.ys[idx], xs=self.xs[idx], feats=self.feats[idx], u=self.u[idx])
 
     @property

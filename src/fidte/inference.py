@@ -59,7 +59,8 @@ class Intervals:
     [lower[k], upper[k]] for subject subject_id[k] in case case[k] (an ATE
     block is one row, subject -1).  Building one checks every row at once:
     alpha in (0, 1), a known case, finite endpoints with lower <= upper.  The
-    first row to break a rule raises IntervalError; ragged columns ValueError.
+    first row to break a rule raises IntervalError.  The columns are 1-d and
+    of one length: each builder makes them so, one row per subject.
     """
 
     subject_id: np.ndarray
@@ -72,9 +73,6 @@ class Intervals:
         for name, kind in zip(("subject_id", "case", "lower", "upper"), (np.int64, str, float, float)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=kind))
         object.__setattr__(self, "alpha", float(self.alpha))
-        shapes = [col.shape for col in (self.subject_id, self.case, self.lower, self.upper)]
-        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
-            raise ValueError(f"interval columns must be 1-d and of one length, got shapes {shapes}")
         if not 0.0 < self.alpha < 1.0:
             raise IntervalError(f"alpha must lie in (0, 1), got {self.alpha}", 0, "alpha")
         rules = {"case": np.isin(self.case, CASES), "lower": np.isfinite(self.lower),

@@ -42,15 +42,6 @@ class MlpSpec:
     layer_widths: tuple[int, ...]
     seed: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
-        if len(self.layer_widths) < 3:
-            raise ValueError(
-                f"need input, at least one hidden, and output layer, got widths {self.layer_widths}"
-            )
-        if any(w <= 0 for w in self.layer_widths):
-            raise ValueError(f"zero or negative layer width in {self.layer_widths}")
-
     @property
     def d_out(self) -> int:
         return self.layer_widths[-1]
@@ -78,8 +69,10 @@ def _layer_slices(spec: MlpSpec) -> list[tuple[slice, slice, tuple[int, int]]]:
 class MlpParams:
     """A network: its architecture plus one flat parameter vector.
 
-    The layer views into flat are built once per vector; an optimizer that
-    updates flat in place keeps them valid.
+    flat is a 1-d float64 vector of param_count(spec) values; the package
+    builds every one (mlp_init, cqr's fits, a layout's scratch net), so it
+    is taken as it is.  The layer views into flat are built on the first
+    layers() call, and flat is only ever updated in place, never rebound.
 
     A pass writes one set of arrays, whatever its row count n.  They are of
     two kinds: "act", each hidden activation, which the forward writes and
@@ -104,29 +97,18 @@ class MlpParams:
 
     spec: MlpSpec
     flat: np.ndarray = field(repr=False)
-    _views_of: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _views: list = field(default_factory=list, init=False, repr=False, compare=False)
     _capacity: int = field(default=0, init=False, repr=False, compare=False)
     _storage: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.flat = np.asarray(self.flat, dtype=np.float64)
-        if self.flat.ndim != 1 or self.flat.shape[0] != param_count(self.spec):
-            raise ValueError(
-                f"flat vector has length {self.flat.shape}, spec needs {param_count(self.spec)}"
-            )
-        if not np.all(np.isfinite(self.flat)):
-            raise ValueError("non-finite parameter values")
-
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Views (W_l, b_l) into the flat vector, W_l of shape (d_l, d_{l-1})."""
-        if self._views_of is not self.flat:
+        if not self._views:
             self._views = [
                 (self.flat[ws].reshape(shape), self.flat[bs])
                 for ws, bs, shape in _layer_slices(self.spec)
             ]
-            self._views_of = self.flat
         return self._views
 
     def _pass_array(self, kind: str, l: int, n: int) -> np.ndarray:

@@ -24,19 +24,23 @@ results.
 Each input is checked once, where it enters, and the code it flows into
 takes it as checked:
   * a config value, when its ExperimentConfig is built (config);
-  * a csv data file, by load_csv_dataset (cells, columns, a binary
-    treatment) and read_csv_rows (both arms, rows for n_batches), once per
-    run, before any replication;
-  * a dataset's shapes and finite values, when its engine.Dataset is built;
+  * a csv data file, by load_csv_dataset (columns, each cell a finite
+    number by _cell, a binary treatment, some rows) and read_csv_rows (both
+    arms, rows for n_batches), once per run, before any replication;
   * a generated training set, for both arms, as each replication draws it,
     before any fit;
   * a replication's test set, for a treated row when the PEHE of an effect
     surface is taken, and the CQR bands' calibration rows (cqr.fit_cqr),
     before any fit;
-  * an intervals file's rows, when read_rows_csv builds their
-    inference.Intervals blocks.
-What a run computes is checked only for divergence: the sampler's energy,
-latent and weight steps and the CQR fits' Adam steps.
+  * an intervals file's rows, each numeric cell a finite number by _cell
+    as read_rows_csv reads it (an empty truth cell is no truth), and their
+    alphas, cases and endpoints when it builds their inference.Intervals
+    blocks.
+What fidte builds itself from these (network specs and weights, a
+ThetaLayout, a drawn engine.Dataset) is not checked again, and what a run
+computes is checked only for divergence: the sampler's energy, latent step,
+weight gradient, weight step and recorded draws, and the CQR fits' Adam
+steps.
 """
 
 from __future__ import annotations
@@ -73,13 +77,16 @@ class InputFileError(ValueError):
 
 
 def _cell(row: dict, col: str, line: int, kind=float):
-    """A csv cell as a kind; a bad cell is named by its line and column."""
+    """A csv cell as a finite kind; a bad cell is named by its line and column."""
     raw = row[col]
     try:
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError, OverflowError) as e:
         what = "out-of-range" if isinstance(e, OverflowError) else "non-numeric"
         raise InputFileError(f"{what} value {raw!r} at line {line}, column {col!r}") from None
+    if not math.isfinite(value):
+        raise InputFileError(f"non-finite value {raw!r} at line {line}, column {col!r}")
+    return value
 
 
 def _open(path: str, kind: str):
@@ -97,7 +104,8 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
     names, the keys ExperimentConfig requires of a csv_schema.  The
     treatment column must be binary 0/1.  Truth columns a simulated file
     carries (engine.TRUTH_COLUMNS) are read too, by those names.  A file
-    that does not hold such data raises InputFileError.
+    that does not hold such data, or holds a cell that is not a finite
+    number, raises InputFileError.
     """
     x_cols = list(schema["x"])
     with _open(path, "csv") as fh:
@@ -122,15 +130,12 @@ def load_csv_dataset(path: str, schema: dict) -> Dataset:
                 col.append(_cell(row, name, i))
     if not ys:
         raise InputFileError(f"csv file {path} holds no data rows")
-    try:
-        return Dataset(
-            x=np.array(xs, dtype=np.float64),
-            t=np.array(ts, dtype=np.float64),
-            y=np.array(ys, dtype=np.float64),
-            **{name: np.array(col, dtype=np.float64) for name, col in truth.items()},
-        )
-    except ValueError as e:  # e.g. a nan or inf cell
-        raise InputFileError(f"csv file {path}: {e}") from None
+    return Dataset(
+        x=np.array(xs, dtype=np.float64),
+        t=np.array(ts, dtype=np.float64),
+        y=np.array(ys, dtype=np.float64),
+        **{name: np.array(col, dtype=np.float64) for name, col in truth.items()},
+    )
 
 
 def read_csv_rows(config: ExperimentConfig) -> Optional[Dataset]:
@@ -403,8 +408,6 @@ def read_rows_csv(intervals_path: str) -> list:
             raise InputFileError(f"intervals file is missing columns {sorted(missing)}")
         for i, row in enumerate(reader, start=2):  # header is line 1
             tv = _cell(row, "truth", i) if row["truth"] != "" else math.nan  # NaN: no truth
-            if row["truth"] != "" and not math.isfinite(tv):
-                raise InputFileError(f"non-finite value {row['truth']!r} at line {i}, column 'truth'")
             cols = groups.setdefault((row["method"], _cell(row, "alpha", i)), ([], [], [], [], [], []))
             for col, value in zip(cols, (i, _cell(row, "subject_id", i, np.int64), row["case"],
                                          _cell(row, "lower", i), _cell(row, "upper", i), tv)):

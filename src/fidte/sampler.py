@@ -124,8 +124,7 @@ def sgd_w_step(
     grad is turned into the step in place, in one walk over it: multiplied
     by rate_head inside the ascending slices head (head_slices) and by
     rate_rest between them; head () steps every parameter at rate_rest.
-    With clip_norm set, grad is first rescaled to norm <= clip_norm.  A step
-    that leaves a parameter non-finite raises ValueError.
+    With clip_norm set, grad is first rescaled to norm <= clip_norm.
     """
     if clip_norm is not None:
         nrm = float(np.linalg.norm(grad))
@@ -138,8 +137,6 @@ def sgd_w_step(
         k = sl.stop
     grad[k:] *= rate_rest
     w.flat += grad
-    if not np.all(np.isfinite(w.flat)):
-        raise ValueError("weight step gave non-finite parameter values")
 
 
 def build_layout(config: ExperimentConfig, d: int) -> ThetaLayout:
@@ -155,8 +152,9 @@ def head_slices(spec: MlpSpec, layout: ThetaLayout) -> tuple[slice, ...]:
     """The inverse net's head as slices of its flat parameters: the output
     layer's weight rows, then its biases, whose output slots lie in the theta
     block of a network surface, tau(x) or c(x); () when no surface is a
-    network.  ThetaLayout puts c's block just before tau's and refuses a
-    network c without a network tau, so those slots are one run [lo, hi)."""
+    network.  ThetaLayout puts c's block just before tau's, and build_layout
+    never pairs a network c with a constant tau, so those slots are one run
+    [lo, hi)."""
     if layout.tau_spec is None:
         return ()
     lo = (layout.c_slice if isinstance(layout.c_spec, MlpSpec) else layout.tau_slice).start
@@ -325,6 +323,8 @@ def run_efi(
                  repr(float(np.linalg.norm(gw)))]
             )
         sgd_w_step(w, gw, rate_rest, rate_head, head, CLIP_NORM if k <= CLIP_ITERS else None)
+        if not np.all(np.isfinite(w.flat)):
+            raise RuntimeError(f"weight step diverged at iteration {k}")
         del rep, gw  # drop the P-sized gradient before the next pass
         if k < k_init:
             z = rng.standard_normal(n)

@@ -629,7 +629,14 @@ UNUSABLE_DATA = {
     "non-binary-t": ("x1,t,y\n0.1,1,1.5\n0.2,2,0.5\n",
                      "treatment column 't' must be binary 0/1, got 2.0 at line 3"),
     "non-finite": ("x1,t,y\n0.1,1,1.5\n0.2,0,nan\n",
-                   "csv file {path}: non-finite covariate or outcome values"),
+                   "non-finite value 'nan' at line 3, column 'y'"),
+    "non-finite-x": ("x1,t,y\n0.1,1,1.5\n-inf,0,0.5\n",
+                     "non-finite value '-inf' at line 3, column 'x1'"),
+    "non-finite-t": ("x1,t,y\n0.1,1,1.5\n0.2,nan,0.5\n",
+                     "non-finite value 'nan' at line 3, column 't'"),
+    # a nan truth cell would drop the run's ATE truth (a constant tau_true)
+    "non-finite-truth": ("x1,t,y,tau_true\n0.1,1,1.5,1\n0.2,0,0.5,nan\n0.3,1,0.2,1\n",
+                         "non-finite value 'nan' at line 3, column 'tau_true'"),
     # no control row: the effect is not identified
     "one-arm": ("x1,t,y\n0.1,1,1.5\n0.2,1,0.5\n",
                 "csv file {path}: treatment column 't' holds arm 1 only; an effect needs both arms"),

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import fidte.config
 from fidte import cli
 from fidte.config import PRESETS, ExperimentConfig, load_config, preset_config
 
@@ -163,6 +164,18 @@ def test_yaml_numbers_without_a_dot_load_as_numbers(tmp_path):
     assert type(cfg.R) is int
     with pytest.raises(ValueError, match="^R: expected int, got 2.5$"):
         preset_config("example1", R=2.5)
+
+
+def test_each_preset_file_key_is_coerced_once(tmp_path, monkeypatch):
+    # load_config hands a preset file's keys to preset_config as they are,
+    # and preset_config coerces each one as an override
+    calls = []
+    real = fidte.config._coerce
+    monkeypatch.setattr(fidte.config, "_coerce",
+                        lambda name, value: calls.append(name) or real(name, value))
+    cfg = load_config(write_yaml(tmp_path, "preset: linear_ate_n250\neta: 5e2\nalphas: 0.1\n"))
+    assert (cfg.eta, cfg.alphas) == (500.0, (0.1,))
+    assert calls == ["eta", "alphas"]
 
 
 @pytest.mark.parametrize(
