@@ -178,7 +178,7 @@ def _fit_pinball_stage(
         flat -= mh
         if not np.isfinite(flat, out=finite).all():
             k = next(k for k in range(k_nets) if not all(np.isfinite(W[k]).all() for W in masters))
-            raise ValueError(
+            raise RuntimeError(
                 f"non-finite parameter values at Adam step {step} of {iters}, "
                 f"quantile levels {tuple(float(q) for q in qs[k])}"
             )

@@ -1,5 +1,7 @@
 """Intervals and the PEHE from a collected fiducial sample.  An interval
-result is one Intervals block per method and level, checked once, as columns.
+result is one Intervals block per method and level, a plain record of
+columns that its builders make valid; an intervals.csv's rows are checked
+as runner.read_rows_csv reads them.
 
 ATE confidence intervals come straight from the fiducial draws of the effect
 slot that the chain's own layout names.  ITE prediction intervals and the
@@ -28,8 +30,7 @@ a quantile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,22 +46,14 @@ P_MISSING = 1.0 / 3.0
 _BLOCK_VALUES = 1 << 16
 
 
-class IntervalError(ValueError):
-    """An Intervals row that breaks a rule: its index in the block and its column."""
-
-    def __init__(self, message: str, row: int, column: str):
-        super().__init__(message)
-        self.row, self.column = row, column
-
-
-@dataclass(frozen=True, eq=False)
-class Intervals:
+class Intervals(NamedTuple):
     """One method's prediction intervals at one level, as columns: row k is
     [lower[k], upper[k]] for subject subject_id[k] in case case[k] (an ATE
-    block is one row, subject -1).  Building one checks every row at once:
-    alpha in (0, 1), a known case, finite endpoints with lower <= upper.  The
-    first row to break a rule raises IntervalError.  The columns are 1-d and
-    of one length: each builder makes them so, one row per subject.
+    block is one row, subject -1).  Each builder (ate_interval, ite_intervals,
+    cqr.cqr_ite and runner.read_rows_csv) keeps the contract: 1-d numpy
+    columns of one length, int64 ids, cases from CASES, finite float64
+    endpoints with lower <= upper, and a Python-float alpha in (0, 1), which
+    runner.write_rows_csv writes through .tolist() and repr(alpha).
     """
 
     subject_id: np.ndarray
@@ -68,22 +61,6 @@ class Intervals:
     lower: np.ndarray
     upper: np.ndarray
     alpha: float
-
-    def __post_init__(self):
-        for name, kind in zip(("subject_id", "case", "lower", "upper"), (np.int64, str, float, float)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=kind))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not 0.0 < self.alpha < 1.0:
-            raise IntervalError(f"alpha must lie in (0, 1), got {self.alpha}", 0, "alpha")
-        rules = {"case": np.isin(self.case, CASES), "lower": np.isfinite(self.lower),
-                 "upper": np.isfinite(self.upper) & (self.lower <= self.upper)}
-        for column, ok in rules.items():
-            if not ok.all():
-                k = int(np.argmin(ok))
-                got = f"({float(self.lower[k])}, {float(self.upper[k])})"
-                raise IntervalError(f"unknown case {str(self.case[k])!r}, expected one of {CASES}"
-                                    if column == "case" else "interval must have finite endpoints "
-                                    f"with lower <= upper, got {got}", k, column)
 
 
 def _linear_quantiles(draws: np.ndarray, levels) -> np.ndarray:
@@ -126,7 +103,7 @@ def ate_interval(chain: FiducialChain, alpha: float = 0.05) -> Intervals:
     # the effect slot multiplies t' in {-1, +1}, so the 0-to-1 contrast is 2 tau'
     draws = 2.0 * chain.scaler.y_std * chain.draws[:, chain.layout.tau_slice.start]
     lower, upper = _linear_quantiles(draws, (alpha / 2.0, 1.0 - alpha / 2.0))[:, None]
-    return Intervals([-1], ["ATE"], lower, upper, alpha)
+    return Intervals(np.array([-1]), np.array(["ATE"]), lower, upper, alpha)
 
 
 def assign_cases(test: Dataset, rng: np.random.Generator) -> np.ndarray:

@@ -32,15 +32,14 @@ takes it as checked:
   * a replication's test set, for a treated row when the PEHE of an effect
     surface is taken, and the CQR bands' calibration rows (cqr.fit_cqr),
     before any fit;
-  * an intervals file's rows, each numeric cell a finite number by _cell
-    as read_rows_csv reads it (an empty truth cell is no truth), and their
-    alphas, cases and endpoints when it builds their inference.Intervals
-    blocks.
+  * an intervals file's rows, line by line as read_rows_csv reads them:
+    each numeric cell a finite number by _cell (an empty truth cell is no
+    truth), then the row's alpha, case and endpoints.
 What fidte builds itself from these (network specs and weights, a
-ThetaLayout, a drawn engine.Dataset) is not checked again, and what a run
-computes is checked only for divergence: the sampler's energy, latent step,
-weight gradient, weight step and recorded draws, and the CQR fits' Adam
-steps.
+ThetaLayout, a drawn engine.Dataset, an inference.Intervals block) is not
+checked again, and what a run computes is checked only for divergence: the
+sampler's energy, latent step, weight gradient, weight step and recorded
+draws, and the CQR fits' Adam steps.
 """
 
 from __future__ import annotations
@@ -59,14 +58,7 @@ from .config import ExperimentConfig
 from .cqr import cqr_ite, fit_cqr
 from .datagen import generate
 from .engine import TRUTH_COLUMNS, Dataset, draw_surfaces
-from .inference import (
-    IntervalError,
-    Intervals,
-    assign_cases,
-    ate_interval,
-    ite_intervals,
-    pehe,
-)
+from .inference import CASES, Intervals, assign_cases, ate_interval, ite_intervals, pehe
 from .sampler import run_efi
 
 
@@ -398,9 +390,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
 
 def read_rows_csv(intervals_path: str) -> list:
     """An intervals.csv as write_rows_csv's rows, a (method, block, truth)
-    per method and level, truth NaN where its cell is empty.  A bad row
-    raises InputFileError naming its line and column."""
-    groups = {}  # (method, alpha) -> lines, subject ids, cases, lowers, uppers, truths
+    per method and level, truth NaN where its cell is empty.  Each row is
+    checked as it is read, in file order: each numeric cell by _cell, then
+    alpha in (0, 1), a case from inference.CASES and lower <= upper.  The
+    first bad row raises InputFileError naming its line and column."""
+    groups = {}  # (method, alpha) -> subject ids, cases, lowers, uppers, truths
     with _open(intervals_path, "intervals") as fh:
         reader = csv.DictReader(fh)
         missing = set(INTERVAL_COLUMNS[:-1]) - set(reader.fieldnames or [])
@@ -408,19 +402,24 @@ def read_rows_csv(intervals_path: str) -> list:
             raise InputFileError(f"intervals file is missing columns {sorted(missing)}")
         for i, row in enumerate(reader, start=2):  # header is line 1
             tv = _cell(row, "truth", i) if row["truth"] != "" else math.nan  # NaN: no truth
-            cols = groups.setdefault((row["method"], _cell(row, "alpha", i)), ([], [], [], [], [], []))
-            for col, value in zip(cols, (i, _cell(row, "subject_id", i, np.int64), row["case"],
-                                         _cell(row, "lower", i), _cell(row, "upper", i), tv)):
+            alpha, sid = _cell(row, "alpha", i), _cell(row, "subject_id", i, np.int64)
+            case, lo, hi = row["case"], _cell(row, "lower", i), _cell(row, "upper", i)
+            if not 0.0 < alpha < 1.0:
+                raise InputFileError(f"alpha must lie in (0, 1), got {alpha} at line {i}, "
+                                     "column 'alpha'")
+            if case not in CASES:
+                raise InputFileError(f"unknown case {case!r}, expected one of {CASES} "
+                                     f"at line {i}, column 'case'")
+            if lo > hi:
+                raise InputFileError("interval must have finite endpoints with lower <= upper, "
+                                     f"got ({lo}, {hi}) at line {i}, column 'upper'")
+            cols = groups.setdefault((row["method"], alpha), ([], [], [], [], []))
+            for col, value in zip(cols, (sid, case, lo, hi, tv)):
                 col.append(value)
     if not groups:
         raise InputFileError(f"intervals file {intervals_path} holds no interval rows")
-    rows = []
-    for (method, alpha), (lines, *cols, truth) in groups.items():
-        try:
-            rows.append((method, Intervals(*cols, alpha), np.array(truth)))
-        except IntervalError as e:
-            raise InputFileError(f"{e} at line {lines[e.row]}, column {e.column!r}") from None
-    return rows
+    return [(method, Intervals(*map(np.array, cols), alpha), np.array(truth))
+            for (method, alpha), (*cols, truth) in groups.items()]
 
 
 def rescore(intervals_path: str) -> dict:

@@ -245,5 +245,5 @@ def per_subject_ite_intervals(surfaces, test, alpha, rng, cases):
             diff = tau_mat[:, i] + np.sqrt(2.0) * sig * z_new
             lower, upper = np.quantile(diff, qs, method="linear").tolist()
         out.append((case, lower, upper))
-    cases, lowers, uppers = zip(*out)
+    cases, lowers, uppers = map(np.array, zip(*out))
     return Intervals(np.arange(test.n), cases, lowers, uppers, alpha)

@@ -229,7 +229,7 @@ def test_pinball_fit_names_the_step_that_went_non_finite(rng, adam_steps):
     specs = [MlpSpec((3, 4, 2), seed=1), MlpSpec((3, 4, 2), seed=2)]
     for dtype in (np.float32, np.float64):
         with np.errstate(all="ignore"), pytest.raises(
-            ValueError, match=r"^non-finite parameter values at Adam step 2 of 5, "
+            RuntimeError, match=r"^non-finite parameter values at Adam step 2 of 5, "
                               r"quantile levels \(0\.1, 0\.9\)$"
         ):
             _fit_pinball_stage(features, targets, [(0.0, 0.0), (0.1, 0.9)], specs, dtype=dtype)
@@ -238,7 +238,7 @@ def test_pinball_fit_names_the_step_that_went_non_finite(rng, adam_steps):
 def test_pinball_fit_rejects_non_finite_weights(rng, adam_steps):
     adam_steps(3, 1e308)
     data = flat_data(rng, 40)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite parameter values"):
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite parameter values"):
         arm_fit(data, alpha=0.1)
 
 

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 import fidte.runner
 from fidte.config import preset_config
+from fidte.cqr import cqr_ite, fit_cqr
+from fidte.datagen import generate
 from fidte.engine import Dataset, Standardizer, ThetaLayout, draw_surfaces
 from fidte.inference import (
     _BLOCK_VALUES,
     _linear_quantiles,
-    IntervalError,
     Intervals,
     assign_cases,
     ate_interval,
@@ -20,7 +21,14 @@ from fidte.inference import (
     pehe,
 )
 from fidte.nn import MlpSpec
-from fidte.runner import InputFileError, rescore, score_rows, summarize, write_rows_csv
+from fidte.runner import (
+    InputFileError,
+    read_rows_csv,
+    rescore,
+    score_rows,
+    summarize,
+    write_rows_csv,
+)
 from fidte.sampler import FiducialChain
 
 from conftest import IDENTITY_SCALER, per_draw_chain_surfaces, per_subject_ite_intervals
@@ -103,11 +111,6 @@ def test_quantile_matches_sort_oracle(rng):
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_quantile_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ate_interval(ate_chain([1.0, 2.0]), alpha=1.5)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     qa=st.floats(0.001, 0.999),
@@ -184,25 +187,26 @@ def test_ate_interval_constant_draws():
     assert (iv.subject_id.tolist(), iv.case.tolist()) == ([-1], ["ATE"])
 
 
-def test_prediction_interval_validation():
-    # every rule names the first row that breaks it and that row's column
-    def fault(case=("Im", "Im", "Im"), lower=(0.0, 0.0, 0.0), upper=(1.0, 1.0, 1.0), alpha=0.05):
-        with pytest.raises(IntervalError) as exc:
-            Intervals([0, 1, 2], case, lower, upper, alpha)
-        return str(exc.value), exc.value.row, exc.value.column
-
-    message, row, column = fault(lower=(0.0, 2.0, 3.0))
-    assert "lower <= upper" in message and (row, column) == (1, "upper")
-    assert fault(upper=(1.0, 1.0, np.nan))[1:] == (2, "upper")
-    assert fault(lower=(np.nan, 0.0, 0.0))[1:] == (0, "lower")
-    assert fault(upper=(1.0, np.inf, 1.0))[1:] == (1, "upper")
-    message, row, column = fault(alpha=-0.05)
-    assert "alpha" in message and (row, column) == (0, "alpha")
-    assert fault(alpha=1.0)[1:] == (0, "alpha")
-    message, row, column = fault(case=("Im", "Ic", "nope"))
-    assert "case" in message and (row, column) == (2, "case")
-    block = Intervals([0, 1], ["Im", "ATE"], [0.0, -1.0], [0.0, 1.0], 0.05)
-    assert block.subject_id.dtype == np.int64 and block.lower.dtype == np.float64
+def test_every_builder_gives_the_record_types(tmp_path, adam_steps):
+    # Intervals converts nothing: each builder gives int64 ids, str cases,
+    # float64 endpoints and a Python-float alpha, as write_rows_csv takes them
+    adam_steps(20, 0.05)
+    test = toy_test_set(6, seed=2)
+    draws = np.random.default_rng(3).standard_normal((40, 7)) * 0.1
+    path = tmp_path / "iv.csv"
+    path.write_text("method,alpha,subject_id,case,lower,upper,truth,covered\n"
+                    "efi,0.05,0,Im,0.5,1.5,1.0,1\nefi,0.1,-1,ATE,0.5,1.5,,\n")
+    blocks = [
+        ate_interval(ate_chain([1.0, 2.0, 3.0]), alpha=0.05),
+        ite_intervals(surfaces(make_chain(draws), test), test, 0.1, 1, np.full(test.n, "Im")),
+        cqr_ite(fit_cqr(generate("example1", 120, seed=7), (0.1,), ("naive",), 3),
+                generate("example1", 20, seed=8), alpha=0.1, mode="naive"),
+        *(block for _, block, _ in read_rows_csv(str(path))),
+    ]
+    for block in blocks:
+        assert (block.subject_id.dtype, block.case.dtype.kind) == (np.int64, "U")
+        assert (block.lower.dtype, block.upper.dtype) == (np.float64, np.float64)
+        assert type(block.alpha) is float
 
 
 def test_im_interval_matches_gaussian_predictive_law():
@@ -406,15 +410,16 @@ def test_score_intervals_points_at_truth(tmp_path):
     # degenerate intervals at the truth cover it, through a written file
     truth = np.linspace(-1.0, 1.0, 7)
     path = tmp_path / "iv.csv"
-    write_rows_csv([("efi", Intervals(np.arange(7), ["Ic"] * 7, truth, truth, 0.05), truth)], path)
+    block = Intervals(np.arange(7), np.array(["Ic"] * 7), truth, truth, 0.05)
+    write_rows_csv([("efi", block, truth)], path)
     assert rescore(str(path))["efi"]["0.05"]["Ic"] == {"n": 7, "mean_length": 0.0, "coverage": 1.0}
 
 
 def test_score_intervals_hand_fixture(tmp_path):
     # 10 subjects with truth 0; seven unit-radius intervals centered at 0
     # cover, three centered at 5 miss; every interval has length 2
-    block = Intervals(np.arange(10), ["Im"] * 7 + ["It"] * 3, [-1.0] * 7 + [4.0] * 3,
-                      [1.0] * 7 + [6.0] * 3, 0.05)
+    block = Intervals(np.arange(10), np.array(["Im"] * 7 + ["It"] * 3),
+                      np.array([-1.0] * 7 + [4.0] * 3), np.array([1.0] * 7 + [6.0] * 3), 0.05)
     rows = [("efi", block, np.zeros(10))]
     path = tmp_path / "iv.csv"
     write_rows_csv(rows, path)
@@ -430,8 +435,8 @@ def test_score_intervals_hand_fixture(tmp_path):
 
 
 def test_write_intervals_csv_roundtrip(tmp_path):
-    ite = Intervals([0, 1], ["Im", "Ic"], [0.0, -1.0], [1.0, 2.0], 0.05)
-    ate = Intervals([-1], ["ATE"], [0.5], [1.5], 0.05)
+    ite = Intervals(*map(np.array, ([0, 1], ["Im", "Ic"], [0.0, -1.0], [1.0, 2.0])), 0.05)
+    ate = Intervals(*map(np.array, ([-1], ["ATE"], [0.5], [1.5])), 0.05)
     path = tmp_path / "iv.csv"
     write_rows_csv([("efi", ite, np.array([0.5, 3.0])), ("efi", ate, None)], path)
     rows = path.read_text().strip().splitlines()
@@ -467,16 +472,6 @@ def test_blocks_longer_than_a_write_chunk_are_what_csv_writer_writes(tmp_path):
     assert path.read_bytes() == want.getvalue().encode()
 
 
-def test_interval_of_numpy_scalars_reads_back(tmp_path):
-    # endpoints taken from an array are numpy scalars; the file holds plain numbers
-    lower, upper = np.array([-1.0, 1.0])
-    path = tmp_path / "iv.csv"
-    write_rows_csv([("efi", Intervals([0], ["Im"], [lower], [upper], np.float64(0.05)),
-                     np.array([0.5]))], path)
-    assert path.read_text().splitlines()[1].split(",")[4:6] == ["-1.0", "1.0"]
-    assert rescore(str(path))["efi"]["0.05"]["Im"] == {"n": 1, "mean_length": 2.0, "coverage": 1.0}
-
-
 def test_rescore_rejects_a_malformed_file(tmp_path):
     path = tmp_path / "iv.csv"
     header = "method,alpha,subject_id,case,lower,upper,truth,covered\n"
@@ -496,6 +491,13 @@ def test_rescore_rejects_a_malformed_file(tmp_path):
         with pytest.raises(InputFileError) as exc:
             rescore(str(path))
         assert str(exc.value) == message
+    # rows are checked in file order: a bad cqr-naive row at line 3 is named
+    # before a bad efi row at line 4, though the efi block began first
+    path.write_text(header + "efi,0.05,0,Im,0.5,1.5,1.0,1\ncqr-naive,0.05,0,XX,0.5,1.5,1.0,1\n"
+                    "efi,0.05,1,Im,2.0,1.0,1.0,1\n")
+    with pytest.raises(InputFileError) as exc:
+        rescore(str(path))
+    assert str(exc.value) == BAD_INTERVAL_ROWS["efi,0.05,1,XX,0.5,1.5,1.0,1"]
 
 
 # a malformed intervals.csv row, read at line 3, and the error it gives

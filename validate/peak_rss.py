@@ -4,7 +4,7 @@
 
 PARENT and CHANGE are checkouts of this repository (each holds src/fidte).
 For each perfbench workload (or only W), each tree runs the workload's
-command N times (default 5), alternating which tree goes first: the YAML
+command N times (default 20), alternating which tree goes first: the YAML
 config that perfbench/run.py writes for seed S (default 1), `--workers 1`,
 BLAS on one thread, from the tree's root.  The command runs in a small
 wrapper around fidte.cli.main that reads its own VmHWM, the high-water mark
@@ -15,6 +15,10 @@ with vfork, and at exec Linux folds the memory the child shared with its
 parent into the child's ru_maxrss, so a command that stays smaller than the
 perfbench parent reads the parent's peak.  VmHWM counts the command's own
 memory only.  This launcher imports no numpy, so it stays small anyway.
+
+A command's own VmHWM still varies by about 0.2 MB from run to run, and
+the moves this script is used to judge are about 0.1 MB, so 5 runs a tree
+give quartiles too coarse to tell them apart; hence 20 by default.
 
 The script prints, per workload, each tree's quartiles (q1, median, q3) in
 MB and every run in order, then the change's median minus the parent's, the
@@ -76,7 +80,7 @@ def main(argv=None) -> int:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--repeats", type=int, default=20)
     ap.add_argument("--workload", choices=sorted(WORKLOADS), default=None)
     args = ap.parse_args(argv)
     if args.repeats < 2:
